@@ -10,6 +10,12 @@ dt * f_tau <= 1 for every pair, which keeps every update a convex
 combination of the current state and the instantaneous target f_phi/f_tau
 and therefore keeps trajectories inside the equilibrium envelope.
 
+The gate recurrence is the costly part: it runs per pair and per step.
+``RecurrentGateCore`` projects queries and keys once instead of building
+u, and unrolls all steps as one tape op with a hand-written backward that
+keeps only the hidden states and recomputes the rest; inference runs the
+same kernel without keeping anything.
+
 Final logits pass through a masked softmax and weight the gathered
 values; heads are concatenated and projected, optionally through a
 query-dependent sigmoid output gate that counteracts attention sinks.
@@ -18,7 +24,7 @@ query-dependent sigmoid output gate that counteracts attention sinks.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,12 +104,30 @@ class RecurrentGateCore:
 
     Hidden size equals the per-head dimension; the hidden state is carried
     across Euler steps, independently per pair, starting from zero. The
-    step input is [u; t_n] with t_n = n * dt_nominal.
+    step input is [u; t_n] with u = [q; k] and t_n = n * dt_nominal.
 
-    With ``heads=None`` the weights are plain matrices and the core serves
-    a single head on inputs [..., 2D]. With ``heads=H`` the weights carry
-    a head axis broadcast against rank-5 pair batches [B,H,T_q,K,2D], so
-    all heads run in one pass.
+    With ``heads=H`` the weights carry a head axis ([1,H,1,...]) and pair
+    batches are [B,H,...]; with ``heads=None`` they are plain matrices and
+    the core runs as a single head.
+
+    The input projection is factorized, u W_u = q W_u[:D] + k W_u[D:]:
+    ``project_pairs`` projects each query and key once and forms every
+    pair's projection with one broadcast add (``pairs.pair_sum``), so u is
+    never built. ``unroll`` then runs all Euler steps as one tape op with a
+    hand-written BPTT backward (``_gru_forward`` / ``_gru_backward``). The
+    op keeps only the hidden state of every step and the gates it returns;
+    the backward recomputes the reset, update and candidate gates from the
+    previous hidden state with one GEMM per step (Chen et al., "Training
+    Deep Nets with Sublinear Memory Cost"). Under ``no_grad`` it keeps
+    nothing and reuses one hidden-state buffer. Tape and ``no_grad`` run
+    the same kernel, so both give bitwise the same gates.
+
+    The kernel loops over heads and works on one head at a time in a
+    channel-major layout ([3h, pairs]): each gate block is a contiguous
+    array updated by in-place ufuncs, and the scratch buffers hold one
+    head, H times less than all heads at once. That bound matters most
+    under ``no_grad``, where scratch is all the kernel allocates beyond
+    the gates it returns.
     """
 
     def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
@@ -144,147 +168,246 @@ class RecurrentGateCore:
             clone.__dict__[name] = Tensor(getattr(self, name).data[0, h, 0, 0])
         return clone
 
-    def _cell(self, x_proj: Tensor, hidden: Tensor | None) -> Tensor:
-        # single-bias GRU: the reset gate scales the raw hidden projection,
-        # so a zero hidden state needs no projection at all
-        h = self.hidden_dim
-        xr, xz, xn = (T.narrow(x_proj, -1, i * h, h) for i in range(3))
-        if hidden is None:
-            z = T.sigmoid(xz)
-            n = T.tanh(xn)
-            return T.mul(T.sub(Tensor(1.0), z), n)
-        hp = T.matmul(hidden, self.W_h)
-        hr, hz, hn = (T.narrow(hp, -1, i * h, h) for i in range(3))
-        r = T.sigmoid(T.add(xr, hr))
-        z = T.sigmoid(T.add(xz, hz))
-        n = T.tanh(T.add(xn, T.mul(r, hn)))
-        return T.add(T.mul(T.sub(Tensor(1.0), z), n), T.mul(z, hidden))
+    def gates(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
+              n_steps: int, dt_nominal: float):
+        """Gate trajectories of the pairs ``pb`` selects from [B,H,T,D] q, k."""
+        return self.unroll(self.project_pairs(q, k, pb), n_steps, dt_nominal)
 
-    def _heads(self, hidden: Tensor) -> tuple[Tensor, Tensor]:
-        f_phi = T.tanh(T.add(T.matmul(hidden, self.W_phi), self.b_phi))
-        f_tau = T.add(T.softplus(T.add(T.matmul(hidden, self.W_tau), self.b_tau)),
-                      Tensor(self.epsilon))
-        return f_tau, f_phi
+    def project_pairs(self, q: Tensor, k: Tensor,
+                      pb: pairs_mod.PairBatch) -> Tensor:
+        """u W_u for every selected pair, [B,H,T_q,K_eff,3h], zero on
+        invalid pairs (so they see exactly the gates of a zero input)."""
+        D = q.shape[-1]
+        W = self.W_u
+        if self.heads is not None:
+            W = T.reshape(W, (1, self.heads, 2 * D, W.shape[-1]))
+        qp = T.matmul(q, T.narrow(W, -2, 0, D))
+        kp = T.matmul(k, T.narrow(W, -2, D, D))
+        return pairs_mod.pair_sum(qp, kp, pb)
 
-    def step(self, u: Tensor, t_n: float, hidden: Tensor | None,
-             u_proj: Tensor | None = None):
-        """One recurrent step; returns (f_tau, f_phi, new hidden)."""
-        if u_proj is None:
-            u_proj = T.matmul(u, self.W_u)
-        # fold the time term and bias into one small vector before the
-        # single wide broadcast add
-        step_bias = T.add(T.scale(self.w_t, t_n), self.b_x)
-        x_proj = T.add(u_proj, step_bias)
-        new_hidden = self._cell(x_proj, hidden)
-        f_tau, f_phi = self._heads(new_hidden)
-        return f_tau, f_phi, new_hidden
+    def unroll(self, up: Tensor, n_steps: int, dt_nominal: float):
+        """Gate trajectories for all steps from the projected pair input.
 
-    def unroll(self, u: Tensor, n_steps: int, dt_nominal: float):
-        """Gate trajectories for all steps; the u projection is shared.
-
-        Outside the tape the scratch-buffer path below is used; it runs the
-        same formulas with preallocated buffers (several times faster on
-        large pair batches, identical values).
+        up: [..., 3h] pair-major, the leading axes [B,H,...] for a stacked
+        core. Returns lists (f_taus, f_phis) of n_steps tensors [..., 1],
+        slices of the one tensor the fused op produces.
         """
-        if not T._grad_enabled():
-            return self._unroll_inference(u.data, n_steps, dt_nominal)
-        u_proj = T.matmul(u, self.W_u)
-        hidden = None
-        f_taus, f_phis = [], []
+        h, C = self.hidden_dim, up.shape[-1]
+        if C != 3 * h:
+            raise ValueError(f"pair projection has {C} channels, expected {3 * h}")
+        H = self.heads or 1
+        B = 1 if self.heads is None else up.shape[0]
+        if self.heads is not None and up.shape[1] != H:
+            raise ValueError(f"pair batch {up.shape} has no head axis of {H}")
+        R = up.size // (B * H * C)
+        # channel-major [H, 3h, pairs]; free when up came from pair_sum
+        x = np.ascontiguousarray(
+            up.data.reshape(B, H, R, C).transpose(1, 3, 0, 2)).reshape(H, C, B * R)
+        gates = np.empty((2 * n_steps,) + up.shape[:-1] + (1,))
+        g_view = gates.reshape(2 * n_steps, B, H, R)
+
+        params = self.parameters()
+        inputs = (up,) + tuple(params[n] for n in _GATE_WEIGHTS)
+        w = _stack_heads(params, H, h)
+        saved = (np.empty((H, n_steps, h, B * R))
+                 if T._grad_enabled() and any(t.requires_grad for t in inputs)
+                 else None)
+        _gru_forward(x, w, n_steps, dt_nominal, self.epsilon, g_view, saved)
+
+        def rule(g):
+            dx, dw = _gru_backward(g.reshape(g_view.shape), x, w, saved,
+                                   g_view, n_steps, dt_nominal)
+            d_up = dx.reshape(H, C, B, R).transpose(2, 0, 3, 1).reshape(up.shape)
+            return (d_up,) + tuple(dw[n].reshape(params[n].shape)
+                                   for n in _GATE_WEIGHTS)
+
+        parts = T.unstack(T._node(gates, inputs, rule))
+        return parts[:n_steps], parts[n_steps:]
+
+
+# the weights the fused unroll differentiates (W_u acts in project_pairs)
+_GATE_WEIGHTS = ("w_t", "b_x", "W_h", "W_phi", "b_phi", "W_tau", "b_tau")
+
+
+def _stack_heads(params: dict, H: int, h: int) -> dict:
+    """Per-head numpy weights: W_h [H,h,3h], w_t/b_x [H,3h], and the two
+    projection heads stacked as W_o [H,2,h] and b_o [H,2] (phi, tau)."""
+    d = {n: params[n].data for n in _GATE_WEIGHTS}
+    return {"W_h": d["W_h"].reshape(H, h, 3 * h),
+            "w_t": d["w_t"].reshape(H, 3 * h),
+            "b_x": d["b_x"].reshape(H, 3 * h),
+            "W_o": np.stack([d["W_phi"].reshape(H, h),
+                             d["W_tau"].reshape(H, h)], axis=1),
+            "b_o": np.stack([d["b_phi"].reshape(H),
+                             d["b_tau"].reshape(H)], axis=1)}
+
+
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    """In place x <- 1 / (1 + exp(-x)), the formula of tensor.sigmoid."""
+    np.negative(x, out=x)
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
+    return x
+
+
+def _cell(x: np.ndarray, bias: np.ndarray, hp: np.ndarray | None,
+          r: np.ndarray, z: np.ndarray, c: np.ndarray, tmp: np.ndarray):
+    """Reset, update and candidate gates of one step of one head.
+
+    x: [3h,P] projected pairs; bias: [3h,1] step bias; hp: W_h^T h_prev
+    [3h,P], or None at the first step where the hidden state is zero (the
+    single-bias GRU needs no hidden projection then, and r is unused).
+    """
+    h = r.shape[0]
+    np.add(x[h:2 * h], bias[h:2 * h], out=z)
+    np.add(x[2 * h:], bias[2 * h:], out=c)
+    if hp is not None:
+        z += hp[h:2 * h]
+        np.add(x[:h], bias[:h], out=r)
+        r += hp[:h]
+        _sigmoid_(r)
+        np.multiply(r, hp[2 * h:], out=tmp)
+        c += tmp
+    _sigmoid_(z)
+    np.tanh(c, out=c)
+
+
+def _step_bias(w: dict, hd: int, t_n: float) -> np.ndarray:
+    return (w["w_t"][hd] * t_n + w["b_x"][hd])[:, None]
+
+
+def _gru_forward(x, w, n_steps, dt_nominal, epsilon, gates, saved):
+    """Run every head's GRU and write f_tau (rows :N) and f_phi (rows N:)
+    of ``gates`` [2N,B,H,R]. With ``saved`` [H,N,h,P] the hidden state of
+    every step is kept there for the backward."""
+    H, C, P = x.shape
+    h = C // 3
+    B, R = gates.shape[1], gates.shape[3]
+    hp = np.empty((C, P))
+    r, z, c, tmp = (np.empty((h, P)) for _ in range(4))
+    o = np.empty((2, P))
+    t = np.empty(P)
+    hidden = np.empty((h, P)) if saved is None else None
+    for hd in range(H):
+        W_hT, W_o, b_o = w["W_h"][hd].T, w["W_o"][hd], w["b_o"][hd]
+        prev = None
         for n in range(n_steps):
-            f_tau, f_phi, hidden = self.step(u, n * dt_nominal, hidden,
-                                             u_proj=u_proj)
-            f_taus.append(f_tau)
-            f_phis.append(f_phi)
-        return f_taus, f_phis
-
-    def _unroll_inference(self, u_np: np.ndarray, n_steps: int,
-                          dt_nominal: float):
-        if self.heads is None:
-            weights = {k: v.data for k, v in self.parameters().items()}
-            return self._unroll_inference_flat(u_np, n_steps, dt_nominal,
-                                               weights)
-        # stacked core: loop heads to bound scratch memory, assembling the
-        # full [B,H,...] gate arrays per step
-        out_tau = [np.empty(u_np.shape[:-1] + (1,)) for _ in range(n_steps)]
-        out_phi = [np.empty(u_np.shape[:-1] + (1,)) for _ in range(n_steps)]
-        _owners = [Tensor(a) for a in out_tau + out_phi]
-        for hidx in range(self.heads):
-            weights = {}
-            for name in ("W_u", "W_h", "W_phi", "W_tau"):
-                weights[name] = getattr(self, name).data[0, hidx, 0]
-            for name in ("w_t", "b_x", "b_phi", "b_tau"):
-                weights[name] = getattr(self, name).data[0, hidx, 0, 0]
-            taus, phis = self._unroll_inference_flat(
-                u_np[:, hidx], n_steps, dt_nominal, weights)
-            for n in range(n_steps):
-                out_tau[n][:, hidx] = taus[n].data
-                out_phi[n][:, hidx] = phis[n].data
-        return ([Tensor(a) for a in out_tau], [Tensor(a) for a in out_phi])
-
-    def _unroll_inference_flat(self, u_np: np.ndarray, n_steps: int,
-                               dt_nominal: float, weights: dict):
-        h = self.hidden_dim
-        lead = u_np.shape[:-1]
-        flat = np.ascontiguousarray(u_np.reshape(-1, u_np.shape[-1]))
-        P = flat.shape[0]
-
-        up = flat @ weights["W_u"]
-        x = np.empty_like(up)
-        hp = np.empty_like(up)
-        r = np.empty((P, h))
-        z = np.empty((P, h))
-        cand = np.empty((P, h))
-        tmp = np.empty((P, h))
-        head_tmp = np.empty((P, 1))
-        hidden = np.empty((P, h))
-        # the scratch lives outside the tape; register it with the
-        # allocation tracker so benchmark peaks stay honest
-        _scratch_owners = [Tensor(a) for a in (up, x, hp, r, z, cand, tmp,
-                                               head_tmp, hidden)]
-
-        def sigmoid_into(src, out):
-            np.negative(src, out=out)
-            with np.errstate(over="ignore"):
-                np.exp(out, out=out)
-            np.add(1.0, out, out=out)
-            np.divide(1.0, out, out=out)
-
-        first = True
-        f_taus, f_phis = [], []
-        for n in range(n_steps):
-            bias = weights["w_t"] * (n * dt_nominal) + weights["b_x"]
-            np.add(up, bias, out=x)
-            if first:
-                sigmoid_into(x[:, h:2 * h], z)
-                np.tanh(x[:, 2 * h:], out=cand)
-                np.subtract(1.0, z, out=tmp)
-                np.multiply(tmp, cand, out=hidden)
-                first = False
+            new = hidden if saved is None else saved[hd, n]
+            if prev is not None:
+                np.matmul(W_hT, prev, out=hp)
+            _cell(x[hd], _step_bias(w, hd, n * dt_nominal),
+                  None if prev is None else hp, r, z, c, tmp)
+            # new hidden = (1 - z) * c + z * prev
+            np.subtract(1.0, z, out=tmp)
+            tmp *= c
+            if prev is None:
+                new[...] = tmp
             else:
-                np.matmul(hidden, weights["W_h"], out=hp)
-                np.add(x[:, :h], hp[:, :h], out=r)
-                sigmoid_into(r, r)
-                np.add(x[:, h:2 * h], hp[:, h:2 * h], out=z)
-                sigmoid_into(z, z)
-                np.multiply(r, hp[:, 2 * h:], out=cand)
-                np.add(x[:, 2 * h:], cand, out=cand)
-                np.tanh(cand, out=cand)
-                np.subtract(1.0, z, out=tmp)
-                np.multiply(tmp, cand, out=tmp)
-                np.multiply(z, hidden, out=hidden)
-                np.add(tmp, hidden, out=hidden)
+                np.multiply(z, prev, out=new)
+                new += tmp
+            prev = new
 
-            np.matmul(hidden, weights["W_phi"], out=head_tmp)
-            np.add(head_tmp, weights["b_phi"], out=head_tmp)
-            f_phi = np.tanh(head_tmp).reshape(lead + (1,))
-            np.matmul(hidden, weights["W_tau"], out=head_tmp)
-            np.add(head_tmp, weights["b_tau"], out=head_tmp)
-            sp = np.maximum(head_tmp, 0.0) + np.log1p(np.exp(-np.abs(head_tmp)))
-            f_tau = (sp + self.epsilon).reshape(lead + (1,))
-            f_taus.append(Tensor(f_tau))
-            f_phis.append(Tensor(f_phi))
-        return f_taus, f_phis
+            np.matmul(W_o, new, out=o)
+            o += b_o[:, None]
+            np.tanh(o[0].reshape(B, R), out=gates[n_steps + n, :, hd])
+            # softplus(o) + eps, softplus = max(o, 0) + log1p(exp(-|o|))
+            np.abs(o[1], out=t)
+            np.negative(t, out=t)
+            np.exp(t, out=t)
+            np.log1p(t, out=t)
+            np.maximum(o[1], 0.0, out=o[1])
+            o[1] += t
+            np.add(o[1].reshape(B, R), epsilon, out=gates[n, :, hd])
+
+
+def _gru_backward(g, x, w, saved, gates, n_steps, dt_nominal):
+    """BPTT through ``_gru_forward``: returns (d x [H,3h,P], weight grads
+    keyed as in _GATE_WEIGHTS, in the stacked per-head shapes)."""
+    H, C, P = x.shape
+    h = C // 3
+    B, R = gates.shape[1], gates.shape[3]
+    N = n_steps
+    dx = np.zeros((H, C, P))
+    dW_h = np.zeros((H, h, C))
+    dw_t = np.zeros((H, C))
+    db_x = np.zeros((H, C))
+    dW_o = np.zeros((H, 2, h))
+    db_o = np.zeros((H, 2))
+    hp = np.empty((C, P))
+    dhp = np.empty((C, P))      # grad of W_h^T h_prev; its r, z rows are dx's
+    r, z, c, tmp, dcp, dh = (np.empty((h, P)) for _ in range(6))
+    o = np.empty((2, P))
+    dpre = np.empty((2, P))
+    d_phi, d_tau = dpre[0].reshape(B, R), dpre[1].reshape(B, R)
+    for hd in range(H):
+        W_h, W_hT = w["W_h"][hd], w["W_h"][hd].T
+        W_o, b_o = w["W_o"][hd], w["b_o"][hd]
+        dh[...] = 0.0
+        for n in reversed(range(N)):
+            new = saved[hd, n]
+            prev = saved[hd, n - 1] if n > 0 else None
+            # projection heads: f_phi = tanh(.), f_tau = softplus(.) + eps
+            phi = gates[N + n, :, hd]
+            np.multiply(phi, phi, out=d_phi)
+            np.subtract(1.0, d_phi, out=d_phi)
+            d_phi *= g[N + n, :, hd]
+            np.matmul(W_o, new, out=o)
+            o += b_o[:, None]
+            _sigmoid_(o[1])
+            np.multiply(g[n, :, hd], o[1].reshape(B, R), out=d_tau)
+            dW_o[hd] += dpre @ new.T
+            db_o[hd] += dpre.sum(axis=1)
+            np.matmul(W_o.T, dpre, out=tmp)
+            dh += tmp
+
+            # recompute the cell, then new = (1 - z) * c + z * prev
+            if prev is not None:
+                np.matmul(W_hT, prev, out=hp)
+            _cell(x[hd], _step_bias(w, hd, n * dt_nominal),
+                  None if prev is None else hp, r, z, c, tmp)
+            dr, dz, dn = dhp[:h], dhp[h:2 * h], dhp[2 * h:]
+            # candidate pre-activation: dh * (1 - z) * (1 - c^2)
+            np.subtract(1.0, z, out=tmp)
+            tmp *= dh
+            np.multiply(c, c, out=dcp)
+            np.subtract(1.0, dcp, out=dcp)
+            dcp *= tmp
+            # update pre-activation: dh * (prev - c) * z * (1 - z)
+            if prev is None:
+                np.negative(c, out=tmp)
+            else:
+                np.subtract(prev, c, out=tmp)
+            tmp *= dh
+            np.subtract(1.0, z, out=dz)
+            dz *= z
+            dz *= tmp
+            sums = np.empty(C)
+            sums[h:2 * h] = dz.sum(axis=1)
+            sums[2 * h:] = dcp.sum(axis=1)
+            dx[hd, h:2 * h] += dz
+            dx[hd, 2 * h:] += dcp
+            if prev is None:
+                sums[:h] = 0.0
+            else:
+                # reset pre-activation: dc_pre * hp_n * r * (1 - r)
+                np.subtract(1.0, r, out=dr)
+                dr *= r
+                dr *= hp[2 * h:]
+                dr *= dcp
+                np.multiply(dcp, r, out=dn)
+                sums[:h] = dr.sum(axis=1)
+                dx[hd, :h] += dr
+                dW_h[hd] += prev @ dhp.T
+                dh *= z
+                np.matmul(W_h, dhp, out=tmp)
+                dh += tmp
+            db_x[hd] += sums
+            dw_t[hd] += (n * dt_nominal) * sums
+    return dx, {"w_t": dw_t, "b_x": db_x, "W_h": dW_h,
+                "W_phi": dW_o[:, 0], "b_phi": db_o[:, 0],
+                "W_tau": dW_o[:, 1], "b_tau": db_o[:, 1]}
 
 
 class SdpaFrozenGates:
@@ -303,12 +426,15 @@ class SdpaFrozenGates:
     def parameters(self) -> dict:
         return {}
 
-    def unroll(self, u: Tensor, n_steps: int, dt_nominal: float):
-        D = self.head_dim
-        qh = T.narrow(u, -1, 0, D)
-        kh = T.narrow(u, -1, D, D)
-        f_phi = T.scale(T.tsum(T.mul(qh, kh), axis=-1, keepdims=True),
-                        self.inv_sqrt_d)
+    def gates(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
+              n_steps: int, dt_nominal: float):
+        B, H, T_q, D = q.shape
+        k_sel = T.gather_keys(k, pb.selected_indices)
+        dots = T.tsum(T.mul(T.reshape(q, (B, H, T_q, 1, D)), k_sel),
+                      axis=-1, keepdims=True)
+        if not pb.valid_mask.all():
+            dots = T.mul(dots, Tensor(pb.valid_mask[..., None].astype(np.float64)))
+        f_phi = T.scale(dots, self.inv_sqrt_d)
         f_tau = Tensor(np.ones(f_phi.shape))
         return [f_tau] * n_steps, [f_phi] * n_steps
 
@@ -339,11 +465,6 @@ class FeedforwardGates:
         f_phi = T.scale(T.tanh(pre), inv_tau)
         f_tau = Tensor(np.full(f_phi.shape, inv_tau))
         return [f_tau] * n_steps, [f_phi] * n_steps
-
-
-def gate_forward(core, u_step: Tensor, t_n: float, hidden: Tensor | None):
-    """Single gate step on [u; t_n]; see RecurrentGateCore.step."""
-    return core.step(u_step, t_n, hidden)
 
 
 # --------------------------------------------------------------------------
@@ -404,37 +525,43 @@ def integrate_logits(f_taus: list[Tensor], f_phis: list[Tensor],
 # attention assembly
 # --------------------------------------------------------------------------
 
+def _attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
+            key_mask: np.ndarray | None):
+    """The per-head pipeline on [B,H,T,D] inputs: pair curation, gates,
+    Euler integration, masked softmax, value aggregation. Returns
+    (heads out [B,H,T_q,D_v], weights [B,H,T_q,K_eff], pairs, trajectory).
+    """
+    if cfg.top_k is None:
+        pb = pairs_mod.full_pairwise_concat(q, k, causal=cfg.causal,
+                                            key_mask=key_mask)
+    else:
+        pb = pairs_mod.topk_concat(q, k, cfg.top_k, causal=cfg.causal,
+                                   key_mask=key_mask)
+    f_taus, f_phis = core.gates(q, k, pb, cfg.euler_steps, cfg.dt_nominal)
+    a_final, traj = integrate_logits(f_taus, f_phis, cfg.dt_nominal)
+
+    B, H, T_q, K_eff = pb.selected_indices.shape
+    alpha = T.masked_softmax(T.reshape(a_final, (B, H, T_q, K_eff)),
+                             pb.valid_mask, axis=-1)
+    v_sel = T.gather_keys(v, pb.selected_indices)
+    weighted = T.mul(T.reshape(alpha, (B, H, T_q, K_eff, 1)), v_sel)
+    return T.tsum(weighted, axis=3), alpha, pb, traj
+
+
 def lan_head_forward(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
                      key_mask: np.ndarray | None = None):
     """One head: pair curation, gate unroll, Euler integration, softmax,
     value aggregation. q, k, v are per-head [B,T,D]; returns
     (output [B,T_q,D], weights [B,T_q,K_eff], indices, trajectory).
     """
-    B, T_q, D = q.shape
-    T_k = k.shape[1]
-    q4 = T.reshape(q, (B, 1, T_q, D))
-    k4 = T.reshape(k, (B, 1, T_k, D))
-    if cfg.top_k is None:
-        pb = pairs_mod.full_pairwise_concat(q4, k4, causal=cfg.causal,
-                                            key_mask=key_mask)
-    else:
-        pb = pairs_mod.topk_concat(q4, k4, cfg.top_k, causal=cfg.causal,
-                                   key_mask=key_mask)
+    def as_head(x):
+        return T.reshape(x, (x.shape[0], 1) + x.shape[1:])
 
-    f_taus, f_phis = core.unroll(pb.u, cfg.euler_steps, cfg.dt_nominal)
-    a_final, traj = integrate_logits(f_taus, f_phis, cfg.dt_nominal)
-
-    K_eff = pb.k_eff
-    logits = T.reshape(a_final, (B, 1, T_q, K_eff))
-    alpha = T.masked_softmax(logits, pb.valid_mask, axis=-1)
-
-    v4 = T.reshape(v, (B, 1, T_k, v.shape[-1]))
-    v_sel = T.gather_keys(v4, pb.selected_indices)
-    weighted = T.mul(T.reshape(alpha, (B, 1, T_q, K_eff, 1)), v_sel)
-    out = T.reshape(T.tsum(weighted, axis=3), (B, T_q, v.shape[-1]))
-
-    weights = T.reshape(alpha, (B, T_q, K_eff))
-    return out, weights, pb.selected_indices[:, 0], traj
+    out, alpha, pb, traj = _attend(as_head(q), as_head(k), as_head(v),
+                                   core, cfg, key_mask)
+    B, _, T_q, K_eff = alpha.shape
+    return (T.reshape(out, (B, T_q, v.shape[-1])),
+            T.reshape(alpha, (B, T_q, K_eff)), pb.selected_indices[:, 0], traj)
 
 
 def sink_gate(x: Tensor, multihead_out: Tensor, W_g: Tensor, b_g: Tensor,
@@ -504,24 +631,9 @@ class MultiHeadLan:
         q = self._project(x_q, self.W_q, self.b_q)
         k = self._project(x_k, self.W_k, self.b_k)
         v = self._project(x_v, self.W_v, self.b_v)
-        if cfg.top_k is None:
-            pb = pairs_mod.full_pairwise_concat(q, k, causal=cfg.causal,
-                                                key_mask=key_mask)
-        else:
-            pb = pairs_mod.topk_concat(q, k, cfg.top_k, causal=cfg.causal,
-                                       key_mask=key_mask)
-
-        f_taus, f_phis = self.core.unroll(pb.u, cfg.euler_steps,
-                                          cfg.dt_nominal)
-        a_final, traj = integrate_logits(f_taus, f_phis, cfg.dt_nominal)
-
-        H, D, K_eff = cfg.heads, cfg.head_dim, pb.k_eff
-        logits = T.reshape(a_final, (B, H, T_q, K_eff))
-        alpha = T.masked_softmax(logits, pb.valid_mask, axis=-1)
-        v_sel = T.gather_keys(v, pb.selected_indices)
-        weighted = T.mul(T.reshape(alpha, (B, H, T_q, K_eff, 1)), v_sel)
-        out_heads = T.tsum(weighted, axis=3)                 # [B,H,T_q,D]
-        merged = T.reshape(T.swapaxes(out_heads, 1, 2), (B, T_q, H * D))
+        out_heads, alpha, pb, traj = _attend(q, k, v, self.core, cfg, key_mask)
+        merged = T.reshape(T.swapaxes(out_heads, 1, 2),
+                           (B, T_q, cfg.heads * cfg.head_dim))
 
         if collect is not None:
             collect.setdefault("weights", []).append(alpha.data.copy())

@@ -1,10 +1,14 @@
-"""Query-key pair curation for the gate inputs u = [q; k].
+"""Query-key pair curation and per-pair feature sums.
 
-Two strategies: full pairwise concatenation, and sparse Top-K selection
-by raw dot-product score (no 1/sqrt(d) scaling on the selection scores).
+Two strategies: full pairwise, and sparse Top-K selection by raw
+dot-product score (no 1/sqrt(d) scaling on the selection scores).
 Masking is applied to the scores before selection, so future keys can
 never enter the pair set under causal masking; rows left with fewer than
-K_eff candidates are padded with zero vectors and marked invalid.
+K_eff candidates are padded with index 0 and marked invalid.
+
+The gates see each pair through a linear projection of u = [q; k], so a
+pair's input is a sum of one query feature and one key feature:
+``pair_sum`` forms it without ever building u.
 """
 
 from __future__ import annotations
@@ -19,20 +23,20 @@ from fluid.tensor import ShapeError, Tensor
 
 @dataclass
 class PairBatch:
-    """Concatenated pair inputs plus the selection bookkeeping.
+    """The selected pairs of each query.
 
-    u: [B,H,T_q,K_eff,2D]; selected_indices, valid_mask: [B,H,T_q,K_eff].
-    Invalid rows hold zero vectors and index 0; downstream softmax must
-    exclude them via valid_mask.
+    selected_indices, valid_mask: [B,H,T_q,K_eff]. Invalid entries hold
+    index 0; downstream softmax must exclude them via valid_mask. ``dense``
+    marks the full pairwise batch, whose indices are arange(T_k) per row.
     """
 
-    u: Tensor
     selected_indices: np.ndarray
     valid_mask: np.ndarray
+    dense: bool = False
 
     @property
     def k_eff(self) -> int:
-        return self.u.shape[3]
+        return self.selected_indices.shape[3]
 
 
 def _candidate_mask(B, H, T_q, T_k, causal: bool,
@@ -46,19 +50,6 @@ def _candidate_mask(B, H, T_q, T_k, causal: bool,
     return valid
 
 
-def _concat_pairs(q: Tensor, k: Tensor, indices: np.ndarray,
-                  valid: np.ndarray) -> Tensor:
-    B, H, T_q, D = q.shape
-    K_eff = indices.shape[3]
-    k_sel = T.gather_keys(k, indices)
-    q_tiled = T.broadcast_to(T.reshape(q, (B, H, T_q, 1, D)),
-                             (B, H, T_q, K_eff, D))
-    u = T.concat([q_tiled, k_sel], axis=-1)
-    if not valid.all():
-        u = T.mul(u, Tensor(valid[..., None].astype(np.float64)))
-    return u
-
-
 def full_pairwise_concat(q: Tensor, k: Tensor, causal: bool = False,
                          key_mask: np.ndarray | None = None) -> PairBatch:
     """Every query paired with every key; K_eff == T_k."""
@@ -68,8 +59,7 @@ def full_pairwise_concat(q: Tensor, k: Tensor, causal: bool = False,
     T_k = k.shape[2]
     valid = _candidate_mask(B, H, T_q, T_k, causal, key_mask)
     indices = np.broadcast_to(np.arange(T_k), (B, H, T_q, T_k)).copy()
-    u = _concat_pairs(q, k, indices, valid)
-    return PairBatch(u=u, selected_indices=indices, valid_mask=valid)
+    return PairBatch(selected_indices=indices, valid_mask=valid, dense=True)
 
 
 def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
@@ -105,5 +95,57 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     sel_valid = np.take_along_axis(sel_valid, asc, axis=-1)
     indices = np.where(sel_valid, indices, 0)
 
-    u = _concat_pairs(q, k, indices, sel_valid)
-    return PairBatch(u=u, selected_indices=indices, valid_mask=sel_valid)
+    return PairBatch(selected_indices=indices, valid_mask=sel_valid)
+
+
+def pair_sum(a: Tensor, b: Tensor, batch: PairBatch) -> Tensor:
+    """a_i + b_j for every selected pair (i, j), zero on invalid pairs.
+
+    a: [B,H,T_q,C] query features, b: [B,H,T_k,C] key features; returns
+    [B,H,T_q,K_eff,C]. The result is stored channel-major ([H,C,B,T_q,K_eff]
+    in memory) so that each channel of one head is contiguous for the gate
+    kernel. The backward sums over the pairs of a query for a and
+    scatter-adds into the selected keys for b.
+    """
+    B, H, T_q, C = a.shape
+    T_k = b.shape[2]
+    if b.shape != (B, H, T_k, C):
+        raise ShapeError(f"pair_sum: features disagree: {a.shape} and {b.shape}")
+    idx, valid = batch.selected_indices, batch.valid_mask
+    K = idx.shape[3]
+    a_cm = a.data.transpose(1, 3, 0, 2)[..., None]          # [H,C,B,T_q,1]
+    b_cm = b.data.transpose(1, 3, 0, 2)                     # [H,C,B,T_k]
+    if batch.dense:
+        out = a_cm + b_cm[:, :, :, None, :]
+        flat_idx = None
+    else:
+        # one flat key index per pair and head: b * T_k + selected key
+        flat_idx = (np.arange(B)[:, None, None, None] * T_k
+                    + idx).transpose(1, 0, 2, 3)             # [H,B,T_q,K]
+        b_flat = b_cm.reshape(H, C, B * T_k)
+        out = np.empty((H, C, B, T_q, K))
+        for h in range(H):
+            np.take(b_flat[h], flat_idx[h], axis=1, out=out[h])
+        out += a_cm
+    valid_cm = None if valid.all() else valid.transpose(1, 0, 2, 3)[:, None]
+    if valid_cm is not None:
+        out *= valid_cm
+
+    def rule(g):
+        g_cm = g.transpose(1, 4, 0, 2, 3)                    # [H,C,B,T_q,K]
+        if valid_cm is not None:
+            g_cm = g_cm * valid_cm
+        ga = g_cm.sum(axis=4).transpose(2, 0, 3, 1)
+        if flat_idx is None:
+            gb = g_cm.sum(axis=3)
+        else:
+            gb = np.empty((H, C, B * T_k))
+            for h in range(H):
+                lin = flat_idx[h].reshape(-1)
+                for c in range(C):
+                    gb[h, c] = np.bincount(lin, weights=g_cm[h, c].reshape(-1),
+                                           minlength=B * T_k)
+            gb = gb.reshape(H, C, B, T_k)
+        return ga, gb.transpose(2, 0, 3, 1)
+
+    return T._node(out.transpose(2, 0, 3, 4, 1), (a, b), rule)

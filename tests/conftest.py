@@ -6,6 +6,9 @@ independent of the library code paths they check.
 
 import numpy as np
 
+from fluid import tensor as T
+from fluid.tensor import Tensor
+
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Naive O(MNK) matrix product."""
@@ -41,3 +44,64 @@ def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+# --------------------------------------------------------------------------
+# composed GRU gate: the oracle for the fused gate kernel
+# --------------------------------------------------------------------------
+
+def concat_pairs(q: Tensor, k: Tensor, pb) -> Tensor:
+    """u = [q_i; k_j] for every selected pair, zero on invalid pairs."""
+    B, H, T_q, D = q.shape
+    K = pb.k_eff
+    k_sel = T.gather_keys(k, pb.selected_indices)
+    q_tiled = T.broadcast_to(T.reshape(q, (B, H, T_q, 1, D)), (B, H, T_q, K, D))
+    u = T.concat([q_tiled, k_sel], axis=-1)
+    if not pb.valid_mask.all():
+        u = T.mul(u, Tensor(pb.valid_mask[..., None].astype(np.float64)))
+    return u
+
+
+def _cell(core, x_proj: Tensor, hidden):
+    # single-bias GRU: the reset gate scales the raw hidden projection,
+    # so a zero hidden state needs no projection at all
+    h = core.hidden_dim
+    xr, xz, xn = (T.narrow(x_proj, -1, i * h, h) for i in range(3))
+    if hidden is None:
+        z = T.sigmoid(xz)
+        n = T.tanh(xn)
+        return T.mul(T.sub(Tensor(1.0), z), n)
+    hp = T.matmul(hidden, core.W_h)
+    hr, hz, hn = (T.narrow(hp, -1, i * h, h) for i in range(3))
+    r = T.sigmoid(T.add(xr, hr))
+    z = T.sigmoid(T.add(xz, hz))
+    n = T.tanh(T.add(xn, T.mul(r, hn)))
+    return T.add(T.mul(T.sub(Tensor(1.0), z), n), T.mul(z, hidden))
+
+
+def _heads(core, hidden: Tensor):
+    f_phi = T.tanh(T.add(T.matmul(hidden, core.W_phi), core.b_phi))
+    f_tau = T.add(T.softplus(T.add(T.matmul(hidden, core.W_tau), core.b_tau)),
+                  Tensor(core.epsilon))
+    return f_tau, f_phi
+
+
+def gru_step(core, u_proj: Tensor, t_n: float, hidden):
+    """One recurrent step on the projected input; (f_tau, f_phi, hidden)."""
+    step_bias = T.add(T.scale(core.w_t, t_n), core.b_x)
+    new_hidden = _cell(core, T.add(u_proj, step_bias), hidden)
+    f_tau, f_phi = _heads(core, new_hidden)
+    return f_tau, f_phi, new_hidden
+
+
+def gru_unroll(core, u: Tensor, n_steps: int, dt_nominal: float):
+    """RecurrentGateCore's gates on raw pair inputs u [..., 2D], composed
+    from tape ops step by step; returns (f_taus, f_phis)."""
+    u_proj = T.matmul(u, core.W_u)
+    hidden = None
+    f_taus, f_phis = [], []
+    for n in range(n_steps):
+        f_tau, f_phi, hidden = gru_step(core, u_proj, n * dt_nominal, hidden)
+        f_taus.append(f_tau)
+        f_phis.append(f_phi)
+    return f_taus, f_phis

@@ -1,10 +1,15 @@
 """Gated logit ODE, Euler integration, clamping, and attention assembly."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from conftest import concat_pairs, gru_unroll
 from fluid import attention as A
+from fluid import pairs
 from fluid import tensor as T
+from fluid import training as TR
 from fluid.tensor import Tensor
 
 
@@ -24,32 +29,124 @@ def make_core(pair_dim=4, hidden=2, eps=1e-3, seed=0):
 # gates
 # --------------------------------------------------------------------------
 
+def _project(core, u):
+    return T.matmul(u, core.W_u)
+
+
 def test_gate_ranges():
     core = make_core()
     rng = np.random.default_rng(1)
     u = Tensor(rng.uniform(-3, 3, (10, 4)))
-    f_tau, f_phi, _ = A.gate_forward(core, u, 0.0, None)
-    assert (f_tau.data >= core.epsilon).all()
-    assert (np.abs(f_phi.data) < 1.0).all()
+    for n_steps in (1, 2):
+        f_taus, f_phis = core.unroll(_project(core, u), n_steps, 0.5)
+        for f_tau, f_phi in zip(f_taus, f_phis):
+            assert f_tau.shape == f_phi.shape == (10, 1)
+            assert (f_tau.data >= core.epsilon).all()
+            assert (np.abs(f_phi.data) < 1.0).all()
 
 
 def test_gate_zero_weight_cell():
     core = make_core(eps=1e-3)
     for p in core.parameters().values():
         p.data[...] = 0.0
+    # f_tau reads the hidden state through W_tau: 1 makes a nonzero state show
+    core.W_tau.data[...] = 1.0
     u = Tensor(np.ones((3, 4)))
-    f_tau, f_phi, hidden = A.gate_forward(core, u, 0.7, None)
-    assert np.allclose(hidden.data, 0.0)
-    assert np.allclose(f_phi.data, 0.0)
-    assert np.allclose(f_tau.data, _softplus(0.0) + 1e-3)
+    for n_steps in (1, 2):
+        f_taus, f_phis = core.unroll(_project(core, u), n_steps, 0.7)
+        for f_tau, f_phi in zip(f_taus, f_phis):
+            assert np.allclose(f_phi.data, 0.0)
+            assert np.allclose(f_tau.data, _softplus(0.0) + 1e-3)
 
 
 def test_gate_hidden_carries_state():
     core = make_core(seed=3)
     u = Tensor(np.random.default_rng(4).uniform(-1, 1, (5, 4)))
-    f_tau0, f_phi0, h1 = A.gate_forward(core, u, 0.0, None)
-    f_tau1, f_phi1, _ = A.gate_forward(core, u, 0.2, h1)
+    _, (f_phi0, f_phi1) = core.unroll(_project(core, u), 2, 0.2)
     assert not np.allclose(f_phi0.data, f_phi1.data)
+
+
+def _gate_case(case, rng, H=2, D=3):
+    """q, k and the pair batch of one curation case at tiny dims."""
+    B, T_q, T_k = 2, 4, 5
+    q = rng.standard_normal((B, H, T_q, D))
+    k = rng.standard_normal((B, H, T_k, D))
+    key_mask = np.ones((B, T_k), dtype=bool)
+    key_mask[1, -2:] = False
+    if case == "full":
+        pb = pairs.full_pairwise_concat(Tensor(q), Tensor(k))
+        return q, k, pb
+    # causal rows and padded keys leave invalid pairs
+    k, key_mask = np.ascontiguousarray(k[:, :, :T_q]), key_mask[:, :T_q]
+    if case == "causal_masked":
+        pb = pairs.full_pairwise_concat(Tensor(q), Tensor(k), causal=True,
+                                        key_mask=key_mask)
+    else:
+        pb = pairs.topk_concat(Tensor(q), Tensor(k), 2, causal=True,
+                               key_mask=key_mask)
+    return q, k, pb
+
+
+def _weighted_sum(gates, coef):
+    """A scalar that weighs every gate value by its own coefficient."""
+    terms = [T.tsum(T.mul(g, Tensor(c))) for g, c in zip(gates, coef)]
+    out = terms[0]
+    for term in terms[1:]:
+        out = T.add(out, term)
+    return out
+
+
+@pytest.mark.parametrize("case", ["full", "causal_masked", "topk"])
+@pytest.mark.parametrize("n_steps", [1, 3])
+def test_fused_gates_match_composed_oracle(case, n_steps):
+    rng = np.random.default_rng(41)
+    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    qa, ka, pb = _gate_case(case, rng)
+    if case != "full":
+        assert not pb.valid_mask.all()
+    coef = rng.standard_normal((2 * n_steps,) + pb.valid_mask.shape + (1,))
+    results = []
+    for fused in (True, False):
+        q = Tensor(qa.copy(), requires_grad=True)
+        k = Tensor(ka.copy(), requires_grad=True)
+        for p in core.parameters().values():
+            p.zero_grad()
+        if fused:
+            f_taus, f_phis = core.gates(q, k, pb, n_steps, 1 / n_steps)
+        else:
+            f_taus, f_phis = gru_unroll(core, concat_pairs(q, k, pb),
+                                        n_steps, 1 / n_steps)
+        gates = f_taus + f_phis
+        _weighted_sum(gates, coef).backward()
+        grads = dict(core.parameters(), q=q, k=k)
+        # the composed path never reaches W_h when there is one step
+        grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad
+                 for n, p in grads.items()}
+        results.append((np.stack([g.data for g in gates]), grads))
+    (gates, grads), (ref_gates, ref_grads) = results
+    assert np.abs(gates - ref_gates).max() <= 1e-12
+    assert set(grads) == set(ref_grads) and len(grads) == 10
+    for name, ref in ref_grads.items():
+        assert grads[name].shape == ref.shape
+        assert np.abs(grads[name] - ref).max() <= 1e-12, name
+
+
+def test_fused_gates_pass_grad_check():
+    rng = np.random.default_rng(43)
+    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    qa, ka, pb = _gate_case("causal_masked", rng)
+    q = Tensor(qa, requires_grad=True)
+    k = Tensor(ka, requires_grad=True)
+    coef = rng.standard_normal((4,) + pb.valid_mask.shape + (1,))
+
+    def loss():
+        f_taus, f_phis = core.gates(q, k, pb, 2, 0.5)
+        return _weighted_sum(f_taus + f_phis, coef)
+
+    params = dict(core.parameters(), q=q, k=k)
+    # the op tolerance of the gradients verify suite
+    report = TR.grad_check(loss, params, h=1e-5)
+    assert report["max_rel_error"] < 1e-4, report["per_param"]
 
 
 # --------------------------------------------------------------------------
@@ -104,7 +201,7 @@ def test_clamp_dt_rejects_nonpositive_entries():
 def test_integrate_starts_at_zero_and_records_dt():
     core = make_core(seed=9)
     u = Tensor(np.random.default_rng(9).uniform(-1, 1, (6, 4)))
-    f_taus, f_phis = core.unroll(u, 4, 0.25)
+    f_taus, f_phis = core.unroll(_project(core, u), 4, 0.25)
     a, traj = A.integrate_logits(f_taus, f_phis, 0.25)
     assert (traj.a[..., 0] == 0.0).all()
     assert traj.a.shape == (6, 5)
@@ -116,7 +213,7 @@ def test_integrate_starts_at_zero_and_records_dt():
 def test_trajectory_csv_export(tmp_path):
     core = make_core(seed=11)
     u = Tensor(np.random.default_rng(11).uniform(-1, 1, (2, 4)))
-    f_taus, f_phis = core.unroll(u, 3, 1 / 3)
+    f_taus, f_phis = core.unroll(_project(core, u), 3, 1 / 3)
     _, traj = A.integrate_logits(f_taus, f_phis, 1 / 3)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
@@ -305,6 +402,28 @@ def test_multi_head_two_heads_match_manual_composition():
     out = mh.forward(x, x, x)
     manual = _manual_heads(mh, x, cfg)
     assert np.allclose(out.data, manual.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", [dict(), dict(causal=True), dict(top_k=2)])
+def test_multi_head_tape_and_no_grad_agree_bitwise(case):
+    cfg = _mh_cfg(heads=2, euler_steps=3, sink_gate_enabled=True, **case)
+    mh = A.MultiHeadLan(cfg, np.random.default_rng(39))
+    x = Tensor(np.random.default_rng(40).standard_normal((2, 5, 4)))
+    key_mask = None
+    if case.get("causal"):
+        key_mask = np.ones((2, 5), dtype=bool)
+        key_mask[1, 3:] = False
+    runs = []
+    for grad in (True, False):
+        collect = {}
+        with T.no_grad() if not grad else contextlib.nullcontext():
+            out = mh.forward(x, x, x, key_mask=key_mask, collect=collect)
+        assert out.requires_grad == grad
+        traj = collect["trajectories"][0]
+        runs.append([out.data, collect["weights"][0], traj.a, traj.f_tau,
+                     traj.f_phi])
+    for taped, untaped in zip(*runs):
+        assert np.array_equal(taped, untaped)
 
 
 def test_multi_head_config_violation():

@@ -1,4 +1,4 @@
-"""Pair curation: full pairwise and sparse Top-K selection."""
+"""Pair curation (full pairwise, sparse Top-K) and per-pair feature sums."""
 
 import numpy as np
 import pytest
@@ -14,10 +14,12 @@ def _qk(q_rows, k_rows):
 
 
 def test_single_pair_concat():
-    q, k = _qk([[1.0, 2.0]], [[3.0, 4.0]])
+    q, k = _qk([[1.0, 2.0]], [[3.0, 5.0]])
     pb = pairs.full_pairwise_concat(q, k)
-    assert pb.u.shape == (1, 1, 1, 1, 4)
-    assert np.array_equal(pb.u.data[0, 0, 0, 0], [1, 2, 3, 4])
+    assert pb.k_eff == 1
+    up = pairs.pair_sum(q, k, pb)
+    assert up.shape == (1, 1, 1, 1, 2)
+    assert np.array_equal(up.data[0, 0, 0, 0], [4, 7])
 
 
 def test_causal_first_position_sees_itself_only():
@@ -31,11 +33,11 @@ def test_full_pairwise_matches_nested_loop_oracle():
     rng = np.random.default_rng(3)
     qa = rng.standard_normal((2, 3))
     ka = rng.standard_normal((3, 3))
-    pb = pairs.full_pairwise_concat(Tensor(qa[None, None]), Tensor(ka[None, None]))
+    q, k = Tensor(qa[None, None]), Tensor(ka[None, None])
+    up = pairs.pair_sum(q, k, pairs.full_pairwise_concat(q, k))
     for i in range(2):
         for j in range(3):
-            expected = np.concatenate([qa[i], ka[j]])
-            assert np.array_equal(pb.u.data[0, 0, i, j], expected)
+            assert np.array_equal(up.data[0, 0, i, j], qa[i] + ka[j])
 
 
 def test_feature_dim_mismatch():
@@ -75,7 +77,8 @@ def test_topk_k_ge_tk_equals_full_pairwise_exactly():
     top = pairs.topk_concat(q, k, K=7)
     assert np.array_equal(top.selected_indices, full.selected_indices)
     assert np.array_equal(top.valid_mask, full.valid_mask)
-    assert np.array_equal(top.u.data, full.u.data)
+    assert np.array_equal(pairs.pair_sum(q, k, top).data,
+                          pairs.pair_sum(q, k, full).data)
 
 
 def test_topk_causal_never_selects_future():
@@ -88,7 +91,7 @@ def test_topk_causal_never_selects_future():
             <= np.broadcast_to(pos, pb.selected_indices.shape)[pb.valid_mask]).all()
     # early rows have fewer candidates than K; padding is masked and zeroed
     assert pb.valid_mask[0, 0, 0].tolist() == [True, False, False]
-    assert np.array_equal(pb.u.data[0, 0, 0, 1], np.zeros(6))
+    assert np.array_equal(pairs.pair_sum(q, k, pb).data[0, 0, 0, 1], np.zeros(3))
     # valid indices stay distinct per row
     for b in range(2):
         for h in range(2):
@@ -115,7 +118,9 @@ def test_pair_payload_scales_with_k_eff():
     k = Tensor(rng.standard_normal((1, 1, T_k, D)))
     full = pairs.full_pairwise_concat(q, k)
     top = pairs.topk_concat(q, k, K=K)
-    assert top.u.data.nbytes * T_k == full.u.data.nbytes * K
+    top_sums = pairs.pair_sum(q, k, top).data
+    full_sums = pairs.pair_sum(q, k, full).data
+    assert top_sums.nbytes * T_k == full_sums.nbytes * K
 
 
 def test_topk_gradient_flows_to_selected_pairs_only():
@@ -125,10 +130,32 @@ def test_topk_gradient_flows_to_selected_pairs_only():
     q = Tensor(qa.copy(), requires_grad=True)
     k = Tensor(ka.copy(), requires_grad=True)
     pb = pairs.topk_concat(q, k, K=1)
-    T.tsum(pb.u).backward()
+    T.tsum(pairs.pair_sum(q, k, pb)).backward()
     j = pb.selected_indices[0, 0, 0, 0]
     for idx in range(3):
         if idx == j:
             assert np.allclose(k.grad[0, 0, idx], np.ones(2))
         else:
             assert np.allclose(k.grad[0, 0, idx], np.zeros(2))
+    assert np.allclose(q.grad, np.ones((1, 1, 1, 2)))
+
+
+def test_pair_sum_gradients_sum_over_pairs_and_scatter_into_keys():
+    # every query sums its pairs' gradients; every key sums the gradients
+    # of the pairs that selected it; invalid pairs pass nothing back
+    rng = np.random.default_rng(15)
+    q = Tensor(rng.standard_normal((2, 2, 4, 3)), requires_grad=True)
+    k = Tensor(rng.standard_normal((2, 2, 4, 3)), requires_grad=True)
+    key_mask = np.array([[True, True, True, True], [True, True, False, True]])
+    for pb in (pairs.full_pairwise_concat(q, k, causal=True, key_mask=key_mask),
+               pairs.topk_concat(q, k, K=2, causal=True, key_mask=key_mask)):
+        coef = rng.standard_normal(pb.valid_mask.shape + (3,))
+        q.zero_grad()
+        k.zero_grad()
+        T.tsum(T.mul(pairs.pair_sum(q, k, pb), Tensor(coef))).backward()
+        gq, gk = np.zeros(q.shape), np.zeros(k.shape)
+        for b, h, i, j in zip(*np.nonzero(pb.valid_mask)):
+            gq[b, h, i] += coef[b, h, i, j]
+            gk[b, h, pb.selected_indices[b, h, i, j]] += coef[b, h, i, j]
+        assert np.allclose(q.grad, gq, rtol=0, atol=1e-14)
+        assert np.allclose(k.grad, gk, rtol=0, atol=1e-14)
