@@ -17,8 +17,10 @@ keeps only the hidden states and recomputes the rest; inference runs the
 same kernel without keeping anything.
 
 Final logits pass through a masked softmax and weight the gathered
-values; heads are concatenated and projected, optionally through a
-query-dependent sigmoid output gate that counteracts attention sinks.
+values. ``attend`` is the one per-head pipeline, on [B,H,T,D] inputs;
+``MultiHeadLan`` projects into it, then concatenates and projects the
+heads, optionally through a query-dependent sigmoid output gate that
+counteracts attention sinks.
 """
 
 from __future__ import annotations
@@ -106,9 +108,8 @@ class RecurrentGateCore:
     across Euler steps, independently per pair, starting from zero. The
     step input is [u; t_n] with u = [q; k] and t_n = n * dt_nominal.
 
-    With ``heads=H`` the weights carry a head axis ([1,H,1,...]) and pair
-    batches are [B,H,...]; with ``heads=None`` they are plain matrices and
-    the core runs as a single head.
+    The weights carry a head axis ([1,H,1,...]) and pair batches are
+    [B,H,...]; a single head is H = 1.
 
     The input projection is factorized, u W_u = q W_u[:D] + k W_u[D:]:
     ``project_pairs`` projects each query and key once and forms every
@@ -131,14 +132,13 @@ class RecurrentGateCore:
     """
 
     def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
-                 rng: np.random.Generator, heads: int | None = None):
+                 rng: np.random.Generator, heads: int):
         h = hidden_dim
         in_dim = pair_dim + 1  # the step time rides along with u
         self.hidden_dim = h
         self.heads = heads
         self.epsilon = float(epsilon)
-        pre = () if heads is None else (1, heads, 1)
-        vec = () if heads is None else (1, heads, 1, 1)
+        pre, vec = (1, heads, 1), (1, heads, 1, 1)
         self.W_u = uniform_init(rng, pre + (pair_dim, 3 * h), in_dim)
         self.w_t = uniform_init(rng, vec + (3 * h,), in_dim)
         self.b_x = uniform_init(rng, vec + (3 * h,), in_dim)
@@ -154,20 +154,6 @@ class RecurrentGateCore:
                 "W_phi": self.W_phi, "b_phi": self.b_phi,
                 "W_tau": self.W_tau, "b_tau": self.b_tau}
 
-    def slice_head(self, h: int) -> "RecurrentGateCore":
-        """Single-head view of a stacked core (copies the slices)."""
-        if self.heads is None:
-            raise ValueError("core is already single-head")
-        clone = object.__new__(RecurrentGateCore)
-        clone.hidden_dim = self.hidden_dim
-        clone.heads = None
-        clone.epsilon = self.epsilon
-        for name in ("W_u", "W_h", "W_phi", "W_tau"):
-            clone.__dict__[name] = Tensor(getattr(self, name).data[0, h, 0])
-        for name in ("w_t", "b_x", "b_phi", "b_tau"):
-            clone.__dict__[name] = Tensor(getattr(self, name).data[0, h, 0, 0])
-        return clone
-
     def gates(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
               n_steps: int, dt_nominal: float):
         """Gate trajectories of the pairs ``pb`` selects from [B,H,T,D] q, k."""
@@ -178,9 +164,7 @@ class RecurrentGateCore:
         """u W_u for every selected pair, [B,H,T_q,K_eff,3h], zero on
         invalid pairs (so they see exactly the gates of a zero input)."""
         D = q.shape[-1]
-        W = self.W_u
-        if self.heads is not None:
-            W = T.reshape(W, (1, self.heads, 2 * D, W.shape[-1]))
+        W = T.reshape(self.W_u, (1, self.heads, 2 * D, self.W_u.shape[-1]))
         qp = T.matmul(q, T.narrow(W, -2, 0, D))
         kp = T.matmul(k, T.narrow(W, -2, D, D))
         return pairs_mod.pair_sum(qp, kp, pb)
@@ -188,17 +172,17 @@ class RecurrentGateCore:
     def unroll(self, up: Tensor, n_steps: int, dt_nominal: float):
         """Gate trajectories for all steps from the projected pair input.
 
-        up: [..., 3h] pair-major, the leading axes [B,H,...] for a stacked
-        core. Returns lists (f_taus, f_phis) of n_steps tensors [..., 1],
-        slices of the one tensor the fused op produces.
+        up: [B,H,...,3h] pair-major. Returns lists (f_taus, f_phis) of
+        n_steps tensors [B,H,...,1], slices of the one tensor the fused op
+        produces.
         """
         h, C = self.hidden_dim, up.shape[-1]
         if C != 3 * h:
             raise ValueError(f"pair projection has {C} channels, expected {3 * h}")
-        H = self.heads or 1
-        B = 1 if self.heads is None else up.shape[0]
-        if self.heads is not None and up.shape[1] != H:
+        H = self.heads
+        if up.ndim < 3 or up.shape[1] != H:
             raise ValueError(f"pair batch {up.shape} has no head axis of {H}")
+        B = up.shape[0]
         R = up.size // (B * H * C)
         # channel-major [H, 3h, pairs]; free when up came from pair_sum
         x = np.ascontiguousarray(
@@ -507,10 +491,11 @@ def integrate_logits(f_taus: list[Tensor], f_phis: list[Tensor],
     else:
         dt = float(dt_nominal)
     a = a0 if a0 is not None else Tensor(np.zeros(f_taus[0].shape))
-    states = [a.data.copy()]
+    # tape outputs are never mutated, and np.stack copies
+    states = [a.data]
     for f_tau, f_phi in zip(f_taus, f_phis):
         a = euler_step(a, f_tau, f_phi, dt)
-        states.append(a.data.copy())
+        states.append(a.data)
     traj = LogitTrajectory(
         a=np.stack([s[..., 0] for s in states], axis=-1),
         f_tau=np.stack([f.data[..., 0] for f in f_taus], axis=-1),
@@ -525,8 +510,8 @@ def integrate_logits(f_taus: list[Tensor], f_phis: list[Tensor],
 # attention assembly
 # --------------------------------------------------------------------------
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
-            key_mask: np.ndarray | None):
+def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
+           key_mask: np.ndarray | None = None):
     """The per-head pipeline on [B,H,T,D] inputs: pair curation, gates,
     Euler integration, masked softmax, value aggregation. Returns
     (heads out [B,H,T_q,D_v], weights [B,H,T_q,K_eff], pairs, trajectory).
@@ -546,22 +531,6 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
     v_sel = T.gather_keys(v, pb.selected_indices)
     weighted = T.mul(T.reshape(alpha, (B, H, T_q, K_eff, 1)), v_sel)
     return T.tsum(weighted, axis=3), alpha, pb, traj
-
-
-def lan_head_forward(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
-                     key_mask: np.ndarray | None = None):
-    """One head: pair curation, gate unroll, Euler integration, softmax,
-    value aggregation. q, k, v are per-head [B,T,D]; returns
-    (output [B,T_q,D], weights [B,T_q,K_eff], indices, trajectory).
-    """
-    def as_head(x):
-        return T.reshape(x, (x.shape[0], 1) + x.shape[1:])
-
-    out, alpha, pb, traj = _attend(as_head(q), as_head(k), as_head(v),
-                                   core, cfg, key_mask)
-    B, _, T_q, K_eff = alpha.shape
-    return (T.reshape(out, (B, T_q, v.shape[-1])),
-            T.reshape(alpha, (B, T_q, K_eff)), pb.selected_indices[:, 0], traj)
 
 
 def sink_gate(x: Tensor, multihead_out: Tensor, W_g: Tensor, b_g: Tensor,
@@ -631,7 +600,7 @@ class MultiHeadLan:
         q = self._project(x_q, self.W_q, self.b_q)
         k = self._project(x_k, self.W_k, self.b_k)
         v = self._project(x_v, self.W_v, self.b_v)
-        out_heads, alpha, pb, traj = _attend(q, k, v, self.core, cfg, key_mask)
+        out_heads, alpha, pb, traj = attend(q, k, v, self.core, cfg, key_mask)
         merged = T.reshape(T.swapaxes(out_heads, 1, 2),
                            (B, T_q, cfg.heads * cfg.head_dim))
 
@@ -645,19 +614,3 @@ class MultiHeadLan:
                              self.W_s, self.b_s)
         return T.add(T.matmul(merged, self.W_g), self.b_g)
 
-
-def multi_head_lan(x_q: Tensor, x_k: Tensor, x_v: Tensor,
-                   params: MultiHeadLan, cfg: LanConfig | None = None,
-                   key_mask: np.ndarray | None = None,
-                   collect: dict | None = None) -> Tensor:
-    """Functional entry point over a parameter bundle."""
-    if cfg is not None and cfg is not params.cfg:
-        params = _with_cfg(params, cfg)
-    return params.forward(x_q, x_k, x_v, key_mask=key_mask, collect=collect)
-
-
-def _with_cfg(params: MultiHeadLan, cfg: LanConfig) -> MultiHeadLan:
-    clone = object.__new__(MultiHeadLan)
-    clone.__dict__.update(params.__dict__)
-    clone.cfg = cfg
-    return clone

@@ -107,11 +107,8 @@ def cmd_train(args) -> int:
     for fold, held in enumerate(parts):
         mask = np.zeros(n, dtype=bool)
         mask[held] = True
-        train_sel, val_sel = ~mask, mask
-        if folds == 1:
-            train_sel = np.ones(n, dtype=bool)
-        train_data = {k: v[train_sel] for k, v in packed.items()}
-        val_data = {k: v[val_sel] for k, v in packed.items()}
+        train_data = {k: v[~mask] for k, v in packed.items()}
+        val_data = {k: v[mask] for k, v in packed.items()}
         model = M.FluidModel(_model_config(cfg, in_features, in_features))
         out_dir = os.path.join(args.out, f"fold{fold}") if folds > 1 else args.out
         try:

@@ -71,25 +71,20 @@ def expand_streams(x: Tensor, n: int) -> Tensor:
     return T.broadcast_to(T.reshape(x, x.shape[:-1] + (1, x.shape[-1])), shape)
 
 
-def hc_aggregate(params_or_Am, H: Tensor) -> Tensor:
+def hc_aggregate(A_m: Tensor, H: Tensor) -> Tensor:
     """x0 = A_m^T H: collapse streams into the sublayer input [..., d].
 
     Implemented as broadcast-multiply plus axis reduction so the static
     ([n]) and liquid ([..., n]) weight shapes take the identical
     floating-point path.
     """
-    A_m = params_or_Am.A_m if isinstance(params_or_Am, HcParams) else params_or_Am
     w = T.reshape(A_m, A_m.shape + (1,))
     return T.tsum(T.mul(w, H), axis=-2)
 
 
-def hc_combine(params_or_pair, H: Tensor, layer_out: Tensor) -> Tensor:
+def hc_combine(B: Tensor, A_r: Tensor, H: Tensor, layer_out: Tensor) -> Tensor:
     """H_hat = B^T layer_out + A_r^T H: broadcast the sublayer output back
     into the streams and add the residual mixing."""
-    if isinstance(params_or_pair, HcParams):
-        B, A_r = params_or_pair.B, params_or_pair.A_r
-    else:
-        B, A_r = params_or_pair
     n = H.shape[-2]
     col = T.reshape(B, B.shape + (1,))
     row = T.reshape(layer_out, layer_out.shape[:-1] + (1, layer_out.shape[-1]))
@@ -130,7 +125,7 @@ def hc_block(params: HcParams, H: Tensor, sublayer) -> Tensor:
         B_eff, Am_eff, Ar_eff = params.B, params.A_m, params.A_r
     x0 = hc_aggregate(Am_eff, H)
     out = sublayer(x0)
-    return hc_combine((B_eff, Ar_eff), H, out)
+    return hc_combine(B_eff, Ar_eff, H, out)
 
 
 def hc_network_finalize(H: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -248,11 +248,6 @@ class FluidModel:
         return T.add(T.matmul(h, self.W_o), self.b_o)
 
 
-def model_forward(model: FluidModel, values, times, query_times,
-                  mask=None, collect=None) -> Tensor:
-    return model.forward(values, times, query_times, mask=mask, collect=collect)
-
-
 # --------------------------------------------------------------------------
 # checkpoints: JSON manifest + binary tensor blobs
 # --------------------------------------------------------------------------
@@ -296,4 +291,7 @@ def load_checkpoint(path: str) -> FluidModel:
             raise ValueError(f"shape mismatch for {name}: "
                              f"{loaded.shape} vs {params[name].shape}")
         params[name].data[...] = loaded.data
+    if offset != len(buf):
+        raise ValueError(f"{len(buf) - offset} trailing bytes after the "
+                         f"last tensor")
     return model

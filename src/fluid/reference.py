@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fluid import attention as A
-from fluid import tensor as T
 from fluid.tensor import Tensor
 
 
@@ -123,10 +122,10 @@ def verify_sdpa_limit(tolerance: float = 1e-6, battery_size: int = 100,
         cfg = A.LanConfig(d_model=D, heads=1, euler_steps=1, top_k=None,
                           epsilon=1e-3, sink_gate_enabled=False, causal=False)
         core = A.SdpaFrozenGates(D)
-        out, _, _, _ = A.lan_head_forward(
-            Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), core, cfg)
+        out, _, _, _ = A.attend(Tensor(q[None, None]), Tensor(k[None, None]),
+                                Tensor(v[None, None]), core, cfg)
         expected, _ = sdpa_reference(q, k, v)
-        gap = float(np.abs(out.data[0] - expected).max())
+        gap = float(np.abs(out.data[0, 0] - expected).max())
         max_gap = max(max_gap, gap)
     return {"battery_size": battery_size, "max_gap": max_gap,
             "tolerance": tolerance, "pass": max_gap <= tolerance}

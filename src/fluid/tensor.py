@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,17 +59,15 @@ class Tensor:
     ``backward`` on a scalar root their ``.grad`` holds d(root)/d(param).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents",
-                 "name")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._backward: Callable | None = None
         self._parents: tuple = ()
-        self.name = name
 
     @property
     def shape(self) -> tuple:
@@ -90,42 +88,10 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
-
-    def backward(self, release_graph: bool = True):
-        backward(self, release_graph=release_graph)
+    def backward(self):
+        backward(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -293,20 +259,6 @@ def absolute(a: Tensor) -> Tensor:
         return (g * np.sign(a.data),)
 
     return _node(out, (a,), rule)
-
-
-def elementwise(op: str, *args: Tensor) -> Tensor:
-    """Dispatch table for the basic pointwise operations by name."""
-    unary = {"tanh": tanh, "sigmoid": sigmoid, "softplus": softplus,
-             "exp": exp, "neg": neg, "relu": relu, "log": log}
-    binary = {"add": add, "mul": mul, "sub": sub, "div": div}
-    if op in unary:
-        (a,) = args
-        return unary[op](_as_tensor(a))
-    if op in binary:
-        a, b = args
-        return binary[op](_as_tensor(a), _as_tensor(b))
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 # --------------------------------------------------------------------------
@@ -489,12 +441,11 @@ def layer_norm(x: Tensor, gain: Tensor | None = None,
 # backward
 # --------------------------------------------------------------------------
 
-def backward(root: Tensor, release_graph: bool = True):
+def backward(root: Tensor):
     """Reverse-mode pass from a scalar root.
 
     Populates ``.grad`` on every reachable leaf with ``requires_grad``;
-    each node's rule runs exactly once. The tape is released afterwards
-    unless ``release_graph`` is false.
+    each node's rule runs exactly once. The tape is released afterwards.
     """
     if root.data.size != 1:
         raise GradientError(f"backward root must be scalar, got shape {root.shape}")
@@ -545,9 +496,8 @@ def backward(root: Tensor, release_graph: bool = True):
                 owned.add(key)
             else:
                 grads[key] = pg
-        if release_graph:
-            node._backward = None
-            node._parents = ()
+        node._backward = None
+        node._parents = ()
 
 
 # --------------------------------------------------------------------------
@@ -562,12 +512,18 @@ def serialize_tensor(t: Tensor) -> bytes:
 
 
 def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
-    """Read one tensor starting at ``offset``; returns (tensor, next offset)."""
-    (rank,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    dims = struct.unpack_from(f"<{rank}I", buf, offset)
-    offset += 4 * rank
+    """Read one tensor starting at ``offset``; returns (tensor, next offset).
+
+    Raises ValueError when ``buf`` ends before the tensor does.
+    """
+    try:
+        (rank,) = struct.unpack_from("<I", buf, offset)
+        dims = struct.unpack_from(f"<{rank}I", buf, offset + 4)
+    except struct.error as err:
+        raise ValueError(f"truncated tensor header at byte {offset}") from err
+    offset += 4 + 4 * rank
     count = int(np.prod(dims)) if rank else 1
+    # frombuffer raises ValueError when the payload is short
     data = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
     offset += 8 * count
     return Tensor(data.astype(np.float64).reshape(dims)), offset
@@ -577,12 +533,10 @@ def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
 # parameter initialization
 # --------------------------------------------------------------------------
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int,
-                 name: str | None = None) -> Tensor:
+def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return Tensor(rng.uniform(-bound, bound, size=shape),
-                  requires_grad=True, name=name)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def zeros_param(shape, name: str | None = None) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True, name=name)
+def zeros_param(shape) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True)

@@ -11,7 +11,7 @@ re-run of the failing batch.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

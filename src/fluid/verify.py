@@ -105,7 +105,8 @@ def run_reduction_suite(seed: int = 0) -> dict:
     unit = HC.HcParams(n=1)
     H1 = HC.expand_streams(x, 1)
     hc_out = HC.hc_network_finalize(
-        HC.hc_combine(unit, H1, sublayer(HC.hc_aggregate(unit, H1))))
+        HC.hc_combine(unit.B, unit.A_r, H1,
+                      sublayer(HC.hc_aggregate(unit.A_m, H1))))
     residual = T.layer_norm(T.add(x, sublayer(x)))
     residual_gap = float(np.abs(hc_out.data - residual.data).max())
     residual_exact = bool(np.array_equal(hc_out.data, residual.data))

@@ -22,7 +22,8 @@ def _softplus(x):
 
 
 def make_core(pair_dim=4, hidden=2, eps=1e-3, seed=0):
-    return A.RecurrentGateCore(pair_dim, hidden, eps, np.random.default_rng(seed))
+    return A.RecurrentGateCore(pair_dim, hidden, eps, np.random.default_rng(seed),
+                               heads=1)
 
 
 # --------------------------------------------------------------------------
@@ -30,17 +31,19 @@ def make_core(pair_dim=4, hidden=2, eps=1e-3, seed=0):
 # --------------------------------------------------------------------------
 
 def _project(core, u):
-    return T.matmul(u, core.W_u)
+    """u W_u for raw pair inputs u [P, 2D] as one pair batch [1,1,P,3h]."""
+    W_u = T.reshape(core.W_u, core.W_u.shape[2:])
+    return T.matmul(Tensor(u[None, None]), W_u)
 
 
 def test_gate_ranges():
     core = make_core()
     rng = np.random.default_rng(1)
-    u = Tensor(rng.uniform(-3, 3, (10, 4)))
+    u = rng.uniform(-3, 3, (10, 4))
     for n_steps in (1, 2):
         f_taus, f_phis = core.unroll(_project(core, u), n_steps, 0.5)
         for f_tau, f_phi in zip(f_taus, f_phis):
-            assert f_tau.shape == f_phi.shape == (10, 1)
+            assert f_tau.shape == f_phi.shape == (1, 1, 10, 1)
             assert (f_tau.data >= core.epsilon).all()
             assert (np.abs(f_phi.data) < 1.0).all()
 
@@ -51,7 +54,7 @@ def test_gate_zero_weight_cell():
         p.data[...] = 0.0
     # f_tau reads the hidden state through W_tau: 1 makes a nonzero state show
     core.W_tau.data[...] = 1.0
-    u = Tensor(np.ones((3, 4)))
+    u = np.ones((3, 4))
     for n_steps in (1, 2):
         f_taus, f_phis = core.unroll(_project(core, u), n_steps, 0.7)
         for f_tau, f_phi in zip(f_taus, f_phis):
@@ -61,7 +64,7 @@ def test_gate_zero_weight_cell():
 
 def test_gate_hidden_carries_state():
     core = make_core(seed=3)
-    u = Tensor(np.random.default_rng(4).uniform(-1, 1, (5, 4)))
+    u = np.random.default_rng(4).uniform(-1, 1, (5, 4))
     _, (f_phi0, f_phi1) = core.unroll(_project(core, u), 2, 0.2)
     assert not np.allclose(f_phi0.data, f_phi1.data)
 
@@ -200,11 +203,11 @@ def test_clamp_dt_rejects_nonpositive_entries():
 
 def test_integrate_starts_at_zero_and_records_dt():
     core = make_core(seed=9)
-    u = Tensor(np.random.default_rng(9).uniform(-1, 1, (6, 4)))
+    u = np.random.default_rng(9).uniform(-1, 1, (6, 4))
     f_taus, f_phis = core.unroll(_project(core, u), 4, 0.25)
     a, traj = A.integrate_logits(f_taus, f_phis, 0.25)
     assert (traj.a[..., 0] == 0.0).all()
-    assert traj.a.shape == (6, 5)
+    assert traj.a.shape == (1, 1, 6, 5)
     assert traj.dt_effective <= 0.25
     expected_dt = min(0.25, 1.0 / max(f.data.max() for f in f_taus))
     assert traj.dt_effective == expected_dt
@@ -212,7 +215,7 @@ def test_integrate_starts_at_zero_and_records_dt():
 
 def test_trajectory_csv_export(tmp_path):
     core = make_core(seed=11)
-    u = Tensor(np.random.default_rng(11).uniform(-1, 1, (2, 4)))
+    u = np.random.default_rng(11).uniform(-1, 1, (2, 4))
     f_taus, f_phis = core.unroll(_project(core, u), 3, 1 / 3)
     _, traj = A.integrate_logits(f_taus, f_phis, 1 / 3)
     path = tmp_path / "traj.csv"
@@ -235,11 +238,11 @@ def _head_cfg(**kw):
 
 def test_single_key_softmax_is_identity():
     rng = np.random.default_rng(13)
-    q = Tensor(rng.standard_normal((1, 1, 2)))
-    k = Tensor(rng.standard_normal((1, 1, 2)))
-    v = Tensor(rng.standard_normal((1, 1, 2)))
+    q = Tensor(rng.standard_normal((1, 1, 1, 2)))
+    k = Tensor(rng.standard_normal((1, 1, 1, 2)))
+    v = Tensor(rng.standard_normal((1, 1, 1, 2)))
     core = make_core(pair_dim=4, hidden=2, seed=13)
-    out, weights, _, _ = A.lan_head_forward(q, k, v, core, _head_cfg())
+    out, weights, _, _ = A.attend(q, k, v, core, _head_cfg())
     assert np.allclose(weights.data, 1.0)
     assert np.allclose(out.data, v.data)
 
@@ -249,10 +252,11 @@ def straight_line_lan(qa, ka, va, core, n_steps):
     T_q, D = qa.shape
     T_k = ka.shape[0]
     h = core.hidden_dim
-    Wu, wt, bx = core.W_u.data, core.w_t.data, core.b_x.data
-    Wh = core.W_h.data
-    Wphi, bphi = core.W_phi.data, core.b_phi.data
-    Wtau, btau = core.W_tau.data, core.b_tau.data
+    # the one head's weights, without the head axis
+    Wu, Wh = core.W_u.data[0, 0, 0], core.W_h.data[0, 0, 0]
+    Wphi, Wtau = core.W_phi.data[0, 0, 0], core.W_tau.data[0, 0, 0]
+    wt, bx = core.w_t.data.reshape(-1), core.b_x.data.reshape(-1)
+    bphi, btau = core.b_phi.data.reshape(-1), core.b_tau.data.reshape(-1)
     dt_nom = 1.0 / n_steps
 
     f_tau = np.zeros((T_q, T_k, n_steps))
@@ -286,23 +290,24 @@ def test_head_forward_matches_straight_line_oracle():
     ka = rng.standard_normal((3, 2))
     va = rng.standard_normal((3, 2))
     core = make_core(pair_dim=4, hidden=2, seed=17)
-    out, weights, _, _ = A.lan_head_forward(
-        Tensor(qa[None]), Tensor(ka[None]), Tensor(va[None]), core, _head_cfg())
+    out, weights, _, _ = A.attend(
+        Tensor(qa[None, None]), Tensor(ka[None, None]), Tensor(va[None, None]),
+        core, _head_cfg())
     expected_out, expected_alpha = straight_line_lan(qa, ka, va, core, n_steps=2)
-    assert np.allclose(out.data[0], expected_out, atol=1e-12)
-    assert np.allclose(weights.data[0], expected_alpha, atol=1e-12)
+    assert np.allclose(out.data[0, 0], expected_out, atol=1e-12)
+    assert np.allclose(weights.data[0, 0], expected_alpha, atol=1e-12)
 
 
 def test_head_weights_sum_to_one_and_masked_keys_get_zero():
     rng = np.random.default_rng(19)
-    q = Tensor(rng.standard_normal((1, 4, 2)))
-    k = Tensor(rng.standard_normal((1, 4, 2)))
-    v = Tensor(rng.standard_normal((1, 4, 2)))
+    q = Tensor(rng.standard_normal((1, 1, 4, 2)))
+    k = Tensor(rng.standard_normal((1, 1, 4, 2)))
+    v = Tensor(rng.standard_normal((1, 1, 4, 2)))
     core = make_core(pair_dim=4, hidden=2, seed=19)
-    _, weights, _, _ = A.lan_head_forward(q, k, v, core, _head_cfg(causal=True))
+    _, weights, _, _ = A.attend(q, k, v, core, _head_cfg(causal=True))
     sums = weights.data.sum(axis=-1)
     assert np.abs(sums - 1.0).max() <= 1e-12
-    w = weights.data[0]
+    w = weights.data[0, 0]
     assert w[0, 1] == 0.0 and w[1, 2] == 0.0 and w[0, 2] == 0.0
 
 
@@ -347,20 +352,30 @@ def _mh_cfg(**kw):
     return A.LanConfig(**base)
 
 
+def _head_core(mh, h):
+    """An H=1 core holding head ``h``'s weight slices of ``mh.core``."""
+    D = mh.cfg.head_dim
+    core = A.RecurrentGateCore(2 * D, D, mh.cfg.epsilon,
+                               np.random.default_rng(0), heads=1)
+    for name, p in core.parameters().items():
+        p.data[...] = getattr(mh.core, name).data[:, h:h + 1]
+    return core
+
+
 def _manual_heads(mh, x, cfg):
-    """Compose the block head by head through lan_head_forward."""
+    """Compose the block head by head, each through ``attend`` with H=1."""
+    B, T_q, d = x.shape
+    x1 = T.reshape(x, (B, 1, T_q, d))
     parts = []
     for h in range(cfg.heads):
-        q = T.add(T.matmul(x, Tensor(mh.W_q.data[h, 0])),
+        q = T.add(T.matmul(x1, Tensor(mh.W_q.data[h, 0])),
                   Tensor(mh.b_q.data[h, 0, 0]))
-        k = T.add(T.matmul(x, Tensor(mh.W_k.data[h, 0])),
+        k = T.add(T.matmul(x1, Tensor(mh.W_k.data[h, 0])),
                   Tensor(mh.b_k.data[h, 0, 0]))
-        v = T.add(T.matmul(x, Tensor(mh.W_v.data[h, 0])),
+        v = T.add(T.matmul(x1, Tensor(mh.W_v.data[h, 0])),
                   Tensor(mh.b_v.data[h, 0, 0]))
-        core = (mh.core.slice_head(h) if isinstance(mh.core, A.RecurrentGateCore)
-                else mh.core)
-        h_out, _, _, _ = A.lan_head_forward(q, k, v, core, cfg)
-        parts.append(h_out)
+        h_out, _, _, _ = A.attend(q, k, v, _head_core(mh, h), cfg)
+        parts.append(T.reshape(h_out, (B, T_q, cfg.head_dim)))
     return T.add(T.matmul(T.concat(parts, axis=-1), mh.W_g), mh.b_g)
 
 
@@ -435,9 +450,9 @@ def test_topk_head_equals_full_head_when_k_large():
     cfg_full = _mh_cfg(heads=1)
     cfg_top = _mh_cfg(heads=1, top_k=10)
     rng = np.random.default_rng(37)
-    q = Tensor(rng.standard_normal((1, 4, 4)))
+    q = Tensor(rng.standard_normal((1, 1, 4, 4)))
     core = make_core(pair_dim=8, hidden=4, seed=37)
-    out_full, w_full, _, _ = A.lan_head_forward(q, q, q, core, cfg_full)
-    out_top, w_top, _, _ = A.lan_head_forward(q, q, q, core, cfg_top)
+    out_full, w_full, _, _ = A.attend(q, q, q, core, cfg_full)
+    out_top, w_top, _, _ = A.attend(q, q, q, core, cfg_top)
     assert np.array_equal(out_full.data, out_top.data)
     assert np.array_equal(w_full.data, w_top.data)

@@ -6,6 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from fluid import cli
+from fluid import training as TR
+from fluid import verify as V
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -27,3 +33,65 @@ def test_bench_reports_time_and_traced_peak():
     assert report["reps"] == 3
     assert report["run_time_s"] > 0
     assert report["peak_memory_mb"] > 0
+
+
+TINY_CONFIG = {"model": {"d_model": 8, "heads": 2, "euler_steps": 2,
+                         "ffn_dim": 8},
+               "train": {"batch_size": 4}}
+
+
+def _tiny_run(tmp_path, n=10):
+    """A spiral dataset CSV with ``n`` sequences and a tiny-dims config."""
+    data = tmp_path / "spirals.csv"
+    proc = run_fluid("generate", "spiral", "--n", str(n), "--points", "30",
+                     "--subsample", "12", "--out", str(data))
+    assert proc.returncode == 0, proc.stderr
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    return data, config
+
+
+def test_train_single_split_holds_out_validation(tmp_path, monkeypatch):
+    n = 10
+    data, config = _tiny_run(tmp_path, n)
+    seen = {}
+
+    def fake_train(model, train_data, val_data, cfg, out_dir=None):
+        seen["train"], seen["val"] = train_data, val_data
+        return []
+
+    monkeypatch.setattr(TR, "train", fake_train)
+    assert cli.main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "run"), "--config", str(config)]) == 0
+    train_rows = {r.tobytes() for r in seen["train"]["values"]}
+    val_rows = {r.tobytes() for r in seen["val"]["values"]}
+    assert len(train_rows) == n - n // 5
+    assert len(val_rows) == n // 5
+    assert not train_rows & val_rows
+
+
+def test_generate_train_eval_pipeline(tmp_path):
+    data, config = _tiny_run(tmp_path)
+    run = tmp_path / "run"
+    proc = run_fluid("train", "--data", str(data), "--out", str(run),
+                     "--folds", "1", "--epochs", "1", "--config", str(config))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("best", "final"):
+        assert (run / name / "manifest.json").is_file()
+        assert (run / name / "tensors.bin").is_file()
+    assert (run / "history.csv").is_file()
+    proc = run_fluid("eval", "--checkpoint", str(run / "best"),
+                     "--data", str(data))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["metric"] == "mae" and report["sequences"] == 10
+
+
+def test_verify_exit_codes():
+    assert run_fluid("verify", "--suite", "limits").returncode == 0
+    assert run_fluid("verify", "--suite", "nope").returncode == 2
+
+
+def test_run_suite_rejects_unknown_name():
+    with pytest.raises(KeyError):
+        V.run_suite("nope")

@@ -17,7 +17,7 @@ def _norm_rows(x, eps=1e-5):
 def test_aggregate_single_stream_is_identity():
     H = Tensor(np.random.default_rng(0).standard_normal((2, 1, 3)))
     params = HC.HcParams(n=1)
-    out = HC.hc_aggregate(params, H)
+    out = HC.hc_aggregate(params.A_m, H)
     assert np.array_equal(out.data, H.data[:, 0, :])
 
 
@@ -25,7 +25,7 @@ def test_aggregate_equal_streams_average():
     row = np.random.default_rng(1).standard_normal(4)
     H = Tensor(np.stack([row, row])[None])
     params = HC.HcParams(n=2)  # A_m defaults to [1/2, 1/2]
-    out = HC.hc_aggregate(params, H)
+    out = HC.hc_aggregate(params.A_m, H)
     assert np.allclose(out.data[0], row, atol=1e-15)
 
 
@@ -35,7 +35,7 @@ def test_aggregate_matches_hand_matrix_product():
     A_m = rng.standard_normal(2)
     params = HC.HcParams(n=2)
     params.A_m.data[...] = A_m
-    out = HC.hc_aggregate(params, Tensor(H))
+    out = HC.hc_aggregate(params.A_m, Tensor(H))
     assert np.allclose(out.data, A_m @ H, atol=1e-14)
 
 
@@ -46,7 +46,7 @@ def test_combine_unit_params_is_standard_residual():
     H = HC.expand_streams(Tensor(x), 1)
 
     layer_out = Tensor(np.tanh(x))
-    combined = HC.hc_combine(params, H, layer_out)
+    combined = HC.hc_combine(params.B, params.A_r, H, layer_out)
     assert np.array_equal(combined.data[..., 0, :], x + np.tanh(x))
 
 
@@ -57,7 +57,8 @@ def test_combine_zero_b_ignores_layer():
     params.B.data[...] = 0.0
     A_r = rng.standard_normal((2, 2))
     params.A_r.data[...] = A_r
-    out = HC.hc_combine(params, Tensor(H), Tensor(rng.standard_normal((1, 3))))
+    out = HC.hc_combine(params.B, params.A_r, Tensor(H),
+                        Tensor(rng.standard_normal((1, 3))))
     assert np.allclose(out.data, np.swapaxes(A_r, 0, 1) @ H, atol=1e-14)
 
 
@@ -69,7 +70,7 @@ def test_combine_matches_hand_computation():
     params = HC.HcParams(n=2)
     params.B.data[...] = B
     params.A_r.data[...] = A_r
-    out = HC.hc_combine(params, Tensor(H), Tensor(layer_out))
+    out = HC.hc_combine(params.B, params.A_r, Tensor(H), Tensor(layer_out))
     expected = B[:, None] * layer_out[0] + A_r.T @ H[0]
     assert np.allclose(out.data[0], expected, atol=1e-14)
 
@@ -152,7 +153,8 @@ def test_block_n1_unit_params_bitwise_equals_residual():
         return T.tanh(t)
 
     H = HC.expand_streams(x, 1)
-    block = HC.hc_combine(params, H, sublayer(HC.hc_aggregate(params, H)))
+    block = HC.hc_combine(params.B, params.A_r, H,
+                          sublayer(HC.hc_aggregate(params.A_m, H)))
     hc_out = HC.hc_network_finalize(block)
     residual = T.layer_norm(T.add(x, sublayer(x)))
     assert np.array_equal(hc_out.data, residual.data)
@@ -193,9 +195,9 @@ def test_width_depth_decomposition_equals_monolithic_matrix():
     params.A_r.data[...] = rng.standard_normal((n, n))
     H = rng.standard_normal((n, d))
 
-    x0 = HC.hc_aggregate(params, Tensor(H)).data
+    x0 = HC.hc_aggregate(params.A_m, Tensor(H)).data
     z = np.tanh(x0)
-    combined = HC.hc_combine(params, Tensor(H), Tensor(z)).data
+    combined = HC.hc_combine(params.B, params.A_r, Tensor(H), Tensor(z)).data
 
     mono = np.zeros((n + 1, n + 1))
     mono[0, 1:] = params.B.data

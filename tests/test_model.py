@@ -341,6 +341,35 @@ def test_checkpoint_round_trip(tmp_path):
                           restored.forward(values, times, qt).data)
 
 
+def _saved_tensor_file(tmp_path):
+    """(checkpoint path, its tensors.bin, that file's bytes, last tensor's size)."""
+    model = M.FluidModel(_cfg(seed=26))
+    path = str(tmp_path / "ckpt")
+    M.save_checkpoint(model, path)
+    params = model.parameters()
+    last = len(T.serialize_tensor(params[sorted(params)[-1]]))
+    blob = tmp_path / "ckpt" / "tensors.bin"
+    return path, blob, blob.read_bytes(), last
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path, blob, buf, _ = _saved_tensor_file(tmp_path)
+    blob.write_bytes(buf + bytes(8))
+    with pytest.raises(ValueError, match="trailing"):
+        M.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("where", ["payload", "header"])
+def test_checkpoint_rejects_truncated_file(tmp_path, where):
+    path, blob, buf, last = _saved_tensor_file(tmp_path)
+    # end 8 bytes short, inside the last payload, or 2 bytes into the last
+    # tensor's rank field
+    end = len(buf) - 8 if where == "payload" else len(buf) - last + 2
+    blob.write_bytes(buf[:end])
+    with pytest.raises(ValueError):
+        M.load_checkpoint(path)
+
+
 def test_seeded_model_golden_fixture():
     # regression fixture from the first verified run of this configuration
     model = M.FluidModel(_cfg(seed=42, n_layers=2))

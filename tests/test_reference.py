@@ -83,11 +83,11 @@ def test_unfrozen_gates_show_nonzero_gap():
     v = rng.standard_normal((3, D))
     cfg = A.LanConfig(d_model=D, heads=1, euler_steps=1, top_k=None,
                       epsilon=1e-3, sink_gate_enabled=False, causal=False)
-    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng)
-    out, _, _, _ = A.lan_head_forward(Tensor(q[None]), Tensor(k[None]),
-                                      Tensor(v[None]), core, cfg)
+    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=1)
+    out, _, _, _ = A.attend(Tensor(q[None, None]), Tensor(k[None, None]),
+                            Tensor(v[None, None]), core, cfg)
     expected, _ = R.sdpa_reference(q, k, v)
-    assert np.abs(out.data[0] - expected).max() > 1e-6
+    assert np.abs(out.data[0, 0] - expected).max() > 1e-6
 
 
 def test_verify_ctrnn_limit_exact_and_first_order():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fluid import attention as A
-from fluid import data as D
 from fluid import model as M
 from fluid import tensor as T
 from fluid import training as TR
