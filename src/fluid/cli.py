@@ -122,9 +122,11 @@ def cmd_train(args) -> int:
         final = history[-1]["val_metric"] if history else float("nan")
         metrics.append(final)
         print(f"fold {fold}: final {tcfg.metric} = {final:.6f}")
-    summary = {"folds": folds, "metric": tcfg.metric,
-               "mean": float(np.mean(metrics)), "std": float(np.std(metrics))}
-    print(json.dumps(summary))
+    # no metric (an empty history) is null: JSON has no NaN
+    mean, std = (float(v) if np.isfinite(v) else None
+                 for v in (np.mean(metrics), np.std(metrics)))
+    summary = {"folds": folds, "metric": tcfg.metric, "mean": mean, "std": std}
+    print(json.dumps(summary, allow_nan=False))
     return 0
 
 

@@ -261,17 +261,33 @@ def _config_from_dict(d: dict) -> ModelConfig:
     return ModelConfig(lan=lan, **d)
 
 
+def _replace_file(path: str, data: bytes):
+    """Write ``data`` to a temp file in the same directory, then rename it
+    over ``path``: a failed write leaves the old file as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(model: FluidModel, path: str):
+    """Write ``tensors.bin``, then ``manifest.json``, each atomically."""
     os.makedirs(path, exist_ok=True)
     params = model.parameters()
     names = sorted(params)
     manifest = {"config": _config_to_dict(model.cfg), "params": names,
                 "tensor_file": "tensors.bin"}
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    with open(os.path.join(path, "tensors.bin"), "wb") as fh:
-        for name in names:
-            fh.write(T.serialize_tensor(params[name]))
+    tensors = b"".join(T.serialize_tensor(params[name]) for name in names)
+    _replace_file(os.path.join(path, "tensors.bin"), tensors)
+    _replace_file(os.path.join(path, "manifest.json"),
+                  json.dumps(manifest, indent=2).encode())
 
 
 def load_checkpoint(path: str) -> FluidModel:

@@ -66,10 +66,15 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
                 key_mask: np.ndarray | None = None) -> PairBatch:
     """Keep the K highest-scoring keys per query, scores S = q . k^T.
 
-    Ties break toward the lower key index; the surviving indices are then
-    ordered ascending per row so that K >= T_k reproduces the full
-    pairwise batch exactly. Selection is hard: scores are ranked outside
-    the gradient tape and gradients flow only through selected pairs.
+    Selection is partial: one ``np.partition`` per row finds the K_eff-th
+    highest score, every key scoring above it is kept, and the remaining
+    places go to the lowest-index keys scoring exactly that much, so ties
+    break toward the lower key index. Masked-out keys (and NaN scores)
+    rank below every finite score and come out invalid. Each row lists
+    its valid keys in ascending index order, then pads with index 0, so
+    K >= T_k reproduces the full pairwise batch exactly. Selection is
+    hard: scores are ranked outside the gradient tape and gradients flow
+    only through selected pairs.
     """
     if K < 1:
         raise ValueError(f"top-k needs K >= 1, got {K}")
@@ -79,23 +84,32 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     T_k = k.shape[2]
     K_eff = min(K, T_k)
 
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    valid = _candidate_mask(B, H, T_q, T_k, causal, key_mask)
-    scores = np.where(valid, scores, -np.inf)
+    # rank -S ascending: the K best keys are the K_eff smallest entries
+    neg = np.matmul(-q.data, np.swapaxes(k.data, -1, -2))
+    ranked = _candidate_mask(B, H, T_q, T_k, causal, key_mask) & ~np.isnan(neg)
+    np.copyto(neg, np.inf, where=~ranked)
 
-    # stable sort on -score: equal scores keep ascending index order
-    order = np.argsort(-scores, axis=-1, kind="stable")[..., :K_eff]
-    sel_scores = np.take_along_axis(scores, order, axis=-1)
-    sel_valid = np.isfinite(sel_scores)
+    kth = np.partition(neg, K_eff - 1, axis=-1)[..., K_eff - 1:K_eff]
+    keep = neg <= kth
+    # rows with more ties at kth than places keep their lowest-index ties
+    over = np.count_nonzero(keep, axis=-1) > K_eff
+    if over.any():
+        rows, cut = neg[over], kth[over]
+        below = rows < cut
+        ties = rows == cut
+        room = K_eff - np.count_nonzero(below, axis=-1, keepdims=True)
+        keep[over] = below | (ties & (np.cumsum(ties, axis=-1) <= room))
 
-    # reorder each row ascending by index, invalid entries to the tail as 0
-    sort_key = np.where(sel_valid, order, T_k)
-    asc = np.argsort(sort_key, axis=-1, kind="stable")
-    indices = np.take_along_axis(order, asc, axis=-1)
-    sel_valid = np.take_along_axis(sel_valid, asc, axis=-1)
-    indices = np.where(sel_valid, indices, 0)
+    # every row keeps exactly K_eff keys; read them in ascending order
+    indices = (np.flatnonzero(keep) % T_k).reshape(B, H, T_q, K_eff)
+    valid = np.isfinite(np.take_along_axis(neg, indices, axis=-1))
+    if not valid.all():
+        # invalid entries to the tail as index 0, valid order kept
+        tail = np.argsort(~valid, axis=-1, kind="stable")
+        valid = np.take_along_axis(valid, tail, axis=-1)
+        indices = np.where(valid, np.take_along_axis(indices, tail, axis=-1), 0)
 
-    return PairBatch(selected_indices=indices, valid_mask=sel_valid)
+    return PairBatch(selected_indices=indices, valid_mask=valid)
 
 
 def pair_sum(a: Tensor, b: Tensor, batch: PairBatch) -> Tensor:

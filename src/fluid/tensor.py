@@ -405,7 +405,8 @@ def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
 def gather_keys(x: Tensor, idx: np.ndarray) -> Tensor:
     """Gather per-query key vectors: x [B,H,T_k,D], idx [B,H,T_q,K] -> [B,H,T_q,K,D].
 
-    Indices are constants (hard selection); gradients scatter-add into x.
+    Indices are constants (hard selection); gradients scatter-add into x,
+    one ``np.bincount`` per channel over a flat (b, h, key) index.
     """
     idx = np.asarray(idx)
     B, H, T_k, D = x.shape
@@ -413,11 +414,12 @@ def gather_keys(x: Tensor, idx: np.ndarray) -> Tensor:
                              idx[:, :, :, :, None], axis=3)
 
     def rule(g):
-        gx = np.zeros_like(x.data)
-        bb = np.arange(B)[:, None, None, None]
-        hh = np.arange(H)[None, :, None, None]
-        np.add.at(gx, (bb, hh, idx), g)
-        return (gx,)
+        lin = (np.arange(B * H).reshape(B, H, 1, 1) * T_k + idx).reshape(-1)
+        g_cm = g.reshape(-1, D).T                            # [D, pairs]
+        gx = np.empty((D, B * H * T_k))
+        for c in range(D):
+            gx[c] = np.bincount(lin, weights=g_cm[c], minlength=B * H * T_k)
+        return (gx.T.reshape(B, H, T_k, D),)
 
     return _node(out, (x,), rule)
 

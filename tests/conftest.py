@@ -7,6 +7,7 @@ independent of the library code paths they check.
 import numpy as np
 
 from fluid import tensor as T
+from fluid.pairs import PairBatch
 from fluid.tensor import Tensor
 
 
@@ -105,3 +106,36 @@ def gru_unroll(core, u: Tensor, n_steps: int, dt_nominal: float):
         f_taus.append(f_tau)
         f_phis.append(f_phi)
     return f_taus, f_phis
+
+
+# --------------------------------------------------------------------------
+# full stable sort: the oracle for top-k pair selection
+# --------------------------------------------------------------------------
+
+def topk_sort(q: Tensor, k: Tensor, K: int, causal: bool = False,
+              key_mask=None) -> PairBatch:
+    """Top-K keys per query by a full stable argsort of -S over T_k.
+
+    Ties keep ascending index order; invalid (masked-out) entries go to
+    the tail of each row as index 0.
+    """
+    B, H, T_q, _ = q.shape
+    T_k = k.shape[2]
+    K_eff = min(K, T_k)
+    valid = np.ones((B, H, T_q, T_k), dtype=bool)
+    if causal:
+        valid &= np.arange(T_k)[None, :] <= np.arange(T_q)[:, None]
+    if key_mask is not None:
+        valid &= np.asarray(key_mask, dtype=bool)[:, None, None, :]
+    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    scores = np.where(valid, scores, -np.inf)
+
+    order = np.argsort(-scores, axis=-1, kind="stable")[..., :K_eff]
+    sel_valid = np.isfinite(np.take_along_axis(scores, order, axis=-1))
+
+    sort_key = np.where(sel_valid, order, T_k)
+    asc = np.argsort(sort_key, axis=-1, kind="stable")
+    indices = np.take_along_axis(order, asc, axis=-1)
+    sel_valid = np.take_along_axis(sel_valid, asc, axis=-1)
+    indices = np.where(sel_valid, indices, 0)
+    return PairBatch(selected_indices=indices, valid_mask=sel_valid)

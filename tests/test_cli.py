@@ -87,9 +87,34 @@ def test_generate_train_eval_pipeline(tmp_path):
     assert report["metric"] == "mae" and report["sequences"] == 10
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_train_without_metric_prints_valid_json(tmp_path, capsys):
+    data, config = _tiny_run(tmp_path)
+    assert cli.main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "run"), "--epochs", "0",
+                     "--config", str(config)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    # plain json.loads accepts NaN; this parse does not
+    summary = json.loads(last, parse_constant=_reject_constant)
+    assert summary["mean"] is None and summary["std"] is None
+
+
 def test_verify_exit_codes():
     assert run_fluid("verify", "--suite", "limits").returncode == 0
     assert run_fluid("verify", "--suite", "nope").returncode == 2
+
+
+@pytest.mark.parametrize("suite, report", [
+    ("limits", {"pass": False}),
+    ("all", {"limits": {"pass": True}, "gradients": {"pass": False}}),
+], ids=["one-suite", "all"])
+def test_verify_failing_report_exits_1(monkeypatch, capsys, suite, report):
+    monkeypatch.setattr(V, "run_suite", lambda name, seed=0: report)
+    assert cli.main(["verify", "--suite", suite]) == 1
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_run_suite_rejects_unknown_name():

@@ -1,6 +1,8 @@
 """Encoder-decoder assembly: positional encoding, causality, reductions,
 checkpoints, and the plain-attention reproduction property."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,37 @@ def test_checkpoint_rejects_truncated_file(tmp_path, where):
     blob.write_bytes(buf[:end])
     with pytest.raises(ValueError):
         M.load_checkpoint(path)
+
+
+# fail on the third tensor, or once tensors.bin's bytes are written
+@pytest.mark.parametrize("module, name, nth", [(T, "serialize_tensor", 3),
+                                               (os, "fsync", 1)],
+                         ids=["serialize", "fsync"])
+def test_interrupted_checkpoint_write_keeps_old_checkpoint(tmp_path, monkeypatch,
+                                                           module, name, nth):
+    path = str(tmp_path / "ckpt")
+    M.save_checkpoint(M.FluidModel(_cfg(seed=27)), path)
+    before = {f: (tmp_path / "ckpt" / f).read_bytes()
+              for f in ("manifest.json", "tensors.bin")}
+    real, calls = getattr(module, name), []
+
+    def failing(arg):
+        calls.append(arg)
+        if len(calls) == nth:
+            raise OSError("disk full")
+        return real(arg)
+
+    # a different model, so a partial write would show in either file
+    monkeypatch.setattr(module, name, failing)
+    with pytest.raises(OSError, match="disk full"):
+        M.save_checkpoint(M.FluidModel(_cfg(seed=28, n_layers=2)), path)
+    monkeypatch.undo()
+    assert sorted(os.listdir(path)) == sorted(before)
+    for f, data in before.items():
+        assert (tmp_path / "ckpt" / f).read_bytes() == data, f
+    restored = M.load_checkpoint(path)
+    for key, p in M.FluidModel(_cfg(seed=27)).parameters().items():
+        assert np.array_equal(p.data, restored.parameters()[key].data), key
 
 
 def test_seeded_model_golden_fixture():

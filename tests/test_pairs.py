@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import topk_sort
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fluid import pairs, tensor as T
 from fluid.tensor import Tensor
@@ -67,6 +71,70 @@ def test_topk_tie_break_lowest_index():
     q, k = _qk([[1.0, 1.0]], [[0.5, 0.5]] * 4)
     pb = pairs.topk_concat(q, k, K=2)
     assert pb.selected_indices[0, 0, 0].tolist() == [0, 1]
+
+
+@st.composite
+def _tied_topk_case(draw):
+    """Small integer-valued q/k (so scores tie often), masks and K."""
+    B, H, T_q, T_k, D = (draw(st.integers(1, n)) for n in (2, 2, 8, 8, 3))
+    small = st.integers(-2, 2).map(float)
+    q = draw(hnp.arrays(float, (B, H, T_q, D), elements=small))
+    k = draw(hnp.arrays(float, (B, H, T_k, D), elements=small))
+    key_mask = draw(st.none() | hnp.arrays(bool, (B, T_k)))
+    K = draw(st.integers(1, T_k + 2))
+    return q, k, K, draw(st.booleans()), key_mask
+
+
+def _assert_same_selection(q, k, K, causal, key_mask):
+    q, k = Tensor(q), Tensor(k)
+    got = pairs.topk_concat(q, k, K, causal=causal, key_mask=key_mask)
+    want = topk_sort(q, k, K, causal=causal, key_mask=key_mask)
+    assert got.selected_indices.dtype == want.selected_indices.dtype
+    assert np.array_equal(got.selected_indices, want.selected_indices)
+    assert np.array_equal(got.valid_mask, want.valid_mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_topk_case())
+def test_topk_partial_selection_equals_full_sort(case):
+    _assert_same_selection(*case)
+
+
+def test_topk_partial_selection_equals_full_sort_fully_masked_rows():
+    # the first sequence has every key masked: all its rows are padding
+    rng = np.random.default_rng(17)
+    q = rng.integers(-2, 3, (2, 2, 5, 2)).astype(float)
+    k = rng.integers(-2, 3, (2, 2, 6, 2)).astype(float)
+    key_mask = np.array([[False] * 6, [True, False, True, True, False, True]])
+    for K in (1, 3, 6, 8):
+        for causal in (False, True):
+            _assert_same_selection(q, k, K, causal, key_mask)
+    pb = pairs.topk_concat(Tensor(q), Tensor(k), 3, key_mask=key_mask)
+    assert not pb.valid_mask[0].any() and not pb.selected_indices[0].any()
+
+
+def test_topk_partial_selection_equals_full_sort_on_non_finite_scores():
+    # a diverged model's NaN and infinite scores rank as a stable sort of
+    # -S ranks them, and none of them comes out valid
+    rng = np.random.default_rng(19)
+    q = rng.integers(-2, 3, (1, 2, 6, 2)).astype(float)
+    k = rng.integers(-2, 3, (1, 2, 6, 2)).astype(float)
+    q[0, 0, 1, 0] = np.nan
+    q[0, 1, 2, 1] = np.inf
+    k[0, 0, 3, 1] = -np.inf
+    with np.errstate(invalid="ignore"):
+        for K in (1, 2, 4, 6):
+            for causal in (False, True):
+                _assert_same_selection(q, k, K, causal, None)
+        pb = pairs.topk_concat(Tensor(q), Tensor(k), 6)
+    assert not pb.valid_mask[0, 0, 1].any()
+
+
+def test_topk_partial_selection_equals_full_sort_at_scale():
+    rng = np.random.default_rng(21)
+    q = rng.standard_normal((1, 2, 64, 16))
+    k = rng.standard_normal((1, 2, 1024, 16))
+    _assert_same_selection(q, k, 32, False, None)
 
 
 def test_topk_k_ge_tk_equals_full_pairwise_exactly():
