@@ -14,7 +14,10 @@ The gate recurrence is the costly part: it runs per pair and per step.
 ``RecurrentGateCore`` projects queries and keys once instead of building
 u, and unrolls all steps as one tape op with a hand-written backward that
 keeps only the hidden states and recomputes the rest; inference runs the
-same kernel without keeping anything.
+same kernel without keeping anything. Heads and pairs are independent, so
+the kernel cuts each head's pairs into blocks and runs the (head, block)
+work items on a thread pool over every CPU, with the same results for any
+number of threads.
 
 Final logits pass through a masked softmax and weight the gathered
 values. ``attend`` is the one per-head pipeline, on [B,H,T,D] inputs;
@@ -26,6 +29,9 @@ counteracts attention sinks.
 from __future__ import annotations
 
 import csv
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,12 +129,20 @@ class RecurrentGateCore:
     nothing and reuses one hidden-state buffer. Tape and ``no_grad`` run
     the same kernel, so both give bitwise the same gates.
 
-    The kernel loops over heads and works on one head at a time in a
-    channel-major layout ([3h, pairs]): each gate block is a contiguous
-    array updated by in-place ufuncs, and the scratch buffers hold one
-    head, H times less than all heads at once. That bound matters most
-    under ``no_grad``, where scratch is all the kernel allocates beyond
-    the gates it returns.
+    The kernel works in a channel-major layout ([H, 3h, pairs]) and cuts
+    each head's pairs into contiguous, balanced blocks of at most
+    ``_BLOCK_PAIRS``; the cut depends on the pair count alone. Each
+    (head, block) work item runs on a module-level thread pool of one
+    thread per CPU (numpy releases the GIL inside ufuncs and GEMMs), or
+    inline with one CPU or one item. An item allocates scratch for its
+    block only, so at most one block per thread is alive at once. That
+    bound matters most under ``no_grad``, where scratch is all the kernel
+    allocates beyond the gates it returns. The gates are stored head-major
+    ([2N, H, pairs]) so that each item writes contiguous rows; callers see
+    them as [B,H,...,1]. An item writes its pairs' gates, hidden states and
+    input gradient in place and returns its weight-gradient partials,
+    which are summed in item order: outputs and every gradient are bitwise
+    the same for any number of threads.
     """
 
     def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
@@ -183,25 +197,29 @@ class RecurrentGateCore:
         if up.ndim < 3 or up.shape[1] != H:
             raise ValueError(f"pair batch {up.shape} has no head axis of {H}")
         B = up.shape[0]
-        R = up.size // (B * H * C)
+        P = up.size // (H * C)
         # channel-major [H, 3h, pairs]; free when up came from pair_sum
         x = np.ascontiguousarray(
-            up.data.reshape(B, H, R, C).transpose(1, 3, 0, 2)).reshape(H, C, B * R)
-        gates = np.empty((2 * n_steps,) + up.shape[:-1] + (1,))
-        g_view = gates.reshape(2 * n_steps, B, H, R)
+            up.data.reshape(B, H, P // B, C).transpose(1, 3, 0, 2)).reshape(H, C, P)
+        # head-major [2N, H, pairs] in memory, seen as [2N,B,H,...,1]
+        g_hm = np.empty((2 * n_steps, H, P))
+        gates = np.moveaxis(
+            g_hm.reshape((2 * n_steps, H, B) + up.shape[2:-1] + (1,)), 2, 1)
 
         params = self.parameters()
         inputs = (up,) + tuple(params[n] for n in _GATE_WEIGHTS)
         w = _stack_heads(params, H, h)
-        saved = (np.empty((H, n_steps, h, B * R))
+        saved = (np.empty((H, n_steps, h, P))
                  if T._grad_enabled() and any(t.requires_grad for t in inputs)
                  else None)
-        _gru_forward(x, w, n_steps, dt_nominal, self.epsilon, g_view, saved)
+        _gru_forward(x, w, n_steps, dt_nominal, self.epsilon, g_hm, saved)
 
         def rule(g):
-            dx, dw = _gru_backward(g.reshape(g_view.shape), x, w, saved,
-                                   g_view, n_steps, dt_nominal)
-            d_up = dx.reshape(H, C, B, R).transpose(2, 0, 3, 1).reshape(up.shape)
+            # the gradient buffer takes the gates' head-major layout
+            g_hm_grad = np.moveaxis(g, 1, 2).reshape(g_hm.shape)
+            dx, dw = _gru_backward(g_hm_grad, x, w, saved, g_hm, n_steps,
+                                   dt_nominal)
+            d_up = dx.reshape(H, C, B, P // B).transpose(2, 0, 3, 1).reshape(up.shape)
             return (d_up,) + tuple(dw[n].reshape(params[n].shape)
                                    for n in _GATE_WEIGHTS)
 
@@ -238,7 +256,7 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
 
 def _cell(x: np.ndarray, bias: np.ndarray, hp: np.ndarray | None,
           r: np.ndarray, z: np.ndarray, c: np.ndarray, tmp: np.ndarray):
-    """Reset, update and candidate gates of one step of one head.
+    """Reset, update and candidate gates of one step of one head and block.
 
     x: [3h,P] projected pairs; bias: [3h,1] step bias; hp: W_h^T h_prev
     [3h,P], or None at the first step where the hidden state is zero (the
@@ -262,136 +280,237 @@ def _step_bias(w: dict, hd: int, t_n: float) -> np.ndarray:
     return (w["w_t"][hd] * t_n + w["b_x"][hd])[:, None]
 
 
+# --------------------------------------------------------------------------
+# work items of the gate kernel: (head, pair block) on a thread pool
+# --------------------------------------------------------------------------
+
+# the most pairs one work item takes: each item's scratch is a few
+# [3h, block] arrays, small enough to stay in cache
+_BLOCK_PAIRS = 4096
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_WORKERS = _cpu_count()
+_pool: tuple[int, ThreadPoolExecutor] | None = None   # (workers, pool)
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def gate_workers() -> int:
+    """The number of threads the gate kernel spreads its work items over."""
+    return _WORKERS
+
+
+def _blocks(P: int) -> list[tuple[int, int]]:
+    """[start, stop) of contiguous, balanced blocks of at most _BLOCK_PAIRS
+    pairs each. The cut depends on P alone, never on the worker count."""
+    n = max(1, -(-P // _BLOCK_PAIRS))
+    return [(P * i // n, P * (i + 1) // n) for i in range(n)]
+
+
+def _run_items(fn, items: list[tuple]) -> list:
+    """fn(*item) for every item, results in item order.
+
+    Items run on the module's thread pool when there are several workers
+    and several items, else inline. Every item finishes before the first
+    exception (in item order) is raised. Item bodies are pure numpy, which
+    releases the GIL inside ufuncs and GEMMs.
+    """
+    global _pool
+    if min(_WORKERS, len(items)) <= 1:
+        return [fn(*item) for item in items]
+    with _pool_lock:
+        if _pool is None or _pool[0] != _WORKERS:
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = (_WORKERS, ThreadPoolExecutor(
+                _WORKERS, thread_name_prefix="fluid-gate"))
+        pool = _pool[1]
+    futures = [pool.submit(fn, *item) for item in items]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def _items(H: int, P: int) -> list[tuple[int, int, int]]:
+    """(head, start, stop) of every work item, head by head."""
+    return [(hd, a, b) for hd in range(H) for a, b in _blocks(P)]
+
+
 def _gru_forward(x, w, n_steps, dt_nominal, epsilon, gates, saved):
     """Run every head's GRU and write f_tau (rows :N) and f_phi (rows N:)
-    of ``gates`` [2N,B,H,R]. With ``saved`` [H,N,h,P] the hidden state of
+    of ``gates`` [2N,H,P]. With ``saved`` [H,N,h,P] the hidden state of
     every step is kept there for the backward."""
-    H, C, P = x.shape
+    def item(hd, a, b):
+        _forward_block(x[hd, :, a:b], w, hd, n_steps, dt_nominal, epsilon,
+                       gates[:, hd, a:b],
+                       None if saved is None else saved[hd, :, :, a:b])
+
+    _run_items(item, _items(x.shape[0], x.shape[2]))
+
+
+def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
+    """Head ``hd``'s GRU over one block of pairs: x [3h,P], gates [2N,P],
+    saved [N,h,P] or None. The scratch is the block's alone."""
+    C, P = x.shape
     h = C // 3
-    B, R = gates.shape[1], gates.shape[3]
     hp = np.empty((C, P))
     r, z, c, tmp = (np.empty((h, P)) for _ in range(4))
     o = np.empty((2, P))
     t = np.empty(P)
     hidden = np.empty((h, P)) if saved is None else None
-    for hd in range(H):
-        W_hT, W_o, b_o = w["W_h"][hd].T, w["W_o"][hd], w["b_o"][hd]
-        prev = None
-        for n in range(n_steps):
-            new = hidden if saved is None else saved[hd, n]
-            if prev is not None:
-                np.matmul(W_hT, prev, out=hp)
-            _cell(x[hd], _step_bias(w, hd, n * dt_nominal),
-                  None if prev is None else hp, r, z, c, tmp)
-            # new hidden = (1 - z) * c + z * prev
-            np.subtract(1.0, z, out=tmp)
-            tmp *= c
-            if prev is None:
-                new[...] = tmp
-            else:
-                np.multiply(z, prev, out=new)
-                new += tmp
-            prev = new
+    W_hT, W_o, b_o = w["W_h"][hd].T, w["W_o"][hd], w["b_o"][hd]
+    prev = None
+    for n in range(n_steps):
+        new = hidden if saved is None else saved[n]
+        if prev is not None:
+            np.matmul(W_hT, prev, out=hp)
+        _cell(x, _step_bias(w, hd, n * dt_nominal),
+              None if prev is None else hp, r, z, c, tmp)
+        # new hidden = (1 - z) * c + z * prev
+        np.subtract(1.0, z, out=tmp)
+        tmp *= c
+        if prev is None:
+            new[...] = tmp
+        else:
+            np.multiply(z, prev, out=new)
+            new += tmp
+        prev = new
 
-            np.matmul(W_o, new, out=o)
-            o += b_o[:, None]
-            np.tanh(o[0].reshape(B, R), out=gates[n_steps + n, :, hd])
-            # softplus(o) + eps, softplus = max(o, 0) + log1p(exp(-|o|))
-            np.abs(o[1], out=t)
-            np.negative(t, out=t)
-            np.exp(t, out=t)
-            np.log1p(t, out=t)
-            np.maximum(o[1], 0.0, out=o[1])
-            o[1] += t
-            np.add(o[1].reshape(B, R), epsilon, out=gates[n, :, hd])
+        np.matmul(W_o, new, out=o)
+        o += b_o[:, None]
+        np.tanh(o[0], out=gates[n_steps + n])
+        # softplus(o) + eps, softplus = max(o, 0) + log1p(exp(-|o|))
+        np.abs(o[1], out=t)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        np.maximum(o[1], 0.0, out=o[1])
+        o[1] += t
+        np.add(o[1], epsilon, out=gates[n])
 
 
 def _gru_backward(g, x, w, saved, gates, n_steps, dt_nominal):
-    """BPTT through ``_gru_forward``: returns (d x [H,3h,P], weight grads
-    keyed as in _GATE_WEIGHTS, in the stacked per-head shapes)."""
+    """BPTT through ``_gru_forward``, g and gates [2N,H,P]: returns (d x
+    [H,3h,P], weight grads keyed as in _GATE_WEIGHTS, in the stacked
+    per-head shapes). Each item writes its block of d x and returns its
+    weight-gradient partials; they are summed in item order, so every
+    gradient is the same for any number of workers."""
     H, C, P = x.shape
     h = C // 3
-    B, R = gates.shape[1], gates.shape[3]
+    dx = np.empty((H, C, P))
+    items = _items(H, P)
+
+    def item(hd, a, b):
+        return _backward_block(g[:, hd, a:b], x[hd, :, a:b], w, hd,
+                               saved[hd, :, :, a:b], gates[:, hd, a:b],
+                               dx[hd, :, a:b], n_steps, dt_nominal)
+
+    totals = (np.zeros((H, h, C)), np.zeros((H, C)), np.zeros((H, C)),
+              np.zeros((H, 2, h)), np.zeros((H, 2)))
+    for (hd, _, _), parts in zip(items, _run_items(item, items)):
+        for total, part in zip(totals, parts):
+            total[hd] += part
+    dW_h, dw_t, db_x, dW_o, db_o = totals
+    return dx, {"w_t": dw_t, "b_x": db_x, "W_h": dW_h,
+                "W_phi": dW_o[:, 0], "b_phi": db_o[:, 0],
+                "W_tau": dW_o[:, 1], "b_tau": db_o[:, 1]}
+
+
+def _backward_block(g, x, w, hd, saved, gates, dx, n_steps, dt_nominal):
+    """BPTT of head ``hd`` over one block: g, gates [2N,P], x and dx
+    [3h,P], saved [N,h,P]. Writes dx and returns this block's partials
+    (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o [2,h], db_o [2])."""
+    C, P = x.shape
+    h = C // 3
     N = n_steps
-    dx = np.zeros((H, C, P))
-    dW_h = np.zeros((H, h, C))
-    dw_t = np.zeros((H, C))
-    db_x = np.zeros((H, C))
-    dW_o = np.zeros((H, 2, h))
-    db_o = np.zeros((H, 2))
+    dW_h, dw_t, db_x = np.zeros((h, C)), np.zeros(C), np.zeros(C)
+    dW_o, db_o = np.zeros((2, h)), np.zeros(2)
     hp = np.empty((C, P))
     dhp = np.empty((C, P))      # grad of W_h^T h_prev; its r, z rows are dx's
     r, z, c, tmp, dcp, dh = (np.empty((h, P)) for _ in range(6))
     o = np.empty((2, P))
     dpre = np.empty((2, P))
-    d_phi, d_tau = dpre[0].reshape(B, R), dpre[1].reshape(B, R)
-    for hd in range(H):
-        W_h, W_hT = w["W_h"][hd], w["W_h"][hd].T
-        W_o, b_o = w["W_o"][hd], w["b_o"][hd]
-        dh[...] = 0.0
-        for n in reversed(range(N)):
-            new = saved[hd, n]
-            prev = saved[hd, n - 1] if n > 0 else None
-            # projection heads: f_phi = tanh(.), f_tau = softplus(.) + eps
-            phi = gates[N + n, :, hd]
-            np.multiply(phi, phi, out=d_phi)
-            np.subtract(1.0, d_phi, out=d_phi)
-            d_phi *= g[N + n, :, hd]
-            np.matmul(W_o, new, out=o)
-            o += b_o[:, None]
-            _sigmoid_(o[1])
-            np.multiply(g[n, :, hd], o[1].reshape(B, R), out=d_tau)
-            dW_o[hd] += dpre @ new.T
-            db_o[hd] += dpre.sum(axis=1)
-            np.matmul(W_o.T, dpre, out=tmp)
-            dh += tmp
+    d_phi, d_tau = dpre
+    sums = np.empty(C)
+    W_h, W_hT = w["W_h"][hd], w["W_h"][hd].T
+    W_o, b_o = w["W_o"][hd], w["b_o"][hd]
+    dx[...] = 0.0
+    dh[...] = 0.0
+    for n in reversed(range(N)):
+        new = saved[n]
+        prev = saved[n - 1] if n > 0 else None
+        # projection heads: f_phi = tanh(.), f_tau = softplus(.) + eps
+        phi = gates[N + n]
+        np.multiply(phi, phi, out=d_phi)
+        np.subtract(1.0, d_phi, out=d_phi)
+        d_phi *= g[N + n]
+        np.matmul(W_o, new, out=o)
+        o += b_o[:, None]
+        _sigmoid_(o[1])
+        np.multiply(g[n], o[1], out=d_tau)
+        dW_o += dpre @ new.T
+        db_o += dpre.sum(axis=1)
+        np.matmul(W_o.T, dpre, out=tmp)
+        dh += tmp
 
-            # recompute the cell, then new = (1 - z) * c + z * prev
-            if prev is not None:
-                np.matmul(W_hT, prev, out=hp)
-            _cell(x[hd], _step_bias(w, hd, n * dt_nominal),
-                  None if prev is None else hp, r, z, c, tmp)
-            dr, dz, dn = dhp[:h], dhp[h:2 * h], dhp[2 * h:]
-            # candidate pre-activation: dh * (1 - z) * (1 - c^2)
-            np.subtract(1.0, z, out=tmp)
-            tmp *= dh
-            np.multiply(c, c, out=dcp)
-            np.subtract(1.0, dcp, out=dcp)
-            dcp *= tmp
-            # update pre-activation: dh * (prev - c) * z * (1 - z)
-            if prev is None:
-                np.negative(c, out=tmp)
-            else:
-                np.subtract(prev, c, out=tmp)
-            tmp *= dh
-            np.subtract(1.0, z, out=dz)
-            dz *= z
-            dz *= tmp
-            sums = np.empty(C)
-            sums[h:2 * h] = dz.sum(axis=1)
-            sums[2 * h:] = dcp.sum(axis=1)
-            dx[hd, h:2 * h] += dz
-            dx[hd, 2 * h:] += dcp
-            if prev is None:
-                sums[:h] = 0.0
-            else:
-                # reset pre-activation: dc_pre * hp_n * r * (1 - r)
-                np.subtract(1.0, r, out=dr)
-                dr *= r
-                dr *= hp[2 * h:]
-                dr *= dcp
-                np.multiply(dcp, r, out=dn)
-                sums[:h] = dr.sum(axis=1)
-                dx[hd, :h] += dr
-                dW_h[hd] += prev @ dhp.T
-                dh *= z
-                np.matmul(W_h, dhp, out=tmp)
-                dh += tmp
-            db_x[hd] += sums
-            dw_t[hd] += (n * dt_nominal) * sums
-    return dx, {"w_t": dw_t, "b_x": db_x, "W_h": dW_h,
-                "W_phi": dW_o[:, 0], "b_phi": db_o[:, 0],
-                "W_tau": dW_o[:, 1], "b_tau": db_o[:, 1]}
+        # recompute the cell, then new = (1 - z) * c + z * prev
+        if prev is not None:
+            np.matmul(W_hT, prev, out=hp)
+        _cell(x, _step_bias(w, hd, n * dt_nominal),
+              None if prev is None else hp, r, z, c, tmp)
+        dr, dz, dn = dhp[:h], dhp[h:2 * h], dhp[2 * h:]
+        # candidate pre-activation: dh * (1 - z) * (1 - c^2)
+        np.subtract(1.0, z, out=tmp)
+        tmp *= dh
+        np.multiply(c, c, out=dcp)
+        np.subtract(1.0, dcp, out=dcp)
+        dcp *= tmp
+        # update pre-activation: dh * (prev - c) * z * (1 - z)
+        if prev is None:
+            np.negative(c, out=tmp)
+        else:
+            np.subtract(prev, c, out=tmp)
+        tmp *= dh
+        np.subtract(1.0, z, out=dz)
+        dz *= z
+        dz *= tmp
+        sums[h:2 * h] = dz.sum(axis=1)
+        sums[2 * h:] = dcp.sum(axis=1)
+        dx[h:2 * h] += dz
+        dx[2 * h:] += dcp
+        if prev is None:
+            sums[:h] = 0.0
+        else:
+            # reset pre-activation: dc_pre * hp_n * r * (1 - r)
+            np.subtract(1.0, r, out=dr)
+            dr *= r
+            dr *= hp[2 * h:]
+            dr *= dcp
+            np.multiply(dcp, r, out=dn)
+            sums[:h] = dr.sum(axis=1)
+            dx[:h] += dr
+            dW_h += prev @ dhp.T
+            dh *= z
+            np.matmul(W_h, dhp, out=tmp)
+            dh += tmp
+        db_x += sums
+        dw_t += (n * dt_nominal) * sums
+    return dW_h, dw_t, db_x, dW_o, db_o
 
 
 class SdpaFrozenGates:
@@ -486,8 +605,11 @@ def integrate_logits(f_taus: list[Tensor], f_phis: list[Tensor],
     only meant for instability demonstrations.
     """
     if clamp:
-        dt = clamp_dt(dt_nominal, np.concatenate(
-            [f.data.reshape(-1) for f in f_taus]))
+        # the extremes of each distinct tensor, not a copy of every f_tau:
+        # SDPA and feed-forward gates pass one tensor N times
+        distinct = {id(f): f.data for f in f_taus if f.size}.values()
+        dt = clamp_dt(dt_nominal, np.array(
+            [(d.min(), d.max()) for d in distinct]).reshape(-1))
     else:
         dt = float(dt_nominal)
     a = a0 if a0 is not None else Tensor(np.zeros(f_taus[0].shape))

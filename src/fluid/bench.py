@@ -10,6 +10,7 @@ nothing to the times.
 
 from __future__ import annotations
 
+import os
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ class BenchReport:
     peak_memory_mb: float
     reps: int
     dims: dict
+    env: dict     # what the times depend on beyond the dims
 
     CSV_HEADER = "run_time_s,throughput_seq_per_s,peak_memory_mb"
 
@@ -54,7 +56,7 @@ class BenchReport:
                 "run_time_std_s": self.std_time_s,
                 "throughput_seq_per_s": self.throughput_seq_per_s,
                 "peak_memory_mb": self.peak_memory_mb,
-                "reps": self.reps, "dims": self.dims}
+                "reps": self.reps, "dims": self.dims, **self.env}
 
 
 def default_model_factory(dims: BenchDims):
@@ -98,6 +100,8 @@ def bench(model_factory, dims: BenchDims, reps: int = 10) -> BenchReport:
         peak_memory_mb=peak / 1e6,
         reps=reps,
         dims=dims.__dict__.copy(),
+        env={"gate_workers": A.gate_workers(), "cpu_count": os.cpu_count(),
+             "numpy_version": np.__version__},
     )
 
 

@@ -8,6 +8,7 @@ overrides every configured seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -150,6 +151,11 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_json(args.config)
+    unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(BN.BenchDims)})
+    if unknown:
+        print(f"fluid bench: unknown key(s) in {args.config}: "
+              f"{', '.join(unknown)}", file=sys.stderr)
+        return 2
     dims = BN.BenchDims(
         d_model=cfg.get("d_model", args.d_model),
         heads=cfg.get("heads", args.heads),
@@ -157,6 +163,7 @@ def cmd_bench(args) -> int:
         seq_len=cfg.get("seq_len", args.seq_len),
         top_k=cfg.get("top_k", args.top_k),
         euler_steps=cfg.get("euler_steps", 5),
+        ffn_dim=cfg.get("ffn_dim", BN.BenchDims.ffn_dim),
         seed=_seed_override(cfg.get("seed", 0)),
     )
     report = BN.bench(BN.default_model_factory, dims, reps=args.reps)

@@ -147,9 +147,11 @@ class DecoderLayer:
 
     def forward(self, state: Tensor, z: Tensor, enc_mask=None,
                 collect=None) -> Tensor:
+        own, cross = ((None, None) if collect is None else
+                      (collect.setdefault("self", {}),
+                       collect.setdefault("cross", {})))
         state = self.sub_self.apply(
-            state, lambda x0: self.self_attn.forward(x0, x0, x0))
-        cross = collect.setdefault("cross", {}) if collect is not None else None
+            state, lambda x0: self.self_attn.forward(x0, x0, x0, collect=own))
         state = self.sub_cross.apply(
             state, lambda x0: self.cross_attn.forward(x0, z, z,
                                                       key_mask=enc_mask,

@@ -187,7 +187,8 @@ def _dump_gate_traces(model, data, sel, out_dir) -> str | None:
     with T.no_grad():
         _forward_batch(model, data, sel, collect=collect)
     trajs = collect.get("trajectories", [])
-    trajs += collect.get("cross", {}).get("trajectories", [])
+    for block in ("self", "cross"):
+        trajs += collect.get(block, {}).get("trajectories", [])
     if not trajs or out_dir is None:
         return None
     path = os.path.join(out_dir, "diverged_gate_traces.csv")

@@ -1,6 +1,9 @@
 """Gated logit ODE, Euler integration, clamping, and attention assembly."""
 
 import contextlib
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -153,6 +156,158 @@ def test_fused_gates_pass_grad_check():
 
 
 # --------------------------------------------------------------------------
+# work items: the same results for any number of workers
+# --------------------------------------------------------------------------
+
+def _block_case(case):
+    """A core, q, k and pair batch whose pair count ``case`` names."""
+    rng = np.random.default_rng(47)
+    B, H, D, key_mask, causal = 1, 2, 2, None, False
+    if case == "topk_row_split":      # blocks cut a query's K pairs apart
+        T_q, T_k, K = 301, 40, 20
+    elif case == "batch_rows":        # blocks cross batch rows
+        B, T_q, T_k, K, causal = 3, 40, 40, None, True
+        key_mask = np.ones((B, T_k), dtype=bool)
+        key_mask[1, -9:] = False
+    elif case == "one_block":
+        B, T_q, T_k, K = 2, 5, 5, None
+    else:                             # uneven: P not a multiple of the cut
+        T_q, T_k, K = 4099, 5, 3
+    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H)
+    qa = rng.standard_normal((B, H, T_q, D))
+    ka = rng.standard_normal((B, H, T_k, D))
+    if K is None:
+        pb = pairs.full_pairwise_concat(Tensor(qa), Tensor(ka), causal=causal,
+                                        key_mask=key_mask)
+    else:
+        pb = pairs.topk_concat(Tensor(qa), Tensor(ka), K)
+    return core, qa, ka, pb
+
+
+def _gate_run(core, qa, ka, pb, n_steps=3):
+    """no_grad gates, tape gates, and the gradients of the 8 gate weights
+    and of q, k under a loss that weighs every gate differently."""
+    with T.no_grad():
+        f_taus, f_phis = core.gates(Tensor(qa), Tensor(ka), pb, n_steps,
+                                    1 / n_steps)
+    untaped = np.stack([g.data for g in f_taus + f_phis])
+    q = Tensor(qa, requires_grad=True)
+    k = Tensor(ka, requires_grad=True)
+    for p in core.parameters().values():
+        p.zero_grad()
+    f_taus, f_phis = core.gates(q, k, pb, n_steps, 1 / n_steps)
+    gates = f_taus + f_phis
+    coef = np.random.default_rng(48).standard_normal((len(gates),) + gates[0].shape)
+    _weighted_sum(gates, coef).backward()
+    grads = {n: p.grad.copy() for n, p in dict(core.parameters(), q=q, k=k).items()}
+    return untaped, np.stack([g.data for g in gates]), grads
+
+
+@pytest.mark.parametrize("case", ["topk_row_split", "batch_rows", "one_block",
+                                  "uneven"])
+def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch):
+    core, qa, ka, pb = _block_case(case)
+    P = pb.valid_mask[:, 0].size
+    blocks = A._blocks(P)
+    sizes = [b - a for a, b in blocks]
+    assert blocks[0][0] == 0 and blocks[-1][1] == P and max(sizes) <= A._BLOCK_PAIRS
+    assert max(sizes) - min(sizes) <= 1
+    K = pb.k_eff
+    if case == "topk_row_split":
+        assert len(blocks) > 1 and any(a % K for a, _ in blocks)
+    elif case == "batch_rows":
+        row = P // pb.valid_mask.shape[0]
+        assert len(blocks) > 1 and any(a // row != (b - 1) // row for a, b in blocks)
+        assert not pb.valid_mask.all()
+    elif case == "one_block":
+        assert blocks == [(0, P)]
+    else:
+        assert len(set(sizes)) == 2
+
+    main = threading.get_ident()
+    ran_on = []
+    forward_block = A._forward_block
+
+    def spy(*args):
+        ran_on.append(threading.get_ident())
+        forward_block(*args)
+
+    monkeypatch.setattr(A, "_forward_block", spy)
+    runs = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)               # interleave the workers often
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(A, "_WORKERS", workers)
+            ran_on.clear()
+            runs[workers] = _gate_run(core, qa, ka, pb)
+            items = 2 * len(blocks)
+            assert len(ran_on) == 2 * items   # no_grad, then the tape
+            assert (set(ran_on) == {main}) == (min(workers, items) == 1)
+    finally:
+        sys.setswitchinterval(switch)
+    untaped, taped, grads = runs[1]
+    assert np.array_equal(untaped, taped)
+    assert len(grads) == 10
+    for workers in (2, 3):
+        other_untaped, other_taped, other_grads = runs[workers]
+        assert np.array_equal(other_untaped, untaped)
+        assert np.array_equal(other_taped, taped)
+        for name, grad in grads.items():
+            assert np.array_equal(other_grads[name], grad), (workers, name)
+
+
+def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
+    core, qa, ka, pb = _block_case("topk_row_split")
+    monkeypatch.setattr(A, "_WORKERS", 2)
+    expected = _gate_run(core, qa, ka, pb)
+    forward_block = A._forward_block
+
+    def failing(x, w, hd, *rest):
+        if hd == 1:
+            raise RuntimeError("item failed")
+        forward_block(x, w, hd, *rest)
+
+    monkeypatch.setattr(A, "_forward_block", failing)
+    with pytest.raises(RuntimeError, match="item failed"):
+        core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
+    monkeypatch.setattr(A, "_forward_block", forward_block)
+    again = _gate_run(core, qa, ka, pb)
+    assert np.array_equal(again[1], expected[1])
+    for name, grad in expected[2].items():
+        assert np.array_equal(again[2][name], grad)
+
+
+def _unroll_in_child(core, qa, ka, pb, queue):
+    with T.no_grad():
+        f_taus, _ = core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
+    queue.put(np.stack([f.data for f in f_taus]))
+
+
+def test_gate_kernel_runs_in_a_forked_child(monkeypatch):
+    core, qa, ka, pb = _block_case("batch_rows")
+    monkeypatch.setattr(A, "_WORKERS", 2)
+    with T.no_grad():
+        f_taus, _ = core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
+    assert A._pool is not None        # the parent has started its threads
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_unroll_in_child, args=(core, qa, ka, pb, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    except Exception:
+        got = None
+    child.join(timeout=10)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert got is not None, "the forked child did not return"
+    assert child.exitcode == 0
+    assert np.array_equal(got, np.stack([f.data for f in f_taus]))
+
+
+# --------------------------------------------------------------------------
 # euler step and clamp
 # --------------------------------------------------------------------------
 
@@ -199,6 +354,23 @@ def test_clamp_dt_rejects_nonpositive_entries():
         A.clamp_dt(1.0, Tensor([0.5, -0.1]))
     with pytest.raises(ValueError):
         A.clamp_dt(0.0, Tensor([0.5]))
+
+
+def test_integrate_clamps_on_every_gate_without_copies():
+    rng = np.random.default_rng(49)
+    f_taus = [Tensor(rng.uniform(0.5, 2.0, (2, 3, 1))) for _ in range(3)]
+    f_taus[2].data[1, 2, 0] = 8.0     # the largest rate, in the last step
+    f_phis = [Tensor(np.zeros((2, 3, 1)))] * 3
+    _, traj = A.integrate_logits(f_taus, f_phis, 0.5)
+    assert traj.dt_effective == 1.0 / 8.0
+    # one tensor passed N times, as SDPA and feed-forward gates do
+    _, traj = A.integrate_logits([f_taus[2]] * 4, [f_phis[0]] * 4, 0.5)
+    assert traj.dt_effective == 1.0 / 8.0
+    f_taus[1].data[0, 0, 0] = -1.0
+    with pytest.raises(ValueError):
+        A.integrate_logits(f_taus, f_phis, 0.5)
+    _, traj = A.integrate_logits(f_taus, f_phis, 0.5, clamp=False)
+    assert traj.dt_effective == 0.5
 
 
 def test_integrate_starts_at_zero_and_records_dt():

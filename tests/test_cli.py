@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fluid import attention as A
+from fluid import bench as BN
 from fluid import cli
 from fluid import training as TR
 from fluid import verify as V
@@ -33,6 +36,48 @@ def test_bench_reports_time_and_traced_peak():
     assert report["reps"] == 3
     assert report["run_time_s"] > 0
     assert report["peak_memory_mb"] > 0
+
+
+def _bench(tmp_path, config, capsys):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["bench", "--config", str(path), "--reps", "3"])
+    return code, capsys.readouterr()
+
+
+BENCH_CONFIG = {"d_model": 8, "heads": 2, "seq_len": 6, "ffn_dim": 4}
+
+
+def test_bench_config_sets_ffn_dim(tmp_path, capsys, monkeypatch):
+    seen = {}
+    factory = BN.default_model_factory
+
+    def spy(dims):
+        seen["ffn_dim"] = dims.ffn_dim
+        return factory(dims)
+
+    monkeypatch.setattr(BN, "default_model_factory", spy)
+    code, out = _bench(tmp_path, BENCH_CONFIG, capsys)
+    assert code == 0, out.err
+    assert seen["ffn_dim"] == 4
+    report = json.loads("\n".join(out.out.splitlines()[2:]))
+    assert report["dims"]["ffn_dim"] == 4
+
+
+def test_bench_config_rejects_unknown_keys(tmp_path, capsys):
+    code, out = _bench(tmp_path, dict(BENCH_CONFIG, ffn=4, seqlen=6), capsys)
+    assert code == 2
+    assert "ffn, seqlen" in out.err
+    assert out.out == ""
+
+
+def test_bench_report_names_workers_cpus_and_numpy(tmp_path, capsys):
+    code, out = _bench(tmp_path, BENCH_CONFIG, capsys)
+    assert code == 0, out.err
+    report = json.loads("\n".join(out.out.splitlines()[2:]))
+    assert report["gate_workers"] == A.gate_workers() >= 1
+    assert report["cpu_count"] == os.cpu_count()
+    assert report["numpy_version"] == np.__version__
 
 
 TINY_CONFIG = {"model": {"d_model": 8, "heads": 2, "euler_steps": 2,

@@ -124,6 +124,26 @@ def test_model_output_shape_contract():
     assert out.shape == (3, 4, 2)
 
 
+def test_model_forward_records_every_attention_block():
+    model = M.FluidModel(_cfg(seed=10, n_layers=2))
+    rng = np.random.default_rng(11)
+    mask = np.ones((3, 5), dtype=bool)
+    mask[1, -2:] = False
+    collect = {}
+    model.forward(values=rng.standard_normal((3, 5, 2)),
+                  times=np.sort(rng.uniform(0, 1, (3, 5)), axis=1),
+                  query_times=np.sort(rng.uniform(1, 2, (3, 4)), axis=1),
+                  mask=mask, collect=collect)
+    # encoder self-attention at the top level, the decoder's two blocks
+    # under their names; pairs [B, H, T_q, T_k]
+    for trajs, pairs_shape in ((collect["trajectories"], (3, 2, 5, 5)),
+                               (collect["self"]["trajectories"], (3, 2, 4, 4)),
+                               (collect["cross"]["trajectories"], (3, 2, 4, 5))):
+        assert len(trajs) == 2
+        assert all(t.f_tau.shape == pairs_shape + (2,) for t in trajs)
+    assert len(collect["self"]["weights"]) == 2
+
+
 def test_model_zero_weights_predict_output_bias():
     model = M.FluidModel(_cfg(seed=12))
     for name, p in model.parameters().items():
