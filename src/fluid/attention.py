@@ -11,13 +11,14 @@ combination of the current state and the instantaneous target f_phi/f_tau
 and therefore keeps trajectories inside the equilibrium envelope.
 
 The gate recurrence is the costly part: it runs per pair and per step.
-``RecurrentGateCore`` projects queries and keys once instead of building
-u, and unrolls all steps as one tape op with a hand-written backward that
-keeps only the hidden states and recomputes the rest; inference runs the
-same kernel without keeping anything. Heads and pairs are independent, so
-the kernel cuts each head's pairs into blocks and runs the (head, block)
-work items on a thread pool over every CPU, with the same results for any
-number of threads.
+``RecurrentGateCore`` projects queries and keys once and never builds u
+or the pair input: each work item of its kernel forms its own block of
+pair inputs. All steps unroll as one tape op with a hand-written
+backward that keeps only the hidden states and recomputes the rest;
+inference runs the same kernel without keeping anything. The (head,
+block) work items run on a thread pool over every CPU, with the same
+results for any number of threads. The Euler recursion is one tape op
+with a hand-written adjoint too.
 
 Final logits pass through a masked softmax and weight the gathered
 values. ``attend`` is the one per-head pipeline, on [B,H,T,D] inputs;
@@ -118,31 +119,28 @@ class RecurrentGateCore:
     [B,H,...]; a single head is H = 1.
 
     The input projection is factorized, u W_u = q W_u[:D] + k W_u[D:]:
-    ``project_pairs`` projects each query and key once and forms every
-    pair's projection with one broadcast add (``pairs.pair_sum``), so u is
-    never built. ``unroll`` then runs all Euler steps as one tape op with a
-    hand-written BPTT backward (``_gru_forward`` / ``_gru_backward``). The
-    op keeps only the hidden state of every step and the gates it returns;
-    the backward recomputes the reset, update and candidate gates from the
-    previous hidden state with one GEMM per step (Chen et al., "Training
-    Deep Nets with Sublinear Memory Cost"). Under ``no_grad`` it keeps
-    nothing and reuses one hidden-state buffer. Tape and ``no_grad`` run
-    the same kernel, so both give bitwise the same gates.
+    ``project_pairs`` projects each query and key once and returns the
+    factored ``pairs.PairInput``. ``unroll`` runs all Euler steps as one
+    tape op with a hand-written BPTT backward (``_gru_forward`` /
+    ``_gru_backward``) that keeps only the hidden state of every step and
+    the gates it returns, and recomputes the rest: the pair inputs, and
+    the reset, update and candidate gates with one GEMM per step (Chen et
+    al., "Training Deep Nets with Sublinear Memory Cost"). Under
+    ``no_grad`` it keeps nothing. Tape and ``no_grad`` run the same
+    kernel, so both give bitwise the same gates.
 
-    The kernel works in a channel-major layout ([H, 3h, pairs]) and cuts
-    each head's pairs into contiguous, balanced blocks of at most
-    ``_BLOCK_PAIRS``; the cut depends on the pair count alone. Each
-    (head, block) work item runs on a module-level thread pool of one
-    thread per CPU (numpy releases the GIL inside ufuncs and GEMMs), or
-    inline with one CPU or one item. An item allocates scratch for its
-    block only, so at most one block per thread is alive at once. That
-    bound matters most under ``no_grad``, where scratch is all the kernel
-    allocates beyond the gates it returns. The gates are stored head-major
+    The kernel cuts each head's pairs into contiguous, balanced blocks of
+    at most ``_BLOCK_PAIRS``, a cut that depends on the pair count alone,
+    and runs the (head, block) work items on a module-level thread pool of
+    one thread per CPU (numpy releases the GIL inside ufuncs and GEMMs),
+    or inline with one CPU or one item. An item forms its block's input
+    [3h, block] and every other buffer in scratch of its own, so the pair
+    input is never whole in memory. The gates are stored head-major
     ([2N, H, pairs]) so that each item writes contiguous rows; callers see
-    them as [B,H,...,1]. An item writes its pairs' gates, hidden states and
-    input gradient in place and returns its weight-gradient partials,
-    which are summed in item order: outputs and every gradient are bitwise
-    the same for any number of threads.
+    them as [B,H,...,1]. An item writes its gates and hidden states in
+    place and returns its partials of the weight, query-projection and
+    key-projection gradients, which are summed in item order: outputs and
+    every gradient are bitwise the same for any number of threads.
     """
 
     def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
@@ -174,54 +172,52 @@ class RecurrentGateCore:
         return self.unroll(self.project_pairs(q, k, pb), n_steps, dt_nominal)
 
     def project_pairs(self, q: Tensor, k: Tensor,
-                      pb: pairs_mod.PairBatch) -> Tensor:
-        """u W_u for every selected pair, [B,H,T_q,K_eff,3h], zero on
-        invalid pairs (so they see exactly the gates of a zero input)."""
+                      pb: pairs_mod.PairBatch) -> pairs_mod.PairInput:
+        """u W_u for every selected pair, [B,H,T_q,K_eff,3h], in factored
+        form: the projected queries q W_u[:D] and keys k W_u[D:]."""
         D = q.shape[-1]
         W = T.reshape(self.W_u, (1, self.heads, 2 * D, self.W_u.shape[-1]))
         qp = T.matmul(q, T.narrow(W, -2, 0, D))
         kp = T.matmul(k, T.narrow(W, -2, D, D))
-        return pairs_mod.pair_sum(qp, kp, pb)
+        return pairs_mod.PairInput(qp, kp, pb)
 
-    def unroll(self, up: Tensor, n_steps: int, dt_nominal: float):
-        """Gate trajectories for all steps from the projected pair input.
+    def unroll(self, pin: pairs_mod.PairInput, n_steps: int,
+               dt_nominal: float):
+        """Gate trajectories for all steps from the pair input ``pin``.
 
-        up: [B,H,...,3h] pair-major. Returns lists (f_taus, f_phis) of
-        n_steps tensors [B,H,...,1], slices of the one tensor the fused op
-        produces.
+        pin: [B,H,...,3h], factored; the op's parents are its projected
+        queries and keys and the gate weights. Returns lists (f_taus,
+        f_phis) of n_steps tensors [B,H,...,1], slices of the one tensor
+        the fused op produces.
         """
-        h, C = self.hidden_dim, up.shape[-1]
+        h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
             raise ValueError(f"pair projection has {C} channels, expected {3 * h}")
         H = self.heads
-        if up.ndim < 3 or up.shape[1] != H:
-            raise ValueError(f"pair batch {up.shape} has no head axis of {H}")
-        B = up.shape[0]
-        P = up.size // (H * C)
-        # channel-major [H, 3h, pairs]; free when up came from pair_sum
-        x = np.ascontiguousarray(
-            up.data.reshape(B, H, P // B, C).transpose(1, 3, 0, 2)).reshape(H, C, P)
+        if pin.shape[1] != H:
+            raise ValueError(f"pair batch {pin.shape} has no head axis of {H}")
+        B = pin.shape[0]
+        P = pin.size // (H * C)
         # head-major [2N, H, pairs] in memory, seen as [2N,B,H,...,1]
         g_hm = np.empty((2 * n_steps, H, P))
         gates = np.moveaxis(
-            g_hm.reshape((2 * n_steps, H, B) + up.shape[2:-1] + (1,)), 2, 1)
+            g_hm.reshape((2 * n_steps, H, B) + pin.shape[2:-1] + (1,)), 2, 1)
 
         params = self.parameters()
-        inputs = (up,) + tuple(params[n] for n in _GATE_WEIGHTS)
+        inputs = (pin.qp, pin.kp) + tuple(params[n] for n in _GATE_WEIGHTS)
         w = _stack_heads(params, H, h)
         saved = (np.empty((H, n_steps, h, P))
                  if T._grad_enabled() and any(t.requires_grad for t in inputs)
                  else None)
-        _gru_forward(x, w, n_steps, dt_nominal, self.epsilon, g_hm, saved)
+        _gru_forward(pin, w, n_steps, dt_nominal, self.epsilon, g_hm, saved)
 
         def rule(g):
             # the gradient buffer takes the gates' head-major layout
             g_hm_grad = np.moveaxis(g, 1, 2).reshape(g_hm.shape)
-            dx, dw = _gru_backward(g_hm_grad, x, w, saved, g_hm, n_steps,
-                                   dt_nominal)
-            d_up = dx.reshape(H, C, B, P // B).transpose(2, 0, 3, 1).reshape(up.shape)
-            return (d_up,) + tuple(dw[n].reshape(params[n].shape)
-                                   for n in _GATE_WEIGHTS)
+            d_qp, d_kp, dw = _gru_backward(g_hm_grad, pin, w, saved, g_hm,
+                                           n_steps, dt_nominal)
+            return (d_qp, d_kp) + tuple(dw[n].reshape(params[n].shape)
+                                        for n in _GATE_WEIGHTS)
 
         parts = T.unstack(T._node(gates, inputs, rule))
         return parts[:n_steps], parts[n_steps:]
@@ -351,16 +347,17 @@ def _items(H: int, P: int) -> list[tuple[int, int, int]]:
     return [(hd, a, b) for hd in range(H) for a, b in _blocks(P)]
 
 
-def _gru_forward(x, w, n_steps, dt_nominal, epsilon, gates, saved):
-    """Run every head's GRU and write f_tau (rows :N) and f_phi (rows N:)
-    of ``gates`` [2N,H,P]. With ``saved`` [H,N,h,P] the hidden state of
-    every step is kept there for the backward."""
+def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
+    """Run every head's GRU on the pair input ``pin`` and write f_tau (rows
+    :N) and f_phi (rows N:) of ``gates`` [2N,H,P]. With ``saved``
+    [H,N,h,P] the hidden state of every step is kept there for the
+    backward."""
     def item(hd, a, b):
-        _forward_block(x[hd, :, a:b], w, hd, n_steps, dt_nominal, epsilon,
-                       gates[:, hd, a:b],
+        _forward_block(pin.block(hd, a, b), w, hd, n_steps, dt_nominal,
+                       epsilon, gates[:, hd, a:b],
                        None if saved is None else saved[hd, :, :, a:b])
 
-    _run_items(item, _items(x.shape[0], x.shape[2]))
+    _run_items(item, _items(*gates.shape[1:]))
 
 
 def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
@@ -404,37 +401,40 @@ def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
         np.add(o[1], epsilon, out=gates[n])
 
 
-def _gru_backward(g, x, w, saved, gates, n_steps, dt_nominal):
-    """BPTT through ``_gru_forward``, g and gates [2N,H,P]: returns (d x
-    [H,3h,P], weight grads keyed as in _GATE_WEIGHTS, in the stacked
-    per-head shapes). Each item writes its block of d x and returns its
-    weight-gradient partials; they are summed in item order, so every
-    gradient is the same for any number of workers."""
-    H, C, P = x.shape
-    h = C // 3
-    dx = np.empty((H, C, P))
+def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal):
+    """BPTT through ``_gru_forward``, g and gates [2N,H,P]: returns (d qp,
+    d kp, weight grads keyed as in _GATE_WEIGHTS, in the stacked per-head
+    shapes). Each item forms its block of pair inputs again and returns
+    its partials; they are summed in item order, so every gradient is the
+    same for any number of workers."""
+    _, H, P = gates.shape
+    h = saved.shape[2]
+    C = 3 * h
     items = _items(H, P)
 
     def item(hd, a, b):
-        return _backward_block(g[:, hd, a:b], x[hd, :, a:b], w, hd,
-                               saved[hd, :, :, a:b], gates[:, hd, a:b],
-                               dx[hd, :, a:b], n_steps, dt_nominal)
+        dx, parts = _backward_block(g[:, hd, a:b], pin.block(hd, a, b), w,
+                                    hd, saved[hd, :, :, a:b], gates[:, hd, a:b],
+                                    n_steps, dt_nominal)
+        return parts, pin.block_grads(hd, a, b, dx)
 
+    results = _run_items(item, items)
     totals = (np.zeros((H, h, C)), np.zeros((H, C)), np.zeros((H, C)),
               np.zeros((H, 2, h)), np.zeros((H, 2)))
-    for (hd, _, _), parts in zip(items, _run_items(item, items)):
+    for (hd, _, _), (parts, _) in zip(items, results):
         for total, part in zip(totals, parts):
             total[hd] += part
     dW_h, dw_t, db_x, dW_o, db_o = totals
-    return dx, {"w_t": dw_t, "b_x": db_x, "W_h": dW_h,
-                "W_phi": dW_o[:, 0], "b_phi": db_o[:, 0],
-                "W_tau": dW_o[:, 1], "b_tau": db_o[:, 1]}
+    d_qp, d_kp = pin.grads(items, [pair for _, pair in results])
+    return d_qp, d_kp, {"w_t": dw_t, "b_x": db_x, "W_h": dW_h,
+                        "W_phi": dW_o[:, 0], "b_phi": db_o[:, 0],
+                        "W_tau": dW_o[:, 1], "b_tau": db_o[:, 1]}
 
 
-def _backward_block(g, x, w, hd, saved, gates, dx, n_steps, dt_nominal):
-    """BPTT of head ``hd`` over one block: g, gates [2N,P], x and dx
-    [3h,P], saved [N,h,P]. Writes dx and returns this block's partials
-    (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o [2,h], db_o [2])."""
+def _backward_block(g, x, w, hd, saved, gates, n_steps, dt_nominal):
+    """BPTT of head ``hd`` over one block: g, gates [2N,P], x [3h,P],
+    saved [N,h,P]. Returns d x and this block's partials (dW_h [h,3h],
+    dw_t [3h], db_x [3h], dW_o [2,h], db_o [2])."""
     C, P = x.shape
     h = C // 3
     N = n_steps
@@ -449,7 +449,7 @@ def _backward_block(g, x, w, hd, saved, gates, dx, n_steps, dt_nominal):
     sums = np.empty(C)
     W_h, W_hT = w["W_h"][hd], w["W_h"][hd].T
     W_o, b_o = w["W_o"][hd], w["b_o"][hd]
-    dx[...] = 0.0
+    dx = np.zeros((C, P))
     dh[...] = 0.0
     for n in reversed(range(N)):
         new = saved[n]
@@ -510,7 +510,7 @@ def _backward_block(g, x, w, hd, saved, gates, dx, n_steps, dt_nominal):
             dh += tmp
         db_x += sums
         dw_t += (n * dt_nominal) * sums
-    return dW_h, dw_t, db_x, dW_o, db_o
+    return dx, (dW_h, dw_t, db_x, dW_o, db_o)
 
 
 class SdpaFrozenGates:
@@ -574,13 +574,6 @@ class FeedforwardGates:
 # integration
 # --------------------------------------------------------------------------
 
-def euler_step(a_n: Tensor, f_tau: Tensor, f_phi: Tensor, dt: float) -> Tensor:
-    """a_{n+1} = a_n + dt * (-f_tau * a_n + f_phi)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return T.add(a_n, T.scale(T.add(T.mul(T.neg(f_tau), a_n), f_phi), dt))
-
-
 def clamp_dt(dt_nominal: float, f_tau_batch) -> float:
     """min(dt_nominal, 1/max f_tau): guarantees dt * f_tau <= 1 everywhere.
 
@@ -601,8 +594,11 @@ def integrate_logits(f_taus: list[Tensor], f_phis: list[Tensor],
                      a0: Tensor | None = None):
     """Run the Euler recursion from a0 (default 0) with one global dt.
 
-    Returns (final state tensor, LogitTrajectory). Disabling the clamp is
-    only meant for instability demonstrations.
+    One tape op: the states a_{n+1} = a_n + dt * (-f_tau_n * a_n + f_phi_n)
+    fill one [N+1, ...] buffer, in the float order of that formula, and
+    the backward runs the adjoint recursion by hand. Returns (final state
+    tensor, LogitTrajectory), whose states are a view of the buffer.
+    Disabling the clamp is only meant for instability demonstrations.
     """
     if clamp:
         # the extremes of each distinct tensor, not a copy of every f_tau:
@@ -612,20 +608,32 @@ def integrate_logits(f_taus: list[Tensor], f_phis: list[Tensor],
             [(d.min(), d.max()) for d in distinct]).reshape(-1))
     else:
         dt = float(dt_nominal)
-    a = a0 if a0 is not None else Tensor(np.zeros(f_taus[0].shape))
-    # tape outputs are never mutated, and np.stack copies
-    states = [a.data]
-    for f_tau, f_phi in zip(f_taus, f_phis):
-        a = euler_step(a, f_tau, f_phi, dt)
-        states.append(a.data)
+    n_steps = len(f_taus)
+    gates = list(f_taus) + list(f_phis)
+    initial = [] if a0 is None else [a0]
+    shape = np.broadcast_shapes(*(t.shape for t in initial + gates))
+    a = np.empty((n_steps + 1,) + shape)
+    a[0] = 0.0 if a0 is None else a0.data
+    for n in range(n_steps):
+        a[n + 1] = a[n] + (-f_taus[n].data * a[n] + f_phis[n].data) * dt
+
+    def rule(g):
+        grads = [None] * (2 * n_steps)
+        for n in reversed(range(n_steps)):
+            gs = g * dt
+            grads[n] = T._unbroadcast(-(gs * a[n]), f_taus[n].shape)
+            grads[n_steps + n] = T._unbroadcast(gs, f_phis[n].shape)
+            g = g - gs * f_taus[n].data
+        return [T._unbroadcast(g, s.shape) for s in initial] + grads
+
     traj = LogitTrajectory(
-        a=np.stack([s[..., 0] for s in states], axis=-1),
+        a=np.moveaxis(a[..., 0], 0, -1),
         f_tau=np.stack([f.data[..., 0] for f in f_taus], axis=-1),
         f_phi=np.stack([f.data[..., 0] for f in f_phis], axis=-1),
         dt_effective=dt,
         dt_nominal=float(dt_nominal),
     )
-    return a, traj
+    return T._node(a[n_steps], initial + gates, rule), traj
 
 
 # --------------------------------------------------------------------------

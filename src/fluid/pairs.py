@@ -1,4 +1,4 @@
-"""Query-key pair curation and per-pair feature sums.
+"""Query-key pair curation and the factored pair input of the gates.
 
 Two strategies: full pairwise, and sparse Top-K selection by raw
 dot-product score (no 1/sqrt(d) scaling on the selection scores).
@@ -7,8 +7,10 @@ never enter the pair set under causal masking; rows left with fewer than
 K_eff candidates are padded with index 0 and marked invalid.
 
 The gates see each pair through a linear projection of u = [q; k], so a
-pair's input is a sum of one query feature and one key feature:
-``pair_sum`` forms it without ever building u.
+pair's input is a sum of one query feature and one key feature.
+``PairInput`` holds the two projections and the pair batch, and forms
+the sums one block of pairs at a time, inside the gate kernel's work
+items: neither u nor the projected pair input is ever built whole.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluid import tensor as T
 from fluid.tensor import ShapeError, Tensor
 
 
@@ -26,17 +27,84 @@ class PairBatch:
     """The selected pairs of each query.
 
     selected_indices, valid_mask: [B,H,T_q,K_eff]. Invalid entries hold
-    index 0; downstream softmax must exclude them via valid_mask. ``dense``
-    marks the full pairwise batch, whose indices are arange(T_k) per row.
+    index 0; downstream softmax must exclude them via valid_mask.
     """
 
     selected_indices: np.ndarray
     valid_mask: np.ndarray
-    dense: bool = False
 
     @property
     def k_eff(self) -> int:
         return self.selected_indices.shape[3]
+
+
+class PairInput:
+    """The gate input of every selected pair, in factored form.
+
+    Pair (i, j) sees qp_i + kp_j, the projections of query i and key j,
+    times its valid mask, so invalid pairs see exactly the gates of a zero
+    input. The [B,H,T_q,K_eff,C] array of these sums (``shape``, ``size``,
+    ``ndim``) is never built: the gate kernel forms the block of pairs
+    each work item takes with ``block``. Pairs are numbered per head in
+    (batch, query, slot) order; ``keys`` [H, pairs] holds each pair's flat
+    key index b * T_k + j, and ``valid`` [H, pairs] is None when every
+    pair is valid.
+    """
+
+    ndim = 5
+
+    def __init__(self, qp: Tensor, kp: Tensor, batch: PairBatch):
+        B, H, T_q, C = qp.shape
+        idx, valid = batch.selected_indices, batch.valid_mask
+        self.qp, self.kp = qp, kp
+        self.shape = (B, H, T_q, idx.shape[3], C)
+        self.size = B * H * T_q * idx.shape[3] * C
+        self.keys = (np.arange(B)[:, None, None, None] * kp.shape[2]
+                     + idx).transpose(1, 0, 2, 3).reshape(H, -1)
+        self.valid = (None if valid.all()
+                      else valid.transpose(1, 0, 2, 3).reshape(H, -1))
+        # channel-major [H, C, B*T]: one channel of one head is contiguous
+        self._q, self._k = (np.ascontiguousarray(
+            t.data.transpose(1, 3, 0, 2)).reshape(H, C, -1) for t in (qp, kp))
+
+    def block(self, hd: int, a: int, b: int) -> np.ndarray:
+        """The input [C, b - a] of pairs a..b of head ``hd``."""
+        r, starts = self._rows(a, b)
+        x = np.take(self._k[hd], self.keys[hd, a:b], axis=1)
+        x += np.repeat(self._q[hd, :, r:r + starts.size],
+                       np.diff(starts, append=b - a), axis=1)
+        if self.valid is not None:
+            x *= self.valid[hd, a:b]
+        return x
+
+    def block_grads(self, hd: int, a: int, b: int, dx: np.ndarray):
+        """The partials of ``block``'s gradient ``dx``, masked in place:
+        (first query row, d qp of the rows it touches [C, rows], d kp of
+        every key [C, B*T_k], scattered by ``np.bincount``)."""
+        if self.valid is not None:
+            dx *= self.valid[hd, a:b]
+        r, starts = self._rows(a, b)
+        keys, M = self.keys[hd, a:b], self._k.shape[2]
+        return r, np.add.reduceat(dx, starts, axis=1), np.stack(
+            [np.bincount(keys, weights=d, minlength=M) for d in dx])
+
+    def grads(self, items: list[tuple[int, int, int]], parts: list[tuple]):
+        """(d qp, d kp) from the ``block_grads`` of the (head, start, stop)
+        items, summed in item order."""
+        dq, dk = np.zeros_like(self._q), np.zeros_like(self._k)
+        for (hd, _, _), (r, dq_rows, dk_keys) in zip(items, parts):
+            dq[hd, :, r:r + dq_rows.shape[1]] += dq_rows
+            dk[hd] += dk_keys
+        B, H, _, _, C = self.shape
+        return tuple(d.reshape(H, C, B, -1).transpose(2, 0, 3, 1) for d in (dq, dk))
+
+    def _rows(self, a: int, b: int):
+        """The first query row of pairs a..b, and the offset in the block
+        at which each row they touch starts (a row holds K_eff pairs)."""
+        K = self.shape[3]
+        starts = np.arange(-(a % K), b - a, K)
+        starts[0] = 0
+        return a // K, starts
 
 
 def _candidate_mask(B, H, T_q, T_k, causal: bool,
@@ -59,7 +127,7 @@ def full_pairwise_concat(q: Tensor, k: Tensor, causal: bool = False,
     T_k = k.shape[2]
     valid = _candidate_mask(B, H, T_q, T_k, causal, key_mask)
     indices = np.broadcast_to(np.arange(T_k), (B, H, T_q, T_k)).copy()
-    return PairBatch(selected_indices=indices, valid_mask=valid, dense=True)
+    return PairBatch(selected_indices=indices, valid_mask=valid)
 
 
 def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
@@ -75,6 +143,12 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     K >= T_k reproduces the full pairwise batch exactly. Selection is
     hard: scores are ranked outside the gradient tape and gradients flow
     only through selected pairs.
+
+    Scores are ranked in chunks of whole (batch, head) score matrices, at
+    most ``_SCORE_CHUNK`` scores or one matrix, so only one chunk's
+    buffers are alive at once. A chunk makes the GEMM call per matrix that
+    the whole product makes, so its scores are bitwise the same; a cut
+    through a matrix's rows would not guarantee that.
     """
     if K < 1:
         raise ValueError(f"top-k needs K >= 1, got {K}")
@@ -83,83 +157,38 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     B, H, T_q, D = q.shape
     T_k = k.shape[2]
     K_eff = min(K, T_k)
+    G = B * H
+    qf = q.data.reshape(G, T_q, D)
+    kf = np.swapaxes(k.data.reshape(G, T_k, D), -1, -2)
+    candidates = _candidate_mask(B, H, T_q, T_k, causal, key_mask).reshape(G, T_q, T_k)
+    indices = np.empty((G, T_q, K_eff), dtype=np.intp)
+    valid = np.empty((G, T_q, K_eff), dtype=bool)
+    step = max(1, _SCORE_CHUNK // (T_q * T_k))
+    for g in (slice(g0, g0 + step) for g0 in range(0, G, step)):
+        # rank -S ascending: the K best keys are the K_eff smallest entries
+        neg = np.matmul(-qf[g], kf[g])
+        np.copyto(neg, np.inf, where=~(candidates[g] & ~np.isnan(neg)))
+        kth = np.partition(neg, K_eff - 1, axis=-1)[..., K_eff - 1:K_eff]
+        keep = neg <= kth
+        # rows with more ties at kth than places keep their lowest-index ties
+        over = np.count_nonzero(keep, axis=-1) > K_eff
+        if over.any():
+            rows, cut = neg[over], kth[over]
+            below = rows < cut
+            ties = rows == cut
+            room = K_eff - np.count_nonzero(below, axis=-1, keepdims=True)
+            keep[over] = below | (ties & (np.cumsum(ties, axis=-1) <= room))
+        # every row keeps exactly K_eff keys; read them in ascending order
+        indices[g] = (np.flatnonzero(keep) % T_k).reshape(-1, T_q, K_eff)
+        valid[g] = np.isfinite(np.take_along_axis(neg, indices[g], axis=-1))
 
-    # rank -S ascending: the K best keys are the K_eff smallest entries
-    neg = np.matmul(-q.data, np.swapaxes(k.data, -1, -2))
-    ranked = _candidate_mask(B, H, T_q, T_k, causal, key_mask) & ~np.isnan(neg)
-    np.copyto(neg, np.inf, where=~ranked)
-
-    kth = np.partition(neg, K_eff - 1, axis=-1)[..., K_eff - 1:K_eff]
-    keep = neg <= kth
-    # rows with more ties at kth than places keep their lowest-index ties
-    over = np.count_nonzero(keep, axis=-1) > K_eff
-    if over.any():
-        rows, cut = neg[over], kth[over]
-        below = rows < cut
-        ties = rows == cut
-        room = K_eff - np.count_nonzero(below, axis=-1, keepdims=True)
-        keep[over] = below | (ties & (np.cumsum(ties, axis=-1) <= room))
-
-    # every row keeps exactly K_eff keys; read them in ascending order
-    indices = (np.flatnonzero(keep) % T_k).reshape(B, H, T_q, K_eff)
-    valid = np.isfinite(np.take_along_axis(neg, indices, axis=-1))
     if not valid.all():
         # invalid entries to the tail as index 0, valid order kept
         tail = np.argsort(~valid, axis=-1, kind="stable")
         valid = np.take_along_axis(valid, tail, axis=-1)
         indices = np.where(valid, np.take_along_axis(indices, tail, axis=-1), 0)
+    return PairBatch(indices.reshape(B, H, T_q, K_eff), valid.reshape(B, H, T_q, K_eff))
 
-    return PairBatch(selected_indices=indices, valid_mask=valid)
 
-
-def pair_sum(a: Tensor, b: Tensor, batch: PairBatch) -> Tensor:
-    """a_i + b_j for every selected pair (i, j), zero on invalid pairs.
-
-    a: [B,H,T_q,C] query features, b: [B,H,T_k,C] key features; returns
-    [B,H,T_q,K_eff,C]. The result is stored channel-major ([H,C,B,T_q,K_eff]
-    in memory) so that each channel of one head is contiguous for the gate
-    kernel. The backward sums over the pairs of a query for a and
-    scatter-adds into the selected keys for b.
-    """
-    B, H, T_q, C = a.shape
-    T_k = b.shape[2]
-    if b.shape != (B, H, T_k, C):
-        raise ShapeError(f"pair_sum: features disagree: {a.shape} and {b.shape}")
-    idx, valid = batch.selected_indices, batch.valid_mask
-    K = idx.shape[3]
-    a_cm = a.data.transpose(1, 3, 0, 2)[..., None]          # [H,C,B,T_q,1]
-    b_cm = b.data.transpose(1, 3, 0, 2)                     # [H,C,B,T_k]
-    if batch.dense:
-        out = a_cm + b_cm[:, :, :, None, :]
-        flat_idx = None
-    else:
-        # one flat key index per pair and head: b * T_k + selected key
-        flat_idx = (np.arange(B)[:, None, None, None] * T_k
-                    + idx).transpose(1, 0, 2, 3)             # [H,B,T_q,K]
-        b_flat = b_cm.reshape(H, C, B * T_k)
-        out = np.empty((H, C, B, T_q, K))
-        for h in range(H):
-            np.take(b_flat[h], flat_idx[h], axis=1, out=out[h])
-        out += a_cm
-    valid_cm = None if valid.all() else valid.transpose(1, 0, 2, 3)[:, None]
-    if valid_cm is not None:
-        out *= valid_cm
-
-    def rule(g):
-        g_cm = g.transpose(1, 4, 0, 2, 3)                    # [H,C,B,T_q,K]
-        if valid_cm is not None:
-            g_cm = g_cm * valid_cm
-        ga = g_cm.sum(axis=4).transpose(2, 0, 3, 1)
-        if flat_idx is None:
-            gb = g_cm.sum(axis=3)
-        else:
-            gb = np.empty((H, C, B * T_k))
-            for h in range(H):
-                lin = flat_idx[h].reshape(-1)
-                for c in range(C):
-                    gb[h, c] = np.bincount(lin, weights=g_cm[h, c].reshape(-1),
-                                           minlength=B * T_k)
-            gb = gb.reshape(H, C, B, T_k)
-        return ga, gb.transpose(2, 0, 3, 1)
-
-    return T._node(out.transpose(2, 0, 3, 4, 1), (a, b), rule)
+# the most scores one chunk of top-k selection ranks at once
+_SCORE_CHUNK = 1 << 20

@@ -21,7 +21,7 @@ from fluid.tensor import Tensor
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; carries the path of the gate-trace dump."""
+    """Loss went non-finite; carries the directory of the gate-trace dump."""
 
     def __init__(self, message, dump_path=None):
         super().__init__(message)
@@ -183,17 +183,21 @@ def _forward_batch(model, data, sel, collect=None) -> Tensor:
 
 
 def _dump_gate_traces(model, data, sel, out_dir) -> str | None:
+    """The gate trajectories of every attention block on one batch, one
+    CSV each in out_dir/diverged_gate_traces: enc.attn, dec.self and
+    dec.cross (later layers add their index, as in enc.attn.1). Returns
+    the directory, or None without ``out_dir``."""
+    if out_dir is None:
+        return None
     collect: dict = {}
     with T.no_grad():
         _forward_batch(model, data, sel, collect=collect)
-    trajs = collect.get("trajectories", [])
-    for block in ("self", "cross"):
-        trajs += collect.get(block, {}).get("trajectories", [])
-    if not trajs or out_dir is None:
-        return None
-    path = os.path.join(out_dir, "diverged_gate_traces.csv")
-    os.makedirs(out_dir, exist_ok=True)
-    trajs[0].to_csv(path)
+    path = os.path.join(out_dir, "diverged_gate_traces")
+    os.makedirs(path, exist_ok=True)
+    for name, block in (("enc.attn", collect), ("dec.self", collect.get("self", {})),
+                        ("dec.cross", collect.get("cross", {}))):
+        for i, traj in enumerate(block.get("trajectories", [])):
+            traj.to_csv(os.path.join(path, name + (f".{i}" if i else "") + ".csv"))
     return path
 
 

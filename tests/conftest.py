@@ -8,7 +8,7 @@ import numpy as np
 
 from fluid import tensor as T
 from fluid.pairs import PairBatch
-from fluid.tensor import Tensor
+from fluid.tensor import ShapeError, Tensor
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -48,8 +48,50 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
-# composed GRU gate: the oracle for the fused gate kernel
+# materialized pair input and composed GRU gate: the oracles for the fused
+# gate kernel
 # --------------------------------------------------------------------------
+
+def pair_sum(a: Tensor, b: Tensor, batch: PairBatch) -> Tensor:
+    """a_i + b_j for every selected pair (i, j), zero on invalid pairs.
+
+    a: [B,H,T_q,C] query features, b: [B,H,T_k,C] key features; returns
+    [B,H,T_q,K_eff,C], built whole (stored channel-major). The backward
+    sums over the pairs of a query for a and scatter-adds into the
+    selected keys for b.
+    """
+    B, H, T_q, C = a.shape
+    T_k = b.shape[2]
+    if b.shape != (B, H, T_k, C):
+        raise ShapeError(f"pair_sum: features disagree: {a.shape} and {b.shape}")
+    idx, valid = batch.selected_indices, batch.valid_mask
+    K = idx.shape[3]
+    a_cm = a.data.transpose(1, 3, 0, 2)[..., None]          # [H,C,B,T_q,1]
+    b_cm = b.data.transpose(1, 3, 0, 2)                     # [H,C,B,T_k]
+    # one flat key index per pair and head: b * T_k + selected key
+    flat_idx = (np.arange(B)[:, None, None, None] * T_k
+                + idx).transpose(1, 0, 2, 3)                 # [H,B,T_q,K]
+    b_flat = b_cm.reshape(H, C, B * T_k)
+    out = np.empty((H, C, B, T_q, K))
+    for h in range(H):
+        np.take(b_flat[h], flat_idx[h], axis=1, out=out[h])
+    out += a_cm
+    valid_cm = valid.transpose(1, 0, 2, 3)[:, None]
+    out *= valid_cm
+
+    def rule(g):
+        g_cm = g.transpose(1, 4, 0, 2, 3) * valid_cm         # [H,C,B,T_q,K]
+        ga = g_cm.sum(axis=4).transpose(2, 0, 3, 1)
+        gb = np.empty((H, C, B * T_k))
+        for h in range(H):
+            lin = flat_idx[h].reshape(-1)
+            for c in range(C):
+                gb[h, c] = np.bincount(lin, weights=g_cm[h, c].reshape(-1),
+                                       minlength=B * T_k)
+        return ga, gb.reshape(H, C, B, T_k).transpose(2, 0, 3, 1)
+
+    return T._node(out.transpose(2, 0, 3, 4, 1), (a, b), rule)
+
 
 def concat_pairs(q: Tensor, k: Tensor, pb) -> Tensor:
     """u = [q_i; k_j] for every selected pair, zero on invalid pairs."""
@@ -106,6 +148,25 @@ def gru_unroll(core, u: Tensor, n_steps: int, dt_nominal: float):
         f_taus.append(f_tau)
         f_phis.append(f_phi)
     return f_taus, f_phis
+
+
+# --------------------------------------------------------------------------
+# composed Euler step: the oracle for the one-op integrator
+# --------------------------------------------------------------------------
+
+def euler_step(a_n: Tensor, f_tau: Tensor, f_phi: Tensor, dt: float) -> Tensor:
+    """a_{n+1} = a_n + dt * (-f_tau * a_n + f_phi), from tape ops."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return T.add(a_n, T.scale(T.add(T.mul(T.neg(f_tau), a_n), f_phi), dt))
+
+
+def euler_chain(f_taus, f_phis, dt: float, a0: Tensor):
+    """The recursion as a chain of ``euler_step``s: (final, every state)."""
+    states = [a0]
+    for f_tau, f_phi in zip(f_taus, f_phis):
+        states.append(euler_step(states[-1], f_tau, f_phi, dt))
+    return states[-1], states
 
 
 # --------------------------------------------------------------------------

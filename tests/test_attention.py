@@ -4,11 +4,12 @@ import contextlib
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import concat_pairs, gru_unroll
+from conftest import concat_pairs, euler_chain, euler_step, gru_unroll, pair_sum
 from fluid import attention as A
 from fluid import pairs
 from fluid import tensor as T
@@ -34,9 +35,13 @@ def make_core(pair_dim=4, hidden=2, eps=1e-3, seed=0):
 # --------------------------------------------------------------------------
 
 def _project(core, u):
-    """u W_u for raw pair inputs u [P, 2D] as one pair batch [1,1,P,3h]."""
-    W_u = T.reshape(core.W_u, core.W_u.shape[2:])
-    return T.matmul(Tensor(u[None, None]), W_u)
+    """u W_u for raw pair inputs u [P, 2D] as a pair input [1,1,P,1,3h]:
+    query i is u[i, :D], paired with key i, u[i, D:]."""
+    P, D = u.shape[0], u.shape[1] // 2
+    pb = pairs.PairBatch(selected_indices=np.arange(P).reshape(1, 1, P, 1),
+                         valid_mask=np.ones((1, 1, P, 1), dtype=bool))
+    return core.project_pairs(Tensor(u[None, None, :, :D]),
+                              Tensor(u[None, None, :, D:]), pb)
 
 
 def test_gate_ranges():
@@ -46,7 +51,7 @@ def test_gate_ranges():
     for n_steps in (1, 2):
         f_taus, f_phis = core.unroll(_project(core, u), n_steps, 0.5)
         for f_tau, f_phi in zip(f_taus, f_phis):
-            assert f_tau.shape == f_phi.shape == (1, 1, 10, 1)
+            assert f_tau.shape == f_phi.shape == (1, 1, 10, 1, 1)
             assert (f_tau.data >= core.epsilon).all()
             assert (np.abs(f_phi.data) < 1.0).all()
 
@@ -73,15 +78,22 @@ def test_gate_hidden_carries_state():
 
 
 def _gate_case(case, rng, H=2, D=3):
-    """q, k and the pair batch of one curation case at tiny dims."""
-    B, T_q, T_k = 2, 4, 5
+    """q, k and the pair batch of one curation case, at tiny dims but for
+    the cases whose work-item blocks cut rows of pairs apart."""
+    B, T_q, T_k = {"topk_blocks": (1, 301, 40),
+                   "long_rows": (2, 2, 3000)}.get(case, (2, 4, 5))
     q = rng.standard_normal((B, H, T_q, D))
     k = rng.standard_normal((B, H, T_k, D))
     key_mask = np.ones((B, T_k), dtype=bool)
-    key_mask[1, -2:] = False
+    key_mask[-1, -2:] = False
     if case == "full":
         pb = pairs.full_pairwise_concat(Tensor(q), Tensor(k))
         return q, k, pb
+    if case == "topk_blocks":      # a block boundary cuts a query's 20 pairs
+        return q, k, pairs.topk_concat(Tensor(q), Tensor(k), 20, causal=True)
+    if case == "long_rows":        # 3000-pair rows; blocks cross rows and batches
+        return q, k, pairs.full_pairwise_concat(Tensor(q), Tensor(k),
+                                                key_mask=key_mask)
     # causal rows and padded keys leave invalid pairs
     k, key_mask = np.ascontiguousarray(k[:, :, :T_q]), key_mask[:, :T_q]
     if case == "causal_masked":
@@ -102,7 +114,8 @@ def _weighted_sum(gates, coef):
     return out
 
 
-@pytest.mark.parametrize("case", ["full", "causal_masked", "topk"])
+@pytest.mark.parametrize("case", ["full", "causal_masked", "topk",
+                                  "topk_blocks", "long_rows"])
 @pytest.mark.parametrize("n_steps", [1, 3])
 def test_fused_gates_match_composed_oracle(case, n_steps):
     rng = np.random.default_rng(41)
@@ -153,6 +166,87 @@ def test_fused_gates_pass_grad_check():
     # the op tolerance of the gradients verify suite
     report = TR.grad_check(loss, params, h=1e-5)
     assert report["max_rel_error"] < 1e-4, report["per_param"]
+
+
+# the pair shapes of the benchmark workloads:
+# (B, H, T_q, T_k, D, top-k, causal, most padded keys of a sequence)
+_WORKLOAD_PAIRS = {
+    "topk_t1024": (1, 4, 1024, 1024, 16, 32, False, 0),
+    "full_t256": (1, 4, 256, 256, 16, None, False, 0),
+    "spiral_encoder": (8, 4, 35, 35, 8, None, False, 9),
+    "spiral_causal_decoder": (8, 4, 26, 26, 8, None, True, 0),
+    "spiral_masked_cross": (8, 4, 26, 35, 8, None, False, 9),
+}
+
+
+def _workload_pairs(case, rng):
+    B, H, T_q, T_k, D, K, causal, pad = _WORKLOAD_PAIRS[case]
+    q = Tensor(rng.standard_normal((B, H, T_q, D)))
+    k = Tensor(rng.standard_normal((B, H, T_k, D)))
+    key_mask = None
+    if pad:
+        key_mask = np.ones((B, T_k), dtype=bool)
+        for b, n in enumerate(rng.integers(0, pad + 1, B)):
+            key_mask[b, T_k - n:] = False
+    if K is None:
+        pb = pairs.full_pairwise_concat(q, k, causal=causal, key_mask=key_mask)
+    else:
+        pb = pairs.topk_concat(q, k, K, causal=causal, key_mask=key_mask)
+    return A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H), q, k, pb
+
+
+def _kernel_on(core, up, n_steps, dt):
+    """The gate kernel's work items fed a materialized pair input ``up``
+    [B,H,...,3h]; returns the gates [2N, H, pairs]."""
+    B, H, C = up.shape[0], up.shape[1], up.shape[-1]
+    P = up.size // (H * C)
+    x = np.ascontiguousarray(
+        up.reshape(B, H, P // B, C).transpose(1, 3, 0, 2)).reshape(H, C, P)
+    w = A._stack_heads(core.parameters(), H, core.hidden_dim)
+    gates = np.empty((2 * n_steps, H, P))
+    for hd, a, b in A._items(H, P):
+        A._forward_block(x[hd, :, a:b], w, hd, n_steps, dt, core.epsilon,
+                         gates[:, hd, a:b], None)
+    return gates
+
+
+@pytest.mark.parametrize("case", list(_WORKLOAD_PAIRS))
+def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
+    # work items form their own pair inputs; the gates are bitwise those
+    # of the same kernel fed the materialized pair_sum
+    core, q, k, pb = _workload_pairs(case, np.random.default_rng(53))
+    assert pb.valid_mask.all() == (case in ("topk_t1024", "full_t256"))
+    n_steps = 3
+    with T.no_grad():
+        pin = core.project_pairs(q, k, pb)
+        f_taus, f_phis = core.unroll(pin, n_steps, 1 / n_steps)
+        up = pair_sum(pin.qp, pin.kp, pb)
+    assert (pin.shape, pin.size, pin.ndim) == (up.shape, up.size, up.ndim)
+    got = np.stack([g.data[..., 0] for g in f_taus + f_phis])
+    got = np.moveaxis(got, 2, 1).reshape(2 * n_steps, core.heads, -1)
+    assert np.array_equal(got, _kernel_on(core, up.data, n_steps, 1 / n_steps))
+
+
+def test_gates_never_build_the_pair_input(monkeypatch):
+    # with 3h >> 2N, one materialized pair input outweighs everything the
+    # gates allocate: their outputs, the key index and each worker's blocks
+    monkeypatch.setattr(A, "_WORKERS", 2)
+    rng = np.random.default_rng(59)
+    B, H, T_q, D, K, n_steps = 1, 2, 2048, 16, 32, 2
+    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H)
+    q = Tensor(rng.standard_normal((B, H, T_q, D)))
+    k = Tensor(rng.standard_normal((B, H, T_q, D)))
+    pb = pairs.topk_concat(q, k, K)
+    pair_input_bytes = H * 3 * D * (B * T_q * K) * 8
+    with T.no_grad():
+        core.gates(q, k, pb, n_steps, 1 / n_steps)    # the pool starts
+        tracemalloc.start()
+        try:
+            core.gates(q, k, pb, n_steps, 1 / n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < pair_input_bytes, (peak, pair_input_bytes)
 
 
 # --------------------------------------------------------------------------
@@ -233,6 +327,15 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
         forward_block(*args)
 
     monkeypatch.setattr(A, "_forward_block", spy)
+    pair_grads = []
+    gru_backward = A._gru_backward
+
+    def keep_pair_grads(*args):
+        d_qp, d_kp, dw = gru_backward(*args)
+        pair_grads.append((d_qp, d_kp))
+        return d_qp, d_kp, dw
+
+    monkeypatch.setattr(A, "_gru_backward", keep_pair_grads)
     runs = {}
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)               # interleave the workers often
@@ -240,21 +343,27 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
         for workers in (1, 2, 3):
             monkeypatch.setattr(A, "_WORKERS", workers)
             ran_on.clear()
-            runs[workers] = _gate_run(core, qa, ka, pb)
+            pair_grads.clear()
+            runs[workers] = _gate_run(core, qa, ka, pb) + tuple(pair_grads)
             items = 2 * len(blocks)
             assert len(ran_on) == 2 * items   # no_grad, then the tape
             assert (set(ran_on) == {main}) == (min(workers, items) == 1)
     finally:
         sys.setswitchinterval(switch)
-    untaped, taped, grads = runs[1]
+    untaped, taped, grads, (d_qp, d_kp) = runs[1]
     assert np.array_equal(untaped, taped)
     assert len(grads) == 10
+    assert d_qp.shape == qa.shape[:3] + (3 * qa.shape[3],)
+    assert d_kp.shape == ka.shape[:3] + (3 * ka.shape[3],)
     for workers in (2, 3):
-        other_untaped, other_taped, other_grads = runs[workers]
+        other_untaped, other_taped, other_grads, other_pair = runs[workers]
         assert np.array_equal(other_untaped, untaped)
         assert np.array_equal(other_taped, taped)
         for name, grad in grads.items():
             assert np.array_equal(other_grads[name], grad), (workers, name)
+        # the d(qp)/d(kp) partials of the items, summed in item order
+        assert np.array_equal(other_pair[0], d_qp)
+        assert np.array_equal(other_pair[1], d_kp)
 
 
 def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
@@ -313,27 +422,27 @@ def test_gate_kernel_runs_in_a_forked_child(monkeypatch):
 
 def test_euler_step_reaches_quasi_state_in_one_step():
     # a0 = 0, dt = 1/f_tau: lands exactly on f_phi / f_tau
-    a1 = A.euler_step(Tensor([0.0]), Tensor([2.0]), Tensor([4.0]), dt=0.5)
+    a1 = euler_step(Tensor([0.0]), Tensor([2.0]), Tensor([4.0]), dt=0.5)
     assert a1.data[0] == 2.0
 
 
 def test_euler_step_fixed_point():
     a = Tensor([0.8])
-    out = A.euler_step(a, Tensor([1.5]), Tensor([1.2]), dt=0.3)
+    out = euler_step(a, Tensor([1.5]), Tensor([1.2]), dt=0.3)
     assert np.allclose(out.data, a.data)
 
 
 def test_euler_step_hand_recurrence():
     a = Tensor([1.0])
-    a1 = A.euler_step(a, Tensor([0.5]), Tensor([0.25]), dt=1.0)
+    a1 = euler_step(a, Tensor([0.5]), Tensor([0.25]), dt=1.0)
     assert a1.data[0] == 0.75
-    a2 = A.euler_step(a1, Tensor([0.5]), Tensor([0.25]), dt=1.0)
+    a2 = euler_step(a1, Tensor([0.5]), Tensor([0.25]), dt=1.0)
     assert a2.data[0] == 0.625
 
 
 def test_euler_step_rejects_nonpositive_dt():
     with pytest.raises(ValueError):
-        A.euler_step(Tensor([0.0]), Tensor([1.0]), Tensor([1.0]), dt=0.0)
+        euler_step(Tensor([0.0]), Tensor([1.0]), Tensor([1.0]), dt=0.0)
 
 
 def test_clamp_dt_values():
@@ -379,7 +488,7 @@ def test_integrate_starts_at_zero_and_records_dt():
     f_taus, f_phis = core.unroll(_project(core, u), 4, 0.25)
     a, traj = A.integrate_logits(f_taus, f_phis, 0.25)
     assert (traj.a[..., 0] == 0.0).all()
-    assert traj.a.shape == (1, 1, 6, 5)
+    assert traj.a.shape == (1, 1, 6, 1, 5)
     assert traj.dt_effective <= 0.25
     expected_dt = min(0.25, 1.0 / max(f.data.max() for f in f_taus))
     assert traj.dt_effective == expected_dt
@@ -395,6 +504,87 @@ def test_trajectory_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,pair_id,a,f_tau,f_phi"
     assert len(lines) == 1 + 2 * 4  # header + (N+1) rows per pair
+
+
+def _euler_case(shared, seed=61, shape=(2, 3, 4, 1), n_steps=4):
+    """Gates with f_tau < 1 / 0.5 (clamp inactive at dt 0.5), and a0; with
+    ``shared`` one tensor serves every step, as SDPA gates do."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(lo, hi):
+        return Tensor(rng.uniform(lo, hi, shape), requires_grad=True)
+
+    if shared:
+        f_taus, f_phis = [leaf(0.2, 1.5)] * n_steps, [leaf(-1, 1)] * n_steps
+    else:
+        f_taus = [leaf(0.2, 1.5) for _ in range(n_steps)]
+        f_phis = [leaf(-1, 1) for _ in range(n_steps)]
+    return f_taus, f_phis, leaf(-1, 1), rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("start", ["zero", "a0"])
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("dt", [0.5, 0.9])           # clamp off, clamp on
+def test_integrate_equals_the_euler_step_chain(start, shared, dt):
+    f_taus, f_phis, a0, coef = _euler_case(shared)
+    a0 = a0 if start == "a0" else None
+    final, traj = A.integrate_logits(f_taus, f_phis, dt, a0=a0)
+    assert (traj.dt_effective < dt) == (dt == 0.9)
+    first = a0 if a0 is not None else Tensor(np.zeros(coef.shape))
+    ref, states = euler_chain(f_taus, f_phis, traj.dt_effective, first)
+    assert np.array_equal(final.data, ref.data)
+    assert np.array_equal(traj.a, np.stack([s.data[..., 0] for s in states], axis=-1))
+    leaves = list({id(t): t for t in f_taus + f_phis + [a0] if t is not None}.values())
+    grads = []
+    for out in (final, ref):
+        for t in leaves:
+            t.zero_grad()
+        T.tsum(T.mul(out, Tensor(coef))).backward()
+        grads.append([t.grad.copy() for t in leaves])
+    for got, want in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_integrate_passes_grad_check():
+    f_taus, f_phis, a0, coef = _euler_case(False, seed=67, shape=(3, 2, 1))
+
+    def loss():
+        final, _ = A.integrate_logits(f_taus, f_phis, 0.5, a0=a0)
+        return T.tsum(T.mul(final, Tensor(coef)))
+
+    params = {f"tau{n}": t for n, t in enumerate(f_taus)}
+    params.update({f"phi{n}": t for n, t in enumerate(f_phis)}, a0=a0)
+    report = TR.grad_check(loss, params, h=1e-5)
+    assert report["max_rel_error"] < 1e-6, report["per_param"]
+
+
+def _computing_nodes(root):
+    """Tape nodes reachable from ``root`` whose value is not a view of a
+    parent's value (reshapes, slices and the like compute nothing)."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t._backward is None:
+            continue
+        seen.add(id(t))
+        if not any(np.may_share_memory(t.data, p.data) for p in t._parents):
+            count += 1
+        stack.extend(t._parents)
+    return count
+
+
+def test_attend_tape_does_not_grow_with_euler_steps():
+    rng = np.random.default_rng(71)
+    qkv = [rng.standard_normal((2, 2, 5, 3)) for _ in range(3)]
+    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    for case in (dict(), dict(top_k=2, causal=True)):
+        counts = []
+        for n_steps in (1, 2, 5):
+            cfg = _head_cfg(d_model=6, heads=2, euler_steps=n_steps, **case)
+            q, k, v = (Tensor(a, requires_grad=True) for a in qkv)
+            out, _, _, _ = A.attend(q, k, v, core, cfg)
+            counts.append(_computing_nodes(out))
+        assert counts[0] == counts[1] == counts[2], (case, counts)
 
 
 # --------------------------------------------------------------------------
@@ -628,3 +818,36 @@ def test_topk_head_equals_full_head_when_k_large():
     out_top, w_top, _, _ = A.attend(q, q, q, core, cfg_top)
     assert np.array_equal(out_full.data, out_top.data)
     assert np.array_equal(w_full.data, w_top.data)
+
+
+def test_tracer_wrap_points_see_pairs_steps_and_the_trajectory(monkeypatch):
+    # the benchmark's tracer wraps RecurrentGateCore.unroll, reading the
+    # pair count as args[1].size // args[1].shape[-1] and the steps as
+    # args[2], and integrate_logits, reading the trajectory of its result
+    seen = {}
+    unroll, integrate = A.RecurrentGateCore.unroll, A.integrate_logits
+
+    def spy_unroll(*args, **kwargs):
+        seen["unroll"] = args
+        return unroll(*args, **kwargs)
+
+    def spy_integrate(*args, **kwargs):
+        seen["integrate"] = integrate(*args, **kwargs)
+        return seen["integrate"]
+
+    monkeypatch.setattr(A.RecurrentGateCore, "unroll", spy_unroll)
+    monkeypatch.setattr(A, "integrate_logits", spy_integrate)
+    B, T_q = 2, 5
+    x = Tensor(np.random.default_rng(73).standard_normal((B, T_q, 4)))
+    for case, k_eff in ((dict(), T_q), (dict(top_k=2, causal=True), 2)):
+        cfg = _mh_cfg(heads=2, euler_steps=3, **case)
+        mh = A.MultiHeadLan(cfg, np.random.default_rng(74))
+        seen.clear()
+        mh.forward(x, x, x)
+        args = seen["unroll"]
+        assert args[1].size // args[1].shape[-1] == B * cfg.heads * T_q * k_eff
+        assert args[2] == cfg.euler_steps
+        _, traj = seen["integrate"]
+        assert 0 < traj.dt_effective <= traj.dt_nominal == cfg.dt_nominal
+        assert isinstance(traj.f_tau, np.ndarray)
+        assert traj.f_tau.shape == (B, cfg.heads, T_q, k_eff, cfg.euler_steps)

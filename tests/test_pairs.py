@@ -1,8 +1,8 @@
-"""Pair curation (full pairwise, sparse Top-K) and per-pair feature sums."""
+"""Pair curation (full pairwise, sparse Top-K) and the factored pair input."""
 
 import numpy as np
 import pytest
-from conftest import topk_sort
+from conftest import pair_sum, topk_sort
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -21,7 +21,7 @@ def test_single_pair_concat():
     q, k = _qk([[1.0, 2.0]], [[3.0, 5.0]])
     pb = pairs.full_pairwise_concat(q, k)
     assert pb.k_eff == 1
-    up = pairs.pair_sum(q, k, pb)
+    up = pair_sum(q, k, pb)
     assert up.shape == (1, 1, 1, 1, 2)
     assert np.array_equal(up.data[0, 0, 0, 0], [4, 7])
 
@@ -38,7 +38,7 @@ def test_full_pairwise_matches_nested_loop_oracle():
     qa = rng.standard_normal((2, 3))
     ka = rng.standard_normal((3, 3))
     q, k = Tensor(qa[None, None]), Tensor(ka[None, None])
-    up = pairs.pair_sum(q, k, pairs.full_pairwise_concat(q, k))
+    up = pair_sum(q, k, pairs.full_pairwise_concat(q, k))
     for i in range(2):
         for j in range(3):
             assert np.array_equal(up.data[0, 0, i, j], qa[i] + ka[j])
@@ -137,6 +137,28 @@ def test_topk_partial_selection_equals_full_sort_at_scale():
     _assert_same_selection(q, k, 32, False, None)
 
 
+def test_topk_partial_selection_equals_full_sort_at_workload_shape():
+    # the infer_topk_t1024 shape, ranked in several chunks
+    rng = np.random.default_rng(23)
+    q = rng.standard_normal((1, 4, 1024, 16))
+    k = rng.standard_normal((1, 4, 1024, 16))
+    assert pairs._SCORE_CHUNK < q.shape[1] * 1024 * 1024
+    _assert_same_selection(q, k, 32, False, None)
+
+
+def test_topk_chunks_hold_whole_score_matrices(monkeypatch):
+    # chunks of one, two, three and all six (batch, head) score matrices
+    rng = np.random.default_rng(25)
+    q = rng.integers(-2, 3, (2, 3, 6, 2)).astype(float)
+    k = rng.integers(-2, 3, (2, 3, 7, 2)).astype(float)
+    key_mask = np.array([[True] * 7, [True, False, True, True, False, True, True]])
+    for chunk in (1, 42, 84, 126, 10 ** 9):
+        monkeypatch.setattr(pairs, "_SCORE_CHUNK", chunk)
+        for K in (1, 3, 7):
+            for causal in (False, True):
+                _assert_same_selection(q, k, K, causal, key_mask)
+
+
 def test_topk_k_ge_tk_equals_full_pairwise_exactly():
     rng = np.random.default_rng(5)
     q = Tensor(rng.standard_normal((2, 2, 3, 4)))
@@ -145,8 +167,8 @@ def test_topk_k_ge_tk_equals_full_pairwise_exactly():
     top = pairs.topk_concat(q, k, K=7)
     assert np.array_equal(top.selected_indices, full.selected_indices)
     assert np.array_equal(top.valid_mask, full.valid_mask)
-    assert np.array_equal(pairs.pair_sum(q, k, top).data,
-                          pairs.pair_sum(q, k, full).data)
+    assert np.array_equal(pair_sum(q, k, top).data,
+                          pair_sum(q, k, full).data)
 
 
 def test_topk_causal_never_selects_future():
@@ -159,7 +181,7 @@ def test_topk_causal_never_selects_future():
             <= np.broadcast_to(pos, pb.selected_indices.shape)[pb.valid_mask]).all()
     # early rows have fewer candidates than K; padding is masked and zeroed
     assert pb.valid_mask[0, 0, 0].tolist() == [True, False, False]
-    assert np.array_equal(pairs.pair_sum(q, k, pb).data[0, 0, 0, 1], np.zeros(3))
+    assert np.array_equal(pair_sum(q, k, pb).data[0, 0, 0, 1], np.zeros(3))
     # valid indices stay distinct per row
     for b in range(2):
         for h in range(2):
@@ -186,8 +208,8 @@ def test_pair_payload_scales_with_k_eff():
     k = Tensor(rng.standard_normal((1, 1, T_k, D)))
     full = pairs.full_pairwise_concat(q, k)
     top = pairs.topk_concat(q, k, K=K)
-    top_sums = pairs.pair_sum(q, k, top).data
-    full_sums = pairs.pair_sum(q, k, full).data
+    top_sums = pair_sum(q, k, top).data
+    full_sums = pair_sum(q, k, full).data
     assert top_sums.nbytes * T_k == full_sums.nbytes * K
 
 
@@ -198,7 +220,7 @@ def test_topk_gradient_flows_to_selected_pairs_only():
     q = Tensor(qa.copy(), requires_grad=True)
     k = Tensor(ka.copy(), requires_grad=True)
     pb = pairs.topk_concat(q, k, K=1)
-    T.tsum(pairs.pair_sum(q, k, pb)).backward()
+    T.tsum(pair_sum(q, k, pb)).backward()
     j = pb.selected_indices[0, 0, 0, 0]
     for idx in range(3):
         if idx == j:
@@ -220,7 +242,7 @@ def test_pair_sum_gradients_sum_over_pairs_and_scatter_into_keys():
         coef = rng.standard_normal(pb.valid_mask.shape + (3,))
         q.zero_grad()
         k.zero_grad()
-        T.tsum(T.mul(pairs.pair_sum(q, k, pb), Tensor(coef))).backward()
+        T.tsum(T.mul(pair_sum(q, k, pb), Tensor(coef))).backward()
         gq, gk = np.zeros(q.shape), np.zeros(k.shape)
         for b, h, i, j in zip(*np.nonzero(pb.valid_mask)):
             gq[b, h, i] += coef[b, h, i, j]

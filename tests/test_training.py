@@ -16,7 +16,8 @@ def micro_model(seed=0, **kw):
     for key in list(kw):
         if key in lan_kw:
             lan_kw[key] = kw.pop(key)
-    cfg = M.ModelConfig(lan=A.LanConfig(**lan_kw), n_layers=1, ffn_dim=8,
+    kw.setdefault("n_layers", 1)
+    cfg = M.ModelConfig(lan=A.LanConfig(**lan_kw), ffn_dim=8,
                         in_features=1, out_dim=1, max_len=32, seed=seed, **kw)
     return M.FluidModel(cfg)
 
@@ -201,8 +202,26 @@ def test_train_aborts_on_nan_with_gate_trace_dump(tmp_path):
     cfg = TR.TrainConfig(lr=1e-3, epochs=1, batch_size=8, seed=5)
     with pytest.raises(TR.TrainingDiverged) as err:
         TR.train(model, data, None, cfg, out_dir=str(tmp_path))
-    assert err.value.dump_path is not None
-    assert (tmp_path / "diverged_gate_traces.csv").exists()
+    assert err.value.dump_path == str(tmp_path / "diverged_gate_traces")
+    assert (tmp_path / "diverged_gate_traces" / "enc.attn.csv").exists()
+
+
+def test_divergence_dumps_every_attention_block(tmp_path):
+    model = micro_model(seed=5, n_layers=2)
+    data = tiny_dataset(seed=5)
+    data["targets"][...] = np.inf
+    cfg = TR.TrainConfig(lr=1e-3, epochs=1, batch_size=8, seed=5)
+    with pytest.raises(TR.TrainingDiverged) as err:
+        TR.train(model, data, None, cfg, out_dir=str(tmp_path))
+    dump = tmp_path / "diverged_gate_traces"
+    assert err.value.dump_path == str(dump)
+    names = [f"{block}{layer}.csv" for block in ("enc.attn", "dec.self", "dec.cross")
+             for layer in ("", ".1")]
+    assert sorted(p.name for p in dump.iterdir()) == sorted(names)
+    for name in names:
+        lines = (dump / name).read_text().splitlines()
+        assert lines[0] == "step,pair_id,a,f_tau,f_phi"
+        assert len(lines) > 1
 
 
 def test_every_gate_parameter_receives_gradient():
