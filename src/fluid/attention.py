@@ -17,8 +17,13 @@ pair inputs. All steps unroll as one tape op with a hand-written
 backward that keeps only the hidden states and recomputes the rest;
 inference runs the same kernel without keeping anything. The (head,
 block) work items run on a thread pool over every CPU, with the same
-results for any number of threads. The Euler recursion is one tape op
-with a hand-written adjoint too.
+results for any number of threads.
+
+Every gate core returns the gates of all N steps as one tensor
+[2N, ..., 1], f_tau in rows :N and f_phi in rows N:, and the Euler
+recursion takes it whole: it is one tape op with a hand-written adjoint
+that writes one gradient in the gates' layout, and its recorded
+trajectory is views of the gates and of its state buffer.
 
 Final logits pass through a masked softmax and weight the gathered
 values. ``attend`` is the one per-head pipeline, on [B,H,T,D] inputs;
@@ -137,10 +142,11 @@ class RecurrentGateCore:
     [3h, block] and every other buffer in scratch of its own, so the pair
     input is never whole in memory. The gates are stored head-major
     ([2N, H, pairs]) so that each item writes contiguous rows; callers see
-    them as [B,H,...,1]. An item writes its gates and hidden states in
-    place and returns its partials of the weight, query-projection and
-    key-projection gradients, which are summed in item order: outputs and
-    every gradient are bitwise the same for any number of threads.
+    them as one tensor [2N,B,H,...,1]. An item writes its gates and hidden
+    states in place and returns its partials of the weight,
+    query-projection and key-projection gradients, which are summed in
+    item order: outputs and every gradient are bitwise the same for any
+    number of threads.
     """
 
     def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
@@ -167,8 +173,9 @@ class RecurrentGateCore:
                 "W_tau": self.W_tau, "b_tau": self.b_tau}
 
     def gates(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
-              n_steps: int, dt_nominal: float):
-        """Gate trajectories of the pairs ``pb`` selects from [B,H,T,D] q, k."""
+              n_steps: int, dt_nominal: float) -> Tensor:
+        """Gates [2N,B,H,T_q,K_eff,1] of the pairs ``pb`` selects from
+        [B,H,T,D] q, k; f_tau in rows :N, f_phi in rows N:."""
         return self.unroll(self.project_pairs(q, k, pb), n_steps, dt_nominal)
 
     def project_pairs(self, q: Tensor, k: Tensor,
@@ -182,13 +189,12 @@ class RecurrentGateCore:
         return pairs_mod.PairInput(qp, kp, pb)
 
     def unroll(self, pin: pairs_mod.PairInput, n_steps: int,
-               dt_nominal: float):
+               dt_nominal: float) -> Tensor:
         """Gate trajectories for all steps from the pair input ``pin``.
 
         pin: [B,H,...,3h], factored; the op's parents are its projected
-        queries and keys and the gate weights. Returns lists (f_taus,
-        f_phis) of n_steps tensors [B,H,...,1], slices of the one tensor
-        the fused op produces.
+        queries and keys and the gate weights. Returns the gates
+        [2N,B,H,...,1]: f_tau in rows :N, f_phi in rows N:.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -212,15 +218,15 @@ class RecurrentGateCore:
         _gru_forward(pin, w, n_steps, dt_nominal, self.epsilon, g_hm, saved)
 
         def rule(g):
-            # the gradient buffer takes the gates' head-major layout
+            # a gradient in the gates' layout, as integrate_logits makes
+            # it, is head-major already and reshapes without a copy
             g_hm_grad = np.moveaxis(g, 1, 2).reshape(g_hm.shape)
             d_qp, d_kp, dw = _gru_backward(g_hm_grad, pin, w, saved, g_hm,
                                            n_steps, dt_nominal)
             return (d_qp, d_kp) + tuple(dw[n].reshape(params[n].shape)
                                         for n in _GATE_WEIGHTS)
 
-        parts = T.unstack(T._node(gates, inputs, rule))
-        return parts[:n_steps], parts[n_steps:]
+        return T._node(gates, inputs, rule)
 
 
 # the weights the fused unroll differentiates (W_u acts in project_pairs)
@@ -530,16 +536,14 @@ class SdpaFrozenGates:
         return {}
 
     def gates(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
-              n_steps: int, dt_nominal: float):
+              n_steps: int, dt_nominal: float) -> Tensor:
         B, H, T_q, D = q.shape
         k_sel = T.gather_keys(k, pb.selected_indices)
         dots = T.tsum(T.mul(T.reshape(q, (B, H, T_q, 1, D)), k_sel),
                       axis=-1, keepdims=True)
         if not pb.valid_mask.all():
             dots = T.mul(dots, Tensor(pb.valid_mask[..., None].astype(np.float64)))
-        f_phi = T.scale(dots, self.inv_sqrt_d)
-        f_tau = Tensor(np.ones(f_phi.shape))
-        return [f_tau] * n_steps, [f_phi] * n_steps
+        return _constant_rate(1.0, T.scale(dots, self.inv_sqrt_d), n_steps)
 
 
 class FeedforwardGates:
@@ -559,81 +563,79 @@ class FeedforwardGates:
     def parameters(self) -> dict:
         return {"W_phi": self.W_phi, "b_phi": self.b_phi}
 
-    def unroll(self, u: Tensor, n_steps: int, dt_nominal: float):
+    def unroll(self, u: Tensor, n_steps: int, dt_nominal: float) -> Tensor:
         # multiply-then-sum keeps the reduction order identical to the
         # straight-line leaky-integrator oracle, enabling exact comparison
         inv_tau = 1.0 / self.tau
         w = T.reshape(self.W_phi, (self.W_phi.shape[0],))
         pre = T.add(T.tsum(T.mul(u, w), axis=-1, keepdims=True), self.b_phi)
-        f_phi = T.scale(T.tanh(pre), inv_tau)
-        f_tau = Tensor(np.full(f_phi.shape, inv_tau))
-        return [f_tau] * n_steps, [f_phi] * n_steps
+        return _constant_rate(inv_tau, T.scale(T.tanh(pre), inv_tau), n_steps)
+
+
+def _constant_rate(f_tau: float, f_phi: Tensor, n_steps: int) -> Tensor:
+    """Gates [2N,...] that hold f_tau and f_phi fixed over all N steps."""
+    row = T.reshape(f_phi, (1,) + f_phi.shape)
+    rates = Tensor(np.full((n_steps,) + f_phi.shape, f_tau))
+    return T.concat([rates] + [row] * n_steps, axis=0)
 
 
 # --------------------------------------------------------------------------
 # integration
 # --------------------------------------------------------------------------
 
-def clamp_dt(dt_nominal: float, f_tau_batch) -> float:
+def clamp_dt(dt_nominal: float, f_tau: np.ndarray) -> float:
     """min(dt_nominal, 1/max f_tau): guarantees dt * f_tau <= 1 everywhere.
 
     The max-reduction is a plain float off the gradient tape.
     """
     if dt_nominal <= 0:
         raise ValueError("dt_nominal must be positive")
-    arr = f_tau_batch.data if isinstance(f_tau_batch, Tensor) else np.asarray(f_tau_batch)
-    if arr.size == 0:
+    if f_tau.size == 0:
         return float(dt_nominal)
-    if (arr <= 0).any():
+    if f_tau.min() <= 0:
         raise ValueError("f_tau must be strictly positive")
-    return float(min(dt_nominal, 1.0 / arr.max()))
+    return float(min(dt_nominal, 1.0 / f_tau.max()))
 
 
-def integrate_logits(f_taus: list[Tensor], f_phis: list[Tensor],
-                     dt_nominal: float, clamp: bool = True,
+def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
                      a0: Tensor | None = None):
     """Run the Euler recursion from a0 (default 0) with one global dt.
 
-    One tape op: the states a_{n+1} = a_n + dt * (-f_tau_n * a_n + f_phi_n)
-    fill one [N+1, ...] buffer, in the float order of that formula, and
-    the backward runs the adjoint recursion by hand. Returns (final state
-    tensor, LogitTrajectory), whose states are a view of the buffer.
-    Disabling the clamp is only meant for instability demonstrations.
+    gates: [2N,...], f_tau in rows :N and f_phi in rows N:, as every gate
+    core returns them; a0 broadcasts to one row. One tape op: the states
+    a_{n+1} = a_n + dt * (-f_tau_n * a_n + f_phi_n) fill one [N+1, ...]
+    buffer, in the float order of that formula, and the backward runs the
+    adjoint recursion by hand into one gradient in the gates' layout.
+    Returns (final state tensor, LogitTrajectory), whose arrays are views
+    of the state buffer and the gates. Disabling the clamp is only meant
+    for instability demonstrations.
     """
-    if clamp:
-        # the extremes of each distinct tensor, not a copy of every f_tau:
-        # SDPA and feed-forward gates pass one tensor N times
-        distinct = {id(f): f.data for f in f_taus if f.size}.values()
-        dt = clamp_dt(dt_nominal, np.array(
-            [(d.min(), d.max()) for d in distinct]).reshape(-1))
-    else:
-        dt = float(dt_nominal)
-    n_steps = len(f_taus)
-    gates = list(f_taus) + list(f_phis)
-    initial = [] if a0 is None else [a0]
-    shape = np.broadcast_shapes(*(t.shape for t in initial + gates))
-    a = np.empty((n_steps + 1,) + shape)
+    n_steps = gates.shape[0] // 2
+    f_tau, f_phi = gates.data[:n_steps], gates.data[n_steps:]
+    dt = clamp_dt(dt_nominal, f_tau) if clamp else float(dt_nominal)
+    a = np.empty((n_steps + 1,) + gates.shape[1:])
     a[0] = 0.0 if a0 is None else a0.data
     for n in range(n_steps):
-        a[n + 1] = a[n] + (-f_taus[n].data * a[n] + f_phis[n].data) * dt
+        a[n + 1] = a[n] + (-f_tau[n] * a[n] + f_phi[n]) * dt
 
     def rule(g):
-        grads = [None] * (2 * n_steps)
+        d = np.empty_like(gates.data)   # keeps the gates' memory layout
         for n in reversed(range(n_steps)):
-            gs = g * dt
-            grads[n] = T._unbroadcast(-(gs * a[n]), f_taus[n].shape)
-            grads[n_steps + n] = T._unbroadcast(gs, f_phis[n].shape)
-            g = g - gs * f_taus[n].data
-        return [T._unbroadcast(g, s.shape) for s in initial] + grads
+            gs = np.multiply(g, dt, out=d[n_steps + n])
+            np.multiply(gs, a[n], out=d[n])
+            np.negative(d[n], out=d[n])
+            g = g - gs * f_tau[n]
+        return (d,) if a0 is None else (d, T._unbroadcast(g, a0.shape))
 
     traj = LogitTrajectory(
         a=np.moveaxis(a[..., 0], 0, -1),
-        f_tau=np.stack([f.data[..., 0] for f in f_taus], axis=-1),
-        f_phi=np.stack([f.data[..., 0] for f in f_phis], axis=-1),
+        f_tau=np.moveaxis(f_tau[..., 0], 0, -1),
+        f_phi=np.moveaxis(f_phi[..., 0], 0, -1),
         dt_effective=dt,
         dt_nominal=float(dt_nominal),
     )
-    return T._node(a[n_steps], initial + gates, rule), traj
+    parents = (gates,) if a0 is None else (gates, a0)
+    return T._node(a[n_steps], parents, rule), traj
 
 
 # --------------------------------------------------------------------------
@@ -652,8 +654,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
     else:
         pb = pairs_mod.topk_concat(q, k, cfg.top_k, causal=cfg.causal,
                                    key_mask=key_mask)
-    f_taus, f_phis = core.gates(q, k, pb, cfg.euler_steps, cfg.dt_nominal)
-    a_final, traj = integrate_logits(f_taus, f_phis, cfg.dt_nominal)
+    gates = core.gates(q, k, pb, cfg.euler_steps, cfg.dt_nominal)
+    a_final, traj = integrate_logits(gates, cfg.dt_nominal)
 
     B, H, T_q, K_eff = pb.selected_indices.shape
     alpha = T.masked_softmax(T.reshape(a_final, (B, H, T_q, K_eff)),

@@ -23,7 +23,7 @@ class EventSequence:
     mask: np.ndarray
 
     def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim == 1:
             self.values = self.values[:, None]
         self.times = np.asarray(self.times, dtype=float)

@@ -147,8 +147,7 @@ def verify_ctrnn_limit(tau: float = 2.0, dt: float = 0.25, n_steps: int = 40,
     u = rng.standard_normal((n_pairs, pair_dim))
 
     gates = A.FeedforwardGates(tau, Tensor(W), Tensor(b))
-    f_taus, f_phis = gates.unroll(Tensor(u), n_steps, dt)
-    _, traj = A.integrate_logits(f_taus, f_phis, dt)
+    _, traj = A.integrate_logits(gates.unroll(Tensor(u), n_steps, dt), dt)
 
     cell = CtRnnCell(tau=tau, W_phi=W, b_phi=b)
     max_dev = 0.0

@@ -108,20 +108,6 @@ def _node(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-class SliceGrad:
-    """Gradient for the slice ``parent[index]`` only.
-
-    ``backward`` adds it into one buffer per parent, so slicing a tensor
-    into many parts never zero-fills a full-size gradient per part.
-    """
-
-    __slots__ = ("index", "value")
-
-    def __init__(self, index, value: np.ndarray):
-        self.index = index
-        self.value = value
-
-
 def _check_broadcast(a: Tensor, b: Tensor, op: str):
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -305,17 +291,13 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    return _node(a.data[idx], (a,), lambda g: (SliceGrad(idx, g),))
 
+    def rule(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        return (full,)
 
-def unstack(a: Tensor) -> list[Tensor]:
-    """Split along axis 0 into views; their gradients fill one buffer.
-
-    This is how an op with several outputs joins the tape: it returns one
-    stacked tensor, and callers take the slices.
-    """
-    return [_node(a.data[i], (a,), lambda g, i=i: (SliceGrad(i, g),))
-            for i in range(a.shape[0])]
+    return _node(a.data[idx], (a,), rule)
 
 
 # --------------------------------------------------------------------------
@@ -364,19 +346,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _node(out, (a, b), rule)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``; outputs are nonnegative and sum to 1."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def rule(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _node(out, (a,), rule)
 
 
 def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
@@ -472,10 +441,8 @@ def backward(root: Tensor):
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    owned: set[int] = set()  # buffers made here, safe to update in place
     for node in reversed(topo):
         g = grads.pop(id(node), None)
-        owned.discard(id(node))
         if g is None:
             continue
         if node._backward is None:
@@ -486,18 +453,7 @@ def backward(root: Tensor):
             if pg is None or not p.requires_grad:
                 continue
             key = id(p)
-            if isinstance(pg, SliceGrad):
-                if key not in owned:
-                    prev = grads.get(key)
-                    grads[key] = (np.zeros_like(p.data) if prev is None
-                                  else prev.copy())
-                    owned.add(key)
-                grads[key][pg.index] += pg.value
-            elif key in grads:
-                grads[key] = grads[key] + pg
-                owned.add(key)
-            else:
-                grads[key] = pg
+            grads[key] = grads[key] + pg if key in grads else pg
         node._backward = None
         node._parents = ()
 

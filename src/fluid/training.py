@@ -201,7 +201,7 @@ def _dump_gate_traces(model, data, sel, out_dir) -> str | None:
     return path
 
 
-def evaluate(model, data, metric: str, loss_kind: str | None = None) -> float:
+def evaluate(model, data, metric: str) -> float:
     with T.no_grad():
         pred = _forward_batch(model, data, slice(None))
     return metric_value(metric, pred.data, data["targets"],

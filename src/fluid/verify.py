@@ -21,6 +21,11 @@ from fluid import training as TR
 from fluid.tensor import Tensor
 
 
+def _gates(f_tau: np.ndarray, f_phi: np.ndarray) -> Tensor:
+    """The gates tensor [2N, n, 1] of n trajectories' [n, N] gate values."""
+    return Tensor(np.concatenate([f_tau.T, f_phi.T])[..., None])
+
+
 def run_invariance_suite(n_trajectories: int = 10000, n_steps: int = 50,
                          seed: int = 0, tolerance: float = 1e-12) -> dict:
     """Bounded random gates, clamped dt, a0 inside the equilibrium envelope:
@@ -35,9 +40,7 @@ def run_invariance_suite(n_trajectories: int = 10000, n_steps: int = 50,
     frac = rng.uniform(0.0, 1.0, (n_trajectories, 1))
     a0 = a_min + frac * (a_max - a_min)
 
-    f_taus = [Tensor(f_tau[:, n:n + 1]) for n in range(n_steps)]
-    f_phis = [Tensor(f_phi[:, n:n + 1]) for n in range(n_steps)]
-    _, traj = A.integrate_logits(f_taus, f_phis, dt_nominal=1.0,
+    _, traj = A.integrate_logits(_gates(f_tau, f_phi), dt_nominal=1.0,
                                  a0=Tensor(a0))
     over = (traj.a - a_max).max()
     under = (a_min - traj.a).max()
@@ -60,19 +63,15 @@ def run_stability_suite(seed: int = 0) -> dict:
     n, steps = 2000, 30
     f_tau = rng.uniform(0.05, 8.0, (n, steps))
     f_phi = rng.uniform(-1.0, 1.0, (n, steps))
-    f_taus = [Tensor(f_tau[:, i:i + 1]) for i in range(steps)]
-    f_phis = [Tensor(f_phi[:, i:i + 1]) for i in range(steps)]
-    _, traj = A.integrate_logits(f_taus, f_phis, dt_nominal=0.9)
+    _, traj = A.integrate_logits(_gates(f_tau, f_phi), dt_nominal=0.9)
     alphas = traj.dt_effective * f_tau
     alpha_ok = bool((alphas >= 0.0).all() and (alphas <= 1.0).all())
 
     # instability witness: dt * f_tau = 2.5 with the clamp disabled
     witness_steps = 50
-    const_tau = [Tensor(np.ones((1, 1)))] * witness_steps
-    const_phi = [Tensor(np.zeros((1, 1)))] * witness_steps
-    a_final, wtraj = A.integrate_logits(const_tau, const_phi,
-                                        dt_nominal=2.5, clamp=False,
-                                        a0=Tensor(np.ones((1, 1))))
+    _, wtraj = A.integrate_logits(
+        _gates(np.ones((1, witness_steps)), np.zeros((1, witness_steps))),
+        dt_nominal=2.5, clamp=False, a0=Tensor(np.ones((1, 1))))
     growth = float(np.abs(wtraj.a[0, -1]) / np.abs(wtraj.a[0, 0]))
     diverges = growth >= 10.0
     elapsed = time.perf_counter() - t0
@@ -161,7 +160,9 @@ def run_gradients_suite(seed: int = 0, op_tolerance: float = 1e-4,
     check("mul", lambda x, y: T.tsum(T.mul(T.mul(x, y), coef)), a, b)
     check("div", lambda x, y: T.tsum(T.mul(T.div(x, y), coef)), a, b)
     check("matmul", lambda x, y: T.tsum(T.mul(T.matmul(x, y), coef2)), a, w)
-    check("softmax", lambda x: T.tsum(T.mul(T.softmax(x, axis=-1), coef)), a)
+    mask = np.arange(4) != np.arange(3)[:, None]     # one masked entry a row
+    check("masked_softmax",
+          lambda x: T.tsum(T.mul(T.masked_softmax(x, mask), coef)), a)
     check("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x), coef)), a)
     op_max = max(op_errors.values())
 

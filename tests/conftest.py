@@ -138,8 +138,8 @@ def gru_step(core, u_proj: Tensor, t_n: float, hidden):
 
 
 def gru_unroll(core, u: Tensor, n_steps: int, dt_nominal: float):
-    """RecurrentGateCore's gates on raw pair inputs u [..., 2D], composed
-    from tape ops step by step; returns (f_taus, f_phis)."""
+    """RecurrentGateCore's gates [2N, ..., 1] on raw pair inputs u [..., 2D],
+    composed from tape ops step by step: f_tau rows, then f_phi rows."""
     u_proj = T.matmul(u, core.W_u)
     hidden = None
     f_taus, f_phis = [], []
@@ -147,7 +147,8 @@ def gru_unroll(core, u: Tensor, n_steps: int, dt_nominal: float):
         f_tau, f_phi, hidden = gru_step(core, u_proj, n * dt_nominal, hidden)
         f_taus.append(f_tau)
         f_phis.append(f_phi)
-    return f_taus, f_phis
+    return T.concat([T.reshape(g, (1,) + g.shape) for g in f_taus + f_phis],
+                    axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -161,11 +162,17 @@ def euler_step(a_n: Tensor, f_tau: Tensor, f_phi: Tensor, dt: float) -> Tensor:
     return T.add(a_n, T.scale(T.add(T.mul(T.neg(f_tau), a_n), f_phi), dt))
 
 
-def euler_chain(f_taus, f_phis, dt: float, a0: Tensor):
-    """The recursion as a chain of ``euler_step``s: (final, every state)."""
+def euler_chain(gates: Tensor, dt: float, a0: Tensor):
+    """The recursion over gates [2N, ...] (f_tau rows, then f_phi rows) as
+    a chain of ``euler_step``s: (final, every state)."""
+    n_steps = gates.shape[0] // 2
+
+    def row(i):
+        return T.reshape(T.narrow(gates, 0, i, 1), gates.shape[1:])
+
     states = [a0]
-    for f_tau, f_phi in zip(f_taus, f_phis):
-        states.append(euler_step(states[-1], f_tau, f_phi, dt))
+    for n in range(n_steps):
+        states.append(euler_step(states[-1], row(n), row(n_steps + n), dt))
     return states[-1], states
 
 

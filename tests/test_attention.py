@@ -49,11 +49,10 @@ def test_gate_ranges():
     rng = np.random.default_rng(1)
     u = rng.uniform(-3, 3, (10, 4))
     for n_steps in (1, 2):
-        f_taus, f_phis = core.unroll(_project(core, u), n_steps, 0.5)
-        for f_tau, f_phi in zip(f_taus, f_phis):
-            assert f_tau.shape == f_phi.shape == (1, 1, 10, 1, 1)
-            assert (f_tau.data >= core.epsilon).all()
-            assert (np.abs(f_phi.data) < 1.0).all()
+        gates = core.unroll(_project(core, u), n_steps, 0.5)
+        assert gates.shape == (2 * n_steps, 1, 1, 10, 1, 1)
+        assert (gates.data[:n_steps] >= core.epsilon).all()
+        assert (np.abs(gates.data[n_steps:]) < 1.0).all()
 
 
 def test_gate_zero_weight_cell():
@@ -64,17 +63,16 @@ def test_gate_zero_weight_cell():
     core.W_tau.data[...] = 1.0
     u = np.ones((3, 4))
     for n_steps in (1, 2):
-        f_taus, f_phis = core.unroll(_project(core, u), n_steps, 0.7)
-        for f_tau, f_phi in zip(f_taus, f_phis):
-            assert np.allclose(f_phi.data, 0.0)
-            assert np.allclose(f_tau.data, _softplus(0.0) + 1e-3)
+        gates = core.unroll(_project(core, u), n_steps, 0.7)
+        assert np.allclose(gates.data[n_steps:], 0.0)
+        assert np.allclose(gates.data[:n_steps], _softplus(0.0) + 1e-3)
 
 
 def test_gate_hidden_carries_state():
     core = make_core(seed=3)
     u = np.random.default_rng(4).uniform(-1, 1, (5, 4))
-    _, (f_phi0, f_phi1) = core.unroll(_project(core, u), 2, 0.2)
-    assert not np.allclose(f_phi0.data, f_phi1.data)
+    f_phi0, f_phi1 = core.unroll(_project(core, u), 2, 0.2).data[2:]
+    assert not np.allclose(f_phi0, f_phi1)
 
 
 def _gate_case(case, rng, H=2, D=3):
@@ -107,11 +105,7 @@ def _gate_case(case, rng, H=2, D=3):
 
 def _weighted_sum(gates, coef):
     """A scalar that weighs every gate value by its own coefficient."""
-    terms = [T.tsum(T.mul(g, Tensor(c))) for g, c in zip(gates, coef)]
-    out = terms[0]
-    for term in terms[1:]:
-        out = T.add(out, term)
-    return out
+    return T.tsum(T.mul(gates, Tensor(coef)))
 
 
 @pytest.mark.parametrize("case", ["full", "causal_masked", "topk",
@@ -131,17 +125,16 @@ def test_fused_gates_match_composed_oracle(case, n_steps):
         for p in core.parameters().values():
             p.zero_grad()
         if fused:
-            f_taus, f_phis = core.gates(q, k, pb, n_steps, 1 / n_steps)
+            gates = core.gates(q, k, pb, n_steps, 1 / n_steps)
         else:
-            f_taus, f_phis = gru_unroll(core, concat_pairs(q, k, pb),
-                                        n_steps, 1 / n_steps)
-        gates = f_taus + f_phis
+            gates = gru_unroll(core, concat_pairs(q, k, pb), n_steps,
+                               1 / n_steps)
         _weighted_sum(gates, coef).backward()
         grads = dict(core.parameters(), q=q, k=k)
         # the composed path never reaches W_h when there is one step
         grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad
                  for n, p in grads.items()}
-        results.append((np.stack([g.data for g in gates]), grads))
+        results.append((gates.data, grads))
     (gates, grads), (ref_gates, ref_grads) = results
     assert np.abs(gates - ref_gates).max() <= 1e-12
     assert set(grads) == set(ref_grads) and len(grads) == 10
@@ -159,8 +152,7 @@ def test_fused_gates_pass_grad_check():
     coef = rng.standard_normal((4,) + pb.valid_mask.shape + (1,))
 
     def loss():
-        f_taus, f_phis = core.gates(q, k, pb, 2, 0.5)
-        return _weighted_sum(f_taus + f_phis, coef)
+        return _weighted_sum(core.gates(q, k, pb, 2, 0.5), coef)
 
     params = dict(core.parameters(), q=q, k=k)
     # the op tolerance of the gradients verify suite
@@ -219,11 +211,11 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
     n_steps = 3
     with T.no_grad():
         pin = core.project_pairs(q, k, pb)
-        f_taus, f_phis = core.unroll(pin, n_steps, 1 / n_steps)
+        gates = core.unroll(pin, n_steps, 1 / n_steps)
         up = pair_sum(pin.qp, pin.kp, pb)
     assert (pin.shape, pin.size, pin.ndim) == (up.shape, up.size, up.ndim)
-    got = np.stack([g.data[..., 0] for g in f_taus + f_phis])
-    got = np.moveaxis(got, 2, 1).reshape(2 * n_steps, core.heads, -1)
+    got = np.moveaxis(gates.data[..., 0], 2, 1).reshape(2 * n_steps,
+                                                        core.heads, -1)
     assert np.array_equal(got, _kernel_on(core, up.data, n_steps, 1 / n_steps))
 
 
@@ -282,19 +274,17 @@ def _gate_run(core, qa, ka, pb, n_steps=3):
     """no_grad gates, tape gates, and the gradients of the 8 gate weights
     and of q, k under a loss that weighs every gate differently."""
     with T.no_grad():
-        f_taus, f_phis = core.gates(Tensor(qa), Tensor(ka), pb, n_steps,
-                                    1 / n_steps)
-    untaped = np.stack([g.data for g in f_taus + f_phis])
+        untaped = core.gates(Tensor(qa), Tensor(ka), pb, n_steps,
+                             1 / n_steps).data
     q = Tensor(qa, requires_grad=True)
     k = Tensor(ka, requires_grad=True)
     for p in core.parameters().values():
         p.zero_grad()
-    f_taus, f_phis = core.gates(q, k, pb, n_steps, 1 / n_steps)
-    gates = f_taus + f_phis
-    coef = np.random.default_rng(48).standard_normal((len(gates),) + gates[0].shape)
+    gates = core.gates(q, k, pb, n_steps, 1 / n_steps)
+    coef = np.random.default_rng(48).standard_normal(gates.shape)
     _weighted_sum(gates, coef).backward()
     grads = {n: p.grad.copy() for n, p in dict(core.parameters(), q=q, k=k).items()}
-    return untaped, np.stack([g.data for g in gates]), grads
+    return untaped, gates.data, grads
 
 
 @pytest.mark.parametrize("case", ["topk_row_split", "batch_rows", "one_block",
@@ -389,15 +379,14 @@ def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
 
 def _unroll_in_child(core, qa, ka, pb, queue):
     with T.no_grad():
-        f_taus, _ = core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
-    queue.put(np.stack([f.data for f in f_taus]))
+        queue.put(core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3).data)
 
 
 def test_gate_kernel_runs_in_a_forked_child(monkeypatch):
     core, qa, ka, pb = _block_case("batch_rows")
     monkeypatch.setattr(A, "_WORKERS", 2)
     with T.no_grad():
-        f_taus, _ = core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
+        gates = core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
     assert A._pool is not None        # the parent has started its threads
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
@@ -413,7 +402,7 @@ def test_gate_kernel_runs_in_a_forked_child(monkeypatch):
         child.join()
     assert got is not None, "the forked child did not return"
     assert child.exitcode == 0
-    assert np.array_equal(got, np.stack([f.data for f in f_taus]))
+    assert np.array_equal(got, gates.data)
 
 
 # --------------------------------------------------------------------------
@@ -446,59 +435,59 @@ def test_euler_step_rejects_nonpositive_dt():
 
 
 def test_clamp_dt_values():
-    assert A.clamp_dt(1.0, Tensor([4.0, 1.0])) == 0.25
-    assert A.clamp_dt(0.5, Tensor([0.1, 0.05])) == 0.5
+    assert A.clamp_dt(1.0, np.array([4.0, 1.0])) == 0.25
+    assert A.clamp_dt(0.5, np.array([0.1, 0.05])) == 0.5
 
 
 def test_clamp_dt_bounds_alpha_elementwise():
     rng = np.random.default_rng(5)
-    batch = Tensor(rng.uniform(0.01, 10.0, (100,)))
+    batch = rng.uniform(0.01, 10.0, (100,))
     dt = A.clamp_dt(0.7, batch)
-    assert (dt * batch.data <= 1.0 + 1e-15).all()
+    assert (dt * batch <= 1.0 + 1e-15).all()
     assert dt <= 0.7
 
 
 def test_clamp_dt_rejects_nonpositive_entries():
     with pytest.raises(ValueError):
-        A.clamp_dt(1.0, Tensor([0.5, -0.1]))
+        A.clamp_dt(1.0, np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
-        A.clamp_dt(0.0, Tensor([0.5]))
+        A.clamp_dt(0.0, np.array([0.5]))
 
 
 def test_integrate_clamps_on_every_gate_without_copies():
     rng = np.random.default_rng(49)
-    f_taus = [Tensor(rng.uniform(0.5, 2.0, (2, 3, 1))) for _ in range(3)]
-    f_taus[2].data[1, 2, 0] = 8.0     # the largest rate, in the last step
-    f_phis = [Tensor(np.zeros((2, 3, 1)))] * 3
-    _, traj = A.integrate_logits(f_taus, f_phis, 0.5)
+    gates = Tensor(np.concatenate([rng.uniform(0.5, 2.0, (3, 2, 3, 1)),
+                                   np.zeros((3, 2, 3, 1))]))
+    gates.data[2, 1, 2, 0] = 8.0      # the largest rate, in the last step
+    _, traj = A.integrate_logits(gates, 0.5)
     assert traj.dt_effective == 1.0 / 8.0
-    # one tensor passed N times, as SDPA and feed-forward gates do
-    _, traj = A.integrate_logits([f_taus[2]] * 4, [f_phis[0]] * 4, 0.5)
+    # the f_phi rows are no rates: a large target does not clamp
+    gates.data[4, 0, 0, 0] = 100.0
+    _, traj = A.integrate_logits(gates, 0.5)
     assert traj.dt_effective == 1.0 / 8.0
-    f_taus[1].data[0, 0, 0] = -1.0
+    gates.data[1, 0, 0, 0] = -1.0
     with pytest.raises(ValueError):
-        A.integrate_logits(f_taus, f_phis, 0.5)
-    _, traj = A.integrate_logits(f_taus, f_phis, 0.5, clamp=False)
+        A.integrate_logits(gates, 0.5)
+    _, traj = A.integrate_logits(gates, 0.5, clamp=False)
     assert traj.dt_effective == 0.5
 
 
 def test_integrate_starts_at_zero_and_records_dt():
     core = make_core(seed=9)
     u = np.random.default_rng(9).uniform(-1, 1, (6, 4))
-    f_taus, f_phis = core.unroll(_project(core, u), 4, 0.25)
-    a, traj = A.integrate_logits(f_taus, f_phis, 0.25)
+    gates = core.unroll(_project(core, u), 4, 0.25)
+    a, traj = A.integrate_logits(gates, 0.25)
     assert (traj.a[..., 0] == 0.0).all()
     assert traj.a.shape == (1, 1, 6, 1, 5)
     assert traj.dt_effective <= 0.25
-    expected_dt = min(0.25, 1.0 / max(f.data.max() for f in f_taus))
+    expected_dt = min(0.25, 1.0 / gates.data[:4].max())
     assert traj.dt_effective == expected_dt
 
 
 def test_trajectory_csv_export(tmp_path):
     core = make_core(seed=11)
     u = np.random.default_rng(11).uniform(-1, 1, (2, 4))
-    f_taus, f_phis = core.unroll(_project(core, u), 3, 1 / 3)
-    _, traj = A.integrate_logits(f_taus, f_phis, 1 / 3)
+    _, traj = A.integrate_logits(core.unroll(_project(core, u), 3, 1 / 3), 1 / 3)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -507,34 +496,48 @@ def test_trajectory_csv_export(tmp_path):
 
 
 def _euler_case(shared, seed=61, shape=(2, 3, 4, 1), n_steps=4):
-    """Gates with f_tau < 1 / 0.5 (clamp inactive at dt 0.5), and a0; with
-    ``shared`` one tensor serves every step, as SDPA gates do."""
+    """Gates with f_tau < 1 / 0.5 (clamp inactive at dt 0.5), and a0.
+    Returns (make_gates, gate leaves, a0, coef): make_gates() builds the
+    gates [2N, *shape] from the leaves, a fresh graph each call. With
+    ``shared`` one f_tau and one f_phi tensor serve every step, as SDPA
+    gates do; else the gates are a leaf themselves."""
     rng = np.random.default_rng(seed)
 
     def leaf(lo, hi):
         return Tensor(rng.uniform(lo, hi, shape), requires_grad=True)
 
     if shared:
-        f_taus, f_phis = [leaf(0.2, 1.5)] * n_steps, [leaf(-1, 1)] * n_steps
+        tau, phi = leaf(0.2, 1.5), leaf(-1, 1)
+
+        def make_gates():
+            tau_row, phi_row = (T.reshape(t, (1,) + shape) for t in (tau, phi))
+            return T.concat([tau_row] * n_steps + [phi_row] * n_steps, axis=0)
+        leaves = [tau, phi]
     else:
-        f_taus = [leaf(0.2, 1.5) for _ in range(n_steps)]
-        f_phis = [leaf(-1, 1) for _ in range(n_steps)]
-    return f_taus, f_phis, leaf(-1, 1), rng.standard_normal(shape)
+        rows = (n_steps,) + shape
+        gates = Tensor(np.concatenate([rng.uniform(0.2, 1.5, rows),
+                                       rng.uniform(-1, 1, rows)]),
+                       requires_grad=True)
+
+        def make_gates():
+            return gates
+        leaves = [gates]
+    return make_gates, leaves, leaf(-1, 1), rng.standard_normal(shape)
 
 
 @pytest.mark.parametrize("start", ["zero", "a0"])
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("dt", [0.5, 0.9])           # clamp off, clamp on
 def test_integrate_equals_the_euler_step_chain(start, shared, dt):
-    f_taus, f_phis, a0, coef = _euler_case(shared)
+    make_gates, leaves, a0, coef = _euler_case(shared)
     a0 = a0 if start == "a0" else None
-    final, traj = A.integrate_logits(f_taus, f_phis, dt, a0=a0)
+    final, traj = A.integrate_logits(make_gates(), dt, a0=a0)
     assert (traj.dt_effective < dt) == (dt == 0.9)
     first = a0 if a0 is not None else Tensor(np.zeros(coef.shape))
-    ref, states = euler_chain(f_taus, f_phis, traj.dt_effective, first)
+    ref, states = euler_chain(make_gates(), traj.dt_effective, first)
     assert np.array_equal(final.data, ref.data)
     assert np.array_equal(traj.a, np.stack([s.data[..., 0] for s in states], axis=-1))
-    leaves = list({id(t): t for t in f_taus + f_phis + [a0] if t is not None}.values())
+    leaves = leaves + ([] if a0 is None else [a0])
     grads = []
     for out in (final, ref):
         for t in leaves:
@@ -546,31 +549,38 @@ def test_integrate_equals_the_euler_step_chain(start, shared, dt):
 
 
 def test_integrate_passes_grad_check():
-    f_taus, f_phis, a0, coef = _euler_case(False, seed=67, shape=(3, 2, 1))
+    make_gates, (gates,), a0, coef = _euler_case(False, seed=67, shape=(3, 2, 1))
 
     def loss():
-        final, _ = A.integrate_logits(f_taus, f_phis, 0.5, a0=a0)
+        final, _ = A.integrate_logits(make_gates(), 0.5, a0=a0)
         return T.tsum(T.mul(final, Tensor(coef)))
 
-    params = {f"tau{n}": t for n, t in enumerate(f_taus)}
-    params.update({f"phi{n}": t for n, t in enumerate(f_phis)}, a0=a0)
-    report = TR.grad_check(loss, params, h=1e-5)
+    report = TR.grad_check(loss, {"gates": gates, "a0": a0}, h=1e-5)
     assert report["max_rel_error"] < 1e-6, report["per_param"]
 
 
-def _computing_nodes(root):
-    """Tape nodes reachable from ``root`` whose value is not a view of a
-    parent's value (reshapes, slices and the like compute nothing)."""
-    seen, stack, count = set(), [root], 0
+def test_trajectory_is_views_of_the_integrator_buffers():
+    core = make_core(seed=11)
+    u = np.random.default_rng(11).uniform(-1, 1, (3, 4))
+    gates = core.unroll(_project(core, u), 3, 1 / 3)
+    final, traj = A.integrate_logits(gates, 1 / 3)
+    assert np.shares_memory(traj.a, final.data)
+    assert np.shares_memory(traj.f_tau, gates.data)
+    assert np.shares_memory(traj.f_phi, gates.data)
+    assert np.array_equal(traj.f_tau, np.moveaxis(gates.data[:3, ..., 0], 0, -1))
+    assert np.array_equal(traj.f_phi, np.moveaxis(gates.data[3:, ..., 0], 0, -1))
+    assert np.array_equal(traj.a[..., -1], final.data[..., 0])
+
+
+def _tape_nodes(root):
+    """Every tensor on the tape reachable from ``root``, leaves included."""
+    seen, stack = set(), [root]
     while stack:
         t = stack.pop()
-        if id(t) in seen or t._backward is None:
-            continue
-        seen.add(id(t))
-        if not any(np.may_share_memory(t.data, p.data) for p in t._parents):
-            count += 1
-        stack.extend(t._parents)
-    return count
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
 
 
 def test_attend_tape_does_not_grow_with_euler_steps():
@@ -583,7 +593,7 @@ def test_attend_tape_does_not_grow_with_euler_steps():
             cfg = _head_cfg(d_model=6, heads=2, euler_steps=n_steps, **case)
             q, k, v = (Tensor(a, requires_grad=True) for a in qkv)
             out, _, _, _ = A.attend(q, k, v, core, cfg)
-            counts.append(_computing_nodes(out))
+            counts.append(_tape_nodes(out))
         assert counts[0] == counts[1] == counts[2], (case, counts)
 
 

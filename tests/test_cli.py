@@ -162,6 +162,11 @@ def test_verify_failing_report_exits_1(monkeypatch, capsys, suite, report):
     assert json.loads(capsys.readouterr().out) == report
 
 
+@pytest.mark.parametrize("name", list(V.SUITES))
+def test_run_suite_passes(name):
+    assert V.run_suite(name)["pass"] is True
+
+
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(KeyError):
         V.run_suite("nope")

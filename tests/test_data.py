@@ -18,6 +18,13 @@ def test_event_sequence_validation():
     assert seq.length == 2
 
 
+def test_event_sequence_takes_one_feature_as_a_vector():
+    seq = D.EventSequence(values=[1.0, 2.0, 3.0], times=[0.0, 1.0, 2.0],
+                          mask=[1, 1, 1])
+    assert seq.values.shape == (3, 1)
+    assert seq.values[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+
 def test_spiral_spec_validation():
     with pytest.raises(ValueError):
         D.SpiralSpec(n_spirals=1, n_points=10, n_subsample=11)

@@ -70,27 +70,27 @@ def test_elementwise_shape_mismatch():
 
 
 def test_softmax_uniform():
-    out = T.softmax(Tensor([0.0, 0.0, 0.0]))
+    out = T.masked_softmax(Tensor([0.0, 0.0, 0.0]), True)
     assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_softmax_shift_invariance():
     a = np.array([0.3, -1.2])
-    base = T.softmax(Tensor(a)).data
-    shifted = T.softmax(Tensor(a + 100.0)).data
+    base = T.masked_softmax(Tensor(a), True).data
+    shifted = T.masked_softmax(Tensor(a + 100.0), True).data
     assert np.allclose(base, shifted, atol=1e-12)
 
 
 def test_softmax_frozen_values():
     # direct e^a / sum e^a evaluation of [1, 2, 3]
-    out = T.softmax(Tensor([1.0, 2.0, 3.0]))
+    out = T.masked_softmax(Tensor([1.0, 2.0, 3.0]), True)
     assert np.allclose(out.data, [0.09003, 0.24473, 0.66524], atol=1e-5)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8))
 def test_softmax_sums_to_one(values):
-    out = T.softmax(Tensor(values))
+    out = T.masked_softmax(Tensor(values), True)
     assert abs(out.data.sum() - 1.0) <= 1e-12
     assert (out.data >= 0).all()
 
@@ -141,7 +141,7 @@ def _composite_scalar(params):
     w, b, v = params
     h = T.tanh(T.add(T.matmul(v, w), b))
     g = T.sigmoid(T.narrow(h, 1, 0, 2))
-    s = T.softmax(T.concat([h, g], axis=1), axis=1)
+    s = T.masked_softmax(T.concat([h, g], axis=1), True, axis=1)
     ln = T.layer_norm(T.softplus(h))
     return T.tsum(T.add(T.mul(s, s), T.tsum(ln, axis=1, keepdims=True)))
 
@@ -252,10 +252,11 @@ def test_softmax_gradient_matches_central_difference():
     coef = rng.standard_normal((2, 3))
 
     p = Tensor(x.copy(), requires_grad=True)
-    T.tsum(T.mul(T.softmax(p, axis=1), Tensor(coef))).backward()
+    T.tsum(T.mul(T.masked_softmax(p, True, axis=1), Tensor(coef))).backward()
 
     def f(arr):
-        return T.tsum(T.mul(T.softmax(Tensor(arr), axis=1), Tensor(coef))).item()
+        return T.tsum(T.mul(T.masked_softmax(Tensor(arr), True, axis=1),
+                            Tensor(coef))).item()
 
     assert max_rel_error(p.grad, central_difference(f, x.copy())) < 1e-4
 
