@@ -120,8 +120,11 @@ class RecurrentGateCore:
     across Euler steps, independently per pair, starting from zero. The
     step input is [u; t_n] with u = [q; k] and t_n = n * dt_nominal.
 
-    The weights carry a head axis ([1,H,1,...]) and pair batches are
-    [B,H,...]; a single head is H = 1.
+    Every weight leads with the head axis, in the layout the kernel
+    reads: W_u [H,2D,3h], w_t and b_x [H,3h], W_h [H,h,3h] (the 3h axis
+    holds the reset, update and candidate channels), and the two
+    projection heads as W_o [H,2,h] and b_o [H,2], row 0 for f_phi and
+    row 1 for f_tau. Pair batches are [B,H,...]; a single head is H = 1.
 
     The input projection is factorized, u W_u = q W_u[:D] + k W_u[D:]:
     ``project_pairs`` projects each query and key once and returns the
@@ -138,9 +141,10 @@ class RecurrentGateCore:
     at most ``_BLOCK_PAIRS``, a cut that depends on the pair count alone,
     and runs the (head, block) work items on a module-level thread pool of
     one thread per CPU (numpy releases the GIL inside ufuncs and GEMMs),
-    or inline with one CPU or one item. An item forms its block's input
-    [3h, block] and every other buffer in scratch of its own, so the pair
-    input is never whole in memory. The gates are stored head-major
+    or inline with one CPU or one item. An item reads the weights in the
+    core's own buffers, and forms its block's input [3h, block] and every
+    other buffer in scratch of its own, so the pair input is never whole
+    in memory. The gates are stored head-major
     ([2N, H, pairs]) so that each item writes contiguous rows; callers see
     them as one tensor [2N,B,H,...,1]. An item writes its gates and hidden
     states in place and returns its partials of the weight,
@@ -156,21 +160,19 @@ class RecurrentGateCore:
         self.hidden_dim = h
         self.heads = heads
         self.epsilon = float(epsilon)
-        pre, vec = (1, heads, 1), (1, heads, 1, 1)
-        self.W_u = uniform_init(rng, pre + (pair_dim, 3 * h), in_dim)
-        self.w_t = uniform_init(rng, vec + (3 * h,), in_dim)
-        self.b_x = uniform_init(rng, vec + (3 * h,), in_dim)
-        self.W_h = uniform_init(rng, pre + (h, 3 * h), h)
-        self.W_phi = uniform_init(rng, pre + (h, 1), h)
-        self.b_phi = uniform_init(rng, vec + (1,), h)
-        self.W_tau = uniform_init(rng, pre + (h, 1), h)
-        self.b_tau = uniform_init(rng, vec + (1,), h)
+        self.W_u = uniform_init(rng, (heads, pair_dim, 3 * h), in_dim)
+        self.w_t = uniform_init(rng, (heads, 3 * h), in_dim)
+        self.b_x = uniform_init(rng, (heads, 3 * h), in_dim)
+        self.W_h = uniform_init(rng, (heads, h, 3 * h), h)
+        # f_phi's weights and bias, then f_tau's: the order of the draws
+        phi_tau = [uniform_init(rng, shape, h).data
+                   for shape in ((heads, h), (heads,)) * 2]
+        self.W_o = Tensor(np.stack(phi_tau[0::2], axis=1), requires_grad=True)
+        self.b_o = Tensor(np.stack(phi_tau[1::2], axis=1), requires_grad=True)
 
     def parameters(self) -> dict:
         return {"W_u": self.W_u, "w_t": self.w_t, "b_x": self.b_x,
-                "W_h": self.W_h,
-                "W_phi": self.W_phi, "b_phi": self.b_phi,
-                "W_tau": self.W_tau, "b_tau": self.b_tau}
+                "W_h": self.W_h, "W_o": self.W_o, "b_o": self.b_o}
 
     def gates(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
               n_steps: int, dt_nominal: float) -> Tensor:
@@ -183,9 +185,8 @@ class RecurrentGateCore:
         """u W_u for every selected pair, [B,H,T_q,K_eff,3h], in factored
         form: the projected queries q W_u[:D] and keys k W_u[D:]."""
         D = q.shape[-1]
-        W = T.reshape(self.W_u, (1, self.heads, 2 * D, self.W_u.shape[-1]))
-        qp = T.matmul(q, T.narrow(W, -2, 0, D))
-        kp = T.matmul(k, T.narrow(W, -2, D, D))
+        qp = T.matmul(q, T.narrow(self.W_u, -2, 0, D))
+        kp = T.matmul(k, T.narrow(self.W_u, -2, D, D))
         return pairs_mod.PairInput(qp, kp, pb)
 
     def unroll(self, pin: pairs_mod.PairInput, n_steps: int,
@@ -209,9 +210,10 @@ class RecurrentGateCore:
         gates = np.moveaxis(
             g_hm.reshape((2 * n_steps, H, B) + pin.shape[2:-1] + (1,)), 2, 1)
 
-        params = self.parameters()
-        inputs = (pin.qp, pin.kp) + tuple(params[n] for n in _GATE_WEIGHTS)
-        w = _stack_heads(params, H, h)
+        # in the order of _gru_backward's gradients
+        inputs = (pin.qp, pin.kp, self.W_h, self.w_t, self.b_x, self.W_o,
+                  self.b_o)
+        w = {n: p.data for n, p in self.parameters().items()}
         saved = (np.empty((H, n_steps, h, P))
                  if T._grad_enabled() and any(t.requires_grad for t in inputs)
                  else None)
@@ -221,39 +223,10 @@ class RecurrentGateCore:
             # a gradient in the gates' layout, as integrate_logits makes
             # it, is head-major already and reshapes without a copy
             g_hm_grad = np.moveaxis(g, 1, 2).reshape(g_hm.shape)
-            d_qp, d_kp, dw = _gru_backward(g_hm_grad, pin, w, saved, g_hm,
-                                           n_steps, dt_nominal)
-            return (d_qp, d_kp) + tuple(dw[n].reshape(params[n].shape)
-                                        for n in _GATE_WEIGHTS)
+            return _gru_backward(g_hm_grad, pin, w, saved, g_hm, n_steps,
+                                 dt_nominal)
 
         return T._node(gates, inputs, rule)
-
-
-# the weights the fused unroll differentiates (W_u acts in project_pairs)
-_GATE_WEIGHTS = ("w_t", "b_x", "W_h", "W_phi", "b_phi", "W_tau", "b_tau")
-
-
-def _stack_heads(params: dict, H: int, h: int) -> dict:
-    """Per-head numpy weights: W_h [H,h,3h], w_t/b_x [H,3h], and the two
-    projection heads stacked as W_o [H,2,h] and b_o [H,2] (phi, tau)."""
-    d = {n: params[n].data for n in _GATE_WEIGHTS}
-    return {"W_h": d["W_h"].reshape(H, h, 3 * h),
-            "w_t": d["w_t"].reshape(H, 3 * h),
-            "b_x": d["b_x"].reshape(H, 3 * h),
-            "W_o": np.stack([d["W_phi"].reshape(H, h),
-                             d["W_tau"].reshape(H, h)], axis=1),
-            "b_o": np.stack([d["b_phi"].reshape(H),
-                             d["b_tau"].reshape(H)], axis=1)}
-
-
-def _sigmoid_(x: np.ndarray) -> np.ndarray:
-    """In place x <- 1 / (1 + exp(-x)), the formula of tensor.sigmoid."""
-    np.negative(x, out=x)
-    with np.errstate(over="ignore"):
-        np.exp(x, out=x)
-    x += 1.0
-    np.divide(1.0, x, out=x)
-    return x
 
 
 def _cell(x: np.ndarray, bias: np.ndarray, hp: np.ndarray | None,
@@ -271,10 +244,10 @@ def _cell(x: np.ndarray, bias: np.ndarray, hp: np.ndarray | None,
         z += hp[h:2 * h]
         np.add(x[:h], bias[:h], out=r)
         r += hp[:h]
-        _sigmoid_(r)
+        T._sigmoid_(r)
         np.multiply(r, hp[2 * h:], out=tmp)
         c += tmp
-    _sigmoid_(z)
+    T._sigmoid_(z)
     np.tanh(c, out=c)
 
 
@@ -409,14 +382,11 @@ def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
 
 def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal):
     """BPTT through ``_gru_forward``, g and gates [2N,H,P]: returns (d qp,
-    d kp, weight grads keyed as in _GATE_WEIGHTS, in the stacked per-head
-    shapes). Each item forms its block of pair inputs again and returns
-    its partials; they are summed in item order, so every gradient is the
-    same for any number of workers."""
-    _, H, P = gates.shape
-    h = saved.shape[2]
-    C = 3 * h
-    items = _items(H, P)
+    d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its parameter's shape.
+    Each item forms its block of pair inputs again and returns its
+    partials; they are summed in item order, so every gradient is the same
+    for any number of workers."""
+    items = _items(*gates.shape[1:])
 
     def item(hd, a, b):
         dx, parts = _backward_block(g[:, hd, a:b], pin.block(hd, a, b), w,
@@ -425,16 +395,12 @@ def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal):
         return parts, pin.block_grads(hd, a, b, dx)
 
     results = _run_items(item, items)
-    totals = (np.zeros((H, h, C)), np.zeros((H, C)), np.zeros((H, C)),
-              np.zeros((H, 2, h)), np.zeros((H, 2)))
+    totals = tuple(np.zeros_like(w[n])
+                   for n in ("W_h", "w_t", "b_x", "W_o", "b_o"))
     for (hd, _, _), (parts, _) in zip(items, results):
         for total, part in zip(totals, parts):
             total[hd] += part
-    dW_h, dw_t, db_x, dW_o, db_o = totals
-    d_qp, d_kp = pin.grads(items, [pair for _, pair in results])
-    return d_qp, d_kp, {"w_t": dw_t, "b_x": db_x, "W_h": dW_h,
-                        "W_phi": dW_o[:, 0], "b_phi": db_o[:, 0],
-                        "W_tau": dW_o[:, 1], "b_tau": db_o[:, 1]}
+    return pin.grads(items, [pair for _, pair in results]) + totals
 
 
 def _backward_block(g, x, w, hd, saved, gates, n_steps, dt_nominal):
@@ -467,7 +433,7 @@ def _backward_block(g, x, w, hd, saved, gates, n_steps, dt_nominal):
         d_phi *= g[N + n]
         np.matmul(W_o, new, out=o)
         o += b_o[:, None]
-        _sigmoid_(o[1])
+        T._sigmoid_(o[1])
         np.multiply(g[n], o[1], out=d_tau)
         dW_o += dpre @ new.T
         db_o += dpre.sum(axis=1)

@@ -35,17 +35,39 @@ def _load_json(path: str | None) -> dict:
         return json.load(fh)
 
 
+def _check_keys(command: str, path: str | None, cfg: dict, known) -> bool:
+    """Print the keys of the config file ``path`` that ``known`` lacks (a
+    dict ``known`` gives each section's keys); True if there are none."""
+    unknown = [key for key in cfg if key not in known]
+    if isinstance(known, dict):
+        unknown += [f"{sec}.{key}" for sec in cfg if sec in known
+                    for key in cfg[sec] if key not in known[sec]]
+    if unknown:
+        print(f"fluid {command}: unknown key(s) in {path}: "
+              f"{', '.join(sorted(unknown))}", file=sys.stderr)
+    return not unknown
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+# "model" keys of LanConfig fields; the other "model" keys are ModelConfig's
+_LAN_KEYS = {key: key for key in ("d_model", "heads", "euler_steps", "top_k",
+                                  "epsilon")} | {"sink_gate": "sink_gate_enabled"}
+# the sections of a ``fluid train`` config and the keys each accepts
+_TRAIN_SECTIONS = {
+    "model": set(_LAN_KEYS) | (_field_names(M.ModelConfig) - {"lan"}),
+    "train": _field_names(TR.TrainConfig),
+    "data": {"ratios"},
+}
+
+
 def _model_config(cfg: dict, in_features: int = 2, out_dim: int = 2) -> M.ModelConfig:
     m = dict(cfg.get("model", {}))
-    lan = A.LanConfig(
-        d_model=m.pop("d_model", 32),
-        heads=m.pop("heads", 4),
-        euler_steps=m.pop("euler_steps", 5),
-        top_k=m.pop("top_k", None),
-        epsilon=m.pop("epsilon", 1e-3),
-        sink_gate_enabled=m.pop("sink_gate", True),
-        causal=False,
-    )
+    m.setdefault("d_model", 32)
+    lan = A.LanConfig(**{field: m.pop(key) for key, field in _LAN_KEYS.items()
+                         if key in m})
     m.setdefault("in_features", in_features)
     m.setdefault("out_dim", out_dim)
     m["seed"] = _seed_override(m.get("seed", 0))
@@ -90,11 +112,17 @@ def _fold_indices(n: int, folds: int, rng: np.random.Generator):
 
 def cmd_train(args) -> int:
     cfg = _load_json(args.config)
+    if not _check_keys("train", args.config, cfg, _TRAIN_SECTIONS):
+        return 2
+    try:
+        tcfg = _train_config(cfg)
+    except ValueError as err:
+        print(f"fluid train: {args.config}: {err}", file=sys.stderr)
+        return 2
     seqs = D.read_dataset_csv(args.data)
     ratios = tuple(cfg.get("data", {}).get("ratios", (0.6, 0.2, 0.2)))
     packed = D.spiral_arrays(seqs, ratios)
     in_features = packed["values"].shape[-1]
-    tcfg = _train_config(cfg)
     if args.epochs is not None:
         tcfg.epochs = args.epochs
 
@@ -151,10 +179,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_json(args.config)
-    unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(BN.BenchDims)})
-    if unknown:
-        print(f"fluid bench: unknown key(s) in {args.config}: "
-              f"{', '.join(unknown)}", file=sys.stderr)
+    if not _check_keys("bench", args.config, cfg, _field_names(BN.BenchDims)):
         return 2
     dims = BN.BenchDims(
         d_model=cfg.get("d_model", args.d_model),

@@ -284,8 +284,7 @@ def save_checkpoint(model: FluidModel, path: str):
     os.makedirs(path, exist_ok=True)
     params = model.parameters()
     names = sorted(params)
-    manifest = {"config": _config_to_dict(model.cfg), "params": names,
-                "tensor_file": "tensors.bin"}
+    manifest = {"config": _config_to_dict(model.cfg), "params": names}
     tensors = b"".join(T.serialize_tensor(params[name]) for name in names)
     _replace_file(os.path.join(path, "tensors.bin"), tensors)
     _replace_file(os.path.join(path, "manifest.json"),
@@ -300,7 +299,7 @@ def load_checkpoint(path: str) -> FluidModel:
     if sorted(params) != manifest["params"]:
         raise ValueError("checkpoint parameter names do not match the "
                          "reconstructed architecture")
-    with open(os.path.join(path, manifest["tensor_file"]), "rb") as fh:
+    with open(os.path.join(path, "tensors.bin"), "rb") as fh:
         buf = fh.read()
     offset = 0
     for name in manifest["params"]:

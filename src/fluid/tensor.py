@@ -206,15 +206,19 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid_np(a.data)
+    out = _sigmoid_(a.data.copy())
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # exp overflow at very negative x saturates to 0 exactly, which is the
-    # right limit; suppress the spurious warning
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    """In place x <- 1 / (1 + exp(-x)). exp overflows at very negative x,
+    and the result saturates to 0 exactly, the right limit."""
+    np.negative(x, out=x)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
+    return x
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -223,7 +227,7 @@ def softplus(a: Tensor) -> Tensor:
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def rule(g):
-        return (g * _sigmoid_np(x),)
+        return (g * _sigmoid_(x.copy()),)
 
     return _node(out, (a,), rule)
 
@@ -374,16 +378,17 @@ def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
 def gather_keys(x: Tensor, idx: np.ndarray) -> Tensor:
     """Gather per-query key vectors: x [B,H,T_k,D], idx [B,H,T_q,K] -> [B,H,T_q,K,D].
 
-    Indices are constants (hard selection); gradients scatter-add into x,
-    one ``np.bincount`` per channel over a flat (b, h, key) index.
+    Indices are constants (hard selection). Both directions use one flat
+    (b, h, key) index: the forward takes those rows of x with ``np.take``,
+    and the gradient scatter-adds into them, one ``np.bincount`` per
+    channel.
     """
-    idx = np.asarray(idx)
     B, H, T_k, D = x.shape
-    out = np.take_along_axis(x.data[:, :, None, :, :],
-                             idx[:, :, :, :, None], axis=3)
+    flat = np.arange(B * H).reshape(B, H, 1, 1) * T_k + np.asarray(idx)
+    out = np.take(x.data.reshape(B * H * T_k, D), flat, axis=0)
+    lin = flat.reshape(-1)
 
     def rule(g):
-        lin = (np.arange(B * H).reshape(B, H, 1, 1) * T_k + idx).reshape(-1)
         g_cm = g.reshape(-1, D).T                            # [D, pairs]
         gx = np.empty((D, B * H * T_k))
         for c in range(D):

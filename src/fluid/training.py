@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss not in ("mse", "mae", "cross_entropy"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if self.metric not in ("mae", "mse", "accuracy"):
+            raise ValueError(f"unknown metric {self.metric!r}")
 
 
 # --------------------------------------------------------------------------

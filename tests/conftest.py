@@ -105,16 +105,34 @@ def concat_pairs(q: Tensor, k: Tensor, pb) -> Tensor:
     return u
 
 
-def _cell(core, x_proj: Tensor, hidden):
+def broadcast_weights(core) -> dict:
+    """The core's weights as [1,H,1,...] views that broadcast against pair
+    batches [B,H,T_q,K_eff,...], with f_phi's and f_tau's heads apart:
+    the layout of a composed GRU. Gradients flow back to the core."""
+    H, h = core.heads, core.hidden_dim
+
+    def view(t, shape):
+        return T.reshape(t, (1, H, 1) + shape)
+
+    def row(t, i, shape):
+        return view(T.narrow(t, 1, i, 1), shape)
+
+    return {"W_u": view(core.W_u, core.W_u.shape[1:]),
+            "w_t": view(core.w_t, (1, 3 * h)), "b_x": view(core.b_x, (1, 3 * h)),
+            "W_h": view(core.W_h, (h, 3 * h)),
+            "W_phi": row(core.W_o, 0, (h, 1)), "b_phi": row(core.b_o, 0, (1, 1)),
+            "W_tau": row(core.W_o, 1, (h, 1)), "b_tau": row(core.b_o, 1, (1, 1))}
+
+
+def _cell(w, h: int, x_proj: Tensor, hidden):
     # single-bias GRU: the reset gate scales the raw hidden projection,
     # so a zero hidden state needs no projection at all
-    h = core.hidden_dim
     xr, xz, xn = (T.narrow(x_proj, -1, i * h, h) for i in range(3))
     if hidden is None:
         z = T.sigmoid(xz)
         n = T.tanh(xn)
         return T.mul(T.sub(Tensor(1.0), z), n)
-    hp = T.matmul(hidden, core.W_h)
+    hp = T.matmul(hidden, w["W_h"])
     hr, hz, hn = (T.narrow(hp, -1, i * h, h) for i in range(3))
     r = T.sigmoid(T.add(xr, hr))
     z = T.sigmoid(T.add(xz, hz))
@@ -122,29 +140,31 @@ def _cell(core, x_proj: Tensor, hidden):
     return T.add(T.mul(T.sub(Tensor(1.0), z), n), T.mul(z, hidden))
 
 
-def _heads(core, hidden: Tensor):
-    f_phi = T.tanh(T.add(T.matmul(hidden, core.W_phi), core.b_phi))
-    f_tau = T.add(T.softplus(T.add(T.matmul(hidden, core.W_tau), core.b_tau)),
-                  Tensor(core.epsilon))
+def _heads(w, epsilon: float, hidden: Tensor):
+    f_phi = T.tanh(T.add(T.matmul(hidden, w["W_phi"]), w["b_phi"]))
+    f_tau = T.add(T.softplus(T.add(T.matmul(hidden, w["W_tau"]), w["b_tau"])),
+                  Tensor(epsilon))
     return f_tau, f_phi
 
 
-def gru_step(core, u_proj: Tensor, t_n: float, hidden):
-    """One recurrent step on the projected input; (f_tau, f_phi, hidden)."""
-    step_bias = T.add(T.scale(core.w_t, t_n), core.b_x)
-    new_hidden = _cell(core, T.add(u_proj, step_bias), hidden)
-    f_tau, f_phi = _heads(core, new_hidden)
+def gru_step(core, w, u_proj: Tensor, t_n: float, hidden):
+    """One recurrent step on the projected input, with the weight views
+    ``w`` of ``broadcast_weights``; (f_tau, f_phi, hidden)."""
+    step_bias = T.add(T.scale(w["w_t"], t_n), w["b_x"])
+    new_hidden = _cell(w, core.hidden_dim, T.add(u_proj, step_bias), hidden)
+    f_tau, f_phi = _heads(w, core.epsilon, new_hidden)
     return f_tau, f_phi, new_hidden
 
 
 def gru_unroll(core, u: Tensor, n_steps: int, dt_nominal: float):
     """RecurrentGateCore's gates [2N, ..., 1] on raw pair inputs u [..., 2D],
     composed from tape ops step by step: f_tau rows, then f_phi rows."""
-    u_proj = T.matmul(u, core.W_u)
+    w = broadcast_weights(core)
+    u_proj = T.matmul(u, w["W_u"])
     hidden = None
     f_taus, f_phis = [], []
     for n in range(n_steps):
-        f_tau, f_phi, hidden = gru_step(core, u_proj, n * dt_nominal, hidden)
+        f_tau, f_phi, hidden = gru_step(core, w, u_proj, n * dt_nominal, hidden)
         f_taus.append(f_tau)
         f_phis.append(f_phi)
     return T.concat([T.reshape(g, (1,) + g.shape) for g in f_taus + f_phis],

@@ -59,8 +59,9 @@ def test_gate_zero_weight_cell():
     core = make_core(eps=1e-3)
     for p in core.parameters().values():
         p.data[...] = 0.0
-    # f_tau reads the hidden state through W_tau: 1 makes a nonzero state show
-    core.W_tau.data[...] = 1.0
+    # f_tau reads the hidden state through W_o's row 1: 1 makes a nonzero
+    # state show
+    core.W_o.data[:, 1] = 1.0
     u = np.ones((3, 4))
     for n_steps in (1, 2):
         gates = core.unroll(_project(core, u), n_steps, 0.7)
@@ -73,6 +74,28 @@ def test_gate_hidden_carries_state():
     u = np.random.default_rng(4).uniform(-1, 1, (5, 4))
     f_phi0, f_phi1 = core.unroll(_project(core, u), 2, 0.2).data[2:]
     assert not np.allclose(f_phi0, f_phi1)
+
+
+def test_gate_core_parameters_lead_with_the_head_axis():
+    H, D, h = 3, 4, 5
+    core = A.RecurrentGateCore(2 * D, h, 1e-3, np.random.default_rng(7), heads=H)
+    shapes = {n: p.shape for n, p in core.parameters().items()}
+    assert shapes == {"W_u": (H, 2 * D, 3 * h), "w_t": (H, 3 * h),
+                      "b_x": (H, 3 * h), "W_h": (H, h, 3 * h),
+                      "W_o": (H, 2, h), "b_o": (H, 2)}
+    assert all(p.requires_grad for p in core.parameters().values())
+    # the initial values are drawn in the order W_u, w_t, b_x, W_h, then
+    # f_phi's weights and bias (row 0 of W_o, b_o), then f_tau's (row 1)
+    rng = np.random.default_rng(7)
+    fans = [2 * D + 1] * 3 + [h] * 5
+    sizes = [H * 2 * D * 3 * h, H * 3 * h, H * 3 * h, H * h * 3 * h,
+             H * h, H, H * h, H]
+    draws = [rng.uniform(-f ** -0.5, f ** -0.5, n) for f, n in zip(fans, sizes)]
+    got = [core.W_u.data, core.w_t.data, core.b_x.data, core.W_h.data,
+           core.W_o.data[:, 0], core.b_o.data[:, 0], core.W_o.data[:, 1],
+           core.b_o.data[:, 1]]
+    for want, have in zip(draws, got):
+        assert np.array_equal(have.reshape(-1), want)
 
 
 def _gate_case(case, rng, H=2, D=3):
@@ -137,7 +160,7 @@ def test_fused_gates_match_composed_oracle(case, n_steps):
         results.append((gates.data, grads))
     (gates, grads), (ref_gates, ref_grads) = results
     assert np.abs(gates - ref_gates).max() <= 1e-12
-    assert set(grads) == set(ref_grads) and len(grads) == 10
+    assert set(grads) == set(ref_grads) and len(grads) == 8
     for name, ref in ref_grads.items():
         assert grads[name].shape == ref.shape
         assert np.abs(grads[name] - ref).max() <= 1e-12, name
@@ -194,7 +217,7 @@ def _kernel_on(core, up, n_steps, dt):
     P = up.size // (H * C)
     x = np.ascontiguousarray(
         up.reshape(B, H, P // B, C).transpose(1, 3, 0, 2)).reshape(H, C, P)
-    w = A._stack_heads(core.parameters(), H, core.hidden_dim)
+    w = {n: p.data for n, p in core.parameters().items()}
     gates = np.empty((2 * n_steps, H, P))
     for hd, a, b in A._items(H, P):
         A._forward_block(x[hd, :, a:b], w, hd, n_steps, dt, core.epsilon,
@@ -271,7 +294,7 @@ def _block_case(case):
 
 
 def _gate_run(core, qa, ka, pb, n_steps=3):
-    """no_grad gates, tape gates, and the gradients of the 8 gate weights
+    """no_grad gates, tape gates, and the gradients of the 6 gate weights
     and of q, k under a loss that weighs every gate differently."""
     with T.no_grad():
         untaped = core.gates(Tensor(qa), Tensor(ka), pb, n_steps,
@@ -321,9 +344,9 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
     gru_backward = A._gru_backward
 
     def keep_pair_grads(*args):
-        d_qp, d_kp, dw = gru_backward(*args)
-        pair_grads.append((d_qp, d_kp))
-        return d_qp, d_kp, dw
+        grads = gru_backward(*args)
+        pair_grads.append(grads[:2])
+        return grads
 
     monkeypatch.setattr(A, "_gru_backward", keep_pair_grads)
     runs = {}
@@ -342,7 +365,7 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
         sys.setswitchinterval(switch)
     untaped, taped, grads, (d_qp, d_kp) = runs[1]
     assert np.array_equal(untaped, taped)
-    assert len(grads) == 10
+    assert len(grads) == 8
     assert d_qp.shape == qa.shape[:3] + (3 * qa.shape[3],)
     assert d_kp.shape == ka.shape[:3] + (3 * ka.shape[3],)
     for workers in (2, 3):
@@ -403,6 +426,25 @@ def test_gate_kernel_runs_in_a_forked_child(monkeypatch):
     assert got is not None, "the forked child did not return"
     assert child.exitcode == 0
     assert np.array_equal(got, gates.data)
+
+
+def test_gate_items_read_the_core_weight_buffers(monkeypatch):
+    core, qa, ka, pb = _block_case("batch_rows")
+    seen = []
+    # the position of the weights among each kernel's arguments
+    for name, at in (("_forward_block", 1), ("_backward_block", 2)):
+        real = getattr(A, name)
+
+        def spy(*args, real=real, at=at):
+            seen.append(args[at])
+            return real(*args)
+
+        monkeypatch.setattr(A, name, spy)
+    _gate_run(core, qa, ka, pb)
+    assert len(seen) == 3 * len(A._items(core.heads, pb.valid_mask[:, 0].size))
+    for w in seen:
+        for name in ("W_h", "W_o", "b_o", "w_t", "b_x"):
+            assert np.shares_memory(w[name], getattr(core, name).data), name
 
 
 # --------------------------------------------------------------------------
@@ -625,10 +667,8 @@ def straight_line_lan(qa, ka, va, core, n_steps):
     T_k = ka.shape[0]
     h = core.hidden_dim
     # the one head's weights, without the head axis
-    Wu, Wh = core.W_u.data[0, 0, 0], core.W_h.data[0, 0, 0]
-    Wphi, Wtau = core.W_phi.data[0, 0, 0], core.W_tau.data[0, 0, 0]
-    wt, bx = core.w_t.data.reshape(-1), core.b_x.data.reshape(-1)
-    bphi, btau = core.b_phi.data.reshape(-1), core.b_tau.data.reshape(-1)
+    Wu, Wh, wt, bx, Wo, bo = (core.parameters()[n].data[0] for n in
+                              ("W_u", "W_h", "w_t", "b_x", "W_o", "b_o"))
     dt_nom = 1.0 / n_steps
 
     f_tau = np.zeros((T_q, T_k, n_steps))
@@ -644,8 +684,9 @@ def straight_line_lan(qa, ka, va, core, n_steps):
                 z = _sigmoid(x[h:2 * h] + hp[h:2 * h])
                 cand = np.tanh(x[2 * h:] + r * hp[2 * h:])
                 hidden = (1 - z) * cand + z * hidden
-                f_phi[i, j, n] = np.tanh(hidden @ Wphi + bphi)[0]
-                f_tau[i, j, n] = _softplus(hidden @ Wtau + btau)[0] + core.epsilon
+                o = Wo @ hidden + bo           # row 0 drives f_phi, row 1 f_tau
+                f_phi[i, j, n] = np.tanh(o[0])
+                f_tau[i, j, n] = _softplus(o[1]) + core.epsilon
 
     dt = min(dt_nom, 1.0 / f_tau.max())
     a = np.zeros((T_q, T_k))
@@ -730,7 +771,7 @@ def _head_core(mh, h):
     core = A.RecurrentGateCore(2 * D, D, mh.cfg.epsilon,
                                np.random.default_rng(0), heads=1)
     for name, p in core.parameters().items():
-        p.data[...] = getattr(mh.core, name).data[:, h:h + 1]
+        p.data[...] = getattr(mh.core, name).data[h:h + 1]
     return core
 
 
@@ -767,17 +808,13 @@ def test_multi_head_identical_heads_permutation_invariant():
     # copy head 0 parameters into head 1 along the stacked axis
     for p in (mh.W_q, mh.b_q, mh.W_k, mh.b_k, mh.W_v, mh.b_v,
               *mh.core.parameters().values()):
-        if p.shape[0] == 2:
-            p.data[1] = p.data[0]
-        else:
-            p.data[0, 1] = p.data[0, 0]
+        p.data[1] = p.data[0]
     rng = np.random.default_rng(34)
     x = Tensor(rng.standard_normal((1, 3, 4)))
     base = mh.forward(x, x, x).data.copy()
     for p in (mh.W_q, mh.b_q, mh.W_k, mh.b_k, mh.W_v, mh.b_v,
               *mh.core.parameters().values()):
-        axis = 0 if p.shape[0] == 2 else 1
-        p.data[...] = np.flip(p.data, axis=axis)
+        p.data[...] = np.flip(p.data, axis=0)
     assert np.array_equal(mh.forward(x, x, x).data, base)
 
 

@@ -115,6 +115,69 @@ def test_train_single_split_holds_out_validation(tmp_path, monkeypatch):
     assert not train_rows & val_rows
 
 
+def _train_with_config(tmp_path, monkeypatch, config):
+    """``fluid train`` on a tiny dataset with ``config`` and a stand-in
+    for ``TR.train``: (exit code, the models it was handed)."""
+    data, path = _tiny_run(tmp_path)
+    path.write_text(json.dumps(config))
+    models = []
+
+    def fake_train(model, train_data, val_data, cfg, out_dir=None):
+        models.append((model, cfg))
+        return []
+
+    monkeypatch.setattr(TR, "train", fake_train)
+    code = cli.main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "run"), "--config", str(path)])
+    return code, models
+
+
+@pytest.mark.parametrize("config, named", [
+    (dict(TINY_CONFIG, trian={"epochs": 3}), "trian"),
+    ({"model": dict(TINY_CONFIG["model"], layers=2)}, "model.layers"),
+    (dict(TINY_CONFIG, data={"ratio": [0.5, 0.3, 0.2]}), "data.ratio"),
+], ids=["section", "model-key", "data-key"])
+def test_train_config_rejects_unknown_keys(tmp_path, monkeypatch, capsys,
+                                           config, named):
+    code, models = _train_with_config(tmp_path, monkeypatch, config)
+    assert code == 2 and not models
+    assert f"unknown key(s) in {tmp_path / 'config.json'}: {named}" in \
+        capsys.readouterr().err
+
+
+def test_train_config_rejects_unknown_metric_before_training(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    config = dict(TINY_CONFIG, train={"metric": "rmse"})
+    code, models = _train_with_config(tmp_path, monkeypatch, config)
+    assert code == 2 and not models
+    assert "unknown metric 'rmse'" in capsys.readouterr().err
+
+
+def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
+    config = {"model": {"d_model": 8, "heads": 2, "euler_steps": 3,
+                        "top_k": 4, "epsilon": 1e-2, "sink_gate": False,
+                        "n_layers": 2, "ffn_dim": 8, "hc_mode": "static",
+                        "hc_streams": 2, "in_features": 2, "out_dim": 2,
+                        "max_len": 128, "task": "regression",
+                        "gate_mode": "recurrent", "seed": 3},
+              "train": {"optimizer": "sgd", "lr": 0.01, "betas": [0.8, 0.9],
+                        "weight_decay": 0.1, "epochs": 2, "batch_size": 4,
+                        "loss": "mae", "metric": "mse", "seed": 5,
+                        "grad_clip": 2.0},
+              "data": {"ratios": [0.5, 0.25, 0.25]}}
+    code, [(model, tcfg)] = _train_with_config(tmp_path, monkeypatch, config)
+    assert code == 0
+    lan = model.cfg.lan
+    assert (lan.d_model, lan.heads, lan.euler_steps, lan.top_k, lan.epsilon,
+            lan.sink_gate_enabled, lan.causal) == (8, 2, 3, 4, 1e-2, False, False)
+    for key in ("n_layers", "hc_mode", "hc_streams", "max_len", "seed"):
+        assert getattr(model.cfg, key) == config["model"][key], key
+    assert tcfg.betas == (0.8, 0.9)
+    for key in ("optimizer", "lr", "metric", "seed", "grad_clip"):
+        assert getattr(tcfg, key) == config["train"][key], key
+
+
 def test_generate_train_eval_pipeline(tmp_path):
     data, config = _tiny_run(tmp_path)
     run = tmp_path / "run"

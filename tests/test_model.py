@@ -1,6 +1,7 @@
 """Encoder-decoder assembly: positional encoding, causality, reductions,
 checkpoints, and the plain-attention reproduction property."""
 
+import json
 import os
 
 import numpy as np
@@ -361,6 +362,23 @@ def test_checkpoint_round_trip(tmp_path):
     qt = np.tile(np.arange(2.0), (1, 1))
     assert np.array_equal(model.forward(values, times, qt).data,
                           restored.forward(values, times, qt).data)
+
+
+def test_checkpoint_reads_its_own_tensor_file(tmp_path):
+    # a manifest cannot point the load at a file outside the checkpoint
+    model = M.FluidModel(_cfg(seed=29))
+    path = tmp_path / "ckpt"
+    M.save_checkpoint(model, str(path))
+    M.save_checkpoint(M.FluidModel(_cfg(seed=30)), str(tmp_path / "other"))
+    (tmp_path / "other.bin").write_bytes((tmp_path / "other" / "tensors.bin")
+                                         .read_bytes())
+    manifest = json.loads((path / "manifest.json").read_text())
+    assert "tensor_file" not in manifest
+    manifest["tensor_file"] = "../other.bin"
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    restored = M.load_checkpoint(str(path))
+    for name, p in model.parameters().items():
+        assert np.array_equal(p.data, restored.parameters()[name].data), name
 
 
 def _saved_tensor_file(tmp_path):

@@ -246,6 +246,38 @@ def test_gather_keys_forward_and_grad():
     assert max_rel_error(px.grad, central_difference(f, x.copy())) < 1e-4
 
 
+def test_gather_keys_is_bitwise_take_along_axis_on_strided_input():
+    rng = np.random.default_rng(20)
+    B, H, T_k, T_q, K, D = 2, 3, 7, 5, 4, 6
+    x = np.swapaxes(rng.standard_normal((B, T_k, H, D)), 1, 2)
+    assert not x.flags.c_contiguous
+    idx = rng.integers(0, T_k, (B, H, T_q, K))
+    px = Tensor(x, requires_grad=True)
+    out = T.gather_keys(px, idx)
+    want = np.take_along_axis(x[:, :, None], idx[..., None], axis=3)
+    assert out.shape == want.shape and np.array_equal(out.data, want)
+    g = rng.standard_normal(out.shape)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    # scatter-add in pair order, the adjoint of the gather
+    want_grad = np.zeros_like(x)
+    np.add.at(want_grad, (np.arange(B)[:, None, None, None],
+                          np.arange(H)[None, :, None, None], idx), g)
+    assert np.array_equal(px.grad, want_grad)
+
+
+def test_sigmoid_is_bitwise_the_plain_formula():
+    rng = np.random.default_rng(21)
+    x = np.concatenate([rng.uniform(-40, 40, 1000),
+                        [800.0, -800.0, np.inf, -np.inf, 0.0, -0.0]])
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-x))
+    p = Tensor(x.copy(), requires_grad=True)
+    assert np.array_equal(T.sigmoid(p).data, want)
+    assert np.array_equal(p.data, x)                 # the input is left alone
+    T.tsum(T.softplus(p)).backward()
+    assert np.array_equal(p.grad, want)
+
+
 def test_softmax_gradient_matches_central_difference():
     rng = np.random.default_rng(23)
     x = rng.uniform(-2, 2, (2, 3))

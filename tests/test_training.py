@@ -131,6 +131,8 @@ def test_train_config_invariants():
         TR.TrainConfig(betas=(1.0, 0.999))
     with pytest.raises(ValueError):
         TR.TrainConfig(loss="huber")
+    with pytest.raises(ValueError, match="metric"):
+        TR.TrainConfig(metric="rmse")
 
 
 def test_gradient_clipping_scales_to_max_norm():
