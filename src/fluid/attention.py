@@ -20,10 +20,11 @@ block) work items run on a thread pool over every CPU, with the same
 results for any number of threads.
 
 Every gate core returns the gates of all N steps as one tensor
-[2N, ..., 1], f_tau in rows :N and f_phi in rows N:, and the Euler
-recursion takes it whole: it is one tape op with a hand-written adjoint
-that writes one gradient in the gates' layout, and its recorded
-trajectory is views of the gates and of its state buffer.
+[2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:, each row in
+the shape of the pair batch's valid mask. The Euler recursion takes it
+whole: it is one tape op with a hand-written adjoint that writes one
+gradient in the gates' layout, and its recorded trajectory is views of
+the gates and of its state buffer.
 
 Final logits pass through a masked softmax and weight the gathered
 values. ``attend`` is the one per-head pipeline, on [B,H,T,D] inputs;
@@ -144,13 +145,12 @@ class RecurrentGateCore:
     or inline with one CPU or one item. An item reads the weights in the
     core's own buffers, and forms its block's input [3h, block] and every
     other buffer in scratch of its own, so the pair input is never whole
-    in memory. The gates are stored head-major
-    ([2N, H, pairs]) so that each item writes contiguous rows; callers see
-    them as one tensor [2N,B,H,...,1]. An item writes its gates and hidden
-    states in place and returns its partials of the weight,
-    query-projection and key-projection gradients, which are summed in
-    item order: outputs and every gradient are bitwise the same for any
-    number of threads.
+    in memory. The gates are stored head-major ([2N, H, pairs]) so that
+    each item writes contiguous rows; callers see them as one tensor
+    [2N,B,H,T_q,K_eff]. An item writes its gates and hidden states in
+    place and returns its partials of the weight, query-projection and
+    key-projection gradients, which are summed in item order: outputs and
+    every gradient are bitwise the same for any number of threads.
     """
 
     def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
@@ -176,7 +176,7 @@ class RecurrentGateCore:
 
     def gates(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
               n_steps: int, dt_nominal: float) -> Tensor:
-        """Gates [2N,B,H,T_q,K_eff,1] of the pairs ``pb`` selects from
+        """Gates [2N,B,H,T_q,K_eff] of the pairs ``pb`` selects from
         [B,H,T,D] q, k; f_tau in rows :N, f_phi in rows N:."""
         return self.unroll(self.project_pairs(q, k, pb), n_steps, dt_nominal)
 
@@ -195,7 +195,7 @@ class RecurrentGateCore:
 
         pin: [B,H,...,3h], factored; the op's parents are its projected
         queries and keys and the gate weights. Returns the gates
-        [2N,B,H,...,1]: f_tau in rows :N, f_phi in rows N:.
+        [2N,B,H,T_q,K_eff]: f_tau in rows :N, f_phi in rows N:.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -205,10 +205,10 @@ class RecurrentGateCore:
             raise ValueError(f"pair batch {pin.shape} has no head axis of {H}")
         B = pin.shape[0]
         P = pin.size // (H * C)
-        # head-major [2N, H, pairs] in memory, seen as [2N,B,H,...,1]
+        # head-major [2N, H, pairs] in memory, seen as [2N,B,H,T_q,K_eff]
         g_hm = np.empty((2 * n_steps, H, P))
         gates = np.moveaxis(
-            g_hm.reshape((2 * n_steps, H, B) + pin.shape[2:-1] + (1,)), 2, 1)
+            g_hm.reshape((2 * n_steps, H, B) + pin.shape[2:-1]), 2, 1)
 
         # in the order of _gru_backward's gradients
         inputs = (pin.qp, pin.kp, self.W_h, self.w_t, self.b_x, self.W_o,
@@ -369,15 +369,9 @@ def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
 
         np.matmul(W_o, new, out=o)
         o += b_o[:, None]
+        # f_phi = tanh(o[0]), f_tau = softplus(o[1]) + eps
         np.tanh(o[0], out=gates[n_steps + n])
-        # softplus(o) + eps, softplus = max(o, 0) + log1p(exp(-|o|))
-        np.abs(o[1], out=t)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.log1p(t, out=t)
-        np.maximum(o[1], 0.0, out=o[1])
-        o[1] += t
-        np.add(o[1], epsilon, out=gates[n])
+        np.add(T._softplus_(o[1], t), epsilon, out=gates[n])
 
 
 def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal):
@@ -505,44 +499,12 @@ class SdpaFrozenGates:
               n_steps: int, dt_nominal: float) -> Tensor:
         B, H, T_q, D = q.shape
         k_sel = T.gather_keys(k, pb.selected_indices)
-        dots = T.tsum(T.mul(T.reshape(q, (B, H, T_q, 1, D)), k_sel),
-                      axis=-1, keepdims=True)
+        dots = T.tsum(T.mul(T.reshape(q, (B, H, T_q, 1, D)), k_sel), axis=-1)
         if not pb.valid_mask.all():
-            dots = T.mul(dots, Tensor(pb.valid_mask[..., None].astype(np.float64)))
-        return _constant_rate(1.0, T.scale(dots, self.inv_sqrt_d), n_steps)
-
-
-class FeedforwardGates:
-    """CT-RNN limit gates: f_tau = 1/tau fixed, f_phi = tanh(W u + b)/tau.
-
-    No recurrence; both gates are constant along the Euler axis because u
-    does not change within a pass.
-    """
-
-    def __init__(self, tau: float, W_phi: Tensor, b_phi: Tensor):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        self.tau = float(tau)
-        self.W_phi = W_phi
-        self.b_phi = b_phi
-
-    def parameters(self) -> dict:
-        return {"W_phi": self.W_phi, "b_phi": self.b_phi}
-
-    def unroll(self, u: Tensor, n_steps: int, dt_nominal: float) -> Tensor:
-        # multiply-then-sum keeps the reduction order identical to the
-        # straight-line leaky-integrator oracle, enabling exact comparison
-        inv_tau = 1.0 / self.tau
-        w = T.reshape(self.W_phi, (self.W_phi.shape[0],))
-        pre = T.add(T.tsum(T.mul(u, w), axis=-1, keepdims=True), self.b_phi)
-        return _constant_rate(inv_tau, T.scale(T.tanh(pre), inv_tau), n_steps)
-
-
-def _constant_rate(f_tau: float, f_phi: Tensor, n_steps: int) -> Tensor:
-    """Gates [2N,...] that hold f_tau and f_phi fixed over all N steps."""
-    row = T.reshape(f_phi, (1,) + f_phi.shape)
-    rates = Tensor(np.full((n_steps,) + f_phi.shape, f_tau))
-    return T.concat([rates] + [row] * n_steps, axis=0)
+            dots = T.mul(dots, Tensor(pb.valid_mask.astype(np.float64)))
+        f_phi = T.reshape(T.scale(dots, self.inv_sqrt_d), (1,) + dots.shape)
+        rates = Tensor(np.ones((n_steps,) + dots.shape))
+        return T.concat([rates] + [f_phi] * n_steps, axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -567,8 +529,9 @@ def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
                      a0: Tensor | None = None):
     """Run the Euler recursion from a0 (default 0) with one global dt.
 
-    gates: [2N,...], f_tau in rows :N and f_phi in rows N:, as every gate
-    core returns them; a0 broadcasts to one row. One tape op: the states
+    gates: [2N, *pairs], f_tau in rows :N and f_phi in rows N:, each row
+    in the pair batch's shape, as every gate core returns them; a0
+    broadcasts to one row [*pairs]. One tape op: the states
     a_{n+1} = a_n + dt * (-f_tau_n * a_n + f_phi_n) fill one [N+1, ...]
     buffer, in the float order of that formula, and the backward runs the
     adjoint recursion by hand into one gradient in the gates' layout.
@@ -594,9 +557,9 @@ def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
         return (d,) if a0 is None else (d, T._unbroadcast(g, a0.shape))
 
     traj = LogitTrajectory(
-        a=np.moveaxis(a[..., 0], 0, -1),
-        f_tau=np.moveaxis(f_tau[..., 0], 0, -1),
-        f_phi=np.moveaxis(f_phi[..., 0], 0, -1),
+        a=np.moveaxis(a, 0, -1),
+        f_tau=np.moveaxis(f_tau, 0, -1),
+        f_phi=np.moveaxis(f_phi, 0, -1),
         dt_effective=dt,
         dt_nominal=float(dt_nominal),
     )
@@ -623,11 +586,9 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
     gates = core.gates(q, k, pb, cfg.euler_steps, cfg.dt_nominal)
     a_final, traj = integrate_logits(gates, cfg.dt_nominal)
 
-    B, H, T_q, K_eff = pb.selected_indices.shape
-    alpha = T.masked_softmax(T.reshape(a_final, (B, H, T_q, K_eff)),
-                             pb.valid_mask, axis=-1)
+    alpha = T.masked_softmax(a_final, pb.valid_mask, axis=-1)
     v_sel = T.gather_keys(v, pb.selected_indices)
-    weighted = T.mul(T.reshape(alpha, (B, H, T_q, K_eff, 1)), v_sel)
+    weighted = T.mul(T.reshape(alpha, alpha.shape + (1,)), v_sel)
     return T.tsum(weighted, axis=3), alpha, pb, traj
 
 

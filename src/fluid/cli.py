@@ -1,8 +1,10 @@
 """Command-line surface: generate, train, eval, verify, bench.
 
 Exit codes: 0 on success, 1 on failed verification or diverged training,
-2 on usage errors (argparse default). The environment variable FLUID_SEED
-overrides every configured seed.
+2 on usage errors: bad arguments (argparse default), and any ValueError or
+OSError a command raises, such as a bad value or a missing or malformed
+input file, which is printed as one line. The environment variable
+FLUID_SEED overrides every configured seed.
 """
 
 from __future__ import annotations
@@ -114,11 +116,7 @@ def cmd_train(args) -> int:
     cfg = _load_json(args.config)
     if not _check_keys("train", args.config, cfg, _TRAIN_SECTIONS):
         return 2
-    try:
-        tcfg = _train_config(cfg)
-    except ValueError as err:
-        print(f"fluid train: {args.config}: {err}", file=sys.stderr)
-        return 2
+    tcfg = _train_config(cfg)
     seqs = D.read_dataset_csv(args.data)
     ratios = tuple(cfg.get("data", {}).get("ratios", (0.6, 0.2, 0.2)))
     packed = D.spiral_arrays(seqs, ratios)
@@ -258,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        print(f"fluid {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

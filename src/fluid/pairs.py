@@ -26,8 +26,10 @@ from fluid.tensor import ShapeError, Tensor
 class PairBatch:
     """The selected pairs of each query.
 
-    selected_indices, valid_mask: [B,H,T_q,K_eff]. Invalid entries hold
-    index 0; downstream softmax must exclude them via valid_mask.
+    selected_indices, valid_mask: [B,H,T_q,K_eff]. Every entry holds a
+    key index in range, valid or not: full pairwise keeps key j at slot j,
+    top-k holds index 0 in the row's tail. Downstream softmax must exclude
+    invalid entries via valid_mask.
     """
 
     selected_indices: np.ndarray
@@ -139,10 +141,14 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     places go to the lowest-index keys scoring exactly that much, so ties
     break toward the lower key index. Masked-out keys (and NaN scores)
     rank below every finite score and come out invalid. Each row lists
-    its valid keys in ascending index order, then pads with index 0, so
-    K >= T_k reproduces the full pairwise batch exactly. Selection is
-    hard: scores are ranked outside the gradient tape and gradients flow
-    only through selected pairs.
+    its valid keys in ascending index order, then pads with index 0.
+    Without a mask, K >= T_k reproduces the full pairwise batch exactly.
+    Under a causal mask or a key mask that pads the tail, the two batches
+    differ in their invalid slots, yet each row's valid keys are the same
+    prefix, and ``attention.attend`` gives bitwise the same outputs,
+    weights and gradients on either. Selection is hard: scores are ranked
+    outside the gradient tape and gradients flow only through selected
+    pairs.
 
     Scores are ranked in chunks of whole (batch, head) score matrices, at
     most ``_SCORE_CHUNK`` scores or one matrix, so only one chunk's

@@ -4,7 +4,10 @@ Straight-line code, sharing no kernels with the attention modules: a
 textbook scaled dot-product attention and an explicit-Euler leaky
 integrator. The two verifiers exercise the limit behaviors of the
 liquid attention dynamics against these references and emit JSON-able
-reports {battery_size, max_gap, tolerance, pass}.
+reports {battery_size, max_gap, tolerance, pass}: the SDPA limit runs
+``attention.attend`` with ``SdpaFrozenGates``, and the CT-RNN limit feeds
+``attention.integrate_logits`` the gates of the CT-RNN setting, built
+here in numpy.
 """
 
 from __future__ import annotations
@@ -136,18 +139,25 @@ def verify_ctrnn_limit(tau: float = 2.0, dt: float = 0.25, n_steps: int = 40,
                        seed: int = 0) -> dict:
     """Fixed-tau feedforward-gate attention logits vs the leaky integrator.
 
-    At matched dt the two recursions are the same floating-point sequence,
-    so the trajectory deviation must be exactly zero; against the analytic
-    exponential the error must fall at first order (ratio close to 2 when
-    dt halves).
+    The gates take their CT-RNN setting: f_tau = 1/tau fixed and f_phi =
+    tanh(W u + b)/tau, both constant along the Euler axis because u does
+    not change within a pass. At matched dt the two recursions are the
+    same floating-point sequence, so the trajectory deviation must be
+    exactly zero; against the analytic exponential the error must fall at
+    first order (ratio close to 2 when dt halves).
     """
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((pair_dim, 1))
     b = rng.standard_normal(1)
     u = rng.standard_normal((n_pairs, pair_dim))
 
-    gates = A.FeedforwardGates(tau, Tensor(W), Tensor(b))
-    _, traj = A.integrate_logits(gates.unroll(Tensor(u), n_steps, dt), dt)
+    # the float operations of ct_rnn_integrate's drive, so that the two
+    # recursions match exactly
+    inv_tau = 1.0 / tau
+    f_phi = np.tanh((u * W[:, 0]).sum(axis=-1) + b) * inv_tau
+    gates = np.concatenate([np.full((n_steps, n_pairs), inv_tau),
+                            np.tile(f_phi, (n_steps, 1))])
+    _, traj = A.integrate_logits(Tensor(gates), dt)
 
     cell = CtRnnCell(tau=tau, W_phi=W, b_phi=b)
     max_dev = 0.0

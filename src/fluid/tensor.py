@@ -222,14 +222,25 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(a: Tensor) -> Tensor:
-    # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|})
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = _softplus_(x.copy(), np.empty_like(x))
 
     def rule(g):
         return (g * _sigmoid_(x.copy()),)
 
     return _node(out, (a,), rule)
+
+
+def _softplus_(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """In place x <- log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), with t
+    scratch of x's shape. e^{-|x|} never overflows."""
+    np.abs(x, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    np.maximum(x, 0.0, out=x)
+    x += t
+    return x
 
 
 def relu(a: Tensor) -> Tensor:

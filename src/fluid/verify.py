@@ -22,8 +22,8 @@ from fluid.tensor import Tensor
 
 
 def _gates(f_tau: np.ndarray, f_phi: np.ndarray) -> Tensor:
-    """The gates tensor [2N, n, 1] of n trajectories' [n, N] gate values."""
-    return Tensor(np.concatenate([f_tau.T, f_phi.T])[..., None])
+    """The gates tensor [2N, n] of n trajectories' [n, N] gate values."""
+    return Tensor(np.concatenate([f_tau.T, f_phi.T]))
 
 
 def run_invariance_suite(n_trajectories: int = 10000, n_steps: int = 50,
@@ -41,7 +41,7 @@ def run_invariance_suite(n_trajectories: int = 10000, n_steps: int = 50,
     a0 = a_min + frac * (a_max - a_min)
 
     _, traj = A.integrate_logits(_gates(f_tau, f_phi), dt_nominal=1.0,
-                                 a0=Tensor(a0))
+                                 a0=Tensor(a0[:, 0]))
     over = (traj.a - a_max).max()
     under = (a_min - traj.a).max()
     excursion = float(max(over, under, 0.0))
@@ -71,7 +71,7 @@ def run_stability_suite(seed: int = 0) -> dict:
     witness_steps = 50
     _, wtraj = A.integrate_logits(
         _gates(np.ones((1, witness_steps)), np.zeros((1, witness_steps))),
-        dt_nominal=2.5, clamp=False, a0=Tensor(np.ones((1, 1))))
+        dt_nominal=2.5, clamp=False, a0=Tensor(np.ones(1)))
     growth = float(np.abs(wtraj.a[0, -1]) / np.abs(wtraj.a[0, 0]))
     diverges = growth >= 10.0
     elapsed = time.perf_counter() - t0

@@ -107,8 +107,9 @@ def concat_pairs(q: Tensor, k: Tensor, pb) -> Tensor:
 
 def broadcast_weights(core) -> dict:
     """The core's weights as [1,H,1,...] views that broadcast against pair
-    batches [B,H,T_q,K_eff,...], with f_phi's and f_tau's heads apart:
-    the layout of a composed GRU. Gradients flow back to the core."""
+    batches [B,H,T_q,K_eff,...], with f_phi's and f_tau's heads apart as
+    rows [1,H,1,1,h] and biases [1,H,1,1]: the layout of a composed GRU.
+    Gradients flow back to the core."""
     H, h = core.heads, core.hidden_dim
 
     def view(t, shape):
@@ -120,8 +121,8 @@ def broadcast_weights(core) -> dict:
     return {"W_u": view(core.W_u, core.W_u.shape[1:]),
             "w_t": view(core.w_t, (1, 3 * h)), "b_x": view(core.b_x, (1, 3 * h)),
             "W_h": view(core.W_h, (h, 3 * h)),
-            "W_phi": row(core.W_o, 0, (h, 1)), "b_phi": row(core.b_o, 0, (1, 1)),
-            "W_tau": row(core.W_o, 1, (h, 1)), "b_tau": row(core.b_o, 1, (1, 1))}
+            "W_phi": row(core.W_o, 0, (1, h)), "b_phi": row(core.b_o, 0, (1,)),
+            "W_tau": row(core.W_o, 1, (1, h)), "b_tau": row(core.b_o, 1, (1,))}
 
 
 def _cell(w, h: int, x_proj: Tensor, hidden):
@@ -141,9 +142,12 @@ def _cell(w, h: int, x_proj: Tensor, hidden):
 
 
 def _heads(w, epsilon: float, hidden: Tensor):
-    f_phi = T.tanh(T.add(T.matmul(hidden, w["W_phi"]), w["b_phi"]))
-    f_tau = T.add(T.softplus(T.add(T.matmul(hidden, w["W_tau"]), w["b_tau"])),
-                  Tensor(epsilon))
+    def head(name):
+        return T.add(T.tsum(T.mul(hidden, w["W_" + name]), axis=-1),
+                     w["b_" + name])
+
+    f_phi = T.tanh(head("phi"))
+    f_tau = T.add(T.softplus(head("tau")), Tensor(epsilon))
     return f_tau, f_phi
 
 
@@ -157,7 +161,7 @@ def gru_step(core, w, u_proj: Tensor, t_n: float, hidden):
 
 
 def gru_unroll(core, u: Tensor, n_steps: int, dt_nominal: float):
-    """RecurrentGateCore's gates [2N, ..., 1] on raw pair inputs u [..., 2D],
+    """RecurrentGateCore's gates [2N, ...] on raw pair inputs u [..., 2D],
     composed from tape ops step by step: f_tau rows, then f_phi rows."""
     w = broadcast_weights(core)
     u_proj = T.matmul(u, w["W_u"])

@@ -50,7 +50,7 @@ def test_gate_ranges():
     u = rng.uniform(-3, 3, (10, 4))
     for n_steps in (1, 2):
         gates = core.unroll(_project(core, u), n_steps, 0.5)
-        assert gates.shape == (2 * n_steps, 1, 1, 10, 1, 1)
+        assert gates.shape == (2 * n_steps, 1, 1, 10, 1)
         assert (gates.data[:n_steps] >= core.epsilon).all()
         assert (np.abs(gates.data[n_steps:]) < 1.0).all()
 
@@ -140,7 +140,7 @@ def test_fused_gates_match_composed_oracle(case, n_steps):
     qa, ka, pb = _gate_case(case, rng)
     if case != "full":
         assert not pb.valid_mask.all()
-    coef = rng.standard_normal((2 * n_steps,) + pb.valid_mask.shape + (1,))
+    coef = rng.standard_normal((2 * n_steps,) + pb.valid_mask.shape)
     results = []
     for fused in (True, False):
         q = Tensor(qa.copy(), requires_grad=True)
@@ -172,7 +172,7 @@ def test_fused_gates_pass_grad_check():
     qa, ka, pb = _gate_case("causal_masked", rng)
     q = Tensor(qa, requires_grad=True)
     k = Tensor(ka, requires_grad=True)
-    coef = rng.standard_normal((4,) + pb.valid_mask.shape + (1,))
+    coef = rng.standard_normal((4,) + pb.valid_mask.shape)
 
     def loss():
         return _weighted_sum(core.gates(q, k, pb, 2, 0.5), coef)
@@ -181,6 +181,19 @@ def test_fused_gates_pass_grad_check():
     # the op tolerance of the gradients verify suite
     report = TR.grad_check(loss, params, h=1e-5)
     assert report["max_rel_error"] < 1e-4, report["per_param"]
+
+
+@pytest.mark.parametrize("case", ["full", "causal_masked", "topk",
+                                  "topk_blocks"])
+def test_gate_cores_return_rows_in_the_pair_batch_shape(case):
+    rng = np.random.default_rng(45)
+    qa, ka, pb = _gate_case(case, rng)
+    q, k = Tensor(qa), Tensor(ka)
+    for core in (A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2),
+                 A.SdpaFrozenGates(3)):
+        for n_steps in (1, 3):
+            gates = core.gates(q, k, pb, n_steps, 1 / n_steps)
+            assert gates.shape == (2 * n_steps,) + pb.valid_mask.shape
 
 
 # the pair shapes of the benchmark workloads:
@@ -237,8 +250,7 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
         gates = core.unroll(pin, n_steps, 1 / n_steps)
         up = pair_sum(pin.qp, pin.kp, pb)
     assert (pin.shape, pin.size, pin.ndim) == (up.shape, up.size, up.ndim)
-    got = np.moveaxis(gates.data[..., 0], 2, 1).reshape(2 * n_steps,
-                                                        core.heads, -1)
+    got = np.moveaxis(gates.data, 2, 1).reshape(2 * n_steps, core.heads, -1)
     assert np.array_equal(got, _kernel_on(core, up.data, n_steps, 1 / n_steps))
 
 
@@ -537,7 +549,7 @@ def test_trajectory_csv_export(tmp_path):
     assert len(lines) == 1 + 2 * 4  # header + (N+1) rows per pair
 
 
-def _euler_case(shared, seed=61, shape=(2, 3, 4, 1), n_steps=4):
+def _euler_case(shared, seed=61, shape=(2, 3, 4), n_steps=4):
     """Gates with f_tau < 1 / 0.5 (clamp inactive at dt 0.5), and a0.
     Returns (make_gates, gate leaves, a0, coef): make_gates() builds the
     gates [2N, *shape] from the leaves, a fresh graph each call. With
@@ -578,7 +590,7 @@ def test_integrate_equals_the_euler_step_chain(start, shared, dt):
     first = a0 if a0 is not None else Tensor(np.zeros(coef.shape))
     ref, states = euler_chain(make_gates(), traj.dt_effective, first)
     assert np.array_equal(final.data, ref.data)
-    assert np.array_equal(traj.a, np.stack([s.data[..., 0] for s in states], axis=-1))
+    assert np.array_equal(traj.a, np.stack([s.data for s in states], axis=-1))
     leaves = leaves + ([] if a0 is None else [a0])
     grads = []
     for out in (final, ref):
@@ -591,7 +603,7 @@ def test_integrate_equals_the_euler_step_chain(start, shared, dt):
 
 
 def test_integrate_passes_grad_check():
-    make_gates, (gates,), a0, coef = _euler_case(False, seed=67, shape=(3, 2, 1))
+    make_gates, (gates,), a0, coef = _euler_case(False, seed=67, shape=(3, 2))
 
     def loss():
         final, _ = A.integrate_logits(make_gates(), 0.5, a0=a0)
@@ -609,9 +621,9 @@ def test_trajectory_is_views_of_the_integrator_buffers():
     assert np.shares_memory(traj.a, final.data)
     assert np.shares_memory(traj.f_tau, gates.data)
     assert np.shares_memory(traj.f_phi, gates.data)
-    assert np.array_equal(traj.f_tau, np.moveaxis(gates.data[:3, ..., 0], 0, -1))
-    assert np.array_equal(traj.f_phi, np.moveaxis(gates.data[3:, ..., 0], 0, -1))
-    assert np.array_equal(traj.a[..., -1], final.data[..., 0])
+    assert np.array_equal(traj.f_tau, np.moveaxis(gates.data[:3], 0, -1))
+    assert np.array_equal(traj.f_phi, np.moveaxis(gates.data[3:], 0, -1))
+    assert np.array_equal(traj.a[..., -1], final.data)
 
 
 def _tape_nodes(root):
@@ -856,15 +868,37 @@ def test_multi_head_config_violation():
 
 
 def test_topk_head_equals_full_head_when_k_large():
-    cfg_full = _mh_cfg(heads=1)
-    cfg_top = _mh_cfg(heads=1, top_k=10)
+    # top-k that keeps every key moves invalid slots to the row's tail as
+    # index 0, where full pairwise keeps key j; under causal and tail
+    # padding masks the outputs, weights and every gradient stay bitwise
+    B, H, T_k, D = 3, 2, 6, 2
     rng = np.random.default_rng(37)
-    q = Tensor(rng.standard_normal((1, 1, 4, 4)))
-    core = make_core(pair_dim=8, hidden=4, seed=37)
-    out_full, w_full, _, _ = A.attend(q, q, q, core, cfg_full)
-    out_top, w_top, _, _ = A.attend(q, q, q, core, cfg_top)
-    assert np.array_equal(out_full.data, out_top.data)
-    assert np.array_equal(w_full.data, w_top.data)
+    qkv = [rng.standard_normal((B, H, T_k, D)) for _ in range(3)]
+    coef = Tensor(rng.standard_normal((B, H, T_k, D)))
+    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H)
+    padded = np.ones((B, T_k), dtype=bool)
+    padded[1, -2:] = False
+    padded[2, -4:] = False
+    for causal, key_mask in ((False, None), (True, None), (False, padded),
+                             (True, padded)):
+        runs = []
+        for top_k in (None, 10):
+            cfg = _mh_cfg(d_model=H * D, heads=H, top_k=top_k, causal=causal)
+            q, k, v = (Tensor(a, requires_grad=True) for a in qkv)
+            for p in core.parameters().values():
+                p.zero_grad()
+            out, weights, pb, _ = A.attend(q, k, v, core, cfg, key_mask)
+            T.tsum(T.mul(out, coef)).backward()
+            grads = [t.grad for t in (q, k, v, *core.parameters().values())]
+            runs.append((pb.selected_indices, out.data, weights.data, grads))
+        (idx_full, *full), (idx_top, *top) = runs
+        masked = causal or key_mask is not None
+        assert np.array_equal(idx_full, idx_top) != masked
+        assert np.array_equal(full[0], top[0])
+        assert np.array_equal(full[1], top[1])
+        assert len(full[2]) == 9
+        for got, want in zip(top[2], full[2]):
+            assert np.array_equal(got, want)
 
 
 def test_tracer_wrap_points_see_pairs_steps_and_the_trajectory(monkeypatch):

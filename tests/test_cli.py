@@ -210,6 +210,31 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
     assert summary["mean"] is None and summary["std"] is None
 
 
+@pytest.mark.parametrize("case", ["bench-reps", "generate-subsample",
+                                  "eval-missing-checkpoint",
+                                  "bench-missing-config", "bench-malformed-config",
+                                  "train-missing-data"])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{\"d_model\": ")
+    missing = str(tmp_path / "missing")
+    argv = {
+        "bench-reps": ["bench", "--reps", "2"],
+        "generate-subsample": ["generate", "spiral", "--points", "10",
+                               "--subsample", "20",
+                               "--out", str(tmp_path / "s.csv")],
+        "eval-missing-checkpoint": ["eval", "--checkpoint", missing,
+                                    "--data", missing],
+        "bench-missing-config": ["bench", "--config", missing],
+        "bench-malformed-config": ["bench", "--config", str(malformed)],
+        "train-missing-data": ["train", "--data", missing,
+                               "--out", str(tmp_path / "run")],
+    }[case]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fluid {argv[0]}: ") and err.count("\n") == 1, err
+
+
 def test_verify_exit_codes():
     assert run_fluid("verify", "--suite", "limits").returncode == 0
     assert run_fluid("verify", "--suite", "nope").returncode == 2

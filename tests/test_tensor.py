@@ -278,6 +278,15 @@ def test_sigmoid_is_bitwise_the_plain_formula():
     assert np.array_equal(p.grad, want)
 
 
+def test_softplus_is_bitwise_the_plain_formula():
+    rng = np.random.default_rng(22)
+    x = np.concatenate([30.0 * rng.standard_normal(10 ** 6),
+                        [800.0, -800.0, np.inf, -np.inf, 0.0, -0.0]])
+    want = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    got = T.softplus(Tensor(x.copy())).data
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_softmax_gradient_matches_central_difference():
     rng = np.random.default_rng(23)
     x = rng.uniform(-2, 2, (2, 3))
