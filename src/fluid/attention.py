@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -61,6 +60,9 @@ class LanConfig:
     causal: bool = False
 
     def __post_init__(self):
+        if self.d_model < 1 or self.heads < 1:
+            raise ValueError(f"d_model {self.d_model} and heads {self.heads} "
+                             "must be >= 1")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by "
                              f"{self.heads} heads")
@@ -140,12 +142,12 @@ class RecurrentGateCore:
 
     The kernel cuts each head's pairs into contiguous, balanced blocks of
     at most ``_BLOCK_PAIRS``, a cut that depends on the pair count alone,
-    and runs the (head, block) work items on a module-level thread pool of
-    one thread per CPU (numpy releases the GIL inside ufuncs and GEMMs),
-    or inline with one CPU or one item. An item reads the weights in the
-    core's own buffers, and forms its block's input [3h, block] and every
-    other buffer in scratch of its own, so the pair input is never whole
-    in memory. The gates are stored head-major ([2N, H, pairs]) so that
+    and runs the (head, block) work items on a thread pool of one thread
+    per CPU, made once at import (numpy releases the GIL inside ufuncs and
+    GEMMs), or inline with one CPU or one item. An item reads the weights
+    in the core's own buffers, and forms its block's input [3h, block] and
+    every other buffer in scratch of its own, so the pair input is never
+    whole in memory. The gates are stored head-major ([2N, H, pairs]) so that
     each item writes contiguous rows; callers see them as one tensor
     [2N,B,H,T_q,K_eff]. An item writes its gates and hidden states in
     place and returns its partials of the weight, query-projection and
@@ -272,18 +274,18 @@ def _cpu_count() -> int:
 
 
 _WORKERS = _cpu_count()
-_pool: tuple[int, ThreadPoolExecutor] | None = None   # (workers, pool)
-_pool_lock = threading.Lock()
 
 
-def _forget_pool():
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _new_pool():
+    # threads start on the first submit; a forked child inherits the pool
+    # object but none of its threads, so it gets a pool of its own
+    global _pool
+    _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="fluid-gate")
 
 
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def gate_workers() -> int:
@@ -301,22 +303,15 @@ def _blocks(P: int) -> list[tuple[int, int]]:
 def _run_items(fn, items: list[tuple]) -> list:
     """fn(*item) for every item, results in item order.
 
-    Items run on the module's thread pool when there are several workers
-    and several items, else inline. Every item finishes before the first
-    exception (in item order) is raised. Item bodies are pure numpy, which
-    releases the GIL inside ufuncs and GEMMs.
+    Items run on the module's thread pool, made once at import with one
+    thread per CPU, when there are several workers and several items, else
+    inline. Callers in several threads may submit at once. Every item
+    finishes before the first exception (in item order) is raised. Item
+    bodies are pure numpy, which releases the GIL inside ufuncs and GEMMs.
     """
-    global _pool
     if min(_WORKERS, len(items)) <= 1:
         return [fn(*item) for item in items]
-    with _pool_lock:
-        if _pool is None or _pool[0] != _WORKERS:
-            if _pool is not None:
-                _pool[1].shutdown()
-            _pool = (_WORKERS, ThreadPoolExecutor(
-                _WORKERS, thread_name_prefix="fluid-gate"))
-        pool = _pool[1]
-    futures = [pool.submit(fn, *item) for item in items]
+    futures = [_pool.submit(fn, *item) for item in items]
     wait(futures)
     return [f.result() for f in futures]
 
@@ -613,7 +608,6 @@ class MultiHeadLan:
     def __init__(self, cfg: LanConfig, rng: np.random.Generator,
                  gate_mode: str = "recurrent"):
         self.cfg = cfg
-        self.gate_mode = gate_mode
         d, D, H = cfg.d_model, cfg.head_dim, cfg.heads
         self.W_q = uniform_init(rng, (H, 1, d, D), d)
         self.b_q = uniform_init(rng, (H, 1, 1, D), d)
@@ -637,8 +631,7 @@ class MultiHeadLan:
     def parameters(self) -> dict:
         out = {"W_q": self.W_q, "b_q": self.b_q, "W_k": self.W_k,
                "b_k": self.b_k, "W_v": self.W_v, "b_v": self.b_v}
-        if self.gate_mode == "recurrent":
-            out.update({f"gate.{k}": v for k, v in self.core.parameters().items()})
+        out.update({f"gate.{k}": v for k, v in self.core.parameters().items()})
         out["W_g"] = self.W_g
         out["b_g"] = self.b_g
         if self.cfg.sink_gate_enabled:

@@ -5,7 +5,8 @@ plus feed-forward) in inference mode and reports the paper-style column
 set: run-time per pass, throughput in sequences per second, and the peak
 bytes of one extra pass as measured by ``tracemalloc``, which sees every
 numpy buffer. The traced pass runs after the timed ones, so tracing adds
-nothing to the times.
+nothing to the times. ``bench`` returns the report as one dict, which
+``fluid bench`` prints as a CSV row and as JSON.
 """
 
 from __future__ import annotations
@@ -35,30 +36,6 @@ class BenchDims:
     seed: int = 0
 
 
-@dataclass
-class BenchReport:
-    mean_time_s: float
-    std_time_s: float
-    throughput_seq_per_s: float
-    peak_memory_mb: float
-    reps: int
-    dims: dict
-    env: dict     # what the times depend on beyond the dims
-
-    CSV_HEADER = "run_time_s,throughput_seq_per_s,peak_memory_mb"
-
-    def csv_row(self) -> str:
-        return (f"{self.mean_time_s:.6f},{self.throughput_seq_per_s:.4f},"
-                f"{self.peak_memory_mb:.3f}")
-
-    def to_dict(self) -> dict:
-        return {"run_time_s": self.mean_time_s,
-                "run_time_std_s": self.std_time_s,
-                "throughput_seq_per_s": self.throughput_seq_per_s,
-                "peak_memory_mb": self.peak_memory_mb,
-                "reps": self.reps, "dims": self.dims, **self.env}
-
-
 def default_model_factory(dims: BenchDims):
     """One encoder layer over a random embedded batch; returns a thunk."""
     lan = A.LanConfig(d_model=dims.d_model, heads=dims.heads,
@@ -78,11 +55,15 @@ def default_model_factory(dims: BenchDims):
     return forward
 
 
-def bench(model_factory, dims: BenchDims, reps: int = 10) -> BenchReport:
-    """Warm up once, time `reps` sequential passes, then trace one more."""
+def bench(dims: BenchDims, reps: int = 10) -> dict:
+    """Warm up once, time `reps` sequential passes, then trace one more.
+
+    Returns the report: the mean and spread of the pass times, throughput,
+    traced peak, the dims, and what the times depend on beyond the dims.
+    """
     if reps < 3:
         raise ValueError("need reps >= 3 plus warmup for stable statistics")
-    forward = model_factory(dims)
+    forward = default_model_factory(dims)
     forward()  # warmup
     times = []
     for _ in range(reps):
@@ -92,17 +73,15 @@ def bench(model_factory, dims: BenchDims, reps: int = 10) -> BenchReport:
     peak = peak_bytes(forward)
 
     times = np.asarray(times)
-    total = float(times.sum())
-    return BenchReport(
-        mean_time_s=float(times.mean()),
-        std_time_s=float(times.std()),
-        throughput_seq_per_s=dims.batch * reps / total,
-        peak_memory_mb=peak / 1e6,
-        reps=reps,
-        dims=dims.__dict__.copy(),
-        env={"gate_workers": A.gate_workers(), "cpu_count": os.cpu_count(),
-             "numpy_version": np.__version__},
-    )
+    return {"run_time_s": float(times.mean()),
+            "run_time_std_s": float(times.std()),
+            "throughput_seq_per_s": dims.batch * reps / float(times.sum()),
+            "peak_memory_mb": peak / 1e6,
+            "reps": reps,
+            "dims": dims.__dict__.copy(),
+            "gate_workers": A.gate_workers(),
+            "cpu_count": os.cpu_count(),
+            "numpy_version": np.__version__}
 
 
 def peak_bytes(fn) -> int:

@@ -34,20 +34,22 @@ def _load_json(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path} is not valid JSON: {err}") from None
 
 
-def _check_keys(command: str, path: str | None, cfg: dict, known) -> bool:
-    """Print the keys of the config file ``path`` that ``known`` lacks (a
-    dict ``known`` gives each section's keys); True if there are none."""
+def _check_keys(path: str | None, cfg: dict, known):
+    """Raise on the keys of the config file ``path`` that ``known`` lacks
+    (a dict ``known`` gives each section's keys)."""
     unknown = [key for key in cfg if key not in known]
     if isinstance(known, dict):
         unknown += [f"{sec}.{key}" for sec in cfg if sec in known
                     for key in cfg[sec] if key not in known[sec]]
     if unknown:
-        print(f"fluid {command}: unknown key(s) in {path}: "
-              f"{', '.join(sorted(unknown))}", file=sys.stderr)
-    return not unknown
+        raise ValueError(f"unknown key(s) in {path}: "
+                         f"{', '.join(sorted(unknown))}")
 
 
 def _field_names(cls) -> set[str]:
@@ -114,15 +116,14 @@ def _fold_indices(n: int, folds: int, rng: np.random.Generator):
 
 def cmd_train(args) -> int:
     cfg = _load_json(args.config)
-    if not _check_keys("train", args.config, cfg, _TRAIN_SECTIONS):
-        return 2
+    _check_keys(args.config, cfg, _TRAIN_SECTIONS)
     tcfg = _train_config(cfg)
+    if args.epochs is not None:
+        tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     seqs = D.read_dataset_csv(args.data)
     ratios = tuple(cfg.get("data", {}).get("ratios", (0.6, 0.2, 0.2)))
     packed = D.spiral_arrays(seqs, ratios)
     in_features = packed["values"].shape[-1]
-    if args.epochs is not None:
-        tcfg.epochs = args.epochs
 
     n = packed["values"].shape[0]
     folds = max(args.folds, 1)
@@ -177,22 +178,15 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_json(args.config)
-    if not _check_keys("bench", args.config, cfg, _field_names(BN.BenchDims)):
-        return 2
-    dims = BN.BenchDims(
-        d_model=cfg.get("d_model", args.d_model),
-        heads=cfg.get("heads", args.heads),
-        batch=cfg.get("batch", 1),
-        seq_len=cfg.get("seq_len", args.seq_len),
-        top_k=cfg.get("top_k", args.top_k),
-        euler_steps=cfg.get("euler_steps", 5),
-        ffn_dim=cfg.get("ffn_dim", BN.BenchDims.ffn_dim),
-        seed=_seed_override(cfg.get("seed", 0)),
-    )
-    report = BN.bench(BN.default_model_factory, dims, reps=args.reps)
-    print(BN.BenchReport.CSV_HEADER)
-    print(report.csv_row())
-    print(json.dumps(report.to_dict(), indent=2))
+    _check_keys(args.config, cfg, _field_names(BN.BenchDims))
+    dims = BN.BenchDims(**{"d_model": args.d_model, "heads": args.heads,
+                           "seq_len": args.seq_len, "top_k": args.top_k} | cfg)
+    dims.seed = _seed_override(dims.seed)
+    report = BN.bench(dims, reps=args.reps)
+    print("run_time_s,throughput_seq_per_s,peak_memory_mb")
+    print(f"{report['run_time_s']:.6f},{report['throughput_seq_per_s']:.4f},"
+          f"{report['peak_memory_mb']:.3f}")
+    print(json.dumps(report, indent=2))
     return 0
 
 

@@ -225,7 +225,9 @@ def read_dataset_csv(path: str) -> list[EventSequence]:
     rows: dict[int, list] = {}
     with open(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} has no header row")
         F = len(header) - 3
         for row in reader:
             sid = int(row[0])

@@ -35,8 +35,7 @@ class HcParams:
     """Stream-mixing parameters for one sublayer connection."""
 
     def __init__(self, n: int, d: int | None = None, liquid: bool = False,
-                 rng: np.random.Generator | None = None,
-                 init_scale: float = 1e-2):
+                 rng: np.random.Generator | None = None):
         if n < 1:
             raise ValueError("expansion rate n must be >= 1")
         # untrained block behaves as a stream-averaged residual connection
@@ -52,8 +51,8 @@ class HcParams:
                 W_b=uniform_init(rng, (d, 1), d),
                 W_m=uniform_init(rng, (d, 1), d),
                 W_r=uniform_init(rng, (d, n), d),
-                s_b=Tensor(np.array(init_scale), requires_grad=True),
-                s_a=Tensor(np.array(init_scale), requires_grad=True),
+                s_b=Tensor(np.array(1e-2), requires_grad=True),
+                s_a=Tensor(np.array(1e-2), requires_grad=True),
             )
 
     def parameters(self) -> dict:

@@ -254,10 +254,6 @@ class FluidModel:
 # checkpoints: JSON manifest + binary tensor blobs
 # --------------------------------------------------------------------------
 
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    return asdict(cfg)
-
-
 def _config_from_dict(d: dict) -> ModelConfig:
     lan = A.LanConfig(**d.pop("lan"))
     return ModelConfig(lan=lan, **d)
@@ -284,7 +280,7 @@ def save_checkpoint(model: FluidModel, path: str):
     os.makedirs(path, exist_ok=True)
     params = model.parameters()
     names = sorted(params)
-    manifest = {"config": _config_to_dict(model.cfg), "params": names}
+    manifest = {"config": asdict(model.cfg), "params": names}
     tensors = b"".join(T.serialize_tensor(params[name]) for name in names)
     _replace_file(os.path.join(path, "tensors.bin"), tensors)
     _replace_file(os.path.join(path, "manifest.json"),

@@ -94,10 +94,6 @@ class Tensor:
         backward(self)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _node(data: np.ndarray, parents: Sequence[Tensor],
           backward_rule: Callable) -> Tensor:
     out = Tensor(data)
@@ -155,18 +151,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def rule(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _node(out, (a, b), rule)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "div")
-    out = a.data / b.data
-
-    def rule(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
 
     return _node(out, (a, b), rule)
 
@@ -290,7 +274,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]

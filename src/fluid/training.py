@@ -52,6 +52,10 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.metric not in ("mae", "mse", "accuracy"):
             raise ValueError(f"unknown metric {self.metric!r}")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import contextlib
 import multiprocessing
+import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +413,41 @@ def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
     assert np.array_equal(again[1], expected[1])
     for name, grad in expected[2].items():
         assert np.array_equal(again[2][name], grad)
+
+
+def test_gate_kernel_is_bitwise_the_same_for_concurrent_callers(monkeypatch):
+    # two threads submit to the one pool at once, each under its own no_grad
+    core, qa, ka, pb = _block_case("batch_rows")
+    monkeypatch.setattr(A, "_WORKERS", 2)
+    with T.no_grad():
+        expected = core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3).data
+
+    def caller():
+        with T.no_grad():
+            return [core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3).data
+                    for _ in range(3)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)               # interleave the callers often
+    try:
+        with ThreadPoolExecutor(2) as callers:
+            runs = [callers.submit(caller) for _ in range(2)]
+            results = [g for run in runs for g in run.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(results) == 6
+    for got in results:
+        assert np.array_equal(got, expected)
+
+
+def test_importing_the_gate_kernel_starts_no_thread():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys, threading; sys.path.insert(0, {src!r}); "
+            "import fluid.attention; print(threading.active_count())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def _unroll_in_child(core, qa, ka, pb, queue):

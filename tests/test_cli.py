@@ -12,6 +12,7 @@ import pytest
 from fluid import attention as A
 from fluid import bench as BN
 from fluid import cli
+from fluid import data as D
 from fluid import training as TR
 from fluid import verify as V
 
@@ -213,11 +214,23 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["bench-reps", "generate-subsample",
                                   "eval-missing-checkpoint",
                                   "bench-missing-config", "bench-malformed-config",
-                                  "train-missing-data"])
+                                  "train-missing-data", "bench-heads",
+                                  "train-heads", "train-empty-data",
+                                  "train-negative-batch"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
     missing = str(tmp_path / "missing")
+    data, empty = tmp_path / "spirals.csv", tmp_path / "empty.csv"
+    D.write_dataset_csv(str(data), D.generate_spirals(
+        D.SpiralSpec(n_spirals=10, n_points=30, n_subsample=12)))
+    empty.write_text("")
+    configs = {"train-heads": {"model": {"heads": 0}},
+               "train-negative-batch": dict(TINY_CONFIG, train={"batch_size": -1})}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(configs.get(case, TINY_CONFIG)))
+    train = ["train", "--out", str(tmp_path / "run"), "--config", str(config),
+             "--data"]
     argv = {
         "bench-reps": ["bench", "--reps", "2"],
         "generate-subsample": ["generate", "spiral", "--points", "10",
@@ -227,12 +240,18 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
                                     "--data", missing],
         "bench-missing-config": ["bench", "--config", missing],
         "bench-malformed-config": ["bench", "--config", str(malformed)],
-        "train-missing-data": ["train", "--data", missing,
-                               "--out", str(tmp_path / "run")],
+        "train-missing-data": train + [missing],
+        "bench-heads": ["bench", "--heads", "0"],
+        "train-heads": train + [str(data)],
+        "train-empty-data": train + [str(empty)],
+        "train-negative-batch": train + [str(data)],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"fluid {argv[0]}: ") and err.count("\n") == 1, err
+    named = {"bench-malformed-config": malformed, "train-empty-data": empty}
+    if case in named:
+        assert str(named[case]) in err, err
 
 
 def test_verify_exit_codes():

@@ -185,7 +185,7 @@ def test_unary_gradients_match_central_difference(op):
     assert max_rel_error(p.grad, numeric) < 1e-4
 
 
-@pytest.mark.parametrize("op", ["add", "mul", "div"])
+@pytest.mark.parametrize("op", ["add", "mul"])
 def test_binary_gradients_match_central_difference(op):
     rng = np.random.default_rng(13)
     a = rng.uniform(-2, 2, (3, 2))
