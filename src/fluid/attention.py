@@ -26,16 +26,16 @@ whole: it is one tape op with a hand-written adjoint that writes one
 gradient in the gates' layout, and its recorded trajectory is views of
 the gates and of its state buffer.
 
-Final logits pass through a masked softmax and weight the gathered
-values. ``attend`` is the one per-head pipeline, on [B,H,T,D] inputs;
-``MultiHeadLan`` projects into it, then concatenates and projects the
-heads, optionally through a query-dependent sigmoid output gate that
-counteracts attention sinks.
+Final logits pass through a masked softmax, and one op contracts the
+weights with the selected values a chunk of query rows at a time, so the
+gathered values are never whole in memory. ``attend`` is the one
+per-head pipeline, on [B,H,T,D] inputs; ``MultiHeadLan`` projects into
+it, then concatenates and projects the heads, optionally through a
+query-dependent sigmoid output gate that counteracts attention sinks.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -97,19 +97,22 @@ class LogitTrajectory:
     dt_nominal: float
 
     def to_csv(self, path):
-        """Diagnostic dump, one row per (step, pair)."""
+        """Diagnostic dump, one row per (step, pair), pair by pair; step 0
+        has no gates. Floats are written with 17 significant digits, so
+        they read back exactly."""
         n_steps = self.f_tau.shape[-1]
         a2 = self.a.reshape(-1, n_steps + 1)
-        tau2 = self.f_tau.reshape(-1, n_steps)
-        phi2 = self.f_phi.reshape(-1, n_steps)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "pair_id", "a", "f_tau", "f_phi"])
-            for pid in range(a2.shape[0]):
-                w.writerow([0, pid, a2[pid, 0], "", ""])
-                for n in range(n_steps):
-                    w.writerow([n + 1, pid, a2[pid, n + 1],
-                                tau2[pid, n], phi2[pid, n]])
+        pid = np.arange(a2.shape[0], dtype=np.float64)
+        steps = np.stack(np.broadcast_arrays(
+            pid[:, None], a2[:, 1:], self.f_tau.reshape(-1, n_steps),
+            self.f_phi.reshape(-1, n_steps)), axis=-1)
+        # one line of values per pair, written as its N+1 rows by one
+        # multi-line format
+        fmt = "\n".join(["0,%d,%.17g,,"] + [f"{n},%d,%.17g,%.17g,%.17g"
+                                             for n in range(1, n_steps + 1)])
+        values = np.column_stack([pid, a2[:, 0], steps.reshape(len(pid), -1)])
+        np.savetxt(path, values, fmt=fmt, header="step,pair_id,a,f_tau,f_phi",
+                   comments="")
 
 
 # --------------------------------------------------------------------------
@@ -569,7 +572,8 @@ def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
 def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
            key_mask: np.ndarray | None = None):
     """The per-head pipeline on [B,H,T,D] inputs: pair curation, gates,
-    Euler integration, masked softmax, value aggregation. Returns
+    Euler integration, masked softmax, and the weighted sum of the selected
+    values (``T.gather_weighted``, which never gathers them whole). Returns
     (heads out [B,H,T_q,D_v], weights [B,H,T_q,K_eff], pairs, trajectory).
     """
     if cfg.top_k is None:
@@ -582,9 +586,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
     a_final, traj = integrate_logits(gates, cfg.dt_nominal)
 
     alpha = T.masked_softmax(a_final, pb.valid_mask, axis=-1)
-    v_sel = T.gather_keys(v, pb.selected_indices)
-    weighted = T.mul(T.reshape(alpha, alpha.shape + (1,)), v_sel)
-    return T.tsum(weighted, axis=3), alpha, pb, traj
+    out = T.gather_weighted(alpha, v, pb.selected_indices)
+    return out, alpha, pb, traj
 
 
 def sink_gate(x: Tensor, multihead_out: Tensor, W_g: Tensor, b_g: Tensor,

@@ -35,6 +35,14 @@ class BenchDims:
     ffn_dim: int = 128
     seed: int = 0
 
+    def __post_init__(self):
+        small = [name for name in ("batch", "seq_len", "euler_steps",
+                                   "ffn_dim") if getattr(self, name) < 1]
+        if small:
+            raise ValueError(f"{', '.join(small)} must be >= 1")
+        if self.top_k is not None and self.top_k < 1:
+            raise ValueError("top_k must be >= 1 or None")
+
 
 def default_model_factory(dims: BenchDims):
     """One encoder layer over a random embedded batch; returns a thunk."""

@@ -375,7 +375,9 @@ def gather_keys(x: Tensor, idx: np.ndarray) -> Tensor:
     Indices are constants (hard selection). Both directions use one flat
     (b, h, key) index: the forward takes those rows of x with ``np.take``,
     and the gradient scatter-adds into them, one ``np.bincount`` per
-    channel.
+    channel. Its callers are ``SdpaFrozenGates`` and the test oracles;
+    attention aggregates values with ``gather_weighted``, which never
+    builds this whole array.
     """
     B, H, T_k, D = x.shape
     flat = np.arange(B * H).reshape(B, H, 1, 1) * T_k + np.asarray(idx)
@@ -390,6 +392,68 @@ def gather_keys(x: Tensor, idx: np.ndarray) -> Tensor:
         return (gx.T.reshape(B, H, T_k, D),)
 
     return _node(out, (x,), rule)
+
+
+def gather_weighted(alpha: Tensor, x: Tensor, idx: np.ndarray) -> Tensor:
+    """Weighted sum of gathered key vectors: alpha and idx [B,H,T_q,K],
+    x [B,H,T_k,D] -> [B,H,T_q,D], out[b,h,q] = sum_k alpha[b,h,q,k] *
+    x[b,h,idx[b,h,q,k]].
+
+    The value of ``tsum(mul(alpha[..., None], gather_keys(x, idx)), 3)``
+    without the gathered [B,H,T_q,K,D] array: whole query rows go a chunk
+    of at most ``_VALUE_CHUNK`` gathered scalars at a time, each chunk
+    taking its rows of x with ``np.take`` and contracting them with alpha
+    in one batched ``np.matmul``. Rows never share a product, so the
+    result is the same for any chunk size. The tape keeps alpha, x and
+    idx; the backward re-gathers each chunk for d alpha and scatter-adds
+    alpha * g into d x, one ``np.bincount`` per channel in pair order.
+    """
+    idx = np.asarray(idx)
+    B, H, T_k, D = x.shape
+    if alpha.shape != idx.shape or alpha.shape[:2] != (B, H):
+        raise ShapeError(f"gather_weighted: alpha {alpha.shape}, idx "
+                         f"{idx.shape} and x {x.shape} do not fit")
+    T_q, K = alpha.shape[2:]
+    rows = B * H * T_q
+    step = max(1, _VALUE_CHUNK // max(1, K * D))
+    idx2 = idx.reshape(rows, K)
+    cuts = [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
+
+    def take(xf, sl):
+        """The rows [chunk, K, D] of xf [B*H*T_k, D] that the query rows
+        ``sl`` select."""
+        base = np.arange(sl.start, sl.stop) // T_q * T_k   # row -> (b, h)
+        return np.take(xf, idx2[sl] + base[:, None], axis=0)
+
+    out = np.empty((rows, 1, D))
+    a3 = alpha.data.reshape(rows, 1, K)
+    xf = x.data.reshape(B * H * T_k, D)
+    for sl in cuts:
+        np.matmul(a3[sl], take(xf, sl), out=out[sl])
+
+    def rule(g):
+        g2 = g.reshape(rows, D)
+        ga = np.empty((rows, K, 1))
+        g3 = g2.reshape(rows, D, 1)
+        xf = x.data.reshape(B * H * T_k, D)
+        for sl in cuts:
+            np.matmul(take(xf, sl), g3[sl], out=ga[sl])
+        lin = (np.arange(B * H).reshape(B, H, 1, 1) * T_k + idx).ravel()
+        a2 = alpha.data.reshape(rows, K)
+        w = np.empty((rows, K))
+        gx = np.empty((D, B * H * T_k))
+        for c in range(D):
+            np.multiply(a2, g2[:, c, None], out=w)
+            gx[c] = np.bincount(lin, weights=w.reshape(-1),
+                                minlength=B * H * T_k)
+        return ga.reshape(alpha.shape), gx.T.reshape(x.shape)
+
+    return _node(out.reshape(B, H, T_q, D), (alpha, x), rule)
+
+
+# gathered scalars per chunk of ``gather_weighted`` (8 MB, one top-k score
+# chunk of ``pairs``)
+_VALUE_CHUNK = 1 << 20
 
 
 def layer_norm(x: Tensor, gain: Tensor | None = None,

@@ -152,6 +152,12 @@ def run_gradients_suite(seed: int = 0, op_tolerance: float = 1e-4,
     w = rng.uniform(-1, 1, (4, 2))
     coef = Tensor(rng.standard_normal((3, 4)))
     coef2 = Tensor(rng.standard_normal((3, 2)))
+    # two heads of 3 queries over 5 keys of width 2, keys repeated in a row
+    alpha = rng.uniform(0, 1, (1, 2, 3, 4))
+    values = rng.standard_normal((1, 2, 5, 2))
+    idx = np.array([[[[0, 2, 2, 4], [1, 1, 3, 0], [4, 3, 2, 1]],
+                     [[3, 3, 3, 0], [0, 1, 2, 3], [2, 4, 4, 2]]]])
+    coef3 = Tensor(rng.standard_normal((1, 2, 3, 2)))
 
     check("tanh", lambda x: T.tsum(T.mul(T.tanh(x), coef)), a)
     check("sigmoid", lambda x: T.tsum(T.mul(T.sigmoid(x), coef)), a)
@@ -163,6 +169,8 @@ def run_gradients_suite(seed: int = 0, op_tolerance: float = 1e-4,
     check("masked_softmax",
           lambda x: T.tsum(T.mul(T.masked_softmax(x, mask), coef)), a)
     check("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x), coef)), a)
+    check("gather_weighted", lambda x, y: T.tsum(
+        T.mul(T.gather_weighted(x, y, idx), coef3)), alpha, values)
     op_max = max(op_errors.values())
 
     lan = A.LanConfig(d_model=8, heads=2, euler_steps=2,

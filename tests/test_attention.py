@@ -1,6 +1,7 @@
 """Gated logit ODE, Euler integration, clamping, and attention assembly."""
 
 import contextlib
+import csv
 import multiprocessing
 import subprocess
 import sys
@@ -585,6 +586,29 @@ def test_trajectory_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,pair_id,a,f_tau,f_phi"
     assert len(lines) == 1 + 2 * 4  # header + (N+1) rows per pair
+
+
+def test_trajectory_csv_reads_back_exactly(tmp_path):
+    core = make_core(seed=12)
+    u = np.random.default_rng(12).uniform(-1, 1, (5, 4))
+    gates = core.unroll(_project(core, u), 3, 1 / 3)
+    _, traj = A.integrate_logits(gates, 1 / 3)
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["step", "pair_id", "a", "f_tau", "f_phi"]
+    n_steps, n_pairs = 3, traj.a.size // 4
+    body = np.array(rows[1:], dtype=object).reshape(n_pairs, n_steps + 1, 5)
+    assert (body[..., 0].astype(int) == np.arange(n_steps + 1)).all()
+    assert (body[..., 1].astype(int) == np.arange(n_pairs)[:, None]).all()
+    assert (body[:, 0, 3:] == "").all()
+    assert np.array_equal(body[..., 2].astype(float),
+                          traj.a.reshape(n_pairs, -1))
+    assert np.array_equal(body[:, 1:, 3].astype(float),
+                          traj.f_tau.reshape(n_pairs, -1))
+    assert np.array_equal(body[:, 1:, 4].astype(float),
+                          traj.f_phi.reshape(n_pairs, -1))
 
 
 def _euler_case(shared, seed=61, shape=(2, 3, 4), n_steps=4):

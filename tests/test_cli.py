@@ -81,6 +81,25 @@ def test_bench_report_names_workers_cpus_and_numpy(tmp_path, capsys):
     assert report["numpy_version"] == np.__version__
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--seq-len", "0"], {}),
+    (["--top-k", "0"], {}),
+    ([], {"batch": 0}),
+    ([], {"euler_steps": 0}),
+    ([], {"ffn_dim": -1}),
+], ids=["seq_len", "top_k", "batch", "euler_steps", "ffn_dim"])
+def test_bench_rejects_dims_below_one(tmp_path, capsys, flags, config):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["bench", "--d-model", "8", "--heads", "2", "--reps", "3",
+                     "--config", str(path)] + flags)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("fluid bench: ") and out.err.count("\n") == 1
+    name = flags[0][2:].replace("-", "_") if flags else next(iter(config))
+    assert name in out.err
+
+
 TINY_CONFIG = {"model": {"d_model": 8, "heads": 2, "euler_steps": 2,
                          "ffn_dim": 8},
                "train": {"batch_size": 4}}
@@ -177,6 +196,20 @@ def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
     assert tcfg.betas == (0.8, 0.9)
     for key in ("optimizer", "lr", "metric", "seed", "grad_clip"):
         assert getattr(tcfg, key) == config["train"][key], key
+
+
+def test_train_rejects_more_folds_than_sequences(tmp_path, monkeypatch,
+                                                 capsys):
+    data, config = _tiny_run(tmp_path, n=6)
+    trained = []
+    monkeypatch.setattr(TR, "train", lambda *args, **kw: trained.append(1))
+    assert cli.main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "run"), "--config", str(config),
+                     "--folds", "10"]) == 2
+    out = capsys.readouterr()
+    assert not trained and out.out == ""
+    assert out.err.startswith("fluid train: ") and out.err.count("\n") == 1
+    assert "--folds 10" in out.err and "6 sequences" in out.err
 
 
 def test_generate_train_eval_pipeline(tmp_path):

@@ -325,3 +325,83 @@ def test_allocation_tracking_peak():
     # tensor buffers are plain numpy allocations, which tracemalloc sees
     assert bench.peak_bytes(lambda: Tensor(np.zeros(1000))) >= 8000
     assert not tracemalloc.is_tracing()
+
+
+def _gather_weighted_case(seed=31, B=2, H=3, T_q=7, T_k=5, K=4, D=5):
+    """alpha, x, an index with repeated keys in every row, and output
+    weights for a scalar loss."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0, 1, (B, H, T_q, K))
+    x = rng.standard_normal((B, H, T_k, D))
+    idx = rng.integers(0, T_k, (B, H, T_q, K))
+    idx[..., 1] = idx[..., 0]
+    return alpha, x, idx, rng.standard_normal((B, H, T_q, D))
+
+
+def _gather_weighted_run(alpha, x, idx, coef):
+    """(output, d alpha, d x) of the loss."""
+    pa = Tensor(alpha.copy(), requires_grad=True)
+    px = Tensor(x.copy(), requires_grad=True)
+    out = T.gather_weighted(pa, px, idx)
+    T.tsum(T.mul(out, Tensor(coef))).backward()
+    return out.data, pa.grad, px.grad
+
+
+def test_gather_weighted_matches_gather_and_sum_and_its_gradients():
+    alpha, x, idx, coef = _gather_weighted_case()
+    out, ga, gx = _gather_weighted_run(alpha, x, idx, coef)
+    oracle = (alpha[..., None] * np.take_along_axis(
+        x[:, :, None], idx[..., None], axis=3)).sum(axis=3)
+    assert out.shape == oracle.shape
+    assert np.abs(out - oracle).max() < 1e-12
+
+    def f(a, v):
+        return T.tsum(T.mul(T.gather_weighted(Tensor(a), Tensor(v), idx),
+                            Tensor(coef))).item()
+
+    assert max_rel_error(ga, central_difference(lambda a: f(a, x), alpha.copy())) < 1e-4
+    assert max_rel_error(gx, central_difference(lambda v: f(alpha, v), x.copy())) < 1e-4
+
+
+def test_gather_weighted_shape_error_names_the_shapes():
+    alpha, x, idx, _ = _gather_weighted_case()
+    with pytest.raises(T.ShapeError, match=r"\(2, 3, 7, 4\).*\(1, 3, 5, 5\)"):
+        T.gather_weighted(Tensor(alpha), Tensor(x[:1]), idx)
+
+
+@pytest.mark.parametrize("rows", [1, 4, 10 ** 6],
+                         ids=["one_row", "ragged", "whole"])
+def test_gather_weighted_is_bitwise_the_same_for_any_chunk(monkeypatch, rows):
+    case = _gather_weighted_case()      # 42 query rows, K * D = 20
+    want = _gather_weighted_run(*case)
+    monkeypatch.setattr(T, "_VALUE_CHUNK", rows * 20)
+    got = _gather_weighted_run(*case)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+def test_gather_weighted_tape_and_no_grad_are_bitwise_equal():
+    alpha, x, idx, _ = _gather_weighted_case()
+    taped = T.gather_weighted(Tensor(alpha, requires_grad=True),
+                              Tensor(x, requires_grad=True), idx)
+    with T.no_grad():
+        plain = T.gather_weighted(Tensor(alpha), Tensor(x), idx)
+    assert taped.requires_grad and not plain.requires_grad
+    assert np.array_equal(taped.data, plain.data)
+
+
+def test_gather_weighted_never_holds_the_gathered_values():
+    # the attention tail of a T=1024, top-k 32 layer: 4 heads of width 16
+    B, H, T_q, K, D = 1, 4, 1024, 32, 16
+    rng = np.random.default_rng(34)
+    alpha = Tensor(rng.uniform(0, 1, (B, H, T_q, K)), requires_grad=True)
+    x = Tensor(rng.standard_normal((B, H, T_q, D)), requires_grad=True)
+    idx = rng.integers(0, T_q, (B, H, T_q, K))
+    v_sel_bytes = B * H * T_q * K * D * 8
+    assert v_sel_bytes >= 16 * 2 ** 20
+    with T.no_grad():
+        peak = bench.peak_bytes(lambda: T.gather_weighted(alpha, x, idx))
+    assert peak < v_sel_bytes
+    out = T.gather_weighted(alpha, x, idx)
+    g = rng.standard_normal(out.shape)
+    assert bench.peak_bytes(lambda: out._backward(g)) < v_sel_bytes
