@@ -13,11 +13,12 @@ and therefore keeps trajectories inside the equilibrium envelope.
 The gate recurrence is the costly part: it runs per pair and per step.
 ``RecurrentGateCore`` projects queries and keys once and never builds u
 or the pair input: each work item of its kernel forms its own block of
-pair inputs. All steps unroll as one tape op with a hand-written
-backward that keeps only the hidden states and recomputes the rest;
-inference runs the same kernel without keeping anything. The (head,
-block) work items run on a thread pool over every CPU, with the same
-results for any number of threads.
+pair inputs. The GRU runs only on the valid pairs, plus one zero-input
+pair whose gates every invalid pair gets. All steps unroll as one tape
+op with a hand-written backward that keeps only the hidden states of
+steps 1 .. N-2 and recomputes the rest; inference runs the same kernel
+without keeping anything. The (head, block) work items run on a thread
+pool over every CPU, with the same results for any number of threads.
 
 Every gate core returns the gates of all N steps as one tensor
 [2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:, each row in
@@ -136,26 +137,33 @@ class RecurrentGateCore:
     ``project_pairs`` projects each query and key once and returns the
     factored ``pairs.PairInput``. ``unroll`` runs all Euler steps as one
     tape op with a hand-written BPTT backward (``_gru_forward`` /
-    ``_gru_backward``) that keeps only the hidden state of every step and
-    the gates it returns, and recomputes the rest: the pair inputs, and
-    the reset, update and candidate gates with one GEMM per step (Chen et
-    al., "Training Deep Nets with Sublinear Memory Cost"). Under
-    ``no_grad`` it keeps nothing. Tape and ``no_grad`` run the same
-    kernel, so both give bitwise the same gates.
+    ``_gru_backward``) that keeps only the gates it returns and the hidden
+    states h_1 .. h_{N-2}, and recomputes the rest: the pair inputs, the
+    reset, update and candidate gates with one GEMM per step (Chen et
+    al., "Training Deep Nets with Sublinear Memory Cost"), h_0 from the
+    step-0 cell and h_{N-1}, which is never a previous state, from the
+    last step's cell (Gruslys et al., "Memory-Efficient Backpropagation
+    Through Time"). Under ``no_grad`` it keeps nothing. Tape and
+    ``no_grad`` run the same kernel, so both give bitwise the same gates.
 
-    The kernel cuts each head's pairs into contiguous, balanced blocks of
-    at most ``_BLOCK_PAIRS``, a cut that depends on the pair count alone,
-    and runs the (head, block) work items on a thread pool of one thread
-    per CPU, made once at import (numpy releases the GIL inside ufuncs and
-    GEMMs), or inline with one CPU or one item. An item reads the weights
-    in the core's own buffers, and forms its block's input [3h, block] and
-    every other buffer in scratch of its own, so the pair input is never
-    whole in memory. The gates are stored head-major ([2N, H, pairs]) so that
-    each item writes contiguous rows; callers see them as one tensor
-    [2N,B,H,T_q,K_eff]. An item writes its gates and hidden states in
-    place and returns its partials of the weight, query-projection and
-    key-projection gradients, which are summed in item order: outputs and
-    every gradient are bitwise the same for any number of threads.
+    The kernel runs on each head's packed pairs (``PairInput.counts``):
+    its valid pairs in slot order, then one zero-input pair standing for
+    the invalid ones, whose gates are copied into every invalid slot and
+    whose gradient is the sum of theirs. With every pair valid, packing
+    is the identity. The kernel cuts each head's packed pairs into
+    contiguous, balanced blocks of at most ``_BLOCK_PAIRS``, a cut that
+    depends on the pair count alone, and runs the (head, block) work
+    items on a thread pool of one thread per CPU, made once at import
+    (numpy releases the GIL inside ufuncs and GEMMs), or inline with one
+    CPU or one item. An item reads the weights in the core's own buffers,
+    and forms its block's input [3h, block] and every other buffer in
+    scratch of its own, so the pair input is never whole in memory. The
+    gates are stored head-major ([2N, H, slots]); callers see them as one
+    tensor [2N,B,H,T_q,K_eff]. An item writes its gates, by position, and
+    its hidden states in place, and returns its partials of the weight,
+    query-projection and key-projection gradients, which are summed in
+    item order: outputs and every gradient are bitwise the same for any
+    number of threads.
     """
 
     def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
@@ -200,7 +208,8 @@ class RecurrentGateCore:
 
         pin: [B,H,...,3h], factored; the op's parents are its projected
         queries and keys and the gate weights. Returns the gates
-        [2N,B,H,T_q,K_eff]: f_tau in rows :N, f_phi in rows N:.
+        [2N,B,H,T_q,K_eff]: f_tau in rows :N, f_phi in rows N:. The tape
+        holds the hidden states [H, max(N-2, 0), h, packed pairs].
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -219,7 +228,8 @@ class RecurrentGateCore:
         inputs = (pin.qp, pin.kp, self.W_h, self.w_t, self.b_x, self.W_o,
                   self.b_o)
         w = {n: p.data for n, p in self.parameters().items()}
-        saved = (np.empty((H, n_steps, h, P))
+        # h_1 .. h_{N-2} of every packed pair; the backward rebuilds the rest
+        saved = (np.empty((H, max(n_steps - 2, 0), h, max(pin.counts)))
                  if T._grad_enabled() and any(t.requires_grad for t in inputs)
                  else None)
         _gru_forward(pin, w, n_steps, dt_nominal, self.epsilon, g_hm, saved)
@@ -298,8 +308,9 @@ def gate_workers() -> int:
 
 def _blocks(P: int) -> list[tuple[int, int]]:
     """[start, stop) of contiguous, balanced blocks of at most _BLOCK_PAIRS
-    pairs each. The cut depends on P alone, never on the worker count."""
-    n = max(1, -(-P // _BLOCK_PAIRS))
+    pairs each, none for no pairs. The cut depends on P alone, never on
+    the worker count."""
+    n = -(-P // _BLOCK_PAIRS)
     return [(P * i // n, P * (i + 1) // n) for i in range(n)]
 
 
@@ -319,38 +330,43 @@ def _run_items(fn, items: list[tuple]) -> list:
     return [f.result() for f in futures]
 
 
-def _items(H: int, P: int) -> list[tuple[int, int, int]]:
-    """(head, start, stop) of every work item, head by head."""
-    return [(hd, a, b) for hd in range(H) for a, b in _blocks(P)]
+def _items(counts: list[int]) -> list[tuple[int, int, int]]:
+    """(head, start, stop) of every work item over the packed pairs of
+    each head, head by head."""
+    return [(hd, a, b) for hd, P in enumerate(counts) for a, b in _blocks(P)]
 
 
 def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
-    """Run every head's GRU on the pair input ``pin`` and write f_tau (rows
-    :N) and f_phi (rows N:) of ``gates`` [2N,H,P]. With ``saved``
-    [H,N,h,P] the hidden state of every step is kept there for the
-    backward."""
+    """Run every head's GRU on the packed pairs of ``pin`` and write f_tau
+    (rows :N) and f_phi (rows N:) of ``gates`` [2N,H,slots]. With
+    ``saved`` [H,N-2,h,packed pairs] the hidden states h_1 .. h_{N-2} are
+    kept there for the backward."""
     def item(hd, a, b):
+        out = (gates[:, hd, a:b] if pin.pos is None
+               else np.empty((2 * n_steps, b - a)))
         _forward_block(pin.block(hd, a, b), w, hd, n_steps, dt_nominal,
-                       epsilon, gates[:, hd, a:b],
+                       epsilon, out,
                        None if saved is None else saved[hd, :, :, a:b])
+        if pin.pos is not None:
+            pin.scatter(gates[:, hd], hd, a, b, out)
 
-    _run_items(item, _items(*gates.shape[1:]))
+    _run_items(item, _items(pin.counts))
 
 
 def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
     """Head ``hd``'s GRU over one block of pairs: x [3h,P], gates [2N,P],
-    saved [N,h,P] or None. The scratch is the block's alone."""
+    saved [N-2,h,P] for h_1 .. h_{N-2}, or None. The scratch is the
+    block's alone; it holds h_0 and h_{N-1}, which are never saved."""
     C, P = x.shape
     h = C // 3
     hp = np.empty((C, P))
-    r, z, c, tmp = (np.empty((h, P)) for _ in range(4))
+    r, z, c, tmp, hidden = (np.empty((h, P)) for _ in range(5))
     o = np.empty((2, P))
     t = np.empty(P)
-    hidden = np.empty((h, P)) if saved is None else None
     W_hT, W_o, b_o = w["W_h"][hd].T, w["W_o"][hd], w["b_o"][hd]
     prev = None
     for n in range(n_steps):
-        new = hidden if saved is None else saved[n]
+        new = hidden if saved is None or not 0 < n < n_steps - 1 else saved[n - 1]
         if prev is not None:
             np.matmul(W_hT, prev, out=hp)
         _cell(x, _step_bias(w, hd, n * dt_nominal),
@@ -373,17 +389,19 @@ def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
 
 
 def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal):
-    """BPTT through ``_gru_forward``, g and gates [2N,H,P]: returns (d qp,
-    d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its parameter's shape.
-    Each item forms its block of pair inputs again and returns its
-    partials; they are summed in item order, so every gradient is the same
-    for any number of workers."""
-    items = _items(*gates.shape[1:])
+    """BPTT through ``_gru_forward``, g and gates [2N,H,slots]: returns
+    (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its parameter's
+    shape. Each item forms its block of pair inputs again, gathers its
+    columns of g and of the gates, and returns its partials; they are
+    summed in item order, so every gradient is the same for any number of
+    workers."""
+    items = _items(pin.counts)
 
     def item(hd, a, b):
-        dx, parts = _backward_block(g[:, hd, a:b], pin.block(hd, a, b), w,
-                                    hd, saved[hd, :, :, a:b], gates[:, hd, a:b],
-                                    n_steps, dt_nominal)
+        dx, parts = _backward_block(
+            pin.gather(g[:, hd], hd, a, b, sum_invalid=True),
+            pin.block(hd, a, b), w, hd, saved[hd, :, :, a:b],
+            pin.gather(gates[:, hd], hd, a, b), n_steps, dt_nominal)
         return parts, pin.block_grads(hd, a, b, dx)
 
     results = _run_items(item, items)
@@ -397,8 +415,12 @@ def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal):
 
 def _backward_block(g, x, w, hd, saved, gates, n_steps, dt_nominal):
     """BPTT of head ``hd`` over one block: g, gates [2N,P], x [3h,P],
-    saved [N,h,P]. Returns d x and this block's partials (dW_h [h,3h],
-    dw_t [3h], db_x [3h], dW_o [2,h], db_o [2])."""
+    saved [N-2,h,P]. Returns d x and this block's partials (dW_h [h,3h],
+    dw_t [3h], db_x [3h], dW_o [2,h], db_o [2]).
+
+    h_0 = (1 - z_0) * c_0 is rebuilt once at the start, and h_{N-1} at
+    step N-1 from the cell that step recomputes, each with the forward's
+    own float operations, so the states are bitwise the forward's."""
     C, P = x.shape
     h = C // 3
     N = n_steps
@@ -406,7 +428,8 @@ def _backward_block(g, x, w, hd, saved, gates, n_steps, dt_nominal):
     dW_o, db_o = np.zeros((2, h)), np.zeros(2)
     hp = np.empty((C, P))
     dhp = np.empty((C, P))      # grad of W_h^T h_prev; its r, z rows are dx's
-    r, z, c, tmp, dcp, dh = (np.empty((h, P)) for _ in range(6))
+    dr, dz, dn = dhp[:h], dhp[h:2 * h], dhp[2 * h:]
+    r, z, c, tmp, dcp, dh, h0 = (np.empty((h, P)) for _ in range(7))
     o = np.empty((2, P))
     dpre = np.empty((2, P))
     d_phi, d_tau = dpre
@@ -415,9 +438,29 @@ def _backward_block(g, x, w, hd, saved, gates, n_steps, dt_nominal):
     W_o, b_o = w["W_o"][hd], w["b_o"][hd]
     dx = np.zeros((C, P))
     dh[...] = 0.0
+    if N > 1:
+        _cell(x, _step_bias(w, hd, 0.0), None, r, z, c, tmp)
+        np.subtract(1.0, z, out=h0)
+        h0 *= c
     for n in reversed(range(N)):
-        new = saved[n]
-        prev = saved[n - 1] if n > 0 else None
+        prev = None if n == 0 else h0 if n == 1 else saved[n - 2]
+        # recompute the cell; 1 - z is kept in dz's rows
+        if prev is not None:
+            np.matmul(W_hT, prev, out=hp)
+        _cell(x, _step_bias(w, hd, n * dt_nominal),
+              None if prev is None else hp, r, z, c, tmp)
+        np.subtract(1.0, z, out=dz)
+        if n == N - 1:
+            # the last state, in dcp until the candidate pre-activation:
+            # new = (1 - z) * c + z * prev
+            new = dcp
+            np.multiply(dz, c, out=new)
+            if prev is not None:
+                np.multiply(z, prev, out=tmp)
+                new += tmp
+        else:
+            new = h0 if n == 0 else saved[n - 1]
+
         # projection heads: f_phi = tanh(.), f_tau = softplus(.) + eps
         phi = gates[N + n]
         np.multiply(phi, phi, out=d_phi)
@@ -432,15 +475,8 @@ def _backward_block(g, x, w, hd, saved, gates, n_steps, dt_nominal):
         np.matmul(W_o.T, dpre, out=tmp)
         dh += tmp
 
-        # recompute the cell, then new = (1 - z) * c + z * prev
-        if prev is not None:
-            np.matmul(W_hT, prev, out=hp)
-        _cell(x, _step_bias(w, hd, n * dt_nominal),
-              None if prev is None else hp, r, z, c, tmp)
-        dr, dz, dn = dhp[:h], dhp[h:2 * h], dhp[2 * h:]
         # candidate pre-activation: dh * (1 - z) * (1 - c^2)
-        np.subtract(1.0, z, out=tmp)
-        tmp *= dh
+        np.multiply(dz, dh, out=tmp)
         np.multiply(c, c, out=dcp)
         np.subtract(1.0, dcp, out=dcp)
         dcp *= tmp
@@ -450,7 +486,6 @@ def _backward_block(g, x, w, hd, saved, gates, n_steps, dt_nominal):
         else:
             np.subtract(prev, c, out=tmp)
         tmp *= dh
-        np.subtract(1.0, z, out=dz)
         dz *= z
         dz *= tmp
         sums[h:2 * h] = dz.sum(axis=1)
@@ -530,9 +565,10 @@ def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
     gates: [2N, *pairs], f_tau in rows :N and f_phi in rows N:, each row
     in the pair batch's shape, as every gate core returns them; a0
     broadcasts to one row [*pairs]. One tape op: the states
-    a_{n+1} = a_n + dt * (-f_tau_n * a_n + f_phi_n) fill one [N+1, ...]
-    buffer, in the float order of that formula, and the backward runs the
-    adjoint recursion by hand into one gradient in the gates' layout.
+    a_{n+1} = a_n + dt * (f_phi_n - f_tau_n * a_n) fill one [N+1, ...]
+    buffer, in the float order of that formula, with no temporaries, and
+    the backward runs the adjoint recursion by hand into one gradient in
+    the gates' layout, on one copy of the incoming gradient.
     Returns (final state tensor, LogitTrajectory), whose arrays are views
     of the state buffer and the gates. Disabling the clamp is only meant
     for instability demonstrations.
@@ -543,15 +579,21 @@ def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
     a = np.empty((n_steps + 1,) + gates.shape[1:])
     a[0] = 0.0 if a0 is None else a0.data
     for n in range(n_steps):
-        a[n + 1] = a[n] + (-f_tau[n] * a[n] + f_phi[n]) * dt
+        # a + (f_phi - f_tau * a) * dt, built in a[n + 1]
+        step = np.multiply(f_tau[n], a[n], out=a[n + 1])
+        np.subtract(f_phi[n], step, out=step)
+        step *= dt
+        step += a[n]
 
     def rule(g):
         d = np.empty_like(gates.data)   # keeps the gates' memory layout
+        g = g.copy()
         for n in reversed(range(n_steps)):
             gs = np.multiply(g, dt, out=d[n_steps + n])
+            # g -= gs * f_tau, with d[n] as scratch before it takes its value
+            g -= np.multiply(gs, f_tau[n], out=d[n])
             np.multiply(gs, a[n], out=d[n])
             np.negative(d[n], out=d[n])
-            g = g - gs * f_tau[n]
         return (d,) if a0 is None else (d, T._unbroadcast(g, a0.shape))
 
     traj = LogitTrajectory(

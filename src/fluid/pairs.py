@@ -10,7 +10,9 @@ The gates see each pair through a linear projection of u = [q; k], so a
 pair's input is a sum of one query feature and one key feature.
 ``PairInput`` holds the two projections and the pair batch, and forms
 the sums one block of pairs at a time, inside the gate kernel's work
-items: neither u nor the projected pair input is ever built whole.
+items: neither u nor the projected pair input is ever built whole. The
+kernel runs on each head's valid pairs and one zero-input pair that
+stands for its invalid ones.
 """
 
 from __future__ import annotations
@@ -43,14 +45,23 @@ class PairBatch:
 class PairInput:
     """The gate input of every selected pair, in factored form.
 
-    Pair (i, j) sees qp_i + kp_j, the projections of query i and key j,
-    times its valid mask, so invalid pairs see exactly the gates of a zero
-    input. The [B,H,T_q,K_eff,C] array of these sums (``shape``, ``size``,
+    Pair (i, j) sees qp_i + kp_j, the projections of query i and key j.
+    The [B,H,T_q,K_eff,C] array of these sums (``shape``, ``size``,
     ``ndim``) is never built: the gate kernel forms the block of pairs
-    each work item takes with ``block``. Pairs are numbered per head in
-    (batch, query, slot) order; ``keys`` [H, pairs] holds each pair's flat
-    key index b * T_k + j, and ``valid`` [H, pairs] is None when every
-    pair is valid.
+    each work item takes with ``block``.
+
+    Slots are numbered per head in (batch, query, slot) order. The kernel
+    runs on each head's packed pairs: its valid pairs in slot order, then,
+    when the head has invalid pairs, one zero-input pair that stands for
+    all of them, since an invalid pair sees exactly the gates of a zero
+    input. ``counts`` holds the packed pairs of each head. ``gather`` and
+    ``scatter`` move a block's columns between the packed order and the
+    slots: the zero pair's gates go to every invalid slot, and its
+    gradient is the sum of theirs. ``keys[hd]`` holds the flat key index
+    b * T_k + j of each packed pair of head ``hd``, and ``pos[hd]`` its
+    slot; the zero pair's slot is the head's first invalid one. With every
+    pair valid, packing is the identity and holds no index of its own:
+    ``keys`` is the [H, slots] key index, and ``pos`` is None.
     """
 
     ndim = 5
@@ -58,55 +69,84 @@ class PairInput:
     def __init__(self, qp: Tensor, kp: Tensor, batch: PairBatch):
         B, H, T_q, C = qp.shape
         idx, valid = batch.selected_indices, batch.valid_mask
+        K = idx.shape[3]
         self.qp, self.kp = qp, kp
-        self.shape = (B, H, T_q, idx.shape[3], C)
-        self.size = B * H * T_q * idx.shape[3] * C
-        self.keys = (np.arange(B)[:, None, None, None] * kp.shape[2]
-                     + idx).transpose(1, 0, 2, 3).reshape(H, -1)
-        self.valid = (None if valid.all()
-                      else valid.transpose(1, 0, 2, 3).reshape(H, -1))
+        self.shape = (B, H, T_q, K, C)
+        self.size = B * H * T_q * K * C
+        keys = (np.arange(B)[:, None, None, None] * kp.shape[2]
+                + idx).transpose(1, 0, 2, 3).reshape(H, -1)
+        if valid.all():
+            self.keys, self.pos, self.invalid = keys, None, None
+            self.counts = [keys.shape[1]] * H
+        else:
+            valid = valid.transpose(1, 0, 2, 3).reshape(H, -1)
+            self.invalid = ~valid
+            self.pos = [np.append(np.flatnonzero(v), np.argmin(v)) for v in valid]
+            self.keys = [np.append(k[v], 0) for k, v in zip(keys, valid)]
+            self.counts = [p.size for p in self.pos]
         # channel-major [H, C, B*T]: one channel of one head is contiguous
         self._q, self._k = (np.ascontiguousarray(
             t.data.transpose(1, 3, 0, 2)).reshape(H, C, -1) for t in (qp, kp))
 
+    def _zero(self, hd: int, b: int) -> bool:
+        """Whether packed pairs ..b of head ``hd`` end with the zero pair."""
+        return self.pos is not None and b == self.counts[hd]
+
+    def _slots(self, hd: int, a: int, b: int) -> np.ndarray:
+        return np.arange(a, b) if self.pos is None else self.pos[hd][a:b]
+
     def block(self, hd: int, a: int, b: int) -> np.ndarray:
-        """The input [C, b - a] of pairs a..b of head ``hd``."""
-        r, starts = self._rows(a, b)
-        x = np.take(self._k[hd], self.keys[hd, a:b], axis=1)
-        x += np.repeat(self._q[hd, :, r:r + starts.size],
-                       np.diff(starts, append=b - a), axis=1)
-        if self.valid is not None:
-            x *= self.valid[hd, a:b]
+        """The input [C, b - a] of packed pairs a..b of head ``hd``."""
+        x = np.take(self._k[hd], self.keys[hd][a:b], axis=1)
+        x += np.take(self._q[hd], self._slots(hd, a, b) // self.shape[3], axis=1)
+        if self._zero(hd, b):
+            x[:, -1] = 0.0
         return x
 
+    def gather(self, rows: np.ndarray, hd: int, a: int, b: int,
+               sum_invalid: bool = False) -> np.ndarray:
+        """Columns a..b of packed pairs from ``rows`` [R, pairs], head
+        ``hd``'s slots: a view with every pair valid, else a copy. The zero
+        pair's column is that of an invalid slot, or with ``sum_invalid``
+        the sum over every invalid slot."""
+        if self.pos is None:
+            return rows[:, a:b]
+        cols = np.take(rows, self.pos[hd][a:b], axis=1)
+        if sum_invalid and self._zero(hd, b):
+            cols[:, -1] = rows.sum(axis=1, where=self.invalid[hd])
+        return cols
+
+    def scatter(self, rows: np.ndarray, hd: int, a: int, b: int,
+                cols: np.ndarray):
+        """Write ``cols`` of packed pairs a..b into head ``hd``'s slots of
+        ``rows`` [R, pairs], the zero pair's into every invalid slot."""
+        rows[:, self.pos[hd][a:b]] = cols
+        if self._zero(hd, b):
+            np.copyto(rows, cols[:, -1:], where=self.invalid[hd])
+
     def block_grads(self, hd: int, a: int, b: int, dx: np.ndarray):
-        """The partials of ``block``'s gradient ``dx``, masked in place:
-        (first query row, d qp of the rows it touches [C, rows], d kp of
-        every key [C, B*T_k], scattered by ``np.bincount``)."""
-        if self.valid is not None:
-            dx *= self.valid[hd, a:b]
-        r, starts = self._rows(a, b)
-        keys, M = self.keys[hd, a:b], self._k.shape[2]
-        return r, np.add.reduceat(dx, starts, axis=1), np.stack(
-            [np.bincount(keys, weights=d, minlength=M) for d in dx])
+        """The partials of ``block``'s gradient ``dx``: (the query rows
+        the block touches, d qp of each [C, rows], d kp of every key
+        [C, B*T_k], scattered by ``np.bincount``). The zero pair's input
+        is no parameter's, so its column of ``dx`` is left out."""
+        if self._zero(hd, b):
+            b, dx = b - 1, dx[:, :-1]
+        rows = self._slots(hd, a, b) // self.shape[3]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        M = self._k.shape[2]
+        return rows[starts], np.add.reduceat(dx, starts, axis=1), np.stack(
+            [np.bincount(self.keys[hd][a:b], weights=d, minlength=M) for d in dx])
 
     def grads(self, items: list[tuple[int, int, int]], parts: list[tuple]):
         """(d qp, d kp) from the ``block_grads`` of the (head, start, stop)
         items, summed in item order."""
         dq, dk = np.zeros_like(self._q), np.zeros_like(self._k)
-        for (hd, _, _), (r, dq_rows, dk_keys) in zip(items, parts):
-            dq[hd, :, r:r + dq_rows.shape[1]] += dq_rows
+        for (hd, _, _), (rows, dq_rows, dk_keys) in zip(items, parts):
+            dq[hd][:, rows] += dq_rows
             dk[hd] += dk_keys
-        B, H, _, _, C = self.shape
-        return tuple(d.reshape(H, C, B, -1).transpose(2, 0, 3, 1) for d in (dq, dk))
-
-    def _rows(self, a: int, b: int):
-        """The first query row of pairs a..b, and the offset in the block
-        at which each row they touch starts (a row holds K_eff pairs)."""
-        K = self.shape[3]
-        starts = np.arange(-(a % K), b - a, K)
-        starts[0] = 0
-        return a // K, starts
+        B, H, T_q, _, C = self.shape
+        return tuple(d.reshape(H, C, B, T).transpose(2, 0, 3, 1)
+                     for d, T in ((dq, T_q), (dk, self.kp.shape[2])))
 
 
 def _candidate_mask(B, H, T_q, T_k, causal: bool,

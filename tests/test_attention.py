@@ -137,7 +137,9 @@ def _weighted_sum(gates, coef):
 
 @pytest.mark.parametrize("case", ["full", "causal_masked", "topk",
                                   "topk_blocks", "long_rows"])
-@pytest.mark.parametrize("n_steps", [1, 3])
+# one step keeps no hidden state on the tape, two keep none but h_0 and
+# h_1, which the backward rebuilds; three and five keep h_1 .. h_{N-2}
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
 def test_fused_gates_match_composed_oracle(case, n_steps):
     rng = np.random.default_rng(41)
     core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
@@ -176,15 +178,81 @@ def test_fused_gates_pass_grad_check():
     qa, ka, pb = _gate_case("causal_masked", rng)
     q = Tensor(qa, requires_grad=True)
     k = Tensor(ka, requires_grad=True)
-    coef = rng.standard_normal((4,) + pb.valid_mask.shape)
-
-    def loss():
-        return _weighted_sum(core.gates(q, k, pb, 2, 0.5), coef)
-
     params = dict(core.parameters(), q=q, k=k)
-    # the op tolerance of the gradients verify suite
-    report = TR.grad_check(loss, params, h=1e-5)
-    assert report["max_rel_error"] < 1e-4, report["per_param"]
+    for n_steps in (1, 2, 3, 5):
+        coef = rng.standard_normal((2 * n_steps,) + pb.valid_mask.shape)
+
+        def loss():
+            return _weighted_sum(core.gates(q, k, pb, n_steps, 1 / n_steps),
+                                 coef)
+
+        # the op tolerance of the gradients verify suite
+        report = TR.grad_check(loss, params, h=1e-5)
+        assert report["max_rel_error"] < 1e-4, (n_steps, report["per_param"])
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
+@pytest.mark.parametrize("case", ["full", "causal_masked"])
+def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps,
+                                                             monkeypatch):
+    rng = np.random.default_rng(61)
+    H, h = 2, 3
+    core = A.RecurrentGateCore(6, h, 1e-3, rng, heads=H)
+    qa, ka, pb = _gate_case(case, rng)
+    kept = []
+    gru_forward = A._gru_forward
+
+    def spy(*args):
+        kept.append(args[-1])
+        gru_forward(*args)
+
+    monkeypatch.setattr(A, "_gru_forward", spy)
+    with T.no_grad():
+        core.gates(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps)
+    core.gates(Tensor(qa, requires_grad=True), Tensor(ka), pb, n_steps,
+               1 / n_steps)
+    untaped, taped = kept
+    assert untaped is None
+    # both heads see the same mask; every pair valid packs as it stands
+    slots = pb.valid_mask[:, 0]
+    pairs_run = slots.size if slots.all() else int(slots.sum()) + 1
+    assert taped.nbytes == H * max(n_steps - 2, 0) * h * pairs_run * 8
+
+
+@pytest.mark.parametrize("case", ["causal_masked", "topk", "long_rows"])
+def test_invalid_slots_hold_exactly_the_zero_input_gates(case):
+    rng = np.random.default_rng(67)
+    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    qa, ka, pb = _gate_case(case, rng)
+    n_steps = 3
+    with T.no_grad():
+        gates = core.gates(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps).data
+    w = {n: p.data for n, p in core.parameters().items()}
+    for hd, count in enumerate(_packed_counts(pb)):
+        # the zero pair ends the head's last block; the kernel gives a
+        # column of that block the same gates whatever the other columns hold
+        a, b = A._blocks(count)[-1]
+        zero = np.empty((2 * n_steps, b - a))
+        A._forward_block(np.zeros((9, b - a)), w, hd, n_steps, 1 / n_steps,
+                         core.epsilon, zero, None)
+        slots = gates[:, :, hd][:, ~pb.valid_mask[:, hd]]
+        assert slots.shape[1] > 0
+        assert np.array_equal(slots, np.broadcast_to(zero[:, -1:], slots.shape))
+
+
+@pytest.mark.parametrize("case", [dict(), dict(causal=True), dict(top_k=2)])
+def test_multi_head_on_no_sequences_returns_empty_outputs_and_gradients(case):
+    cfg = A.LanConfig(d_model=8, heads=2, euler_steps=3, **case)
+    block = A.MultiHeadLan(cfg, np.random.default_rng(0))
+    x = Tensor(np.zeros((0, 5, 8)), requires_grad=True)
+    with T.no_grad():
+        assert block.forward(x, x, x).shape == (0, 5, 8)
+    out = block.forward(x, x, x, key_mask=np.ones((0, 5), dtype=bool))
+    assert out.shape == (0, 5, 8)
+    T.tsum(out).backward()
+    assert x.grad.shape == (0, 5, 8)
+    for name, p in block.parameters().items():
+        assert p.grad.shape == p.shape and not p.grad.any(), name
 
 
 @pytest.mark.parametrize("case", ["full", "causal_masked", "topk",
@@ -227,18 +295,35 @@ def _workload_pairs(case, rng):
     return A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H), q, k, pb
 
 
-def _kernel_on(core, up, n_steps, dt):
+def _packed_counts(pb):
+    """The pairs the gate kernel runs per head: the valid ones, plus one
+    zero-input pair that stands for the invalid ones, if any."""
+    valid = np.swapaxes(pb.valid_mask, 0, 1).reshape(pb.valid_mask.shape[1], -1)
+    return [int(v.sum()) + (not v.all()) for v in valid]
+
+
+def _kernel_on(core, up, valid, n_steps, dt):
     """The gate kernel's work items fed a materialized pair input ``up``
-    [B,H,...,3h]; returns the gates [2N, H, pairs]."""
+    [B,H,...,3h]: per head its valid pairs, then one zero input when some
+    are invalid, whose gates fill every invalid slot. Returns the gates
+    [2N, H, pairs]."""
     B, H, C = up.shape[0], up.shape[1], up.shape[-1]
     P = up.size // (H * C)
     x = np.ascontiguousarray(
         up.reshape(B, H, P // B, C).transpose(1, 3, 0, 2)).reshape(H, C, P)
+    valid = np.swapaxes(valid, 0, 1).reshape(H, P)
     w = {n: p.data for n, p in core.parameters().items()}
     gates = np.empty((2 * n_steps, H, P))
-    for hd, a, b in A._items(H, P):
-        A._forward_block(x[hd, :, a:b], w, hd, n_steps, dt, core.epsilon,
-                         gates[:, hd, a:b], None)
+    for hd in range(H):
+        v = valid[hd]
+        packed = x[hd][:, v] if v.all() else np.concatenate(
+            [x[hd][:, v], np.zeros((C, 1))], axis=1)
+        out = np.empty((2 * n_steps, packed.shape[1]))
+        for a, b in A._blocks(packed.shape[1]):
+            A._forward_block(np.ascontiguousarray(packed[:, a:b]), w, hd,
+                             n_steps, dt, core.epsilon, out[:, a:b], None)
+        gates[:, hd, v] = out[:, :v.sum()]
+        gates[:, hd, ~v] = out[:, -1:]
     return gates
 
 
@@ -255,7 +340,8 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
         up = pair_sum(pin.qp, pin.kp, pb)
     assert (pin.shape, pin.size, pin.ndim) == (up.shape, up.size, up.ndim)
     got = np.moveaxis(gates.data, 2, 1).reshape(2 * n_steps, core.heads, -1)
-    assert np.array_equal(got, _kernel_on(core, up.data, n_steps, 1 / n_steps))
+    assert np.array_equal(got, _kernel_on(core, up.data, pb.valid_mask,
+                                          n_steps, 1 / n_steps))
 
 
 def test_gates_never_build_the_pair_input(monkeypatch):
@@ -290,8 +376,8 @@ def _block_case(case):
     B, H, D, key_mask, causal = 1, 2, 2, None, False
     if case == "topk_row_split":      # blocks cut a query's K pairs apart
         T_q, T_k, K = 301, 40, 20
-    elif case == "batch_rows":        # blocks cross batch rows
-        B, T_q, T_k, K, causal = 3, 40, 40, None, True
+    elif case == "batch_rows":        # packed blocks cross batch rows
+        B, T_q, T_k, K, causal = 3, 60, 60, None, True
         key_mask = np.ones((B, T_k), dtype=bool)
         key_mask[1, -9:] = False
     elif case == "one_block":
@@ -330,7 +416,10 @@ def _gate_run(core, qa, ka, pb, n_steps=3):
                                   "uneven"])
 def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch):
     core, qa, ka, pb = _block_case(case)
-    P = pb.valid_mask[:, 0].size
+    # both heads pack the same pairs
+    counts = _packed_counts(pb)
+    P = counts[0]
+    assert counts == [P] * core.heads
     blocks = A._blocks(P)
     sizes = [b - a for a, b in blocks]
     assert blocks[0][0] == 0 and blocks[-1][1] == P and max(sizes) <= A._BLOCK_PAIRS
@@ -339,8 +428,11 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
     if case == "topk_row_split":
         assert len(blocks) > 1 and any(a % K for a, _ in blocks)
     elif case == "batch_rows":
-        row = P // pb.valid_mask.shape[0]
-        assert len(blocks) > 1 and any(a // row != (b - 1) // row for a, b in blocks)
+        # the batch row of each packed valid pair
+        row = pb.valid_mask[:, 0].size // pb.valid_mask.shape[0]
+        batch = np.flatnonzero(pb.valid_mask[:, 0]) // row
+        assert len(blocks) > 1 and any(batch[a] != batch[min(b, P - 1) - 1]
+                                       for a, b in blocks)
         assert not pb.valid_mask.all()
     elif case == "one_block":
         assert blocks == [(0, P)]
@@ -492,7 +584,7 @@ def test_gate_items_read_the_core_weight_buffers(monkeypatch):
 
         monkeypatch.setattr(A, name, spy)
     _gate_run(core, qa, ka, pb)
-    assert len(seen) == 3 * len(A._items(core.heads, pb.valid_mask[:, 0].size))
+    assert len(seen) == 3 * len(A._items(_packed_counts(pb)))
     for w in seen:
         for name in ("W_h", "W_o", "b_o", "w_t", "b_x"):
             assert np.shares_memory(w[name], getattr(core, name).data), name

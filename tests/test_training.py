@@ -1,5 +1,8 @@
 """Losses, optimizer steps, the training loop, and gradient checking."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -236,6 +239,49 @@ def test_every_gate_parameter_receives_gradient():
     assert gate_params
     for name, p in gate_params.items():
         assert p.grad is not None and np.abs(p.grad).max() > 0.0, name
+
+
+# one training step of a micro model with masks, causal rows and top-k
+# tails, recorded from the gate kernel that kept every hidden state on the
+# tape and ran the GRU on every slot
+GOLDEN = json.loads((Path(__file__).parent / "golden_step.json").read_text())
+
+
+def _golden_step(case):
+    kw = dict(euler_steps=3, hc_mode="liquid", hc_streams=2,
+              sink_gate_enabled=True)
+    if case == "topk":
+        kw["top_k"] = 3
+    model = micro_model(seed=11, **kw)
+    rng = np.random.default_rng(12)
+    B, T_in, T_out = 3, 6, 4
+    mask = np.ones((B, T_in), dtype=bool)
+    mask[1, -2:] = False
+    mask[2, -4:] = False
+    pred = model.forward(
+        values=rng.standard_normal((B, T_in, 1)),
+        times=np.cumsum(rng.uniform(0.5, 1.5, (B, T_in)), axis=1),
+        query_times=np.cumsum(rng.uniform(0.5, 1.5, (B, T_out)), axis=1),
+        mask=mask)
+    loss = TR.loss("mse", pred, rng.standard_normal((B, T_out, 1)))
+    loss.backward()
+    params = model.parameters()
+    # one fixed random direction per parameter, the same draws for each
+    proj = {n: float((p.grad * np.random.default_rng(13).standard_normal(
+        p.shape)).sum()) for n, p in params.items()}
+    return loss.item(), TR.clip_global_norm(params, 0.0), proj
+
+
+@pytest.mark.parametrize("case", ["full", "topk"])
+def test_training_step_matches_the_golden_gradients(case):
+    want = GOLDEN[case]
+    loss, norm, proj = _golden_step(case)
+    rel = 1e-12
+    assert abs(loss - want["loss"]) <= rel * abs(want["loss"])
+    assert abs(norm - want["grad_norm"]) <= rel * want["grad_norm"]
+    assert proj.keys() == want["projections"].keys()
+    for name, value in want["projections"].items():
+        assert abs(proj[name] - value) <= rel * abs(value), (name, proj[name], value)
 
 
 # --------------------------------------------------------------------------
