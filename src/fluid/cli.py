@@ -126,10 +126,10 @@ def cmd_train(args) -> int:
     in_features = packed["values"].shape[-1]
 
     n = packed["values"].shape[0]
-    folds = max(args.folds, 1)
-    if folds > n:
-        raise ValueError(f"--folds {folds} is more than the {n} sequences "
-                         f"in {args.data}")
+    folds = args.folds
+    if not 1 <= folds <= n:
+        raise ValueError(f"--folds {folds} is not between 1 and the {n} "
+                         f"sequences in {args.data}")
     rng = np.random.default_rng(tcfg.seed)
     parts = (_fold_indices(n, folds, rng) if folds > 1
              else [np.arange(max(1, n // 5))])

@@ -58,6 +58,9 @@ class ModelConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.hc_mode != "residual" and self.hc_streams < 1:
             raise ValueError("hc_streams must be >= 1")
+        if self.n_layers < 0 or self.ffn_dim < 1:
+            raise ValueError(f"n_layers {self.n_layers} must be >= 0 and "
+                             f"ffn_dim {self.ffn_dim} >= 1")
 
 
 class _Ffn:
@@ -254,9 +257,13 @@ class FluidModel:
 # checkpoints: JSON manifest + binary tensor blobs
 # --------------------------------------------------------------------------
 
-def _config_from_dict(d: dict) -> ModelConfig:
-    lan = A.LanConfig(**d.pop("lan"))
-    return ModelConfig(lan=lan, **d)
+def _config_from_dict(d: dict, source: str) -> ModelConfig:
+    """The config a manifest records; ValueError when it does not fit."""
+    try:
+        return ModelConfig(lan=A.LanConfig(**d.pop("lan", {})), **d)
+    except TypeError as err:
+        raise ValueError(f"{source}: manifest config does not fit the model: "
+                         f"{err}") from None
 
 
 def _replace_file(path: str, data: bytes):
@@ -290,7 +297,7 @@ def save_checkpoint(model: FluidModel, path: str):
 def load_checkpoint(path: str) -> FluidModel:
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
-    model = FluidModel(_config_from_dict(manifest["config"]))
+    model = FluidModel(_config_from_dict(manifest["config"], path))
     params = model.parameters()
     if sorted(params) != manifest["params"]:
         raise ValueError("checkpoint parameter names do not match the "

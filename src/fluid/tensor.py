@@ -5,6 +5,8 @@ Tensors are immutable values after construction (optimizers mutate the
 underlying buffer of leaf parameters between passes, never mid-graph).
 All arithmetic is 64-bit; broadcasting follows numpy rules and any
 incompatible pair of shapes raises :class:`ShapeError` naming both.
+``masked_softmax``, ``gather_weighted`` and ``layer_norm`` are each one
+tape op for a whole formula, with a hand-written backward rule.
 """
 
 from __future__ import annotations
@@ -165,16 +167,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), lambda g: (g * c,))
 
 
-def pow_const(a: Tensor, p: float) -> Tensor:
-    p = float(p)
-    out = a.data ** p
-
-    def rule(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _node(out, (a,), rule)
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _node(out, (a,), lambda g: (g * out,))
@@ -203,16 +195,6 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
     x += 1.0
     np.divide(1.0, x, out=x)
     return x
-
-
-def softplus(a: Tensor) -> Tensor:
-    x = a.data
-    out = _softplus_(x.copy(), np.empty_like(x))
-
-    def rule(g):
-        return (g * _sigmoid_(x.copy()),)
-
-    return _node(out, (a,), rule)
 
 
 def _softplus_(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -307,21 +289,11 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def rule(g):
         g = np.asarray(g)
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _node(out, (a,), rule)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.size
-    else:
-        count = a.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -454,21 +426,39 @@ def gather_weighted(alpha: Tensor, x: Tensor, idx: np.ndarray) -> Tensor:
 # gathered scalars per chunk of ``gather_weighted`` (8 MB, one top-k score
 # chunk of ``pairs``)
 _VALUE_CHUNK = 1 << 20
+# added to the variance in ``layer_norm`` before the inverse square root
+_LN_EPS = 1e-5
 
 
 def layer_norm(x: Tensor, gain: Tensor | None = None,
-               bias: Tensor | None = None, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis; optional learnable affine."""
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = pow_const(add(var, Tensor(eps)), -0.5)
-    out = mul(centered, inv)
+               bias: Tensor | None = None) -> Tensor:
+    """x_hat = (x - mean) * inv over the last axis, inv = (var + eps) ** -0.5,
+    then the optional learnable affine x_hat * gain + bias. The tape keeps
+    x_hat and inv: with g_hat = g * gain, d x = inv * (g_hat - mean(g_hat)
+    - x_hat * mean(g_hat * x_hat)) over the last axis."""
+    n = x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    inv = (var + _LN_EPS) ** -0.5
+    out = x_hat = centered * inv
     if gain is not None:
-        out = mul(out, gain)
+        out = out * gain.data
     if bias is not None:
-        out = add(out, bias)
-    return out
+        out = out + bias.data
+    parents = tuple(p for p in (x, gain, bias) if p is not None)
+
+    def rule(g):
+        g_hat = g if gain is None else g * gain.data
+        dx = inv * (g_hat - g_hat.mean(axis=-1, keepdims=True)
+                    - x_hat * (g_hat * x_hat).mean(axis=-1, keepdims=True))
+        grads = [dx]
+        if gain is not None:
+            grads.append(_unbroadcast(g * x_hat, gain.shape))
+        if bias is not None:
+            grads.append(_unbroadcast(g, bias.shape))
+        return tuple(grads)
+
+    return _node(out, parents, rule)
 
 
 # --------------------------------------------------------------------------

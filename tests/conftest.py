@@ -48,6 +48,18 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
+# softplus on the tape: the gate kernel runs T._softplus_ in place, so the
+# composed oracles below need their own op
+# --------------------------------------------------------------------------
+
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + e^a), with derivative sigmoid(a)."""
+    x = a.data
+    out = T._softplus_(x.copy(), np.empty_like(x))
+    return T._node(out, (a,), lambda g: (g * T._sigmoid_(x.copy()),))
+
+
+# --------------------------------------------------------------------------
 # materialized pair input and composed GRU gate: the oracles for the fused
 # gate kernel
 # --------------------------------------------------------------------------
@@ -147,7 +159,7 @@ def _heads(w, epsilon: float, hidden: Tensor):
                      w["b_" + name])
 
     f_phi = T.tanh(head("phi"))
-    f_tau = T.add(T.softplus(head("tau")), Tensor(epsilon))
+    f_tau = T.add(softplus(head("tau")), Tensor(epsilon))
     return f_tau, f_phi
 
 

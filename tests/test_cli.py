@@ -249,7 +249,9 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "bench-missing-config", "bench-malformed-config",
                                   "train-missing-data", "bench-heads",
                                   "train-heads", "train-empty-data",
-                                  "train-negative-batch"])
+                                  "train-negative-batch", "train-zero-folds",
+                                  "train-negative-folds",
+                                  "train-negative-layers", "train-zero-ffn"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
@@ -259,7 +261,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
         D.SpiralSpec(n_spirals=10, n_points=30, n_subsample=12)))
     empty.write_text("")
     configs = {"train-heads": {"model": {"heads": 0}},
-               "train-negative-batch": dict(TINY_CONFIG, train={"batch_size": -1})}
+               "train-negative-batch": dict(TINY_CONFIG, train={"batch_size": -1}),
+               "train-negative-layers": {"model": {"n_layers": -2}},
+               "train-zero-ffn": {"model": {"ffn_dim": 0}}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(configs.get(case, TINY_CONFIG)))
     train = ["train", "--out", str(tmp_path / "run"), "--config", str(config),
@@ -278,6 +282,10 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
         "train-heads": train + [str(data)],
         "train-empty-data": train + [str(empty)],
         "train-negative-batch": train + [str(data)],
+        "train-zero-folds": train + [str(data), "--folds", "0"],
+        "train-negative-folds": train + [str(data), "--folds", "-3"],
+        "train-negative-layers": train + [str(data)],
+        "train-zero-ffn": train + [str(data)],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -285,6 +293,23 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
     named = {"bench-malformed-config": malformed, "train-empty-data": empty}
     if case in named:
         assert str(named[case]) in err, err
+
+
+def test_eval_rejects_a_manifest_config_that_does_not_fit(tmp_path, capsys):
+    data, config = _tiny_run(tmp_path)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--out", str(run),
+                     "--epochs", "0", "--config", str(config)]) == 0
+    manifest = run / "final" / "manifest.json"
+    saved = json.loads(manifest.read_text())
+    saved["config"]["dropout"] = 0.1
+    manifest.write_text(json.dumps(saved))
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(run / "final"),
+                     "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fluid eval: ") and err.count("\n") == 1, err
+    assert "'dropout'" in err and str(run / "final") in err
 
 
 def test_verify_exit_codes():

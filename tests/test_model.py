@@ -364,6 +364,22 @@ def test_checkpoint_round_trip(tmp_path):
                           restored.forward(values, times, qt).data)
 
 
+@pytest.mark.parametrize("edit, problem", [
+    (lambda c: c.update(dropout=0.1), "unexpected keyword argument 'dropout'"),
+    (lambda c: c["lan"].update(width=4), "unexpected keyword argument 'width'"),
+    (lambda c: c["lan"].pop("d_model"), "missing 1 required .* 'd_model'"),
+    (lambda c: c.pop("lan"), "missing 1 required .* 'd_model'"),
+], ids=["unknown", "unknown-lan", "missing-lan-key", "no-lan"])
+def test_checkpoint_names_config_keys_that_do_not_fit(tmp_path, edit, problem):
+    path = tmp_path / "ckpt"
+    M.save_checkpoint(M.FluidModel(_cfg(seed=31)), str(path))
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest["config"])
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=problem):
+        M.load_checkpoint(str(path))
+
+
 def test_checkpoint_reads_its_own_tensor_file(tmp_path):
     # a manifest cannot point the load at a file outside the checkpoint
     model = M.FluidModel(_cfg(seed=29))

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference, matmul_triple_loop, max_rel_error
+from conftest import (central_difference, matmul_triple_loop, max_rel_error,
+                      softplus)
 from fluid import bench
 from fluid import tensor as T
+from fluid import training as TR
 from fluid.tensor import Tensor
 
 
@@ -52,7 +54,7 @@ def test_matmul_associativity():
 
 
 def test_elementwise_closed_forms():
-    assert math.isclose(T.softplus(Tensor(0.0)).item(), math.log(2.0), rel_tol=1e-12)
+    assert math.isclose(softplus(Tensor(0.0)).item(), math.log(2.0), rel_tol=1e-12)
     assert T.tanh(Tensor(0.0)).item() == 0.0
     assert T.sigmoid(Tensor(0.0)).item() == 0.5
 
@@ -60,7 +62,7 @@ def test_elementwise_closed_forms():
 @pytest.mark.parametrize("x", [-3.0, 0.0, 3.0])
 def test_softplus_difference_identity(x):
     # softplus(x) - softplus(-x) = x
-    lhs = T.softplus(Tensor(x)).item() - T.softplus(Tensor(-x)).item()
+    lhs = softplus(Tensor(x)).item() - softplus(Tensor(-x)).item()
     assert math.isclose(lhs, x, abs_tol=1e-12)
 
 
@@ -142,7 +144,7 @@ def _composite_scalar(params):
     h = T.tanh(T.add(T.matmul(v, w), b))
     g = T.sigmoid(T.narrow(h, 1, 0, 2))
     s = T.masked_softmax(T.concat([h, g], axis=1), True, axis=1)
-    ln = T.layer_norm(T.softplus(h))
+    ln = T.layer_norm(softplus(h))
     return T.tsum(T.add(T.mul(s, s), T.tsum(ln, axis=1, keepdims=True)))
 
 
@@ -174,7 +176,7 @@ def test_unary_gradients_match_central_difference(op):
     if op == "relu":
         x = x + np.sign(x) * 0.05
 
-    fn = getattr(T, op)
+    fn = softplus if op == "softplus" else getattr(T, op)
 
     def f(arr):
         return T.tsum(fn(Tensor(arr))).item()
@@ -274,7 +276,7 @@ def test_sigmoid_is_bitwise_the_plain_formula():
     p = Tensor(x.copy(), requires_grad=True)
     assert np.array_equal(T.sigmoid(p).data, want)
     assert np.array_equal(p.data, x)                 # the input is left alone
-    T.tsum(T.softplus(p)).backward()
+    T.tsum(softplus(p)).backward()
     assert np.array_equal(p.grad, want)
 
 
@@ -283,7 +285,7 @@ def test_softplus_is_bitwise_the_plain_formula():
     x = np.concatenate([30.0 * rng.standard_normal(10 ** 6),
                         [800.0, -800.0, np.inf, -np.inf, 0.0, -0.0]])
     want = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    got = T.softplus(Tensor(x.copy())).data
+    got = softplus(Tensor(x.copy())).data
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -300,6 +302,67 @@ def test_softmax_gradient_matches_central_difference():
                             Tensor(coef))).item()
 
     assert max_rel_error(p.grad, central_difference(f, x.copy())) < 1e-4
+
+
+def _layer_norm_case(shape, seed=37):
+    """x of ``shape`` and a gain and bias over its last axis."""
+    rng = np.random.default_rng(seed)
+    d = shape[-1]
+    return (rng.standard_normal(shape), rng.uniform(0.5, 2.0, d),
+            rng.standard_normal(d))
+
+
+def _layer_norm_plain(x, gain=None, bias=None):
+    """(output, x_hat): the layer-norm formula in numpy, in the op's order."""
+    n = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    x_hat = centered * (var + 1e-5) ** -0.5
+    out = x_hat if gain is None else x_hat * gain
+    return (out if bias is None else out + bias), x_hat
+
+
+def test_layer_norm_is_one_tape_node_over_x_gain_and_bias():
+    x, gain, bias = (Tensor(a, requires_grad=True)
+                     for a in _layer_norm_case((2, 3, 4)))
+    out = T.layer_norm(x, gain, bias)
+    assert len(out._parents) == 3
+    assert all(p is q for p, q in zip(out._parents, (x, gain, bias)))
+    plain = T.layer_norm(x)
+    assert len(plain._parents) == 1 and plain._parents[0] is x
+
+
+@pytest.mark.parametrize("affine", [True, False], ids=["affine", "plain"])
+def test_layer_norm_forward_is_bitwise_the_plain_formula(affine):
+    x, gain, bias = _layer_norm_case((3, 5, 6))
+    want, _ = _layer_norm_plain(x, *((gain, bias) if affine else ()))
+    args = (Tensor(gain), Tensor(bias)) if affine else ()
+    assert np.array_equal(T.layer_norm(Tensor(x), *args).data, want)
+
+
+def test_layer_norm_affine_gradients_are_bitwise_the_sums():
+    x, gain, bias = _layer_norm_case((3, 5, 6))
+    g = np.random.default_rng(38).standard_normal(x.shape)
+    out = T.layer_norm(*(Tensor(a, requires_grad=True) for a in (x, gain, bias)))
+    _, g_gain, g_bias = out._backward(g)
+    _, x_hat = _layer_norm_plain(x)
+    assert np.array_equal(g_gain, T._unbroadcast(g * x_hat, gain.shape))
+    assert np.array_equal(g_bias, T._unbroadcast(g, bias.shape))
+
+
+@pytest.mark.parametrize("shape, affine", [((2, 3, 5), True),
+                                           ((2, 3, 2, 5), False)],
+                         ids=["affine-BTd", "plain-BTnd"])
+def test_layer_norm_passes_grad_check(shape, affine):
+    x, gain, bias = _layer_norm_case(shape)
+    coef = Tensor(np.random.default_rng(39).standard_normal(shape))
+    params = {"x": Tensor(x, requires_grad=True)}
+    if affine:
+        params |= {"gain": Tensor(gain, requires_grad=True),
+                   "bias": Tensor(bias, requires_grad=True)}
+    report = TR.grad_check(
+        lambda: T.tsum(T.mul(T.layer_norm(*params.values()), coef)), params)
+    assert report["max_rel_error"] < 1e-4      # verify's op tolerance
 
 
 def test_serialization_round_trip():
