@@ -17,8 +17,9 @@ pair inputs. The GRU runs only on the valid pairs, plus one zero-input
 pair whose gates every invalid pair gets. All steps unroll as one tape
 op with a hand-written backward that keeps only the hidden states of
 steps 1 .. N-2 and recomputes the rest; inference runs the same kernel
-without keeping anything. The (head, block) work items run on a thread
-pool over every CPU, with the same results for any number of threads.
+without keeping anything. The (head, block) work items run on
+``fluid.pool``, which top-k selection shares, one thread per CPU, with
+the same results for any number of threads.
 
 Every gate core returns the gates of all N steps as one tensor
 [2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:, each row in
@@ -37,13 +38,12 @@ query-dependent sigmoid output gate that counteracts attention sinks.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from fluid import pairs as pairs_mod
+from fluid import pool
 from fluid import tensor as T
 from fluid.tensor import Tensor, uniform_init, zeros_param
 
@@ -153,7 +153,7 @@ class RecurrentGateCore:
     is the identity. The kernel cuts each head's packed pairs into
     contiguous, balanced blocks of at most ``_BLOCK_PAIRS``, a cut that
     depends on the pair count alone, and runs the (head, block) work
-    items on a thread pool of one thread per CPU, made once at import
+    items on ``fluid.pool``, one thread per CPU, made once at import
     (numpy releases the GIL inside ufuncs and GEMMs), or inline with one
     CPU or one item. An item reads the weights in the core's own buffers,
     and forms its block's input [3h, block] and every other buffer in
@@ -279,31 +279,9 @@ def _step_bias(w: dict, hd: int, t_n: float) -> np.ndarray:
 _BLOCK_PAIRS = 4096
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-_WORKERS = _cpu_count()
-
-
-def _new_pool():
-    # threads start on the first submit; a forked child inherits the pool
-    # object but none of its threads, so it gets a pool of its own
-    global _pool
-    _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="fluid-gate")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
-
-
 def gate_workers() -> int:
-    """The number of threads the gate kernel spreads its work items over."""
-    return _WORKERS
+    """The number of threads of the pool that gates and top-k share."""
+    return pool._WORKERS
 
 
 def _blocks(P: int) -> list[tuple[int, int]]:
@@ -312,22 +290,6 @@ def _blocks(P: int) -> list[tuple[int, int]]:
     the worker count."""
     n = -(-P // _BLOCK_PAIRS)
     return [(P * i // n, P * (i + 1) // n) for i in range(n)]
-
-
-def _run_items(fn, items: list[tuple]) -> list:
-    """fn(*item) for every item, results in item order.
-
-    Items run on the module's thread pool, made once at import with one
-    thread per CPU, when there are several workers and several items, else
-    inline. Callers in several threads may submit at once. Every item
-    finishes before the first exception (in item order) is raised. Item
-    bodies are pure numpy, which releases the GIL inside ufuncs and GEMMs.
-    """
-    if min(_WORKERS, len(items)) <= 1:
-        return [fn(*item) for item in items]
-    futures = [_pool.submit(fn, *item) for item in items]
-    wait(futures)
-    return [f.result() for f in futures]
 
 
 def _items(counts: list[int]) -> list[tuple[int, int, int]]:
@@ -350,7 +312,7 @@ def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
         if pin.pos is not None:
             pin.scatter(gates[:, hd], hd, a, b, out)
 
-    _run_items(item, _items(pin.counts))
+    pool._run_items(item, _items(pin.counts))
 
 
 def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
@@ -404,7 +366,7 @@ def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal):
             pin.gather(gates[:, hd], hd, a, b), n_steps, dt_nominal)
         return parts, pin.block_grads(hd, a, b, dx)
 
-    results = _run_items(item, items)
+    results = pool._run_items(item, items)
     totals = tuple(np.zeros_like(w[n])
                    for n in ("W_h", "w_t", "b_x", "W_o", "b_o"))
     for (hd, _, _), (parts, _) in zip(items, results):

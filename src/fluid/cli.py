@@ -35,9 +35,12 @@ def _load_json(path: str | None) -> dict:
         return {}
     with open(path) as fh:
         try:
-            return json.load(fh)
+            cfg = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return cfg
 
 
 def _check_keys(path: str | None, cfg: dict, known):

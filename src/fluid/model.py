@@ -297,6 +297,9 @@ def save_checkpoint(model: FluidModel, path: str):
 def load_checkpoint(path: str) -> FluidModel:
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
+    for key in ("config", "params"):
+        if key not in manifest:
+            raise ValueError(f"{path}: manifest has no {key!r}")
     model = FluidModel(_config_from_dict(manifest["config"], path))
     params = model.parameters()
     if sorted(params) != manifest["params"]:

@@ -4,7 +4,11 @@ Two strategies: full pairwise, and sparse Top-K selection by raw
 dot-product score (no 1/sqrt(d) scaling on the selection scores).
 Masking is applied to the scores before selection, so future keys can
 never enter the pair set under causal masking; rows left with fewer than
-K_eff candidates are padded with index 0 and marked invalid.
+K_eff candidates are padded with index 0 and marked invalid. Top-K
+ranks its scores on ``fluid.pool``, one work item per chunk of whole
+score matrices, in row slices of at most 2 MB of scores: neither the
+[B,H,T_q,T_k] candidate mask nor a whole matrix's partition copy is
+ever built.
 
 The gates see each pair through a linear projection of u = [q; k], so a
 pair's input is a sum of one query feature and one key feature.
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fluid import pool
 from fluid.tensor import ShapeError, Tensor
 
 
@@ -149,17 +154,6 @@ class PairInput:
                      for d, T in ((dq, T_q), (dk, self.kp.shape[2])))
 
 
-def _candidate_mask(B, H, T_q, T_k, causal: bool,
-                    key_mask: np.ndarray | None) -> np.ndarray:
-    valid = np.ones((B, H, T_q, T_k), dtype=bool)
-    if causal:
-        valid &= (np.arange(T_k)[None, :] <= np.arange(T_q)[:, None])[None, None]
-    if key_mask is not None:
-        key_mask = np.asarray(key_mask, dtype=bool)
-        valid &= key_mask[:, None, None, :]
-    return valid
-
-
 def full_pairwise_concat(q: Tensor, k: Tensor, causal: bool = False,
                          key_mask: np.ndarray | None = None) -> PairBatch:
     """Every query paired with every key; K_eff == T_k."""
@@ -167,7 +161,11 @@ def full_pairwise_concat(q: Tensor, k: Tensor, causal: bool = False,
         raise ShapeError(f"pair features disagree: q has {q.shape}, k has {k.shape}")
     B, H, T_q, D = q.shape
     T_k = k.shape[2]
-    valid = _candidate_mask(B, H, T_q, T_k, causal, key_mask)
+    valid = np.ones((B, H, T_q, T_k), dtype=bool)
+    if causal:
+        valid &= np.tri(T_q, T_k, dtype=bool)
+    if key_mask is not None:
+        valid &= np.asarray(key_mask, dtype=bool)[:, None, None, :]
     indices = np.broadcast_to(np.arange(T_k), (B, H, T_q, T_k)).copy()
     return PairBatch(selected_indices=indices, valid_mask=valid)
 
@@ -191,10 +189,13 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     pairs.
 
     Scores are ranked in chunks of whole (batch, head) score matrices, at
-    most ``_SCORE_CHUNK`` scores or one matrix, so only one chunk's
-    buffers are alive at once. A chunk makes the GEMM call per matrix that
-    the whole product makes, so its scores are bitwise the same; a cut
-    through a matrix's rows would not guarantee that.
+    most ``_SCORE_CHUNK`` scores or one matrix, one work item per chunk on
+    ``fluid.pool``. A chunk makes the GEMM call per matrix that the whole
+    product makes, so its scores are bitwise the same; a cut through a
+    matrix's rows would not guarantee that. An item masks and ranks its
+    rows in slices of at most ``_SLICE_SCORES`` scores or one row, and
+    writes them into the outputs by position. Chunks and slices depend on
+    the shapes alone, so the batch is the same for any number of workers.
     """
     if K < 1:
         raise ValueError(f"top-k needs K >= 1, got {K}")
@@ -206,35 +207,50 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     G = B * H
     qf = q.data.reshape(G, T_q, D)
     kf = np.swapaxes(k.data.reshape(G, T_k, D), -1, -2)
-    candidates = _candidate_mask(B, H, T_q, T_k, causal, key_mask).reshape(G, T_q, T_k)
-    indices = np.empty((G, T_q, K_eff), dtype=np.intp)
-    valid = np.empty((G, T_q, K_eff), dtype=bool)
-    step = max(1, _SCORE_CHUNK // (T_q * T_k))
-    for g in (slice(g0, g0 + step) for g0 in range(0, G, step)):
-        # rank -S ascending: the K best keys are the K_eff smallest entries
-        neg = np.matmul(-qf[g], kf[g])
-        np.copyto(neg, np.inf, where=~(candidates[g] & ~np.isnan(neg)))
-        kth = np.partition(neg, K_eff - 1, axis=-1)[..., K_eff - 1:K_eff]
-        keep = neg <= kth
-        # rows with more ties at kth than places keep their lowest-index ties
-        over = np.count_nonzero(keep, axis=-1) > K_eff
-        if over.any():
-            rows, cut = neg[over], kth[over]
-            below = rows < cut
-            ties = rows == cut
-            room = K_eff - np.count_nonzero(below, axis=-1, keepdims=True)
-            keep[over] = below | (ties & (np.cumsum(ties, axis=-1) <= room))
-        # every row keeps exactly K_eff keys; read them in ascending order
-        indices[g] = (np.flatnonzero(keep) % T_k).reshape(-1, T_q, K_eff)
-        valid[g] = np.isfinite(np.take_along_axis(neg, indices[g], axis=-1))
+    if key_mask is not None:
+        key_mask = np.broadcast_to(np.asarray(key_mask, dtype=bool), (B, T_k))
+    indices = np.empty((G * T_q, K_eff), dtype=np.intp)
+    valid = np.empty((G * T_q, K_eff), dtype=bool)
+    span = max(1, _SLICE_SCORES // T_k)
 
-    if not valid.all():
-        # invalid entries to the tail as index 0, valid order kept
-        tail = np.argsort(~valid, axis=-1, kind="stable")
-        valid = np.take_along_axis(valid, tail, axis=-1)
-        indices = np.where(valid, np.take_along_axis(indices, tail, axis=-1), 0)
+    def rank(g0: int, g1: int):
+        # rank -S ascending: the K best keys are the K_eff smallest entries
+        neg = np.matmul(-qf[g0:g1], kf[g0:g1]).reshape(-1, T_k)
+        for a in range(0, len(neg), span):
+            s = neg[a:a + span]
+            rows = np.arange(len(s)) + (g0 * T_q + a)
+            out = np.isnan(s)
+            if causal:
+                out |= np.arange(T_k) > rows[:, None] % T_q
+            if key_mask is not None:
+                out |= ~key_mask[rows // (H * T_q)]
+            np.copyto(s, np.inf, where=out)
+            # a copy, so that the slice's partition buffer is freed at once
+            kth = np.partition(s, K_eff - 1, axis=-1)[:, K_eff - 1:K_eff].copy()
+            keep = s <= kth
+            # rows with more ties at kth than places keep their lowest-index ties
+            over = np.count_nonzero(keep, axis=-1) > K_eff
+            if over.any():
+                cut, s_over = kth[over], s[over]
+                below, ties = s_over < cut, s_over == cut
+                room = K_eff - np.count_nonzero(below, axis=-1, keepdims=True)
+                keep[over] = below | (ties & (np.cumsum(ties, axis=-1) <= room))
+            # every row keeps exactly K_eff keys; read them in ascending order
+            idx = np.flatnonzero(keep).reshape(-1, K_eff) % T_k
+            ok = np.isfinite(np.take_along_axis(s, idx, axis=-1))
+            if not ok.all():
+                # invalid entries to the tail as index 0, valid order kept
+                tail = np.argsort(~ok, axis=-1, kind="stable")
+                ok = np.take_along_axis(ok, tail, axis=-1)
+                idx = np.where(ok, np.take_along_axis(idx, tail, axis=-1), 0)
+            indices[rows], valid[rows] = idx, ok
+
+    step = max(1, _SCORE_CHUNK // (T_q * T_k))
+    pool._run_items(rank, [(g0, min(g0 + step, G)) for g0 in range(0, G, step)])
     return PairBatch(indices.reshape(B, H, T_q, K_eff), valid.reshape(B, H, T_q, K_eff))
 
 
-# the most scores one chunk of top-k selection ranks at once
+# the most scores one chunk of top-k selection ranks, and one row slice of
+# it: 2 MB, so that the slice's partition copy stays in cache
 _SCORE_CHUNK = 1 << 20
+_SLICE_SCORES = 1 << 18

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import concat_pairs, euler_chain, euler_step, gru_unroll, pair_sum
 from fluid import attention as A
-from fluid import pairs
+from fluid import pairs, pool
 from fluid import tensor as T
 from fluid import training as TR
 from fluid.tensor import Tensor
@@ -347,7 +347,7 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
 def test_gates_never_build_the_pair_input(monkeypatch):
     # with 3h >> 2N, one materialized pair input outweighs everything the
     # gates allocate: their outputs, the key index and each worker's blocks
-    monkeypatch.setattr(A, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "_WORKERS", 2)
     rng = np.random.default_rng(59)
     B, H, T_q, D, K, n_steps = 1, 2, 2048, 16, 32, 2
     core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H)
@@ -462,7 +462,7 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
     sys.setswitchinterval(1e-5)               # interleave the workers often
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setattr(A, "_WORKERS", workers)
+            monkeypatch.setattr(pool, "_WORKERS", workers)
             ran_on.clear()
             pair_grads.clear()
             runs[workers] = _gate_run(core, qa, ka, pb) + tuple(pair_grads)
@@ -489,7 +489,7 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
 
 def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
     core, qa, ka, pb = _block_case("topk_row_split")
-    monkeypatch.setattr(A, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "_WORKERS", 2)
     expected = _gate_run(core, qa, ka, pb)
     forward_block = A._forward_block
 
@@ -511,7 +511,7 @@ def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
 def test_gate_kernel_is_bitwise_the_same_for_concurrent_callers(monkeypatch):
     # two threads submit to the one pool at once, each under its own no_grad
     core, qa, ka, pb = _block_case("batch_rows")
-    monkeypatch.setattr(A, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "_WORKERS", 2)
     with T.no_grad():
         expected = core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3).data
 
@@ -550,10 +550,10 @@ def _unroll_in_child(core, qa, ka, pb, queue):
 
 def test_gate_kernel_runs_in_a_forked_child(monkeypatch):
     core, qa, ka, pb = _block_case("batch_rows")
-    monkeypatch.setattr(A, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "_WORKERS", 2)
     with T.no_grad():
         gates = core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
-    assert A._pool is not None        # the parent has started its threads
+    assert pool._pool is not None     # the parent has started its threads
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_unroll_in_child, args=(core, qa, ka, pb, queue))

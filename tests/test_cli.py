@@ -251,7 +251,9 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-heads", "train-empty-data",
                                   "train-negative-batch", "train-zero-folds",
                                   "train-negative-folds",
-                                  "train-negative-layers", "train-zero-ffn"])
+                                  "train-negative-layers", "train-zero-ffn",
+                                  "bench-list-config", "bench-key-list-config",
+                                  "train-list-config"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
@@ -263,7 +265,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
     configs = {"train-heads": {"model": {"heads": 0}},
                "train-negative-batch": dict(TINY_CONFIG, train={"batch_size": -1}),
                "train-negative-layers": {"model": {"n_layers": -2}},
-               "train-zero-ffn": {"model": {"ffn_dim": 0}}}
+               "train-zero-ffn": {"model": {"ffn_dim": 0}},
+               "bench-list-config": [1], "bench-key-list-config": ["d_model"],
+               "train-list-config": [1]}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(configs.get(case, TINY_CONFIG)))
     train = ["train", "--out", str(tmp_path / "run"), "--config", str(config),
@@ -286,11 +290,16 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
         "train-negative-folds": train + [str(data), "--folds", "-3"],
         "train-negative-layers": train + [str(data)],
         "train-zero-ffn": train + [str(data)],
+        "bench-list-config": ["bench", "--config", str(config)],
+        "bench-key-list-config": ["bench", "--config", str(config)],
+        "train-list-config": train + [str(data)],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"fluid {argv[0]}: ") and err.count("\n") == 1, err
-    named = {"bench-malformed-config": malformed, "train-empty-data": empty}
+    named = {"bench-malformed-config": malformed, "train-empty-data": empty,
+             "bench-list-config": config, "bench-key-list-config": config,
+             "train-list-config": config}
     if case in named:
         assert str(named[case]) in err, err
 
@@ -310,6 +319,24 @@ def test_eval_rejects_a_manifest_config_that_does_not_fit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fluid eval: ") and err.count("\n") == 1, err
     assert "'dropout'" in err and str(run / "final") in err
+
+
+@pytest.mark.parametrize("key", ["config", "params"])
+def test_eval_rejects_a_manifest_without_config_or_params(tmp_path, capsys, key):
+    data, config = _tiny_run(tmp_path)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--out", str(run),
+                     "--epochs", "0", "--config", str(config)]) == 0
+    manifest = run / "final" / "manifest.json"
+    saved = json.loads(manifest.read_text())
+    del saved[key]
+    manifest.write_text(json.dumps(saved))
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(run / "final"),
+                     "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fluid eval: ") and err.count("\n") == 1, err
+    assert f"'{key}'" in err and str(run / "final") in err
 
 
 def test_verify_exit_codes():

@@ -380,6 +380,18 @@ def test_checkpoint_names_config_keys_that_do_not_fit(tmp_path, edit, problem):
         M.load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("key", ["config", "params"])
+def test_checkpoint_names_a_missing_manifest_key(tmp_path, key):
+    path = tmp_path / "ckpt"
+    M.save_checkpoint(M.FluidModel(_cfg(seed=32)), str(path))
+    manifest = json.loads((path / "manifest.json").read_text())
+    del manifest[key]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as err:
+        M.load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: manifest has no '{key}'"
+
+
 def test_checkpoint_reads_its_own_tensor_file(tmp_path):
     # a manifest cannot point the load at a file outside the checkpoint
     model = M.FluidModel(_cfg(seed=29))

@@ -1,5 +1,7 @@
 """Pair curation (full pairwise, sparse Top-K) and the factored pair input."""
 
+import sys
+
 import numpy as np
 import pytest
 from conftest import pair_sum, topk_sort
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fluid import pairs, tensor as T
+from fluid import bench, pairs, pool, tensor as T
 from fluid.tensor import Tensor
 
 
@@ -157,6 +159,85 @@ def test_topk_chunks_hold_whole_score_matrices(monkeypatch):
         for K in (1, 3, 7):
             for causal in (False, True):
                 _assert_same_selection(q, k, K, causal, key_mask)
+
+
+def _tied_scores_case():
+    """q [2,3,6,2] and k [2,3,7,2] of small integers, so that scores tie
+    often, with NaN and infinite scores. In matrix (1, 0) every query
+    scores the keys 2, 1, 1, 3, 1, 1, 0: K = 3 or 4 leaves every row, on
+    both sides of every slice boundary, more ties at the K-th score than
+    places, with and without the key mask and the causal mask."""
+    rng = np.random.default_rng(27)
+    q = rng.integers(-2, 3, (2, 3, 6, 2)).astype(float)
+    k = rng.integers(-2, 3, (2, 3, 7, 2)).astype(float)
+    q[1, 0] = [1.0, 0.0]
+    k[1, 0] = np.column_stack([[2, 1, 1, 3, 1, 1, 0], np.zeros(7)])
+    q[0, 2, 1, 0] = np.nan
+    q[1, 1, 4, 1] = np.inf
+    k[1, 2, 5, 0] = -np.inf
+    return q, k
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_topk_is_bitwise_the_oracle_for_any_cut(monkeypatch, workers):
+    # items of one, two and all six (batch, head) matrices, ranked in row
+    # slices of one row, of four rows (a ragged cut that crosses matrices)
+    # and of one whole matrix, on workers that interleave often; every cut
+    # gives the oracle's batch, so the batch is the same for any cut
+    q, k = map(Tensor, _tied_scores_case())
+    key_mask = np.array([[False] * 7, [True, False, True, True, False, True, True]])
+    monkeypatch.setattr(pool, "_WORKERS", workers)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with np.errstate(invalid="ignore"):
+            for causal in (False, True):
+                for mask in (None, key_mask):
+                    for K in (1, 3, 4, 7):
+                        want = topk_sort(q, k, K, causal=causal, key_mask=mask)
+                        for chunk in (42, 84, 10 ** 9):
+                            for rows in (1, 4, 6):
+                                monkeypatch.setattr(pairs, "_SCORE_CHUNK", chunk)
+                                monkeypatch.setattr(pairs, "_SLICE_SCORES", 7 * rows)
+                                got = pairs.topk_concat(q, k, K, causal=causal,
+                                                        key_mask=mask)
+                                case = (causal, mask is not None, K, chunk, rows)
+                                assert np.array_equal(got.selected_indices,
+                                                      want.selected_indices), case
+                                assert np.array_equal(got.valid_mask,
+                                                      want.valid_mask), case
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_pooled_topk_keeps_the_callers_errstate(monkeypatch):
+    # inf * 0 makes NaN scores inside the items, which run on the pool
+    monkeypatch.setattr(pool, "_WORKERS", 2)
+    monkeypatch.setattr(pairs, "_SCORE_CHUNK", 1)
+    q = np.ones((1, 2, 3, 2))
+    q[0, :, 0, 0] = np.inf
+    k = Tensor(np.zeros((1, 2, 4, 2)))
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        pairs.topk_concat(Tensor(q), k, 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_topk_never_holds_a_whole_candidate_mask(monkeypatch, workers):
+    # the infer_topk_t1024 shape without a mask: each running item holds
+    # its score matrix and one 2 MB slice's partition copy and flags, never
+    # a [B,H,T_q,T_k] candidate mask or a whole matrix's partition copy
+    B, H, T, D, K = 1, 4, 1024, 16, 32
+    rng = np.random.default_rng(29)
+    q = Tensor(rng.standard_normal((B, H, T, D)))
+    k = Tensor(rng.standard_normal((B, H, T, D)))
+    monkeypatch.setattr(pool, "_WORKERS", workers)
+    pairs.topk_concat(q, k, K)                      # the pool starts
+    outputs = B * H * T * K * 9
+    item = T * T * 8 + 3 * pairs._SLICE_SCORES * 8 // 2
+    bound = outputs + workers * item
+    peak = bench.peak_bytes(lambda: pairs.topk_concat(q, k, K))
+    assert peak < bound
+    assert peak + B * H * T * T > bound             # room for no candidate mask
 
 
 def test_topk_k_ge_tk_equals_full_pairwise_exactly():
