@@ -16,10 +16,10 @@ or the pair input: each work item of its kernel forms its own block of
 pair inputs. The GRU runs only on the valid pairs, plus one zero-input
 pair whose gates every invalid pair gets. All steps unroll as one tape
 op with a hand-written backward that keeps only the hidden states of
-steps 1 .. N-2 and recomputes the rest; inference runs the same kernel
-without keeping anything. The (head, block) work items run on
-``fluid.pool``, which top-k selection shares, one thread per CPU, with
-the same results for any number of threads.
+steps 1 .. N-2 and recomputes the rest, in few numpy calls per step;
+inference runs the same kernel without keeping anything. The (head,
+block) work items run on ``fluid.pool``, which top-k selection shares,
+one thread per CPU, with the same results for any number of threads.
 
 Every gate core returns the gates of all N steps as one tensor
 [2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:, each row in
@@ -138,32 +138,30 @@ class RecurrentGateCore:
     factored ``pairs.PairInput``. ``unroll`` runs all Euler steps as one
     tape op with a hand-written BPTT backward (``_gru_forward`` /
     ``_gru_backward``) that keeps only the gates it returns and the hidden
-    states h_1 .. h_{N-2}, and recomputes the rest: the pair inputs, the
-    reset, update and candidate gates with one GEMM per step (Chen et
-    al., "Training Deep Nets with Sublinear Memory Cost"), h_0 from the
-    step-0 cell and h_{N-1}, which is never a previous state, from the
-    last step's cell (Gruslys et al., "Memory-Efficient Backpropagation
-    Through Time"). Under ``no_grad`` it keeps nothing. Tape and
-    ``no_grad`` run the same kernel, so both give bitwise the same gates.
+    states h_1 .. h_{N-2} (Gruslys et al., "Memory-Efficient
+    Backpropagation Through Time"). The backward recomputes the pair
+    inputs and the cell, N evaluations as in the forward, h_0 and h_{N-1}
+    among them, and reads the heads' derivatives off the kept gates. A
+    step costs few numpy calls, as each is a GIL handoff between the
+    workers: one sigmoid for the reset and update gates, and the heads'
+    bias and nonlinearities run once over all steps. Under ``no_grad``
+    it keeps nothing; both modes give bitwise the same gates.
 
     The kernel runs on each head's packed pairs (``PairInput.counts``):
     its valid pairs in slot order, then one zero-input pair standing for
     the invalid ones, whose gates are copied into every invalid slot and
-    whose gradient is the sum of theirs. With every pair valid, packing
-    is the identity. The kernel cuts each head's packed pairs into
-    contiguous, balanced blocks of at most ``_BLOCK_PAIRS``, a cut that
-    depends on the pair count alone, and runs the (head, block) work
-    items on ``fluid.pool``, one thread per CPU, made once at import
-    (numpy releases the GIL inside ufuncs and GEMMs), or inline with one
-    CPU or one item. An item reads the weights in the core's own buffers,
-    and forms its block's input [3h, block] and every other buffer in
-    scratch of its own, so the pair input is never whole in memory. The
-    gates are stored head-major ([2N, H, slots]); callers see them as one
-    tensor [2N,B,H,T_q,K_eff]. An item writes its gates, by position, and
-    its hidden states in place, and returns its partials of the weight,
-    query-projection and key-projection gradients, which are summed in
-    item order: outputs and every gradient are bitwise the same for any
-    number of threads.
+    whose gradient is the sum of theirs. It cuts them into contiguous,
+    balanced blocks of at most ``_BLOCK_PAIRS``, a cut that depends on the
+    pair count alone, and runs the (head, block) work items on
+    ``fluid.pool``, one thread per CPU (numpy releases the GIL inside
+    ufuncs and GEMMs), or inline with one CPU or one item. An item reads
+    the core's own weight buffers and forms its block's input [3h, block]
+    and all its scratch itself, so the pair input is never whole in
+    memory. Gates are stored head-major ([2N, H, slots]) and seen as one
+    tensor [2N,B,H,T_q,K_eff]. Items write their gates and hidden states
+    by position and return their gradient partials, summed in item order:
+    outputs and every gradient are bitwise the same for any number of
+    threads.
     """
 
     def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
@@ -239,35 +237,42 @@ class RecurrentGateCore:
             # it, is head-major already and reshapes without a copy
             g_hm_grad = np.moveaxis(g, 1, 2).reshape(g_hm.shape)
             return _gru_backward(g_hm_grad, pin, w, saved, g_hm, n_steps,
-                                 dt_nominal)
+                                 dt_nominal, self.epsilon)
 
         return T._node(gates, inputs, rule)
 
 
-def _cell(x: np.ndarray, bias: np.ndarray, hp: np.ndarray | None,
-          r: np.ndarray, z: np.ndarray, c: np.ndarray, tmp: np.ndarray):
+def _cell(x: np.ndarray, nbias: np.ndarray, hp: np.ndarray | None,
+          rz: np.ndarray, c: np.ndarray, tmp: np.ndarray | None):
     """Reset, update and candidate gates of one step of one head and block.
 
-    x: [3h,P] projected pairs; bias: [3h,1] step bias; hp: W_h^T h_prev
-    [3h,P], or None at the first step where the hidden state is zero (the
-    single-bias GRU needs no hidden projection then, and r is unused).
+    x: [3h,P] projected pairs; nbias: [3h,1] the step bias, negated; hp:
+    W_h^T h_prev [3h,P], or None at the first step where the hidden state
+    is zero (the single-bias GRU needs no hidden projection then, and r is
+    unused). One sigmoid writes r and z into rz [2h,P], or z alone into
+    its last h rows, from pre-activations built negated: (-b - x) - hp is
+    bitwise -((x + b) + hp). c [h,P] gets the candidate; tmp is scratch.
     """
-    h = r.shape[0]
-    np.add(x[h:2 * h], bias[h:2 * h], out=z)
-    np.add(x[2 * h:], bias[2 * h:], out=c)
-    if hp is not None:
-        z += hp[h:2 * h]
-        np.add(x[:h], bias[:h], out=r)
-        r += hp[:h]
-        T._sigmoid_(r)
-        np.multiply(r, hp[2 * h:], out=tmp)
+    h = c.shape[0]
+    np.subtract(x[2 * h:], nbias[2 * h:], out=c)
+    if hp is None:
+        z = rz[-h:]
+        np.subtract(nbias[h:2 * h], x[h:2 * h], out=z)
+        T._sigmoid_neg_(z)
+    else:
+        np.subtract(nbias[:2 * h], x[:2 * h], out=rz)
+        rz -= hp[:2 * h]
+        T._sigmoid_neg_(rz)
+        np.multiply(rz[:h], hp[2 * h:], out=tmp)
         c += tmp
-    T._sigmoid_(z)
     np.tanh(c, out=c)
 
 
-def _step_bias(w: dict, hd: int, t_n: float) -> np.ndarray:
-    return (w["w_t"][hd] * t_n + w["b_x"][hd])[:, None]
+def _neg_step_biases(w: dict, hd: int, n_steps: int,
+                     dt_nominal: float) -> np.ndarray:
+    """-(w_t t_n + b_x) of every step, [N,3h,1], t_n = n * dt_nominal."""
+    t = np.arange(n_steps) * dt_nominal
+    return np.negative(t[:, None] * w["w_t"][hd] + w["b_x"][hd])[..., None]
 
 
 # --------------------------------------------------------------------------
@@ -318,52 +323,60 @@ def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
 def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
     """Head ``hd``'s GRU over one block of pairs: x [3h,P], gates [2N,P],
     saved [N-2,h,P] for h_1 .. h_{N-2}, or None. The scratch is the
-    block's alone; it holds h_0 and h_{N-1}, which are never saved."""
+    block's alone; it holds h_0 and h_{N-1}, which are never saved. The
+    loop writes W_o h_n into the gates, and the heads' bias, tanh,
+    softplus and +eps follow over all steps at once."""
     C, P = x.shape
-    h = C // 3
-    hp = np.empty((C, P))
-    r, z, c, tmp, hidden = (np.empty((h, P)) for _ in range(5))
-    o = np.empty((2, P))
-    t = np.empty(P)
-    W_hT, W_o, b_o = w["W_h"][hd].T, w["W_o"][hd], w["b_o"][hd]
+    h, N = C // 3, n_steps
+    scratch = np.empty((max(C, N), P))   # hp, then the softplus scratch
+    hp, rz = scratch[:C], np.empty((2 * h, P))
+    z = rz[h:]
+    c, tmp, hidden = (np.empty((h, P)) for _ in range(3))
+    nbias = _neg_step_biases(w, hd, N, dt_nominal)
+    W_hT = w["W_h"][hd].T
+    W_o = w["W_o"][hd][::-1].copy()      # f_tau's row above f_phi's, as in gates
     prev = None
-    for n in range(n_steps):
-        new = hidden if saved is None or not 0 < n < n_steps - 1 else saved[n - 1]
+    for n in range(N):
+        new = hidden if saved is None or not 0 < n < N - 1 else saved[n - 1]
         if prev is not None:
             np.matmul(W_hT, prev, out=hp)
-        _cell(x, _step_bias(w, hd, n * dt_nominal),
-              None if prev is None else hp, r, z, c, tmp)
+        _cell(x, nbias[n], None if prev is None else hp, rz, c, tmp)
         # new hidden = (1 - z) * c + z * prev
-        np.subtract(1.0, z, out=tmp)
-        tmp *= c
         if prev is None:
-            new[...] = tmp
+            np.subtract(1.0, z, out=new)
+            new *= c
         else:
+            np.subtract(1.0, z, out=tmp)
+            tmp *= c
             np.multiply(z, prev, out=new)
             new += tmp
         prev = new
+        np.matmul(W_o, new, out=gates[n::N])     # rows n and N + n
+    # f_tau = softplus(. + b_tau) + eps, f_phi = tanh(. + b_phi)
+    b_phi, b_tau = w["b_o"][hd]
+    f_tau, f_phi = gates[:N], gates[N:]
+    f_tau += b_tau
+    T._softplus_(f_tau, scratch[:N])
+    f_tau += epsilon
+    f_phi += b_phi
+    np.tanh(f_phi, out=f_phi)
 
-        np.matmul(W_o, new, out=o)
-        o += b_o[:, None]
-        # f_phi = tanh(o[0]), f_tau = softplus(o[1]) + eps
-        np.tanh(o[0], out=gates[n_steps + n])
-        np.add(T._softplus_(o[1], t), epsilon, out=gates[n])
 
-
-def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal):
+def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal, epsilon):
     """BPTT through ``_gru_forward``, g and gates [2N,H,slots]: returns
     (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its parameter's
-    shape. Each item forms its block of pair inputs again, gathers its
-    columns of g and of the gates, and returns its partials; they are
-    summed in item order, so every gradient is the same for any number of
-    workers."""
+    shape. Each item forms the heads' gradients from its columns of g and
+    of the gates, freeing them, then its block of pair inputs again, and
+    returns its partials; they are summed in item order, so every
+    gradient is the same for any number of workers."""
     items = _items(pin.counts)
 
     def item(hd, a, b):
-        dx, parts = _backward_block(
+        d_heads = _head_grads(
             pin.gather(g[:, hd], hd, a, b, sum_invalid=True),
-            pin.block(hd, a, b), w, hd, saved[hd, :, :, a:b],
-            pin.gather(gates[:, hd], hd, a, b), n_steps, dt_nominal)
+            pin.gather(gates[:, hd], hd, a, b), epsilon)
+        dx, parts = _backward_block(d_heads, pin.block(hd, a, b), w, hd,
+                                    saved[hd, :, :, a:b], n_steps, dt_nominal)
         return parts, pin.block_grads(hd, a, b, dx)
 
     results = pool._run_items(item, items)
@@ -375,103 +388,100 @@ def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal):
     return pin.grads(items, [pair for _, pair in results]) + totals
 
 
-def _backward_block(g, x, w, hd, saved, gates, n_steps, dt_nominal):
-    """BPTT of head ``hd`` over one block: g, gates [2N,P], x [3h,P],
-    saved [N-2,h,P]. Returns d x and this block's partials (dW_h [h,3h],
-    dw_t [3h], db_x [3h], dW_o [2,h], db_o [2]).
+def _head_grads(g, gates, epsilon):
+    """Gradients [N,2,P] of the heads' pre-activations o, f_phi's above
+    f_tau's at each step, from the gates [2N,P] and their gradient g:
+    (1 - f_phi^2) g and sigmoid(o) g, with sigmoid(o) = -expm1(eps - f_tau)
+    read from f_tau = softplus(o) + eps, off by about eps * 2^-53 at most."""
+    N = len(g) // 2
+    d = np.empty((N, 2, g.shape[1]))
+    d_phi, d_tau = d[:, 0], d[:, 1]
+    np.multiply(gates[N:], gates[N:], out=d_phi)
+    np.subtract(1.0, d_phi, out=d_phi)
+    d_phi *= g[N:]
+    np.subtract(epsilon, gates[:N], out=d_tau)
+    np.expm1(d_tau, out=d_tau)
+    d_tau *= g[:N]
+    np.negative(d_tau, out=d_tau)
+    return d
 
-    h_0 = (1 - z_0) * c_0 is rebuilt once at the start, and h_{N-1} at
-    step N-1 from the cell that step recomputes, each with the forward's
-    own float operations, so the states are bitwise the forward's."""
+
+def _backward_block(d_heads, x, w, hd, saved, n_steps, dt_nominal):
+    """BPTT of head ``hd`` over one block: d_heads [N,2,P] from
+    ``_head_grads``, x [3h,P], saved [N-2,h,P]. Returns d x and this
+    block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o [2,h],
+    db_o [2]).
+
+    The cell runs N times: step 0's first, kept for step 0 and to rebuild
+    h_0 = (1 - z_0) * c_0, then each later step's, h_{N-1} rebuilt at step
+    N-1; the states are bitwise the forward's."""
     C, P = x.shape
-    h = C // 3
-    N = n_steps
-    dW_h, dw_t, db_x = np.zeros((h, C)), np.zeros(C), np.zeros(C)
-    dW_o, db_o = np.zeros((2, h)), np.zeros(2)
-    hp = np.empty((C, P))
-    dhp = np.empty((C, P))      # grad of W_h^T h_prev; its r, z rows are dx's
-    dr, dz, dn = dhp[:h], dhp[h:2 * h], dhp[2 * h:]
-    r, z, c, tmp, dcp, dh, h0 = (np.empty((h, P)) for _ in range(7))
-    o = np.empty((2, P))
-    dpre = np.empty((2, P))
-    d_phi, d_tau = dpre
-    sums = np.empty(C)
-    W_h, W_hT = w["W_h"][hd], w["W_h"][hd].T
-    W_o, b_o = w["W_o"][hd], w["b_o"][hd]
-    dx = np.zeros((C, P))
-    dh[...] = 0.0
-    if N > 1:
-        _cell(x, _step_bias(w, hd, 0.0), None, r, z, c, tmp)
-        np.subtract(1.0, z, out=h0)
-        h0 *= c
+    h, N = C // 3, n_steps
+    dW_h, dx_sums = np.zeros((h, C)), np.zeros(C)
+    dW_o, dx, dh = np.zeros((2, h)), np.zeros((C, P)), np.zeros((h, P))
+    hp, dhp = np.empty((C, P)), np.empty((C, P))
+    t, omz = hp[:h], hp[h:2 * h]        # scratch once the cell has run
+    # grad of W_h^T h_prev, [dr; dz; dn]: the cell writes r, z into its
+    # first rows (dn's are its scratch), and their grads replace them
+    rz, dn = dhp[:2 * h], dhp[2 * h:]
+    c, dcp, h0, z0, c0 = (np.empty((h, P)) for _ in range(5))
+    nbias = _neg_step_biases(w, hd, N, dt_nominal)
+    W_h, W_hT, W_o = w["W_h"][hd], w["W_h"][hd].T, w["W_o"][hd]
+    _cell(x, nbias[0], None, z0, c0, None)
+    np.subtract(1.0, z0, out=h0)
+    h0 *= c0
     for n in reversed(range(N)):
         prev = None if n == 0 else h0 if n == 1 else saved[n - 2]
-        # recompute the cell; 1 - z is kept in dz's rows
-        if prev is not None:
-            np.matmul(W_hT, prev, out=hp)
-        _cell(x, _step_bias(w, hd, n * dt_nominal),
-              None if prev is None else hp, r, z, c, tmp)
-        np.subtract(1.0, z, out=dz)
-        if n == N - 1:
-            # the last state, in dcp until the candidate pre-activation:
-            # new = (1 - z) * c + z * prev
-            new = dcp
-            np.multiply(dz, c, out=new)
-            if prev is not None:
-                np.multiply(z, prev, out=tmp)
-                new += tmp
+        if prev is None:
+            z, cn = z0, c0
         else:
-            new = h0 if n == 0 else saved[n - 1]
+            np.matmul(W_hT, prev, out=hp)
+            _cell(x, nbias[n], hp, rz, c, dn)
+            z, cn = rz[h:], c
+        np.subtract(1.0, z, out=omz)
+        new = h0 if n == 0 else dcp if n == N - 1 else saved[n - 1]
+        if new is dcp:      # the last state, kept until dcp takes its value
+            np.multiply(omz, cn, out=new)
+            np.multiply(z, prev, out=t)
+            new += t
 
-        # projection heads: f_phi = tanh(.), f_tau = softplus(.) + eps
-        phi = gates[N + n]
-        np.multiply(phi, phi, out=d_phi)
-        np.subtract(1.0, d_phi, out=d_phi)
-        d_phi *= g[N + n]
-        np.matmul(W_o, new, out=o)
-        o += b_o[:, None]
-        T._sigmoid_(o[1])
-        np.multiply(g[n], o[1], out=d_tau)
-        dW_o += dpre @ new.T
-        db_o += dpre.sum(axis=1)
-        np.matmul(W_o.T, dpre, out=tmp)
-        dh += tmp
+        # projection heads
+        d_o = d_heads[n]
+        dW_o += d_o @ new.T
+        np.matmul(W_o.T, d_o, out=t)
+        dh += t
 
         # candidate pre-activation: dh * (1 - z) * (1 - c^2)
-        np.multiply(dz, dh, out=tmp)
-        np.multiply(c, c, out=dcp)
+        np.multiply(omz, dh, out=t)
+        np.multiply(cn, cn, out=dcp)
         np.subtract(1.0, dcp, out=dcp)
-        dcp *= tmp
-        # update pre-activation: dh * (prev - c) * z * (1 - z)
-        if prev is None:
-            np.negative(c, out=tmp)
-        else:
-            np.subtract(prev, c, out=tmp)
-        tmp *= dh
-        dz *= z
-        dz *= tmp
-        sums[h:2 * h] = dz.sum(axis=1)
-        sums[2 * h:] = dcp.sum(axis=1)
-        dx[h:2 * h] += dz
-        dx[2 * h:] += dcp
-        if prev is None:
-            sums[:h] = 0.0
-        else:
-            # reset pre-activation: dc_pre * hp_n * r * (1 - r)
-            np.subtract(1.0, r, out=dr)
-            dr *= r
-            dr *= hp[2 * h:]
-            dr *= dcp
+        dcp *= t
+        # update pre-activation: dh * (prev - c) * z * (1 - z), in z's rows
+        np.subtract(0.0 if prev is None else prev, cn, out=t)
+        t *= dh
+        dh *= z
+        z *= omz
+        z *= t
+        if prev is not None:
+            # reset pre-activation: dn = dcp * r, then dr = (1 - r) * dn *
+            # hp_n in r's rows
+            r = rz[:h]
             np.multiply(dcp, r, out=dn)
-            sums[:h] = dr.sum(axis=1)
-            dx[:h] += dr
+            np.subtract(1.0, r, out=r)
+            r *= dn
+            r *= hp[2 * h:]
             dW_h += prev @ dhp.T
-            dh *= z
-            np.matmul(W_h, dhp, out=tmp)
-            dh += tmp
-        db_x += sums
-        dw_t += (n * dt_nominal) * sums
-    return dx, (dW_h, dw_t, db_x, dW_o, db_o)
+            np.matmul(W_h, dhp, out=c)
+            dh += c
+        dg = z if prev is None else rz      # [dr;] dz
+        dx[2 * h - len(dg):2 * h] += dg
+        dx[2 * h:] += dcp
+        if n:
+            # dx now sums steps n .. N-1; over n >= 1 these sums add up
+            # each step's row sums n times, so dw_t = dt * dx_sums
+            dx_sums += dx.sum(axis=1)
+    return dx, (dW_h, dt_nominal * dx_sums, dx.sum(axis=1), dW_o,
+                d_heads.sum(axis=(0, 2)))
 
 
 class SdpaFrozenGates:

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -103,7 +104,9 @@ def cmd_generate(args) -> int:
         print(f"wrote {len(seqs)} spiral sequences to {args.out}")
         return 0
     if args.kind == "events":
-        pixels = np.loadtxt(args.pixels, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():     # an empty file fails below
+            warnings.simplefilter("ignore")
+            pixels = np.loadtxt(args.pixels, delimiter=",", ndmin=2)
         seqs = [D.event_encode(row, threshold=args.threshold,
                                pad_to=args.pad_to) for row in pixels]
         D.write_dataset_csv(args.out, seqs)

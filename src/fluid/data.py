@@ -60,8 +60,9 @@ class SpiralSpec:
     def __post_init__(self):
         if self.n_subsample > self.n_points:
             raise ValueError("cannot subsample more points than generated")
-        if self.n_spirals < 1 or self.n_points < 2:
-            raise ValueError("need at least one spiral and two points")
+        if self.n_spirals < 1 or self.n_points < 2 or self.n_subsample < 2:
+            raise ValueError("need at least one spiral, two points and a "
+                             "subsample of two")
 
 
 def spiral_curve(spec: SpiralSpec, t: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ def split_by_time(seq: EventSequence, ratios=(0.6, 0.2, 0.2)):
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("split ratios must sum to 1")
     t = seq.times[seq.mask]
-    lo, hi = t.min(), t.max()
+    lo, hi = (t.min(), t.max()) if len(t) else (0.0, 0.0)
     b1 = lo + ratios[0] * (hi - lo)
     b2 = lo + (ratios[0] + ratios[1]) * (hi - lo)
     cond = seq.mask & (seq.times < b1)
@@ -107,8 +108,10 @@ def spiral_arrays(seqs: list[EventSequence], ratios=(0.6, 0.2, 0.2)) -> dict:
     """
     cond_lens, query_lens = [], []
     splits = []
-    for seq in seqs:
+    for i, seq in enumerate(seqs):
         cond, interp, extrap = split_by_time(seq, ratios)
+        if not cond.any():
+            raise ValueError(f"sequence {i} has no conditioning point")
         splits.append((cond, interp | extrap))
         cond_lens.append(int(cond.sum()))
         query_lens.append(int((interp | extrap).sum()))
@@ -210,6 +213,8 @@ def make_sink_probe(n_seqs: int, T: int, seed: int = 0) -> dict:
 
 def write_dataset_csv(path: str, seqs: list[EventSequence]):
     """Columns: seq_id, t, feature_0..F-1, mask."""
+    if not seqs:
+        raise ValueError("no sequences to write")
     F = seqs[0].values.shape[1]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

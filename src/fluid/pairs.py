@@ -132,15 +132,17 @@ class PairInput:
     def block_grads(self, hd: int, a: int, b: int, dx: np.ndarray):
         """The partials of ``block``'s gradient ``dx``: (the query rows
         the block touches, d qp of each [C, rows], d kp of every key
-        [C, B*T_k], scattered by ``np.bincount``). The zero pair's input
-        is no parameter's, so its column of ``dx`` is left out."""
+        [C, B*T_k] by one ``np.bincount`` over the flat (channel, key)
+        index). The zero pair's input is no parameter's: its column of
+        ``dx`` is left out."""
         if self._zero(hd, b):
             b, dx = b - 1, dx[:, :-1]
         rows = self._slots(hd, a, b) // self.shape[3]
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        M = self._k.shape[2]
-        return rows[starts], np.add.reduceat(dx, starts, axis=1), np.stack(
-            [np.bincount(self.keys[hd][a:b], weights=d, minlength=M) for d in dx])
+        C, M = dx.shape[0], self._k.shape[2]
+        flat = (np.arange(C)[:, None] * M + self.keys[hd][a:b]).ravel()
+        return rows[starts], np.add.reduceat(dx, starts, axis=1), np.bincount(
+            flat, weights=dx.ravel(), minlength=C * M).reshape(C, M)
 
     def grads(self, items: list[tuple[int, int, int]], parts: list[tuple]):
         """(d qp, d kp) from the ``block_grads`` of the (head, start, stop)

@@ -182,14 +182,13 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid_(a.data.copy())
+    out = _sigmoid_neg_(np.negative(a.data, out=np.empty_like(a.data)))
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def _sigmoid_(x: np.ndarray) -> np.ndarray:
-    """In place x <- 1 / (1 + exp(-x)). exp overflows at very negative x,
-    and the result saturates to 0 exactly, the right limit."""
-    np.negative(x, out=x)
+def _sigmoid_neg_(x: np.ndarray) -> np.ndarray:
+    """In place x <- sigmoid(-x) = 1 / (1 + exp(x)). exp overflows at very
+    large x, and the result saturates to 0 exactly, the right limit."""
     with np.errstate(over="ignore"):
         np.exp(x, out=x)
     x += 1.0

@@ -56,7 +56,7 @@ def softplus(a: Tensor) -> Tensor:
     """log(1 + e^a), with derivative sigmoid(a)."""
     x = a.data
     out = T._softplus_(x.copy(), np.empty_like(x))
-    return T._node(out, (a,), lambda g: (g * T._sigmoid_(x.copy()),))
+    return T._node(out, (a,), lambda g: (g * T.sigmoid(Tensor(x)).data,))
 
 
 # --------------------------------------------------------------------------

@@ -146,6 +146,12 @@ def test_fused_gates_match_composed_oracle(case, n_steps):
     qa, ka, pb = _gate_case(case, rng)
     if case != "full":
         assert not pb.valid_mask.all()
+    _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng)
+
+
+def _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng):
+    """Gates and every gradient of the kernel within 1e-12 of the composed
+    GRU's, under a loss that weighs every gate differently."""
     coef = rng.standard_normal((2 * n_steps,) + pb.valid_mask.shape)
     results = []
     for fused in (True, False):
@@ -170,6 +176,51 @@ def test_fused_gates_match_composed_oracle(case, n_steps):
     for name, ref in ref_grads.items():
         assert grads[name].shape == ref.shape
         assert np.abs(grads[name] - ref).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("bias", [-40.0, 40.0])
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+@pytest.mark.parametrize("case", ["full", "causal_masked"])
+def test_f_tau_derivative_from_the_kept_gates_matches_the_oracle(case, n_steps,
+                                                                 bias):
+    # the backward reads sigmoid(o) = -expm1(eps - f_tau) off the gates;
+    # at o = -40, softplus(o) ~ 4e-18 is far below eps, and at o = +40
+    # sigmoid(o) rounds to 1
+    rng = np.random.default_rng(71)
+    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core.b_o.data[:, 1] = bias
+    qa, ka, pb = _gate_case(case, rng)
+    assert pb.valid_mask.all() == (case == "full")    # unpacked, packed
+    with T.no_grad():
+        f_tau = core.gates(Tensor(qa), Tensor(ka), pb, n_steps, 1).data[:n_steps]
+    assert (f_tau < 2e-3).all() if bias < 0 else (f_tau > 30).all()
+    _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
+def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
+                                                                  monkeypatch):
+    rng = np.random.default_rng(73)
+    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    qa, ka, pb = _gate_case("topk_blocks", rng)
+    items = len(A._items(_packed_counts(pb)))
+    assert items > core.heads
+    calls = []
+    cell = A._cell
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        cell(*args)
+
+    monkeypatch.setattr(A, "_cell", counting)
+    with T.no_grad():
+        core.gates(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps)
+    assert len(calls) == n_steps * items
+    q = Tensor(qa, requires_grad=True)
+    gates = core.gates(q, Tensor(ka), pb, n_steps, 1 / n_steps)
+    assert len(calls) == 2 * n_steps * items
+    T.tsum(gates).backward()
+    assert len(calls) == 3 * n_steps * items
 
 
 def test_fused_gates_pass_grad_check():

@@ -253,8 +253,10 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-negative-folds",
                                   "train-negative-layers", "train-zero-ffn",
                                   "bench-list-config", "bench-key-list-config",
-                                  "train-list-config"])
-def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
+                                  "train-list-config", "generate-empty-pixels",
+                                  "generate-zero-subsample",
+                                  "train-one-point-sequence"])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
     missing = str(tmp_path / "missing")
@@ -262,6 +264,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
     D.write_dataset_csv(str(data), D.generate_spirals(
         D.SpiralSpec(n_spirals=10, n_points=30, n_subsample=12)))
     empty.write_text("")
+    one_point = tmp_path / "one_point.csv"
+    D.write_dataset_csv(str(one_point), D.read_dataset_csv(str(data)) + [
+        D.EventSequence(values=[[0.1, 0.2]], times=[1.0], mask=[True])])
     configs = {"train-heads": {"model": {"heads": 0}},
                "train-negative-batch": dict(TINY_CONFIG, train={"batch_size": -1}),
                "train-negative-layers": {"model": {"n_layers": -2}},
@@ -293,6 +298,11 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
         "bench-list-config": ["bench", "--config", str(config)],
         "bench-key-list-config": ["bench", "--config", str(config)],
         "train-list-config": train + [str(data)],
+        "generate-empty-pixels": ["generate", "events", "--pixels", str(empty),
+                                  "--out", str(tmp_path / "e.csv")],
+        "generate-zero-subsample": ["generate", "spiral", "--subsample", "0",
+                                    "--out", str(tmp_path / "s.csv")],
+        "train-one-point-sequence": train + [str(one_point)],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -302,6 +312,14 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, case):
              "train-list-config": config}
     if case in named:
         assert str(named[case]) in err, err
+    said = {"generate-empty-pixels": "no sequences to write",
+            "generate-zero-subsample": "subsample of two",
+            "train-one-point-sequence": "sequence 10 has no conditioning point"}
+    if case in said:
+        assert said[case] in err, err
+        assert not list(tmp_path.glob("[es].csv"))
+    # an empty pixel file warns nothing besides the one line
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
 def test_eval_rejects_a_manifest_config_that_does_not_fit(tmp_path, capsys):

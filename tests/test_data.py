@@ -30,6 +30,14 @@ def test_spiral_spec_validation():
         D.SpiralSpec(n_spirals=1, n_points=10, n_subsample=11)
 
 
+@pytest.mark.parametrize("n_subsample", [-1, 0, 1])
+def test_spiral_spec_rejects_a_subsample_below_two(n_subsample):
+    with pytest.raises(ValueError, match="subsample of two"):
+        D.SpiralSpec(n_spirals=2, n_points=10, n_subsample=n_subsample)
+    assert len(D.generate_spirals(D.SpiralSpec(n_spirals=2, n_points=10,
+                                               n_subsample=2))) == 2
+
+
 def test_paper_scale_spiral_protocol():
     spec = D.SpiralSpec(n_spirals=300, n_points=150, n_subsample=50, seed=1)
     seqs = D.generate_spirals(spec)
@@ -82,6 +90,30 @@ def test_spiral_arrays_pack_and_mask():
         assert lc + lq == 25
         valid_times = data["times"][i][data["mask"][i]]
         assert (np.diff(valid_times) > 0).all()
+
+
+def _one_point(mask=True):
+    return D.EventSequence(values=[[0.5, -0.5]], times=[2.0], mask=[mask])
+
+
+@pytest.mark.parametrize("case", ["one_point", "no_valid_point", "all",
+                                  "no_conditioning_share"])
+def test_spiral_arrays_name_the_first_sequence_without_a_conditioning_point(case):
+    seqs = D.generate_spirals(D.SpiralSpec(n_spirals=3, n_points=30,
+                                           n_subsample=10, seed=2))
+    ratios, first = (0.6, 0.2, 0.2), 1
+    if case == "one_point":
+        seqs[1:1] = [_one_point(), _one_point()]
+    elif case == "no_valid_point":
+        seqs.append(_one_point(mask=False))
+        first = 3
+    elif case == "all":
+        seqs, first = [_one_point()] * 3, 0
+    else:                   # no share of the time span conditions
+        ratios, first = (0.0, 0.5, 0.5), 0
+    with pytest.raises(ValueError, match=f"^sequence {first} has no "
+                                         "conditioning point$"):
+        D.spiral_arrays(seqs, ratios)
 
 
 def test_event_encode_run_collapses_to_single_event():
