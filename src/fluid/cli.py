@@ -48,9 +48,13 @@ def _check_keys(path: str | None, cfg: dict, known):
     """Raise on the keys of the config file ``path`` that ``known`` lacks
     (a dict ``known`` gives each section's keys)."""
     unknown = [key for key in cfg if key not in known]
-    if isinstance(known, dict):
-        unknown += [f"{sec}.{key}" for sec in cfg if sec in known
-                    for key in cfg[sec] if key not in known[sec]]
+    for sec in cfg:
+        if isinstance(known, dict) and sec in known:
+            if not isinstance(cfg[sec], dict):
+                raise ValueError(f"section {sec!r} of {path} is not a JSON "
+                                 "object")
+            unknown += [f"{sec}.{key}" for key in cfg[sec]
+                        if key not in known[sec]]
     if unknown:
         raise ValueError(f"unknown key(s) in {path}: "
                          f"{', '.join(sorted(unknown))}")
@@ -127,7 +131,7 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     seqs = D.read_dataset_csv(args.data)
-    ratios = tuple(cfg.get("data", {}).get("ratios", (0.6, 0.2, 0.2)))
+    ratios = cfg.get("data", {}).get("ratios", (0.6, 0.2, 0.2))
     packed = D.spiral_arrays(seqs, ratios)
     in_features = packed["values"].shape[-1]
 
@@ -170,7 +174,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = M.load_checkpoint(args.checkpoint)
     seqs = D.read_dataset_csv(args.data)
-    packed = D.spiral_arrays(seqs, tuple(args.ratios))
+    packed = D.spiral_arrays(seqs, args.ratios)
     value = TR.evaluate(model, packed, args.metric)
     print(json.dumps({"metric": args.metric, "value": value,
                       "sequences": len(seqs)}))
@@ -236,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--metric", default="mae", choices=["mae", "mse", "accuracy"])
+    e.add_argument("--metric", default="mae", choices=["mae", "mse"])
     e.add_argument("--ratios", type=float, nargs=3, default=(0.6, 0.2, 0.2))
     e.set_defaults(func=cmd_eval)
 

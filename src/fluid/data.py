@@ -1,8 +1,7 @@
 """Synthetic datasets and file formats.
 
 Irregular spirals for reconstruction, run-length event encoding for pixel
-sequences, CSV round-tripping for datasets, and the uninformative-first-
-token probe used to measure the output gate's effect on attention sinks.
+sequences, and CSV round-tripping for datasets.
 """
 
 from __future__ import annotations
@@ -88,12 +87,14 @@ def generate_spirals(spec: SpiralSpec) -> list[EventSequence]:
 def split_by_time(seq: EventSequence, ratios=(0.6, 0.2, 0.2)):
     """Conditioning / interpolation / extrapolation membership by time
     quantiles of the observed span. Returns three boolean masks."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
+    r = np.asarray(ratios if isinstance(ratios, (list, tuple)) else (), float)
+    if r.shape != (3,) or not (r >= 0).all() or abs(r.sum() - 1.0) > 1e-9:
+        raise ValueError(f"split ratios {ratios!r} are not three "
+                         "non-negative numbers that sum to 1")
     t = seq.times[seq.mask]
     lo, hi = (t.min(), t.max()) if len(t) else (0.0, 0.0)
-    b1 = lo + ratios[0] * (hi - lo)
-    b2 = lo + (ratios[0] + ratios[1]) * (hi - lo)
+    b1 = lo + r[0] * (hi - lo)
+    b2 = lo + (r[0] + r[1]) * (hi - lo)
     cond = seq.mask & (seq.times < b1)
     interp = seq.mask & (seq.times >= b1) & (seq.times < b2)
     extrap = seq.mask & (seq.times >= b2)
@@ -147,8 +148,8 @@ def event_encode(pixels: np.ndarray, threshold: float = 128.0,
     """Binarize at threshold, collapse runs of equal values into events.
 
     A run of length L becomes one event whose timestamp advances by L,
-    so [1,1,1,1] encodes to a single event (1, t=4). Decoding recovers
-    the binary sequence exactly.
+    so [1,1,1,1] encodes to a single event (1, t=4). Expanding each event
+    to its run length recovers the binary sequence exactly.
     """
     pixels = np.asarray(pixels, dtype=float).reshape(-1)
     binary = (pixels >= threshold).astype(float)
@@ -175,36 +176,6 @@ def event_encode(pixels: np.ndarray, threshold: float = 128.0,
     padded_t[:L] = times
     mask[:L] = True
     return EventSequence(values=padded_v, times=padded_t, mask=mask)
-
-
-def event_decode(seq: EventSequence) -> np.ndarray:
-    """Expand events back into the binary pixel sequence."""
-    v = seq.values[seq.mask, 0]
-    t = seq.times[seq.mask]
-    durations = np.diff(np.concatenate([[0.0], t])).astype(int)
-    return np.concatenate([np.full(d, val) for val, d in zip(v, durations)]) \
-        if len(v) else np.zeros(0)
-
-
-# --------------------------------------------------------------------------
-# sink probe task
-# --------------------------------------------------------------------------
-
-def make_sink_probe(n_seqs: int, T: int, seed: int = 0) -> dict:
-    """Sequences whose first token is pure noise; the target is the mean of
-    the informative tail. Used to compare trained attention mass on key 0
-    with and without the output gate."""
-    rng = np.random.default_rng(seed)
-    values = np.zeros((n_seqs, T, 1))
-    values[:, 0, 0] = rng.normal(0.0, 2.0, size=n_seqs)
-    values[:, 1:, 0] = rng.uniform(-1.0, 1.0, size=(n_seqs, T - 1))
-    times = np.tile(np.arange(T, dtype=float), (n_seqs, 1))
-    targets = values[:, 1:, 0].mean(axis=1)[:, None, None]
-    return {"values": values, "times": times,
-            "mask": np.ones((n_seqs, T), dtype=bool),
-            "query_times": np.full((n_seqs, 1), float(T)),
-            "targets": targets,
-            "target_mask": np.ones((n_seqs, 1), dtype=bool)}
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +210,8 @@ def read_dataset_csv(path: str) -> list[EventSequence]:
             rows.setdefault(sid, []).append(
                 (float(row[1]), [float(x) for x in row[2:2 + F]],
                  bool(int(row[-1]))))
+    if not rows:
+        raise ValueError(f"{path} holds no sequences")
     out = []
     for sid in sorted(rows):
         entries = rows[sid]

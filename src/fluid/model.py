@@ -37,7 +37,7 @@ def positional_encoding(length: int, d: int) -> Tensor:
 
 @dataclass
 class ModelConfig:
-    """Architecture plus task settings; `lan` nests the attention config."""
+    """Architecture settings; `lan` nests the attention config."""
 
     lan: A.LanConfig
     n_layers: int = 1
@@ -47,15 +47,12 @@ class ModelConfig:
     in_features: int = 2
     out_dim: int = 2
     max_len: int = 512
-    task: str = "regression"         # regression | classification
     gate_mode: str = "recurrent"     # recurrent | sdpa_frozen
     seed: int = 0
 
     def __post_init__(self):
         if self.hc_mode not in ("residual", "static", "liquid"):
             raise ValueError(f"unknown hc_mode {self.hc_mode!r}")
-        if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
         if self.hc_mode != "residual" and self.hc_streams < 1:
             raise ValueError("hc_streams must be >= 1")
         if self.n_layers < 0 or self.ffn_dim < 1:
@@ -259,6 +256,7 @@ class FluidModel:
 
 def _config_from_dict(d: dict, source: str) -> ModelConfig:
     """The config a manifest records; ValueError when it does not fit."""
+    d.pop("task", None)      # a field of older manifests; nothing reads it
     try:
         return ModelConfig(lan=A.LanConfig(**d.pop("lan", {})), **d)
     except TypeError as err:

@@ -42,10 +42,6 @@ class PairBatch:
     selected_indices: np.ndarray
     valid_mask: np.ndarray
 
-    @property
-    def k_eff(self) -> int:
-        return self.selected_indices.shape[3]
-
 
 class PairInput:
     """The gate input of every selected pair, in factored form.

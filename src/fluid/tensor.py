@@ -157,10 +157,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), rule)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar kept off the tape (e.g. the clamped dt)."""
     c = float(c)
@@ -170,10 +166,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _node(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def tanh(a: Tensor) -> Tensor:

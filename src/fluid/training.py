@@ -36,8 +36,8 @@ class TrainConfig:
     weight_decay: float = 0.0
     epochs: int = 10
     batch_size: int = 8
-    loss: str = "mse"                 # mse | mae | cross_entropy
-    metric: str = "mae"               # mae | mse | accuracy
+    loss: str = "mse"                 # mse | mae
+    metric: str = "mae"               # mae | mse
     seed: int = 0
     grad_clip: float = 1.0
 
@@ -48,9 +48,9 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
         if self.optimizer not in ("adamw", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss not in ("mse", "mae", "cross_entropy"):
+        if self.loss not in ("mse", "mae"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.metric not in ("mae", "mse", "accuracy"):
+        if self.metric not in ("mae", "mse"):
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
@@ -78,11 +78,8 @@ def _mask_weights(shape, mask) -> np.ndarray:
 
 def loss(kind: str, pred: Tensor, target: np.ndarray,
          mask: np.ndarray | None = None) -> Tensor:
-    """Mean loss over unmasked positions.
-
-    mse/mae average per element; cross_entropy takes integer class labels
-    and applies a log-softmax internally.
-    """
+    """Mean squared (mse) or absolute (mae) error per element over the
+    unmasked positions."""
     if kind == "mse":
         diff = T.sub(pred, Tensor(np.asarray(target, dtype=float)))
         w = _mask_weights(pred.shape, mask)
@@ -91,39 +88,20 @@ def loss(kind: str, pred: Tensor, target: np.ndarray,
         diff = T.sub(pred, Tensor(np.asarray(target, dtype=float)))
         w = _mask_weights(pred.shape, mask)
         return T.tsum(T.mul(T.absolute(diff), Tensor(w)))
-    if kind == "cross_entropy":
-        labels = np.asarray(target)
-        C = pred.shape[-1]
-        onehot = np.eye(C)[labels.reshape(-1)].reshape(labels.shape + (C,))
-        shift = Tensor(pred.data.max(axis=-1, keepdims=True))
-        s = T.sub(pred, shift)
-        log_z = T.log(T.tsum(T.exp(s), axis=-1, keepdims=True))
-        logp = T.sub(s, log_z)
-        picked = T.tsum(T.mul(logp, Tensor(onehot)), axis=-1)
-        w = _mask_weights(picked.shape, mask)
-        return T.neg(T.tsum(T.mul(picked, Tensor(w))))
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
 def metric_value(kind: str, pred: np.ndarray, target: np.ndarray,
                  mask: np.ndarray | None = None) -> float:
+    if kind not in ("mae", "mse"):
+        raise ValueError(f"unknown metric {kind!r}")
     pred = np.asarray(pred)
-    target = np.asarray(target)
-    if kind in ("mae", "mse"):
-        if mask is None:
-            sel_p, sel_t = pred, np.asarray(target, dtype=float)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            sel_p, sel_t = pred[mask], np.asarray(target, dtype=float)[mask]
-        err = sel_p - sel_t
-        return float(np.abs(err).mean() if kind == "mae" else (err ** 2).mean())
-    if kind == "accuracy":
-        labels = pred.argmax(axis=-1)
-        if mask is None:
-            return float((labels == target).mean())
+    target = np.asarray(target, dtype=float)
+    if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        return float((labels[mask] == target[mask]).mean())
-    raise ValueError(f"unknown metric {kind!r}")
+        pred, target = pred[mask], target[mask]
+    err = pred - target
+    return float(np.abs(err).mean() if kind == "mae" else (err ** 2).mean())
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +205,7 @@ def train(model, train_data: dict, val_data: dict | None, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     n = train_data["values"].shape[0]
     history: list[dict] = []
-    best = np.inf if cfg.metric != "accuracy" else -np.inf
+    best = np.inf
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -254,8 +232,7 @@ def train(model, train_data: dict, val_data: dict | None, cfg: TrainConfig,
         if val_data is not None:
             vm = evaluate(model, val_data, cfg.metric)
             row["val_metric"] = vm
-            improved = vm > best if cfg.metric == "accuracy" else vm < best
-            if improved:
+            if vm < best:
                 best = vm
                 if out_dir is not None:
                     M.save_checkpoint(model, os.path.join(out_dir, "best"))

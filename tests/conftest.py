@@ -48,6 +48,19 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
+# run-length decoding: the oracle of data.event_encode
+# --------------------------------------------------------------------------
+
+def event_decode(seq) -> np.ndarray:
+    """Expand an EventSequence's events back into the binary pixel sequence."""
+    v = seq.values[seq.mask, 0]
+    t = seq.times[seq.mask]
+    durations = np.diff(np.concatenate([[0.0], t])).astype(int)
+    return np.concatenate([np.full(d, val) for val, d in zip(v, durations)]) \
+        if len(v) else np.zeros(0)
+
+
+# --------------------------------------------------------------------------
 # softplus on the tape: the gate kernel runs T._softplus_ in place, so the
 # composed oracles below need their own op
 # --------------------------------------------------------------------------
@@ -108,7 +121,7 @@ def pair_sum(a: Tensor, b: Tensor, batch: PairBatch) -> Tensor:
 def concat_pairs(q: Tensor, k: Tensor, pb) -> Tensor:
     """u = [q_i; k_j] for every selected pair, zero on invalid pairs."""
     B, H, T_q, D = q.shape
-    K = pb.k_eff
+    K = pb.selected_indices.shape[3]
     k_sel = T.gather_keys(k, pb.selected_indices)
     q_tiled = T.broadcast_to(T.reshape(q, (B, H, T_q, 1, D)), (B, H, T_q, K, D))
     u = T.concat([q_tiled, k_sel], axis=-1)
@@ -195,7 +208,7 @@ def euler_step(a_n: Tensor, f_tau: Tensor, f_phi: Tensor, dt: float) -> Tensor:
     """a_{n+1} = a_n + dt * (-f_tau * a_n + f_phi), from tape ops."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return T.add(a_n, T.scale(T.add(T.mul(T.neg(f_tau), a_n), f_phi), dt))
+    return T.add(a_n, T.scale(T.sub(f_phi, T.mul(f_tau, a_n)), dt))
 
 
 def euler_chain(gates: Tensor, dt: float, a0: Tensor):

@@ -475,7 +475,7 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
     sizes = [b - a for a, b in blocks]
     assert blocks[0][0] == 0 and blocks[-1][1] == P and max(sizes) <= A._BLOCK_PAIRS
     assert max(sizes) - min(sizes) <= 1
-    K = pb.k_eff
+    K = pb.selected_indices.shape[3]
     if case == "topk_row_split":
         assert len(blocks) > 1 and any(a % K for a, _ in blocks)
     elif case == "batch_rows":

@@ -13,6 +13,7 @@ from fluid import attention as A
 from fluid import bench as BN
 from fluid import cli
 from fluid import data as D
+from fluid import model as M
 from fluid import training as TR
 from fluid import verify as V
 
@@ -156,7 +157,8 @@ def _train_with_config(tmp_path, monkeypatch, config):
     (dict(TINY_CONFIG, trian={"epochs": 3}), "trian"),
     ({"model": dict(TINY_CONFIG["model"], layers=2)}, "model.layers"),
     (dict(TINY_CONFIG, data={"ratio": [0.5, 0.3, 0.2]}), "data.ratio"),
-], ids=["section", "model-key", "data-key"])
+    ({"model": dict(TINY_CONFIG["model"], task="classification")}, "model.task"),
+], ids=["section", "model-key", "data-key", "model-task"])
 def test_train_config_rejects_unknown_keys(tmp_path, monkeypatch, capsys,
                                            config, named):
     code, models = _train_with_config(tmp_path, monkeypatch, config)
@@ -168,10 +170,12 @@ def test_train_config_rejects_unknown_keys(tmp_path, monkeypatch, capsys,
 def test_train_config_rejects_unknown_metric_before_training(tmp_path,
                                                              monkeypatch,
                                                              capsys):
-    config = dict(TINY_CONFIG, train={"metric": "rmse"})
-    code, models = _train_with_config(tmp_path, monkeypatch, config)
-    assert code == 2 and not models
-    assert "unknown metric 'rmse'" in capsys.readouterr().err
+    for key, value in (("metric", "rmse"), ("metric", "accuracy"),
+                       ("loss", "cross_entropy")):
+        config = dict(TINY_CONFIG, train={key: value})
+        code, models = _train_with_config(tmp_path, monkeypatch, config)
+        assert code == 2 and not models
+        assert f"unknown {key} '{value}'" in capsys.readouterr().err
 
 
 def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
@@ -179,8 +183,7 @@ def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
                         "top_k": 4, "epsilon": 1e-2, "sink_gate": False,
                         "n_layers": 2, "ffn_dim": 8, "hc_mode": "static",
                         "hc_streams": 2, "in_features": 2, "out_dim": 2,
-                        "max_len": 128, "task": "regression",
-                        "gate_mode": "recurrent", "seed": 3},
+                        "max_len": 128, "gate_mode": "recurrent", "seed": 3},
               "train": {"optimizer": "sgd", "lr": 0.01, "betas": [0.8, 0.9],
                         "weight_decay": 0.1, "epochs": 2, "batch_size": 4,
                         "loss": "mae", "metric": "mse", "seed": 5,
@@ -227,6 +230,11 @@ def test_generate_train_eval_pipeline(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["metric"] == "mae" and report["sequences"] == 10
+    # the metrics are regression metrics only
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["eval", "--checkpoint", str(run / "best"), "--data",
+                  str(data), "--metric", "accuracy"])
+    assert exit_.value.code == 2
 
 
 def _reject_constant(name):
@@ -255,7 +263,10 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "bench-list-config", "bench-key-list-config",
                                   "train-list-config", "generate-empty-pixels",
                                   "generate-zero-subsample",
-                                  "train-one-point-sequence"])
+                                  "train-one-point-sequence",
+                                  "train-header-only", "eval-header-only",
+                                  "train-null-section", "train-list-section",
+                                  "train-one-ratio", "eval-negative-ratios"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
@@ -264,6 +275,12 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
     D.write_dataset_csv(str(data), D.generate_spirals(
         D.SpiralSpec(n_spirals=10, n_points=30, n_subsample=12)))
     empty.write_text("")
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("seq_id,t,feature_0,feature_1,mask\n")
+    checkpoint = str(tmp_path / "ckpt")
+    if case.startswith("eval-") and case != "eval-missing-checkpoint":
+        M.save_checkpoint(M.FluidModel(cli._model_config(TINY_CONFIG)),
+                          checkpoint)
     one_point = tmp_path / "one_point.csv"
     D.write_dataset_csv(str(one_point), D.read_dataset_csv(str(data)) + [
         D.EventSequence(values=[[0.1, 0.2]], times=[1.0], mask=[True])])
@@ -272,7 +289,10 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                "train-negative-layers": {"model": {"n_layers": -2}},
                "train-zero-ffn": {"model": {"ffn_dim": 0}},
                "bench-list-config": [1], "bench-key-list-config": ["d_model"],
-               "train-list-config": [1]}
+               "train-list-config": [1],
+               "train-null-section": {"model": None},
+               "train-list-section": dict(TINY_CONFIG, train=[1]),
+               "train-one-ratio": dict(TINY_CONFIG, data={"ratios": [1.0]})}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(configs.get(case, TINY_CONFIG)))
     train = ["train", "--out", str(tmp_path / "run"), "--config", str(config),
@@ -303,18 +323,34 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
         "generate-zero-subsample": ["generate", "spiral", "--subsample", "0",
                                     "--out", str(tmp_path / "s.csv")],
         "train-one-point-sequence": train + [str(one_point)],
+        "train-header-only": train + [str(header_only)],
+        "eval-header-only": ["eval", "--checkpoint", checkpoint,
+                             "--data", str(header_only)],
+        "train-null-section": train + [str(data)],
+        "train-list-section": train + [str(data)],
+        "train-one-ratio": train + [str(data)],
+        "eval-negative-ratios": ["eval", "--checkpoint", checkpoint, "--data",
+                                 str(data), "--ratios", "1.2", "-0.1", "-0.1"],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"fluid {argv[0]}: ") and err.count("\n") == 1, err
     named = {"bench-malformed-config": malformed, "train-empty-data": empty,
              "bench-list-config": config, "bench-key-list-config": config,
-             "train-list-config": config}
+             "train-list-config": config, "train-header-only": header_only,
+             "eval-header-only": header_only, "train-null-section": config,
+             "train-list-section": config}
     if case in named:
         assert str(named[case]) in err, err
     said = {"generate-empty-pixels": "no sequences to write",
             "generate-zero-subsample": "subsample of two",
-            "train-one-point-sequence": "sequence 10 has no conditioning point"}
+            "train-one-point-sequence": "sequence 10 has no conditioning point",
+            "train-header-only": "holds no sequences",
+            "eval-header-only": "holds no sequences",
+            "train-null-section": "section 'model'",
+            "train-list-section": "section 'train'",
+            "train-one-ratio": "split ratios [1.0] are not three",
+            "eval-negative-ratios": "split ratios [1.2, -0.1, -0.1]"}
     if case in said:
         assert said[case] in err, err
         assert not list(tmp_path.glob("[es].csv"))

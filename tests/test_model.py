@@ -25,7 +25,7 @@ def _cfg(**kw):
             lan_kw[key] = kw.pop(key)
     base = dict(lan=A.LanConfig(**lan_kw), n_layers=1, ffn_dim=16,
                 hc_mode="residual", hc_streams=1, in_features=2, out_dim=2,
-                max_len=64, task="regression", gate_mode="recurrent", seed=0)
+                max_len=64, gate_mode="recurrent", seed=0)
     base.update(kw)
     return M.ModelConfig(**base)
 
@@ -362,6 +362,15 @@ def test_checkpoint_round_trip(tmp_path):
     qt = np.tile(np.arange(2.0), (1, 1))
     assert np.array_equal(model.forward(values, times, qt).data,
                           restored.forward(values, times, qt).data)
+    # manifests written while the config had a task field still load
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    for task in ("regression", "classification"):
+        manifest["config"]["task"] = task
+        (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+        restored = M.load_checkpoint(path)
+        assert restored.cfg == model.cfg
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, restored.parameters()[name].data), name
 
 
 @pytest.mark.parametrize("edit, problem", [

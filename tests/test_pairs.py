@@ -22,7 +22,7 @@ def _qk(q_rows, k_rows):
 def test_single_pair_concat():
     q, k = _qk([[1.0, 2.0]], [[3.0, 5.0]])
     pb = pairs.full_pairwise_concat(q, k)
-    assert pb.k_eff == 1
+    assert pb.selected_indices.shape[3] == 1
     up = pair_sum(q, k, pb)
     assert up.shape == (1, 1, 1, 1, 2)
     assert np.array_equal(up.data[0, 0, 0, 0], [4, 7])
