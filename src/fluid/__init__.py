@@ -8,7 +8,15 @@ properties, a desk-scale training harness, and a runtime/memory
 benchmark.
 """
 
-from fluid.tensor import Tensor, no_grad
+import os
+
+# fluid.pool owns the parallelism, so BLAS gets one thread unless the user
+# set a count; this holds only when numpy is not loaded yet
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+del var
+
+from fluid.tensor import Tensor, no_grad  # noqa: E402
 
 __all__ = ["Tensor", "no_grad"]
 __version__ = "0.1.0"

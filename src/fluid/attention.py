@@ -14,19 +14,20 @@ The gate recurrence is the costly part: it runs per pair and per step.
 ``RecurrentGateCore`` projects queries and keys once and never builds u
 or the pair input: each work item of its kernel forms its own block of
 pair inputs. The GRU runs only on the valid pairs, plus one zero-input
-pair whose gates every invalid pair gets. All steps unroll as one tape
-op with a hand-written backward that keeps only the hidden states of
-steps 1 .. N-2 and recomputes the rest, in few numpy calls per step;
-inference runs the same kernel without keeping anything. The (head,
-block) work items run on ``fluid.pool``, which top-k selection shares,
-one thread per CPU, with the same results for any number of threads.
+pair whose gates every invalid pair gets. One tape op runs from the pair
+input through ``integrate_logits`` to the final logits. It keeps the
+hidden states of steps 1 .. N-2, the clamped dt and the final logits;
+each backward work item rebuilds the rest of its block's hidden states,
+its gates and its Euler states, bitwise the forward's, in few numpy calls
+per step. Inference runs the same kernel without keeping anything. The
+(head, block) work items run on ``fluid.pool``, which top-k selection
+shares, one thread per CPU, with the same results for any number of
+threads.
 
-Every gate core returns the gates of all N steps as one tensor
-[2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:, each row in
-the shape of the pair batch's valid mask. The Euler recursion takes it
-whole: it is one tape op with a hand-written adjoint that writes one
-gradient in the gates' layout, and its recorded trajectory is views of
-the gates and of its state buffer.
+Gates are [2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:,
+each row in the shape of the pair batch's valid mask; they and the Euler
+states outlive a forward only in a trajectory the caller keeps. For the
+gates of the attention limit, ``integrate_logits`` is a tape op itself.
 
 Final logits pass through a masked softmax, and one op contracts the
 weights with the selected values a chunk of query rows at a time, so the
@@ -38,6 +39,7 @@ query-dependent sigmoid output gate that counteracts attention sinks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,15 @@ from fluid import pairs as pairs_mod
 from fluid import pool
 from fluid import tensor as T
 from fluid.tensor import Tensor, uniform_init, zeros_param
+
+
+def check_types(cfg, kind: type, what: str, names: str):
+    """Raise a ValueError naming the first of the space-separated fields
+    ``names`` of ``cfg`` that is no ``kind``; a bool counts as none."""
+    for name in names.split():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
 @dataclass
@@ -61,6 +72,9 @@ class LanConfig:
     causal: bool = False
 
     def __post_init__(self):
+        ints = "d_model heads euler_steps" + " top_k" * (self.top_k is not None)
+        check_types(self, numbers.Integral, "an integer", ints)
+        check_types(self, numbers.Real, "a number", "epsilon")
         if self.d_model < 1 or self.heads < 1:
             raise ValueError(f"d_model {self.d_model} and heads {self.heads} "
                              "must be >= 1")
@@ -135,17 +149,18 @@ class RecurrentGateCore:
 
     The input projection is factorized, u W_u = q W_u[:D] + k W_u[D:]:
     ``project_pairs`` projects each query and key once and returns the
-    factored ``pairs.PairInput``. ``unroll`` runs all Euler steps as one
-    tape op with a hand-written BPTT backward (``_gru_forward`` /
-    ``_gru_backward``) that keeps only the gates it returns and the hidden
-    states h_1 .. h_{N-2} (Gruslys et al., "Memory-Efficient
-    Backpropagation Through Time"). The backward recomputes the pair
-    inputs and the cell, N evaluations as in the forward, h_0 and h_{N-1}
-    among them, and reads the heads' derivatives off the kept gates. A
-    step costs few numpy calls, as each is a GIL handoff between the
-    workers: one sigmoid for the reset and update gates, and the heads'
-    bias and nonlinearities run once over all steps. Under ``no_grad``
-    it keeps nothing; both modes give bitwise the same gates.
+    factored ``pairs.PairInput``. ``unroll`` is one tape op from it to the
+    final logits, ``_gru_forward`` then ``integrate_logits``. Its tape
+    keeps only the pair input, the weights, the hidden states
+    h_1 .. h_{N-2}, the clamped dt and a copy of the final logits
+    (Gruslys et al., "Memory-Efficient Backpropagation Through Time"; Chen
+    et al., "Training Deep Nets with Sublinear Memory Cost"). Each
+    backward item rebuilds the rest, bitwise the forward's, and evaluates
+    the cell N times, as the forward does. A step costs few numpy calls,
+    as each is a GIL handoff between the workers: one sigmoid for the
+    reset and update gates, and the heads' bias and nonlinearities run
+    once over all steps. Under ``no_grad`` it keeps nothing; both modes
+    give bitwise the same logits.
 
     The kernel runs on each head's packed pairs (``PairInput.counts``):
     its valid pairs in slot order, then one zero-input pair standing for
@@ -185,10 +200,10 @@ class RecurrentGateCore:
         return {"W_u": self.W_u, "w_t": self.w_t, "b_x": self.b_x,
                 "W_h": self.W_h, "W_o": self.W_o, "b_o": self.b_o}
 
-    def gates(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
-              n_steps: int, dt_nominal: float) -> Tensor:
-        """Gates [2N,B,H,T_q,K_eff] of the pairs ``pb`` selects from
-        [B,H,T,D] q, k; f_tau in rows :N, f_phi in rows N:."""
+    def logits(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
+               n_steps: int, dt_nominal: float):
+        """(final logits [B,H,T_q,K_eff], LogitTrajectory) of the pairs
+        ``pb`` selects from [B,H,T,D] q, k."""
         return self.unroll(self.project_pairs(q, k, pb), n_steps, dt_nominal)
 
     def project_pairs(self, q: Tensor, k: Tensor,
@@ -201,13 +216,14 @@ class RecurrentGateCore:
         return pairs_mod.PairInput(qp, kp, pb)
 
     def unroll(self, pin: pairs_mod.PairInput, n_steps: int,
-               dt_nominal: float) -> Tensor:
-        """Gate trajectories for all steps from the pair input ``pin``.
+               dt_nominal: float):
+        """Final logits and their trajectory from the pair input ``pin``.
 
         pin: [B,H,...,3h], factored; the op's parents are its projected
-        queries and keys and the gate weights. Returns the gates
-        [2N,B,H,T_q,K_eff]: f_tau in rows :N, f_phi in rows N:. The tape
-        holds the hidden states [H, max(N-2, 0), h, packed pairs].
+        queries and keys and the gate weights. Returns (final logits
+        [B,H,T_q,K_eff], LogitTrajectory) as ``integrate_logits`` does.
+        The tape holds the hidden states [H, max(N-2, 0), h, packed pairs]
+        and a copy of the final logits, not the trajectory.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -231,15 +247,19 @@ class RecurrentGateCore:
                  if T._grad_enabled() and any(t.requires_grad for t in inputs)
                  else None)
         _gru_forward(pin, w, n_steps, dt_nominal, self.epsilon, g_hm, saved)
+        final, traj = integrate_logits(Tensor(gates), dt_nominal)
+        if saved is None:
+            return final, traj
+        epsilon, dt = self.epsilon, traj.dt_effective
 
         def rule(g):
-            # a gradient in the gates' layout, as integrate_logits makes
-            # it, is head-major already and reshapes without a copy
-            g_hm_grad = np.moveaxis(g, 1, 2).reshape(g_hm.shape)
-            return _gru_backward(g_hm_grad, pin, w, saved, g_hm, n_steps,
-                                 dt_nominal, self.epsilon)
+            # one head-major copy [H, 1, slots]: items run the adjoint on
+            # their columns of it in place
+            g_h = np.array(np.moveaxis(g, 1, 0)).reshape(H, 1, -1)
+            return _gru_backward(g_h, pin, w, saved, n_steps, dt_nominal,
+                                 epsilon, dt)
 
-        return T._node(gates, inputs, rule)
+        return T._node(final.data.copy(), inputs, rule), traj
 
 
 def _cell(x: np.ndarray, nbias: np.ndarray, hp: np.ndarray | None,
@@ -352,31 +372,38 @@ def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
             new += tmp
         prev = new
         np.matmul(W_o, new, out=gates[n::N])     # rows n and N + n
-    # f_tau = softplus(. + b_tau) + eps, f_phi = tanh(. + b_phi)
-    b_phi, b_tau = w["b_o"][hd]
+    _heads_(gates, w["b_o"][hd], epsilon, scratch[:N])
+
+
+def _heads_(gates: np.ndarray, b_o: np.ndarray, epsilon: float,
+            scratch: np.ndarray):
+    """In place on gates [2N,P] holding W_o h_n of every step: f_tau =
+    softplus(. + b_tau) + eps in rows :N, f_phi = tanh(. + b_phi) in rows
+    N:, over all steps at once; scratch is [N,P]."""
+    N = len(gates) // 2
+    b_phi, b_tau = b_o
     f_tau, f_phi = gates[:N], gates[N:]
     f_tau += b_tau
-    T._softplus_(f_tau, scratch[:N])
+    T._softplus_(f_tau, scratch)
     f_tau += epsilon
     f_phi += b_phi
     np.tanh(f_phi, out=f_phi)
 
 
-def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal, epsilon):
-    """BPTT through ``_gru_forward``, g and gates [2N,H,slots]: returns
-    (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its parameter's
-    shape. Each item forms the heads' gradients from its columns of g and
-    of the gates, freeing them, then its block of pair inputs again, and
-    returns its partials; they are summed in item order, so every
+def _gru_backward(g, pin, w, saved, n_steps, dt_nominal, epsilon, dt):
+    """The backward of ``unroll`` from the final logits' gradient g [H, 1,
+    slots]: returns (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its
+    parameter's shape. Each item takes its columns of g, the zero pair's
+    the sum over the invalid slots, and its block of pair inputs again,
+    and returns its partials; they are summed in item order, so every
     gradient is the same for any number of workers."""
     items = _items(pin.counts)
 
     def item(hd, a, b):
-        d_heads = _head_grads(
-            pin.gather(g[:, hd], hd, a, b, sum_invalid=True),
-            pin.gather(gates[:, hd], hd, a, b), epsilon)
-        dx, parts = _backward_block(d_heads, pin.block(hd, a, b), w, hd,
-                                    saved[hd, :, :, a:b], n_steps, dt_nominal)
+        dx, parts = _backward_block(
+            pin.gather(g[hd], hd, a, b, sum_invalid=True)[0],
+            pin.block(hd, a, b), w, hd, saved[hd, :, :, a:b], n_steps,
+            dt_nominal, epsilon, dt)
         return parts, pin.block_grads(hd, a, b, dx)
 
     results = pool._run_items(item, items)
@@ -388,37 +415,49 @@ def _gru_backward(g, pin, w, saved, gates, n_steps, dt_nominal, epsilon):
     return pin.grads(items, [pair for _, pair in results]) + totals
 
 
-def _head_grads(g, gates, epsilon):
-    """Gradients [N,2,P] of the heads' pre-activations o, f_phi's above
-    f_tau's at each step, from the gates [2N,P] and their gradient g:
-    (1 - f_phi^2) g and sigmoid(o) g, with sigmoid(o) = -expm1(eps - f_tau)
-    read from f_tau = softplus(o) + eps, off by about eps * 2^-53 at most."""
-    N = len(g) // 2
-    d = np.empty((N, 2, g.shape[1]))
+def _head_grads(g, hidden, w, hd, epsilon, dt):
+    """The gradients [N,2,P] of the heads' pre-activations o, f_phi's above
+    f_tau's at each step, of one block from g [P], the gradient of its
+    final logits (overwritten), and its hidden states h_0 .. h_{N-1}. The
+    gates are rebuilt with the forward's heads and the Euler states
+    a_0 .. a_{N-1} with dt, both bitwise the forward's; the Euler adjoint
+    gives the gates' gradient d, and o's are (1 - f_phi^2) d and
+    sigmoid(o) d, with sigmoid(o) = -expm1(eps - f_tau) read from
+    f_tau = softplus(o) + eps, off by about eps * 2^-53 at most."""
+    N, P = len(hidden), g.shape[0]
+    gates, a = np.empty((2 * N, P)), np.empty((N, P))
+    W_o = w["W_o"][hd][::-1].copy()      # as in _forward_block
+    for n, h_n in enumerate(hidden):
+        np.matmul(W_o, h_n, out=gates[n::N])
+    _heads_(gates, w["b_o"][hd], epsilon, a)
+    a[0] = 0.0
+    _euler_states(a, gates[:N], gates[N:], dt)
+    g_gates = np.empty_like(gates)
+    _euler_adjoint(g, gates[:N], a, dt, g_gates)
+    d = np.empty((N, 2, P))
     d_phi, d_tau = d[:, 0], d[:, 1]
     np.multiply(gates[N:], gates[N:], out=d_phi)
     np.subtract(1.0, d_phi, out=d_phi)
-    d_phi *= g[N:]
+    d_phi *= g_gates[N:]
     np.subtract(epsilon, gates[:N], out=d_tau)
     np.expm1(d_tau, out=d_tau)
-    d_tau *= g[:N]
+    d_tau *= g_gates[:N]
     np.negative(d_tau, out=d_tau)
     return d
 
 
-def _backward_block(d_heads, x, w, hd, saved, n_steps, dt_nominal):
-    """BPTT of head ``hd`` over one block: d_heads [N,2,P] from
-    ``_head_grads``, x [3h,P], saved [N-2,h,P]. Returns d x and this
+def _backward_block(g, x, w, hd, saved, n_steps, dt_nominal, epsilon, dt):
+    """Backward of head ``hd`` over one block, from g [P], the gradient of
+    its final logits: x [3h,P], saved [N-2,h,P]. Returns d x and this
     block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o [2,h],
     db_o [2]).
 
     The cell runs N times: step 0's first, kept for step 0 and to rebuild
     h_0 = (1 - z_0) * c_0, then each later step's, h_{N-1} rebuilt at step
-    N-1; the states are bitwise the forward's."""
+    N-1, where ``_head_grads`` reads every state; the states are bitwise
+    the forward's."""
     C, P = x.shape
     h, N = C // 3, n_steps
-    dW_h, dx_sums = np.zeros((h, C)), np.zeros(C)
-    dW_o, dx, dh = np.zeros((2, h)), np.zeros((C, P)), np.zeros((h, P))
     hp, dhp = np.empty((C, P)), np.empty((C, P))
     t, omz = hp[:h], hp[h:2 * h]        # scratch once the cell has run
     # grad of W_h^T h_prev, [dr; dz; dn]: the cell writes r, z into its
@@ -444,13 +483,18 @@ def _backward_block(d_heads, x, w, hd, saved, n_steps, dt_nominal):
             np.multiply(omz, cn, out=new)
             np.multiply(z, prev, out=t)
             new += t
+        if n == N - 1:
+            # every state is rebuilt; the gradients' buffers come after the
+            # heads' scratch is freed
+            d_heads = _head_grads(g, [h0, *saved, new][:N], w, hd, epsilon, dt)
+            dW_h, dx_sums = np.zeros((h, C)), np.zeros(C)
+            dW_o, dx, dh = np.zeros((2, h)), np.zeros((C, P)), np.zeros((h, P))
 
         # projection heads
         d_o = d_heads[n]
         dW_o += d_o @ new.T
         np.matmul(W_o.T, d_o, out=t)
         dh += t
-
         # candidate pre-activation: dh * (1 - z) * (1 - c^2)
         np.multiply(omz, dh, out=t)
         np.multiply(cn, cn, out=dcp)
@@ -500,8 +544,9 @@ class SdpaFrozenGates:
     def parameters(self) -> dict:
         return {}
 
-    def gates(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
-              n_steps: int, dt_nominal: float) -> Tensor:
+    def logits(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
+               n_steps: int, dt_nominal: float):
+        """(final logits, LogitTrajectory) of the frozen gates."""
         B, H, T_q, D = q.shape
         k_sel = T.gather_keys(k, pb.selected_indices)
         dots = T.tsum(T.mul(T.reshape(q, (B, H, T_q, 1, D)), k_sel), axis=-1)
@@ -509,7 +554,8 @@ class SdpaFrozenGates:
             dots = T.mul(dots, Tensor(pb.valid_mask.astype(np.float64)))
         f_phi = T.reshape(T.scale(dots, self.inv_sqrt_d), (1,) + dots.shape)
         rates = Tensor(np.ones((n_steps,) + dots.shape))
-        return T.concat([rates] + [f_phi] * n_steps, axis=0)
+        return integrate_logits(T.concat([rates] + [f_phi] * n_steps, axis=0),
+                                dt_nominal)
 
 
 # --------------------------------------------------------------------------
@@ -535,12 +581,12 @@ def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
     """Run the Euler recursion from a0 (default 0) with one global dt.
 
     gates: [2N, *pairs], f_tau in rows :N and f_phi in rows N:, each row
-    in the pair batch's shape, as every gate core returns them; a0
-    broadcasts to one row [*pairs]. One tape op: the states
-    a_{n+1} = a_n + dt * (f_phi_n - f_tau_n * a_n) fill one [N+1, ...]
-    buffer, in the float order of that formula, with no temporaries, and
-    the backward runs the adjoint recursion by hand into one gradient in
-    the gates' layout, on one copy of the incoming gradient.
+    in the pair batch's shape, as every gate core makes them; a0
+    broadcasts to one row [*pairs]. One tape op: the states fill one
+    [N+1, ...] buffer (``_euler_states``), and the backward runs the
+    adjoint recursion by hand (``_euler_adjoint``, as the gate kernel's
+    backward items do) into one gradient in the gates' layout, on one
+    copy of the incoming gradient.
     Returns (final state tensor, LogitTrajectory), whose arrays are views
     of the state buffer and the gates. Disabling the clamp is only meant
     for instability demonstrations.
@@ -550,22 +596,12 @@ def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
     dt = clamp_dt(dt_nominal, f_tau) if clamp else float(dt_nominal)
     a = np.empty((n_steps + 1,) + gates.shape[1:])
     a[0] = 0.0 if a0 is None else a0.data
-    for n in range(n_steps):
-        # a + (f_phi - f_tau * a) * dt, built in a[n + 1]
-        step = np.multiply(f_tau[n], a[n], out=a[n + 1])
-        np.subtract(f_phi[n], step, out=step)
-        step *= dt
-        step += a[n]
+    _euler_states(a, f_tau, f_phi, dt)
 
     def rule(g):
         d = np.empty_like(gates.data)   # keeps the gates' memory layout
         g = g.copy()
-        for n in reversed(range(n_steps)):
-            gs = np.multiply(g, dt, out=d[n_steps + n])
-            # g -= gs * f_tau, with d[n] as scratch before it takes its value
-            g -= np.multiply(gs, f_tau[n], out=d[n])
-            np.multiply(gs, a[n], out=d[n])
-            np.negative(d[n], out=d[n])
+        _euler_adjoint(g, f_tau, a, dt, d)
         return (d,) if a0 is None else (d, T._unbroadcast(g, a0.shape))
 
     traj = LogitTrajectory(
@@ -577,6 +613,34 @@ def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
     )
     parents = (gates,) if a0 is None else (gates, a0)
     return T._node(a[n_steps], parents, rule), traj
+
+
+def _euler_states(a: np.ndarray, f_tau: np.ndarray, f_phi: np.ndarray,
+                  dt: float):
+    """a_{n+1} = a_n + dt * (f_phi_n - f_tau_n * a_n) into every row after
+    the first of a [M+1, ...], from a[0] and gate rows n < M; in the float
+    order of that formula, with no temporaries."""
+    for n in range(len(a) - 1):
+        # a + (f_phi - f_tau * a) * dt, built in a[n + 1]
+        step = np.multiply(f_tau[n], a[n], out=a[n + 1])
+        np.subtract(f_phi[n], step, out=step)
+        step *= dt
+        step += a[n]
+
+
+def _euler_adjoint(g: np.ndarray, f_tau: np.ndarray, a: np.ndarray,
+                   dt: float, d: np.ndarray):
+    """The adjoint of ``_euler_states`` over the N steps of f_tau [N, ...]:
+    from g, the gradient of a_N, writes the gates' gradient into d [2N, ...]
+    (f_tau's rows, then f_phi's), reading a_0 .. a_{N-1}, and leaves the
+    gradient of a_0 in g."""
+    N = len(f_tau)
+    for n in reversed(range(N)):
+        gs = np.multiply(g, dt, out=d[N + n])
+        # g -= gs * f_tau, with d[n] as scratch before it takes its value
+        g -= np.multiply(gs, f_tau[n], out=d[n])
+        np.multiply(gs, a[n], out=d[n])
+        np.negative(d[n], out=d[n])
 
 
 # --------------------------------------------------------------------------
@@ -596,8 +660,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
     else:
         pb = pairs_mod.topk_concat(q, k, cfg.top_k, causal=cfg.causal,
                                    key_mask=key_mask)
-    gates = core.gates(q, k, pb, cfg.euler_steps, cfg.dt_nominal)
-    a_final, traj = integrate_logits(gates, cfg.dt_nominal)
+    a_final, traj = core.logits(q, k, pb, cfg.euler_steps, cfg.dt_nominal)
 
     alpha = T.masked_softmax(a_final, pb.valid_mask, axis=-1)
     out = T.gather_weighted(alpha, v, pb.selected_indices)

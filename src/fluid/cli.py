@@ -89,8 +89,6 @@ def _model_config(cfg: dict, in_features: int = 2, out_dim: int = 2) -> M.ModelC
 def _train_config(cfg: dict) -> TR.TrainConfig:
     t = dict(cfg.get("train", {}))
     t["seed"] = _seed_override(t.get("seed", 0))
-    if "betas" in t:
-        t["betas"] = tuple(t["betas"])
     return TR.TrainConfig(**t)
 
 

@@ -7,6 +7,7 @@ sequences, and CSV round-tripping for datasets.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,9 @@ def generate_spirals(spec: SpiralSpec) -> list[EventSequence]:
 def split_by_time(seq: EventSequence, ratios=(0.6, 0.2, 0.2)):
     """Conditioning / interpolation / extrapolation membership by time
     quantiles of the observed span. Returns three boolean masks."""
-    r = np.asarray(ratios if isinstance(ratios, (list, tuple)) else (), float)
+    shares = isinstance(ratios, (list, tuple)) and all(
+        isinstance(x, numbers.Real) for x in ratios)
+    r = np.asarray(ratios if shares else (), float)
     if r.shape != (3,) or not (r >= 0).all() or abs(r.sum() - 1.0) > 1e-9:
         raise ValueError(f"split ratios {ratios!r} are not three "
                          "non-negative numbers that sum to 1")

@@ -460,7 +460,9 @@ def backward(root: Tensor):
     """Reverse-mode pass from a scalar root.
 
     Populates ``.grad`` on every reachable leaf with ``requires_grad``;
-    each node's rule runs exactly once. The tape is released afterwards.
+    each node's rule runs exactly once. The walk releases each node once
+    its rule has run, so an intermediate is freed during the walk unless
+    the caller still holds it.
     """
     if root.data.size != 1:
         raise GradientError(f"backward root must be scalar, got shape {root.shape}")
@@ -485,7 +487,8 @@ def backward(root: Tensor):
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue

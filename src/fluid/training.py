@@ -10,6 +10,7 @@ re-run of the failing batch.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from fluid import model as M
 from fluid import tensor as T
+from fluid.attention import check_types
 from fluid.tensor import Tensor
 
 
@@ -42,6 +44,12 @@ class TrainConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
+        check_types(self, numbers.Real, "a number", "lr weight_decay grad_clip")
+        check_types(self, numbers.Integral, "an integer", "epochs batch_size seed")
+        if not (isinstance(self.betas, (list, tuple)) and len(self.betas) == 2
+                and all(isinstance(b, numbers.Real) for b in self.betas)):
+            raise ValueError(f"betas must be two numbers, not {self.betas!r}")
+        self.betas = tuple(self.betas)
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):

@@ -2,7 +2,9 @@
 
 import contextlib
 import csv
+import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import threading
@@ -48,15 +50,26 @@ def _project(core, u):
                               Tensor(u[None, None, :, D:]), pb)
 
 
+def _traj_gates(traj):
+    """The gates [2N, ...] of a trajectory: f_tau rows, then f_phi rows."""
+    return np.moveaxis(np.concatenate([traj.f_tau, traj.f_phi], axis=-1), -1, 0)
+
+
+def _gates(core, u, n_steps, dt_nominal):
+    """The gates [2N,1,1,P,1] the core's unroll gives raw pair inputs u."""
+    _, traj = core.unroll(_project(core, u), n_steps, dt_nominal)
+    return _traj_gates(traj)
+
+
 def test_gate_ranges():
     core = make_core()
     rng = np.random.default_rng(1)
     u = rng.uniform(-3, 3, (10, 4))
     for n_steps in (1, 2):
-        gates = core.unroll(_project(core, u), n_steps, 0.5)
+        gates = _gates(core, u, n_steps, 0.5)
         assert gates.shape == (2 * n_steps, 1, 1, 10, 1)
-        assert (gates.data[:n_steps] >= core.epsilon).all()
-        assert (np.abs(gates.data[n_steps:]) < 1.0).all()
+        assert (gates[:n_steps] >= core.epsilon).all()
+        assert (np.abs(gates[n_steps:]) < 1.0).all()
 
 
 def test_gate_zero_weight_cell():
@@ -68,15 +81,15 @@ def test_gate_zero_weight_cell():
     core.W_o.data[:, 1] = 1.0
     u = np.ones((3, 4))
     for n_steps in (1, 2):
-        gates = core.unroll(_project(core, u), n_steps, 0.7)
-        assert np.allclose(gates.data[n_steps:], 0.0)
-        assert np.allclose(gates.data[:n_steps], _softplus(0.0) + 1e-3)
+        gates = _gates(core, u, n_steps, 0.7)
+        assert np.allclose(gates[n_steps:], 0.0)
+        assert np.allclose(gates[:n_steps], _softplus(0.0) + 1e-3)
 
 
 def test_gate_hidden_carries_state():
     core = make_core(seed=3)
     u = np.random.default_rng(4).uniform(-1, 1, (5, 4))
-    f_phi0, f_phi1 = core.unroll(_project(core, u), 2, 0.2).data[2:]
+    f_phi0, f_phi1 = _gates(core, u, 2, 0.2)[2:]
     assert not np.allclose(f_phi0, f_phi1)
 
 
@@ -130,9 +143,9 @@ def _gate_case(case, rng, H=2, D=3):
     return q, k, pb
 
 
-def _weighted_sum(gates, coef):
-    """A scalar that weighs every gate value by its own coefficient."""
-    return T.tsum(T.mul(gates, Tensor(coef)))
+def _weighted_sum(logits, coef):
+    """A scalar that weighs every logit by its own coefficient."""
+    return T.tsum(T.mul(logits, Tensor(coef)))
 
 
 @pytest.mark.parametrize("case", ["full", "causal_masked", "topk",
@@ -149,10 +162,21 @@ def test_fused_gates_match_composed_oracle(case, n_steps):
     _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng)
 
 
+def _composed_logits(core, q, k, pb, n_steps):
+    """The composed oracle of ``core.logits``: the GRU of ``gru_unroll`` on
+    the materialized pair inputs, then the chain of ``euler_step``s under
+    the clamp. Returns (final logits, gates)."""
+    gates = gru_unroll(core, concat_pairs(q, k, pb), n_steps, 1 / n_steps)
+    dt = A.clamp_dt(1 / n_steps, gates.data[:n_steps])
+    final, _ = euler_chain(gates, dt, Tensor(np.zeros(pb.valid_mask.shape)))
+    return final, gates.data
+
+
 def _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng):
-    """Gates and every gradient of the kernel within 1e-12 of the composed
-    GRU's, under a loss that weighs every gate differently."""
-    coef = rng.standard_normal((2 * n_steps,) + pb.valid_mask.shape)
+    """Final logits, gates and every gradient of the kernel within 1e-12
+    of the composed oracle's, under a loss that weighs every final logit
+    differently, those of invalid pairs too."""
+    coef = rng.standard_normal(pb.valid_mask.shape)
     results = []
     for fused in (True, False):
         q = Tensor(qa.copy(), requires_grad=True)
@@ -160,17 +184,18 @@ def _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng):
         for p in core.parameters().values():
             p.zero_grad()
         if fused:
-            gates = core.gates(q, k, pb, n_steps, 1 / n_steps)
+            final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
+            gates = _traj_gates(traj)
         else:
-            gates = gru_unroll(core, concat_pairs(q, k, pb), n_steps,
-                               1 / n_steps)
-        _weighted_sum(gates, coef).backward()
+            final, gates = _composed_logits(core, q, k, pb, n_steps)
+        _weighted_sum(final, coef).backward()
         grads = dict(core.parameters(), q=q, k=k)
         # the composed path never reaches W_h when there is one step
         grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad
                  for n, p in grads.items()}
-        results.append((gates.data, grads))
-    (gates, grads), (ref_gates, ref_grads) = results
+        results.append((final.data, gates, grads))
+    (final, gates, grads), (ref_final, ref_gates, ref_grads) = results
+    assert np.abs(final - ref_final).max() <= 1e-12
     assert np.abs(gates - ref_gates).max() <= 1e-12
     assert set(grads) == set(ref_grads) and len(grads) == 8
     for name, ref in ref_grads.items():
@@ -192,7 +217,7 @@ def test_f_tau_derivative_from_the_kept_gates_matches_the_oracle(case, n_steps,
     qa, ka, pb = _gate_case(case, rng)
     assert pb.valid_mask.all() == (case == "full")    # unpacked, packed
     with T.no_grad():
-        f_tau = core.gates(Tensor(qa), Tensor(ka), pb, n_steps, 1).data[:n_steps]
+        f_tau = core.logits(Tensor(qa), Tensor(ka), pb, n_steps, 1)[1].f_tau
     assert (f_tau < 2e-3).all() if bias < 0 else (f_tau > 30).all()
     _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng)
 
@@ -214,12 +239,12 @@ def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
 
     monkeypatch.setattr(A, "_cell", counting)
     with T.no_grad():
-        core.gates(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps)
+        core.logits(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps)
     assert len(calls) == n_steps * items
     q = Tensor(qa, requires_grad=True)
-    gates = core.gates(q, Tensor(ka), pb, n_steps, 1 / n_steps)
+    final, _ = core.logits(q, Tensor(ka), pb, n_steps, 1 / n_steps)
     assert len(calls) == 2 * n_steps * items
-    T.tsum(gates).backward()
+    T.tsum(final).backward()
     assert len(calls) == 3 * n_steps * items
 
 
@@ -231,11 +256,15 @@ def test_fused_gates_pass_grad_check():
     k = Tensor(ka, requires_grad=True)
     params = dict(core.parameters(), q=q, k=k)
     for n_steps in (1, 2, 3, 5):
-        coef = rng.standard_normal((2 * n_steps,) + pb.valid_mask.shape)
+        coef = rng.standard_normal(pb.valid_mask.shape)
+        # a step small enough that the clamp, whose dt is no function on
+        # the tape, stays inactive under the differences
+        dt = 0.5 / n_steps
 
         def loss():
-            return _weighted_sum(core.gates(q, k, pb, n_steps, 1 / n_steps),
-                                 coef)
+            final, traj = core.logits(q, k, pb, n_steps, dt)
+            assert traj.dt_effective == dt
+            return _weighted_sum(final, coef)
 
         # the op tolerance of the gradients verify suite
         report = TR.grad_check(loss, params, h=1e-5)
@@ -259,15 +288,48 @@ def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps,
 
     monkeypatch.setattr(A, "_gru_forward", spy)
     with T.no_grad():
-        core.gates(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps)
-    core.gates(Tensor(qa, requires_grad=True), Tensor(ka), pb, n_steps,
-               1 / n_steps)
+        core.logits(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps)
+    core.logits(Tensor(qa, requires_grad=True), Tensor(ka), pb, n_steps,
+                1 / n_steps)
     untaped, taped = kept
     assert untaped is None
     # both heads see the same mask; every pair valid packs as it stands
     slots = pb.valid_mask[:, 0]
     pairs_run = slots.size if slots.all() else int(slots.sum()) + 1
     assert taped.nbytes == H * max(n_steps - 2, 0) * h * pairs_run * 8
+
+
+def test_taped_forward_keeps_no_gates_and_no_euler_states():
+    # long rows and many steps on a tiny head: the gates [2N,...] and the
+    # Euler states [N+1,...] outweigh everything else the tape keeps
+    B, T_, d, H, N = 2, 64, 4, 2, 8
+    mh = A.MultiHeadLan(_mh_cfg(d_model=d, heads=H, euler_steps=N,
+                                causal=True), np.random.default_rng(81))
+    x = Tensor(np.random.default_rng(82).standard_normal((B, T_, d)),
+               requires_grad=True)
+    key_mask = np.ones((B, T_), dtype=bool)
+    key_mask[1, -20:] = False
+    with T.no_grad():
+        mh.forward(x, x, x, key_mask=key_mask)      # the pool starts
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            untaped = mh.forward(x, x, x, key_mask=key_mask)
+        baseline = tracemalloc.get_traced_memory()[0]
+        out = mh.forward(x, x, x, key_mask=key_mask)
+        live = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and not untaped.requires_grad
+    valid = np.tril(np.ones((T_, T_), dtype=bool)) & key_mask[:, None, :]
+    packed = int(valid.sum()) + 1                   # and the zero pair
+    hidden = H * (N - 2) * (d // H) * packed * 8
+    final = H * B * T_ * T_ * 8
+    # the softmax weights, the pair indices, the packed keys and slots and
+    # the masks each take at most the final logits' bytes
+    slack = 5 * final
+    assert live <= hidden + final + slack, (live, hidden, final)
+    assert slack < (N + 1) * final < 2 * N * final   # the states, the gates
 
 
 @pytest.mark.parametrize("case", ["causal_masked", "topk", "long_rows"])
@@ -277,7 +339,8 @@ def test_invalid_slots_hold_exactly_the_zero_input_gates(case):
     qa, ka, pb = _gate_case(case, rng)
     n_steps = 3
     with T.no_grad():
-        gates = core.gates(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps).data
+        gates = _traj_gates(core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
+                                        1 / n_steps)[1])
     w = {n: p.data for n, p in core.parameters().items()}
     for hd, count in enumerate(_packed_counts(pb)):
         # the zero pair ends the head's last block; the kernel gives a
@@ -315,8 +378,11 @@ def test_gate_cores_return_rows_in_the_pair_batch_shape(case):
     for core in (A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2),
                  A.SdpaFrozenGates(3)):
         for n_steps in (1, 3):
-            gates = core.gates(q, k, pb, n_steps, 1 / n_steps)
-            assert gates.shape == (2 * n_steps,) + pb.valid_mask.shape
+            final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
+            assert final.shape == pb.valid_mask.shape
+            assert traj.a.shape == pb.valid_mask.shape + (n_steps + 1,)
+            assert traj.f_tau.shape == traj.f_phi.shape == \
+                pb.valid_mask.shape + (n_steps,)
 
 
 # the pair shapes of the benchmark workloads:
@@ -387,10 +453,10 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
     n_steps = 3
     with T.no_grad():
         pin = core.project_pairs(q, k, pb)
-        gates = core.unroll(pin, n_steps, 1 / n_steps)
+        gates = _traj_gates(core.unroll(pin, n_steps, 1 / n_steps)[1])
         up = pair_sum(pin.qp, pin.kp, pb)
     assert (pin.shape, pin.size, pin.ndim) == (up.shape, up.size, up.ndim)
-    got = np.moveaxis(gates.data, 2, 1).reshape(2 * n_steps, core.heads, -1)
+    got = np.moveaxis(gates, 2, 1).reshape(2 * n_steps, core.heads, -1)
     assert np.array_equal(got, _kernel_on(core, up.data, pb.valid_mask,
                                           n_steps, 1 / n_steps))
 
@@ -407,10 +473,10 @@ def test_gates_never_build_the_pair_input(monkeypatch):
     pb = pairs.topk_concat(q, k, K)
     pair_input_bytes = H * 3 * D * (B * T_q * K) * 8
     with T.no_grad():
-        core.gates(q, k, pb, n_steps, 1 / n_steps)    # the pool starts
+        core.logits(q, k, pb, n_steps, 1 / n_steps)   # the pool starts
         tracemalloc.start()
         try:
-            core.gates(q, k, pb, n_steps, 1 / n_steps)
+            core.logits(q, k, pb, n_steps, 1 / n_steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -447,20 +513,22 @@ def _block_case(case):
 
 
 def _gate_run(core, qa, ka, pb, n_steps=3):
-    """no_grad gates, tape gates, and the gradients of the 6 gate weights
-    and of q, k under a loss that weighs every gate differently."""
+    """no_grad final logits and gates, the same from the tape, and the
+    gradients of the 6 gate weights and of q, k under a loss that weighs
+    every final logit differently."""
     with T.no_grad():
-        untaped = core.gates(Tensor(qa), Tensor(ka), pb, n_steps,
-                             1 / n_steps).data
+        untaped, traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
+                                    1 / n_steps)
+        untaped = (untaped.data, _traj_gates(traj))
     q = Tensor(qa, requires_grad=True)
     k = Tensor(ka, requires_grad=True)
     for p in core.parameters().values():
         p.zero_grad()
-    gates = core.gates(q, k, pb, n_steps, 1 / n_steps)
-    coef = np.random.default_rng(48).standard_normal(gates.shape)
-    _weighted_sum(gates, coef).backward()
+    final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
+    coef = np.random.default_rng(48).standard_normal(final.shape)
+    _weighted_sum(final, coef).backward()
     grads = {n: p.grad.copy() for n, p in dict(core.parameters(), q=q, k=k).items()}
-    return untaped, gates.data, grads
+    return untaped, (final.data, _traj_gates(traj)), grads
 
 
 @pytest.mark.parametrize("case", ["topk_row_split", "batch_rows", "one_block",
@@ -523,14 +591,15 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
     finally:
         sys.setswitchinterval(switch)
     untaped, taped, grads, (d_qp, d_kp) = runs[1]
-    assert np.array_equal(untaped, taped)
+    for got, want in zip(untaped, taped):        # final logits, gates
+        assert np.array_equal(got, want)
     assert len(grads) == 8
     assert d_qp.shape == qa.shape[:3] + (3 * qa.shape[3],)
     assert d_kp.shape == ka.shape[:3] + (3 * ka.shape[3],)
     for workers in (2, 3):
         other_untaped, other_taped, other_grads, other_pair = runs[workers]
-        assert np.array_equal(other_untaped, untaped)
-        assert np.array_equal(other_taped, taped)
+        for got, want in zip(other_untaped + other_taped, untaped + taped):
+            assert np.array_equal(got, want), workers
         for name, grad in grads.items():
             assert np.array_equal(other_grads[name], grad), (workers, name)
         # the d(qp)/d(kp) partials of the items, summed in item order
@@ -551,10 +620,11 @@ def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
 
     monkeypatch.setattr(A, "_forward_block", failing)
     with pytest.raises(RuntimeError, match="item failed"):
-        core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
+        core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
     monkeypatch.setattr(A, "_forward_block", forward_block)
     again = _gate_run(core, qa, ka, pb)
-    assert np.array_equal(again[1], expected[1])
+    for got, want in zip(again[1], expected[1]):
+        assert np.array_equal(got, want)
     for name, grad in expected[2].items():
         assert np.array_equal(again[2][name], grad)
 
@@ -564,11 +634,11 @@ def test_gate_kernel_is_bitwise_the_same_for_concurrent_callers(monkeypatch):
     core, qa, ka, pb = _block_case("batch_rows")
     monkeypatch.setattr(pool, "_WORKERS", 2)
     with T.no_grad():
-        expected = core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3).data
+        expected = core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)[0].data
 
     def caller():
         with T.no_grad():
-            return [core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3).data
+            return [core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)[0].data
                     for _ in range(3)]
 
     switch = sys.getswitchinterval()
@@ -594,16 +664,51 @@ def test_importing_the_gate_kernel_starts_no_thread():
     assert proc.stdout.strip() == "1"
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user", [None, "2"])
+def test_importing_fluid_puts_blas_on_one_thread_unless_the_user_set_it(user):
+    # the subprocess reads the variables, and the bundled OpenBLAS's own
+    # thread count inside pooled items where numpy exposes its getter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"""
+import ctypes, glob, json, os, sys
+sys.path.insert(0, {src!r})
+import fluid
+import numpy
+from fluid import pool
+libs = glob.glob(os.path.dirname(numpy.__file__) + ".libs/libscipy_openblas*")
+get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_",
+              None) if libs else None
+if get is not None:
+    get.argtypes, get.restype = [], ctypes.c_int
+print(json.dumps({{"env": {{v: os.environ.get(v) for v in {_BLAS_THREADS!r}}},
+                  "blas": get and pool._run_items(get, [()] * 4)}}))
+"""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = user
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["env"] == {"OPENBLAS_NUM_THREADS": user or "1",
+                          "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    if user is None and got["blas"] is not None:
+        assert got["blas"] == [1] * 4
+
+
 def _unroll_in_child(core, qa, ka, pb, queue):
     with T.no_grad():
-        queue.put(core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3).data)
+        queue.put(core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)[0].data)
 
 
 def test_gate_kernel_runs_in_a_forked_child(monkeypatch):
     core, qa, ka, pb = _block_case("batch_rows")
     monkeypatch.setattr(pool, "_WORKERS", 2)
     with T.no_grad():
-        gates = core.gates(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
+        final, _ = core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
     assert pool._pool is not None     # the parent has started its threads
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
@@ -619,7 +724,7 @@ def test_gate_kernel_runs_in_a_forked_child(monkeypatch):
         child.join()
     assert got is not None, "the forked child did not return"
     assert child.exitcode == 0
-    assert np.array_equal(got, gates.data)
+    assert np.array_equal(got, final.data)
 
 
 def test_gate_items_read_the_core_weight_buffers(monkeypatch):
@@ -711,19 +816,19 @@ def test_integrate_clamps_on_every_gate_without_copies():
 def test_integrate_starts_at_zero_and_records_dt():
     core = make_core(seed=9)
     u = np.random.default_rng(9).uniform(-1, 1, (6, 4))
-    gates = core.unroll(_project(core, u), 4, 0.25)
-    a, traj = A.integrate_logits(gates, 0.25)
+    gates = _gates(core, u, 4, 0.25)
+    a, traj = A.integrate_logits(Tensor(gates), 0.25)
     assert (traj.a[..., 0] == 0.0).all()
     assert traj.a.shape == (1, 1, 6, 1, 5)
     assert traj.dt_effective <= 0.25
-    expected_dt = min(0.25, 1.0 / gates.data[:4].max())
+    expected_dt = min(0.25, 1.0 / gates[:4].max())
     assert traj.dt_effective == expected_dt
 
 
 def test_trajectory_csv_export(tmp_path):
     core = make_core(seed=11)
     u = np.random.default_rng(11).uniform(-1, 1, (2, 4))
-    _, traj = A.integrate_logits(core.unroll(_project(core, u), 3, 1 / 3), 1 / 3)
+    _, traj = A.integrate_logits(Tensor(_gates(core, u, 3, 1 / 3)), 1 / 3)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -734,8 +839,7 @@ def test_trajectory_csv_export(tmp_path):
 def test_trajectory_csv_reads_back_exactly(tmp_path):
     core = make_core(seed=12)
     u = np.random.default_rng(12).uniform(-1, 1, (5, 4))
-    gates = core.unroll(_project(core, u), 3, 1 / 3)
-    _, traj = A.integrate_logits(gates, 1 / 3)
+    _, traj = A.integrate_logits(Tensor(_gates(core, u, 3, 1 / 3)), 1 / 3)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     with open(path, newline="") as fh:
@@ -821,7 +925,7 @@ def test_integrate_passes_grad_check():
 def test_trajectory_is_views_of_the_integrator_buffers():
     core = make_core(seed=11)
     u = np.random.default_rng(11).uniform(-1, 1, (3, 4))
-    gates = core.unroll(_project(core, u), 3, 1 / 3)
+    gates = Tensor(_gates(core, u, 3, 1 / 3))
     final, traj = A.integrate_logits(gates, 1 / 3)
     assert np.shares_memory(traj.a, final.data)
     assert np.shares_memory(traj.f_tau, gates.data)
@@ -829,6 +933,15 @@ def test_trajectory_is_views_of_the_integrator_buffers():
     assert np.array_equal(traj.f_tau, np.moveaxis(gates.data[:3], 0, -1))
     assert np.array_equal(traj.f_phi, np.moveaxis(gates.data[3:], 0, -1))
     assert np.array_equal(traj.a[..., -1], final.data)
+    # the gate core's own trajectory: views of its gates and state buffer,
+    # which its tape op does not keep; it holds a copy of the final logits
+    for taped in (False, True):
+        pin = _project(core, u)
+        with contextlib.nullcontext() if taped else T.no_grad():
+            final, traj = core.unroll(pin, 3, 1 / 3)
+        assert final.requires_grad == taped
+        assert np.array_equal(traj.a[..., -1], final.data)
+        assert np.shares_memory(traj.a, final.data) != taped
 
 
 def _tape_nodes(root):

@@ -266,7 +266,11 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-one-point-sequence",
                                   "train-header-only", "eval-header-only",
                                   "train-null-section", "train-list-section",
-                                  "train-one-ratio", "eval-negative-ratios"])
+                                  "train-one-ratio", "eval-negative-ratios",
+                                  "train-number-betas", "train-string-lr",
+                                  "train-string-heads",
+                                  "train-fractional-steps",
+                                  "train-string-ratios"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
@@ -292,7 +296,13 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                "train-list-config": [1],
                "train-null-section": {"model": None},
                "train-list-section": dict(TINY_CONFIG, train=[1]),
-               "train-one-ratio": dict(TINY_CONFIG, data={"ratios": [1.0]})}
+               "train-one-ratio": dict(TINY_CONFIG, data={"ratios": [1.0]}),
+               "train-number-betas": dict(TINY_CONFIG, train={"betas": 3}),
+               "train-string-lr": dict(TINY_CONFIG, train={"lr": "x"}),
+               "train-string-heads": {"model": {"heads": "x"}},
+               "train-fractional-steps": {"model": {"euler_steps": 2.5}},
+               "train-string-ratios": dict(TINY_CONFIG,
+                                           data={"ratios": ["a", "b", "c"]})}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(configs.get(case, TINY_CONFIG)))
     train = ["train", "--out", str(tmp_path / "run"), "--config", str(config),
@@ -331,6 +341,11 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
         "train-one-ratio": train + [str(data)],
         "eval-negative-ratios": ["eval", "--checkpoint", checkpoint, "--data",
                                  str(data), "--ratios", "1.2", "-0.1", "-0.1"],
+        "train-number-betas": train + [str(data)],
+        "train-string-lr": train + [str(data)],
+        "train-string-heads": train + [str(data)],
+        "train-fractional-steps": train + [str(data)],
+        "train-string-ratios": train + [str(data)],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -350,7 +365,12 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
             "train-null-section": "section 'model'",
             "train-list-section": "section 'train'",
             "train-one-ratio": "split ratios [1.0] are not three",
-            "eval-negative-ratios": "split ratios [1.2, -0.1, -0.1]"}
+            "eval-negative-ratios": "split ratios [1.2, -0.1, -0.1]",
+            "train-number-betas": "betas must be two numbers, not 3",
+            "train-string-lr": "lr must be a number, not 'x'",
+            "train-string-heads": "heads must be an integer, not 'x'",
+            "train-fractional-steps": "euler_steps must be an integer, not 2.5",
+            "train-string-ratios": "split ratios ['a', 'b', 'c'] are not three"}
     if case in said:
         assert said[case] in err, err
         assert not list(tmp_path.glob("[es].csv"))

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -136,6 +137,25 @@ def test_backward_accumulates_shared_node_once():
     root = T.tsum(T.add(T.mul(p, p), T.scale(p, 3.0)))
     root.backward()
     assert np.allclose(p.grad, [7.0])
+
+
+def test_backward_frees_each_node_once_its_rule_has_run():
+    # x -> first -> mid -> tanh -> root: mid's rule runs before first's,
+    # and nothing but the tape holds mid
+    x = Tensor(np.ones(3), requires_grad=True)
+    alive = []
+
+    def rule(g):
+        alive.append(mid_data() is not None)
+        return (g,)
+
+    mid = T.scale(T._node(x.data * 2.0, (x,), rule), 3.0)
+    mid_data = weakref.ref(mid.data)
+    root = T.tsum(T.tanh(mid))
+    del mid
+    root.backward()
+    assert alive == [False]
+    assert np.allclose(x.grad, 3.0 * (1.0 - np.tanh(6.0) ** 2))
 
 
 def _composite_scalar(params):
