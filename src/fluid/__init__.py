@@ -9,12 +9,15 @@ benchmark.
 """
 
 import os
+import sys
 
 # fluid.pool owns the parallelism, so BLAS gets one thread unless the user
-# set a count; this holds only when numpy is not loaded yet
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(var, "1")
-del var
+# set a count. BLAS reads the count as numpy loads: after that the variables
+# would change nothing but what they report, so they are left as they are
+if "numpy" not in sys.modules:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    del var
 
 from fluid.tensor import Tensor, no_grad  # noqa: E402
 

@@ -18,11 +18,11 @@ pair whose gates every invalid pair gets. One tape op runs from the pair
 input through ``integrate_logits`` to the final logits. It keeps the
 hidden states of steps 1 .. N-2, the clamped dt and the final logits;
 each backward work item rebuilds the rest of its block's hidden states,
-its gates and its Euler states, bitwise the forward's, in few numpy calls
-per step. Inference runs the same kernel without keeping anything. The
-(head, block) work items run on ``fluid.pool``, which top-k selection
-shares, one thread per CPU, with the same results for any number of
-threads.
+its gates and its Euler states, bitwise the forward's, with few numpy
+calls and passes per step (see ``_cell``). Inference runs the same
+kernel without keeping anything. The (head, block) work items run on
+``fluid.pool``, which top-k selection shares, one thread per CPU, with
+the same results for any number of threads.
 
 Gates are [2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:,
 each row in the shape of the pair batch's valid mask; they and the Euler
@@ -157,10 +157,11 @@ class RecurrentGateCore:
     et al., "Training Deep Nets with Sublinear Memory Cost"). Each
     backward item rebuilds the rest, bitwise the forward's, and evaluates
     the cell N times, as the forward does. A step costs few numpy calls,
-    as each is a GIL handoff between the workers: one sigmoid for the
-    reset and update gates, and the heads' bias and nonlinearities run
-    once over all steps. Under ``no_grad`` it keeps nothing; both modes
-    give bitwise the same logits.
+    as each is a GIL handoff between the workers, and few passes over the
+    block: the item's input and bias are negated once, the reset and
+    update gates stay as their sigmoids' denominators 1 + exp(-s), and the
+    heads' bias and nonlinearities run once over all steps. Under
+    ``no_grad`` it keeps nothing; both modes give bitwise the same logits.
 
     The kernel runs on each head's packed pairs (``PairInput.counts``):
     its valid pairs in slot order, then one zero-input pair standing for
@@ -262,45 +263,61 @@ class RecurrentGateCore:
         return T._node(final.data.copy(), inputs, rule), traj
 
 
-def _cell(x: np.ndarray, nbias: np.ndarray, hp: np.ndarray | None,
-          rz: np.ndarray, c: np.ndarray, tmp: np.ndarray | None):
+def _cell(xn: np.ndarray, hpn: np.ndarray | None, tw: np.ndarray,
+          d: np.ndarray, cn: np.ndarray):
     """Reset, update and candidate gates of one step of one head and block.
 
-    x: [3h,P] projected pairs; nbias: [3h,1] the step bias, negated; hp:
-    W_h^T h_prev [3h,P], or None at the first step where the hidden state
-    is zero (the single-bias GRU needs no hidden projection then, and r is
-    unused). One sigmoid writes r and z into rz [2h,P], or z alone into
-    its last h rows, from pre-activations built negated: (-b - x) - hp is
-    bitwise -((x + b) + hp). c [h,P] gets the candidate; tmp is scratch.
+    xn: -(x + b_x) [3h,P], the negated block input; hpn: -W_h^T h_prev
+    [3h,P], or None at step 0, where t_0 = 0 and h_prev = 0 (the
+    single-bias GRU needs no hidden projection then, and r is unused); tw:
+    t_n w_t [3h,1]. cn [h,P] gets -c; r and z stay as their denominators
+    1 + exp(-s) = 1/sigmoid(s) in d [2h,P], z's alone in its last h rows
+    at step 0. exp over- or underflows only where a gate saturates, to an
+    exact d = inf or 1.
     """
-    h = c.shape[0]
-    np.subtract(x[2 * h:], nbias[2 * h:], out=c)
-    if hp is None:
-        z = rz[-h:]
-        np.subtract(nbias[h:2 * h], x[h:2 * h], out=z)
-        T._sigmoid_neg_(z)
+    h = cn.shape[0]
+    if hpn is None:
+        d, s = d[-h:], xn[h:2 * h]
+        np.tanh(xn[2 * h:], out=cn)
     else:
-        np.subtract(nbias[:2 * h], x[:2 * h], out=rz)
-        rz -= hp[:2 * h]
-        T._sigmoid_neg_(rz)
-        np.multiply(rz[:h], hp[2 * h:], out=tmp)
-        c += tmp
-    np.tanh(c, out=c)
+        s = np.add(xn[:2 * h], hpn[:2 * h], out=d)
+        s -= tw[:2 * h]
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(s, out=d)
+    d += 1.0
+    if hpn is not None:
+        np.divide(hpn[2 * h:], d[:h], out=cn)
+        cn += xn[2 * h:]
+        cn -= tw[2 * h:]
+        np.tanh(cn, out=cn)
 
 
-def _neg_step_biases(w: dict, hd: int, n_steps: int,
-                     dt_nominal: float) -> np.ndarray:
-    """-(w_t t_n + b_x) of every step, [N,3h,1], t_n = n * dt_nominal."""
+def _state(prev, cn, d_z, out):
+    """out <- (1 - z) c + z prev = (prev + cn) / d_z - cn, from the cell's
+    cn = -c and d_z = 1/z; prev None is zero."""
+    if prev is None:
+        np.divide(cn, d_z, out=out)
+    else:
+        np.add(prev, cn, out=out)
+        out /= d_z
+    out -= cn
+
+
+def _negate_input(x, w, hd, n_steps, dt_nominal):
+    """x <- -(x + b_x) in place; returns the time terms t_n w_t [N,3h,1],
+    t_n = n * dt_nominal."""
+    np.subtract(np.negative(w["b_x"][hd])[:, None], x, out=x)
     t = np.arange(n_steps) * dt_nominal
-    return np.negative(t[:, None] * w["w_t"][hd] + w["b_x"][hd])[..., None]
+    return (t[:, None] * w["w_t"][hd])[..., None]
 
 
 # --------------------------------------------------------------------------
 # work items of the gate kernel: (head, pair block) on a thread pool
 # --------------------------------------------------------------------------
 
-# the most pairs one work item takes: each item's scratch is a few
-# [3h, block] arrays, small enough to stay in cache
+# the most pairs one work item takes. An item outgrows a core's 2 MB L2
+# (one [3h, 4096] array is 1.5 MB), but larger blocks make fewer numpy
+# calls per pair, each a GIL handoff between the workers
 _BLOCK_PAIRS = 4096
 
 
@@ -341,35 +358,26 @@ def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
 
 
 def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
-    """Head ``hd``'s GRU over one block of pairs: x [3h,P], gates [2N,P],
-    saved [N-2,h,P] for h_1 .. h_{N-2}, or None. The scratch is the
-    block's alone; it holds h_0 and h_{N-1}, which are never saved. The
-    loop writes W_o h_n into the gates, and the heads' bias, tanh,
+    """Head ``hd``'s GRU over one block of pairs: x [3h,P] (overwritten),
+    gates [2N,P], saved [N-2,h,P] for h_1 .. h_{N-2}, or None. The scratch
+    is the block's alone; it holds h_0 and h_{N-1}, which are never saved.
+    The loop writes W_o h_n into the gates, and the heads' bias, tanh,
     softplus and +eps follow over all steps at once."""
     C, P = x.shape
     h, N = C // 3, n_steps
-    scratch = np.empty((max(C, N), P))   # hp, then the softplus scratch
-    hp, rz = scratch[:C], np.empty((2 * h, P))
-    z = rz[h:]
-    c, tmp, hidden = (np.empty((h, P)) for _ in range(3))
-    nbias = _neg_step_biases(w, hd, N, dt_nominal)
-    W_hT = w["W_h"][hd].T
+    scratch = np.empty((max(C, N), P))   # hpn, then the softplus scratch
+    hpn, d = scratch[:C], np.empty((2 * h, P))
+    cn, hidden = np.empty((h, P)), np.empty((h, P))
+    tw = _negate_input(x, w, hd, N, dt_nominal)
+    W_hnT = np.negative(w["W_h"][hd].T)
     W_o = w["W_o"][hd][::-1].copy()      # f_tau's row above f_phi's, as in gates
     prev = None
     for n in range(N):
         new = hidden if saved is None or not 0 < n < N - 1 else saved[n - 1]
         if prev is not None:
-            np.matmul(W_hT, prev, out=hp)
-        _cell(x, nbias[n], None if prev is None else hp, rz, c, tmp)
-        # new hidden = (1 - z) * c + z * prev
-        if prev is None:
-            np.subtract(1.0, z, out=new)
-            new *= c
-        else:
-            np.subtract(1.0, z, out=tmp)
-            tmp *= c
-            np.multiply(z, prev, out=new)
-            new += tmp
+            np.matmul(W_hnT, prev, out=hpn)
+        _cell(x, None if prev is None else hpn, tw[n], d, cn)
+        _state(prev, cn, d[h:], new)
         prev = new
         np.matmul(W_o, new, out=gates[n::N])     # rows n and N + n
     _heads_(gates, w["b_o"][hd], epsilon, scratch[:N])
@@ -448,41 +456,38 @@ def _head_grads(g, hidden, w, hd, epsilon, dt):
 
 def _backward_block(g, x, w, hd, saved, n_steps, dt_nominal, epsilon, dt):
     """Backward of head ``hd`` over one block, from g [P], the gradient of
-    its final logits: x [3h,P], saved [N-2,h,P]. Returns d x and this
-    block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o [2,h],
-    db_o [2]).
+    its final logits: x [3h,P] (overwritten), saved [N-2,h,P]. Returns d x
+    and this block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o
+    [2,h], db_o [2]).
 
     The cell runs N times: step 0's first, kept for step 0 and to rebuild
-    h_0 = (1 - z_0) * c_0, then each later step's, h_{N-1} rebuilt at step
-    N-1, where ``_head_grads`` reads every state; the states are bitwise
-    the forward's."""
+    h_0, then each later step's, h_{N-1} rebuilt at step N-1, where
+    ``_head_grads`` reads every state; the states are bitwise the
+    forward's. The gradients read z and r off the cell's denominators
+    (z dh = dh / d_z) and fold in its signs, cn = -c and hpn = -hp."""
     C, P = x.shape
     h, N = C // 3, n_steps
-    hp, dhp = np.empty((C, P)), np.empty((C, P))
-    t, omz = hp[:h], hp[h:2 * h]        # scratch once the cell has run
-    # grad of W_h^T h_prev, [dr; dz; dn]: the cell writes r, z into its
-    # first rows (dn's are its scratch), and their grads replace them
-    rz, dn = dhp[:2 * h], dhp[2 * h:]
-    c, dcp, h0, z0, c0 = (np.empty((h, P)) for _ in range(5))
-    nbias = _neg_step_biases(w, hd, N, dt_nominal)
-    W_h, W_hT, W_o = w["W_h"][hd], w["W_h"][hd].T, w["W_o"][hd]
-    _cell(x, nbias[0], None, z0, c0, None)
-    np.subtract(1.0, z0, out=h0)
-    h0 *= c0
+    hpn, dhp = np.empty((C, P)), np.empty((C, P))
+    t, zdh = hpn[:h], hpn[h:2 * h]      # scratch once the cell has run
+    # grad of W_h^T h_prev, [dr; dz; dn]: the cell writes d_r, d_z into
+    # its first rows, and their grads replace them
+    d, dn = dhp[:2 * h], dhp[2 * h:]
+    cn, dcp, h0, d0, c0 = (np.empty((h, P)) for _ in range(5))
+    tw = _negate_input(x, w, hd, N, dt_nominal)
+    W_h, W_hnT, W_o = w["W_h"][hd], np.negative(w["W_h"][hd].T), w["W_o"][hd]
+    _cell(x, None, tw[0], d0, c0)
+    _state(None, c0, d0, h0)
     for n in reversed(range(N)):
         prev = None if n == 0 else h0 if n == 1 else saved[n - 2]
         if prev is None:
-            z, cn = z0, c0
+            d_z, c_n = d0, c0
         else:
-            np.matmul(W_hT, prev, out=hp)
-            _cell(x, nbias[n], hp, rz, c, dn)
-            z, cn = rz[h:], c
-        np.subtract(1.0, z, out=omz)
+            np.matmul(W_hnT, prev, out=hpn)
+            _cell(x, hpn, tw[n], d, cn)
+            d_z, c_n = d[h:], cn
         new = h0 if n == 0 else dcp if n == N - 1 else saved[n - 1]
         if new is dcp:      # the last state, kept until dcp takes its value
-            np.multiply(omz, cn, out=new)
-            np.multiply(z, prev, out=t)
-            new += t
+            _state(prev, c_n, d_z, new)
         if n == N - 1:
             # every state is rebuilt; the gradients' buffers come after the
             # heads' scratch is freed
@@ -495,29 +500,29 @@ def _backward_block(g, x, w, hd, saved, n_steps, dt_nominal, epsilon, dt):
         dW_o += d_o @ new.T
         np.matmul(W_o.T, d_o, out=t)
         dh += t
-        # candidate pre-activation: dh * (1 - z) * (1 - c^2)
-        np.multiply(omz, dh, out=t)
-        np.multiply(cn, cn, out=dcp)
+        # dh splits into z dh, a part of the previous state's, and (1 - z) dh
+        np.divide(dh, d_z, out=zdh)
+        dh -= zdh
+        # update pre-activation: (1 - z) dh * z (prev - c), and
+        # z (prev - c) = new - c, in d_z's rows
+        np.add(new, c_n, out=d_z)
+        d_z *= dh
+        # candidate pre-activation: (1 - z) dh * (1 - c^2)
+        np.multiply(c_n, c_n, out=dcp)
         np.subtract(1.0, dcp, out=dcp)
-        dcp *= t
-        # update pre-activation: dh * (prev - c) * z * (1 - z), in z's rows
-        np.subtract(0.0 if prev is None else prev, cn, out=t)
-        t *= dh
-        dh *= z
-        z *= omz
-        z *= t
+        dcp *= dh
         if prev is not None:
-            # reset pre-activation: dn = dcp * r, then dr = (1 - r) * dn *
-            # hp_n in r's rows
-            r = rz[:h]
-            np.multiply(dcp, r, out=dn)
-            np.subtract(1.0, r, out=r)
-            r *= dn
-            r *= hp[2 * h:]
+            # reset pre-activation: dn = dcp * r, then dr = (1 - r) dn hp_c
+            # = (r dn - dn) hpn_c in d_r's rows
+            d_r = d[:h]
+            np.divide(dcp, d_r, out=dn)
+            np.divide(dn, d_r, out=d_r)
+            d_r -= dn
+            d_r *= hpn[2 * h:]
             dW_h += prev @ dhp.T
-            np.matmul(W_h, dhp, out=c)
-            dh += c
-        dg = z if prev is None else rz      # [dr;] dz
+            np.matmul(W_h, dhp, out=cn)
+            np.add(zdh, cn, out=dh)
+        dg = d_z if prev is None else d     # [dr;] dz
         dx[2 * h - len(dg):2 * h] += dg
         dx[2 * h:] += dcp
         if n:

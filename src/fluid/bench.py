@@ -11,6 +11,7 @@ nothing to the times. ``bench`` returns the report as one dict, which
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 import tracemalloc
@@ -36,6 +37,9 @@ class BenchDims:
     seed: int = 0
 
     def __post_init__(self):
+        ints = ("d_model heads batch seq_len euler_steps ffn_dim seed"
+                + " top_k" * (self.top_k is not None))
+        A.check_types(self, numbers.Integral, "an integer", ints)
         small = [name for name in ("batch", "seq_len", "euler_steps",
                                    "ffn_dim") if getattr(self, name) < 1]
         if small:

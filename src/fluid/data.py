@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fluid.attention import check_types
+
 
 @dataclass
 class EventSequence:
@@ -58,6 +60,9 @@ class SpiralSpec:
     t_end: float = 6 * np.pi
 
     def __post_init__(self):
+        check_types(self, numbers.Integral, "an integer",
+                    "n_spirals n_points n_subsample seed")
+        check_types(self, numbers.Real, "a number", "noise_std r0 r_slope t_end")
         if self.n_subsample > self.n_points:
             raise ValueError("cannot subsample more points than generated")
         if self.n_spirals < 1 or self.n_points < 2 or self.n_subsample < 2:

@@ -11,6 +11,7 @@ tensor blobs.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -51,6 +52,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        A.check_types(self, numbers.Integral, "an integer", "n_layers ffn_dim "
+                      "hc_streams in_features out_dim max_len seed")
         if self.hc_mode not in ("residual", "static", "liquid"):
             raise ValueError(f"unknown hc_mode {self.hc_mode!r}")
         if self.hc_mode != "residual" and self.hc_streams < 1:

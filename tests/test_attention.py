@@ -172,10 +172,12 @@ def _composed_logits(core, q, k, pb, n_steps):
     return final, gates.data
 
 
-def _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng):
+def _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng,
+                                   errstate=None):
     """Final logits, gates and every gradient of the kernel within 1e-12
     of the composed oracle's, under a loss that weighs every final logit
-    differently, those of invalid pairs too."""
+    differently, those of invalid pairs too. The kernel's forward and
+    backward run under ``np.errstate(**errstate)``."""
     coef = rng.standard_normal(pb.valid_mask.shape)
     results = []
     for fused in (True, False):
@@ -183,12 +185,13 @@ def _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng):
         k = Tensor(ka.copy(), requires_grad=True)
         for p in core.parameters().values():
             p.zero_grad()
-        if fused:
-            final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
-            gates = _traj_gates(traj)
-        else:
-            final, gates = _composed_logits(core, q, k, pb, n_steps)
-        _weighted_sum(final, coef).backward()
+        with np.errstate(**(errstate if fused and errstate else {})):
+            if fused:
+                final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
+                gates = _traj_gates(traj)
+            else:
+                final, gates = _composed_logits(core, q, k, pb, n_steps)
+            _weighted_sum(final, coef).backward()
         grads = dict(core.parameters(), q=q, k=k)
         # the composed path never reaches W_h when there is one step
         grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad
@@ -246,6 +249,87 @@ def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
     assert len(calls) == 2 * n_steps * items
     T.tsum(final).backward()
     assert len(calls) == 3 * n_steps * items
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+@pytest.mark.parametrize("case", ["full", "causal_masked"])
+def test_saturated_gates_stay_finite_and_match_the_oracle(case, n_steps,
+                                                          monkeypatch):
+    # reset and update pre-activations near +-800: exp overflows to inf in
+    # the cell's denominators (and underflows to 0), so r and z are exactly
+    # 0 or 1; a backward form such as (d - 1) / d^2 would give inf / inf
+    rng = np.random.default_rng(79)
+    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    rz = core.b_x.data[:, :6]
+    rz[...] = np.copysign(800.0, rz)
+    qa, ka, pb = _gate_case(case, rng)
+    overflowed = []
+    cell = A._cell
+
+    def spy(*args):
+        cell(*args)
+        # z's denominators, the rows the cell writes at every step
+        overflowed.append(np.isinf(args[3][-len(args[4]):]).any())
+
+    monkeypatch.setattr(A, "_cell", spy)
+    _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng,
+                                   errstate={"all": "raise"})
+    assert any(overflowed)
+
+
+class _Counting(np.ndarray):
+    """An array that counts the ufunc calls, matmul's among them, that read
+    or write it."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _Counting.calls += 1
+        plain = [a.view(np.ndarray) if isinstance(a, _Counting) else a
+                 for a in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _Counting)
+                                  else o for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result if out is None else out[0]
+
+
+class _CountingNumpy:
+    """numpy, whose ``empty`` makes ``_Counting`` arrays."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        return np.empty(*args, **kwargs).view(_Counting)
+
+
+def test_a_forward_item_makes_a_fixed_number_of_numpy_calls_per_step(
+        monkeypatch):
+    # the calls on the item's input, gates and every buffer it allocates:
+    # each is one pass over a block and one GIL handoff between workers
+    rng = np.random.default_rng(83)
+    h, P = 4, 64
+    core = A.RecurrentGateCore(2 * h, h, 1e-3, rng, heads=1)
+    w = {n: p.data for n, p in core.parameters().items()}
+    monkeypatch.setattr(A, "np", _CountingNumpy())
+
+    def calls(n_steps):
+        x = rng.standard_normal((3 * h, P)).view(_Counting)
+        gates = np.empty((2 * n_steps, P)).view(_Counting)
+        _Counting.calls = 0
+        A._forward_block(x, w, 0, n_steps, 1 / n_steps, core.epsilon, gates,
+                         None)
+        made = _Counting.calls
+        assert np.isfinite(gates).all()
+        return made
+
+    at_5 = calls(5)
+    assert at_5 <= 14 * 5
+    # a later step: the hidden GEMM, 8 calls of the cell, 3 of the state
+    # update and the heads' GEMM
+    assert calls(6) - at_5 <= 13
 
 
 def test_fused_gates_pass_grad_check():
@@ -697,6 +781,19 @@ print(json.dumps({{"env": {{v: os.environ.get(v) for v in {_BLAS_THREADS!r}}},
                           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     if user is None and got["blas"] is not None:
         assert got["blas"] == [1] * 4
+
+
+def test_importing_fluid_after_numpy_leaves_the_blas_variables_unset():
+    # numpy has read them already: setting them would only misreport
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import json, os, sys; sys.path.insert(0, {src!r}); "
+            "import numpy; import fluid; "
+            f"print(json.dumps([os.environ.get(v) for v in {_BLAS_THREADS!r}]))")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [None] * 3
 
 
 def _unroll_in_child(core, qa, ka, pb, queue):

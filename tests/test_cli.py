@@ -270,7 +270,10 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-number-betas", "train-string-lr",
                                   "train-string-heads",
                                   "train-fractional-steps",
-                                  "train-string-ratios"])
+                                  "train-string-ratios", "train-string-layers",
+                                  "train-string-streams",
+                                  "train-fractional-ffn",
+                                  "bench-string-seq-len"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
@@ -302,7 +305,12 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                "train-string-heads": {"model": {"heads": "x"}},
                "train-fractional-steps": {"model": {"euler_steps": 2.5}},
                "train-string-ratios": dict(TINY_CONFIG,
-                                           data={"ratios": ["a", "b", "c"]})}
+                                           data={"ratios": ["a", "b", "c"]}),
+               "train-string-layers": {"model": {"n_layers": "x"}},
+               "train-string-streams": {"model": {"hc_mode": "static",
+                                                  "hc_streams": "x"}},
+               "train-fractional-ffn": {"model": {"ffn_dim": 2.5}},
+               "bench-string-seq-len": {"seq_len": "x"}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(configs.get(case, TINY_CONFIG)))
     train = ["train", "--out", str(tmp_path / "run"), "--config", str(config),
@@ -346,6 +354,10 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
         "train-string-heads": train + [str(data)],
         "train-fractional-steps": train + [str(data)],
         "train-string-ratios": train + [str(data)],
+        "train-string-layers": train + [str(data)],
+        "train-string-streams": train + [str(data)],
+        "train-fractional-ffn": train + [str(data)],
+        "bench-string-seq-len": ["bench", "--config", str(config)],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -370,7 +382,11 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
             "train-string-lr": "lr must be a number, not 'x'",
             "train-string-heads": "heads must be an integer, not 'x'",
             "train-fractional-steps": "euler_steps must be an integer, not 2.5",
-            "train-string-ratios": "split ratios ['a', 'b', 'c'] are not three"}
+            "train-string-ratios": "split ratios ['a', 'b', 'c'] are not three",
+            "train-string-layers": "n_layers must be an integer, not 'x'",
+            "train-string-streams": "hc_streams must be an integer, not 'x'",
+            "train-fractional-ffn": "ffn_dim must be an integer, not 2.5",
+            "bench-string-seq-len": "seq_len must be an integer, not 'x'"}
     if case in said:
         assert said[case] in err, err
         assert not list(tmp_path.glob("[es].csv"))

@@ -31,6 +31,14 @@ def test_spiral_spec_validation():
         D.SpiralSpec(n_spirals=1, n_points=10, n_subsample=11)
 
 
+@pytest.mark.parametrize("field, value, what", [
+    ("n_points", "x", "an integer"), ("n_subsample", 2.5, "an integer"),
+    ("seed", True, "an integer"), ("noise_std", "x", "a number")])
+def test_spiral_spec_rejects_a_field_of_the_wrong_type(field, value, what):
+    with pytest.raises(ValueError, match=f"{field} must be {what}"):
+        D.SpiralSpec(**{field: value})
+
+
 @pytest.mark.parametrize("n_subsample", [-1, 0, 1])
 def test_spiral_spec_rejects_a_subsample_below_two(n_subsample):
     with pytest.raises(ValueError, match="subsample of two"):
