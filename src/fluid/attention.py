@@ -13,11 +13,12 @@ and therefore keeps trajectories inside the equilibrium envelope.
 The gate recurrence is the costly part: it runs per pair and per step.
 ``RecurrentGateCore`` projects queries and keys once and never builds u
 or the pair input: each work item of its kernel forms its own block of
-pair inputs. The GRU runs only on the valid pairs, plus one zero-input
-pair whose gates every invalid pair gets. One tape op runs from the pair
-input through ``integrate_logits`` to the final logits. It keeps the
-hidden states of steps 1 .. N-2, the clamped dt and the final logits;
-each backward work item rebuilds the rest of its block's hidden states,
+pair inputs. The GRU runs only on the valid pairs; an invalid pair
+holds the floor gates f_tau = eps, f_phi = 0, so its logit stays 0 and
+it never raises the clamp's max. One tape op runs from the pair input
+through ``integrate_logits`` to the final logits. It keeps the hidden
+states of steps 1 .. N-2, the clamped dt and the final logits; each
+backward work item rebuilds the rest of its block's hidden states,
 its gates and its Euler states, bitwise the forward's, with few numpy
 calls and passes per step (see ``_cell``). Inference runs the same
 kernel without keeping anything. The (head, block) work items run on
@@ -52,11 +53,20 @@ from fluid.tensor import Tensor, uniform_init, zeros_param
 
 def check_types(cfg, kind: type, what: str, names: str):
     """Raise a ValueError naming the first of the space-separated fields
-    ``names`` of ``cfg`` that is no ``kind``; a bool counts as none."""
+    ``names`` of ``cfg`` that is no ``kind``; a bool counts as none unless
+    ``kind`` is bool."""
     for name in names.split():
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise ValueError(f"{name} must be {what}, not {value!r}")
+
+
+def check_at_least(cfg, low, names: str):
+    """Raise a ValueError naming every one of the space-separated fields
+    ``names`` of ``cfg`` that is below ``low``."""
+    small = [name for name in names.split() if getattr(cfg, name) < low]
+    if small:
+        raise ValueError(f"{', '.join(small)} must be >= {low}")
 
 
 @dataclass
@@ -75,6 +85,7 @@ class LanConfig:
         ints = "d_model heads euler_steps" + " top_k" * (self.top_k is not None)
         check_types(self, numbers.Integral, "an integer", ints)
         check_types(self, numbers.Real, "a number", "epsilon")
+        check_types(self, bool, "true or false", "sink_gate_enabled causal")
         if self.d_model < 1 or self.heads < 1:
             raise ValueError(f"d_model {self.d_model} and heads {self.heads} "
                              "must be >= 1")
@@ -102,7 +113,9 @@ class LogitTrajectory:
     """Recorded logit states and gate values across the Euler steps.
 
     a: [..., N+1] with a[..., 0] == 0; f_tau, f_phi: [..., N];
-    dt_effective is the single clamped step used for the whole pass.
+    dt_effective is the single clamped step used for the whole pass. An
+    invalid slot of the recurrent core reads the floor gates: a = 0,
+    f_tau = eps and f_phi = 0 at every step.
     """
 
     a: np.ndarray
@@ -163,21 +176,20 @@ class RecurrentGateCore:
     heads' bias and nonlinearities run once over all steps. Under
     ``no_grad`` it keeps nothing; both modes give bitwise the same logits.
 
-    The kernel runs on each head's packed pairs (``PairInput.counts``):
-    its valid pairs in slot order, then one zero-input pair standing for
-    the invalid ones, whose gates are copied into every invalid slot and
-    whose gradient is the sum of theirs. It cuts them into contiguous,
-    balanced blocks of at most ``_BLOCK_PAIRS``, a cut that depends on the
-    pair count alone, and runs the (head, block) work items on
-    ``fluid.pool``, one thread per CPU (numpy releases the GIL inside
-    ufuncs and GEMMs), or inline with one CPU or one item. An item reads
-    the core's own weight buffers and forms its block's input [3h, block]
-    and all its scratch itself, so the pair input is never whole in
-    memory. Gates are stored head-major ([2N, H, slots]) and seen as one
-    tensor [2N,B,H,T_q,K_eff]. Items write their gates and hidden states
-    by position and return their gradient partials, summed in item order:
-    outputs and every gradient are bitwise the same for any number of
-    threads.
+    The kernel runs on each head's packed pairs (``PairInput.counts``),
+    its valid pairs in slot order; ``unroll`` gives every invalid slot the
+    floor gates f_tau = eps, f_phi = 0, which no gradient reaches. It cuts
+    the packed pairs into contiguous, balanced blocks of at most
+    ``_BLOCK_PAIRS``, a cut that depends on the pair count alone, and runs
+    the (head, block) work items on ``fluid.pool``, one thread per CPU
+    (numpy releases the GIL inside ufuncs and GEMMs), or inline with one
+    CPU or one item. An item reads the core's own weight buffers and forms
+    its block's input [3h, block] and all its scratch itself, so the pair
+    input is never whole in memory. Gates are stored head-major ([2N, H,
+    slots]) and seen as one tensor [2N,B,H,T_q,K_eff]. Items write their
+    gates and hidden states by position and return their gradient
+    partials, summed in item order: outputs and every gradient are bitwise
+    the same for any number of threads.
     """
 
     def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
@@ -236,6 +248,10 @@ class RecurrentGateCore:
         P = pin.size // (H * C)
         # head-major [2N, H, pairs] in memory, seen as [2N,B,H,T_q,K_eff]
         g_hm = np.empty((2 * n_steps, H, P))
+        if pin.invalid is not None:
+            # the floor gates; a valid f_tau = softplus + eps >= eps
+            np.copyto(g_hm[:n_steps], self.epsilon, where=pin.invalid)
+            np.copyto(g_hm[n_steps:], 0.0, where=pin.invalid)
         gates = np.moveaxis(
             g_hm.reshape((2 * n_steps, H, B) + pin.shape[2:-1]), 2, 1)
 
@@ -352,7 +368,7 @@ def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
                        epsilon, out,
                        None if saved is None else saved[hd, :, :, a:b])
         if pin.pos is not None:
-            pin.scatter(gates[:, hd], hd, a, b, out)
+            gates[:, hd, pin.pos[hd][a:b]] = out
 
     pool._run_items(item, _items(pin.counts))
 
@@ -401,15 +417,14 @@ def _heads_(gates: np.ndarray, b_o: np.ndarray, epsilon: float,
 def _gru_backward(g, pin, w, saved, n_steps, dt_nominal, epsilon, dt):
     """The backward of ``unroll`` from the final logits' gradient g [H, 1,
     slots]: returns (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its
-    parameter's shape. Each item takes its columns of g, the zero pair's
-    the sum over the invalid slots, and its block of pair inputs again,
-    and returns its partials; they are summed in item order, so every
-    gradient is the same for any number of workers."""
+    parameter's shape. Each item takes its slots of g and its block of
+    pair inputs again, and returns its partials; they are summed in item
+    order, so every gradient is the same for any number of workers."""
     items = _items(pin.counts)
 
     def item(hd, a, b):
         dx, parts = _backward_block(
-            pin.gather(g[hd], hd, a, b, sum_invalid=True)[0],
+            g[hd, 0, pin.slots(hd, a, b)],
             pin.block(hd, a, b), w, hd, saved[hd, :, :, a:b], n_steps,
             dt_nominal, epsilon, dt)
         return parts, pin.block_grads(hd, a, b, dx)
@@ -570,7 +585,8 @@ class SdpaFrozenGates:
 def clamp_dt(dt_nominal: float, f_tau: np.ndarray) -> float:
     """min(dt_nominal, 1/max f_tau): guarantees dt * f_tau <= 1 everywhere.
 
-    The max-reduction is a plain float off the gradient tape.
+    The max-reduction is a plain float off the gradient tape. An invalid
+    slot's floor f_tau = eps is no valid pair's above, so valid pairs set dt.
     """
     if dt_nominal <= 0:
         raise ValueError("dt_nominal must be positive")

@@ -40,10 +40,8 @@ class BenchDims:
         ints = ("d_model heads batch seq_len euler_steps ffn_dim seed"
                 + " top_k" * (self.top_k is not None))
         A.check_types(self, numbers.Integral, "an integer", ints)
-        small = [name for name in ("batch", "seq_len", "euler_steps",
-                                   "ffn_dim") if getattr(self, name) < 1]
-        if small:
-            raise ValueError(f"{', '.join(small)} must be >= 1")
+        A.check_at_least(self, 1, "batch seq_len euler_steps ffn_dim")
+        A.check_at_least(self, 0, "seed")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be >= 1 or None")
 

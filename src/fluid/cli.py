@@ -67,9 +67,11 @@ def _field_names(cls) -> set[str]:
 # "model" keys of LanConfig fields; the other "model" keys are ModelConfig's
 _LAN_KEYS = {key: key for key in ("d_model", "heads", "euler_steps", "top_k",
                                   "epsilon")} | {"sink_gate": "sink_gate_enabled"}
-# the sections of a ``fluid train`` config and the keys each accepts
+# the sections of a ``fluid train`` config and the keys each accepts; the
+# data decide in_features and out_dim
 _TRAIN_SECTIONS = {
-    "model": set(_LAN_KEYS) | (_field_names(M.ModelConfig) - {"lan"}),
+    "model": set(_LAN_KEYS) | (_field_names(M.ModelConfig)
+                               - {"lan", "in_features", "out_dim"}),
     "train": _field_names(TR.TrainConfig),
     "data": {"ratios"},
 }
@@ -80,10 +82,8 @@ def _model_config(cfg: dict, in_features: int = 2, out_dim: int = 2) -> M.ModelC
     m.setdefault("d_model", 32)
     lan = A.LanConfig(**{field: m.pop(key) for key, field in _LAN_KEYS.items()
                          if key in m})
-    m.setdefault("in_features", in_features)
-    m.setdefault("out_dim", out_dim)
     m["seed"] = _seed_override(m.get("seed", 0))
-    return M.ModelConfig(lan=lan, **m)
+    return M.ModelConfig(lan=lan, in_features=in_features, out_dim=out_dim, **m)
 
 
 def _train_config(cfg: dict) -> TR.TrainConfig:
@@ -192,7 +192,7 @@ def cmd_bench(args) -> int:
     _check_keys(args.config, cfg, _field_names(BN.BenchDims))
     dims = BN.BenchDims(**{"d_model": args.d_model, "heads": args.heads,
                            "seq_len": args.seq_len, "top_k": args.top_k} | cfg)
-    dims.seed = _seed_override(dims.seed)
+    dims = dataclasses.replace(dims, seed=_seed_override(dims.seed))
     report = BN.bench(dims, reps=args.reps)
     print("run_time_s,throughput_seq_per_s,peak_memory_mb")
     print(f"{report['run_time_s']:.6f},{report['throughput_seq_per_s']:.4f},"

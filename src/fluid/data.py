@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluid.attention import check_types
+from fluid.attention import check_at_least, check_types
 
 
 @dataclass
@@ -68,6 +68,7 @@ class SpiralSpec:
         if self.n_spirals < 1 or self.n_points < 2 or self.n_subsample < 2:
             raise ValueError("need at least one spiral, two points and a "
                              "subsample of two")
+        check_at_least(self, 0, "seed")
 
 
 def spiral_curve(spec: SpiralSpec, t: np.ndarray) -> np.ndarray:

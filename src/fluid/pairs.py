@@ -15,8 +15,8 @@ pair's input is a sum of one query feature and one key feature.
 ``PairInput`` holds the two projections and the pair batch, and forms
 the sums one block of pairs at a time, inside the gate kernel's work
 items: neither u nor the projected pair input is ever built whole. The
-kernel runs on each head's valid pairs and one zero-input pair that
-stands for its invalid ones.
+kernel runs on each head's valid pairs only; an invalid slot holds the
+floor gates f_tau = eps, f_phi = 0, so its logit a stays 0.
 """
 
 from __future__ import annotations
@@ -52,17 +52,14 @@ class PairInput:
     each work item takes with ``block``.
 
     Slots are numbered per head in (batch, query, slot) order. The kernel
-    runs on each head's packed pairs: its valid pairs in slot order, then,
-    when the head has invalid pairs, one zero-input pair that stands for
-    all of them, since an invalid pair sees exactly the gates of a zero
-    input. ``counts`` holds the packed pairs of each head. ``gather`` and
-    ``scatter`` move a block's columns between the packed order and the
-    slots: the zero pair's gates go to every invalid slot, and its
-    gradient is the sum of theirs. ``keys[hd]`` holds the flat key index
-    b * T_k + j of each packed pair of head ``hd``, and ``pos[hd]`` its
-    slot; the zero pair's slot is the head's first invalid one. With every
-    pair valid, packing is the identity and holds no index of its own:
-    ``keys`` is the [H, slots] key index, and ``pos`` is None.
+    runs on each head's packed pairs, its valid pairs in slot order;
+    ``counts`` holds them per head. An invalid slot gets no gates of its
+    own: ``unroll`` writes it the floor gates f_tau = eps, f_phi = 0 where
+    ``invalid`` [H, slots] is set, so its logit a stays 0. ``keys[hd]``
+    holds the flat key index b * T_k + j of each packed pair of head
+    ``hd``, and ``pos[hd]`` its slot. With every pair valid, packing is
+    the identity and holds no index of its own: ``keys`` is the [H, slots]
+    key index, and ``pos`` and ``invalid`` are None.
     """
 
     ndim = 5
@@ -82,58 +79,29 @@ class PairInput:
         else:
             valid = valid.transpose(1, 0, 2, 3).reshape(H, -1)
             self.invalid = ~valid
-            self.pos = [np.append(np.flatnonzero(v), np.argmin(v)) for v in valid]
-            self.keys = [np.append(k[v], 0) for k, v in zip(keys, valid)]
+            self.pos = [np.flatnonzero(v) for v in valid]
+            self.keys = [k[v] for k, v in zip(keys, valid)]
             self.counts = [p.size for p in self.pos]
         # channel-major [H, C, B*T]: one channel of one head is contiguous
         self._q, self._k = (np.ascontiguousarray(
             t.data.transpose(1, 3, 0, 2)).reshape(H, C, -1) for t in (qp, kp))
 
-    def _zero(self, hd: int, b: int) -> bool:
-        """Whether packed pairs ..b of head ``hd`` end with the zero pair."""
-        return self.pos is not None and b == self.counts[hd]
-
-    def _slots(self, hd: int, a: int, b: int) -> np.ndarray:
+    def slots(self, hd: int, a: int, b: int) -> np.ndarray:
+        """The slots of packed pairs a..b of head ``hd``."""
         return np.arange(a, b) if self.pos is None else self.pos[hd][a:b]
 
     def block(self, hd: int, a: int, b: int) -> np.ndarray:
         """The input [C, b - a] of packed pairs a..b of head ``hd``."""
         x = np.take(self._k[hd], self.keys[hd][a:b], axis=1)
-        x += np.take(self._q[hd], self._slots(hd, a, b) // self.shape[3], axis=1)
-        if self._zero(hd, b):
-            x[:, -1] = 0.0
+        x += np.take(self._q[hd], self.slots(hd, a, b) // self.shape[3], axis=1)
         return x
-
-    def gather(self, rows: np.ndarray, hd: int, a: int, b: int,
-               sum_invalid: bool = False) -> np.ndarray:
-        """Columns a..b of packed pairs from ``rows`` [R, pairs], head
-        ``hd``'s slots: a view with every pair valid, else a copy. The zero
-        pair's column is that of an invalid slot, or with ``sum_invalid``
-        the sum over every invalid slot."""
-        if self.pos is None:
-            return rows[:, a:b]
-        cols = np.take(rows, self.pos[hd][a:b], axis=1)
-        if sum_invalid and self._zero(hd, b):
-            cols[:, -1] = rows.sum(axis=1, where=self.invalid[hd])
-        return cols
-
-    def scatter(self, rows: np.ndarray, hd: int, a: int, b: int,
-                cols: np.ndarray):
-        """Write ``cols`` of packed pairs a..b into head ``hd``'s slots of
-        ``rows`` [R, pairs], the zero pair's into every invalid slot."""
-        rows[:, self.pos[hd][a:b]] = cols
-        if self._zero(hd, b):
-            np.copyto(rows, cols[:, -1:], where=self.invalid[hd])
 
     def block_grads(self, hd: int, a: int, b: int, dx: np.ndarray):
         """The partials of ``block``'s gradient ``dx``: (the query rows
         the block touches, d qp of each [C, rows], d kp of every key
         [C, B*T_k] by one ``np.bincount`` over the flat (channel, key)
-        index). The zero pair's input is no parameter's: its column of
-        ``dx`` is left out."""
-        if self._zero(hd, b):
-            b, dx = b - 1, dx[:, :-1]
-        rows = self._slots(hd, a, b) // self.shape[3]
+        index)."""
+        rows = self.slots(hd, a, b) // self.shape[3]
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         C, M = dx.shape[0], self._k.shape[2]
         flat = (np.arange(C)[:, None] * M + self.keys[hd][a:b]).ravel()

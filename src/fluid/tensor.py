@@ -180,8 +180,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def _sigmoid_neg_(x: np.ndarray) -> np.ndarray:
     """In place x <- sigmoid(-x) = 1 / (1 + exp(x)). exp overflows at very
-    large x, and the result saturates to 0 exactly, the right limit."""
-    with np.errstate(over="ignore"):
+    large x and underflows at very negative x, and the result saturates to
+    0 or 1 exactly, the right limits."""
+    with np.errstate(over="ignore", under="ignore"):
         np.exp(x, out=x)
     x += 1.0
     np.divide(1.0, x, out=x)

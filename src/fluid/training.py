@@ -18,7 +18,7 @@ import numpy as np
 
 from fluid import model as M
 from fluid import tensor as T
-from fluid.attention import check_types
+from fluid.attention import check_at_least, check_types
 from fluid.tensor import Tensor
 
 
@@ -64,6 +64,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        check_at_least(self, 0, "seed")
 
 
 # --------------------------------------------------------------------------

@@ -209,6 +209,8 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0) -> dict:
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be >= 0")
     if name == "all":
         reports = {key: fn(seed=seed) for key, fn in SUITES.items()}
         reports["pass"] = all(r["pass"] for r in reports.values())

@@ -164,10 +164,17 @@ def test_fused_gates_match_composed_oracle(case, n_steps):
 
 def _composed_logits(core, q, k, pb, n_steps):
     """The composed oracle of ``core.logits``: the GRU of ``gru_unroll`` on
-    the materialized pair inputs, then the chain of ``euler_step``s under
-    the clamp. Returns (final logits, gates)."""
+    the materialized pair inputs, invalid slots then set to the constant
+    floor gates f_tau = eps, f_phi = 0, and the chain of ``euler_step``s
+    under the clamp of the valid pairs' f_tau. Returns (final logits,
+    gates)."""
+    valid = pb.valid_mask
     gates = gru_unroll(core, concat_pairs(q, k, pb), n_steps, 1 / n_steps)
-    dt = A.clamp_dt(1 / n_steps, gates.data[:n_steps])
+    floor = np.zeros(gates.shape)
+    floor[:n_steps] = core.epsilon
+    keep = np.broadcast_to(valid, gates.shape).astype(np.float64)
+    gates = T.add(T.mul(gates, Tensor(keep)), Tensor(np.where(valid, 0.0, floor)))
+    dt = A.clamp_dt(1 / n_steps, gates.data[:n_steps][:, valid])
     final, _ = euler_chain(gates, dt, Tensor(np.zeros(pb.valid_mask.shape)))
     return final, gates.data
 
@@ -221,6 +228,7 @@ def test_f_tau_derivative_from_the_kept_gates_matches_the_oracle(case, n_steps,
     assert pb.valid_mask.all() == (case == "full")    # unpacked, packed
     with T.no_grad():
         f_tau = core.logits(Tensor(qa), Tensor(ka), pb, n_steps, 1)[1].f_tau
+    f_tau = f_tau[pb.valid_mask]        # invalid slots hold the floor eps
     assert (f_tau < 2e-3).all() if bias < 0 else (f_tau > 30).all()
     _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng)
 
@@ -379,7 +387,7 @@ def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps,
     assert untaped is None
     # both heads see the same mask; every pair valid packs as it stands
     slots = pb.valid_mask[:, 0]
-    pairs_run = slots.size if slots.all() else int(slots.sum()) + 1
+    pairs_run = slots.size if slots.all() else int(slots.sum())
     assert taped.nbytes == H * max(n_steps - 2, 0) * h * pairs_run * 8
 
 
@@ -406,7 +414,7 @@ def test_taped_forward_keeps_no_gates_and_no_euler_states():
         tracemalloc.stop()
     assert out.requires_grad and not untaped.requires_grad
     valid = np.tril(np.ones((T_, T_), dtype=bool)) & key_mask[:, None, :]
-    packed = int(valid.sum()) + 1                   # and the zero pair
+    packed = int(valid.sum())
     hidden = H * (N - 2) * (d // H) * packed * 8
     final = H * B * T_ * T_ * 8
     # the softmax weights, the pair indices, the packed keys and slots and
@@ -417,25 +425,59 @@ def test_taped_forward_keeps_no_gates_and_no_euler_states():
 
 
 @pytest.mark.parametrize("case", ["causal_masked", "topk", "long_rows"])
-def test_invalid_slots_hold_exactly_the_zero_input_gates(case):
+def test_invalid_slots_hold_the_floor_gates(case):
     rng = np.random.default_rng(67)
     core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
     qa, ka, pb = _gate_case(case, rng)
     n_steps = 3
     with T.no_grad():
-        gates = _traj_gates(core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
-                                        1 / n_steps)[1])
+        traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps)[1]
+    valid = pb.valid_mask
+    assert (~valid).any()
+    assert (traj.f_tau[~valid] == core.epsilon).all()
+    assert (traj.f_phi[~valid] == 0.0).all()
+    assert not traj.a[~valid].any()
+    assert traj.dt_effective == A.clamp_dt(1 / n_steps, traj.f_tau[valid])
+
+
+def test_masked_keys_leave_outputs_unchanged_under_an_active_clamp():
+    # a zero input leaves every hidden state 0 (no bias, time or recurrent
+    # weights), so its f_tau is softplus(b_tau) + eps; positive inputs and
+    # candidate weights keep every valid pair's hidden state positive, and a
+    # negative f_tau head pulls its f_tau below that. Both exceed 1/dt
+    B, H, T_k, D, pad, n_steps = 2, 2, 5, 3, 3, 2
+    rng = np.random.default_rng(89)
+    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H)
+    for p in (core.b_x, core.w_t, core.W_h):
+        p.data[:] = 0.0
+    core.W_u.data[..., 2 * D:] = np.abs(core.W_u.data[..., 2 * D:])
+    core.W_o.data[:, 1] = -0.5
+    core.b_o.data[:, 1] = 6.0
+    cfg = A.LanConfig(d_model=H * D, heads=H, euler_steps=n_steps)
+    qa = rng.uniform(0.5, 1.5, (B, H, T_k, D))
+    ka = rng.uniform(0.5, 1.5, (B, H, T_k + pad, D))
+    va = rng.standard_normal((B, H, T_k + pad, D))
+    key_mask = np.arange(T_k + pad) < T_k
+    with T.no_grad():
+        out, alpha, pb, traj = A.attend(
+            Tensor(qa), Tensor(ka[:, :, :T_k]), Tensor(va[:, :, :T_k]), core, cfg)
+        out_pad, alpha_pad, pb_pad, traj_pad = A.attend(
+            Tensor(qa), Tensor(ka), Tensor(va), core, cfg,
+            key_mask=np.broadcast_to(key_mask, (B, T_k + pad)))
+    assert pb.valid_mask.all() and not pb_pad.valid_mask.all()
     w = {n: p.data for n, p in core.parameters().items()}
-    for hd, count in enumerate(_packed_counts(pb)):
-        # the zero pair ends the head's last block; the kernel gives a
-        # column of that block the same gates whatever the other columns hold
-        a, b = A._blocks(count)[-1]
-        zero = np.empty((2 * n_steps, b - a))
-        A._forward_block(np.zeros((9, b - a)), w, hd, n_steps, 1 / n_steps,
+    for hd in range(H):
+        zero = np.empty((2 * n_steps, 1))
+        A._forward_block(np.zeros((3 * D, 1)), w, hd, n_steps, cfg.dt_nominal,
                          core.epsilon, zero, None)
-        slots = gates[:, :, hd][:, ~pb.valid_mask[:, hd]]
-        assert slots.shape[1] > 0
-        assert np.array_equal(slots, np.broadcast_to(zero[:, -1:], slots.shape))
+        f_tau = traj.f_tau[:, hd]
+        assert zero[:n_steps].min() > max(f_tau.max(), 1 / cfg.dt_nominal)
+        assert f_tau.min() > 1 / cfg.dt_nominal
+    assert traj.dt_effective < cfg.dt_nominal
+    assert traj_pad.dt_effective == traj.dt_effective
+    assert np.abs(out_pad.data - out.data).max() <= 1e-12
+    assert np.abs(alpha_pad.data[..., :T_k] - alpha.data).max() <= 1e-12
+    assert not alpha_pad.data[..., T_k:].any()
 
 
 @pytest.mark.parametrize("case", [dict(), dict(causal=True), dict(top_k=2)])
@@ -497,17 +539,15 @@ def _workload_pairs(case, rng):
 
 
 def _packed_counts(pb):
-    """The pairs the gate kernel runs per head: the valid ones, plus one
-    zero-input pair that stands for the invalid ones, if any."""
+    """The pairs the gate kernel runs per head: the valid ones."""
     valid = np.swapaxes(pb.valid_mask, 0, 1).reshape(pb.valid_mask.shape[1], -1)
-    return [int(v.sum()) + (not v.all()) for v in valid]
+    return [int(v.sum()) for v in valid]
 
 
 def _kernel_on(core, up, valid, n_steps, dt):
     """The gate kernel's work items fed a materialized pair input ``up``
-    [B,H,...,3h]: per head its valid pairs, then one zero input when some
-    are invalid, whose gates fill every invalid slot. Returns the gates
-    [2N, H, pairs]."""
+    [B,H,...,3h]: per head its valid pairs; every invalid slot gets the
+    floor gates f_tau = eps, f_phi = 0. Returns the gates [2N, H, pairs]."""
     B, H, C = up.shape[0], up.shape[1], up.shape[-1]
     P = up.size // (H * C)
     x = np.ascontiguousarray(
@@ -517,14 +557,14 @@ def _kernel_on(core, up, valid, n_steps, dt):
     gates = np.empty((2 * n_steps, H, P))
     for hd in range(H):
         v = valid[hd]
-        packed = x[hd][:, v] if v.all() else np.concatenate(
-            [x[hd][:, v], np.zeros((C, 1))], axis=1)
+        packed = x[hd][:, v]
         out = np.empty((2 * n_steps, packed.shape[1]))
         for a, b in A._blocks(packed.shape[1]):
             A._forward_block(np.ascontiguousarray(packed[:, a:b]), w, hd,
                              n_steps, dt, core.epsilon, out[:, a:b], None)
-        gates[:, hd, v] = out[:, :v.sum()]
-        gates[:, hd, ~v] = out[:, -1:]
+        gates[:, hd, v] = out
+        gates[:n_steps, hd, ~v] = core.epsilon
+        gates[n_steps:, hd, ~v] = 0.0
     return gates
 
 

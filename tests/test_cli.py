@@ -158,7 +158,11 @@ def _train_with_config(tmp_path, monkeypatch, config):
     ({"model": dict(TINY_CONFIG["model"], layers=2)}, "model.layers"),
     (dict(TINY_CONFIG, data={"ratio": [0.5, 0.3, 0.2]}), "data.ratio"),
     ({"model": dict(TINY_CONFIG["model"], task="classification")}, "model.task"),
-], ids=["section", "model-key", "data-key", "model-task"])
+    # the data decide the model's input and output widths
+    ({"model": dict(TINY_CONFIG["model"], in_features=2)}, "model.in_features"),
+    ({"model": dict(TINY_CONFIG["model"], out_dim=2)}, "model.out_dim"),
+], ids=["section", "model-key", "data-key", "model-task", "model-in-features",
+        "model-out-dim"])
 def test_train_config_rejects_unknown_keys(tmp_path, monkeypatch, capsys,
                                            config, named):
     code, models = _train_with_config(tmp_path, monkeypatch, config)
@@ -182,8 +186,8 @@ def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
     config = {"model": {"d_model": 8, "heads": 2, "euler_steps": 3,
                         "top_k": 4, "epsilon": 1e-2, "sink_gate": False,
                         "n_layers": 2, "ffn_dim": 8, "hc_mode": "static",
-                        "hc_streams": 2, "in_features": 2, "out_dim": 2,
-                        "max_len": 128, "gate_mode": "recurrent", "seed": 3},
+                        "hc_streams": 2, "max_len": 128,
+                        "gate_mode": "recurrent", "seed": 3},
               "train": {"optimizer": "sgd", "lr": 0.01, "betas": [0.8, 0.9],
                         "weight_decay": 0.1, "epochs": 2, "batch_size": 4,
                         "loss": "mae", "metric": "mse", "seed": 5,
@@ -273,7 +277,15 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-string-ratios", "train-string-layers",
                                   "train-string-streams",
                                   "train-fractional-ffn",
-                                  "bench-string-seq-len"])
+                                  "bench-string-seq-len",
+                                  "train-string-sink-gate",
+                                  "eval-string-causal", "train-unknown-gate-mode",
+                                  "eval-zero-in-features", "eval-zero-out-dim",
+                                  "train-zero-max-len", "train-negative-seed",
+                                  "train-negative-train-seed",
+                                  "generate-negative-seed",
+                                  "bench-negative-seed",
+                                  "verify-negative-seed"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
@@ -288,6 +300,19 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
     if case.startswith("eval-") and case != "eval-missing-checkpoint":
         M.save_checkpoint(M.FluidModel(cli._model_config(TINY_CONFIG)),
                           checkpoint)
+    # a checkpoint whose manifest config holds a bad value: (keys, value)
+    edits = {"eval-string-causal": (("lan", "causal"), "yes"),
+             "eval-zero-in-features": (("in_features",), 0),
+             "eval-zero-out-dim": (("out_dim",), 0)}
+    if case in edits:
+        manifest = Path(checkpoint, "manifest.json")
+        saved = json.loads(manifest.read_text())
+        (*keys, last), value = edits[case]
+        node = saved["config"]
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        manifest.write_text(json.dumps(saved))
     one_point = tmp_path / "one_point.csv"
     D.write_dataset_csv(str(one_point), D.read_dataset_csv(str(data)) + [
         D.EventSequence(values=[[0.1, 0.2]], times=[1.0], mask=[True])])
@@ -310,7 +335,13 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                "train-string-streams": {"model": {"hc_mode": "static",
                                                   "hc_streams": "x"}},
                "train-fractional-ffn": {"model": {"ffn_dim": 2.5}},
-               "bench-string-seq-len": {"seq_len": "x"}}
+               "bench-string-seq-len": {"seq_len": "x"},
+               "train-string-sink-gate": {"model": {"sink_gate": "no"}},
+               "train-unknown-gate-mode": {"model": {"gate_mode": "x"}},
+               "train-zero-max-len": {"model": {"max_len": 0}},
+               "train-negative-seed": {"model": {"seed": -1}},
+               "train-negative-train-seed": dict(TINY_CONFIG, train={"seed": -1}),
+               "bench-negative-seed": {"seed": -1}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(configs.get(case, TINY_CONFIG)))
     train = ["train", "--out", str(tmp_path / "run"), "--config", str(config),
@@ -358,6 +389,21 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
         "train-string-streams": train + [str(data)],
         "train-fractional-ffn": train + [str(data)],
         "bench-string-seq-len": ["bench", "--config", str(config)],
+        "train-string-sink-gate": train + [str(data)],
+        "eval-string-causal": ["eval", "--checkpoint", checkpoint,
+                               "--data", str(data)],
+        "train-unknown-gate-mode": train + [str(data)],
+        "eval-zero-in-features": ["eval", "--checkpoint", checkpoint,
+                                  "--data", str(data)],
+        "eval-zero-out-dim": ["eval", "--checkpoint", checkpoint,
+                              "--data", str(data)],
+        "train-zero-max-len": train + [str(data)],
+        "train-negative-seed": train + [str(data)],
+        "train-negative-train-seed": train + [str(data)],
+        "generate-negative-seed": ["generate", "spiral", "--seed", "-1",
+                                   "--out", str(tmp_path / "s.csv")],
+        "bench-negative-seed": ["bench", "--config", str(config)],
+        "verify-negative-seed": ["verify", "--seed", "-1"],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -386,7 +432,19 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
             "train-string-layers": "n_layers must be an integer, not 'x'",
             "train-string-streams": "hc_streams must be an integer, not 'x'",
             "train-fractional-ffn": "ffn_dim must be an integer, not 2.5",
-            "bench-string-seq-len": "seq_len must be an integer, not 'x'"}
+            "bench-string-seq-len": "seq_len must be an integer, not 'x'",
+            "train-string-sink-gate":
+                "sink_gate_enabled must be true or false, not 'no'",
+            "eval-string-causal": "causal must be true or false, not 'yes'",
+            "train-unknown-gate-mode": "unknown gate_mode 'x'",
+            "eval-zero-in-features": "in_features must be >= 1",
+            "eval-zero-out-dim": "out_dim must be >= 1",
+            "train-zero-max-len": "max_len must be >= 1",
+            "train-negative-seed": "seed must be >= 0",
+            "train-negative-train-seed": "seed must be >= 0",
+            "generate-negative-seed": "seed must be >= 0",
+            "bench-negative-seed": "seed must be >= 0",
+            "verify-negative-seed": "seed -1 must be >= 0"}
     if case in said:
         assert said[case] in err, err
         assert not list(tmp_path.glob("[es].csv"))

@@ -165,6 +165,20 @@ def test_model_rejects_overlong_sequences():
                       query_times=np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("gate_mode", "x", "unknown gate_mode 'x'"),
+    ("in_features", 0, "in_features must be >= 1"),
+    ("out_dim", 0, "out_dim must be >= 1"),
+    ("max_len", 0, "max_len must be >= 1"),
+    ("seed", -1, "seed must be >= 0"),
+    ("sink_gate_enabled", "no", "sink_gate_enabled must be true or false"),
+    ("causal", 1, "causal must be true or false"),
+])
+def test_config_rejects_a_bad_field_at_construction(field, value, problem):
+    with pytest.raises(ValueError, match=problem):
+        _cfg(**{field: value})
+
+
 def test_embedding_shared_between_encoder_and_decoder():
     model = M.FluidModel(_cfg(seed=14))
     params = model.parameters()

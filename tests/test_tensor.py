@@ -300,6 +300,16 @@ def test_sigmoid_is_bitwise_the_plain_formula():
     assert np.array_equal(p.grad, want)
 
 
+def test_sigmoid_saturates_exactly_under_raising_errstate():
+    # exp underflows at +800 and overflows at -800; neither may raise
+    p = Tensor(np.array([800.0, -800.0]), requires_grad=True)
+    with np.errstate(all="raise"):
+        out = T.sigmoid(p)
+        T.tsum(out).backward()
+    assert out.data.tolist() == [1.0, 0.0]
+    assert p.grad.tolist() == [0.0, 0.0]
+
+
 def test_softplus_is_bitwise_the_plain_formula():
     rng = np.random.default_rng(22)
     x = np.concatenate([30.0 * rng.standard_normal(10 ** 6),
