@@ -86,16 +86,10 @@ class LanConfig:
         check_types(self, numbers.Integral, "an integer", ints)
         check_types(self, numbers.Real, "a number", "epsilon")
         check_types(self, bool, "true or false", "sink_gate_enabled causal")
-        if self.d_model < 1 or self.heads < 1:
-            raise ValueError(f"d_model {self.d_model} and heads {self.heads} "
-                             "must be >= 1")
+        check_at_least(self, 1, ints)
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by "
                              f"{self.heads} heads")
-        if self.euler_steps < 1:
-            raise ValueError("euler_steps must be >= 1")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1 or None")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 

@@ -37,13 +37,11 @@ class BenchDims:
     seed: int = 0
 
     def __post_init__(self):
-        ints = ("d_model heads batch seq_len euler_steps ffn_dim seed"
-                + " top_k" * (self.top_k is not None))
-        A.check_types(self, numbers.Integral, "an integer", ints)
-        A.check_at_least(self, 1, "batch seq_len euler_steps ffn_dim")
+        sizes = ("d_model heads batch seq_len euler_steps ffn_dim"
+                 + " top_k" * (self.top_k is not None))
+        A.check_types(self, numbers.Integral, "an integer", sizes + " seed")
+        A.check_at_least(self, 1, sizes)
         A.check_at_least(self, 0, "seed")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1 or None")
 
 
 def default_model_factory(dims: BenchDims):

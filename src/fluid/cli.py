@@ -28,7 +28,10 @@ from fluid import verify as V
 
 def _seed_override(seed: int) -> int:
     env = os.environ.get("FLUID_SEED")
-    return int(env) if env else seed
+    try:
+        return int(env) if env else seed
+    except ValueError:
+        raise ValueError(f"FLUID_SEED={env!r} is not an integer") from None
 
 
 def _load_json(path: str | None) -> dict:
@@ -64,14 +67,14 @@ def _field_names(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
 
-# "model" keys of LanConfig fields; the other "model" keys are ModelConfig's
-_LAN_KEYS = {key: key for key in ("d_model", "heads", "euler_steps", "top_k",
-                                  "epsilon")} | {"sink_gate": "sink_gate_enabled"}
+# "model" keys of LanConfig fields (the layers set causal); the other
+# "model" keys are ModelConfig's
+_LAN_KEYS = _field_names(A.LanConfig) - {"causal"}
 # the sections of a ``fluid train`` config and the keys each accepts; the
 # data decide in_features and out_dim
 _TRAIN_SECTIONS = {
-    "model": set(_LAN_KEYS) | (_field_names(M.ModelConfig)
-                               - {"lan", "in_features", "out_dim"}),
+    "model": _LAN_KEYS | (_field_names(M.ModelConfig)
+                          - {"lan", "in_features", "out_dim"}),
     "train": _field_names(TR.TrainConfig),
     "data": {"ratios"},
 }
@@ -80,8 +83,7 @@ _TRAIN_SECTIONS = {
 def _model_config(cfg: dict, in_features: int = 2, out_dim: int = 2) -> M.ModelConfig:
     m = dict(cfg.get("model", {}))
     m.setdefault("d_model", 32)
-    lan = A.LanConfig(**{field: m.pop(key) for key, field in _LAN_KEYS.items()
-                         if key in m})
+    lan = A.LanConfig(**{key: m.pop(key) for key in _LAN_KEYS if key in m})
     m["seed"] = _seed_override(m.get("seed", 0))
     return M.ModelConfig(lan=lan, in_features=in_features, out_dim=out_dim, **m)
 

@@ -3,15 +3,15 @@
 The hidden state is expanded into n streams mixed by a structured
 (n+1)x(n+1) matrix: B broadcasts the sublayer output into the streams,
 A_m aggregates streams into the sublayer input, A_r mixes streams
-residually. The liquid variant makes all three input-dependent through
-tanh projections scaled by small learnable factors; at zero scale it
-reduces bitwise to the static form, and at n = 1 with unit parameters
-the whole block is exactly x + L(x).
+residually. ``HcParams`` holds B, A_m and A_r; a liquid one also holds
+the tanh projections and small learnable scales that make all three
+input-dependent. ``hc_block`` is the one composition: aggregate, run the
+sublayer, combine. Two reductions hold bitwise: at zero scale the liquid
+block is the static one, and at n = 1 with unit parameters the block is
+x + L(x), so its ``hc_network_finalize`` is layer_norm(x + L(x)).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +19,11 @@ from fluid import tensor as T
 from fluid.tensor import Tensor, uniform_init
 
 
-@dataclass
-class HcLiquid:
-    """Input-dependent deltas; s_b and s_a start small so the static part
-    dominates early training."""
-
-    W_b: Tensor   # [d, 1]
-    W_m: Tensor   # [d, 1]
-    W_r: Tensor   # [d, n]
-    s_b: Tensor   # scalar
-    s_a: Tensor   # scalar
-
-
 class HcParams:
-    """Stream-mixing parameters for one sublayer connection."""
+    """Stream-mixing parameters for one sublayer connection. The liquid
+    variant adds the projections W_b [d, 1], W_m [d, 1] and W_r [d, n] and
+    the scalar scales s_b and s_a, which start small so the static part
+    dominates early training."""
 
     def __init__(self, n: int, d: int | None = None, liquid: bool = False,
                  rng: np.random.Generator | None = None):
@@ -40,28 +31,22 @@ class HcParams:
             raise ValueError("expansion rate n must be >= 1")
         # untrained block behaves as a stream-averaged residual connection
         self.n = n
+        self.liquid = liquid
         self.B = Tensor(np.ones(n), requires_grad=True)
         self.A_m = Tensor(np.full(n, 1.0 / n), requires_grad=True)
         self.A_r = Tensor(np.eye(n), requires_grad=True)
-        self.liquid = None
         if liquid:
             if d is None or rng is None:
                 raise ValueError("liquid parameters need d and rng")
-            self.liquid = HcLiquid(
-                W_b=uniform_init(rng, (d, 1), d),
-                W_m=uniform_init(rng, (d, 1), d),
-                W_r=uniform_init(rng, (d, n), d),
-                s_b=Tensor(np.array(1e-2), requires_grad=True),
-                s_a=Tensor(np.array(1e-2), requires_grad=True),
-            )
+            self.W_b = uniform_init(rng, (d, 1), d)
+            self.W_m = uniform_init(rng, (d, 1), d)
+            self.W_r = uniform_init(rng, (d, n), d)
+            self.s_b = Tensor(np.array(1e-2), requires_grad=True)
+            self.s_a = Tensor(np.array(1e-2), requires_grad=True)
 
     def parameters(self) -> dict:
-        out = {"B": self.B, "A_m": self.A_m, "A_r": self.A_r}
-        if self.liquid is not None:
-            out.update({"W_b": self.liquid.W_b, "W_m": self.liquid.W_m,
-                        "W_r": self.liquid.W_r, "s_b": self.liquid.s_b,
-                        "s_a": self.liquid.s_a})
-        return out
+        names = "B A_m A_r" + " W_b W_m W_r s_b s_a" * self.liquid
+        return {name: getattr(self, name) for name in names.split()}
 
 
 def expand_streams(x: Tensor, n: int) -> Tensor:
@@ -102,14 +87,13 @@ def hc_liquid_params(params: HcParams, X: Tensor):
     and projected independently, so B' and A_m' gain one delta per stream
     and A_r' one delta row per stream.
     """
-    if params.liquid is None:
+    if not params.liquid:
         raise ValueError("liquid parameters are absent")
-    liq = params.liquid
     n = params.n
     Xn = T.layer_norm(X)
-    db = T.mul(liq.s_b, T.tanh(T.matmul(Xn, liq.W_b)))   # [..., n, 1]
-    dm = T.mul(liq.s_a, T.tanh(T.matmul(Xn, liq.W_m)))
-    dr = T.mul(liq.s_a, T.tanh(T.matmul(Xn, liq.W_r)))   # [..., n, n]
+    db = T.mul(params.s_b, T.tanh(T.matmul(Xn, params.W_b)))   # [..., n, 1]
+    dm = T.mul(params.s_a, T.tanh(T.matmul(Xn, params.W_m)))
+    dr = T.mul(params.s_a, T.tanh(T.matmul(Xn, params.W_r)))   # [..., n, n]
     B_eff = T.add(params.B, T.reshape(db, db.shape[:-2] + (n,)))
     Am_eff = T.add(params.A_m, T.reshape(dm, dm.shape[:-2] + (n,)))
     Ar_eff = T.add(params.A_r, dr)
@@ -118,7 +102,7 @@ def hc_liquid_params(params: HcParams, X: Tensor):
 
 def hc_block(params: HcParams, H: Tensor, sublayer) -> Tensor:
     """Aggregate, run the sublayer, combine; liquid parameters when present."""
-    if params.liquid is not None:
+    if params.liquid:
         B_eff, Am_eff, Ar_eff = hc_liquid_params(params, H)
     else:
         B_eff, Am_eff, Ar_eff = params.B, params.A_m, params.A_r

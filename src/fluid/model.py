@@ -56,15 +56,11 @@ class ModelConfig:
                       "hc_streams in_features out_dim max_len seed")
         if self.hc_mode not in ("residual", "static", "liquid"):
             raise ValueError(f"unknown hc_mode {self.hc_mode!r}")
-        if self.hc_mode != "residual" and self.hc_streams < 1:
-            raise ValueError("hc_streams must be >= 1")
         if self.gate_mode not in ("recurrent", "sdpa_frozen"):
             raise ValueError(f"unknown gate_mode {self.gate_mode!r}")
-        if self.n_layers < 0 or self.ffn_dim < 1:
-            raise ValueError(f"n_layers {self.n_layers} must be >= 0 and "
-                             f"ffn_dim {self.ffn_dim} >= 1")
-        A.check_at_least(self, 1, "in_features out_dim max_len")
-        A.check_at_least(self, 0, "seed")
+        A.check_at_least(self, 1, "ffn_dim in_features out_dim max_len"
+                         + " hc_streams" * (self.hc_mode != "residual"))
+        A.check_at_least(self, 0, "n_layers seed")
 
 
 class _Ffn:

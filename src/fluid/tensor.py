@@ -163,11 +163,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), lambda g: (g * c,))
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
@@ -191,10 +186,12 @@ def _sigmoid_neg_(x: np.ndarray) -> np.ndarray:
 
 def _softplus_(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """In place x <- log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), with t
-    scratch of x's shape. e^{-|x|} never overflows."""
+    scratch of x's shape. e^{-|x|} never overflows, and where it underflows
+    log1p(0) = 0 is exact."""
     np.abs(x, out=t)
     np.negative(t, out=t)
-    np.exp(t, out=t)
+    with np.errstate(under="ignore"):
+        np.exp(t, out=t)
     np.log1p(t, out=t)
     np.maximum(x, 0.0, out=x)
     x += t

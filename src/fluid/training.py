@@ -60,11 +60,8 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.metric not in ("mae", "mse"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        check_at_least(self, 0, "seed")
+        check_at_least(self, 1, "batch_size")
+        check_at_least(self, 0, "epochs seed")
 
 
 # --------------------------------------------------------------------------
@@ -89,28 +86,12 @@ def loss(kind: str, pred: Tensor, target: np.ndarray,
          mask: np.ndarray | None = None) -> Tensor:
     """Mean squared (mse) or absolute (mae) error per element over the
     unmasked positions."""
-    if kind == "mse":
-        diff = T.sub(pred, Tensor(np.asarray(target, dtype=float)))
-        w = _mask_weights(pred.shape, mask)
-        return T.tsum(T.mul(T.mul(diff, diff), Tensor(w)))
-    if kind == "mae":
-        diff = T.sub(pred, Tensor(np.asarray(target, dtype=float)))
-        w = _mask_weights(pred.shape, mask)
-        return T.tsum(T.mul(T.absolute(diff), Tensor(w)))
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def metric_value(kind: str, pred: np.ndarray, target: np.ndarray,
-                 mask: np.ndarray | None = None) -> float:
-    if kind not in ("mae", "mse"):
-        raise ValueError(f"unknown metric {kind!r}")
-    pred = np.asarray(pred)
-    target = np.asarray(target, dtype=float)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        pred, target = pred[mask], target[mask]
-    err = pred - target
-    return float(np.abs(err).mean() if kind == "mae" else (err ** 2).mean())
+    if kind not in ("mse", "mae"):
+        raise ValueError(f"unknown loss kind {kind!r}")
+    diff = T.sub(pred, Tensor(np.asarray(target, dtype=float)))
+    w = _mask_weights(pred.shape, mask)
+    err = T.mul(diff, diff) if kind == "mse" else T.absolute(diff)
+    return T.tsum(T.mul(err, Tensor(w)))
 
 
 # --------------------------------------------------------------------------
@@ -195,10 +176,10 @@ def _dump_gate_traces(model, data, sel, out_dir) -> str | None:
 
 
 def evaluate(model, data, metric: str) -> float:
+    """The mean mae or mse of the model's predictions over the whole data."""
     with T.no_grad():
         pred = _forward_batch(model, data, slice(None))
-    return metric_value(metric, pred.data, data["targets"],
-                        data.get("target_mask"))
+        return loss(metric, pred, data["targets"], data.get("target_mask")).item()
 
 
 def train(model, train_data: dict, val_data: dict | None, cfg: TrainConfig,
@@ -208,11 +189,15 @@ def train(model, train_data: dict, val_data: dict | None, cfg: TrainConfig,
     Saves the best-validation-metric checkpoint into out_dir when given.
     History rows: {"epoch", "train_loss", "val_metric"}.
     """
+    n = train_data["values"].shape[0]
+    if n == 0:
+        held = 0 if val_data is None else val_data["values"].shape[0]
+        raise ValueError(f"training data holds no sequence ({held} held out "
+                         "for validation)")
     params = model.parameters()
     state = init_opt_state(params)
     step_fn = adamw_step if cfg.optimizer == "adamw" else sgd_step
     rng = np.random.default_rng(cfg.seed)
-    n = train_data["values"].shape[0]
     history: list[dict] = []
     best = np.inf
 

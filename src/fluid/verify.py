@@ -103,9 +103,7 @@ def run_reduction_suite(seed: int = 0) -> dict:
 
     unit = HC.HcParams(n=1)
     H1 = HC.expand_streams(x, 1)
-    hc_out = HC.hc_network_finalize(
-        HC.hc_combine(unit.B, unit.A_r, H1,
-                      sublayer(HC.hc_aggregate(unit.A_m, H1))))
+    hc_out = HC.hc_network_finalize(HC.hc_block(unit, H1, sublayer))
     residual = T.layer_norm(T.add(x, sublayer(x)))
     residual_gap = float(np.abs(hc_out.data - residual.data).max())
     residual_exact = bool(np.array_equal(hc_out.data, residual.data))
@@ -117,8 +115,8 @@ def run_reduction_suite(seed: int = 0) -> dict:
     static.A_r.data[...] = rng.standard_normal((3, 3))
     for name in ("B", "A_m", "A_r"):
         getattr(liquid, name).data[...] = getattr(static, name).data
-    liquid.liquid.s_b.data[...] = 0.0
-    liquid.liquid.s_a.data[...] = 0.0
+    liquid.s_b.data[...] = 0.0
+    liquid.s_a.data[...] = 0.0
     H3 = HC.expand_streams(x, 3)
     out_static = HC.hc_block(static, H3, sublayer)
     out_liquid = HC.hc_block(liquid, H3, sublayer)
@@ -161,7 +159,6 @@ def run_gradients_suite(seed: int = 0, op_tolerance: float = 1e-4,
 
     check("tanh", lambda x: T.tsum(T.mul(T.tanh(x), coef)), a)
     check("sigmoid", lambda x: T.tsum(T.mul(T.sigmoid(x), coef)), a)
-    check("exp", lambda x: T.tsum(T.mul(T.exp(x), coef)), a)
     check("mul", lambda x, y: T.tsum(T.mul(T.mul(x, y), coef)), a, b)
     check("matmul", lambda x, y: T.tsum(T.mul(T.matmul(x, y), coef2)), a, w)
     mask = np.arange(4) != np.arange(3)[:, None]     # one masked entry a row

@@ -233,6 +233,21 @@ def test_f_tau_derivative_from_the_kept_gates_matches_the_oracle(case, n_steps,
     _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng)
 
 
+@pytest.mark.parametrize("bias", [-800.0, 800.0])
+def test_saturated_f_tau_is_exact_under_raising_errstate(bias):
+    # softplus takes e^{-|o|}, which underflows to 0 at |o| = 800, where
+    # log1p(0) = 0 is exact: f_tau is eps or o + eps to the last bit
+    rng = np.random.default_rng(83)
+    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core.W_o.data[:, 1] = 0.0       # the f_tau pre-activation is the bias
+    core.b_o.data[:, 1] = bias
+    qa, ka, pb = _gate_case("full", rng)
+    with np.errstate(all="raise"), T.no_grad():
+        final, traj = core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
+    assert (traj.f_tau == max(bias, 0.0) + 1e-3).all()
+    assert np.isfinite(final.data).all()
+
+
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
 def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
                                                                   monkeypatch):

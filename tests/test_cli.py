@@ -184,7 +184,8 @@ def test_train_config_rejects_unknown_metric_before_training(tmp_path,
 
 def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
     config = {"model": {"d_model": 8, "heads": 2, "euler_steps": 3,
-                        "top_k": 4, "epsilon": 1e-2, "sink_gate": False,
+                        "top_k": 4, "epsilon": 1e-2,
+                        "sink_gate_enabled": False,
                         "n_layers": 2, "ffn_dim": 8, "hc_mode": "static",
                         "hc_streams": 2, "max_len": 128,
                         "gate_mode": "recurrent", "seed": 3},
@@ -217,6 +218,21 @@ def test_train_rejects_more_folds_than_sequences(tmp_path, monkeypatch,
     assert not trained and out.out == ""
     assert out.err.startswith("fluid train: ") and out.err.count("\n") == 1
     assert "--folds 10" in out.err and "6 sequences" in out.err
+
+
+def test_train_on_one_sequence_exits_2_without_training(tmp_path, capsys):
+    # the single split holds out the only sequence for validation
+    data = tmp_path / "one.csv"
+    D.write_dataset_csv(str(data), D.generate_spirals(
+        D.SpiralSpec(n_spirals=1, n_points=30, n_subsample=12)))
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--out", str(run),
+                     "--folds", "1", "--epochs", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "fluid train: training data holds no sequence (1 held out for "
+        "validation)\n")
+    assert not run.exists()
 
 
 def test_generate_train_eval_pipeline(tmp_path):
@@ -278,7 +294,9 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-string-streams",
                                   "train-fractional-ffn",
                                   "bench-string-seq-len",
-                                  "train-string-sink-gate",
+                                  "train-string-sink-gate-enabled",
+                                  "train-old-sink-gate-key",
+                                  "verify-string-fluid-seed",
                                   "eval-string-causal", "train-unknown-gate-mode",
                                   "eval-zero-in-features", "eval-zero-out-dim",
                                   "train-zero-max-len", "train-negative-seed",
@@ -286,7 +304,8 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "generate-negative-seed",
                                   "bench-negative-seed",
                                   "verify-negative-seed"])
-def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
+                                           monkeypatch, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
     missing = str(tmp_path / "missing")
@@ -313,6 +332,8 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
             node = node[key]
         node[last] = value
         manifest.write_text(json.dumps(saved))
+    if case == "verify-string-fluid-seed":
+        monkeypatch.setenv("FLUID_SEED", "x")
     one_point = tmp_path / "one_point.csv"
     D.write_dataset_csv(str(one_point), D.read_dataset_csv(str(data)) + [
         D.EventSequence(values=[[0.1, 0.2]], times=[1.0], mask=[True])])
@@ -336,7 +357,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                                                   "hc_streams": "x"}},
                "train-fractional-ffn": {"model": {"ffn_dim": 2.5}},
                "bench-string-seq-len": {"seq_len": "x"},
-               "train-string-sink-gate": {"model": {"sink_gate": "no"}},
+               "train-string-sink-gate-enabled":
+                   {"model": {"sink_gate_enabled": "no"}},
+               "train-old-sink-gate-key": {"model": {"sink_gate": False}},
                "train-unknown-gate-mode": {"model": {"gate_mode": "x"}},
                "train-zero-max-len": {"model": {"max_len": 0}},
                "train-negative-seed": {"model": {"seed": -1}},
@@ -389,7 +412,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
         "train-string-streams": train + [str(data)],
         "train-fractional-ffn": train + [str(data)],
         "bench-string-seq-len": ["bench", "--config", str(config)],
-        "train-string-sink-gate": train + [str(data)],
+        "train-string-sink-gate-enabled": train + [str(data)],
+        "train-old-sink-gate-key": train + [str(data)],
+        "verify-string-fluid-seed": ["verify", "--suite", "limits"],
         "eval-string-causal": ["eval", "--checkpoint", checkpoint,
                                "--data", str(data)],
         "train-unknown-gate-mode": train + [str(data)],
@@ -415,7 +440,8 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
              "train-list-section": config}
     if case in named:
         assert str(named[case]) in err, err
-    said = {"generate-empty-pixels": "no sequences to write",
+    said = {"train-heads": "fluid train: heads must be >= 1\n",  # the whole line
+            "generate-empty-pixels": "no sequences to write",
             "generate-zero-subsample": "subsample of two",
             "train-one-point-sequence": "sequence 10 has no conditioning point",
             "train-header-only": "holds no sequences",
@@ -433,8 +459,11 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
             "train-string-streams": "hc_streams must be an integer, not 'x'",
             "train-fractional-ffn": "ffn_dim must be an integer, not 2.5",
             "bench-string-seq-len": "seq_len must be an integer, not 'x'",
-            "train-string-sink-gate":
+            "train-string-sink-gate-enabled":
                 "sink_gate_enabled must be true or false, not 'no'",
+            "train-old-sink-gate-key": "unknown key(s) in "
+                                       f"{config}: model.sink_gate",
+            "verify-string-fluid-seed": "FLUID_SEED='x' is not an integer",
             "eval-string-causal": "causal must be true or false, not 'yes'",
             "train-unknown-gate-mode": "unknown gate_mode 'x'",
             "eval-zero-in-features": "in_features must be >= 1",

@@ -78,8 +78,8 @@ def test_combine_matches_hand_computation():
 def test_liquid_zero_scale_reduces_to_static_bitwise():
     rng = np.random.default_rng(5)
     params = HC.HcParams(n=2, d=3, liquid=True, rng=rng)
-    params.liquid.s_b.data[...] = 0.0
-    params.liquid.s_a.data[...] = 0.0
+    params.s_b.data[...] = 0.0
+    params.s_a.data[...] = 0.0
     X = Tensor(rng.standard_normal((2, 4, 2, 3)))
     B_eff, Am_eff, Ar_eff = HC.hc_liquid_params(params, X)
     assert np.array_equal(np.broadcast_to(params.B.data, B_eff.shape), B_eff.data)
@@ -90,7 +90,7 @@ def test_liquid_zero_scale_reduces_to_static_bitwise():
 def test_liquid_zero_projection_weights_reduce_to_static():
     rng = np.random.default_rng(6)
     params = HC.HcParams(n=2, d=3, liquid=True, rng=rng)
-    for w in (params.liquid.W_b, params.liquid.W_m, params.liquid.W_r):
+    for w in (params.W_b, params.W_m, params.W_r):
         w.data[...] = 0.0
     X = Tensor(rng.standard_normal((1, 2, 3)))
     B_eff, Am_eff, Ar_eff = HC.hc_liquid_params(params, X)
@@ -105,10 +105,9 @@ def test_liquid_params_match_scripted_oracle():
     B_eff, Am_eff, Ar_eff = HC.hc_liquid_params(params, Tensor(X))
 
     Xn = _norm_rows(X)
-    liq = params.liquid
-    b = params.B.data + liq.s_b.data * np.tanh(Xn @ liq.W_b.data)[:, 0]
-    am = params.A_m.data + liq.s_a.data * np.tanh(Xn @ liq.W_m.data)[:, 0]
-    ar = params.A_r.data + liq.s_a.data * np.tanh(Xn @ liq.W_r.data)
+    b = params.B.data + params.s_b.data * np.tanh(Xn @ params.W_b.data)[:, 0]
+    am = params.A_m.data + params.s_a.data * np.tanh(Xn @ params.W_m.data)[:, 0]
+    ar = params.A_r.data + params.s_a.data * np.tanh(Xn @ params.W_r.data)
     assert np.allclose(B_eff.data, b, atol=1e-12)
     assert np.allclose(Am_eff.data, am, atol=1e-12)
     assert np.allclose(Ar_eff.data, ar, atol=1e-12)
@@ -166,8 +165,8 @@ def test_liquid_block_zero_scale_bitwise_equals_static_block():
 
     static = HC.HcParams(n=2)
     liquid = HC.HcParams(n=2, d=3, liquid=True, rng=np.random.default_rng(13))
-    liquid.liquid.s_b.data[...] = 0.0
-    liquid.liquid.s_a.data[...] = 0.0
+    liquid.s_b.data[...] = 0.0
+    liquid.s_a.data[...] = 0.0
     for p in (static, liquid):
         p.B.data[...] = rng.standard_normal(2)
         p.A_m.data[...] = rng.standard_normal(2)

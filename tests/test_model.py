@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from fluid import attention as A
+from fluid import bench as BN
 from fluid import model as M
 from fluid import tensor as T
+from fluid import training as TR
 from fluid.tensor import Tensor
 
 
@@ -177,6 +179,23 @@ def test_model_rejects_overlong_sequences():
 def test_config_rejects_a_bad_field_at_construction(field, value, problem):
     with pytest.raises(ValueError, match=problem):
         _cfg(**{field: value})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: A.LanConfig(d_model=8, heads=0), "heads must be >= 1"),
+    (lambda: A.LanConfig(d_model=0, heads=0, top_k=0),
+     "d_model, heads, top_k must be >= 1"),
+    (lambda: _cfg(n_layers=-1, ffn_dim=0, hc_mode="static", hc_streams=0),
+     "ffn_dim, hc_streams must be >= 1"),
+    (lambda: TR.TrainConfig(epochs=-1, batch_size=0), "batch_size must be >= 1"),
+    (lambda: TR.TrainConfig(epochs=-1, seed=-2), "epochs, seed must be >= 0"),
+    (lambda: BN.BenchDims(seq_len=0, heads=0, top_k=0),
+     "heads, seq_len, top_k must be >= 1"),
+], ids=["lan-heads", "lan-three", "model", "train-ones", "train-zeros", "bench"])
+def test_bound_errors_name_exactly_the_fields_out_of_bounds(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_embedding_shared_between_encoder_and_decoder():

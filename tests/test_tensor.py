@@ -188,7 +188,7 @@ def test_composite_gradients_match_central_difference():
         assert max_rel_error(params[i].grad, numeric) < 1e-4
 
 
-@pytest.mark.parametrize("op", ["tanh", "sigmoid", "softplus", "exp", "relu"])
+@pytest.mark.parametrize("op", ["tanh", "sigmoid", "softplus", "relu"])
 def test_unary_gradients_match_central_difference(op):
     rng = np.random.default_rng(11)
     x = rng.uniform(-2, 2, (4,))
