@@ -20,10 +20,13 @@ through ``integrate_logits`` to the final logits. It keeps the hidden
 states of steps 1 .. N-2, the clamped dt and the final logits; each
 backward work item rebuilds the rest of its block's hidden states,
 its gates and its Euler states, bitwise the forward's, with few numpy
-calls and passes per step (see ``_cell``). Inference runs the same
-kernel without keeping anything. The (head, block) work items run on
-``fluid.pool``, which top-k selection shares, one thread per CPU, with
-the same results for any number of threads.
+calls and passes per step (see ``_cell``). The backward runs only on the
+live pairs, those whose final logit has a nonzero gradient: a pair's
+gradients are linear in that gradient, so a pair whose gradient is 0,
+such as every pair of a padded query row, adds exactly 0 to each.
+Inference runs the same kernel without keeping anything. The (head,
+block) work items run on ``fluid.pool``, which top-k selection shares,
+one thread per CPU, with the same results for any number of threads.
 
 Gates are [2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:,
 each row in the shape of the pair batch's valid mask; they and the Euler
@@ -183,7 +186,9 @@ class RecurrentGateCore:
     slots]) and seen as one tensor [2N,B,H,T_q,K_eff]. Items write their
     gates and hidden states by position and return their gradient
     partials, summed in item order: outputs and every gradient are bitwise
-    the same for any number of threads.
+    the same for any number of threads. The backward cuts only the live
+    pairs into blocks, those whose final logit's gradient is not 0; the
+    rest add exactly 0 to every gradient (see ``_gru_backward``).
     """
 
     def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
@@ -344,10 +349,17 @@ def _blocks(P: int) -> list[tuple[int, int]]:
     return [(P * i // n, P * (i + 1) // n) for i in range(n)]
 
 
-def _items(counts: list[int]) -> list[tuple[int, int, int]]:
-    """(head, start, stop) of every work item over the packed pairs of
-    each head, head by head."""
-    return [(hd, a, b) for hd, P in enumerate(counts) for a, b in _blocks(P)]
+def _items(counts: list[int], live: list | None = None) -> list[tuple]:
+    """(head, selector) of every work item, head by head, over balanced
+    blocks of each head's packed pairs: slices of its ``counts[hd]``
+    pairs, or with ``live`` blocks of its ascending live indices
+    ``live[hd]``, slices again where every pair is live."""
+    items = []
+    for hd, P in enumerate(counts):
+        sel = None if live is None or live[hd].size == P else live[hd]
+        items += [(hd, slice(a, b) if sel is None else sel[a:b])
+                  for a, b in _blocks(P if sel is None else sel.size)]
+    return items
 
 
 def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
@@ -355,14 +367,14 @@ def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
     (rows :N) and f_phi (rows N:) of ``gates`` [2N,H,slots]. With
     ``saved`` [H,N-2,h,packed pairs] the hidden states h_1 .. h_{N-2} are
     kept there for the backward."""
-    def item(hd, a, b):
-        out = (gates[:, hd, a:b] if pin.pos is None
-               else np.empty((2 * n_steps, b - a)))
-        _forward_block(pin.block(hd, a, b), w, hd, n_steps, dt_nominal,
-                       epsilon, out,
-                       None if saved is None else saved[hd, :, :, a:b])
+    def item(hd, sel):
+        x = pin.block(hd, sel)
+        out = (gates[:, hd, sel] if pin.pos is None
+               else np.empty((2 * n_steps, x.shape[1])))
+        _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, out,
+                       None if saved is None else saved[hd, :, :, sel])
         if pin.pos is not None:
-            gates[:, hd, pin.pos[hd][a:b]] = out
+            gates[:, hd, pin.pos[hd][sel]] = out
 
     pool._run_items(item, _items(pin.counts))
 
@@ -411,22 +423,32 @@ def _heads_(gates: np.ndarray, b_o: np.ndarray, epsilon: float,
 def _gru_backward(g, pin, w, saved, n_steps, dt_nominal, epsilon, dt):
     """The backward of ``unroll`` from the final logits' gradient g [H, 1,
     slots]: returns (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its
-    parameter's shape. Each item takes its slots of g and its block of
-    pair inputs again, and returns its partials; they are summed in item
-    order, so every gradient is the same for any number of workers."""
-    items = _items(pin.counts)
+    parameter's shape.
 
-    def item(hd, a, b):
+    Only the live packed pairs run, those whose g is not 0. A pair's
+    gradients are g times its own derivatives, so a pair with g = 0 (every
+    pair of a query row the loss never reads) adds exactly 0 and is
+    skipped. The live pairs of each head are cut into balanced blocks by
+    their count, so the cut is the same for any number of workers; an item
+    selects its pairs by a slice where every pair of the head is live,
+    else by its part of the live indices. Each item takes its slots of g,
+    its pair inputs again and its saved hidden states, and returns its
+    partials; they are summed in item order, so every gradient is the same
+    for any number of workers."""
+    live = [np.flatnonzero(g[hd, 0, pin.slots(hd, slice(0, P))])
+            for hd, P in enumerate(pin.counts)]
+    items = _items(pin.counts, live)
+
+    def item(hd, sel):
         dx, parts = _backward_block(
-            g[hd, 0, pin.slots(hd, a, b)],
-            pin.block(hd, a, b), w, hd, saved[hd, :, :, a:b], n_steps,
-            dt_nominal, epsilon, dt)
-        return parts, pin.block_grads(hd, a, b, dx)
+            g[hd, 0, pin.slots(hd, sel)], pin.block(hd, sel), w, hd,
+            saved[hd][..., sel], n_steps, dt_nominal, epsilon, dt)
+        return parts, pin.block_grads(hd, sel, dx)
 
     results = pool._run_items(item, items)
     totals = tuple(np.zeros_like(w[n])
                    for n in ("W_h", "w_t", "b_x", "W_o", "b_o"))
-    for (hd, _, _), (parts, _) in zip(items, results):
+    for (hd, _), (parts, _) in zip(items, results):
         for total, part in zip(totals, parts):
             total[hd] += part
     return pin.grads(items, [pair for _, pair in results]) + totals

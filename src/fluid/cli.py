@@ -28,10 +28,15 @@ from fluid import verify as V
 
 def _seed_override(seed: int) -> int:
     env = os.environ.get("FLUID_SEED")
+    if not env:
+        return seed
     try:
-        return int(env) if env else seed
+        value = int(env)
     except ValueError:
         raise ValueError(f"FLUID_SEED={env!r} is not an integer") from None
+    if value < 0:
+        raise ValueError(f"FLUID_SEED={env!r} must be >= 0")
+    return value
 
 
 def _load_json(path: str | None) -> dict:

@@ -68,7 +68,7 @@ class SpiralSpec:
         if self.n_spirals < 1 or self.n_points < 2 or self.n_subsample < 2:
             raise ValueError("need at least one spiral, two points and a "
                              "subsample of two")
-        check_at_least(self, 0, "seed")
+        check_at_least(self, 0, "seed noise_std")
 
 
 def spiral_curve(spec: SpiralSpec, t: np.ndarray) -> np.ndarray:

@@ -49,7 +49,9 @@ class PairInput:
     Pair (i, j) sees qp_i + kp_j, the projections of query i and key j.
     The [B,H,T_q,K_eff,C] array of these sums (``shape``, ``size``,
     ``ndim``) is never built: the gate kernel forms the block of pairs
-    each work item takes with ``block``.
+    each work item takes with ``block``. An item names its packed pairs by
+    a selector: a slice, or an ascending index array where the backward
+    skips pairs whose logit gradient is 0.
 
     Slots are numbered per head in (batch, query, slot) order. The kernel
     runs on each head's packed pairs, its valid pairs in slot order;
@@ -86,33 +88,36 @@ class PairInput:
         self._q, self._k = (np.ascontiguousarray(
             t.data.transpose(1, 3, 0, 2)).reshape(H, C, -1) for t in (qp, kp))
 
-    def slots(self, hd: int, a: int, b: int) -> np.ndarray:
-        """The slots of packed pairs a..b of head ``hd``."""
-        return np.arange(a, b) if self.pos is None else self.pos[hd][a:b]
+    def slots(self, hd: int, sel) -> np.ndarray:
+        """The slots of head ``hd``'s packed pairs ``sel``, a slice or an
+        index array of packed pairs in ascending order."""
+        if self.pos is not None:
+            return self.pos[hd][sel]
+        return np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
 
-    def block(self, hd: int, a: int, b: int) -> np.ndarray:
-        """The input [C, b - a] of packed pairs a..b of head ``hd``."""
-        x = np.take(self._k[hd], self.keys[hd][a:b], axis=1)
-        x += np.take(self._q[hd], self.slots(hd, a, b) // self.shape[3], axis=1)
+    def block(self, hd: int, sel) -> np.ndarray:
+        """The input [C, pairs] of head ``hd``'s packed pairs ``sel``."""
+        x = np.take(self._k[hd], self.keys[hd][sel], axis=1)
+        x += np.take(self._q[hd], self.slots(hd, sel) // self.shape[3], axis=1)
         return x
 
-    def block_grads(self, hd: int, a: int, b: int, dx: np.ndarray):
+    def block_grads(self, hd: int, sel, dx: np.ndarray):
         """The partials of ``block``'s gradient ``dx``: (the query rows
         the block touches, d qp of each [C, rows], d kp of every key
         [C, B*T_k] by one ``np.bincount`` over the flat (channel, key)
         index)."""
-        rows = self.slots(hd, a, b) // self.shape[3]
+        rows = self.slots(hd, sel) // self.shape[3]
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         C, M = dx.shape[0], self._k.shape[2]
-        flat = (np.arange(C)[:, None] * M + self.keys[hd][a:b]).ravel()
+        flat = (np.arange(C)[:, None] * M + self.keys[hd][sel]).ravel()
         return rows[starts], np.add.reduceat(dx, starts, axis=1), np.bincount(
             flat, weights=dx.ravel(), minlength=C * M).reshape(C, M)
 
-    def grads(self, items: list[tuple[int, int, int]], parts: list[tuple]):
-        """(d qp, d kp) from the ``block_grads`` of the (head, start, stop)
+    def grads(self, items: list[tuple], parts: list[tuple]):
+        """(d qp, d kp) from the ``block_grads`` of the (head, selector)
         items, summed in item order."""
         dq, dk = np.zeros_like(self._q), np.zeros_like(self._k)
-        for (hd, _, _), (rows, dq_rows, dk_keys) in zip(items, parts):
+        for (hd, _), (rows, dq_rows, dk_keys) in zip(items, parts):
             dq[hd][:, rows] += dq_rows
             dk[hd] += dk_keys
         B, H, T_q, _, C = self.shape

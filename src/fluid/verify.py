@@ -180,10 +180,14 @@ def run_gradients_suite(seed: int = 0, op_tolerance: float = 1e-4,
     times = np.tile(np.arange(4.0), (2, 1))
     qt = np.tile(np.arange(2.0), (2, 1))
     targets = data_rng.standard_normal((2, 2, 1))
+    # the second sequence pads its last history point and query: the gate's
+    # pairs in padded rows get a logit gradient of 0, which the backward skips
+    mask = np.array([[True] * 4, [True] * 3 + [False]])
+    target_mask = np.array([[True, True], [True, False]])
 
     def model_loss():
-        pred = model.forward(values, times, qt)
-        return TR.loss("mse", pred, targets)
+        pred = model.forward(values, times, qt, mask=mask)
+        return TR.loss("mse", pred, targets, target_mask)
 
     model_report = TR.grad_check(model_loss, model.parameters(), h=1e-5,
                                  max_entries_per_param=2, seed=seed)

@@ -17,9 +17,11 @@ import pytest
 
 from conftest import concat_pairs, euler_chain, euler_step, gru_unroll, pair_sum
 from fluid import attention as A
+from fluid import model as M
 from fluid import pairs, pool
 from fluid import tensor as T
 from fluid import training as TR
+from fluid import verify
 from fluid.tensor import Tensor
 
 
@@ -180,12 +182,13 @@ def _composed_logits(core, q, k, pb, n_steps):
 
 
 def _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng,
-                                   errstate=None):
+                                   errstate=None, coef=None):
     """Final logits, gates and every gradient of the kernel within 1e-12
     of the composed oracle's, under a loss that weighs every final logit
-    differently, those of invalid pairs too. The kernel's forward and
-    backward run under ``np.errstate(**errstate)``."""
-    coef = rng.standard_normal(pb.valid_mask.shape)
+    differently, those of invalid pairs too, or by ``coef``. The kernel's
+    forward and backward run under ``np.errstate(**errstate)``."""
+    if coef is None:
+        coef = rng.standard_normal(pb.valid_mask.shape)
     results = []
     for fused in (True, False):
         q = Tensor(qa.copy(), requires_grad=True)
@@ -651,10 +654,10 @@ def _block_case(case):
     return core, qa, ka, pb
 
 
-def _gate_run(core, qa, ka, pb, n_steps=3):
+def _gate_run(core, qa, ka, pb, n_steps=3, coef=None):
     """no_grad final logits and gates, the same from the tape, and the
     gradients of the 6 gate weights and of q, k under a loss that weighs
-    every final logit differently."""
+    every final logit differently, or by ``coef``."""
     with T.no_grad():
         untaped, traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
                                     1 / n_steps)
@@ -664,7 +667,8 @@ def _gate_run(core, qa, ka, pb, n_steps=3):
     for p in core.parameters().values():
         p.zero_grad()
     final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
-    coef = np.random.default_rng(48).standard_normal(final.shape)
+    if coef is None:
+        coef = np.random.default_rng(48).standard_normal(final.shape)
     _weighted_sum(final, coef).backward()
     grads = {n: p.grad.copy() for n, p in dict(core.parameters(), q=q, k=k).items()}
     return untaped, (final.data, _traj_gates(traj)), grads
@@ -896,6 +900,135 @@ def test_gate_items_read_the_core_weight_buffers(monkeypatch):
     for w in seen:
         for name in ("W_h", "W_o", "b_o", "w_t", "b_x"):
             assert np.shares_memory(w[name], getattr(core, name).data), name
+
+
+# --------------------------------------------------------------------------
+# the backward runs on live pairs only: those whose logit gradient is not 0
+# --------------------------------------------------------------------------
+
+_DEAD = ["query_rows", "single_pairs", "head", "all"]
+
+
+def _dead_coef(pattern, shape, rng):
+    """A loss weight per final logit [B,H,T_q,K_eff], 0 on every other
+    query row, on single pairs spread through the blocks, on all of head 1,
+    or everywhere."""
+    coef = rng.standard_normal(shape)
+    if pattern == "query_rows":
+        coef[:, :, ::2] = 0.0
+    elif pattern == "single_pairs":
+        coef.reshape(-1)[3::7] = 0.0
+    elif pattern == "head":
+        coef[:, 1] = 0.0
+    else:
+        coef[...] = 0.0
+    return coef
+
+
+def _counting_backward_columns(monkeypatch):
+    """The number of pairs each ``_backward_block`` call receives."""
+    columns = []
+    backward_block = A._backward_block
+
+    def spy(g, x, *rest):
+        columns.append(x.shape[1])
+        return backward_block(g, x, *rest)
+
+    monkeypatch.setattr(A, "_backward_block", spy)
+    return columns
+
+
+@pytest.mark.parametrize("pattern", _DEAD)
+@pytest.mark.parametrize("case", ["causal_masked", "topk_blocks", "long_rows"])
+@pytest.mark.parametrize("n_steps", [1, 3])
+def test_backward_skips_dead_pairs_and_matches_the_oracle(case, pattern,
+                                                          n_steps, monkeypatch):
+    rng = np.random.default_rng(89)
+    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    qa, ka, pb = _gate_case(case, rng)
+    coef = _dead_coef(pattern, pb.valid_mask.shape, rng)
+    live = np.count_nonzero(coef[pb.valid_mask])
+    assert live < pb.valid_mask.sum()
+    columns = _counting_backward_columns(monkeypatch)
+    _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng, coef=coef)
+    assert sum(columns) == live
+    assert max(columns, default=0) <= A._BLOCK_PAIRS
+    if pattern == "all":
+        assert columns == []
+
+
+@pytest.mark.parametrize("pattern", _DEAD)
+@pytest.mark.parametrize("case", ["topk_row_split", "batch_rows"])
+def test_backward_on_live_pairs_is_bitwise_the_same_for_any_worker_count(
+        case, pattern, monkeypatch):
+    core, qa, ka, pb = _block_case(case)
+    coef = _dead_coef(pattern, pb.valid_mask.shape, np.random.default_rng(49))
+    columns = _counting_backward_columns(monkeypatch)
+    runs = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)               # interleave the workers often
+    try:
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "_WORKERS", workers)
+            runs[workers] = _gate_run(core, qa, ka, pb, coef=coef)[2]
+    finally:
+        sys.setswitchinterval(switch)
+    assert sum(columns) == 2 * np.count_nonzero(coef[pb.valid_mask])
+    for name, grad in runs[1].items():
+        assert np.array_equal(runs[2][name], grad), name
+        assert grad.any() == (pattern != "all"), name
+
+
+def _live_and_packed(monkeypatch):
+    """[live, packed] pair counts over every gate backward: the packed
+    pairs whose final logit's gradient is not 0, and all packed pairs."""
+    counts = [0, 0]
+    gru_backward = A._gru_backward
+
+    def spy(g, pin, *rest):
+        valid = slice(None) if pin.invalid is None else ~pin.invalid
+        counts[0] += np.count_nonzero(g[:, 0][valid])
+        counts[1] += sum(pin.counts)
+        return gru_backward(g, pin, *rest)
+
+    monkeypatch.setattr(A, "_gru_backward", spy)
+    return counts
+
+
+def test_padded_training_step_runs_the_backward_on_live_pairs_only(monkeypatch):
+    lan = A.LanConfig(d_model=8, heads=2, euler_steps=3)
+    model = M.FluidModel(M.ModelConfig(lan=lan, ffn_dim=8, in_features=2,
+                                       out_dim=2, max_len=16, seed=3,
+                                       hc_mode="liquid", hc_streams=2))
+    rng = np.random.default_rng(4)
+    B, T_in, T_out = 3, 7, 5
+    mask = np.ones((B, T_in), dtype=bool)
+    target_mask = np.ones((B, T_out), dtype=bool)
+    mask[1, -2:] = target_mask[1, -1:] = False
+    mask[2, -4:] = target_mask[2, -3:] = False
+    columns = _counting_backward_columns(monkeypatch)
+    counts = _live_and_packed(monkeypatch)
+    pred = model.forward(rng.standard_normal((B, T_in, 2)),
+                         np.cumsum(rng.uniform(0.5, 1.5, (B, T_in)), axis=1),
+                         np.cumsum(rng.uniform(0.5, 1.5, (B, T_out)), axis=1),
+                         mask=mask)
+    TR.loss("mse", pred, rng.standard_normal((B, T_out, 2)),
+            target_mask).backward()
+    live, packed = counts
+    # dead: every pair of a padded query row, in the encoder, the causal
+    # decoder and the cross-attention, and the one pair of each decoder
+    # row 0, whose softmax over a single key has a zero logit gradient
+    keys, rows = mask.sum(axis=1), target_mask.sum(axis=1)
+    padded = ((T_in - keys) * keys + (T_out - rows) * keys
+              + [np.arange(r + 1, T_out + 1).sum() for r in rows])
+    assert packed - live == lan.heads * (padded.sum() + B) > 0
+    assert sum(columns) == live
+
+
+def test_verify_gradients_suite_runs_the_skip(monkeypatch):
+    counts = _live_and_packed(monkeypatch)
+    assert verify.run_gradients_suite()["pass"]
+    assert 0 < counts[0] < counts[1]
 
 
 # --------------------------------------------------------------------------

@@ -303,7 +303,9 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-negative-train-seed",
                                   "generate-negative-seed",
                                   "bench-negative-seed",
-                                  "verify-negative-seed"])
+                                  "verify-negative-seed",
+                                  "generate-negative-fluid-seed",
+                                  "generate-negative-noise"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                            monkeypatch, case):
     malformed = tmp_path / "malformed.json"
@@ -332,8 +334,10 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
             node = node[key]
         node[last] = value
         manifest.write_text(json.dumps(saved))
-    if case == "verify-string-fluid-seed":
-        monkeypatch.setenv("FLUID_SEED", "x")
+    fluid_seed = {"verify-string-fluid-seed": "x",
+                  "generate-negative-fluid-seed": "-1"}
+    if case in fluid_seed:
+        monkeypatch.setenv("FLUID_SEED", fluid_seed[case])
     one_point = tmp_path / "one_point.csv"
     D.write_dataset_csv(str(one_point), D.read_dataset_csv(str(data)) + [
         D.EventSequence(values=[[0.1, 0.2]], times=[1.0], mask=[True])])
@@ -429,6 +433,10 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                    "--out", str(tmp_path / "s.csv")],
         "bench-negative-seed": ["bench", "--config", str(config)],
         "verify-negative-seed": ["verify", "--seed", "-1"],
+        "generate-negative-fluid-seed": ["generate", "spiral",
+                                         "--out", str(tmp_path / "s.csv")],
+        "generate-negative-noise": ["generate", "spiral", "--noise", "-0.5",
+                                    "--out", str(tmp_path / "s.csv")],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -473,7 +481,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
             "train-negative-train-seed": "seed must be >= 0",
             "generate-negative-seed": "seed must be >= 0",
             "bench-negative-seed": "seed must be >= 0",
-            "verify-negative-seed": "seed -1 must be >= 0"}
+            "verify-negative-seed": "seed -1 must be >= 0",
+            "generate-negative-fluid-seed": "FLUID_SEED='-1' must be >= 0\n",
+            "generate-negative-noise": "fluid generate: noise_std must be >= 0\n"}
     if case in said:
         assert said[case] in err, err
         assert not list(tmp_path.glob("[es].csv"))

@@ -39,6 +39,14 @@ def test_spiral_spec_rejects_a_field_of_the_wrong_type(field, value, what):
         D.SpiralSpec(**{field: value})
 
 
+def test_spiral_spec_rejects_negative_noise_by_name():
+    with pytest.raises(ValueError, match="^noise_std must be >= 0$"):
+        D.SpiralSpec(noise_std=-0.5)
+    assert len(D.generate_spirals(D.SpiralSpec(n_spirals=2, n_points=10,
+                                               n_subsample=2,
+                                               noise_std=0.0))) == 2
+
+
 @pytest.mark.parametrize("n_subsample", [-1, 0, 1])
 def test_spiral_spec_rejects_a_subsample_below_two(n_subsample):
     with pytest.raises(ValueError, match="subsample of two"):
