@@ -13,9 +13,11 @@ import sys
 
 # fluid.pool owns the parallelism, so BLAS gets one thread unless the user
 # set a count. BLAS reads the count as numpy loads: after that the variables
-# would change nothing but what they report, so they are left as they are
+# would change nothing but what they report, so they are left as they are,
+# and fluid.pool sets the loaded OpenBLAS's count at run time instead
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules:
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in _BLAS_VARS:
         os.environ.setdefault(var, "1")
     del var
 

@@ -43,6 +43,7 @@ query-dependent sigmoid output gate that counteracts attention sinks.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -57,11 +58,14 @@ from fluid.tensor import Tensor, uniform_init, zeros_param
 def check_types(cfg, kind: type, what: str, names: str):
     """Raise a ValueError naming the first of the space-separated fields
     ``names`` of ``cfg`` that is no ``kind``; a bool counts as none unless
-    ``kind`` is bool."""
+    ``kind`` is bool. A ``numbers.Real`` must also be finite: NaN passes
+    every comparison a bound check makes, and inf saturates what it scales."""
     for name in names.split():
         value = getattr(cfg, name)
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise ValueError(f"{name} must be {what}, not {value!r}")
+        if kind is numbers.Real and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 
 def check_at_least(cfg, low, names: str):
@@ -158,8 +162,9 @@ class RecurrentGateCore:
     row 1 for f_tau. Pair batches are [B,H,...]; a single head is H = 1.
 
     The input projection is factorized, u W_u = q W_u[:D] + k W_u[D:]:
-    ``project_pairs`` projects each query and key once and returns the
-    factored ``pairs.PairInput``. ``unroll`` is one tape op from it to the
+    ``project_pairs`` projects each query and key once, into one
+    channel-major buffer per projection, and returns the factored
+    ``pairs.PairInput``. ``unroll`` is one tape op from it to the
     final logits, ``_gru_forward`` then ``integrate_logits``. Its tape
     keeps only the pair input, the weights, the hidden states
     h_1 .. h_{N-2}, the clamped dt and a copy of the final logits
@@ -182,7 +187,9 @@ class RecurrentGateCore:
     (numpy releases the GIL inside ufuncs and GEMMs), or inline with one
     CPU or one item. An item reads the core's own weight buffers and forms
     its block's input [3h, block] and all its scratch itself, so the pair
-    input is never whole in memory. Gates are stored head-major ([2N, H,
+    input is never whole in memory. Besides its input, a forward item
+    holds one scratch [max(3h, N), block], which the cell overwrites in
+    place, and one state [h, block]. Gates are stored head-major ([2N, H,
     slots]) and seen as one tensor [2N,B,H,T_q,K_eff]. Items write their
     gates and hidden states by position and return their gradient
     partials, summed in item order: outputs and every gradient are bitwise
@@ -221,10 +228,12 @@ class RecurrentGateCore:
     def project_pairs(self, q: Tensor, k: Tensor,
                       pb: pairs_mod.PairBatch) -> pairs_mod.PairInput:
         """u W_u for every selected pair, [B,H,T_q,K_eff,3h], in factored
-        form: the projected queries q W_u[:D] and keys k W_u[D:]."""
-        D = q.shape[-1]
-        qp = T.matmul(q, T.narrow(self.W_u, -2, 0, D))
-        kp = T.matmul(k, T.narrow(self.W_u, -2, D, D))
+        form: the projected queries q W_u[:D] and keys k W_u[D:], each
+        [B,H,T,3h] a view of one channel-major buffer [H,3h,B,T], the
+        layout the kernel reads."""
+        D, order = q.shape[-1], (1, 3, 0, 2)
+        qp = T.matmul(q, T.narrow(self.W_u, -2, 0, D), order=order)
+        kp = T.matmul(k, T.narrow(self.W_u, -2, D, D), order=order)
         return pairs_mod.PairInput(qp, kp, pb)
 
     def unroll(self, pin: pairs_mod.PairInput, n_steps: int,
@@ -288,7 +297,9 @@ def _cell(xn: np.ndarray, hpn: np.ndarray | None, tw: np.ndarray,
     t_n w_t [3h,1]. cn [h,P] gets -c; r and z stay as their denominators
     1 + exp(-s) = 1/sigmoid(s) in d [2h,P], z's alone in its last h rows
     at step 0. exp over- or underflows only where a gate saturates, to an
-    exact d = inf or 1.
+    exact d = inf or 1. d and cn may be hpn's rows :2h and 2h:, as in the
+    forward: each element of hpn is read before its own slot is written,
+    so the cell then runs in place with the same ops and the same results.
     """
     h = cn.shape[0]
     if hpn is None:
@@ -381,15 +392,17 @@ def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
 
 def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
     """Head ``hd``'s GRU over one block of pairs: x [3h,P] (overwritten),
-    gates [2N,P], saved [N-2,h,P] for h_1 .. h_{N-2}, or None. The scratch
-    is the block's alone; it holds h_0 and h_{N-1}, which are never saved.
-    The loop writes W_o h_n into the gates, and the heads' bias, tanh,
-    softplus and +eps follow over all steps at once."""
+    gates [2N,P], saved [N-2,h,P] for h_1 .. h_{N-2}, or None. Besides x,
+    the item allocates one scratch [max(3h,N),P] and one state [h,P]: the
+    cell overwrites the hidden projection hpn with its denominators d and
+    -c in place, and the state holds h_0 and h_{N-1}, which are never
+    saved. The loop writes W_o h_n into the gates, and the heads' bias,
+    tanh, softplus and +eps follow over all steps at once."""
     C, P = x.shape
     h, N = C // 3, n_steps
     scratch = np.empty((max(C, N), P))   # hpn, then the softplus scratch
-    hpn, d = scratch[:C], np.empty((2 * h, P))
-    cn, hidden = np.empty((h, P)), np.empty((h, P))
+    hpn, hidden = scratch[:C], np.empty((h, P))
+    d, cn = hpn[:2 * h], hpn[2 * h:]
     tw = _negate_input(x, w, hd, N, dt_nominal)
     W_hnT = np.negative(w["W_h"][hd].T)
     W_o = w["W_o"][hd][::-1].copy()      # f_tau's row above f_phi's, as in gates
@@ -495,7 +508,9 @@ def _backward_block(g, x, w, hd, saved, n_steps, dt_nominal, epsilon, dt):
     h_0, then each later step's, h_{N-1} rebuilt at step N-1, where
     ``_head_grads`` reads every state; the states are bitwise the
     forward's. The gradients read z and r off the cell's denominators
-    (z dh = dh / d_z) and fold in its signs, cn = -c and hpn = -hp."""
+    (z dh = dh / d_z) and fold in its signs, cn = -c and hpn = -hp. Unlike
+    the forward's, the cell's d and cn are buffers of their own here: the
+    reset gate's gradient reads hpn's rows 2h: after the cell has run."""
     C, P = x.shape
     h, N = C // 3, n_steps
     hpn, dhp = np.empty((C, P)), np.empty((C, P))

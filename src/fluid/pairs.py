@@ -47,11 +47,14 @@ class PairInput:
     """The gate input of every selected pair, in factored form.
 
     Pair (i, j) sees qp_i + kp_j, the projections of query i and key j.
-    The [B,H,T_q,K_eff,C] array of these sums (``shape``, ``size``,
-    ``ndim``) is never built: the gate kernel forms the block of pairs
-    each work item takes with ``block``. An item names its packed pairs by
-    a selector: a slice, or an ascending index array where the backward
-    skips pairs whose logit gradient is 0.
+    The items read them channel-major, as ``_q``, ``_k`` [H, C, B*T]; where
+    qp and kp are views of that layout, as ``project_pairs`` makes them,
+    these are the same buffers, so each projection is held once, also when
+    the tape keeps qp and kp as parents. The [B,H,T_q,K_eff,C] array of
+    these sums (``shape``, ``size``, ``ndim``) is never built: the gate
+    kernel forms the block of pairs each work item takes with ``block``.
+    An item names its packed pairs by a selector: a slice, or an ascending
+    index array where the backward skips pairs whose logit gradient is 0.
 
     Slots are numbered per head in (batch, query, slot) order. The kernel
     runs on each head's packed pairs, its valid pairs in slot order;
@@ -84,9 +87,10 @@ class PairInput:
             self.pos = [np.flatnonzero(v) for v in valid]
             self.keys = [k[v] for k, v in zip(keys, valid)]
             self.counts = [p.size for p in self.pos]
-        # channel-major [H, C, B*T]: one channel of one head is contiguous
-        self._q, self._k = (np.ascontiguousarray(
-            t.data.transpose(1, 3, 0, 2)).reshape(H, C, -1) for t in (qp, kp))
+        # channel-major [H, C, B*T]: one channel of one head is contiguous;
+        # reshape copies only where qp or kp is not laid out so already
+        self._q, self._k = (t.data.transpose(1, 3, 0, 2).reshape(H, C, -1)
+                            for t in (qp, kp))
 
     def slots(self, hd: int, sel) -> np.ndarray:
         """The slots of head ``hd``'s packed pairs ``sel``, a slice or an

@@ -1,11 +1,25 @@
 """The one thread pool of the program, shared by two stages: the gate
-kernel's (head, block) work items and top-k selection's score chunks."""
+kernel's (head, block) work items and top-k selection's score chunks.
+
+The pool owns the parallelism, so BLAS runs on one thread unless the user
+set a count: threads of its own would fight the pool's workers for the
+CPUs. ``fluid`` sets the variables when it is imported before numpy; for
+a program that loaded numpy first, ``_one_blas_thread`` sets numpy's
+bundled OpenBLAS to one thread at run time, before the first pooled work.
+"""
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
+
+import numpy as np
+
+from fluid import _BLAS_VARS
 
 
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -17,6 +31,28 @@ def _new_pool():
     # object but none of its threads, so it gets a pool of its own
     global _pool
     _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="fluid-pool")
+
+
+@functools.cache
+def _one_blas_thread():
+    """One thread for numpy's bundled OpenBLAS unless one of the BLAS
+    variables is set; nothing when no such library is found."""
+    if any(var in os.environ for var in _BLAS_VARS):
+        return
+    libs = Path(np.__file__).parent.with_suffix(".libs").glob("lib*openblas*")
+    for lib in libs:
+        dll = ctypes.CDLL(str(lib))
+        # the setter of each OpenBLAS build that numpy wheels bundle
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            set_threads = getattr(dll, name, None)
+            if set_threads is not None:
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                set_threads(1)
+                return
 
 
 _new_pool()
@@ -38,6 +74,7 @@ def _run_items(fn, items: list[tuple]) -> list:
     """
     if min(_WORKERS, len(items)) <= 1:
         return [fn(*item) for item in items]
+    _one_blas_thread()
     futures = [_pool.submit(contextvars.copy_context().run, fn, *item)
                for item in items]
     wait(futures)

@@ -285,8 +285,13 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(out, (a,), rule)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; batch axes broadcast."""
+def matmul(a: Tensor, b: Tensor, order: tuple | None = None) -> Tensor:
+    """Matrix product over the last two axes; batch axes broadcast.
+
+    With ``order``, an axis permutation, the product is copied into a
+    buffer laid out in that axis order, and the result is a view of it:
+    the same values, held once, in the layout a caller reads.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must have rank >= 2, "
                          f"got {a.shape} and {b.shape}")
@@ -298,6 +303,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: batch dimensions of {a.shape} and "
                          f"{b.shape} do not broadcast")
+    if order is not None:
+        out = np.ascontiguousarray(out.transpose(order)).transpose(
+            np.argsort(order))
 
     def rule(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -412,9 +420,10 @@ def gather_weighted(alpha: Tensor, x: Tensor, idx: np.ndarray) -> Tensor:
     return _node(out.reshape(B, H, T_q, D), (alpha, x), rule)
 
 
-# gathered scalars per chunk of ``gather_weighted`` (8 MB, one top-k score
-# chunk of ``pairs``)
-_VALUE_CHUNK = 1 << 20
+# gathered scalars per chunk of ``gather_weighted``: 2 MB, the size of a
+# row slice of top-k ranking in ``pairs``; chunks of 8 MB set the peak of
+# an inference pass
+_VALUE_CHUNK = 1 << 18
 # added to the variance in ``layer_norm`` before the inverse square root
 _LN_EPS = 1e-5
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import json
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -356,6 +358,78 @@ def test_a_forward_item_makes_a_fixed_number_of_numpy_calls_per_step(
     # a later step: the hidden GEMM, 8 calls of the cell, 3 of the state
     # update and the heads' GEMM
     assert calls(6) - at_5 <= 13
+
+
+def test_the_cell_in_place_on_the_hidden_projection_matches_separate_buffers():
+    # the forward passes d = hpn[:2h] and cn = hpn[2h:]; saturated entries
+    # take the overflow path of the denominators too
+    rng = np.random.default_rng(89)
+    h, P = 5, 257
+    xn, hpn = rng.standard_normal((2, 3 * h, P)) * 3.0
+    xn[0, :7] = 800.0
+    hpn[1, 3:9] = -800.0
+    tw = rng.standard_normal((3 * h, 1))
+    d, cn, alias = np.empty((2 * h, P)), np.empty((h, P)), hpn.copy()
+    A._cell(xn, hpn, tw, d, cn)
+    A._cell(xn, alias, tw, alias[:2 * h], alias[2 * h:])
+    assert np.isinf(d).any()
+    assert np.array_equal(alias, np.concatenate([d, cn]))
+
+
+@pytest.mark.parametrize("n_steps", [2, 5, 60])
+def test_a_forward_item_allocates_one_scratch_and_one_state(n_steps):
+    # the cell writes its denominators and -c over the hidden projection:
+    # beyond the caller's input and gates, an item holds [max(3h, N), P]
+    # and [h, P], plus its copies of the head's small weights and numpy's
+    # 64 KB ufunc buffer, which broadcasting the [3h, 1] time terms takes
+    rng = np.random.default_rng(97)
+    h, P = 16, 4096
+    core = A.RecurrentGateCore(2 * h, h, 1e-3, rng, heads=1)
+    w = {n: p.data for n, p in core.parameters().items()}
+    x = rng.standard_normal((3 * h, P))
+    gates = np.empty((2 * n_steps, P))
+    weights = 8 * (2 * h * 3 * h + n_steps * 3 * h)
+    tracemalloc.start()
+    try:
+        A._forward_block(x, w, 0, n_steps, 1 / n_steps, core.epsilon, gates,
+                         None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(gates).all()
+    assert peak <= (max(3 * h, n_steps) + h) * P * 8 + weights + 70_000, peak
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
+    # the [B,H,T,3h] products are copied channel-major and freed; the
+    # tensors the tape keeps as parents are views of the kernel's arrays
+    rng = np.random.default_rng(101)
+    core = A.RecurrentGateCore(8, 4, 1e-3, rng, heads=2)
+    q = Tensor(rng.standard_normal((2, 2, 9, 4)), requires_grad=taped)
+    k = Tensor(rng.standard_normal((2, 2, 7, 4)), requires_grad=taped)
+    pb = pairs.topk_concat(q, k, 3)
+    products, matmul = [], np.matmul
+
+    def spy(*args, **kwargs):
+        out = matmul(*args, **kwargs)
+        products.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(np, "matmul", spy)
+    with contextlib.nullcontext() if taped else T.no_grad():
+        pin = core.project_pairs(q, k, pb)
+    monkeypatch.setattr(np, "matmul", matmul)
+    gc.collect()
+    assert len(products) == 2 and all(ref() is None for ref in products)
+    assert np.shares_memory(pin.qp.data, pin._q)
+    assert np.shares_memory(pin.kp.data, pin._k)
+    assert pin.qp.requires_grad == taped
+    with T.no_grad():
+        want = (T.matmul(q, T.narrow(core.W_u, -2, 0, 4)).data,
+                T.matmul(k, T.narrow(core.W_u, -2, 4, 4)).data)
+    assert np.array_equal(pin.qp.data, want[0])
+    assert np.array_equal(pin.kp.data, want[1])
 
 
 def test_fused_gates_pass_grad_check():
@@ -840,6 +914,41 @@ print(json.dumps({{"env": {{v: os.environ.get(v) for v in {_BLAS_THREADS!r}}},
                           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     if user is None and got["blas"] is not None:
         assert got["blas"] == [1] * 4
+
+
+@pytest.mark.parametrize("user", [None, "2"])
+def test_pooled_items_run_blas_on_one_thread_after_numpy_loaded_first(user):
+    # numpy has read the variables already; fluid.pool sets the loaded
+    # OpenBLAS at run time, and leaves a count the user set
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"""
+import ctypes, glob, json, os, sys
+import numpy
+libs = glob.glob(os.path.dirname(numpy.__file__) + ".libs/libscipy_openblas*")
+get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_",
+              None) if libs else None
+if get is None:
+    print("null")
+    sys.exit()
+get.argtypes, get.restype = [], ctypes.c_int
+before = get()
+sys.path.insert(0, {src!r})
+from fluid import pool
+print(json.dumps([before, pool._run_items(get, [()] * 4)]))
+"""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = user
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    if got is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count is readable")
+    before, pooled = got
+    assert pooled == [int(user) if user else 1] * 4
+    if user is None and pool._WORKERS > 1:
+        assert before > 1      # OpenBLAS's default, which the pool overrides
 
 
 def test_importing_fluid_after_numpy_leaves_the_blas_variables_unset():

@@ -305,7 +305,8 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "bench-negative-seed",
                                   "verify-negative-seed",
                                   "generate-negative-fluid-seed",
-                                  "generate-negative-noise"])
+                                  "generate-negative-noise",
+                                  "generate-nan-noise"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                            monkeypatch, case):
     malformed = tmp_path / "malformed.json"
@@ -437,6 +438,8 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                          "--out", str(tmp_path / "s.csv")],
         "generate-negative-noise": ["generate", "spiral", "--noise", "-0.5",
                                     "--out", str(tmp_path / "s.csv")],
+        "generate-nan-noise": ["generate", "spiral", "--noise", "nan",
+                               "--out", str(tmp_path / "s.csv")],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -483,7 +486,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
             "bench-negative-seed": "seed must be >= 0",
             "verify-negative-seed": "seed -1 must be >= 0",
             "generate-negative-fluid-seed": "FLUID_SEED='-1' must be >= 0\n",
-            "generate-negative-noise": "fluid generate: noise_std must be >= 0\n"}
+            "generate-negative-noise": "fluid generate: noise_std must be >= 0\n",
+            "generate-nan-noise":
+                "fluid generate: noise_std must be a finite number, not nan\n"}
     if case in said:
         assert said[case] in err, err
         assert not list(tmp_path.glob("[es].csv"))

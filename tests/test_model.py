@@ -9,6 +9,7 @@ import pytest
 
 from fluid import attention as A
 from fluid import bench as BN
+from fluid import data as D
 from fluid import model as M
 from fluid import tensor as T
 from fluid import training as TR
@@ -196,6 +197,29 @@ def test_bound_errors_name_exactly_the_fields_out_of_bounds(make, message):
     with pytest.raises(ValueError) as err:
         make()
     assert str(err.value) == message
+
+
+_REAL_FIELDS = {
+    "epsilon": lambda v: A.LanConfig(d_model=8, heads=2, epsilon=v),
+    "lr": lambda v: TR.TrainConfig(lr=v),
+    "weight_decay": lambda v: TR.TrainConfig(weight_decay=v),
+    "grad_clip": lambda v: TR.TrainConfig(grad_clip=-v),
+    "noise_std": lambda v: D.SpiralSpec(noise_std=v),
+    "r0": lambda v: D.SpiralSpec(r0=v),
+    "r_slope": lambda v: D.SpiralSpec(r_slope=-v),
+    "t_end": lambda v: D.SpiralSpec(t_end=v),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", list(_REAL_FIELDS))
+def test_real_config_fields_must_be_finite(field, value):
+    # NaN passes every bound check by comparison, and inf saturates: an
+    # inf epsilon would clamp dt to 0 and keep every logit at 0
+    with pytest.raises(ValueError) as err:
+        _REAL_FIELDS[field](value)
+    assert str(err.value).startswith(f"{field} must be a finite number, not ")
+    assert TR.TrainConfig(grad_clip=0).grad_clip == 0   # clipping off
 
 
 def test_embedding_shared_between_encoder_and_decoder():
