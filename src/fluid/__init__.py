@@ -4,8 +4,8 @@ Attention logits are the state of a gated linear ODE integrated by
 explicit Euler under a stability clamp; residual paths can be replaced
 by (liquid) hyper-connections. The package ships the model, independent
 reference baselines, verification suites for the stability and limit
-properties, a desk-scale training harness, and a runtime/memory
-benchmark.
+properties and a desk-scale training harness. Runtime and memory are
+measured by ``perfbench/``, outside the package.
 """
 
 import os

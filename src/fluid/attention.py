@@ -347,11 +347,6 @@ def _negate_input(x, w, hd, n_steps, dt_nominal):
 _BLOCK_PAIRS = 4096
 
 
-def gate_workers() -> int:
-    """The number of threads of the pool that gates and top-k share."""
-    return pool._WORKERS
-
-
 def _blocks(P: int) -> list[tuple[int, int]]:
     """[start, stop) of contiguous, balanced blocks of at most _BLOCK_PAIRS
     pairs each, none for no pairs. The cut depends on P alone, never on

@@ -1,4 +1,4 @@
-"""Command-line surface: generate, train, eval, verify, bench.
+"""Command-line surface: generate, train, eval, verify.
 
 Exit codes: 0 on success, 1 on failed verification or diverged training,
 2 on usage errors: bad arguments (argparse default), and any ValueError or
@@ -19,7 +19,6 @@ import warnings
 import numpy as np
 
 from fluid import attention as A
-from fluid import bench as BN
 from fluid import data as D
 from fluid import model as M
 from fluid import training as TR
@@ -52,17 +51,17 @@ def _load_json(path: str | None) -> dict:
     return cfg
 
 
-def _check_keys(path: str | None, cfg: dict, known):
-    """Raise on the keys of the config file ``path`` that ``known`` lacks
-    (a dict ``known`` gives each section's keys)."""
-    unknown = [key for key in cfg if key not in known]
+def _check_keys(path: str | None, cfg: dict, sections: dict):
+    """Raise on the sections of the config file ``path``, and the keys
+    within them, that ``sections`` (each section's keys) lacks."""
+    unknown = [sec for sec in cfg if sec not in sections]
     for sec in cfg:
-        if isinstance(known, dict) and sec in known:
+        if sec in sections:
             if not isinstance(cfg[sec], dict):
                 raise ValueError(f"section {sec!r} of {path} is not a JSON "
                                  "object")
             unknown += [f"{sec}.{key}" for key in cfg[sec]
-                        if key not in known[sec]]
+                        if key not in sections[sec]]
     if unknown:
         raise ValueError(f"unknown key(s) in {path}: "
                          f"{', '.join(sorted(unknown))}")
@@ -194,25 +193,11 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_bench(args) -> int:
-    cfg = _load_json(args.config)
-    _check_keys(args.config, cfg, _field_names(BN.BenchDims))
-    dims = BN.BenchDims(**{"d_model": args.d_model, "heads": args.heads,
-                           "seq_len": args.seq_len, "top_k": args.top_k} | cfg)
-    dims = dataclasses.replace(dims, seed=_seed_override(dims.seed))
-    report = BN.bench(dims, reps=args.reps)
-    print("run_time_s,throughput_seq_per_s,peak_memory_mb")
-    print(f"{report['run_time_s']:.6f},{report['throughput_seq_per_s']:.4f},"
-          f"{report['peak_memory_mb']:.3f}")
-    print(json.dumps(report, indent=2))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fluid",
                                 description="Liquid-attention transformer: "
-                                            "datasets, training, verification "
-                                            "suites, and benchmarks.")
+                                            "datasets, training and "
+                                            "verification suites.")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic dataset CSV")
@@ -255,14 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 
-    b = sub.add_parser("bench", help="runtime/memory benchmark")
-    b.add_argument("--config", help="JSON with bench dims")
-    b.add_argument("--d-model", type=int, default=64)
-    b.add_argument("--heads", type=int, default=4)
-    b.add_argument("--seq-len", type=int, default=1024)
-    b.add_argument("--top-k", type=int, default=None)
-    b.add_argument("--reps", type=int, default=10)
-    b.set_defaults(func=cmd_bench)
     return p
 
 

@@ -213,6 +213,9 @@ class FluidModel:
         if L > self.cfg.max_len:
             raise ValueError(f"sequence length {L} exceeds configured "
                              f"max_len {self.cfg.max_len}")
+        if values.shape[-1] != self.cfg.in_features:
+            raise ValueError(f"values have {values.shape[-1]} features; the "
+                             f"model takes {self.cfg.in_features}")
         feats = Tensor(np.concatenate([values, times[..., None]], axis=-1))
         emb = T.add(T.matmul(feats, self.W_e), self.b_e)
         pe = Tensor(self.pos.data[:L])

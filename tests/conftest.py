@@ -4,6 +4,8 @@ These are deliberately naive (loops, direct formulas) so they stay
 independent of the library code paths they check.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from fluid import tensor as T
@@ -45,6 +47,21 @@ def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated during one ``fn()``."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 # --------------------------------------------------------------------------

@@ -6,11 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from fluid import attention as A
-from fluid import bench as BN
 from fluid import cli
 from fluid import data as D
 from fluid import model as M
@@ -26,79 +23,6 @@ def run_fluid(*args):
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, "-m", "fluid.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
-
-
-def test_bench_reports_time_and_traced_peak():
-    proc = run_fluid("bench", "--d-model", "8", "--heads", "2",
-                     "--seq-len", "16", "--reps", "3")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "run_time_s,throughput_seq_per_s,peak_memory_mb"
-    report = json.loads("\n".join(lines[2:]))
-    assert report["reps"] == 3
-    assert report["run_time_s"] > 0
-    assert report["peak_memory_mb"] > 0
-
-
-def _bench(tmp_path, config, capsys):
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(config))
-    code = cli.main(["bench", "--config", str(path), "--reps", "3"])
-    return code, capsys.readouterr()
-
-
-BENCH_CONFIG = {"d_model": 8, "heads": 2, "seq_len": 6, "ffn_dim": 4}
-
-
-def test_bench_config_sets_ffn_dim(tmp_path, capsys, monkeypatch):
-    seen = {}
-    factory = BN.default_model_factory
-
-    def spy(dims):
-        seen["ffn_dim"] = dims.ffn_dim
-        return factory(dims)
-
-    monkeypatch.setattr(BN, "default_model_factory", spy)
-    code, out = _bench(tmp_path, BENCH_CONFIG, capsys)
-    assert code == 0, out.err
-    assert seen["ffn_dim"] == 4
-    report = json.loads("\n".join(out.out.splitlines()[2:]))
-    assert report["dims"]["ffn_dim"] == 4
-
-
-def test_bench_config_rejects_unknown_keys(tmp_path, capsys):
-    code, out = _bench(tmp_path, dict(BENCH_CONFIG, ffn=4, seqlen=6), capsys)
-    assert code == 2
-    assert "ffn, seqlen" in out.err
-    assert out.out == ""
-
-
-def test_bench_report_names_workers_cpus_and_numpy(tmp_path, capsys):
-    code, out = _bench(tmp_path, BENCH_CONFIG, capsys)
-    assert code == 0, out.err
-    report = json.loads("\n".join(out.out.splitlines()[2:]))
-    assert report["gate_workers"] == A.gate_workers() >= 1
-    assert report["cpu_count"] == os.cpu_count()
-    assert report["numpy_version"] == np.__version__
-
-
-@pytest.mark.parametrize("flags, config", [
-    (["--seq-len", "0"], {}),
-    (["--top-k", "0"], {}),
-    ([], {"batch": 0}),
-    ([], {"euler_steps": 0}),
-    ([], {"ffn_dim": -1}),
-], ids=["seq_len", "top_k", "batch", "euler_steps", "ffn_dim"])
-def test_bench_rejects_dims_below_one(tmp_path, capsys, flags, config):
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(config))
-    code = cli.main(["bench", "--d-model", "8", "--heads", "2", "--reps", "3",
-                     "--config", str(path)] + flags)
-    out = capsys.readouterr()
-    assert code == 2 and out.out == ""
-    assert out.err.startswith("fluid bench: ") and out.err.count("\n") == 1
-    name = flags[0][2:].replace("-", "_") if flags else next(iter(config))
-    assert name in out.err
 
 
 TINY_CONFIG = {"model": {"d_model": 8, "heads": 2, "euler_steps": 2,
@@ -272,16 +196,14 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
     assert summary["mean"] is None and summary["std"] is None
 
 
-@pytest.mark.parametrize("case", ["bench-reps", "generate-subsample",
+@pytest.mark.parametrize("case", ["generate-subsample",
                                   "eval-missing-checkpoint",
-                                  "bench-missing-config", "bench-malformed-config",
-                                  "train-missing-data", "bench-heads",
-                                  "train-heads", "train-empty-data",
+                                  "train-missing-config", "train-malformed-config",
+                                  "train-missing-data", "train-heads", "train-empty-data",
                                   "train-negative-batch", "train-zero-folds",
                                   "train-negative-folds",
                                   "train-negative-layers", "train-zero-ffn",
-                                  "bench-list-config", "bench-key-list-config",
-                                  "train-list-config", "generate-empty-pixels",
+                                  "train-key-list-config", "train-list-config", "generate-empty-pixels",
                                   "generate-zero-subsample",
                                   "train-one-point-sequence",
                                   "train-header-only", "eval-header-only",
@@ -293,7 +215,6 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-string-ratios", "train-string-layers",
                                   "train-string-streams",
                                   "train-fractional-ffn",
-                                  "bench-string-seq-len",
                                   "train-string-sink-gate-enabled",
                                   "train-old-sink-gate-key",
                                   "verify-string-fluid-seed",
@@ -302,19 +223,20 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-zero-max-len", "train-negative-seed",
                                   "train-negative-train-seed",
                                   "generate-negative-seed",
-                                  "bench-negative-seed",
                                   "verify-negative-seed",
                                   "generate-negative-fluid-seed",
                                   "generate-negative-noise",
-                                  "generate-nan-noise"])
+                                  "generate-nan-noise",
+                                  "eval-three-feature-data"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                            monkeypatch, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
     missing = str(tmp_path / "missing")
     data, empty = tmp_path / "spirals.csv", tmp_path / "empty.csv"
-    D.write_dataset_csv(str(data), D.generate_spirals(
-        D.SpiralSpec(n_spirals=10, n_points=30, n_subsample=12)))
+    spirals = D.generate_spirals(
+        D.SpiralSpec(n_spirals=10, n_points=30, n_subsample=12))
+    D.write_dataset_csv(str(data), spirals)
     empty.write_text("")
     header_only = tmp_path / "header_only.csv"
     header_only.write_text("seq_id,t,feature_0,feature_1,mask\n")
@@ -339,6 +261,11 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                   "generate-negative-fluid-seed": "-1"}
     if case in fluid_seed:
         monkeypatch.setenv("FLUID_SEED", fluid_seed[case])
+    # the spirals with their first feature again as a third one
+    three = tmp_path / "three.csv"
+    D.write_dataset_csv(str(three), [
+        D.EventSequence(values=s.values[:, [0, 1, 0]], times=s.times,
+                        mask=s.mask) for s in spirals])
     one_point = tmp_path / "one_point.csv"
     D.write_dataset_csv(str(one_point), D.read_dataset_csv(str(data)) + [
         D.EventSequence(values=[[0.1, 0.2]], times=[1.0], mask=[True])])
@@ -346,8 +273,7 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                "train-negative-batch": dict(TINY_CONFIG, train={"batch_size": -1}),
                "train-negative-layers": {"model": {"n_layers": -2}},
                "train-zero-ffn": {"model": {"ffn_dim": 0}},
-               "bench-list-config": [1], "bench-key-list-config": ["d_model"],
-               "train-list-config": [1],
+               "train-key-list-config": ["model"], "train-list-config": [1],
                "train-null-section": {"model": None},
                "train-list-section": dict(TINY_CONFIG, train=[1]),
                "train-one-ratio": dict(TINY_CONFIG, data={"ratios": [1.0]}),
@@ -361,30 +287,29 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                "train-string-streams": {"model": {"hc_mode": "static",
                                                   "hc_streams": "x"}},
                "train-fractional-ffn": {"model": {"ffn_dim": 2.5}},
-               "bench-string-seq-len": {"seq_len": "x"},
                "train-string-sink-gate-enabled":
                    {"model": {"sink_gate_enabled": "no"}},
                "train-old-sink-gate-key": {"model": {"sink_gate": False}},
                "train-unknown-gate-mode": {"model": {"gate_mode": "x"}},
                "train-zero-max-len": {"model": {"max_len": 0}},
                "train-negative-seed": {"model": {"seed": -1}},
-               "train-negative-train-seed": dict(TINY_CONFIG, train={"seed": -1}),
-               "bench-negative-seed": {"seed": -1}}
+               "train-negative-train-seed": dict(TINY_CONFIG, train={"seed": -1})}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(configs.get(case, TINY_CONFIG)))
     train = ["train", "--out", str(tmp_path / "run"), "--config", str(config),
              "--data"]
     argv = {
-        "bench-reps": ["bench", "--reps", "2"],
         "generate-subsample": ["generate", "spiral", "--points", "10",
                                "--subsample", "20",
                                "--out", str(tmp_path / "s.csv")],
         "eval-missing-checkpoint": ["eval", "--checkpoint", missing,
                                     "--data", missing],
-        "bench-missing-config": ["bench", "--config", missing],
-        "bench-malformed-config": ["bench", "--config", str(malformed)],
+        "train-missing-config": ["train", "--data", str(data), "--out",
+                                 str(tmp_path / "run"), "--config", missing],
+        "train-malformed-config": ["train", "--data", str(data), "--out",
+                                   str(tmp_path / "run"), "--config",
+                                   str(malformed)],
         "train-missing-data": train + [missing],
-        "bench-heads": ["bench", "--heads", "0"],
         "train-heads": train + [str(data)],
         "train-empty-data": train + [str(empty)],
         "train-negative-batch": train + [str(data)],
@@ -392,8 +317,7 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
         "train-negative-folds": train + [str(data), "--folds", "-3"],
         "train-negative-layers": train + [str(data)],
         "train-zero-ffn": train + [str(data)],
-        "bench-list-config": ["bench", "--config", str(config)],
-        "bench-key-list-config": ["bench", "--config", str(config)],
+        "train-key-list-config": train + [str(data)],
         "train-list-config": train + [str(data)],
         "generate-empty-pixels": ["generate", "events", "--pixels", str(empty),
                                   "--out", str(tmp_path / "e.csv")],
@@ -416,7 +340,6 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
         "train-string-layers": train + [str(data)],
         "train-string-streams": train + [str(data)],
         "train-fractional-ffn": train + [str(data)],
-        "bench-string-seq-len": ["bench", "--config", str(config)],
         "train-string-sink-gate-enabled": train + [str(data)],
         "train-old-sink-gate-key": train + [str(data)],
         "verify-string-fluid-seed": ["verify", "--suite", "limits"],
@@ -432,7 +355,6 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
         "train-negative-train-seed": train + [str(data)],
         "generate-negative-seed": ["generate", "spiral", "--seed", "-1",
                                    "--out", str(tmp_path / "s.csv")],
-        "bench-negative-seed": ["bench", "--config", str(config)],
         "verify-negative-seed": ["verify", "--seed", "-1"],
         "generate-negative-fluid-seed": ["generate", "spiral",
                                          "--out", str(tmp_path / "s.csv")],
@@ -440,13 +362,15 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                     "--out", str(tmp_path / "s.csv")],
         "generate-nan-noise": ["generate", "spiral", "--noise", "nan",
                                "--out", str(tmp_path / "s.csv")],
+        "eval-three-feature-data": ["eval", "--checkpoint", checkpoint,
+                                    "--data", str(three)],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"fluid {argv[0]}: ") and err.count("\n") == 1, err
-    named = {"bench-malformed-config": malformed, "train-empty-data": empty,
-             "bench-list-config": config, "bench-key-list-config": config,
-             "train-list-config": config, "train-header-only": header_only,
+    named = {"train-missing-config": missing,
+             "train-malformed-config": malformed, "train-empty-data": empty,
+             "train-key-list-config": config, "train-list-config": config, "train-header-only": header_only,
              "eval-header-only": header_only, "train-null-section": config,
              "train-list-section": config}
     if case in named:
@@ -469,7 +393,6 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
             "train-string-layers": "n_layers must be an integer, not 'x'",
             "train-string-streams": "hc_streams must be an integer, not 'x'",
             "train-fractional-ffn": "ffn_dim must be an integer, not 2.5",
-            "bench-string-seq-len": "seq_len must be an integer, not 'x'",
             "train-string-sink-gate-enabled":
                 "sink_gate_enabled must be true or false, not 'no'",
             "train-old-sink-gate-key": "unknown key(s) in "
@@ -483,12 +406,13 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
             "train-negative-seed": "seed must be >= 0",
             "train-negative-train-seed": "seed must be >= 0",
             "generate-negative-seed": "seed must be >= 0",
-            "bench-negative-seed": "seed must be >= 0",
             "verify-negative-seed": "seed -1 must be >= 0",
             "generate-negative-fluid-seed": "FLUID_SEED='-1' must be >= 0\n",
             "generate-negative-noise": "fluid generate: noise_std must be >= 0\n",
             "generate-nan-noise":
-                "fluid generate: noise_std must be a finite number, not nan\n"}
+                "fluid generate: noise_std must be a finite number, not nan\n",
+            "eval-three-feature-data":
+                "fluid eval: values have 3 features; the model takes 2\n"}
     if case in said:
         assert said[case] in err, err
         assert not list(tmp_path.glob("[es].csv"))
@@ -529,6 +453,14 @@ def test_eval_rejects_a_manifest_without_config_or_params(tmp_path, capsys, key)
     err = capsys.readouterr().err
     assert err.startswith("fluid eval: ") and err.count("\n") == 1, err
     assert f"'{key}'" in err and str(run / "final") in err
+
+
+def test_bench_is_no_command(capsys):
+    # perfbench/ measures runtime and memory
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["bench"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_verify_exit_codes():

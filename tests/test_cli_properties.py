@@ -2,9 +2,8 @@
 config values or FLUID_SEED, each command exits 0, or exits 2 with
 exactly one line on stderr. Any other outcome, a traceback among them,
 fails. Each example starts from a working command and changes up to two
-of its values. Runs stay tiny (epochs <= 1, three bench reps, sequences
-of at most 8 points) and the examples are fixed, so the suite is
-deterministic.
+of its values. Runs stay tiny (epochs <= 1, sequences of at most 8
+points) and the examples are fixed, so the suite is deterministic.
 """
 
 import contextlib
@@ -38,7 +37,6 @@ TINY_MODEL = {"d_model": 4, "heads": 2, "euler_steps": 1, "ffn_dim": 4}
 SPIRAL_ARGS = {"--n": 2, "--points": 10, "--subsample": 8, "--noise": 0.02,
                "--seed": 0}
 EVENT_ARGS = {"--threshold": 128.0, "--pad-to": 16}
-BENCH_ARGS = {"--d-model": 4, "--heads": 2, "--seq-len": 8, "--reps": 3}
 # other valid values; "dropout" is no config key
 GOOD = {"d_model": [8], "heads": [1], "euler_steps": [2], "ffn_dim": [2],
         "top_k": [None, 1, 3], "epsilon": [0.1],
@@ -49,11 +47,9 @@ GOOD = {"d_model": [8], "heads": [1], "euler_steps": [2], "ffn_dim": [2],
         "betas": [[0.9, 0.999], [0.5, 0.0]], "weight_decay": [0.0, 0.1],
         "epochs": [0, 1], "batch_size": [1, 4], "loss": ["mse", "mae"],
         "metric": ["mae", "mse"], "grad_clip": [0.0, 1.0],
-        "ratios": [[0.6, 0.2, 0.2], [0.5, 0.25, 0.25]], "batch": [1, 2],
-        "seq_len": [1, 8], "dropout": [0.1],
+        "ratios": [[0.6, 0.2, 0.2], [0.5, 0.25, 0.25]], "dropout": [0.1],
         "--n": [1, 3], "--points": [8], "--subsample": [2], "--noise": [0.0],
-        "--seed": [2], "--threshold": [0.0], "--pad-to": [8],
-        "--d-model": [8], "--heads": [1], "--seq-len": [1], "--top-k": [2]}
+        "--seed": [2], "--threshold": [0.0], "--pad-to": [8]}
 MODEL_KEYS = sorted(TINY_MODEL) + [
     "top_k", "epsilon", "sink_gate_enabled", "n_layers", "hc_mode",
     "hc_streams", "max_len", "gate_mode", "seed", "dropout"]
@@ -166,18 +162,3 @@ def test_eval_exits_0_or_2_with_one_line(spirals, edits, metric, ratios, env):
             json.dump(saved, fh)
         _assert_clean_exit(["eval", "--checkpoint", ckpt, "--data", data,
                             "--metric", metric, "--ratios", *ratios], env)
-
-
-@PROPERTY
-@given(edits=_edits(["--d-model", "--heads", "--seq-len", "--top-k"],
-                    ODD_NUMBER),
-       config=_edits(["batch", "seq_len", "top_k", "euler_steps", "ffn_dim",
-                      "seed", "dropout"]),
-       env=FLUID_SEED)
-def test_bench_exits_0_or_2_with_one_line(edits, config, env):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "bench.json")
-        with open(path, "w") as fh:
-            json.dump(dict(config), fh)
-        options = BENCH_ARGS | dict(edits) | {"--config": path}
-        _assert_clean_exit(["bench", *_argv(options)], env)

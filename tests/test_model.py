@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fluid import attention as A
-from fluid import bench as BN
 from fluid import data as D
 from fluid import model as M
 from fluid import tensor as T
@@ -168,11 +167,41 @@ def test_model_rejects_overlong_sequences():
                       query_times=np.zeros((1, 2)))
 
 
+def test_model_names_a_feature_count_mismatch():
+    model = M.FluidModel(_cfg())
+    with pytest.raises(ValueError) as err:
+        model.forward(values=np.zeros((1, 5, 3)),
+                      times=np.arange(5.0)[None], query_times=np.ones((1, 2)))
+    assert str(err.value) == "values have 3 features; the model takes 2"
+
+
+@pytest.mark.parametrize("kw", [
+    {}, {"top_k": 3}, {"hc_mode": "liquid", "hc_streams": 2},
+    {"hc_mode": "static", "hc_streams": 2, "n_layers": 2, "top_k": 3},
+], ids=["full", "top-k", "liquid", "static-two-layers-top-k"])
+def test_no_grad_forward_and_evaluate_match_the_tape(kw):
+    data = D.spiral_arrays(D.generate_spirals(
+        D.SpiralSpec(n_spirals=5, n_points=30, n_subsample=12, seed=4)))
+    assert not data["mask"].all() and not data["target_mask"].all()
+    model = M.FluidModel(_cfg(seed=6, **kw))
+    batch = [data[key] for key in ("values", "times", "query_times", "mask")]
+    taped = model.forward(*batch)
+    assert taped._backward is not None
+    with T.no_grad():
+        free = model.forward(*batch)
+    assert free._backward is None
+    np.testing.assert_array_equal(free.data, taped.data)
+    for metric in ("mae", "mse"):
+        assert TR.evaluate(model, data, metric) == TR.loss(
+            metric, taped, data["targets"], data["target_mask"]).item()
+
+
 @pytest.mark.parametrize("field, value, problem", [
     ("gate_mode", "x", "unknown gate_mode 'x'"),
     ("in_features", 0, "in_features must be >= 1"),
     ("out_dim", 0, "out_dim must be >= 1"),
     ("max_len", 0, "max_len must be >= 1"),
+    ("euler_steps", 0, "euler_steps must be >= 1"),
     ("seed", -1, "seed must be >= 0"),
     ("sink_gate_enabled", "no", "sink_gate_enabled must be true or false"),
     ("causal", 1, "causal must be true or false"),
@@ -190,9 +219,7 @@ def test_config_rejects_a_bad_field_at_construction(field, value, problem):
      "ffn_dim, hc_streams must be >= 1"),
     (lambda: TR.TrainConfig(epochs=-1, batch_size=0), "batch_size must be >= 1"),
     (lambda: TR.TrainConfig(epochs=-1, seed=-2), "epochs, seed must be >= 0"),
-    (lambda: BN.BenchDims(seq_len=0, heads=0, top_k=0),
-     "heads, seq_len, top_k must be >= 1"),
-], ids=["lan-heads", "lan-three", "model", "train-ones", "train-zeros", "bench"])
+], ids=["lan-heads", "lan-three", "model", "train-ones", "train-zeros"])
 def test_bound_errors_name_exactly_the_fields_out_of_bounds(make, message):
     with pytest.raises(ValueError) as err:
         make()

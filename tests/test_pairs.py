@@ -4,12 +4,12 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import pair_sum, topk_sort
+from conftest import pair_sum, peak_bytes, topk_sort
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fluid import bench, pairs, pool, tensor as T
+from fluid import pairs, pool, tensor as T
 from fluid.tensor import Tensor
 
 
@@ -235,7 +235,7 @@ def test_topk_never_holds_a_whole_candidate_mask(monkeypatch, workers):
     outputs = B * H * T * K * 9
     item = T * T * 8 + 3 * pairs._SLICE_SCORES * 8 // 2
     bound = outputs + workers * item
-    peak = bench.peak_bytes(lambda: pairs.topk_concat(q, k, K))
+    peak = peak_bytes(lambda: pairs.topk_concat(q, k, K))
     assert peak < bound
     assert peak + B * H * T * T > bound             # room for no candidate mask
 

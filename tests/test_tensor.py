@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (central_difference, matmul_triple_loop, max_rel_error,
-                      softplus)
-from fluid import bench
+                      peak_bytes, softplus)
 from fluid import tensor as T
 from fluid import training as TR
 from fluid.tensor import Tensor
@@ -416,7 +415,7 @@ def test_no_grad_suppresses_tape():
 
 def test_allocation_tracking_peak():
     # tensor buffers are plain numpy allocations, which tracemalloc sees
-    assert bench.peak_bytes(lambda: Tensor(np.zeros(1000))) >= 8000
+    assert peak_bytes(lambda: Tensor(np.zeros(1000))) >= 8000
     assert not tracemalloc.is_tracing()
 
 
@@ -493,8 +492,8 @@ def test_gather_weighted_never_holds_the_gathered_values():
     v_sel_bytes = B * H * T_q * K * D * 8
     assert v_sel_bytes >= 16 * 2 ** 20
     with T.no_grad():
-        peak = bench.peak_bytes(lambda: T.gather_weighted(alpha, x, idx))
+        peak = peak_bytes(lambda: T.gather_weighted(alpha, x, idx))
     assert peak < v_sel_bytes
     out = T.gather_weighted(alpha, x, idx)
     g = rng.standard_normal(out.shape)
-    assert bench.peak_bytes(lambda: out._backward(g)) < v_sel_bytes
+    assert peak_bytes(lambda: out._backward(g)) < v_sel_bytes
