@@ -151,9 +151,9 @@ class LogitTrajectory:
 class RecurrentGateCore:
     """GRU over the refinement axis with tanh/softplus projection heads.
 
-    Hidden size equals the per-head dimension; the hidden state is carried
+    Hidden size equals the per-head dimension D; the hidden state is carried
     across Euler steps, independently per pair, starting from zero. The
-    step input is [u; t_n] with u = [q; k] and t_n = n * dt_nominal.
+    step input is [u; t_n] with u = [q; k], 2D wide, and t_n = n * dt_nominal.
 
     Every weight leads with the head axis, in the layout the kernel
     reads: W_u [H,2D,3h], w_t and b_x [H,3h], W_h [H,h,3h] (the 3h axis
@@ -198,14 +198,14 @@ class RecurrentGateCore:
     rest add exactly 0 to every gradient (see ``_gru_backward``).
     """
 
-    def __init__(self, pair_dim: int, hidden_dim: int, epsilon: float,
+    def __init__(self, head_dim: int, epsilon: float,
                  rng: np.random.Generator, heads: int):
-        h = hidden_dim
-        in_dim = pair_dim + 1  # the step time rides along with u
+        h = head_dim
+        in_dim = 2 * h + 1  # the step time rides along with u
         self.hidden_dim = h
         self.heads = heads
         self.epsilon = float(epsilon)
-        self.W_u = uniform_init(rng, (heads, pair_dim, 3 * h), in_dim)
+        self.W_u = uniform_init(rng, (heads, 2 * h, 3 * h), in_dim)
         self.w_t = uniform_init(rng, (heads, 3 * h), in_dim)
         self.b_x = uniform_init(rng, (heads, 3 * h), in_dim)
         self.W_h = uniform_init(rng, (heads, h, 3 * h), h)
@@ -577,14 +577,14 @@ def _backward_block(g, x, w, hd, saved, n_steps, dt_nominal, epsilon, dt):
 class SdpaFrozenGates:
     """Gate freeze realizing the attention limit: f_tau = 1, f_phi = q.k/sqrt(d).
 
-    With a single Euler step at the maximum stable size dt = 1/f_tau the
-    logit lands exactly on f_phi/f_tau = q.k/sqrt(d). Gradients still flow
-    into q and k through f_phi, so a model built with this core trains as
-    a plain dot-product attention.
+    The limit is one Euler step at the maximum stable size dt = 1/f_tau = 1,
+    which lands the logit exactly on f_phi/f_tau = q.k/sqrt(d); ``logits``
+    takes that one step whatever step count the block is configured with.
+    Gradients still flow into q and k through f_phi, so a model built with
+    this core trains as a plain dot-product attention.
     """
 
     def __init__(self, head_dim: int):
-        self.head_dim = head_dim
         self.inv_sqrt_d = 1.0 / np.sqrt(head_dim)
 
     def parameters(self) -> dict:
@@ -592,16 +592,16 @@ class SdpaFrozenGates:
 
     def logits(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
                n_steps: int, dt_nominal: float):
-        """(final logits, LogitTrajectory) of the frozen gates."""
+        """(final logits, LogitTrajectory) of the frozen gates: one step
+        at dt_nominal = 1; ``n_steps`` and ``dt_nominal`` are not read."""
         B, H, T_q, D = q.shape
         k_sel = T.gather_keys(k, pb.selected_indices)
         dots = T.tsum(T.mul(T.reshape(q, (B, H, T_q, 1, D)), k_sel), axis=-1)
         if not pb.valid_mask.all():
             dots = T.mul(dots, Tensor(pb.valid_mask.astype(np.float64)))
         f_phi = T.reshape(T.scale(dots, self.inv_sqrt_d), (1,) + dots.shape)
-        rates = Tensor(np.ones((n_steps,) + dots.shape))
-        return integrate_logits(T.concat([rates] + [f_phi] * n_steps, axis=0),
-                                dt_nominal)
+        rates = Tensor(np.ones(f_phi.shape))
+        return integrate_logits(T.concat([rates, f_phi], axis=0), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -709,7 +709,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
                                    key_mask=key_mask)
     a_final, traj = core.logits(q, k, pb, cfg.euler_steps, cfg.dt_nominal)
 
-    alpha = T.masked_softmax(a_final, pb.valid_mask, axis=-1)
+    alpha = T.masked_softmax(a_final, pb.valid_mask)
     out = T.gather_weighted(alpha, v, pb.selected_indices)
     return out, alpha, pb, traj
 
@@ -728,8 +728,10 @@ class MultiHeadLan:
     Per-head projections are stacked into [H,1,d,D] weights; the gate
     core carries the head axis too, so the whole block runs without a
     python-level head loop. gate_mode "recurrent" is the learned GRU
-    gating; "sdpa_frozen" snaps every head to the attention limit (and
-    callers should pair it with euler_steps = 1).
+    gating over cfg.euler_steps steps; "sdpa_frozen" snaps every head to
+    the attention limit, which ``SdpaFrozenGates`` reaches in one step for
+    any cfg.euler_steps. Keys and values come from one input: the block's
+    own for self-attention, the encoder's for cross-attention.
     """
 
     def __init__(self, cfg: LanConfig, rng: np.random.Generator,
@@ -743,7 +745,7 @@ class MultiHeadLan:
         self.W_v = uniform_init(rng, (H, 1, d, D), d)
         self.b_v = uniform_init(rng, (H, 1, 1, D), d)
         if gate_mode == "recurrent":
-            self.core = RecurrentGateCore(2 * D, D, cfg.epsilon, rng, heads=H)
+            self.core = RecurrentGateCore(D, cfg.epsilon, rng, heads=H)
         elif gate_mode == "sdpa_frozen":
             self.core = SdpaFrozenGates(D)
         else:
@@ -771,14 +773,14 @@ class MultiHeadLan:
         x4 = T.reshape(x, (1,) + x.shape)
         return T.swapaxes(T.add(T.matmul(x4, W), b), 0, 1)
 
-    def forward(self, x_q: Tensor, x_k: Tensor, x_v: Tensor,
+    def forward(self, x_q: Tensor, x_kv: Tensor,
                 key_mask: np.ndarray | None = None,
                 collect: dict | None = None) -> Tensor:
         cfg = self.cfg
         B, T_q, d = x_q.shape
         q = self._project(x_q, self.W_q, self.b_q)
-        k = self._project(x_k, self.W_k, self.b_k)
-        v = self._project(x_v, self.W_v, self.b_v)
+        k = self._project(x_kv, self.W_k, self.b_k)
+        v = self._project(x_kv, self.W_v, self.b_v)
         out_heads, alpha, pb, traj = attend(q, k, v, self.core, cfg, key_mask)
         merged = T.reshape(T.swapaxes(out_heads, 1, 2),
                            (B, T_q, cfg.heads * cfg.head_dim))

@@ -45,6 +45,10 @@ class EventSequence:
         return int(self.mask.sum())
 
 
+# the spiral r(t) = _R0 + _R_SLOPE * t, sampled on [0, _T_END]: three turns
+_R0, _R_SLOPE, _T_END = 0.1, 0.02, 6 * np.pi
+
+
 @dataclass
 class SpiralSpec:
     """Noisy planar spiral protocol: dense uniform sampling then random
@@ -55,14 +59,11 @@ class SpiralSpec:
     n_subsample: int = 50
     noise_std: float = 0.02
     seed: int = 0
-    r0: float = 0.1
-    r_slope: float = 0.02
-    t_end: float = 6 * np.pi
 
     def __post_init__(self):
         check_types(self, numbers.Integral, "an integer",
                     "n_spirals n_points n_subsample seed")
-        check_types(self, numbers.Real, "a number", "noise_std r0 r_slope t_end")
+        check_types(self, numbers.Real, "a number", "noise_std")
         if self.n_subsample > self.n_points:
             raise ValueError("cannot subsample more points than generated")
         if self.n_spirals < 1 or self.n_points < 2 or self.n_subsample < 2:
@@ -71,18 +72,18 @@ class SpiralSpec:
         check_at_least(self, 0, "seed noise_std")
 
 
-def spiral_curve(spec: SpiralSpec, t: np.ndarray) -> np.ndarray:
+def spiral_curve(t: np.ndarray) -> np.ndarray:
     """Noise-free trajectory (x, y) = (r(t) cos t, r(t) sin t), r linear."""
-    r = spec.r0 + spec.r_slope * t
+    r = _R0 + _R_SLOPE * t
     return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
 
 
 def generate_spirals(spec: SpiralSpec) -> list[EventSequence]:
     rng = np.random.default_rng(spec.seed)
-    t_grid = np.linspace(0.0, spec.t_end, spec.n_points)
+    t_grid = np.linspace(0.0, _T_END, spec.n_points)
     out = []
     for _ in range(spec.n_spirals):
-        xy = spiral_curve(spec, t_grid)
+        xy = spiral_curve(t_grid)
         xy = xy + rng.normal(0.0, spec.noise_std, size=xy.shape)
         keep = np.sort(rng.choice(spec.n_points, size=spec.n_subsample,
                                   replace=False))
@@ -152,9 +153,10 @@ def spiral_arrays(seqs: list[EventSequence], ratios=(0.6, 0.2, 0.2)) -> dict:
 # run-length event encoding
 # --------------------------------------------------------------------------
 
-def event_encode(pixels: np.ndarray, threshold: float = 128.0,
-                 pad_to: int | None = None) -> EventSequence:
-    """Binarize at threshold, collapse runs of equal values into events.
+def event_encode(pixels: np.ndarray, pad_to: int,
+                 threshold: float = 128.0) -> EventSequence:
+    """Binarize at threshold, collapse runs of equal values into events,
+    and pad them to ``pad_to`` events with a masked tail.
 
     A run of length L becomes one event whose timestamp advances by L,
     so [1,1,1,1] encodes to a single event (1, t=4). Expanding each event
@@ -174,8 +176,6 @@ def event_encode(pixels: np.ndarray, threshold: float = 128.0,
     times = np.cumsum(durations).astype(float)
     values = np.asarray(values)[:, None]
     L = len(values)
-    if pad_to is None:
-        pad_to = L
     if L > pad_to:
         raise ValueError(f"encoded length {L} exceeds pad_to {pad_to}")
     padded_v = np.zeros((pad_to, 1))
@@ -215,6 +215,9 @@ def read_dataset_csv(path: str) -> list[EventSequence]:
             raise ValueError(f"{path} has no header row")
         F = len(header) - 3
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path} line {reader.line_num}: {len(row)} "
+                                 f"fields, the header has {len(header)}")
             sid = int(row[0])
             rows.setdefault(sid, []).append(
                 (float(row[1]), [float(x) for x in row[2:2 + F]],

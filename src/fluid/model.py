@@ -125,7 +125,7 @@ class EncoderLayer:
 
     def forward(self, state: Tensor, key_mask=None, collect=None) -> Tensor:
         state = self.sub_attn.apply(
-            state, lambda x0: self.attn.forward(x0, x0, x0, key_mask=key_mask,
+            state, lambda x0: self.attn.forward(x0, x0, key_mask=key_mask,
                                                 collect=collect))
         return self.sub_ffn.apply(state, self.ffn)
 
@@ -154,10 +154,9 @@ class DecoderLayer:
                       (collect.setdefault("self", {}),
                        collect.setdefault("cross", {})))
         state = self.sub_self.apply(
-            state, lambda x0: self.self_attn.forward(x0, x0, x0, collect=own))
+            state, lambda x0: self.self_attn.forward(x0, x0, collect=own))
         state = self.sub_cross.apply(
-            state, lambda x0: self.cross_attn.forward(x0, z, z,
-                                                      key_mask=enc_mask,
+            state, lambda x0: self.cross_attn.forward(x0, z, key_mask=enc_mask,
                                                       collect=cross))
         return self.sub_ffn.apply(state, self.ffn)
 
@@ -173,12 +172,11 @@ class DecoderLayer:
 
 
 class FluidModel:
-    """Shared-embedding encoder-decoder over irregular sequences."""
+    """Shared-embedding encoder-decoder over irregular sequences; ``cfg``
+    is kept and checkpointed as given. With gate_mode "sdpa_frozen" every
+    attention block is a dot-product attention, whatever the Euler steps."""
 
     def __init__(self, cfg: ModelConfig):
-        if cfg.gate_mode == "sdpa_frozen":
-            # the attention limit holds for a single Euler step at dt = 1
-            cfg = replace(cfg, lan=replace(cfg.lan, euler_steps=1))
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
         d = cfg.lan.d_model

@@ -51,7 +51,7 @@ class PairInput:
     qp and kp are views of that layout, as ``project_pairs`` makes them,
     these are the same buffers, so each projection is held once, also when
     the tape keeps qp and kp as parents. The [B,H,T_q,K_eff,C] array of
-    these sums (``shape``, ``size``, ``ndim``) is never built: the gate
+    these sums (``shape``, ``size``) is never built: the gate
     kernel forms the block of pairs each work item takes with ``block``.
     An item names its packed pairs by a selector: a slice, or an ascending
     index array where the backward skips pairs whose logit gradient is 0.
@@ -66,8 +66,6 @@ class PairInput:
     the identity and holds no index of its own: ``keys`` is the [H, slots]
     key index, and ``pos`` and ``invalid`` are None.
     """
-
-    ndim = 5
 
     def __init__(self, qp: Tensor, kp: Tensor, batch: PairBatch):
         B, H, T_q, C = qp.shape

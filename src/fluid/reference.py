@@ -104,15 +104,16 @@ def ct_rnn_analytic_constant_input(cell: CtRnnCell, u: np.ndarray,
 # limit verifiers
 # --------------------------------------------------------------------------
 
-def verify_sdpa_limit(tolerance: float = 1e-6, battery_size: int = 100,
-                      seed: int = 0) -> dict:
-    """Frozen-gate attention vs the straight-line reference.
+def verify_sdpa_limit(seed: int = 0) -> dict:
+    """Frozen-gate attention vs the straight-line reference, on a battery
+    of 100 random shapes.
 
     Gates are pinned to f_tau = 1 and f_phi = q.k/sqrt(d); a single Euler
     step at the maximum stable size lands every logit on the dot-product
-    value, so the post-softmax outputs must agree.
+    value, so the post-softmax outputs must agree within 1e-6.
     """
     rng = np.random.default_rng(seed)
+    tolerance, battery_size = 1e-6, 100
     max_gap = 0.0
     for _ in range(battery_size):
         T_q = int(rng.integers(1, 7))
@@ -134,10 +135,9 @@ def verify_sdpa_limit(tolerance: float = 1e-6, battery_size: int = 100,
             "tolerance": tolerance, "pass": max_gap <= tolerance}
 
 
-def verify_ctrnn_limit(tau: float = 2.0, dt: float = 0.25, n_steps: int = 40,
-                       n_pairs: int = 16, pair_dim: int = 6,
-                       seed: int = 0) -> dict:
-    """Fixed-tau feedforward-gate attention logits vs the leaky integrator.
+def verify_ctrnn_limit(seed: int = 0) -> dict:
+    """Fixed-tau feedforward-gate attention logits vs the leaky integrator,
+    over 16 pairs of width 6 and 40 steps of dt = 0.25 at tau = 2.
 
     The gates take their CT-RNN setting: f_tau = 1/tau fixed and f_phi =
     tanh(W u + b)/tau, both constant along the Euler axis because u does
@@ -147,6 +147,7 @@ def verify_ctrnn_limit(tau: float = 2.0, dt: float = 0.25, n_steps: int = 40,
     first order (ratio close to 2 when dt halves).
     """
     rng = np.random.default_rng(seed)
+    tau, dt, n_steps, n_pairs, pair_dim = 2.0, 0.25, 40, 16, 6
     W = rng.standard_normal((pair_dim, 1))
     b = rng.standard_normal(1)
     u = rng.standard_normal((n_pairs, pair_dim))

@@ -273,12 +273,12 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 # reductions and matmul
 # --------------------------------------------------------------------------
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
 
     def rule(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
@@ -315,24 +315,25 @@ def matmul(a: Tensor, b: Tensor, order: tuple | None = None) -> Tensor:
     return _node(out, (a, b), rule)
 
 
-def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax over entries where ``mask`` is true; masked entries get exactly 0.
+def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax over the last axis, of the entries where ``mask`` is true;
+    masked entries get exactly 0.
 
     ``mask`` is a constant (never differentiated). Rows with no valid entry
     are rejected: the caller's masking contract must leave at least one.
     """
     mask = np.asarray(mask, dtype=bool)
     valid = np.broadcast_to(mask, a.shape)
-    if not valid.any(axis=axis).all():
+    if not valid.any(axis=-1).all():
         raise ValueError("masked_softmax: some rows have no valid entries")
     neg_inf_free = np.where(valid, a.data, -np.inf)
-    shift = neg_inf_free.max(axis=axis, keepdims=True)
+    shift = neg_inf_free.max(axis=-1, keepdims=True)
     e = np.where(valid, np.exp(a.data - shift), 0.0)
-    denom = e.sum(axis=axis, keepdims=True)
+    denom = e.sum(axis=-1, keepdims=True)
     out = e / denom
 
     def rule(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - dot) * out,)
 
     return _node(out, (a,), rule)

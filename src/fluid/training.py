@@ -61,7 +61,7 @@ class TrainConfig:
         if self.metric not in ("mae", "mse"):
             raise ValueError(f"unknown metric {self.metric!r}")
         check_at_least(self, 1, "batch_size")
-        check_at_least(self, 0, "epochs seed")
+        check_at_least(self, 0, "epochs seed weight_decay")
 
 
 # --------------------------------------------------------------------------
@@ -248,8 +248,7 @@ def write_history_csv(path: str, history: list[dict]):
 # gradient checking
 # --------------------------------------------------------------------------
 
-def grad_check(fn, params: dict, h: float = 1e-5,
-               max_entries_per_param: int | None = None,
+def grad_check(fn, params: dict, max_entries_per_param: int | None = None,
                seed: int = 0) -> dict:
     """Central differences (f(x+h)-f(x-h))/2h against the tape gradients.
 
@@ -257,8 +256,7 @@ def grad_check(fn, params: dict, h: float = 1e-5,
     parameters can be subsampled via max_entries_per_param. Returns
     {"max_rel_error", "per_param"}.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = 1e-5
     for p in params.values():
         p.zero_grad()
     root = fn()

@@ -26,12 +26,12 @@ def _gates(f_tau: np.ndarray, f_phi: np.ndarray) -> Tensor:
     return Tensor(np.concatenate([f_tau.T, f_phi.T]))
 
 
-def run_invariance_suite(n_trajectories: int = 10000, n_steps: int = 50,
-                         seed: int = 0, tolerance: float = 1e-12) -> dict:
+def run_invariance_suite(seed: int = 0) -> dict:
     """Bounded random gates, clamped dt, a0 inside the equilibrium envelope:
     no trajectory may leave [A_min, A_max] beyond the tolerance."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    n_trajectories, n_steps, tolerance = 10000, 50, 1e-12
     f_tau = rng.uniform(0.1, 5.0, (n_trajectories, n_steps))
     f_phi = rng.uniform(-1.0, 1.0, (n_trajectories, n_steps))
     targets = f_phi / f_tau
@@ -85,7 +85,7 @@ def run_stability_suite(seed: int = 0) -> dict:
 def run_limits_suite(seed: int = 0) -> dict:
     """Both limit regimes of the dynamics, against independent references."""
     t0 = time.perf_counter()
-    sdpa = R.verify_sdpa_limit(tolerance=1e-6, battery_size=100, seed=seed)
+    sdpa = R.verify_sdpa_limit(seed=seed)
     ctrnn = R.verify_ctrnn_limit(seed=seed)
     return {"suite": "limits", "sdpa": sdpa, "ctrnn": ctrnn,
             "elapsed_s": time.perf_counter() - t0,
@@ -131,18 +131,18 @@ def run_reduction_suite(seed: int = 0) -> dict:
             "pass": residual_exact and liquid_exact}
 
 
-def run_gradients_suite(seed: int = 0, op_tolerance: float = 1e-4,
-                        model_tolerance: float = 1e-3) -> dict:
+def run_gradients_suite(seed: int = 0) -> dict:
     """Finite-difference checks at op level and through a whole micro-model."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    op_tolerance, model_tolerance = 1e-4, 1e-3
 
     op_errors = {}
 
     def check(name, build, *arrays):
         params = {f"x{i}": Tensor(a.copy(), requires_grad=True)
                   for i, a in enumerate(arrays)}
-        report = TR.grad_check(lambda: build(*params.values()), params, h=1e-5)
+        report = TR.grad_check(lambda: build(*params.values()), params)
         op_errors[name] = report["max_rel_error"]
 
     a = rng.uniform(-2, 2, (3, 4))
@@ -189,7 +189,7 @@ def run_gradients_suite(seed: int = 0, op_tolerance: float = 1e-4,
         pred = model.forward(values, times, qt, mask=mask)
         return TR.loss("mse", pred, targets, target_mask)
 
-    model_report = TR.grad_check(model_loss, model.parameters(), h=1e-5,
+    model_report = TR.grad_check(model_loss, model.parameters(),
                                  max_entries_per_param=2, seed=seed)
     elapsed = time.perf_counter() - t0
     return {"suite": "gradients", "op_max_rel_error": op_max,

@@ -35,9 +35,8 @@ def _softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def make_core(pair_dim=4, hidden=2, eps=1e-3, seed=0):
-    return A.RecurrentGateCore(pair_dim, hidden, eps, np.random.default_rng(seed),
-                               heads=1)
+def make_core(hidden=2, eps=1e-3, seed=0):
+    return A.RecurrentGateCore(hidden, eps, np.random.default_rng(seed), heads=1)
 
 
 # --------------------------------------------------------------------------
@@ -98,8 +97,8 @@ def test_gate_hidden_carries_state():
 
 
 def test_gate_core_parameters_lead_with_the_head_axis():
-    H, D, h = 3, 4, 5
-    core = A.RecurrentGateCore(2 * D, h, 1e-3, np.random.default_rng(7), heads=H)
+    H, D, h = 3, 5, 5       # the hidden size is the head width
+    core = A.RecurrentGateCore(h, 1e-3, np.random.default_rng(7), heads=H)
     shapes = {n: p.shape for n, p in core.parameters().items()}
     assert shapes == {"W_u": (H, 2 * D, 3 * h), "w_t": (H, 3 * h),
                       "b_x": (H, 3 * h), "W_h": (H, h, 3 * h),
@@ -159,7 +158,7 @@ def _weighted_sum(logits, coef):
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
 def test_fused_gates_match_composed_oracle(case, n_steps):
     rng = np.random.default_rng(41)
-    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
     qa, ka, pb = _gate_case(case, rng)
     if case != "full":
         assert not pb.valid_mask.all()
@@ -227,7 +226,7 @@ def test_f_tau_derivative_from_the_kept_gates_matches_the_oracle(case, n_steps,
     # at o = -40, softplus(o) ~ 4e-18 is far below eps, and at o = +40
     # sigmoid(o) rounds to 1
     rng = np.random.default_rng(71)
-    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
     core.b_o.data[:, 1] = bias
     qa, ka, pb = _gate_case(case, rng)
     assert pb.valid_mask.all() == (case == "full")    # unpacked, packed
@@ -243,7 +242,7 @@ def test_saturated_f_tau_is_exact_under_raising_errstate(bias):
     # softplus takes e^{-|o|}, which underflows to 0 at |o| = 800, where
     # log1p(0) = 0 is exact: f_tau is eps or o + eps to the last bit
     rng = np.random.default_rng(83)
-    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
     core.W_o.data[:, 1] = 0.0       # the f_tau pre-activation is the bias
     core.b_o.data[:, 1] = bias
     qa, ka, pb = _gate_case("full", rng)
@@ -257,7 +256,7 @@ def test_saturated_f_tau_is_exact_under_raising_errstate(bias):
 def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
                                                                   monkeypatch):
     rng = np.random.default_rng(73)
-    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
     qa, ka, pb = _gate_case("topk_blocks", rng)
     items = len(A._items(_packed_counts(pb)))
     assert items > core.heads
@@ -287,7 +286,7 @@ def test_saturated_gates_stay_finite_and_match_the_oracle(case, n_steps,
     # the cell's denominators (and underflows to 0), so r and z are exactly
     # 0 or 1; a backward form such as (d - 1) / d^2 would give inf / inf
     rng = np.random.default_rng(79)
-    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
     rz = core.b_x.data[:, :6]
     rz[...] = np.copysign(800.0, rz)
     qa, ka, pb = _gate_case(case, rng)
@@ -339,7 +338,7 @@ def test_a_forward_item_makes_a_fixed_number_of_numpy_calls_per_step(
     # each is one pass over a block and one GIL handoff between workers
     rng = np.random.default_rng(83)
     h, P = 4, 64
-    core = A.RecurrentGateCore(2 * h, h, 1e-3, rng, heads=1)
+    core = A.RecurrentGateCore(h, 1e-3, rng, heads=1)
     w = {n: p.data for n, p in core.parameters().items()}
     monkeypatch.setattr(A, "np", _CountingNumpy())
 
@@ -384,7 +383,7 @@ def test_a_forward_item_allocates_one_scratch_and_one_state(n_steps):
     # 64 KB ufunc buffer, which broadcasting the [3h, 1] time terms takes
     rng = np.random.default_rng(97)
     h, P = 16, 4096
-    core = A.RecurrentGateCore(2 * h, h, 1e-3, rng, heads=1)
+    core = A.RecurrentGateCore(h, 1e-3, rng, heads=1)
     w = {n: p.data for n, p in core.parameters().items()}
     x = rng.standard_normal((3 * h, P))
     gates = np.empty((2 * n_steps, P))
@@ -405,7 +404,7 @@ def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
     # the [B,H,T,3h] products are copied channel-major and freed; the
     # tensors the tape keeps as parents are views of the kernel's arrays
     rng = np.random.default_rng(101)
-    core = A.RecurrentGateCore(8, 4, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(4, 1e-3, rng, heads=2)
     q = Tensor(rng.standard_normal((2, 2, 9, 4)), requires_grad=taped)
     k = Tensor(rng.standard_normal((2, 2, 7, 4)), requires_grad=taped)
     pb = pairs.topk_concat(q, k, 3)
@@ -434,7 +433,7 @@ def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
 
 def test_fused_gates_pass_grad_check():
     rng = np.random.default_rng(43)
-    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
     qa, ka, pb = _gate_case("causal_masked", rng)
     q = Tensor(qa, requires_grad=True)
     k = Tensor(ka, requires_grad=True)
@@ -451,7 +450,7 @@ def test_fused_gates_pass_grad_check():
             return _weighted_sum(final, coef)
 
         # the op tolerance of the gradients verify suite
-        report = TR.grad_check(loss, params, h=1e-5)
+        report = TR.grad_check(loss, params)
         assert report["max_rel_error"] < 1e-4, (n_steps, report["per_param"])
 
 
@@ -461,7 +460,7 @@ def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps,
                                                              monkeypatch):
     rng = np.random.default_rng(61)
     H, h = 2, 3
-    core = A.RecurrentGateCore(6, h, 1e-3, rng, heads=H)
+    core = A.RecurrentGateCore(h, 1e-3, rng, heads=H)
     qa, ka, pb = _gate_case(case, rng)
     kept = []
     gru_forward = A._gru_forward
@@ -494,13 +493,13 @@ def test_taped_forward_keeps_no_gates_and_no_euler_states():
     key_mask = np.ones((B, T_), dtype=bool)
     key_mask[1, -20:] = False
     with T.no_grad():
-        mh.forward(x, x, x, key_mask=key_mask)      # the pool starts
+        mh.forward(x, x, key_mask=key_mask)      # the pool starts
     tracemalloc.start()
     try:
         with T.no_grad():
-            untaped = mh.forward(x, x, x, key_mask=key_mask)
+            untaped = mh.forward(x, x, key_mask=key_mask)
         baseline = tracemalloc.get_traced_memory()[0]
-        out = mh.forward(x, x, x, key_mask=key_mask)
+        out = mh.forward(x, x, key_mask=key_mask)
         live = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()
@@ -519,7 +518,7 @@ def test_taped_forward_keeps_no_gates_and_no_euler_states():
 @pytest.mark.parametrize("case", ["causal_masked", "topk", "long_rows"])
 def test_invalid_slots_hold_the_floor_gates(case):
     rng = np.random.default_rng(67)
-    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
     qa, ka, pb = _gate_case(case, rng)
     n_steps = 3
     with T.no_grad():
@@ -539,7 +538,7 @@ def test_masked_keys_leave_outputs_unchanged_under_an_active_clamp():
     # negative f_tau head pulls its f_tau below that. Both exceed 1/dt
     B, H, T_k, D, pad, n_steps = 2, 2, 5, 3, 3, 2
     rng = np.random.default_rng(89)
-    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H)
+    core = A.RecurrentGateCore(D, 1e-3, rng, heads=H)
     for p in (core.b_x, core.w_t, core.W_h):
         p.data[:] = 0.0
     core.W_u.data[..., 2 * D:] = np.abs(core.W_u.data[..., 2 * D:])
@@ -578,8 +577,8 @@ def test_multi_head_on_no_sequences_returns_empty_outputs_and_gradients(case):
     block = A.MultiHeadLan(cfg, np.random.default_rng(0))
     x = Tensor(np.zeros((0, 5, 8)), requires_grad=True)
     with T.no_grad():
-        assert block.forward(x, x, x).shape == (0, 5, 8)
-    out = block.forward(x, x, x, key_mask=np.ones((0, 5), dtype=bool))
+        assert block.forward(x, x).shape == (0, 5, 8)
+    out = block.forward(x, x, key_mask=np.ones((0, 5), dtype=bool))
     assert out.shape == (0, 5, 8)
     T.tsum(out).backward()
     assert x.grad.shape == (0, 5, 8)
@@ -593,14 +592,16 @@ def test_gate_cores_return_rows_in_the_pair_batch_shape(case):
     rng = np.random.default_rng(45)
     qa, ka, pb = _gate_case(case, rng)
     q, k = Tensor(qa), Tensor(ka)
-    for core in (A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2),
+    for core in (A.RecurrentGateCore(3, 1e-3, rng, heads=2),
                  A.SdpaFrozenGates(3)):
         for n_steps in (1, 3):
             final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
+            # the frozen gates take the attention limit's one step
+            steps = 1 if isinstance(core, A.SdpaFrozenGates) else n_steps
             assert final.shape == pb.valid_mask.shape
-            assert traj.a.shape == pb.valid_mask.shape + (n_steps + 1,)
+            assert traj.a.shape == pb.valid_mask.shape + (steps + 1,)
             assert traj.f_tau.shape == traj.f_phi.shape == \
-                pb.valid_mask.shape + (n_steps,)
+                pb.valid_mask.shape + (steps,)
 
 
 # the pair shapes of the benchmark workloads:
@@ -627,7 +628,7 @@ def _workload_pairs(case, rng):
         pb = pairs.full_pairwise_concat(q, k, causal=causal, key_mask=key_mask)
     else:
         pb = pairs.topk_concat(q, k, K, causal=causal, key_mask=key_mask)
-    return A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H), q, k, pb
+    return A.RecurrentGateCore(D, 1e-3, rng, heads=H), q, k, pb
 
 
 def _packed_counts(pb):
@@ -671,7 +672,7 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
         pin = core.project_pairs(q, k, pb)
         gates = _traj_gates(core.unroll(pin, n_steps, 1 / n_steps)[1])
         up = pair_sum(pin.qp, pin.kp, pb)
-    assert (pin.shape, pin.size, pin.ndim) == (up.shape, up.size, up.ndim)
+    assert (pin.shape, pin.size) == (up.shape, up.size)
     got = np.moveaxis(gates, 2, 1).reshape(2 * n_steps, core.heads, -1)
     assert np.array_equal(got, _kernel_on(core, up.data, pb.valid_mask,
                                           n_steps, 1 / n_steps))
@@ -683,7 +684,7 @@ def test_gates_never_build_the_pair_input(monkeypatch):
     monkeypatch.setattr(pool, "_WORKERS", 2)
     rng = np.random.default_rng(59)
     B, H, T_q, D, K, n_steps = 1, 2, 2048, 16, 32, 2
-    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H)
+    core = A.RecurrentGateCore(D, 1e-3, rng, heads=H)
     q = Tensor(rng.standard_normal((B, H, T_q, D)))
     k = Tensor(rng.standard_normal((B, H, T_q, D)))
     pb = pairs.topk_concat(q, k, K)
@@ -717,7 +718,7 @@ def _block_case(case):
         B, T_q, T_k, K = 2, 5, 5, None
     else:                             # uneven: P not a multiple of the cut
         T_q, T_k, K = 4099, 5, 3
-    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H)
+    core = A.RecurrentGateCore(D, 1e-3, rng, heads=H)
     qa = rng.standard_normal((B, H, T_q, D))
     ka = rng.standard_normal((B, H, T_k, D))
     if K is None:
@@ -1053,7 +1054,7 @@ def _counting_backward_columns(monkeypatch):
 def test_backward_skips_dead_pairs_and_matches_the_oracle(case, pattern,
                                                           n_steps, monkeypatch):
     rng = np.random.default_rng(89)
-    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
     qa, ka, pb = _gate_case(case, rng)
     coef = _dead_coef(pattern, pb.valid_mask.shape, rng)
     live = np.count_nonzero(coef[pb.valid_mask])
@@ -1312,7 +1313,7 @@ def test_integrate_passes_grad_check():
         final, _ = A.integrate_logits(make_gates(), 0.5, a0=a0)
         return T.tsum(T.mul(final, Tensor(coef)))
 
-    report = TR.grad_check(loss, {"gates": gates, "a0": a0}, h=1e-5)
+    report = TR.grad_check(loss, {"gates": gates, "a0": a0})
     assert report["max_rel_error"] < 1e-6, report["per_param"]
 
 
@@ -1352,7 +1353,7 @@ def _tape_nodes(root):
 def test_attend_tape_does_not_grow_with_euler_steps():
     rng = np.random.default_rng(71)
     qkv = [rng.standard_normal((2, 2, 5, 3)) for _ in range(3)]
-    core = A.RecurrentGateCore(6, 3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
     for case in (dict(), dict(top_k=2, causal=True)):
         counts = []
         for n_steps in (1, 2, 5):
@@ -1379,7 +1380,7 @@ def test_single_key_softmax_is_identity():
     q = Tensor(rng.standard_normal((1, 1, 1, 2)))
     k = Tensor(rng.standard_normal((1, 1, 1, 2)))
     v = Tensor(rng.standard_normal((1, 1, 1, 2)))
-    core = make_core(pair_dim=4, hidden=2, seed=13)
+    core = make_core(hidden=2, seed=13)
     out, weights, _, _ = A.attend(q, k, v, core, _head_cfg())
     assert np.allclose(weights.data, 1.0)
     assert np.allclose(out.data, v.data)
@@ -1426,7 +1427,7 @@ def test_head_forward_matches_straight_line_oracle():
     qa = rng.standard_normal((3, 2))
     ka = rng.standard_normal((3, 2))
     va = rng.standard_normal((3, 2))
-    core = make_core(pair_dim=4, hidden=2, seed=17)
+    core = make_core(hidden=2, seed=17)
     out, weights, _, _ = A.attend(
         Tensor(qa[None, None]), Tensor(ka[None, None]), Tensor(va[None, None]),
         core, _head_cfg())
@@ -1440,7 +1441,7 @@ def test_head_weights_sum_to_one_and_masked_keys_get_zero():
     q = Tensor(rng.standard_normal((1, 1, 4, 2)))
     k = Tensor(rng.standard_normal((1, 1, 4, 2)))
     v = Tensor(rng.standard_normal((1, 1, 4, 2)))
-    core = make_core(pair_dim=4, hidden=2, seed=19)
+    core = make_core(hidden=2, seed=19)
     _, weights, _, _ = A.attend(q, k, v, core, _head_cfg(causal=True))
     sums = weights.data.sum(axis=-1)
     assert np.abs(sums - 1.0).max() <= 1e-12
@@ -1492,7 +1493,7 @@ def _mh_cfg(**kw):
 def _head_core(mh, h):
     """An H=1 core holding head ``h``'s weight slices of ``mh.core``."""
     D = mh.cfg.head_dim
-    core = A.RecurrentGateCore(2 * D, D, mh.cfg.epsilon,
+    core = A.RecurrentGateCore(D, mh.cfg.epsilon,
                                np.random.default_rng(0), heads=1)
     for name, p in core.parameters().items():
         p.data[...] = getattr(mh.core, name).data[h:h + 1]
@@ -1521,7 +1522,7 @@ def test_multi_head_single_head_equals_manual_path():
     mh = A.MultiHeadLan(cfg, np.random.default_rng(31))
     rng = np.random.default_rng(32)
     x = Tensor(rng.standard_normal((1, 3, 4)))
-    out = mh.forward(x, x, x)
+    out = mh.forward(x, x)
     manual = _manual_heads(mh, x, cfg)
     assert np.allclose(out.data, manual.data, atol=1e-12)
 
@@ -1535,11 +1536,11 @@ def test_multi_head_identical_heads_permutation_invariant():
         p.data[1] = p.data[0]
     rng = np.random.default_rng(34)
     x = Tensor(rng.standard_normal((1, 3, 4)))
-    base = mh.forward(x, x, x).data.copy()
+    base = mh.forward(x, x).data.copy()
     for p in (mh.W_q, mh.b_q, mh.W_k, mh.b_k, mh.W_v, mh.b_v,
               *mh.core.parameters().values()):
         p.data[...] = np.flip(p.data, axis=0)
-    assert np.array_equal(mh.forward(x, x, x).data, base)
+    assert np.array_equal(mh.forward(x, x).data, base)
 
 
 def test_multi_head_two_heads_match_manual_composition():
@@ -1547,7 +1548,7 @@ def test_multi_head_two_heads_match_manual_composition():
     mh = A.MultiHeadLan(cfg, np.random.default_rng(35))
     rng = np.random.default_rng(36)
     x = Tensor(rng.standard_normal((2, 3, 4)))
-    out = mh.forward(x, x, x)
+    out = mh.forward(x, x)
     manual = _manual_heads(mh, x, cfg)
     assert np.allclose(out.data, manual.data, atol=1e-12)
 
@@ -1565,7 +1566,7 @@ def test_multi_head_tape_and_no_grad_agree_bitwise(case):
     for grad in (True, False):
         collect = {}
         with T.no_grad() if not grad else contextlib.nullcontext():
-            out = mh.forward(x, x, x, key_mask=key_mask, collect=collect)
+            out = mh.forward(x, x, key_mask=key_mask, collect=collect)
         assert out.requires_grad == grad
         traj = collect["trajectories"][0]
         runs.append([out.data, collect["weights"][0], traj.a, traj.f_tau,
@@ -1587,7 +1588,7 @@ def test_topk_head_equals_full_head_when_k_large():
     rng = np.random.default_rng(37)
     qkv = [rng.standard_normal((B, H, T_k, D)) for _ in range(3)]
     coef = Tensor(rng.standard_normal((B, H, T_k, D)))
-    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=H)
+    core = A.RecurrentGateCore(D, 1e-3, rng, heads=H)
     padded = np.ones((B, T_k), dtype=bool)
     padded[1, -2:] = False
     padded[2, -4:] = False
@@ -1636,7 +1637,7 @@ def test_tracer_wrap_points_see_pairs_steps_and_the_trajectory(monkeypatch):
         cfg = _mh_cfg(heads=2, euler_steps=3, **case)
         mh = A.MultiHeadLan(cfg, np.random.default_rng(74))
         seen.clear()
-        mh.forward(x, x, x)
+        mh.forward(x, x)
         args = seen["unroll"]
         assert args[1].size // args[1].shape[-1] == B * cfg.heads * T_q * k_eff
         assert args[2] == cfg.euler_steps

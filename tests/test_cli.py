@@ -185,6 +185,23 @@ def _reject_constant(name):
     raise ValueError(f"not JSON: {name}")
 
 
+def test_train_divergence_exits_1_naming_the_gate_traces(tmp_path, monkeypatch,
+                                                         capsys):
+    data, config = _tiny_run(tmp_path)
+    dump = str(tmp_path / "run" / "diverged_gate_traces")
+
+    def diverge(model, train_data, val_data, cfg, out_dir=None):
+        raise TR.TrainingDiverged("non-finite loss nan at epoch 0", dump)
+
+    monkeypatch.setattr(TR, "train", diverge)
+    assert cli.main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "run"), "--config", str(config)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        f"training diverged: non-finite loss nan at epoch 0; gate traces in "
+        f"{dump}\n")
+
+
 def test_train_without_metric_prints_valid_json(tmp_path, capsys):
     data, config = _tiny_run(tmp_path)
     assert cli.main(["train", "--data", str(data), "--out",
@@ -227,7 +244,9 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "generate-negative-fluid-seed",
                                   "generate-negative-noise",
                                   "generate-nan-noise",
-                                  "eval-three-feature-data"])
+                                  "eval-three-feature-data",
+                                  "train-blank-line-data",
+                                  "train-short-row-data"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                            monkeypatch, case):
     malformed = tmp_path / "malformed.json"
@@ -266,6 +285,12 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
     D.write_dataset_csv(str(three), [
         D.EventSequence(values=s.values[:, [0, 1, 0]], times=s.times,
                         mask=s.mask) for s in spirals])
+    # a blank third line, and rows that lack the feature_1 column
+    rows = data.read_text().splitlines(keepends=True)
+    blank, short = tmp_path / "blank.csv", tmp_path / "short.csv"
+    blank.write_text("".join(rows[:2] + ["\n"] + rows[2:]))
+    short.write_text("".join(rows[:1] + [
+        ",".join(r.split(",")[:3] + r.split(",")[4:]) for r in rows[1:]]))
     one_point = tmp_path / "one_point.csv"
     D.write_dataset_csv(str(one_point), D.read_dataset_csv(str(data)) + [
         D.EventSequence(values=[[0.1, 0.2]], times=[1.0], mask=[True])])
@@ -364,6 +389,8 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                "--out", str(tmp_path / "s.csv")],
         "eval-three-feature-data": ["eval", "--checkpoint", checkpoint,
                                     "--data", str(three)],
+        "train-blank-line-data": train + [str(blank)],
+        "train-short-row-data": train + [str(short)],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -412,7 +439,11 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
             "generate-nan-noise":
                 "fluid generate: noise_std must be a finite number, not nan\n",
             "eval-three-feature-data":
-                "fluid eval: values have 3 features; the model takes 2\n"}
+                "fluid eval: values have 3 features; the model takes 2\n",
+            "train-blank-line-data":
+                f"fluid train: {blank} line 3: 0 fields, the header has 5\n",
+            "train-short-row-data":
+                f"fluid train: {short} line 2: 4 fields, the header has 5\n"}
     if case in said:
         assert said[case] in err, err
         assert not list(tmp_path.glob("[es].csv"))
@@ -470,7 +501,8 @@ def test_verify_exit_codes():
 
 @pytest.mark.parametrize("suite, report", [
     ("limits", {"pass": False}),
-    ("all", {"limits": {"pass": True}, "gradients": {"pass": False}}),
+    ("all", {"limits": {"pass": True}, "gradients": {"pass": False},
+             "pass": False}),
 ], ids=["one-suite", "all"])
 def test_verify_failing_report_exits_1(monkeypatch, capsys, suite, report):
     monkeypatch.setattr(V, "run_suite", lambda name, seed=0: report)

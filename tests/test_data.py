@@ -69,7 +69,7 @@ def test_noiseless_spiral_lies_on_analytic_curve():
     spec = D.SpiralSpec(n_spirals=2, n_points=40, n_subsample=20,
                         noise_std=0.0, seed=2)
     for seq in D.generate_spirals(spec):
-        expected = D.spiral_curve(spec, seq.times)
+        expected = D.spiral_curve(seq.times)
         assert np.allclose(seq.values, expected, atol=1e-12)
 
 
@@ -149,7 +149,7 @@ def test_spiral_arrays_name_the_first_sequence_without_a_conditioning_point(case
 
 
 def test_event_encode_run_collapses_to_single_event():
-    seq = D.event_encode(np.array([255, 255, 255, 255]), threshold=128)
+    seq = D.event_encode(np.array([255, 255, 255, 255]), 1, threshold=128)
     assert seq.length == 1
     assert seq.values[0, 0] == 1.0
     assert seq.times[0] == 4.0
@@ -157,7 +157,7 @@ def test_event_encode_run_collapses_to_single_event():
 
 def test_event_encode_alternating_has_no_compression():
     pixels = np.array([0, 255] * 6)
-    seq = D.event_encode(pixels, threshold=128)
+    seq = D.event_encode(pixels, 12, threshold=128)
     assert seq.length == 12
     assert np.array_equal(seq.times[seq.mask], np.arange(1, 13, dtype=float))
 
@@ -186,3 +186,25 @@ def test_dataset_csv_round_trip(tmp_path):
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.mask, b.mask)
+
+
+@pytest.mark.parametrize("case", ["blank-line", "short-rows"])
+def test_read_dataset_csv_rejects_a_row_of_another_width(tmp_path, case):
+    # a blank line between rows, or rows without the feature_1 column, whose
+    # mask would otherwise be read as feature_1
+    path = tmp_path / "ds.csv"
+    D.write_dataset_csv(str(path), D.generate_spirals(
+        D.SpiralSpec(n_spirals=2, n_points=30, n_subsample=10, seed=7)))
+    rows = path.read_text().splitlines(keepends=True)
+    if case == "blank-line":
+        rows.insert(2, "\n")
+        line, fields = 3, 0
+    else:
+        rows[1:] = [",".join(r.split(",")[:3] + r.split(",")[4:])
+                    for r in rows[1:]]
+        line, fields = 2, 4
+    path.write_text("".join(rows))
+    with pytest.raises(ValueError) as err:
+        D.read_dataset_csv(str(path))
+    assert str(err.value) == (f"{path} line {line}: {fields} fields, the "
+                              "header has 5")

@@ -219,7 +219,10 @@ def test_config_rejects_a_bad_field_at_construction(field, value, problem):
      "ffn_dim, hc_streams must be >= 1"),
     (lambda: TR.TrainConfig(epochs=-1, batch_size=0), "batch_size must be >= 1"),
     (lambda: TR.TrainConfig(epochs=-1, seed=-2), "epochs, seed must be >= 0"),
-], ids=["lan-heads", "lan-three", "model", "train-ones", "train-zeros"])
+    # AdamW would grow every weight by lr a step
+    (lambda: TR.TrainConfig(weight_decay=-1.0), "weight_decay must be >= 0"),
+], ids=["lan-heads", "lan-three", "model", "train-ones", "train-zeros",
+        "train-weight-decay"])
 def test_bound_errors_name_exactly_the_fields_out_of_bounds(make, message):
     with pytest.raises(ValueError) as err:
         make()
@@ -232,9 +235,6 @@ _REAL_FIELDS = {
     "weight_decay": lambda v: TR.TrainConfig(weight_decay=v),
     "grad_clip": lambda v: TR.TrainConfig(grad_clip=-v),
     "noise_std": lambda v: D.SpiralSpec(noise_std=v),
-    "r0": lambda v: D.SpiralSpec(r0=v),
-    "r_slope": lambda v: D.SpiralSpec(r_slope=-v),
-    "t_end": lambda v: D.SpiralSpec(t_end=v),
 }
 
 
@@ -374,16 +374,27 @@ def sdpa_transformer_forward(model: M.FluidModel, values, times, query_times):
     return y @ model.W_o.data + model.b_o.data
 
 
-def test_frozen_gate_model_reproduces_sdpa_transformer():
+def test_frozen_gate_model_reproduces_sdpa_transformer(tmp_path):
     model = M.FluidModel(_cfg(seed=20, gate_mode="sdpa_frozen", euler_steps=5))
-    assert model.cfg.lan.euler_steps == 1  # the limit forces one step
     rng = np.random.default_rng(21)
     values = rng.standard_normal((2, 4, 2))
     times = np.tile(np.arange(4.0), (2, 1))
     qt = np.tile(np.arange(3.0), (2, 1))
-    ours = model.forward(values, times, qt).data
+    collect = {}
+    ours = model.forward(values, times, qt, collect=collect).data
     reference = sdpa_transformer_forward(model, values, times, qt)
     assert np.abs(ours - reference).max() < 1e-5
+    # every block takes the limit's one step at dt = 1, and the model keeps
+    # the configured step count, in its config and in its checkpoint
+    trajs = [t for block in (collect, collect["self"], collect["cross"])
+             for t in block["trajectories"]]
+    assert len(trajs) == 3
+    assert all(t.a.shape[-1] == 2 and t.dt_effective == t.dt_nominal == 1.0
+               for t in trajs)
+    assert model.cfg.lan.euler_steps == 5
+    M.save_checkpoint(model, str(tmp_path))
+    with open(tmp_path / "manifest.json") as fh:
+        assert json.load(fh)["config"]["lan"]["euler_steps"] == 5
 
 
 def test_frozen_gate_encoder_layer_matches_sdpa_layer_closely():

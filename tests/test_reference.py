@@ -68,7 +68,7 @@ def test_ct_rnn_rejects_dt_above_tau():
 
 
 def test_verify_sdpa_limit_passes_battery():
-    report = R.verify_sdpa_limit(tolerance=1e-6, battery_size=100, seed=1)
+    report = R.verify_sdpa_limit(seed=1)
     assert report["pass"]
     assert report["battery_size"] == 100
     assert report["max_gap"] <= 1e-6
@@ -83,15 +83,34 @@ def test_unfrozen_gates_show_nonzero_gap():
     v = rng.standard_normal((3, D))
     cfg = A.LanConfig(d_model=D, heads=1, euler_steps=1, top_k=None,
                       epsilon=1e-3, sink_gate_enabled=False, causal=False)
-    core = A.RecurrentGateCore(2 * D, D, 1e-3, rng, heads=1)
+    core = A.RecurrentGateCore(D, 1e-3, rng, heads=1)
     out, _, _, _ = A.attend(Tensor(q[None, None]), Tensor(k[None, None]),
                             Tensor(v[None, None]), core, cfg)
     expected, _ = R.sdpa_reference(q, k, v)
     assert np.abs(out.data[0, 0] - expected).max() > 1e-6
 
 
+def test_frozen_block_is_sdpa_for_any_configured_step_count():
+    # the limit is one step at dt = 1: three steps of dt = 1/3 would stop
+    # every logit short of q.k/sqrt(d)
+    rng = np.random.default_rng(4)
+    cfg = A.LanConfig(d_model=6, heads=2, euler_steps=3,
+                      sink_gate_enabled=False)
+    mh = A.MultiHeadLan(cfg, rng, gate_mode="sdpa_frozen")
+    x_q, x_kv = rng.standard_normal((1, 4, 6)), rng.standard_normal((1, 5, 6))
+    out = mh.forward(Tensor(x_q), Tensor(x_kv)).data[0]
+    heads = []
+    for h in range(cfg.heads):
+        q, k, v = (x[0] @ W.data[h, 0] + b.data[h, 0, 0] for x, W, b in (
+            (x_q, mh.W_q, mh.b_q), (x_kv, mh.W_k, mh.b_k),
+            (x_kv, mh.W_v, mh.b_v)))
+        heads.append(R.sdpa_reference(q, k, v)[0])
+    want = np.concatenate(heads, axis=-1) @ mh.W_g.data + mh.b_g.data
+    assert np.abs(out - want).max() < 1e-12
+
+
 def test_verify_ctrnn_limit_exact_and_first_order():
-    report = R.verify_ctrnn_limit(tau=2.0, dt=0.25, n_steps=40, seed=3)
+    report = R.verify_ctrnn_limit(seed=3)
     assert report["pass"]
     assert report["max_gap"] == 0.0
     assert 1.8 <= report["convergence_ratio"] <= 2.2

@@ -162,9 +162,9 @@ def _composite_scalar(params):
     w, b, v = params
     h = T.tanh(T.add(T.matmul(v, w), b))
     g = T.sigmoid(T.narrow(h, 1, 0, 2))
-    s = T.masked_softmax(T.concat([h, g], axis=1), True, axis=1)
+    s = T.masked_softmax(T.concat([h, g], axis=1), True)
     ln = T.layer_norm(softplus(h))
-    return T.tsum(T.add(T.mul(s, s), T.tsum(ln, axis=1, keepdims=True)))
+    return T.tsum(T.add(T.mul(s, s), T.reshape(T.tsum(ln, axis=1), (-1, 1))))
 
 
 def test_composite_gradients_match_central_difference():
@@ -324,10 +324,10 @@ def test_softmax_gradient_matches_central_difference():
     coef = rng.standard_normal((2, 3))
 
     p = Tensor(x.copy(), requires_grad=True)
-    T.tsum(T.mul(T.masked_softmax(p, True, axis=1), Tensor(coef))).backward()
+    T.tsum(T.mul(T.masked_softmax(p, True), Tensor(coef))).backward()
 
     def f(arr):
-        return T.tsum(T.mul(T.masked_softmax(Tensor(arr), True, axis=1),
+        return T.tsum(T.mul(T.masked_softmax(Tensor(arr), True),
                             Tensor(coef))).item()
 
     assert max_rel_error(p.grad, central_difference(f, x.copy())) < 1e-4

@@ -54,6 +54,25 @@ def test_loss_single_element_values():
     assert TR.loss("mae", pred, target).item() == 2.0
 
 
+def test_mae_gradient_matches_central_difference_and_is_0_at_the_kink():
+    rng = np.random.default_rng(5)
+    target = rng.standard_normal((2, 3, 1))
+    # every prediction at least 0.1 from its target: no difference step
+    # crosses the kink
+    offset = rng.uniform(0.1, 1.0, target.shape) * rng.choice([-1, 1], target.shape)
+    mask = np.array([[True, True, False], [True, False, False]])
+    pred = Tensor(target + offset, requires_grad=True)
+    report = TR.grad_check(lambda: TR.loss("mae", pred, target, mask),
+                           {"pred": pred})
+    assert report["max_rel_error"] < 1e-6
+    assert np.array_equal(pred.grad[..., 0],
+                          np.where(mask, np.sign(offset[..., 0]) / 3, 0.0))
+    # the subgradient at the kink is 0
+    at_kink = Tensor(target.copy(), requires_grad=True)
+    TR.loss("mae", at_kink, target, mask).backward()
+    assert np.array_equal(at_kink.grad, np.zeros_like(target))
+
+
 def test_loss_empty_mask_rejected():
     pred = Tensor(np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -270,7 +289,7 @@ def test_grad_check_quadratic():
     def f():
         return T.tsum(T.mul(p, p))
 
-    report = TR.grad_check(f, {"p": p}, h=1e-5)
+    report = TR.grad_check(f, {"p": p})
     assert report["max_rel_error"] < 1e-6
     p.zero_grad()
     f().backward()
@@ -284,7 +303,7 @@ def test_grad_check_linear_is_exact_scale():
     def f():
         return T.tsum(T.mul(p, c))
 
-    report = TR.grad_check(f, {"p": p}, h=1e-5)
+    report = TR.grad_check(f, {"p": p})
     assert report["max_rel_error"] < 1e-9
 
 
@@ -297,6 +316,6 @@ def test_grad_check_micro_model():
                              data["query_times"], mask=data["mask"])
         return TR.loss("mse", pred, data["targets"], data["target_mask"])
 
-    report = TR.grad_check(f, model.parameters(), h=1e-5,
+    report = TR.grad_check(f, model.parameters(),
                            max_entries_per_param=3, seed=7)
     assert report["max_rel_error"] < 1e-3
