@@ -717,8 +717,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
 def sink_gate(x: Tensor, multihead_out: Tensor, W_g: Tensor, b_g: Tensor,
               W_s: Tensor, b_s: Tensor) -> Tensor:
     """O = sigmoid(x W_s + b_s) * (multihead_out W_g + b_g), elementwise."""
-    gate = T.sigmoid(T.add(T.matmul(x, W_s), b_s))
-    projected = T.add(T.matmul(multihead_out, W_g), b_g)
+    gate = T.sigmoid(T.affine(x, W_s, b_s))
+    projected = T.affine(multihead_out, W_g, b_g)
     return T.mul(gate, projected)
 
 
@@ -771,7 +771,7 @@ class MultiHeadLan:
     def _project(self, x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         # [B,T,d] -> [B,H,T,D]
         x4 = T.reshape(x, (1,) + x.shape)
-        return T.swapaxes(T.add(T.matmul(x4, W), b), 0, 1)
+        return T.swapaxes(T.affine(x4, W, b), 0, 1)
 
     def forward(self, x_q: Tensor, x_kv: Tensor,
                 key_mask: np.ndarray | None = None,
@@ -793,5 +793,5 @@ class MultiHeadLan:
         if cfg.sink_gate_enabled:
             return sink_gate(x_q, merged, self.W_g, self.b_g,
                              self.W_s, self.b_s)
-        return T.add(T.matmul(merged, self.W_g), self.b_g)
+        return T.affine(merged, self.W_g, self.b_g)
 

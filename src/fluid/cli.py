@@ -181,8 +181,10 @@ def cmd_eval(args) -> int:
     seqs = D.read_dataset_csv(args.data)
     packed = D.spiral_arrays(seqs, args.ratios)
     value = TR.evaluate(model, packed, args.metric)
-    print(json.dumps({"metric": args.metric, "value": value,
-                      "sequences": len(seqs)}))
+    # a non-finite metric is null: JSON has no NaN
+    print(json.dumps({"metric": args.metric,
+                      "value": value if np.isfinite(value) else None,
+                      "sequences": len(seqs)}, allow_nan=False))
     return 0
 
 

@@ -219,9 +219,11 @@ def read_dataset_csv(path: str) -> list[EventSequence]:
                 raise ValueError(f"{path} line {reader.line_num}: {len(row)} "
                                  f"fields, the header has {len(header)}")
             sid = int(row[0])
-            rows.setdefault(sid, []).append(
-                (float(row[1]), [float(x) for x in row[2:2 + F]],
-                 bool(int(row[-1]))))
+            t, feats = float(row[1]), [float(x) for x in row[2:2 + F]]
+            if not np.isfinite([t] + feats).all():
+                raise ValueError(f"{path} line {reader.line_num}: times and "
+                                 f"features must be finite")
+            rows.setdefault(sid, []).append((t, feats, bool(int(row[-1]))))
     if not rows:
         raise ValueError(f"{path} holds no sequences")
     out = []

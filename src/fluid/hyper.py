@@ -6,9 +6,12 @@ A_m aggregates streams into the sublayer input, A_r mixes streams
 residually. ``HcParams`` holds B, A_m and A_r; a liquid one also holds
 the tanh projections and small learnable scales that make all three
 input-dependent. ``hc_block`` is the one composition: aggregate, run the
-sublayer, combine. Two reductions hold bitwise: at zero scale the liquid
-block is the static one, and at n = 1 with unit parameters the block is
-x + L(x), so its ``hc_network_finalize`` is layer_norm(x + L(x)).
+sublayer, combine. ``hc_aggregate`` and ``hc_combine`` are one tape op
+each, whose rules form the stream products again rather than keep them
+on the tape, where no rule would read them. Two reductions hold bitwise:
+at zero scale the liquid block is the static one, and at n = 1 with unit
+parameters the block is x + L(x), so its ``hc_network_finalize`` is
+layer_norm(x + L(x)).
 """
 
 from __future__ import annotations
@@ -58,26 +61,49 @@ def expand_streams(x: Tensor, n: int) -> Tensor:
 def hc_aggregate(A_m: Tensor, H: Tensor) -> Tensor:
     """x0 = A_m^T H: collapse streams into the sublayer input [..., d].
 
-    Implemented as broadcast-multiply plus axis reduction so the static
-    ([n]) and liquid ([..., n]) weight shapes take the identical
-    floating-point path.
+    One tape op with parents (A_m, H): a broadcast multiply, then a sum
+    over the stream axis, so the static ([n]) and liquid ([..., n]) weight
+    shapes take the identical floating-point path. The tape keeps no
+    [..., n, d] product: the rule forms it again, as the composed
+    ``mul``/``tsum`` rules would.
     """
-    w = T.reshape(A_m, A_m.shape + (1,))
-    return T.tsum(T.mul(w, H), axis=-2)
+    w = A_m.data.reshape(A_m.shape + (1,))
+    out = (w * H.data).sum(axis=-2)
+
+    def rule(g):
+        gp = np.broadcast_to(np.expand_dims(g, -2), np.broadcast_shapes(
+            w.shape, H.shape))
+        return (T._unbroadcast(gp * H.data, w.shape).reshape(A_m.shape),
+                T._unbroadcast(gp * w, H.shape))
+
+    return T._node(out, (A_m, H), rule)
 
 
 def hc_combine(B: Tensor, A_r: Tensor, H: Tensor, layer_out: Tensor) -> Tensor:
     """H_hat = B^T layer_out + A_r^T H: broadcast the sublayer output back
-    into the streams and add the residual mixing."""
-    n = H.shape[-2]
-    col = T.reshape(B, B.shape + (1,))
-    row = T.reshape(layer_out, layer_out.shape[:-1] + (1, layer_out.shape[-1]))
-    broadcasted = T.mul(col, row)
-    # residual[..., r, :] = sum_s A_r[..., s, r] * H[..., s, :]
-    Ar_e = T.reshape(A_r, A_r.shape + (1,))
-    H_e = T.reshape(H, H.shape[:-2] + (n, 1, H.shape[-1]))
-    residual = T.tsum(T.mul(Ar_e, H_e), axis=-3)
-    return T.add(broadcasted, residual)
+    into the streams and add the residual mixing.
+
+    One tape op with parents (B, A_r, H, layer_out). The residual sums the
+    [..., n, n, d] product A_r[..., s, r] * H[..., s, :] over s; the tape
+    keeps neither it nor the broadcast [..., n, d] output product, and the
+    rule forms each again, as the composed ``mul``/``tsum`` rules would.
+    """
+    n, d = H.shape[-2:]
+    col = B.data.reshape(B.shape + (1,))
+    row = layer_out.data.reshape(layer_out.shape[:-1] + (1, d))
+    Ar_e = A_r.data.reshape(A_r.shape + (1,))
+    H_e = H.data.reshape(H.shape[:-2] + (n, 1, d))
+    out = col * row + (Ar_e * H_e).sum(axis=-3)
+
+    def rule(g):
+        gp = np.broadcast_to(np.expand_dims(g, -3), np.broadcast_shapes(
+            Ar_e.shape, H_e.shape))
+        return (T._unbroadcast(g * row, col.shape).reshape(B.shape),
+                T._unbroadcast(gp * H_e, Ar_e.shape).reshape(A_r.shape),
+                T._unbroadcast(gp * Ar_e, H_e.shape).reshape(H.shape),
+                T._unbroadcast(g * col, row.shape).reshape(layer_out.shape))
+
+    return T._node(out, (B, A_r, H, layer_out), rule)
 
 
 def hc_liquid_params(params: HcParams, X: Tensor):

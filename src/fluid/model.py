@@ -73,8 +73,8 @@ class _Ffn:
         self.b2 = uniform_init(rng, (d,), inner)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = T.relu(T.add(T.matmul(x, self.W1), self.b1))
-        return T.add(T.matmul(h, self.W2), self.b2)
+        h = T.relu(T.affine(x, self.W1, self.b1))
+        return T.affine(h, self.W2, self.b2)
 
     def parameters(self):
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
@@ -215,7 +215,7 @@ class FluidModel:
             raise ValueError(f"values have {values.shape[-1]} features; the "
                              f"model takes {self.cfg.in_features}")
         feats = Tensor(np.concatenate([values, times[..., None]], axis=-1))
-        emb = T.add(T.matmul(feats, self.W_e), self.b_e)
+        emb = T.affine(feats, self.W_e, self.b_e)
         pe = Tensor(self.pos.data[:L])
         return T.add(emb, pe)
 
@@ -251,7 +251,7 @@ class FluidModel:
         zero_values = np.zeros(query_times.shape + (self.cfg.in_features,))
         y = self.embed(zero_values, query_times)
         h = self.decoder_forward(y, z, enc_mask=mask, collect=collect)
-        return T.add(T.matmul(h, self.W_o), self.b_o)
+        return T.affine(h, self.W_o, self.b_o)
 
 
 # --------------------------------------------------------------------------

@@ -129,7 +129,8 @@ class PairInput:
 
 def full_pairwise_concat(q: Tensor, k: Tensor, causal: bool = False,
                          key_mask: np.ndarray | None = None) -> PairBatch:
-    """Every query paired with every key; K_eff == T_k."""
+    """Every query paired with every key; K_eff == T_k. The indices are
+    the read-only broadcast view of one row arange(T_k)."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"pair features disagree: q has {q.shape}, k has {k.shape}")
     B, H, T_q, D = q.shape
@@ -139,7 +140,7 @@ def full_pairwise_concat(q: Tensor, k: Tensor, causal: bool = False,
         valid &= np.tri(T_q, T_k, dtype=bool)
     if key_mask is not None:
         valid &= np.asarray(key_mask, dtype=bool)[:, None, None, :]
-    indices = np.broadcast_to(np.arange(T_k), (B, H, T_q, T_k)).copy()
+    indices = np.broadcast_to(np.arange(T_k), (B, H, T_q, T_k))
     return PairBatch(selected_indices=indices, valid_mask=valid)
 
 

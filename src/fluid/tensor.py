@@ -234,14 +234,15 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
+    """The read-only ``np.broadcast_to`` view of a: the broadcast axes
+    hold no data of their own, so no caller may write into it."""
     shape = tuple(shape)
     try:
         out = np.broadcast_to(a.data, shape)
     except ValueError:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {shape}")
     orig = a.shape
-    return _node(np.ascontiguousarray(out), (a,),
-                 lambda g: (_unbroadcast(g, orig),))
+    return _node(out, (a,), lambda g: (_unbroadcast(g, orig),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -285,13 +286,8 @@ def tsum(a: Tensor, axis=None) -> Tensor:
     return _node(out, (a,), rule)
 
 
-def matmul(a: Tensor, b: Tensor, order: tuple | None = None) -> Tensor:
-    """Matrix product over the last two axes; batch axes broadcast.
-
-    With ``order``, an axis permutation, the product is copied into a
-    buffer laid out in that axis order, and the result is a view of it:
-    the same values, held once, in the layout a caller reads.
-    """
+def _matmul(a: Tensor, b: Tensor) -> np.ndarray:
+    """np.matmul of the operands' data, with their shapes checked."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must have rank >= 2, "
                          f"got {a.shape} and {b.shape}")
@@ -299,20 +295,50 @@ def matmul(a: Tensor, b: Tensor, order: tuple | None = None) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes "
                          f"{a.shape} and {b.shape}")
     try:
-        out = np.matmul(a.data, b.data)
+        return np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeError(f"matmul: batch dimensions of {a.shape} and "
                          f"{b.shape} do not broadcast")
+
+
+def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
+    ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+    gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+    return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+
+
+def matmul(a: Tensor, b: Tensor, order: tuple | None = None) -> Tensor:
+    """Matrix product over the last two axes; batch axes broadcast.
+
+    With ``order``, an axis permutation, the product is copied into a
+    buffer laid out in that axis order, and the result is a view of it:
+    the same values, held once, in the layout a caller reads.
+    """
+    out = _matmul(a, b)
     if order is not None:
         out = np.ascontiguousarray(out.transpose(order)).transpose(
             np.argsort(order))
+    return _node(out, (a, b), lambda g: _matmul_grads(g, a, b))
+
+
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x W + b as one tape op: ``matmul``, then the bias added in place.
+
+    The value of ``add(matmul(x, W), b)``, bitwise, without the bare
+    product on the tape: the rule is ``matmul``'s, plus ``add``'s sum of
+    g over b's broadcast axes. b must broadcast to the product's shape.
+    """
+    out = _matmul(x, W)
+    try:
+        out += b.data
+    except ValueError:
+        raise ShapeError(f"affine: bias {b.shape} does not broadcast to "
+                         f"the product {out.shape}")
 
     def rule(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return _matmul_grads(g, x, W) + (_unbroadcast(g, b.shape),)
 
-    return _node(out, (a, b), rule)
+    return _node(out, (x, W, b), rule)
 
 
 def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:

@@ -64,6 +64,15 @@ def peak_bytes(fn) -> int:
             tracemalloc.stop()
 
 
+def weighted_run(fn, arrays, coef: np.ndarray):
+    """fn on fresh leaves made from ``arrays``, then backward of
+    sum(fn(...) * coef): (output values, the leaves' gradients)."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    T.tsum(T.mul(out, Tensor(coef))).backward()
+    return out.data, [t.grad for t in leaves]
+
+
 # --------------------------------------------------------------------------
 # run-length decoding: the oracle of data.event_encode
 # --------------------------------------------------------------------------
@@ -215,6 +224,35 @@ def gru_unroll(core, u: Tensor, n_steps: int, dt_nominal: float):
         f_phis.append(f_phi)
     return T.concat([T.reshape(g, (1,) + g.shape) for g in f_taus + f_phis],
                     axis=0)
+
+
+# --------------------------------------------------------------------------
+# composed affine map and hyper-connection mixing: the oracles for the
+# one-op T.affine, hc_aggregate and hc_combine
+# --------------------------------------------------------------------------
+
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x W + b as a bias ``add`` on a bare ``matmul`` product."""
+    return T.add(T.matmul(x, W), b)
+
+
+def hc_aggregate(A_m: Tensor, H: Tensor) -> Tensor:
+    """A_m^T H [..., d] as a broadcast ``mul`` and a ``tsum`` over streams."""
+    w = T.reshape(A_m, A_m.shape + (1,))
+    return T.tsum(T.mul(w, H), axis=-2)
+
+
+def hc_combine(B: Tensor, A_r: Tensor, H: Tensor, layer_out: Tensor) -> Tensor:
+    """B^T layer_out + A_r^T H [..., n, d] from ``mul``, ``tsum`` and ``add``."""
+    n = H.shape[-2]
+    col = T.reshape(B, B.shape + (1,))
+    row = T.reshape(layer_out, layer_out.shape[:-1] + (1, layer_out.shape[-1]))
+    broadcasted = T.mul(col, row)
+    # residual[..., r, :] = sum_s A_r[..., s, r] * H[..., s, :]
+    Ar_e = T.reshape(A_r, A_r.shape + (1,))
+    H_e = T.reshape(H, H.shape[:-2] + (n, 1, H.shape[-1]))
+    residual = T.tsum(T.mul(Ar_e, H_e), axis=-3)
+    return T.add(broadcasted, residual)
 
 
 # --------------------------------------------------------------------------

@@ -246,7 +246,9 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "generate-nan-noise",
                                   "eval-three-feature-data",
                                   "train-blank-line-data",
-                                  "train-short-row-data"])
+                                  "train-short-row-data",
+                                  "train-nan-feature-data",
+                                  "eval-nan-feature-data"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                            monkeypatch, case):
     malformed = tmp_path / "malformed.json"
@@ -291,6 +293,11 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
     blank.write_text("".join(rows[:2] + ["\n"] + rows[2:]))
     short.write_text("".join(rows[:1] + [
         ",".join(r.split(",")[:3] + r.split(",")[4:]) for r in rows[1:]]))
+    # a nan feature in the last sequence, which a split holds out
+    nan_feature = tmp_path / "nan_feature.csv"
+    last = rows[-1].split(",")
+    nan_feature.write_text("".join(rows[:-1] + [",".join(last[:2] + ["nan"]
+                                                         + last[3:])]))
     one_point = tmp_path / "one_point.csv"
     D.write_dataset_csv(str(one_point), D.read_dataset_csv(str(data)) + [
         D.EventSequence(values=[[0.1, 0.2]], times=[1.0], mask=[True])])
@@ -391,6 +398,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                     "--data", str(three)],
         "train-blank-line-data": train + [str(blank)],
         "train-short-row-data": train + [str(short)],
+        "train-nan-feature-data": train + [str(nan_feature)],
+        "eval-nan-feature-data": ["eval", "--checkpoint", checkpoint,
+                                  "--data", str(nan_feature)],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -443,12 +453,30 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
             "train-blank-line-data":
                 f"fluid train: {blank} line 3: 0 fields, the header has 5\n",
             "train-short-row-data":
-                f"fluid train: {short} line 2: 4 fields, the header has 5\n"}
+                f"fluid train: {short} line 2: 4 fields, the header has 5\n",
+            "train-nan-feature-data": f"fluid train: {nan_feature} line "
+                                      f"{len(rows)}: times and features must "
+                                      "be finite\n",
+            "eval-nan-feature-data": f"fluid eval: {nan_feature} line "
+                                     f"{len(rows)}: times and features must "
+                                     "be finite\n"}
     if case in said:
         assert said[case] in err, err
         assert not list(tmp_path.glob("[es].csv"))
     # an empty pixel file warns nothing besides the one line
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
+def test_eval_prints_a_non_finite_metric_as_json_null(tmp_path, capsys):
+    data, _ = _tiny_run(tmp_path)
+    model = M.FluidModel(cli._model_config(TINY_CONFIG))
+    model.b_o.data[0] = float("nan")     # every prediction is nan
+    M.save_checkpoint(model, str(tmp_path / "ckpt"))
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "ckpt"),
+                     "--data", str(data)]) == 0
+    # plain json.loads accepts NaN; this parse does not
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert report == {"metric": "mae", "value": None, "sequences": 10}
 
 
 def test_eval_rejects_a_manifest_config_that_does_not_fit(tmp_path, capsys):

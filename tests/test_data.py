@@ -208,3 +208,23 @@ def test_read_dataset_csv_rejects_a_row_of_another_width(tmp_path, case):
         D.read_dataset_csv(str(path))
     assert str(err.value) == (f"{path} line {line}: {fields} fields, the "
                               "header has 5")
+
+
+@pytest.mark.parametrize("column, value", [(2, "nan"), (3, "-inf"), (1, "inf")],
+                         ids=["nan-feature", "inf-feature", "inf-time"])
+def test_read_dataset_csv_rejects_a_non_finite_time_or_feature(tmp_path, column,
+                                                                value):
+    # a nan feature used to train to a nan metric, and an inf time failed
+    # as "times must be strictly increasing"
+    path = tmp_path / "ds.csv"
+    D.write_dataset_csv(str(path), D.generate_spirals(
+        D.SpiralSpec(n_spirals=2, n_points=30, n_subsample=10, seed=7)))
+    rows = path.read_text().splitlines(keepends=True)
+    fields = rows[4].split(",")
+    fields[column] = value
+    rows[4] = ",".join(fields)
+    path.write_text("".join(rows))
+    with pytest.raises(ValueError) as err:
+        D.read_dataset_csv(str(path))
+    assert str(err.value) == (f"{path} line 5: times and features must be "
+                              "finite")

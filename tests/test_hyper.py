@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import conftest
+from conftest import max_rel_error, weighted_run
 from fluid import hyper as HC
 from fluid import tensor as T
+from fluid import training as TR
 from fluid.tensor import Tensor
 
 
@@ -213,6 +216,51 @@ def test_width_depth_decomposition_equals_monolithic_matrix():
     assert np.allclose(width[0], x0, atol=1e-12)
     assert np.allclose(params.B.data[:, None] * z[None, :] + width[1:],
                        combined, atol=1e-12)
+
+
+def _mixing_case(op: str, liquid: bool):
+    """Operands of ``hc_aggregate`` or ``hc_combine`` over H [2,5,3,4]:
+    static weights [n] and [n,n], or liquid ones [2,5,n] and [2,5,n,n];
+    and a weighting of the output for a scalar loss."""
+    rng = np.random.default_rng(41)
+    lead, n, d = (2, 5), 3, 4
+    w = lead if liquid else ()
+    shapes = {"aggregate": {"A_m": w + (n,), "H": lead + (n, d)},
+              "combine": {"B": w + (n,), "A_r": w + (n, n),
+                          "H": lead + (n, d), "layer_out": lead + (d,)}}[op]
+    out_shape = lead + ((d,) if op == "aggregate" else (n, d))
+    return ({k: rng.standard_normal(s) for k, s in shapes.items()},
+            rng.standard_normal(out_shape))
+
+
+MIXING = [(op, liquid) for op in ("aggregate", "combine")
+          for liquid in (False, True)]
+MIXING_IDS = [f"{op}-{'liquid' if liquid else 'static'}" for op, liquid in MIXING]
+
+
+@pytest.mark.parametrize("op, liquid", MIXING, ids=MIXING_IDS)
+def test_stream_mixing_passes_grad_check(op, liquid):
+    arrays, coef = _mixing_case(op, liquid)
+    params = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+    fn = getattr(HC, "hc_" + op)
+    report = TR.grad_check(
+        lambda: T.tsum(T.mul(fn(*params.values()), Tensor(coef))), params)
+    assert report["max_rel_error"] < 1e-4      # verify's op tolerance
+
+
+@pytest.mark.parametrize("op, liquid", MIXING, ids=MIXING_IDS)
+def test_stream_mixing_is_the_composition_on_one_tape_node(op, liquid):
+    arrays, coef = _mixing_case(op, liquid)
+    fused, fused_grads = weighted_run(getattr(HC, "hc_" + op),
+                                      arrays.values(), coef)
+    composed, composed_grads = weighted_run(getattr(conftest, "hc_" + op),
+                                            arrays.values(), coef)
+    assert np.array_equal(fused, composed)
+    for g, want in zip(fused_grads, composed_grads):
+        assert max_rel_error(g, want) <= 1e-15
+    params = [Tensor(a, requires_grad=True) for a in arrays.values()]
+    node = getattr(HC, "hc_" + op)(*params)
+    assert all(p is q for p, q in zip(node._parents, params, strict=True))
 
 
 def test_expansion_rate_must_be_positive():

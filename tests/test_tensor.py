@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import affine as composed_affine
 from conftest import (central_difference, matmul_triple_loop, max_rel_error,
-                      peak_bytes, softplus)
+                      peak_bytes, softplus, weighted_run)
 from fluid import tensor as T
 from fluid import training as TR
 from fluid.tensor import Tensor
@@ -244,6 +245,46 @@ def test_matmul_gradient_with_batch_broadcast():
 
     assert max_rel_error(pa.grad, central_difference(fa, a.copy())) < 1e-4
     assert max_rel_error(pb.grad, central_difference(fb, b.copy())) < 1e-4
+
+
+def _affine_case():
+    """``_project``'s shapes: x [1,B,T,d] against per-head weights
+    [H,1,d,D] and biases [H,1,1,D], so every operand broadcasts."""
+    rng = np.random.default_rng(40)
+    arrays = {"x": rng.standard_normal((1, 3, 5, 4)),
+              "W": rng.standard_normal((2, 1, 4, 3)),
+              "b": rng.standard_normal((2, 1, 1, 3))}
+    return arrays, rng.standard_normal((2, 3, 5, 3))
+
+
+def test_affine_passes_grad_check():
+    arrays, coef = _affine_case()
+    params = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+    report = TR.grad_check(
+        lambda: T.tsum(T.mul(T.affine(*params.values()), Tensor(coef))), params)
+    assert report["max_rel_error"] < 1e-4      # verify's op tolerance
+
+
+def test_affine_is_the_composed_bias_add_on_one_tape_node():
+    arrays, coef = _affine_case()
+    fused, fused_grads = weighted_run(T.affine, arrays.values(), coef)
+    composed, composed_grads = weighted_run(composed_affine, arrays.values(),
+                                            coef)
+    assert np.array_equal(fused, composed)
+    for g, want in zip(fused_grads, composed_grads):
+        assert max_rel_error(g, want) <= 1e-15
+    x, W, b = (Tensor(a, requires_grad=True) for a in arrays.values())
+    node = T.affine(x, W, b)
+    assert len(node._parents) == 3
+    assert all(p is q for p, q in zip(node._parents, (x, W, b)))
+
+
+def test_affine_shape_errors_name_the_shapes():
+    x, W = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+    with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(4, 4\)"):
+        T.affine(x, Tensor(np.ones((4, 4))), Tensor(np.ones(4)))
+    with pytest.raises(T.ShapeError, match=r"\(5, 2, 4\).*\(2, 4\)"):
+        T.affine(x, W, Tensor(np.ones((5, 2, 4))))
 
 
 def test_gather_keys_forward_and_grad():

@@ -8,6 +8,7 @@ import pytest
 
 from fluid import attention as A
 from fluid import model as M
+from fluid import pairs
 from fluid import tensor as T
 from fluid import training as TR
 from fluid.tensor import Tensor
@@ -242,7 +243,8 @@ def test_every_gate_parameter_receives_gradient():
 GOLDEN = json.loads((Path(__file__).parent / "golden_step.json").read_text())
 
 
-def _golden_step(case):
+def _golden_loss(case):
+    """The micro model and its loss on one golden batch, before backward."""
     kw = dict(euler_steps=3, hc_mode="liquid", hc_streams=2,
               sink_gate_enabled=True)
     if case == "topk":
@@ -258,13 +260,50 @@ def _golden_step(case):
         times=np.cumsum(rng.uniform(0.5, 1.5, (B, T_in)), axis=1),
         query_times=np.cumsum(rng.uniform(0.5, 1.5, (B, T_out)), axis=1),
         mask=mask)
-    loss = TR.loss("mse", pred, rng.standard_normal((B, T_out, 1)))
+    return model, TR.loss("mse", pred, rng.standard_normal((B, T_out, 1)))
+
+
+def _golden_step(case):
+    model, loss = _golden_loss(case)
     loss.backward()
     params = model.parameters()
     # one fixed random direction per parameter, the same draws for each
     proj = {n: float((p.grad * np.random.default_rng(13).standard_normal(
         p.shape)).sum()) for n, p in params.items()}
     return loss.item(), TR.clip_global_norm(params, 0.0), proj
+
+
+def test_training_tape_keeps_no_array_that_no_rule_reads(monkeypatch):
+    # liquid hyper-connections with n = 2 streams over d_model = 8
+    batches, curate = [], pairs.full_pairwise_concat
+
+    def full_pairwise(*args, **kw):
+        batches.append(curate(*args, **kw))
+        return batches[-1]
+
+    monkeypatch.setattr(pairs, "full_pairwise_concat", full_pairwise)
+    _, loss = _golden_loss("full")
+    nodes, children, stack = {id(loss): loss}, {}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            children[id(p)] = children.get(id(p), 0) + 1
+            if id(p) not in nodes:
+                nodes[id(p)] = p
+                stack.append(p)
+
+    def op(node):
+        rule = node._backward
+        return rule.__qualname__.split(".")[0] if rule else None
+
+    # the residual product A_r[..., s, r] * H[..., s, :] of hc_combine
+    assert not [t.shape for t in nodes.values() if t.shape[-3:] == (2, 2, 8)]
+    # a bias add reads no data, so a product under it is not kept bare
+    assert not [t.shape for t in nodes.values() if op(t) == "add" and any(
+        op(p) == "matmul" and children[id(p)] == 1 for p in t._parents)]
+    # one row of key indices, seen by every query of every head
+    assert len(batches) == 3
+    for pb in batches:
+        assert pb.selected_indices.strides[:3] == (0, 0, 0)
 
 
 @pytest.mark.parametrize("case", ["full", "topk"])
