@@ -29,9 +29,11 @@ block) work items run on ``fluid.pool``, which top-k selection shares,
 one thread per CPU, with the same results for any number of threads.
 
 Gates are [2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:,
-each row in the shape of the pair batch's valid mask; they and the Euler
-states outlive a forward only in a trajectory the caller keeps. For the
-gates of the attention limit, ``integrate_logits`` is a tape op itself.
+each row in the shape of the pair batch's valid mask; they outlive a
+forward only in a trajectory the caller keeps. The Euler states are never
+kept: ``integrate_logits`` runs them over two rows, and a trajectory
+rebuilds them from its gates when they are read. For the gates of the
+attention limit, ``integrate_logits`` is a tape op itself.
 
 Final logits pass through a masked softmax, and one op contracts the
 weights with the selected values a chunk of query rows at a time, so the
@@ -43,6 +45,7 @@ query-dependent sigmoid output gate that counteracts attention sinks.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -111,19 +114,28 @@ class LanConfig:
 
 @dataclass
 class LogitTrajectory:
-    """Recorded logit states and gate values across the Euler steps.
+    """Gate values and logit states across the Euler steps.
 
-    a: [..., N+1] with a[..., 0] == 0; f_tau, f_phi: [..., N];
-    dt_effective is the single clamped step used for the whole pass. An
+    f_tau, f_phi: [..., N], views of the gates; dt_effective is the single
+    clamped step used for the whole pass; a0 is the start state, one row
+    [...] or None for 0. The states a [..., N+1], a[..., 0] == a0, are not
+    stored: the first read of ``a`` rebuilds them from a0 and the gates
+    with the integrator's ops, bitwise its states, and keeps them. An
     invalid slot of the recurrent core reads the floor gates: a = 0,
     f_tau = eps and f_phi = 0 at every step.
     """
 
-    a: np.ndarray
     f_tau: np.ndarray
     f_phi: np.ndarray
     dt_effective: float
     dt_nominal: float
+    a0: np.ndarray | None = None
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        f_tau, f_phi = (np.moveaxis(f, -1, 0) for f in (self.f_tau, self.f_phi))
+        return np.moveaxis(_euler_rows(self.a0, f_tau, f_phi, self.dt_effective,
+                                       len(f_tau) + 1), 0, -1)
 
     def to_csv(self, path):
         """Diagnostic dump, one row per (step, pair), pair by pair; step 0
@@ -167,7 +179,7 @@ class RecurrentGateCore:
     ``pairs.PairInput``. ``unroll`` is one tape op from it to the
     final logits, ``_gru_forward`` then ``integrate_logits``. Its tape
     keeps only the pair input, the weights, the hidden states
-    h_1 .. h_{N-2}, the clamped dt and a copy of the final logits
+    h_1 .. h_{N-2}, the clamped dt and the final logits
     (Gruslys et al., "Memory-Efficient Backpropagation Through Time"; Chen
     et al., "Training Deep Nets with Sublinear Memory Cost"). Each
     backward item rebuilds the rest, bitwise the forward's, and evaluates
@@ -181,21 +193,23 @@ class RecurrentGateCore:
     The kernel runs on each head's packed pairs (``PairInput.counts``),
     its valid pairs in slot order; ``unroll`` gives every invalid slot the
     floor gates f_tau = eps, f_phi = 0, which no gradient reaches. It cuts
-    the packed pairs into contiguous, balanced blocks of at most
-    ``_BLOCK_PAIRS``, a cut that depends on the pair count alone, and runs
-    the (head, block) work items on ``fluid.pool``, one thread per CPU
-    (numpy releases the GIL inside ufuncs and GEMMs), or inline with one
-    CPU or one item. An item reads the core's own weight buffers and forms
-    its block's input [3h, block] and all its scratch itself, so the pair
-    input is never whole in memory. Besides its input, a forward item
-    holds one scratch [max(3h, N), block], which the cell overwrites in
-    place, and one state [h, block]. Gates are stored head-major ([2N, H,
-    slots]) and seen as one tensor [2N,B,H,T_q,K_eff]. Items write their
-    gates and hidden states by position and return their gradient
-    partials, summed in item order: outputs and every gradient are bitwise
-    the same for any number of threads. The backward cuts only the live
-    pairs into blocks, those whose final logit's gradient is not 0; the
-    rest add exactly 0 to every gradient (see ``_gru_backward``).
+    the packed pairs into contiguous, balanced blocks whose input [3h,
+    block] holds at most ``_BLOCK_SCALARS`` scalars, a cut that depends on
+    the pair and channel counts alone, and runs the (head, block) work
+    items on ``fluid.pool``, one thread per CPU (numpy releases the GIL
+    inside ufuncs and GEMMs), or inline with one CPU or one item. An item
+    reads the core's own weight buffers and forms its block's input and
+    all its scratch itself, so the pair input is never whole in memory.
+    Besides its input, a forward item holds one scratch [max(3h, N),
+    block], which the cell overwrites in place, and one state [h, block],
+    so while 3h >= N an item holds the same number of scalars at every
+    head width. Gates are stored head-major ([2N, H, slots]) and seen as
+    one tensor [2N,B,H,T_q,K_eff]. Items write their gates and hidden
+    states by position and return their gradient partials, summed in item
+    order: outputs and every gradient are bitwise the same for any number
+    of threads. The backward cuts only the live pairs into blocks, those
+    whose final logit's gradient is not 0; the rest add exactly 0 to every
+    gradient (see ``_gru_backward``).
     """
 
     def __init__(self, head_dim: int, epsilon: float,
@@ -244,7 +258,7 @@ class RecurrentGateCore:
         queries and keys and the gate weights. Returns (final logits
         [B,H,T_q,K_eff], LogitTrajectory) as ``integrate_logits`` does.
         The tape holds the hidden states [H, max(N-2, 0), h, packed pairs]
-        and a copy of the final logits, not the trajectory.
+        and the final logits, not the trajectory.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -284,7 +298,7 @@ class RecurrentGateCore:
             return _gru_backward(g_h, pin, w, saved, n_steps, dt_nominal,
                                  epsilon, dt)
 
-        return T._node(final.data.copy(), inputs, rule), traj
+        return T._node(final.data, inputs, rule), traj
 
 
 def _cell(xn: np.ndarray, hpn: np.ndarray | None, tw: np.ndarray,
@@ -341,30 +355,31 @@ def _negate_input(x, w, hd, n_steps, dt_nominal):
 # work items of the gate kernel: (head, pair block) on a thread pool
 # --------------------------------------------------------------------------
 
-# the most pairs one work item takes. An item outgrows a core's 2 MB L2
-# (one [3h, 4096] array is 1.5 MB), but larger blocks make fewer numpy
-# calls per pair, each a GIL handoff between the workers
-_BLOCK_PAIRS = 4096
+# the most scalars of block input [C, pairs] one work item takes: 4096
+# pairs at h = 8 and 2048 at h = 16. A forward item's input, scratch and
+# state then hold 1.8 MB at any head width; larger blocks make fewer numpy
+# calls per pair, each a GIL handoff between the workers, but hold more
+_BLOCK_SCALARS = 3 * 8 * 4096
 
 
-def _blocks(P: int) -> list[tuple[int, int]]:
-    """[start, stop) of contiguous, balanced blocks of at most _BLOCK_PAIRS
-    pairs each, none for no pairs. The cut depends on P alone, never on
-    the worker count."""
-    n = -(-P // _BLOCK_PAIRS)
+def _blocks(P: int, C: int) -> list[tuple[int, int]]:
+    """[start, stop) of contiguous, balanced blocks of P pairs of C
+    channels, at most _BLOCK_SCALARS // C pairs each, none for no pairs.
+    The cut depends on P and C alone, never on the worker count."""
+    n = -(-P // max(1, _BLOCK_SCALARS // C))
     return [(P * i // n, P * (i + 1) // n) for i in range(n)]
 
 
-def _items(counts: list[int], live: list | None = None) -> list[tuple]:
+def _items(counts: list[int], C: int, live: list | None = None) -> list[tuple]:
     """(head, selector) of every work item, head by head, over balanced
-    blocks of each head's packed pairs: slices of its ``counts[hd]``
-    pairs, or with ``live`` blocks of its ascending live indices
-    ``live[hd]``, slices again where every pair is live."""
+    blocks of each head's packed pairs of C channels: slices of its
+    ``counts[hd]`` pairs, or with ``live`` blocks of its ascending live
+    indices ``live[hd]``, slices again where every pair is live."""
     items = []
     for hd, P in enumerate(counts):
         sel = None if live is None or live[hd].size == P else live[hd]
         items += [(hd, slice(a, b) if sel is None else sel[a:b])
-                  for a, b in _blocks(P if sel is None else sel.size)]
+                  for a, b in _blocks(P if sel is None else sel.size, C)]
     return items
 
 
@@ -382,7 +397,7 @@ def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
         if pin.pos is not None:
             gates[:, hd, pin.pos[hd][sel]] = out
 
-    pool._run_items(item, _items(pin.counts))
+    pool._run_items(item, _items(pin.counts, pin.shape[-1]))
 
 
 def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
@@ -445,7 +460,7 @@ def _gru_backward(g, pin, w, saved, n_steps, dt_nominal, epsilon, dt):
     for any number of workers."""
     live = [np.flatnonzero(g[hd, 0, pin.slots(hd, slice(0, P))])
             for hd, P in enumerate(pin.counts)]
-    items = _items(pin.counts, live)
+    items = _items(pin.counts, pin.shape[-1], live)
 
     def item(hd, sel):
         dx, parts = _backward_block(
@@ -629,50 +644,67 @@ def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
 
     gates: [2N, *pairs], f_tau in rows :N and f_phi in rows N:, each row
     in the pair batch's shape, as every gate core makes them; a0
-    broadcasts to one row [*pairs]. One tape op: the states fill one
-    [N+1, ...] buffer (``_euler_states``), and the backward runs the
+    broadcasts to one row [*pairs]. One tape op: the states alternate
+    between two row buffers (``_euler_states`` over them), so a_N ends in
+    a buffer of its own and no other state is kept. The backward rebuilds
+    a_0 .. a_{N-1} the same way into one [N, ...] buffer and runs the
     adjoint recursion by hand (``_euler_adjoint``, as the gate kernel's
     backward items do) into one gradient in the gates' layout, on one
     copy of the incoming gradient.
-    Returns (final state tensor, LogitTrajectory), whose arrays are views
-    of the state buffer and the gates. Disabling the clamp is only meant
-    for instability demonstrations.
+    Returns (final state tensor, LogitTrajectory), whose gate arrays are
+    views of the gates and whose states are rebuilt when read. Disabling
+    the clamp is only meant for instability demonstrations.
     """
     n_steps = gates.shape[0] // 2
     f_tau, f_phi = gates.data[:n_steps], gates.data[n_steps:]
     dt = clamp_dt(dt_nominal, f_tau) if clamp else float(dt_nominal)
-    a = np.empty((n_steps + 1,) + gates.shape[1:])
-    a[0] = 0.0 if a0 is None else a0.data
-    _euler_states(a, f_tau, f_phi, dt)
+    start = None if a0 is None else a0.data
+    # a_n in pair[n % 2]: two separate buffers, so that no other row
+    # outlives the call with a_N
+    pair = [np.empty(gates.shape[1:]), np.empty(gates.shape[1:])]
+    pair[0][...] = 0.0 if start is None else start
+    rows = [pair[n % 2] for n in range(n_steps + 1)]
+    _euler_states(rows, f_tau, f_phi, dt)
 
     def rule(g):
         d = np.empty_like(gates.data)   # keeps the gates' memory layout
         g = g.copy()
+        a = _euler_rows(start, f_tau, f_phi, dt, n_steps)
         _euler_adjoint(g, f_tau, a, dt, d)
         return (d,) if a0 is None else (d, T._unbroadcast(g, a0.shape))
 
     traj = LogitTrajectory(
-        a=np.moveaxis(a, 0, -1),
         f_tau=np.moveaxis(f_tau, 0, -1),
         f_phi=np.moveaxis(f_phi, 0, -1),
         dt_effective=dt,
         dt_nominal=float(dt_nominal),
+        a0=start,
     )
     parents = (gates,) if a0 is None else (gates, a0)
-    return T._node(a[n_steps], parents, rule), traj
+    return T._node(rows[-1], parents, rule), traj
 
 
-def _euler_states(a: np.ndarray, f_tau: np.ndarray, f_phi: np.ndarray,
-                  dt: float):
+def _euler_states(a, f_tau: np.ndarray, f_phi: np.ndarray, dt: float):
     """a_{n+1} = a_n + dt * (f_phi_n - f_tau_n * a_n) into every row after
-    the first of a [M+1, ...], from a[0] and gate rows n < M; in the float
-    order of that formula, with no temporaries."""
+    the first of a, [M+1, ...] or a list of M+1 rows, from a[0] and gate
+    rows n < M; in the float order of that formula, with no temporaries.
+    Listed rows may repeat buffers as long as a[n] and a[n + 1] differ."""
     for n in range(len(a) - 1):
         # a + (f_phi - f_tau * a) * dt, built in a[n + 1]
         step = np.multiply(f_tau[n], a[n], out=a[n + 1])
         np.subtract(f_phi[n], step, out=step)
         step *= dt
         step += a[n]
+
+
+def _euler_rows(a0: np.ndarray | None, f_tau: np.ndarray, f_phi: np.ndarray,
+                dt: float, n_rows: int) -> np.ndarray:
+    """The states a_0 .. a_{n_rows-1} [n_rows, ...] from a0 (None for 0)
+    and the gate rows f_tau, f_phi, by ``_euler_states``."""
+    a = np.empty((n_rows,) + f_tau.shape[1:])
+    a[:1] = 0.0 if a0 is None else a0
+    _euler_states(a, f_tau, f_phi, dt)
+    return a
 
 
 def _euler_adjoint(g: np.ndarray, f_tau: np.ndarray, a: np.ndarray,

@@ -207,6 +207,10 @@ def write_dataset_csv(path: str, seqs: list[EventSequence]):
 
 
 def read_dataset_csv(path: str) -> list[EventSequence]:
+    """The sequences of a ``write_dataset_csv`` file. A row of another
+    width than the header, a seq_id that is no integer, a time or feature
+    that is no finite number, or a mask other than 0 or 1 raises a
+    ValueError naming the file and the line."""
     rows: dict[int, list] = {}
     with open(path) as fh:
         reader = csv.reader(fh)
@@ -215,15 +219,27 @@ def read_dataset_csv(path: str) -> list[EventSequence]:
             raise ValueError(f"{path} has no header row")
         F = len(header) - 3
         for row in reader:
+            where = f"{path} line {reader.line_num}"
             if len(row) != len(header):
-                raise ValueError(f"{path} line {reader.line_num}: {len(row)} "
-                                 f"fields, the header has {len(header)}")
-            sid = int(row[0])
-            t, feats = float(row[1]), [float(x) for x in row[2:2 + F]]
+                raise ValueError(f"{where}: {len(row)} fields, the header "
+                                 f"has {len(header)}")
+            try:
+                sid = int(row[0])
+            except ValueError:
+                raise ValueError(f"{where}: seq_id {row[0]!r} is no "
+                                 f"integer") from None
+            try:
+                t, feats = float(row[1]), [float(x) for x in row[2:2 + F]]
+            except ValueError:
+                raise ValueError(f"{where}: times and features must be "
+                                 f"numbers") from None
             if not np.isfinite([t] + feats).all():
-                raise ValueError(f"{path} line {reader.line_num}: times and "
-                                 f"features must be finite")
-            rows.setdefault(sid, []).append((t, feats, bool(int(row[-1]))))
+                raise ValueError(f"{where}: times and features must be finite")
+            mask = row[-1].strip()
+            if mask not in ("0", "1"):
+                raise ValueError(f"{where}: mask {row[-1]!r} is neither 0 "
+                                 f"nor 1")
+            rows.setdefault(sid, []).append((t, feats, mask == "1"))
     if not rows:
         raise ValueError(f"{path} holds no sequences")
     out = []

@@ -5,10 +5,9 @@ dot-product score (no 1/sqrt(d) scaling on the selection scores).
 Masking is applied to the scores before selection, so future keys can
 never enter the pair set under causal masking; rows left with fewer than
 K_eff candidates are padded with index 0 and marked invalid. Top-K
-ranks its scores on ``fluid.pool``, one work item per chunk of whole
-score matrices, in row slices of at most 2 MB of scores: neither the
-[B,H,T_q,T_k] candidate mask nor a whole matrix's partition copy is
-ever built.
+forms and ranks its scores on ``fluid.pool``, one work item per slice of
+at most 2 MB of scores: neither the [B,H,T_q,T_k] candidate mask nor a
+whole score matrix of a long sequence is ever built.
 
 The gates see each pair through a linear projection of u = [q; k], so a
 pair's input is a sum of one query feature and one key feature.
@@ -162,14 +161,17 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     outside the gradient tape and gradients flow only through selected
     pairs.
 
-    Scores are ranked in chunks of whole (batch, head) score matrices, at
-    most ``_SCORE_CHUNK`` scores or one matrix, one work item per chunk on
-    ``fluid.pool``. A chunk makes the GEMM call per matrix that the whole
-    product makes, so its scores are bitwise the same; a cut through a
-    matrix's rows would not guarantee that. An item masks and ranks its
-    rows in slices of at most ``_SLICE_SCORES`` scores or one row, and
-    writes them into the outputs by position. Chunks and slices depend on
-    the shapes alone, so the batch is the same for any number of workers.
+    Scores are formed and ranked in slices, one work item per slice on
+    ``fluid.pool``: several whole (batch, head) score matrices, as many as
+    fit ``_SLICE_SCORES``, or balanced row spans of one matrix that does
+    not fit. An item makes one GEMM call per matrix, on the matrix's rows
+    of its slice, and writes its rows into the outputs by position. A row
+    span holds at least two rows and over 2^15 scores, so BLAS runs it on
+    the GEMM kernel of the whole product, and its scores are bitwise the
+    whole product's, as the tests check; a single row would take the GEMV
+    path and a tiny block a small-matrix kernel, whose bits differ. Slices
+    depend on the shapes alone, so the batch is the same for any number
+    of workers.
     """
     if K < 1:
         raise ValueError(f"top-k needs K >= 1, got {K}")
@@ -185,46 +187,47 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
         key_mask = np.broadcast_to(np.asarray(key_mask, dtype=bool), (B, T_k))
     indices = np.empty((G * T_q, K_eff), dtype=np.intp)
     valid = np.empty((G * T_q, K_eff), dtype=bool)
-    span = max(1, _SLICE_SCORES // T_k)
 
-    def rank(g0: int, g1: int):
+    def rank(g0: int, g1: int, r0: int, r1: int):
         # rank -S ascending: the K best keys are the K_eff smallest entries
-        neg = np.matmul(-qf[g0:g1], kf[g0:g1]).reshape(-1, T_k)
-        for a in range(0, len(neg), span):
-            s = neg[a:a + span]
-            rows = np.arange(len(s)) + (g0 * T_q + a)
-            out = np.isnan(s)
-            if causal:
-                out |= np.arange(T_k) > rows[:, None] % T_q
-            if key_mask is not None:
-                out |= ~key_mask[rows // (H * T_q)]
-            np.copyto(s, np.inf, where=out)
-            # a copy, so that the slice's partition buffer is freed at once
-            kth = np.partition(s, K_eff - 1, axis=-1)[:, K_eff - 1:K_eff].copy()
-            keep = s <= kth
-            # rows with more ties at kth than places keep their lowest-index ties
-            over = np.count_nonzero(keep, axis=-1) > K_eff
-            if over.any():
-                cut, s_over = kth[over], s[over]
-                below, ties = s_over < cut, s_over == cut
-                room = K_eff - np.count_nonzero(below, axis=-1, keepdims=True)
-                keep[over] = below | (ties & (np.cumsum(ties, axis=-1) <= room))
-            # every row keeps exactly K_eff keys; read them in ascending order
-            idx = np.flatnonzero(keep).reshape(-1, K_eff) % T_k
-            ok = np.isfinite(np.take_along_axis(s, idx, axis=-1))
-            if not ok.all():
-                # invalid entries to the tail as index 0, valid order kept
-                tail = np.argsort(~ok, axis=-1, kind="stable")
-                ok = np.take_along_axis(ok, tail, axis=-1)
-                idx = np.where(ok, np.take_along_axis(idx, tail, axis=-1), 0)
-            indices[rows], valid[rows] = idx, ok
+        s = np.matmul(-qf[g0:g1, r0:r1], kf[g0:g1]).reshape(-1, T_k)
+        rows = (np.arange(g0, g1)[:, None] * T_q + np.arange(r0, r1)).ravel()
+        out = np.isnan(s)
+        if causal:
+            out |= np.arange(T_k) > rows[:, None] % T_q
+        if key_mask is not None:
+            out |= ~key_mask[rows // (H * T_q)]
+        np.copyto(s, np.inf, where=out)
+        # a copy, so that the slice's partition buffer is freed at once
+        kth = np.partition(s, K_eff - 1, axis=-1)[:, K_eff - 1:K_eff].copy()
+        keep = s <= kth
+        # rows with more ties at kth than places keep their lowest-index ties
+        over = np.count_nonzero(keep, axis=-1) > K_eff
+        if over.any():
+            cut, s_over = kth[over], s[over]
+            below, ties = s_over < cut, s_over == cut
+            room = K_eff - np.count_nonzero(below, axis=-1, keepdims=True)
+            keep[over] = below | (ties & (np.cumsum(ties, axis=-1) <= room))
+        # every row keeps exactly K_eff keys; read them in ascending order
+        idx = np.flatnonzero(keep).reshape(-1, K_eff) % T_k
+        ok = np.isfinite(np.take_along_axis(s, idx, axis=-1))
+        if not ok.all():
+            # invalid entries to the tail as index 0, valid order kept
+            tail = np.argsort(~ok, axis=-1, kind="stable")
+            ok = np.take_along_axis(ok, tail, axis=-1)
+            idx = np.where(ok, np.take_along_axis(idx, tail, axis=-1), 0)
+        indices[rows], valid[rows] = idx, ok
 
-    step = max(1, _SCORE_CHUNK // (T_q * T_k))
-    pool._run_items(rank, [(g0, min(g0 + step, G)) for g0 in range(0, G, step)])
+    # m whole matrices per slice, or n balanced row spans of each matrix;
+    # a span of at least 4 rows keeps every span at 2 rows or more
+    span = max(4, _SLICE_SCORES // T_k)
+    m, n = max(1, span // T_q), -(-T_q // span)
+    pool._run_items(rank, [(g0, min(g0 + m, G), T_q * i // n, T_q * (i + 1) // n)
+                           for g0 in range(0, G, m) for i in range(n)])
     return PairBatch(indices.reshape(B, H, T_q, K_eff), valid.reshape(B, H, T_q, K_eff))
 
 
-# the most scores one chunk of top-k selection ranks, and one row slice of
-# it: 2 MB, so that the slice's partition copy stays in cache
-_SCORE_CHUNK = 1 << 20
+# the most scores one slice of top-k selection forms and ranks, unless
+# four rows of a matrix hold more: 2 MB, so that the slice's partition
+# copy stays in cache
 _SLICE_SCORES = 1 << 18

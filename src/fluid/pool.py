@@ -1,5 +1,5 @@
 """The one thread pool of the program, shared by two stages: the gate
-kernel's (head, block) work items and top-k selection's score chunks.
+kernel's (head, block) work items and top-k selection's score slices.
 
 The pool owns the parallelism, so BLAS runs on one thread unless the user
 set a count: threads of its own would fight the pool's workers for the

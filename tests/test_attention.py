@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import concat_pairs, euler_chain, euler_step, gru_unroll, pair_sum
+from conftest import (concat_pairs, euler_chain, euler_step, gru_unroll,
+                      pair_sum, peak_bytes)
 from fluid import attention as A
 from fluid import model as M
 from fluid import pairs, pool
@@ -120,8 +121,9 @@ def test_gate_core_parameters_lead_with_the_head_axis():
 
 def _gate_case(case, rng, H=2, D=3):
     """q, k and the pair batch of one curation case, at tiny dims but for
-    the cases whose work-item blocks cut rows of pairs apart."""
-    B, T_q, T_k = {"topk_blocks": (1, 301, 40),
+    the cases whose work-item blocks cut rows of pairs apart (at D = 3,
+    blocks of 10,922 pairs)."""
+    B, T_q, T_k = {"topk_blocks": (1, 701, 40),
                    "long_rows": (2, 2, 3000)}.get(case, (2, 4, 5))
     q = rng.standard_normal((B, H, T_q, D))
     k = rng.standard_normal((B, H, T_k, D))
@@ -258,7 +260,7 @@ def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
     rng = np.random.default_rng(73)
     core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
     qa, ka, pb = _gate_case("topk_blocks", rng)
-    items = len(A._items(_packed_counts(pb)))
+    items = len(A._items(_packed_counts(pb), 3 * 3))
     assert items > core.heads
     calls = []
     cell = A._cell
@@ -652,7 +654,7 @@ def _kernel_on(core, up, valid, n_steps, dt):
         v = valid[hd]
         packed = x[hd][:, v]
         out = np.empty((2 * n_steps, packed.shape[1]))
-        for a, b in A._blocks(packed.shape[1]):
+        for a, b in A._blocks(packed.shape[1], C):
             A._forward_block(np.ascontiguousarray(packed[:, a:b]), w, hd,
                              n_steps, dt, core.epsilon, out[:, a:b], None)
         gates[:, hd, v] = out
@@ -676,6 +678,28 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
     got = np.moveaxis(gates, 2, 1).reshape(2 * n_steps, core.heads, -1)
     assert np.array_equal(got, _kernel_on(core, up.data, pb.valid_mask,
                                           n_steps, 1 / n_steps))
+
+
+def test_items_hold_the_same_scalars_at_every_head_width(monkeypatch):
+    # blocks are sized in scalars: an h = 8 item takes 4096 pairs and an
+    # h = 16 item 2048, so each forms an input [3h, pairs] of the budget
+    shapes = {}
+    forward_block = A._forward_block
+
+    def spy(x, *rest):
+        shapes.setdefault(x.shape[0] // 3, []).append(x.shape)
+        return forward_block(x, *rest)
+
+    monkeypatch.setattr(A, "_forward_block", spy)
+    rng = np.random.default_rng(101)
+    for h in (8, 16):
+        core = A.RecurrentGateCore(h, 1e-3, rng, heads=1)
+        q = Tensor(rng.standard_normal((1, 1, 128, h)))
+        k = Tensor(rng.standard_normal((1, 1, 64, h)))
+        with T.no_grad():
+            core.logits(q, k, pairs.full_pairwise_concat(q, k), 2, 0.5)
+    assert shapes == {8: [(24, 4096)] * 2, 16: [(48, 2048)] * 4}
+    assert A._BLOCK_SCALARS == 24 * 4096 == 48 * 2048
 
 
 def test_gates_never_build_the_pair_input(monkeypatch):
@@ -705,19 +729,20 @@ def test_gates_never_build_the_pair_input(monkeypatch):
 # --------------------------------------------------------------------------
 
 def _block_case(case):
-    """A core, q, k and pair batch whose pair count ``case`` names."""
+    """A core, q, k and pair batch whose pair count ``case`` names; at
+    D = 2, blocks hold at most 16,384 pairs."""
     rng = np.random.default_rng(47)
     B, H, D, key_mask, causal = 1, 2, 2, None, False
     if case == "topk_row_split":      # blocks cut a query's K pairs apart
-        T_q, T_k, K = 301, 40, 20
+        T_q, T_k, K = 1001, 40, 20
     elif case == "batch_rows":        # packed blocks cross batch rows
-        B, T_q, T_k, K, causal = 3, 60, 60, None, True
+        B, T_q, T_k, K, causal = 3, 110, 110, None, True
         key_mask = np.ones((B, T_k), dtype=bool)
         key_mask[1, -9:] = False
     elif case == "one_block":
         B, T_q, T_k, K = 2, 5, 5, None
     else:                             # uneven: P not a multiple of the cut
-        T_q, T_k, K = 4099, 5, 3
+        T_q, T_k, K = 8195, 5, 3
     core = A.RecurrentGateCore(D, 1e-3, rng, heads=H)
     qa = rng.standard_normal((B, H, T_q, D))
     ka = rng.standard_normal((B, H, T_k, D))
@@ -757,9 +782,11 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
     counts = _packed_counts(pb)
     P = counts[0]
     assert counts == [P] * core.heads
-    blocks = A._blocks(P)
+    C = 3 * qa.shape[-1]
+    blocks = A._blocks(P, C)
     sizes = [b - a for a, b in blocks]
-    assert blocks[0][0] == 0 and blocks[-1][1] == P and max(sizes) <= A._BLOCK_PAIRS
+    assert blocks[0][0] == 0 and blocks[-1][1] == P
+    assert max(sizes) <= A._BLOCK_SCALARS // C
     assert max(sizes) - min(sizes) <= 1
     K = pb.selected_indices.shape[3]
     if case == "topk_row_split":
@@ -1006,7 +1033,7 @@ def test_gate_items_read_the_core_weight_buffers(monkeypatch):
 
         monkeypatch.setattr(A, name, spy)
     _gate_run(core, qa, ka, pb)
-    assert len(seen) == 3 * len(A._items(_packed_counts(pb)))
+    assert len(seen) == 3 * len(A._items(_packed_counts(pb), 3 * qa.shape[-1]))
     for w in seen:
         for name in ("W_h", "W_o", "b_o", "w_t", "b_x"):
             assert np.shares_memory(w[name], getattr(core, name).data), name
@@ -1062,7 +1089,7 @@ def test_backward_skips_dead_pairs_and_matches_the_oracle(case, pattern,
     columns = _counting_backward_columns(monkeypatch)
     _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng, coef=coef)
     assert sum(columns) == live
-    assert max(columns, default=0) <= A._BLOCK_PAIRS
+    assert max(columns, default=0) <= A._BLOCK_SCALARS // (3 * 3)
     if pattern == "all":
         assert columns == []
 
@@ -1317,26 +1344,59 @@ def test_integrate_passes_grad_check():
     assert report["max_rel_error"] < 1e-6, report["per_param"]
 
 
+def _recursion(f_tau, f_phi, dt, a0=0.0):
+    """a_0 .. a_N [..., N+1] of the Euler recursion over gates [..., N]."""
+    a = [np.broadcast_to(a0, f_tau.shape[:-1])]
+    for n in range(f_tau.shape[-1]):
+        a.append(a[-1] + (f_phi[..., n] - f_tau[..., n] * a[-1]) * dt)
+    return np.stack(a, axis=-1)
+
+
 def test_trajectory_is_views_of_the_integrator_buffers():
     core = make_core(seed=11)
     u = np.random.default_rng(11).uniform(-1, 1, (3, 4))
     gates = Tensor(_gates(core, u, 3, 1 / 3))
     final, traj = A.integrate_logits(gates, 1 / 3)
-    assert np.shares_memory(traj.a, final.data)
     assert np.shares_memory(traj.f_tau, gates.data)
     assert np.shares_memory(traj.f_phi, gates.data)
     assert np.array_equal(traj.f_tau, np.moveaxis(gates.data[:3], 0, -1))
     assert np.array_equal(traj.f_phi, np.moveaxis(gates.data[3:], 0, -1))
+    # the states are rebuilt on the first read, bitwise the recursion, and
+    # kept for later reads
+    assert np.array_equal(traj.a, _recursion(traj.f_tau, traj.f_phi,
+                                             traj.dt_effective))
+    assert traj.a is traj.a
     assert np.array_equal(traj.a[..., -1], final.data)
-    # the gate core's own trajectory: views of its gates and state buffer,
-    # which its tape op does not keep; it holds a copy of the final logits
+    # the gate core's own trajectory: views of its gates, which its tape op
+    # does not keep; the op holds the final logits, which no state shares
     for taped in (False, True):
         pin = _project(core, u)
         with contextlib.nullcontext() if taped else T.no_grad():
             final, traj = core.unroll(pin, 3, 1 / 3)
         assert final.requires_grad == taped
+        assert np.array_equal(traj.a, _recursion(traj.f_tau, traj.f_phi,
+                                                 traj.dt_effective))
         assert np.array_equal(traj.a[..., -1], final.data)
-        assert np.shares_memory(traj.a, final.data) != taped
+        assert not np.shares_memory(traj.a, final.data)
+
+
+@pytest.mark.parametrize("start", ["zero", "a0"])
+def test_untaped_integration_keeps_two_state_rows(start):
+    # N + 1 = 9 state rows would outweigh the two the integrator holds, its
+    # final state and one more, and the trajectory's views of the gates
+    rng = np.random.default_rng(63)
+    n_steps, shape = 8, (4, 64, 64)
+    gates = Tensor(np.concatenate([rng.uniform(0.2, 1.5, (n_steps,) + shape),
+                                   rng.uniform(-1, 1, (n_steps,) + shape)]))
+    a0 = Tensor(rng.uniform(-1, 1, shape)) if start == "a0" else None
+    row = 8 * int(np.prod(shape))
+    kept = []
+    peak = peak_bytes(lambda: kept.append(A.integrate_logits(gates, 0.5, a0=a0)))
+    assert peak < 3 * row < (n_steps + 1) * row, (peak, row)
+    final, traj = kept[0]
+    first = 0.0 if a0 is None else a0.data
+    assert np.array_equal(traj.a, _recursion(traj.f_tau, traj.f_phi, 0.5, first))
+    assert np.array_equal(traj.a[..., -1], final.data)
 
 
 def _tape_nodes(root):

@@ -248,7 +248,10 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-blank-line-data",
                                   "train-short-row-data",
                                   "train-nan-feature-data",
-                                  "eval-nan-feature-data"])
+                                  "eval-nan-feature-data",
+                                  "train-text-seq-id-data",
+                                  "train-text-time-data",
+                                  "eval-mask-two-data"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                            monkeypatch, case):
     malformed = tmp_path / "malformed.json"
@@ -298,6 +301,15 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
     last = rows[-1].split(",")
     nan_feature.write_text("".join(rows[:-1] + [",".join(last[:2] + ["nan"]
                                                          + last[3:])]))
+    # the second row's seq_id, time or mask replaced by an unparsable value
+    unparsable = {}
+    for name, column, value in (("text_seq_id", 0, "x"), ("text_time", 1, "t"),
+                                ("mask_two", -1, "2")):
+        fields = rows[2].rstrip("\n").split(",")
+        fields[column] = value
+        unparsable[name] = tmp_path / f"{name}.csv"
+        unparsable[name].write_text("".join(rows[:2] + [",".join(fields) + "\n"]
+                                            + rows[3:]))
     one_point = tmp_path / "one_point.csv"
     D.write_dataset_csv(str(one_point), D.read_dataset_csv(str(data)) + [
         D.EventSequence(values=[[0.1, 0.2]], times=[1.0], mask=[True])])
@@ -401,6 +413,10 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
         "train-nan-feature-data": train + [str(nan_feature)],
         "eval-nan-feature-data": ["eval", "--checkpoint", checkpoint,
                                   "--data", str(nan_feature)],
+        "train-text-seq-id-data": train + [str(unparsable["text_seq_id"])],
+        "train-text-time-data": train + [str(unparsable["text_time"])],
+        "eval-mask-two-data": ["eval", "--checkpoint", checkpoint,
+                               "--data", str(unparsable["mask_two"])],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -439,6 +455,12 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
             "train-unknown-gate-mode": "unknown gate_mode 'x'",
             "eval-zero-in-features": "in_features must be >= 1",
             "eval-zero-out-dim": "out_dim must be >= 1",
+            "train-text-seq-id-data": f"{unparsable['text_seq_id']} line 3: "
+                                      "seq_id 'x' is no integer",
+            "train-text-time-data": f"{unparsable['text_time']} line 3: times "
+                                    "and features must be numbers",
+            "eval-mask-two-data": f"{unparsable['mask_two']} line 3: mask '2' "
+                                  "is neither 0 nor 1",
             "train-zero-max-len": "max_len must be >= 1",
             "train-negative-seed": "seed must be >= 0",
             "train-negative-train-seed": "seed must be >= 0",

@@ -228,3 +228,30 @@ def test_read_dataset_csv_rejects_a_non_finite_time_or_feature(tmp_path, column,
         D.read_dataset_csv(str(path))
     assert str(err.value) == (f"{path} line 5: times and features must be "
                               "finite")
+
+
+@pytest.mark.parametrize("column, value, said", [
+    (0, "x", "seq_id 'x' is no integer"),
+    (0, "1.5", "seq_id '1.5' is no integer"),
+    (1, "soon", "times and features must be numbers"),
+    (3, "", "times and features must be numbers"),
+    (4, "2", "mask '2' is neither 0 nor 1"),
+    (4, "-1", "mask '-1' is neither 0 nor 1"),
+    (4, "true", "mask 'true' is neither 0 nor 1"),
+], ids=["text-seq-id", "fractional-seq-id", "text-time", "empty-feature",
+        "mask-two", "mask-minus-one", "mask-word"])
+def test_read_dataset_csv_names_the_line_of_an_unparsable_field(tmp_path, column,
+                                                                value, said):
+    # a mask of 2 or -1 used to read as true, and a seq_id of x failed with
+    # int()'s message, naming neither the file nor the line
+    path = tmp_path / "ds.csv"
+    D.write_dataset_csv(str(path), D.generate_spirals(
+        D.SpiralSpec(n_spirals=2, n_points=30, n_subsample=10, seed=7)))
+    rows = path.read_text().splitlines(keepends=True)
+    fields = rows[4].rstrip("\n").split(",")
+    fields[column] = value
+    rows[4] = ",".join(fields) + "\n"
+    path.write_text("".join(rows))
+    with pytest.raises(ValueError) as err:
+        D.read_dataset_csv(str(path))
+    assert str(err.value) == f"{path} line 5: {said}"

@@ -140,22 +140,23 @@ def test_topk_partial_selection_equals_full_sort_at_scale():
 
 
 def test_topk_partial_selection_equals_full_sort_at_workload_shape():
-    # the infer_topk_t1024 shape, ranked in several chunks
+    # the infer_topk_t1024 shape, ranked in row slices of each matrix
     rng = np.random.default_rng(23)
     q = rng.standard_normal((1, 4, 1024, 16))
     k = rng.standard_normal((1, 4, 1024, 16))
-    assert pairs._SCORE_CHUNK < q.shape[1] * 1024 * 1024
+    assert pairs._SLICE_SCORES < 1024 * 1024
     _assert_same_selection(q, k, 32, False, None)
 
 
 def test_topk_chunks_hold_whole_score_matrices(monkeypatch):
-    # chunks of one, two, three and all six (batch, head) score matrices
+    # slices of two row spans of each matrix, and of one, two, three and
+    # all six whole (batch, head) score matrices
     rng = np.random.default_rng(25)
     q = rng.integers(-2, 3, (2, 3, 6, 2)).astype(float)
     k = rng.integers(-2, 3, (2, 3, 7, 2)).astype(float)
     key_mask = np.array([[True] * 7, [True, False, True, True, False, True, True]])
-    for chunk in (1, 42, 84, 126, 10 ** 9):
-        monkeypatch.setattr(pairs, "_SCORE_CHUNK", chunk)
+    for scores in (1, 42, 84, 126, 10 ** 9):
+        monkeypatch.setattr(pairs, "_SLICE_SCORES", scores)
         for K in (1, 3, 7):
             for causal in (False, True):
                 _assert_same_selection(q, k, K, causal, key_mask)
@@ -180,10 +181,9 @@ def _tied_scores_case():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_pooled_topk_is_bitwise_the_oracle_for_any_cut(monkeypatch, workers):
-    # items of one, two and all six (batch, head) matrices, ranked in row
-    # slices of one row, of four rows (a ragged cut that crosses matrices)
-    # and of one whole matrix, on workers that interleave often; every cut
-    # gives the oracle's batch, so the batch is the same for any cut
+    # items of two row spans of one (batch, head) matrix, and of one, two
+    # and all six whole matrices, on workers that interleave often; every
+    # cut gives the oracle's batch, so the batch is the same for any cut
     q, k = map(Tensor, _tied_scores_case())
     key_mask = np.array([[False] * 7, [True, False, True, True, False, True, True]])
     monkeypatch.setattr(pool, "_WORKERS", workers)
@@ -195,17 +195,15 @@ def test_pooled_topk_is_bitwise_the_oracle_for_any_cut(monkeypatch, workers):
                 for mask in (None, key_mask):
                     for K in (1, 3, 4, 7):
                         want = topk_sort(q, k, K, causal=causal, key_mask=mask)
-                        for chunk in (42, 84, 10 ** 9):
-                            for rows in (1, 4, 6):
-                                monkeypatch.setattr(pairs, "_SCORE_CHUNK", chunk)
-                                monkeypatch.setattr(pairs, "_SLICE_SCORES", 7 * rows)
-                                got = pairs.topk_concat(q, k, K, causal=causal,
-                                                        key_mask=mask)
-                                case = (causal, mask is not None, K, chunk, rows)
-                                assert np.array_equal(got.selected_indices,
-                                                      want.selected_indices), case
-                                assert np.array_equal(got.valid_mask,
-                                                      want.valid_mask), case
+                        for scores in (7, 42, 84, 10 ** 9):
+                            monkeypatch.setattr(pairs, "_SLICE_SCORES", scores)
+                            got = pairs.topk_concat(q, k, K, causal=causal,
+                                                    key_mask=mask)
+                            case = (causal, mask is not None, K, scores)
+                            assert np.array_equal(got.selected_indices,
+                                                  want.selected_indices), case
+                            assert np.array_equal(got.valid_mask,
+                                                  want.valid_mask), case
     finally:
         sys.setswitchinterval(switch)
 
@@ -213,7 +211,7 @@ def test_pooled_topk_is_bitwise_the_oracle_for_any_cut(monkeypatch, workers):
 def test_pooled_topk_keeps_the_callers_errstate(monkeypatch):
     # inf * 0 makes NaN scores inside the items, which run on the pool
     monkeypatch.setattr(pool, "_WORKERS", 2)
-    monkeypatch.setattr(pairs, "_SCORE_CHUNK", 1)
+    monkeypatch.setattr(pairs, "_SLICE_SCORES", 1)
     q = np.ones((1, 2, 3, 2))
     q[0, :, 0, 0] = np.inf
     k = Tensor(np.zeros((1, 2, 4, 2)))
@@ -224,8 +222,8 @@ def test_pooled_topk_keeps_the_callers_errstate(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_topk_never_holds_a_whole_candidate_mask(monkeypatch, workers):
     # the infer_topk_t1024 shape without a mask: each running item holds
-    # its score matrix and one 2 MB slice's partition copy and flags, never
-    # a [B,H,T_q,T_k] candidate mask or a whole matrix's partition copy
+    # one 2 MB slice's scores, their partition copy and flags, never a
+    # [B,H,T_q,T_k] candidate mask or a whole score matrix
     B, H, T, D, K = 1, 4, 1024, 16, 32
     rng = np.random.default_rng(29)
     q = Tensor(rng.standard_normal((B, H, T, D)))
@@ -233,11 +231,58 @@ def test_topk_never_holds_a_whole_candidate_mask(monkeypatch, workers):
     monkeypatch.setattr(pool, "_WORKERS", workers)
     pairs.topk_concat(q, k, K)                      # the pool starts
     outputs = B * H * T * K * 9
-    item = T * T * 8 + 3 * pairs._SLICE_SCORES * 8 // 2
+    item = pairs._SLICE_SCORES * 8 + 3 * pairs._SLICE_SCORES * 8 // 2
     bound = outputs + workers * item
     peak = peak_bytes(lambda: pairs.topk_concat(q, k, K))
     assert peak < bound
     assert peak + B * H * T * T > bound             # room for no candidate mask
+
+
+def _recorded_slices(monkeypatch, q, k, K):
+    """The (g0, g1, r0, r1) work items of one ``topk_concat`` call, its
+    batch, and the oracle's on the whole product's scores."""
+    items = []
+    run_items = pool._run_items
+
+    def record(fn, its):
+        items.extend(its)
+        return run_items(fn, its)
+
+    monkeypatch.setattr(pool, "_run_items", record)
+    got = pairs.topk_concat(q, k, K)
+    monkeypatch.setattr(pool, "_run_items", run_items)
+    return items, got, topk_sort(q, k, K)
+
+
+@pytest.mark.parametrize("T_q, T_k, scores", [
+    (1000, 1024, None),      # T_q not a multiple of the 256-row span
+    (513, 1024, None),       # one row past two spans: no one-row tail
+    (9, 1024, 512),          # fewer scores than T_k: 4-row spans
+    (5, 1024, 512),
+])
+def test_sliced_scores_are_bitwise_the_whole_product(monkeypatch, T_q, T_k,
+                                                     scores):
+    # every slice holds at least two rows, so its GEMM gives the whole
+    # product's bits, and the slices tile each matrix's rows
+    if scores is not None:
+        monkeypatch.setattr(pairs, "_SLICE_SCORES", scores)
+    rng = np.random.default_rng(31)
+    q = Tensor(rng.standard_normal((1, 2, T_q, 16)))
+    k = Tensor(rng.standard_normal((1, 2, T_k, 16)))
+    items, got, want = _recorded_slices(monkeypatch, q, k, 32)
+    qf, kf = q.data[0], np.swapaxes(k.data[0], -1, -2)
+    whole = np.matmul(-qf, kf)
+    for g in range(2):
+        spans = [(r0, r1) for g0, g1, r0, r1 in items if g0 <= g < g1]
+        assert [r0 for r0, _ in spans] == [0] + [r1 for _, r1 in spans[:-1]]
+        assert spans[-1][1] == T_q
+        for r0, r1 in spans:
+            assert r1 - r0 >= 2
+            assert (r1 - r0) * T_k <= max(pairs._SLICE_SCORES, 4 * T_k)
+            assert np.array_equal(np.matmul(-qf[g, r0:r1], kf[g]),
+                                  whole[g, r0:r1])
+    assert np.array_equal(got.selected_indices, want.selected_indices)
+    assert np.array_equal(got.valid_mask, want.valid_mask)
 
 
 def test_topk_k_ge_tk_equals_full_pairwise_exactly():
