@@ -3,8 +3,7 @@
 Exit codes: 0 on success, 1 on failed verification or diverged training,
 2 on usage errors: bad arguments (argparse default), and any ValueError or
 OSError a command raises, such as a bad value or a missing or malformed
-input file, which is printed as one line. The environment variable
-FLUID_SEED overrides every configured seed.
+input file, which is printed as one line.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -23,19 +21,6 @@ from fluid import data as D
 from fluid import model as M
 from fluid import training as TR
 from fluid import verify as V
-
-
-def _seed_override(seed: int) -> int:
-    env = os.environ.get("FLUID_SEED")
-    if not env:
-        return seed
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"FLUID_SEED={env!r} is not an integer") from None
-    if value < 0:
-        raise ValueError(f"FLUID_SEED={env!r} must be >= 0")
-    return value
 
 
 def _load_json(path: str | None) -> dict:
@@ -80,7 +65,6 @@ _TRAIN_SECTIONS = {
     "model": _LAN_KEYS | (_field_names(M.ModelConfig)
                           - {"lan", "in_features", "out_dim"}),
     "train": _field_names(TR.TrainConfig),
-    "data": {"ratios"},
 }
 
 
@@ -88,14 +72,7 @@ def _model_config(cfg: dict, in_features: int = 2, out_dim: int = 2) -> M.ModelC
     m = dict(cfg.get("model", {}))
     m.setdefault("d_model", 32)
     lan = A.LanConfig(**{key: m.pop(key) for key in _LAN_KEYS if key in m})
-    m["seed"] = _seed_override(m.get("seed", 0))
     return M.ModelConfig(lan=lan, in_features=in_features, out_dim=out_dim, **m)
-
-
-def _train_config(cfg: dict) -> TR.TrainConfig:
-    t = dict(cfg.get("train", {}))
-    t["seed"] = _seed_override(t.get("seed", 0))
-    return TR.TrainConfig(**t)
 
 
 # --------------------------------------------------------------------------
@@ -103,24 +80,13 @@ def _train_config(cfg: dict) -> TR.TrainConfig:
 # --------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    if args.kind == "spiral":
-        spec = D.SpiralSpec(n_spirals=args.n, n_points=args.points,
-                            n_subsample=args.subsample, noise_std=args.noise,
-                            seed=_seed_override(args.seed))
-        seqs = D.generate_spirals(spec)
-        D.write_dataset_csv(args.out, seqs)
-        print(f"wrote {len(seqs)} spiral sequences to {args.out}")
-        return 0
-    if args.kind == "events":
-        with warnings.catch_warnings():     # an empty file fails below
-            warnings.simplefilter("ignore")
-            pixels = np.loadtxt(args.pixels, delimiter=",", ndmin=2)
-        seqs = [D.event_encode(row, args.pad_to, threshold=args.threshold)
-                for row in pixels]
-        D.write_dataset_csv(args.out, seqs)
-        print(f"wrote {len(seqs)} event sequences to {args.out}")
-        return 0
-    raise AssertionError(args.kind)
+    spec = D.SpiralSpec(n_spirals=args.n, n_points=args.points,
+                        n_subsample=args.subsample, noise_std=args.noise,
+                        seed=args.seed)
+    seqs = D.generate_spirals(spec)
+    D.write_dataset_csv(args.out, seqs)
+    print(f"wrote {len(seqs)} spiral sequences to {args.out}")
+    return 0
 
 
 def _fold_indices(n: int, folds: int, rng: np.random.Generator):
@@ -131,12 +97,11 @@ def _fold_indices(n: int, folds: int, rng: np.random.Generator):
 def cmd_train(args) -> int:
     cfg = _load_json(args.config)
     _check_keys(args.config, cfg, _TRAIN_SECTIONS)
-    tcfg = _train_config(cfg)
+    tcfg = TR.TrainConfig(**cfg.get("train", {}))
     if args.epochs is not None:
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     seqs = D.read_dataset_csv(args.data)
-    ratios = cfg.get("data", {}).get("ratios", (0.6, 0.2, 0.2))
-    packed = D.spiral_arrays(seqs, ratios)
+    packed = D.spiral_arrays(seqs)
     in_features = packed["values"].shape[-1]
 
     n = packed["values"].shape[0]
@@ -179,7 +144,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = M.load_checkpoint(args.checkpoint)
     seqs = D.read_dataset_csv(args.data)
-    packed = D.spiral_arrays(seqs, args.ratios)
+    packed = D.spiral_arrays(seqs)
     value = TR.evaluate(model, packed, args.metric)
     # a non-finite metric is null: JSON has no NaN
     print(json.dumps({"metric": args.metric,
@@ -189,7 +154,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = V.run_suite(args.suite, seed=_seed_override(args.seed))
+    report = V.run_suite(args.suite, seed=args.seed)
     print(json.dumps(report, indent=2))
     return 0 if report["pass"] else 1
 
@@ -211,18 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--seed", type=int, default=0)
     gs.add_argument("--out", required=True)
     gs.set_defaults(func=cmd_generate)
-    ge = gsub.add_parser("events", help="run-length encode pixel rows")
-    ge.add_argument("--pixels", required=True,
-                    help="CSV of pixel intensities, one sequence per row")
-    ge.add_argument("--threshold", type=float, default=128.0)
-    ge.add_argument("--pad-to", type=int, default=256)
-    ge.add_argument("--out", required=True)
-    ge.set_defaults(func=cmd_generate)
 
     t = sub.add_parser("train", help="train on a dataset CSV")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--config", help="JSON with model/train/data sections")
+    t.add_argument("--config", help="JSON with model and train sections")
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--folds", type=int, default=1,
                    help="k-fold cross-validation loop (1 = single split)")
@@ -232,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--metric", default="mae", choices=["mae", "mse"])
-    e.add_argument("--ratios", type=float, nargs=3, default=(0.6, 0.2, 0.2))
     e.set_defaults(func=cmd_eval)
 
     v = sub.add_parser("verify", help="run the property suites, JSON report")

@@ -1,7 +1,7 @@
 """Synthetic datasets and file formats.
 
-Irregular spirals for reconstruction, run-length event encoding for pixel
-sequences, and CSV round-tripping for datasets.
+Irregular spirals for reconstruction, their split into conditioning
+points and queries, and CSV round-tripping for datasets.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class EventSequence:
 
 # the spiral r(t) = _R0 + _R_SLOPE * t, sampled on [0, _T_END]: three turns
 _R0, _R_SLOPE, _T_END = 0.1, 0.02, 6 * np.pi
+# the share of each sequence's observed time span whose points condition
+_COND_SHARE = 0.6
 
 
 @dataclass
@@ -92,41 +94,28 @@ def generate_spirals(spec: SpiralSpec) -> list[EventSequence]:
     return out
 
 
-def split_by_time(seq: EventSequence, ratios=(0.6, 0.2, 0.2)):
-    """Conditioning / interpolation / extrapolation membership by time
-    quantiles of the observed span. Returns three boolean masks."""
-    shares = isinstance(ratios, (list, tuple)) and all(
-        isinstance(x, numbers.Real) for x in ratios)
-    r = np.asarray(ratios if shares else (), float)
-    if r.shape != (3,) or not (r >= 0).all() or abs(r.sum() - 1.0) > 1e-9:
-        raise ValueError(f"split ratios {ratios!r} are not three "
-                         "non-negative numbers that sum to 1")
+def split_by_time(seq: EventSequence):
+    """Conditioning / query membership: the valid points in the first
+    ``_COND_SHARE`` of the observed time span condition, the later valid
+    points are queries. Returns the two boolean masks."""
     t = seq.times[seq.mask]
     lo, hi = (t.min(), t.max()) if len(t) else (0.0, 0.0)
-    b1 = lo + r[0] * (hi - lo)
-    b2 = lo + (r[0] + r[1]) * (hi - lo)
-    cond = seq.mask & (seq.times < b1)
-    interp = seq.mask & (seq.times >= b1) & (seq.times < b2)
-    extrap = seq.mask & (seq.times >= b2)
-    return cond, interp, extrap
+    cond = seq.mask & (seq.times < lo + _COND_SHARE * (hi - lo))
+    return cond, seq.mask & ~cond
 
 
-def spiral_arrays(seqs: list[EventSequence], ratios=(0.6, 0.2, 0.2)) -> dict:
+def spiral_arrays(seqs: list[EventSequence]) -> dict:
     """Pack sequences into padded training arrays.
 
-    Conditioning points feed the encoder; interpolation + extrapolation
-    timestamps become decoder queries with their values as targets.
+    Conditioning points feed the encoder; the query timestamps become
+    decoder queries with their values as targets.
     """
-    cond_lens, query_lens = [], []
-    splits = []
-    for i, seq in enumerate(seqs):
-        cond, interp, extrap = split_by_time(seq, ratios)
+    splits = [split_by_time(seq) for seq in seqs]
+    for i, (cond, _) in enumerate(splits):
         if not cond.any():
             raise ValueError(f"sequence {i} has no conditioning point")
-        splits.append((cond, interp | extrap))
-        cond_lens.append(int(cond.sum()))
-        query_lens.append(int((interp | extrap).sum()))
-    Tc, Tq = max(cond_lens), max(query_lens)
+    Tc = max(int(cond.sum()) for cond, _ in splits)
+    Tq = max(int(query.sum()) for _, query in splits)
     n = len(seqs)
     F = seqs[0].values.shape[1]
 
@@ -150,44 +139,6 @@ def spiral_arrays(seqs: list[EventSequence], ratios=(0.6, 0.2, 0.2)) -> dict:
 
 
 # --------------------------------------------------------------------------
-# run-length event encoding
-# --------------------------------------------------------------------------
-
-def event_encode(pixels: np.ndarray, pad_to: int,
-                 threshold: float = 128.0) -> EventSequence:
-    """Binarize at threshold, collapse runs of equal values into events,
-    and pad them to ``pad_to`` events with a masked tail.
-
-    A run of length L becomes one event whose timestamp advances by L,
-    so [1,1,1,1] encodes to a single event (1, t=4). Expanding each event
-    to its run length recovers the binary sequence exactly.
-    """
-    pixels = np.asarray(pixels, dtype=float).reshape(-1)
-    binary = (pixels >= threshold).astype(float)
-    values, durations = [], []
-    i = 0
-    while i < len(binary):
-        j = i
-        while j < len(binary) and binary[j] == binary[i]:
-            j += 1
-        values.append(binary[i])
-        durations.append(j - i)
-        i = j
-    times = np.cumsum(durations).astype(float)
-    values = np.asarray(values)[:, None]
-    L = len(values)
-    if L > pad_to:
-        raise ValueError(f"encoded length {L} exceeds pad_to {pad_to}")
-    padded_v = np.zeros((pad_to, 1))
-    padded_t = np.zeros(pad_to)
-    mask = np.zeros(pad_to, dtype=bool)
-    padded_v[:L] = values
-    padded_t[:L] = times
-    mask[:L] = True
-    return EventSequence(values=padded_v, times=padded_t, mask=mask)
-
-
-# --------------------------------------------------------------------------
 # CSV round trip
 # --------------------------------------------------------------------------
 
@@ -207,7 +158,8 @@ def write_dataset_csv(path: str, seqs: list[EventSequence]):
 
 
 def read_dataset_csv(path: str) -> list[EventSequence]:
-    """The sequences of a ``write_dataset_csv`` file. A row of another
+    """The sequences of a ``write_dataset_csv`` file. A header of fewer
+    than four fields raises a ValueError naming the file; a row of another
     width than the header, a seq_id that is no integer, a time or feature
     that is no finite number, or a mask other than 0 or 1 raises a
     ValueError naming the file and the line."""
@@ -217,6 +169,9 @@ def read_dataset_csv(path: str) -> list[EventSequence]:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path} has no header row")
+        if len(header) < 4:
+            raise ValueError(f"{path}: the header has {len(header)} fields, "
+                             "not seq_id, t, a feature and mask")
         F = len(header) - 3
         for row in reader:
             where = f"{path} line {reader.line_num}"

@@ -260,6 +260,8 @@ class FluidModel:
 
 def _config_from_dict(d: dict, source: str) -> ModelConfig:
     """The config a manifest records; ValueError when it does not fit."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{source}: manifest config is not a JSON object")
     d.pop("task", None)      # a field of older manifests; nothing reads it
     try:
         return ModelConfig(lan=A.LanConfig(**d.pop("lan", {})), **d)
@@ -299,6 +301,8 @@ def save_checkpoint(model: FluidModel, path: str):
 def load_checkpoint(path: str) -> FluidModel:
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
     for key in ("config", "params"):
         if key not in manifest:
             raise ValueError(f"{path}: manifest has no {key!r}")

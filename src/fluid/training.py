@@ -61,7 +61,7 @@ class TrainConfig:
         if self.metric not in ("mae", "mse"):
             raise ValueError(f"unknown metric {self.metric!r}")
         check_at_least(self, 1, "batch_size")
-        check_at_least(self, 0, "epochs seed weight_decay")
+        check_at_least(self, 0, "epochs seed weight_decay grad_clip")
 
 
 # --------------------------------------------------------------------------

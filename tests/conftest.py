@@ -74,19 +74,6 @@ def weighted_run(fn, arrays, coef: np.ndarray):
 
 
 # --------------------------------------------------------------------------
-# run-length decoding: the oracle of data.event_encode
-# --------------------------------------------------------------------------
-
-def event_decode(seq) -> np.ndarray:
-    """Expand an EventSequence's events back into the binary pixel sequence."""
-    v = seq.values[seq.mask, 0]
-    t = seq.times[seq.mask]
-    durations = np.diff(np.concatenate([[0.0], t])).astype(int)
-    return np.concatenate([np.full(d, val) for val, d in zip(v, durations)]) \
-        if len(v) else np.zeros(0)
-
-
-# --------------------------------------------------------------------------
 # softplus on the tape: the gate kernel runs T._softplus_ in place, so the
 # composed oracles below need their own op
 # --------------------------------------------------------------------------

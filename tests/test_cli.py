@@ -80,13 +80,15 @@ def _train_with_config(tmp_path, monkeypatch, config):
 @pytest.mark.parametrize("config, named", [
     (dict(TINY_CONFIG, trian={"epochs": 3}), "trian"),
     ({"model": dict(TINY_CONFIG["model"], layers=2)}, "model.layers"),
-    (dict(TINY_CONFIG, data={"ratio": [0.5, 0.3, 0.2]}), "data.ratio"),
+    # a config has no data section: the split is fixed
+    (dict(TINY_CONFIG, data={"ratio": [0.5, 0.3, 0.2]}), "data"),
+    (dict(TINY_CONFIG, data={"ratios": [0.6, 0.2, 0.2]}), "data"),
     ({"model": dict(TINY_CONFIG["model"], task="classification")}, "model.task"),
     # the data decide the model's input and output widths
     ({"model": dict(TINY_CONFIG["model"], in_features=2)}, "model.in_features"),
     ({"model": dict(TINY_CONFIG["model"], out_dim=2)}, "model.out_dim"),
-], ids=["section", "model-key", "data-key", "model-task", "model-in-features",
-        "model-out-dim"])
+], ids=["section", "model-key", "data-key", "data-section", "model-task",
+        "model-in-features", "model-out-dim"])
 def test_train_config_rejects_unknown_keys(tmp_path, monkeypatch, capsys,
                                            config, named):
     code, models = _train_with_config(tmp_path, monkeypatch, config)
@@ -116,8 +118,7 @@ def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
               "train": {"optimizer": "sgd", "lr": 0.01, "betas": [0.8, 0.9],
                         "weight_decay": 0.1, "epochs": 2, "batch_size": 4,
                         "loss": "mae", "metric": "mse", "seed": 5,
-                        "grad_clip": 2.0},
-              "data": {"ratios": [0.5, 0.25, 0.25]}}
+                        "grad_clip": 2.0}}
     code, [(model, tcfg)] = _train_with_config(tmp_path, monkeypatch, config)
     assert code == 0
     lan = model.cfg.lan
@@ -220,28 +221,25 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-negative-batch", "train-zero-folds",
                                   "train-negative-folds",
                                   "train-negative-layers", "train-zero-ffn",
-                                  "train-key-list-config", "train-list-config", "generate-empty-pixels",
+                                  "train-key-list-config", "train-list-config",
                                   "generate-zero-subsample",
                                   "train-one-point-sequence",
                                   "train-header-only", "eval-header-only",
                                   "train-null-section", "train-list-section",
-                                  "train-one-ratio", "eval-negative-ratios",
                                   "train-number-betas", "train-string-lr",
                                   "train-string-heads",
                                   "train-fractional-steps",
-                                  "train-string-ratios", "train-string-layers",
+                                  "train-string-layers",
                                   "train-string-streams",
                                   "train-fractional-ffn",
                                   "train-string-sink-gate-enabled",
                                   "train-old-sink-gate-key",
-                                  "verify-string-fluid-seed",
                                   "eval-string-causal", "train-unknown-gate-mode",
                                   "eval-zero-in-features", "eval-zero-out-dim",
                                   "train-zero-max-len", "train-negative-seed",
                                   "train-negative-train-seed",
                                   "generate-negative-seed",
                                   "verify-negative-seed",
-                                  "generate-negative-fluid-seed",
                                   "generate-negative-noise",
                                   "generate-nan-noise",
                                   "eval-three-feature-data",
@@ -251,9 +249,11 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "eval-nan-feature-data",
                                   "train-text-seq-id-data",
                                   "train-text-time-data",
-                                  "eval-mask-two-data"])
-def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
-                                           monkeypatch, case):
+                                  "eval-mask-two-data",
+                                  "train-no-feature-data",
+                                  "eval-number-manifest",
+                                  "eval-number-manifest-config"])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{\"d_model\": ")
     missing = str(tmp_path / "missing")
@@ -268,23 +268,22 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
     if case.startswith("eval-") and case != "eval-missing-checkpoint":
         M.save_checkpoint(M.FluidModel(cli._model_config(TINY_CONFIG)),
                           checkpoint)
-    # a checkpoint whose manifest config holds a bad value: (keys, value)
-    edits = {"eval-string-causal": (("lan", "causal"), "yes"),
-             "eval-zero-in-features": (("in_features",), 0),
-             "eval-zero-out-dim": (("out_dim",), 0)}
+    # a checkpoint whose manifest holds a bad value: (keys, value)
+    edits = {"eval-string-causal": (("config", "lan", "causal"), "yes"),
+             "eval-zero-in-features": (("config", "in_features"), 0),
+             "eval-zero-out-dim": (("config", "out_dim"), 0),
+             "eval-number-manifest-config": (("config",), 3)}
     if case in edits:
         manifest = Path(checkpoint, "manifest.json")
         saved = json.loads(manifest.read_text())
         (*keys, last), value = edits[case]
-        node = saved["config"]
+        node = saved
         for key in keys:
             node = node[key]
         node[last] = value
         manifest.write_text(json.dumps(saved))
-    fluid_seed = {"verify-string-fluid-seed": "x",
-                  "generate-negative-fluid-seed": "-1"}
-    if case in fluid_seed:
-        monkeypatch.setenv("FLUID_SEED", fluid_seed[case])
+    if case == "eval-number-manifest":
+        Path(checkpoint, "manifest.json").write_text("3")
     # the spirals with their first feature again as a third one
     three = tmp_path / "three.csv"
     D.write_dataset_csv(str(three), [
@@ -310,6 +309,10 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
         unparsable[name] = tmp_path / f"{name}.csv"
         unparsable[name].write_text("".join(rows[:2] + [",".join(fields) + "\n"]
                                             + rows[3:]))
+    # the spirals without their feature columns
+    no_feature = tmp_path / "no_feature.csv"
+    no_feature.write_text("".join(
+        ",".join(r.split(",")[:2] + r.split(",")[-1:]) for r in rows))
     one_point = tmp_path / "one_point.csv"
     D.write_dataset_csv(str(one_point), D.read_dataset_csv(str(data)) + [
         D.EventSequence(values=[[0.1, 0.2]], times=[1.0], mask=[True])])
@@ -320,13 +323,10 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                "train-key-list-config": ["model"], "train-list-config": [1],
                "train-null-section": {"model": None},
                "train-list-section": dict(TINY_CONFIG, train=[1]),
-               "train-one-ratio": dict(TINY_CONFIG, data={"ratios": [1.0]}),
                "train-number-betas": dict(TINY_CONFIG, train={"betas": 3}),
                "train-string-lr": dict(TINY_CONFIG, train={"lr": "x"}),
                "train-string-heads": {"model": {"heads": "x"}},
                "train-fractional-steps": {"model": {"euler_steps": 2.5}},
-               "train-string-ratios": dict(TINY_CONFIG,
-                                           data={"ratios": ["a", "b", "c"]}),
                "train-string-layers": {"model": {"n_layers": "x"}},
                "train-string-streams": {"model": {"hc_mode": "static",
                                                   "hc_streams": "x"}},
@@ -363,8 +363,6 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
         "train-zero-ffn": train + [str(data)],
         "train-key-list-config": train + [str(data)],
         "train-list-config": train + [str(data)],
-        "generate-empty-pixels": ["generate", "events", "--pixels", str(empty),
-                                  "--out", str(tmp_path / "e.csv")],
         "generate-zero-subsample": ["generate", "spiral", "--subsample", "0",
                                     "--out", str(tmp_path / "s.csv")],
         "train-one-point-sequence": train + [str(one_point)],
@@ -373,20 +371,15 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                              "--data", str(header_only)],
         "train-null-section": train + [str(data)],
         "train-list-section": train + [str(data)],
-        "train-one-ratio": train + [str(data)],
-        "eval-negative-ratios": ["eval", "--checkpoint", checkpoint, "--data",
-                                 str(data), "--ratios", "1.2", "-0.1", "-0.1"],
         "train-number-betas": train + [str(data)],
         "train-string-lr": train + [str(data)],
         "train-string-heads": train + [str(data)],
         "train-fractional-steps": train + [str(data)],
-        "train-string-ratios": train + [str(data)],
         "train-string-layers": train + [str(data)],
         "train-string-streams": train + [str(data)],
         "train-fractional-ffn": train + [str(data)],
         "train-string-sink-gate-enabled": train + [str(data)],
         "train-old-sink-gate-key": train + [str(data)],
-        "verify-string-fluid-seed": ["verify", "--suite", "limits"],
         "eval-string-causal": ["eval", "--checkpoint", checkpoint,
                                "--data", str(data)],
         "train-unknown-gate-mode": train + [str(data)],
@@ -400,8 +393,6 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
         "generate-negative-seed": ["generate", "spiral", "--seed", "-1",
                                    "--out", str(tmp_path / "s.csv")],
         "verify-negative-seed": ["verify", "--seed", "-1"],
-        "generate-negative-fluid-seed": ["generate", "spiral",
-                                         "--out", str(tmp_path / "s.csv")],
         "generate-negative-noise": ["generate", "spiral", "--noise", "-0.5",
                                     "--out", str(tmp_path / "s.csv")],
         "generate-nan-noise": ["generate", "spiral", "--noise", "nan",
@@ -417,6 +408,11 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
         "train-text-time-data": train + [str(unparsable["text_time"])],
         "eval-mask-two-data": ["eval", "--checkpoint", checkpoint,
                                "--data", str(unparsable["mask_two"])],
+        "train-no-feature-data": train + [str(no_feature)],
+        "eval-number-manifest": ["eval", "--checkpoint", checkpoint,
+                                 "--data", str(data)],
+        "eval-number-manifest-config": ["eval", "--checkpoint", checkpoint,
+                                        "--data", str(data)],
     }[case]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -429,20 +425,16 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
     if case in named:
         assert str(named[case]) in err, err
     said = {"train-heads": "fluid train: heads must be >= 1\n",  # the whole line
-            "generate-empty-pixels": "no sequences to write",
             "generate-zero-subsample": "subsample of two",
             "train-one-point-sequence": "sequence 10 has no conditioning point",
             "train-header-only": "holds no sequences",
             "eval-header-only": "holds no sequences",
             "train-null-section": "section 'model'",
             "train-list-section": "section 'train'",
-            "train-one-ratio": "split ratios [1.0] are not three",
-            "eval-negative-ratios": "split ratios [1.2, -0.1, -0.1]",
             "train-number-betas": "betas must be two numbers, not 3",
             "train-string-lr": "lr must be a number, not 'x'",
             "train-string-heads": "heads must be an integer, not 'x'",
             "train-fractional-steps": "euler_steps must be an integer, not 2.5",
-            "train-string-ratios": "split ratios ['a', 'b', 'c'] are not three",
             "train-string-layers": "n_layers must be an integer, not 'x'",
             "train-string-streams": "hc_streams must be an integer, not 'x'",
             "train-fractional-ffn": "ffn_dim must be an integer, not 2.5",
@@ -450,7 +442,6 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                 "sink_gate_enabled must be true or false, not 'no'",
             "train-old-sink-gate-key": "unknown key(s) in "
                                        f"{config}: model.sink_gate",
-            "verify-string-fluid-seed": "FLUID_SEED='x' is not an integer",
             "eval-string-causal": "causal must be true or false, not 'yes'",
             "train-unknown-gate-mode": "unknown gate_mode 'x'",
             "eval-zero-in-features": "in_features must be >= 1",
@@ -466,7 +457,6 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
             "train-negative-train-seed": "seed must be >= 0",
             "generate-negative-seed": "seed must be >= 0",
             "verify-negative-seed": "seed -1 must be >= 0",
-            "generate-negative-fluid-seed": "FLUID_SEED='-1' must be >= 0\n",
             "generate-negative-noise": "fluid generate: noise_std must be >= 0\n",
             "generate-nan-noise":
                 "fluid generate: noise_std must be a finite number, not nan\n",
@@ -481,11 +471,19 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn,
                                       "be finite\n",
             "eval-nan-feature-data": f"fluid eval: {nan_feature} line "
                                      f"{len(rows)}: times and features must "
-                                     "be finite\n"}
+                                     "be finite\n",
+            "train-no-feature-data": f"fluid train: {no_feature}: the header "
+                                     "has 3 fields, not seq_id, t, a feature "
+                                     "and mask\n",
+            "eval-number-manifest": f"fluid eval: {checkpoint}: manifest is "
+                                    "not a JSON object\n",
+            "eval-number-manifest-config": f"fluid eval: {checkpoint}: "
+                                           "manifest config is not a JSON "
+                                           "object\n"}
     if case in said:
         assert said[case] in err, err
-        assert not list(tmp_path.glob("[es].csv"))
-    # an empty pixel file warns nothing besides the one line
+        assert not (tmp_path / "s.csv").exists()
+    # no case warns besides the one line
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 

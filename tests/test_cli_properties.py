@@ -1,9 +1,9 @@
-"""Property tests of the ``fluid`` commands: whatever the argument values,
-config values or FLUID_SEED, each command exits 0, or exits 2 with
-exactly one line on stderr. Any other outcome, a traceback among them,
-fails. Each example starts from a working command and changes up to two
-of its values. Runs stay tiny (epochs <= 1, sequences of at most 8
-points) and the examples are fixed, so the suite is deterministic.
+"""Property tests of the ``fluid`` commands: whatever the argument values
+or config values, each command exits 0, or exits 2 with exactly one line
+on stderr. Any other outcome, a traceback among them, fails. Each example
+starts from a working command and changes up to two of its values. Runs
+stay tiny (epochs <= 1, sequences of at most 8 points) and the examples
+are fixed, so the suite is deterministic.
 """
 
 import contextlib
@@ -12,7 +12,6 @@ import json
 import os
 import shutil
 import tempfile
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,13 +29,11 @@ ODD = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
                 st.lists(st.integers(-1, 2), max_size=3))
 # numbers that argparse takes for an int or float option
 ODD_NUMBER = st.sampled_from([0, -1, 1, 30])
-FLUID_SEED = st.sampled_from([None] * 4 + ["0", "7", "", "-1", "x"])
 
 # the working values each command starts from
 TINY_MODEL = {"d_model": 4, "heads": 2, "euler_steps": 1, "ffn_dim": 4}
 SPIRAL_ARGS = {"--n": 2, "--points": 10, "--subsample": 8, "--noise": 0.02,
                "--seed": 0}
-EVENT_ARGS = {"--threshold": 128.0, "--pad-to": 16}
 # other valid values; "dropout" is no config key
 GOOD = {"d_model": [8], "heads": [1], "euler_steps": [2], "ffn_dim": [2],
         "top_k": [None, 1, 3], "epsilon": [0.1],
@@ -47,9 +44,8 @@ GOOD = {"d_model": [8], "heads": [1], "euler_steps": [2], "ffn_dim": [2],
         "betas": [[0.9, 0.999], [0.5, 0.0]], "weight_decay": [0.0, 0.1],
         "epochs": [0, 1], "batch_size": [1, 4], "loss": ["mse", "mae"],
         "metric": ["mae", "mse"], "grad_clip": [0.0, 1.0],
-        "ratios": [[0.6, 0.2, 0.2], [0.5, 0.25, 0.25]], "dropout": [0.1],
-        "--n": [1, 3], "--points": [8], "--subsample": [2], "--noise": [0.0],
-        "--seed": [2], "--threshold": [0.0], "--pad-to": [8]}
+        "dropout": [0.1], "--n": [1, 3], "--points": [8], "--subsample": [2],
+        "--noise": [0.0], "--seed": [2]}
 MODEL_KEYS = sorted(TINY_MODEL) + [
     "top_k", "epsilon", "sink_gate_enabled", "n_layers", "hc_mode",
     "hc_streams", "max_len", "gate_mode", "seed", "dropout"]
@@ -68,15 +64,11 @@ def _argv(options: dict) -> list:
     return [a for pair in options.items() for a in pair]
 
 
-def _assert_clean_exit(argv, seed):
-    """cli.main(argv), with FLUID_SEED set to ``seed`` (unset for None),
-    exits 0, or 2 with one line."""
+def _assert_clean_exit(argv):
+    """cli.main(argv) exits 0, or 2 with one line."""
     err = io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stderr(err), \
+    with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
-        os.environ.pop("FLUID_SEED", None)
-        if seed is not None:
-            os.environ["FLUID_SEED"] = seed
         code = cli.main([str(a) for a in argv])
     err = err.getvalue()
     assert code == 0 or (code == 2 and err.count("\n") == 1
@@ -98,37 +90,22 @@ def spirals(tmp_path_factory):
 
 
 @PROPERTY
-@given(kind=st.sampled_from(["spiral", "events"]),
-       edits=_edits(sorted(SPIRAL_ARGS) + sorted(EVENT_ARGS), ODD_NUMBER),
-       rows=st.integers(1, 6).flatmap(lambda width: st.lists(
-           st.lists(st.integers(0, 255), min_size=width, max_size=width),
-           max_size=3)),
-       env=FLUID_SEED)
-def test_generate_exits_0_or_2_with_one_line(kind, edits, rows, env):
+@given(edits=_edits(sorted(SPIRAL_ARGS), ODD_NUMBER))
+def test_generate_exits_0_or_2_with_one_line(edits):
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.csv")
-        if kind == "spiral":
-            options = SPIRAL_ARGS | {k: v for k, v in edits if k in SPIRAL_ARGS}
-        else:
-            pixels = os.path.join(tmp, "pixels.csv")
-            with open(pixels, "w") as fh:
-                fh.writelines(",".join(map(str, r)) + "\n" for r in rows)
-            options = {"--pixels": pixels} | EVENT_ARGS | {
-                k: v for k, v in edits if k in EVENT_ARGS}
-        _assert_clean_exit(["generate", kind, *_argv(options), "--out", out],
-                           env)
+        options = SPIRAL_ARGS | dict(edits)
+        _assert_clean_exit(["generate", "spiral", *_argv(options), "--out",
+                            os.path.join(tmp, "out.csv")])
 
 
 @PROPERTY
 @given(edits=st.one_of(
            _edits(MODEL_KEYS).map(lambda e: [("model",) + x for x in e]),
-           _edits(TRAIN_KEYS).map(lambda e: [("train",) + x for x in e]),
-           _edits(["ratios", "dropout"]).map(
-               lambda e: [("data",) + x for x in e])),
+           _edits(TRAIN_KEYS).map(lambda e: [("train",) + x for x in e])),
        epochs=st.integers(0, 1),
-       folds=st.sampled_from([1] * 4 + [2, 3, 0, -1, 7]), env=FLUID_SEED)
-def test_train_exits_0_or_2_with_one_line(spirals, edits, epochs, folds, env):
-    config = {"model": dict(TINY_MODEL), "train": {}, "data": {}}
+       folds=st.sampled_from([1] * 4 + [2, 3, 0, -1, 7]))
+def test_train_exits_0_or_2_with_one_line(spirals, edits, epochs, folds):
+    config = {"model": dict(TINY_MODEL), "train": {}}
     for section, key, value in edits:
         config[section][key] = value
     with tempfile.TemporaryDirectory() as tmp:
@@ -137,18 +114,14 @@ def test_train_exits_0_or_2_with_one_line(spirals, edits, epochs, folds, env):
             json.dump(config, fh)
         _assert_clean_exit(["train", "--data", spirals[0], "--out",
                             os.path.join(tmp, "run"), "--config", path,
-                            "--epochs", epochs, "--folds", folds], env)
+                            "--epochs", epochs, "--folds", folds])
 
 
 @PROPERTY
 @given(edits=_edits(sorted(TINY_MODEL) + ["n_layers", "hc_mode", "max_len",
                                           "seed", "dropout"]),
-       metric=st.sampled_from(["mae", "mse"]),
-       ratios=st.sampled_from([[0.6, 0.2, 0.2]] * 3 + [
-           [0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0],
-           [0.6, 0.6, -0.2], [0.5, 0.2, 0.2]]),
-       env=FLUID_SEED)
-def test_eval_exits_0_or_2_with_one_line(spirals, edits, metric, ratios, env):
+       metric=st.sampled_from(["mae", "mse"]))
+def test_eval_exits_0_or_2_with_one_line(spirals, edits, metric):
     data, checkpoint = spirals
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = shutil.copytree(checkpoint, os.path.join(tmp, "ckpt"))
@@ -161,4 +134,4 @@ def test_eval_exits_0_or_2_with_one_line(spirals, edits, metric, ratios, env):
         with open(manifest, "w") as fh:
             json.dump(saved, fh)
         _assert_clean_exit(["eval", "--checkpoint", ckpt, "--data", data,
-                            "--metric", metric, "--ratios", *ratios], env)
+                            "--metric", metric])

@@ -1,9 +1,8 @@
-"""Spiral generation, event encoding, and dataset file round trips."""
+"""Spiral generation, the conditioning split, and dataset file round trips."""
 
 import numpy as np
 import pytest
 
-from conftest import event_decode
 from fluid import data as D
 
 
@@ -84,28 +83,20 @@ def test_noiseless_spiral_radius_strictly_increasing():
 def test_split_by_time_ratios():
     spec = D.SpiralSpec(n_spirals=1, n_points=100, n_subsample=50, seed=4)
     seq = D.generate_spirals(spec)[0]
-    cond, interp, extrap = D.split_by_time(seq, (0.6, 0.2, 0.2))
-    assert (cond.sum() + interp.sum() + extrap.sum()) == seq.length
-    assert cond.any() and extrap.any()
-    # segment boundaries respect time ordering
-    assert seq.times[cond].max() < seq.times[interp | extrap].min()
-    if interp.any() and extrap.any():
-        assert seq.times[interp].max() < seq.times[extrap].min()
-
-
-@pytest.mark.parametrize("ratios", [[1.0], (0.2, 0.2, 0.2, 0.4),
-                                    [1.2, -0.1, -0.1], 3, None, "abc",
-                                    [0.5, 0.5, float("nan")],
-                                    [[0.6, 0.2, 0.2]], (0.6, 0.2, 0.3)],
-                         ids=["one", "four", "negative", "number", "none",
-                              "string", "nan", "nested", "sum-1.1"])
-def test_split_by_time_rejects_ratios_other_than_three_shares_of_one(ratios):
-    seq = D.generate_spirals(D.SpiralSpec(n_spirals=1, n_points=30,
-                                          n_subsample=10, seed=4))[0]
-    with pytest.raises(ValueError) as err:
-        D.split_by_time(seq, ratios)
-    assert str(err.value) == (f"split ratios {ratios!r} are not three "
-                              "non-negative numbers that sum to 1")
+    cond, query = D.split_by_time(seq)
+    assert not (cond & query).any() and (cond | query).sum() == seq.length
+    assert cond.any() and query.any()
+    # the first 0.6 of the observed time span conditions
+    lo, hi = seq.times.min(), seq.times.max()
+    assert D._COND_SHARE == 0.6
+    assert np.array_equal(cond, seq.times < lo + 0.6 * (hi - lo))
+    assert seq.times[cond].max() < seq.times[query].min()
+    # padding is in neither mask
+    padded = D.EventSequence(values=np.zeros((4, 1)), times=[0.0, 1.0, 2.0, 0.0],
+                             mask=[True, True, True, False])
+    cond, query = D.split_by_time(padded)
+    assert cond.tolist() == [True, True, False, False]
+    assert query.tolist() == [False, False, True, False]
 
 
 def test_spiral_arrays_pack_and_mask():
@@ -128,51 +119,21 @@ def _one_point(mask=True):
     return D.EventSequence(values=[[0.5, -0.5]], times=[2.0], mask=[mask])
 
 
-@pytest.mark.parametrize("case", ["one_point", "no_valid_point", "all",
-                                  "no_conditioning_share"])
+@pytest.mark.parametrize("case", ["one_point", "no_valid_point", "all"])
 def test_spiral_arrays_name_the_first_sequence_without_a_conditioning_point(case):
     seqs = D.generate_spirals(D.SpiralSpec(n_spirals=3, n_points=30,
                                            n_subsample=10, seed=2))
-    ratios, first = (0.6, 0.2, 0.2), 1
+    first = 1
     if case == "one_point":
         seqs[1:1] = [_one_point(), _one_point()]
     elif case == "no_valid_point":
         seqs.append(_one_point(mask=False))
         first = 3
-    elif case == "all":
+    else:
         seqs, first = [_one_point()] * 3, 0
-    else:                   # no share of the time span conditions
-        ratios, first = (0.0, 0.5, 0.5), 0
     with pytest.raises(ValueError, match=f"^sequence {first} has no "
                                          "conditioning point$"):
-        D.spiral_arrays(seqs, ratios)
-
-
-def test_event_encode_run_collapses_to_single_event():
-    seq = D.event_encode(np.array([255, 255, 255, 255]), 1, threshold=128)
-    assert seq.length == 1
-    assert seq.values[0, 0] == 1.0
-    assert seq.times[0] == 4.0
-
-
-def test_event_encode_alternating_has_no_compression():
-    pixels = np.array([0, 255] * 6)
-    seq = D.event_encode(pixels, 12, threshold=128)
-    assert seq.length == 12
-    assert np.array_equal(seq.times[seq.mask], np.arange(1, 13, dtype=float))
-
-
-def test_event_round_trip_random_binary():
-    rng = np.random.default_rng(6)
-    pixels = (rng.random(200) > 0.5) * 255.0
-    seq = D.event_encode(pixels, threshold=128, pad_to=256)
-    decoded = event_decode(seq)
-    assert np.array_equal(decoded, (pixels >= 128).astype(float))
-
-
-def test_event_encode_rejects_overflow():
-    with pytest.raises(ValueError):
-        D.event_encode(np.array([0, 255, 0, 255]), threshold=128, pad_to=2)
+        D.spiral_arrays(seqs)
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -188,26 +149,33 @@ def test_dataset_csv_round_trip(tmp_path):
         assert np.array_equal(a.mask, b.mask)
 
 
-@pytest.mark.parametrize("case", ["blank-line", "short-rows"])
+@pytest.mark.parametrize("case", ["blank-line", "short-rows", "no-feature",
+                                  "mask-only"])
 def test_read_dataset_csv_rejects_a_row_of_another_width(tmp_path, case):
     # a blank line between rows, or rows without the feature_1 column, whose
-    # mask would otherwise be read as feature_1
+    # mask would otherwise be read as feature_1; or a header without a
+    # feature (or a time) column, whose mask would be read as the time
     path = tmp_path / "ds.csv"
     D.write_dataset_csv(str(path), D.generate_spirals(
         D.SpiralSpec(n_spirals=2, n_points=30, n_subsample=10, seed=7)))
     rows = path.read_text().splitlines(keepends=True)
     if case == "blank-line":
         rows.insert(2, "\n")
-        line, fields = 3, 0
-    else:
+        said = f"{path} line 3: 0 fields, the header has 5"
+    elif case == "short-rows":
         rows[1:] = [",".join(r.split(",")[:3] + r.split(",")[4:])
                     for r in rows[1:]]
-        line, fields = 2, 4
+        said = f"{path} line 2: 4 fields, the header has 5"
+    else:
+        keep = [0, 1, 4] if case == "no-feature" else [0, 4]
+        rows = [",".join(r.rstrip("\n").split(",")[j] for j in keep) + "\n"
+                for r in rows]
+        said = (f"{path}: the header has {len(keep)} fields, not seq_id, t, "
+                "a feature and mask")
     path.write_text("".join(rows))
     with pytest.raises(ValueError) as err:
         D.read_dataset_csv(str(path))
-    assert str(err.value) == (f"{path} line {line}: {fields} fields, the "
-                              "header has 5")
+    assert str(err.value) == said
 
 
 @pytest.mark.parametrize("column, value", [(2, "nan"), (3, "-inf"), (1, "inf")],

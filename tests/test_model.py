@@ -221,8 +221,10 @@ def test_config_rejects_a_bad_field_at_construction(field, value, problem):
     (lambda: TR.TrainConfig(epochs=-1, seed=-2), "epochs, seed must be >= 0"),
     # AdamW would grow every weight by lr a step
     (lambda: TR.TrainConfig(weight_decay=-1.0), "weight_decay must be >= 0"),
+    # a negative bound would turn clipping off, as 0 does
+    (lambda: TR.TrainConfig(grad_clip=-1.0), "grad_clip must be >= 0"),
 ], ids=["lan-heads", "lan-three", "model", "train-ones", "train-zeros",
-        "train-weight-decay"])
+        "train-weight-decay", "train-grad-clip"])
 def test_bound_errors_name_exactly_the_fields_out_of_bounds(make, message):
     with pytest.raises(ValueError) as err:
         make()
