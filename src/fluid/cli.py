@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -89,55 +88,28 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _fold_indices(n: int, folds: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    return np.array_split(order, folds)
-
-
 def cmd_train(args) -> int:
     cfg = _load_json(args.config)
     _check_keys(args.config, cfg, _TRAIN_SECTIONS)
     tcfg = TR.TrainConfig(**cfg.get("train", {}))
-    if args.epochs is not None:
-        tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
-    seqs = D.read_dataset_csv(args.data)
-    packed = D.spiral_arrays(seqs)
+    packed = D.spiral_arrays(D.read_dataset_csv(args.data))
     in_features = packed["values"].shape[-1]
-
-    n = packed["values"].shape[0]
-    folds = args.folds
-    if not 1 <= folds <= n:
-        raise ValueError(f"--folds {folds} is not between 1 and the {n} "
-                         f"sequences in {args.data}")
-    rng = np.random.default_rng(tcfg.seed)
-    parts = (_fold_indices(n, folds, rng) if folds > 1
-             else [np.arange(max(1, n // 5))])
-
-    metrics = []
-    for fold, held in enumerate(parts):
-        mask = np.zeros(n, dtype=bool)
-        mask[held] = True
-        train_data = {k: v[~mask] for k, v in packed.items()}
-        val_data = {k: v[mask] for k, v in packed.items()}
-        model = M.FluidModel(_model_config(cfg, in_features, in_features))
-        out_dir = os.path.join(args.out, f"fold{fold}") if folds > 1 else args.out
-        try:
-            history = TR.train(model, train_data, val_data, tcfg, out_dir=out_dir)
-        except TR.TrainingDiverged as err:
-            print(f"training diverged: {err}; gate traces in "
-                  f"{err.dump_path}", file=sys.stderr)
-            return 1
-        os.makedirs(out_dir, exist_ok=True)
-        TR.write_history_csv(os.path.join(out_dir, "history.csv"), history)
-        M.save_checkpoint(model, os.path.join(out_dir, "final"))
-        final = history[-1]["val_metric"] if history else float("nan")
-        metrics.append(final)
-        print(f"fold {fold}: final {tcfg.metric} = {final:.6f}")
+    # the first fifth of the sequences, at least one, validates
+    held = max(1, packed["values"].shape[0] // 5)
+    train_data = {k: v[held:] for k, v in packed.items()}
+    val_data = {k: v[:held] for k, v in packed.items()}
+    model = M.FluidModel(_model_config(cfg, in_features, in_features))
+    try:
+        history = TR.train(model, train_data, val_data, tcfg, args.out)
+    except TR.TrainingDiverged as err:
+        print(f"training diverged: {err}; gate traces in "
+              f"{err.dump_path}", file=sys.stderr)
+        return 1
+    value = history[-1]["val_metric"] if history else float("nan")
     # no metric (an empty history) is null: JSON has no NaN
-    mean, std = (float(v) if np.isfinite(v) else None
-                 for v in (np.mean(metrics), np.std(metrics)))
-    summary = {"folds": folds, "metric": tcfg.metric, "mean": mean, "std": std}
-    print(json.dumps(summary, allow_nan=False))
+    print(json.dumps({"metric": tcfg.metric,
+                      "value": value if np.isfinite(value) else None},
+                     allow_nan=False))
     return 0
 
 
@@ -181,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--config", help="JSON with model and train sections")
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--folds", type=int, default=1,
-                   help="k-fold cross-validation loop (1 = single split)")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

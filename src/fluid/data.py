@@ -162,7 +162,9 @@ def read_dataset_csv(path: str) -> list[EventSequence]:
     than four fields raises a ValueError naming the file; a row of another
     width than the header, a seq_id that is no integer, a time or feature
     that is no finite number, or a mask other than 0 or 1 raises a
-    ValueError naming the file and the line."""
+    ValueError naming the file and the line; a sequence whose times do not
+    increase, or whose mask pads before its valid rows, raises a
+    ValueError naming the file and the seq_id."""
     rows: dict[int, list] = {}
     with open(path) as fh:
         reader = csv.reader(fh)
@@ -200,8 +202,11 @@ def read_dataset_csv(path: str) -> list[EventSequence]:
     out = []
     for sid in sorted(rows):
         entries = rows[sid]
-        out.append(EventSequence(
-            values=np.array([e[1] for e in entries]),
-            times=np.array([e[0] for e in entries]),
-            mask=np.array([e[2] for e in entries])))
+        try:
+            out.append(EventSequence(
+                values=np.array([e[1] for e in entries]),
+                times=np.array([e[0] for e in entries]),
+                mask=np.array([e[2] for e in entries])))
+        except ValueError as err:
+            raise ValueError(f"{path}: sequence {sid}: {err}") from None
     return out

@@ -1,7 +1,7 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
 The tape is rebuilt on every forward pass and released by ``backward``.
-Tensors are immutable values after construction (optimizers mutate the
+Tensors are immutable values after construction (AdamW mutates the
 underlying buffer of leaf parameters between passes, never mid-graph).
 All arithmetic is 64-bit; broadcasting follows numpy rules and any
 incompatible pair of shapes raises :class:`ShapeError` naming both.

@@ -1,15 +1,19 @@
-"""Desk-scale training: losses, optimizers, the full-sequence
+"""Desk-scale training: losses, AdamW, the full-sequence
 backpropagation driver, and the finite-difference gradient checker.
 
 Training is deterministic given the seed: identical seed and config give
 bitwise identical parameter trajectories. The step-size clamp inside the
-attention stays off the gradient tape by construction. A NaN loss aborts
-the run with a diagnostic dump of the gate traces from a deterministic
-re-run of the failing batch.
+attention stays off the gradient tape by construction. A run writes its
+directory: ``best/`` (the checkpoint of the best validation metric so
+far), then ``history.csv`` (one row per epoch) and ``final/`` (the last
+weights). A NaN loss aborts the run with a diagnostic dump of the gate
+traces from a deterministic re-run of the failing batch into
+``diverged_gate_traces/``.
 """
 
 from __future__ import annotations
 
+import csv
 import numbers
 import os
 from dataclasses import dataclass
@@ -25,14 +29,13 @@ from fluid.tensor import Tensor
 class TrainingDiverged(RuntimeError):
     """Loss went non-finite; carries the directory of the gate-trace dump."""
 
-    def __init__(self, message, dump_path=None):
+    def __init__(self, message, dump_path):
         super().__init__(message)
         self.dump_path = dump_path
 
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adamw"          # adamw | sgd
     lr: float = 1e-3
     betas: tuple = (0.9, 0.999)
     weight_decay: float = 0.0
@@ -47,15 +50,14 @@ class TrainConfig:
         check_types(self, numbers.Real, "a number", "lr weight_decay grad_clip")
         check_types(self, numbers.Integral, "an integer", "epochs batch_size seed")
         if not (isinstance(self.betas, (list, tuple)) and len(self.betas) == 2
-                and all(isinstance(b, numbers.Real) for b in self.betas)):
+                and all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                        for b in self.betas)):
             raise ValueError(f"betas must be two numbers, not {self.betas!r}")
         self.betas = tuple(self.betas)
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
             raise ValueError("betas must lie in [0, 1)")
-        if self.optimizer not in ("adamw", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss not in ("mse", "mae"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.metric not in ("mae", "mse"):
@@ -95,7 +97,7 @@ def loss(kind: str, pred: Tensor, target: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# optimizers
+# AdamW
 # --------------------------------------------------------------------------
 
 def init_opt_state(params: dict) -> dict:
@@ -121,12 +123,6 @@ def adamw_step(params: dict, state: dict, cfg: TrainConfig):
         v_hat = v / (1 - b2 ** t)
         p.data[...] = p.data - cfg.lr * (m_hat / (np.sqrt(v_hat) + 1e-8)
                                          + cfg.weight_decay * p.data)
-
-
-def sgd_step(params: dict, state: dict, cfg: TrainConfig):
-    for p in params.values():
-        if p.grad is not None:
-            p.data[...] = p.data - cfg.lr * p.grad
 
 
 def clip_global_norm(params: dict, max_norm: float) -> float:
@@ -156,13 +152,11 @@ def _forward_batch(model, data, sel, collect=None) -> Tensor:
                          collect=collect)
 
 
-def _dump_gate_traces(model, data, sel, out_dir) -> str | None:
+def _dump_gate_traces(model, data, sel, out_dir) -> str:
     """The gate trajectories of every attention block on one batch, one
     CSV each in out_dir/diverged_gate_traces: enc.attn, dec.self and
     dec.cross (later layers add their index, as in enc.attn.1). Returns
-    the directory, or None without ``out_dir``."""
-    if out_dir is None:
-        return None
+    the directory."""
     collect: dict = {}
     with T.no_grad():
         _forward_batch(model, data, sel, collect=collect)
@@ -182,21 +176,22 @@ def evaluate(model, data, metric: str) -> float:
         return loss(metric, pred, data["targets"], data.get("target_mask")).item()
 
 
-def train(model, train_data: dict, val_data: dict | None, cfg: TrainConfig,
-          out_dir: str | None = None) -> list[dict]:
+def train(model, train_data: dict, val_data: dict, cfg: TrainConfig,
+          out_dir: str) -> list[dict]:
     """Full-sequence backprop over minibatches; returns the epoch history.
 
-    Saves the best-validation-metric checkpoint into out_dir when given.
+    Validates every epoch and saves the checkpoint of the best validation
+    metric so far into out_dir/best. At the end writes the history to
+    out_dir/history.csv and the last weights to out_dir/final.
     History rows: {"epoch", "train_loss", "val_metric"}.
     """
     n = train_data["values"].shape[0]
     if n == 0:
-        held = 0 if val_data is None else val_data["values"].shape[0]
-        raise ValueError(f"training data holds no sequence ({held} held out "
-                         "for validation)")
+        raise ValueError(f"training data holds no sequence "
+                         f"({val_data['values'].shape[0]} held out for "
+                         "validation)")
     params = model.parameters()
     state = init_opt_state(params)
-    step_fn = adamw_step if cfg.optimizer == "adamw" else sgd_step
     rng = np.random.default_rng(cfg.seed)
     history: list[dict] = []
     best = np.inf
@@ -219,29 +214,24 @@ def train(model, train_data: dict, val_data: dict | None, cfg: TrainConfig,
                 p.zero_grad()
             batch_loss.backward()
             clip_global_norm(params, cfg.grad_clip)
-            step_fn(params, state, cfg)
+            adamw_step(params, state, cfg)
             epoch_losses.append(value)
 
-        row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
-        if val_data is not None:
-            vm = evaluate(model, val_data, cfg.metric)
-            row["val_metric"] = vm
-            if vm < best:
-                best = vm
-                if out_dir is not None:
-                    M.save_checkpoint(model, os.path.join(out_dir, "best"))
-        history.append(row)
+        vm = evaluate(model, val_data, cfg.metric)
+        history.append({"epoch": epoch,
+                        "train_loss": float(np.mean(epoch_losses)),
+                        "val_metric": vm})
+        if vm < best:
+            best = vm
+            M.save_checkpoint(model, os.path.join(out_dir, "best"))
+
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "history.csv"), "w", newline="") as fh:
+        w = csv.DictWriter(fh, ["epoch", "train_loss", "val_metric"])
+        w.writeheader()
+        w.writerows(history)
+    M.save_checkpoint(model, os.path.join(out_dir, "final"))
     return history
-
-
-def write_history_csv(path: str, history: list[dict]):
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "train_loss", "val_metric"])
-        for row in history:
-            w.writerow([row["epoch"], row["train_loss"],
-                        row.get("val_metric", "")])
 
 
 # --------------------------------------------------------------------------

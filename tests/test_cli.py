@@ -30,14 +30,16 @@ TINY_CONFIG = {"model": {"d_model": 8, "heads": 2, "euler_steps": 2,
                "train": {"batch_size": 4}}
 
 
-def _tiny_run(tmp_path, n=10):
-    """A spiral dataset CSV with ``n`` sequences and a tiny-dims config."""
+def _tiny_run(tmp_path, n=10, epochs=1):
+    """A spiral dataset CSV with ``n`` sequences and a tiny-dims config
+    that trains for ``epochs``."""
     data = tmp_path / "spirals.csv"
     proc = run_fluid("generate", "spiral", "--n", str(n), "--points", "30",
                      "--subsample", "12", "--out", str(data))
     assert proc.returncode == 0, proc.stderr
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY_CONFIG))
+    config.write_text(json.dumps(dict(
+        TINY_CONFIG, train=dict(TINY_CONFIG["train"], epochs=epochs))))
     return data, config
 
 
@@ -46,7 +48,7 @@ def test_train_single_split_holds_out_validation(tmp_path, monkeypatch):
     data, config = _tiny_run(tmp_path, n)
     seen = {}
 
-    def fake_train(model, train_data, val_data, cfg, out_dir=None):
+    def fake_train(model, train_data, val_data, cfg, out_dir):
         seen["train"], seen["val"] = train_data, val_data
         return []
 
@@ -67,7 +69,7 @@ def _train_with_config(tmp_path, monkeypatch, config):
     path.write_text(json.dumps(config))
     models = []
 
-    def fake_train(model, train_data, val_data, cfg, out_dir=None):
+    def fake_train(model, train_data, val_data, cfg, out_dir):
         models.append((model, cfg))
         return []
 
@@ -87,8 +89,10 @@ def _train_with_config(tmp_path, monkeypatch, config):
     # the data decide the model's input and output widths
     ({"model": dict(TINY_CONFIG["model"], in_features=2)}, "model.in_features"),
     ({"model": dict(TINY_CONFIG["model"], out_dim=2)}, "model.out_dim"),
+    # AdamW is the only optimizer
+    (dict(TINY_CONFIG, train={"optimizer": "adamw"}), "train.optimizer"),
 ], ids=["section", "model-key", "data-key", "data-section", "model-task",
-        "model-in-features", "model-out-dim"])
+        "model-in-features", "model-out-dim", "train-optimizer"])
 def test_train_config_rejects_unknown_keys(tmp_path, monkeypatch, capsys,
                                            config, named):
     code, models = _train_with_config(tmp_path, monkeypatch, config)
@@ -115,7 +119,7 @@ def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
                         "n_layers": 2, "ffn_dim": 8, "hc_mode": "static",
                         "hc_streams": 2, "max_len": 128,
                         "gate_mode": "recurrent", "seed": 3},
-              "train": {"optimizer": "sgd", "lr": 0.01, "betas": [0.8, 0.9],
+              "train": {"lr": 0.01, "betas": [0.8, 0.9],
                         "weight_decay": 0.1, "epochs": 2, "batch_size": 4,
                         "loss": "mae", "metric": "mse", "seed": 5,
                         "grad_clip": 2.0}}
@@ -127,22 +131,24 @@ def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
     for key in ("n_layers", "hc_mode", "hc_streams", "max_len", "seed"):
         assert getattr(model.cfg, key) == config["model"][key], key
     assert tcfg.betas == (0.8, 0.9)
-    for key in ("optimizer", "lr", "metric", "seed", "grad_clip"):
+    for key in ("lr", "epochs", "metric", "seed", "grad_clip"):
         assert getattr(tcfg, key) == config["train"][key], key
 
 
-def test_train_rejects_more_folds_than_sequences(tmp_path, monkeypatch,
-                                                 capsys):
-    data, config = _tiny_run(tmp_path, n=6)
+@pytest.mark.parametrize("flags", [["--folds", "0"], ["--folds", "-3"],
+                                   ["--folds", "2"], ["--epochs", "1"]],
+                         ids=["train-zero-folds", "train-negative-folds",
+                              "train-two-folds", "train-epochs"])
+def test_train_has_no_folds_or_epochs_flag(tmp_path, monkeypatch, capsys, flags):
+    # the split is fixed, and epochs come only from the config's train.epochs
     trained = []
-    monkeypatch.setattr(TR, "train", lambda *args, **kw: trained.append(1))
-    assert cli.main(["train", "--data", str(data), "--out",
-                     str(tmp_path / "run"), "--config", str(config),
-                     "--folds", "10"]) == 2
-    out = capsys.readouterr()
-    assert not trained and out.out == ""
-    assert out.err.startswith("fluid train: ") and out.err.count("\n") == 1
-    assert "--folds 10" in out.err and "6 sequences" in out.err
+    monkeypatch.setattr(TR, "train", lambda *args: trained.append(1))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["train", "--data", str(tmp_path / "spirals.csv"), "--out",
+                  str(tmp_path / "run"), *flags])
+    assert exit_.value.code == 2 and not trained
+    assert (f"fluid: error: unrecognized arguments: {' '.join(flags)}"
+            in capsys.readouterr().err)
 
 
 def test_train_on_one_sequence_exits_2_without_training(tmp_path, capsys):
@@ -151,8 +157,7 @@ def test_train_on_one_sequence_exits_2_without_training(tmp_path, capsys):
     D.write_dataset_csv(str(data), D.generate_spirals(
         D.SpiralSpec(n_spirals=1, n_points=30, n_subsample=12)))
     run = tmp_path / "run"
-    assert cli.main(["train", "--data", str(data), "--out", str(run),
-                     "--folds", "1", "--epochs", "1"]) == 2
+    assert cli.main(["train", "--data", str(data), "--out", str(run)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == (
         "fluid train: training data holds no sequence (1 held out for "
@@ -164,8 +169,11 @@ def test_generate_train_eval_pipeline(tmp_path):
     data, config = _tiny_run(tmp_path)
     run = tmp_path / "run"
     proc = run_fluid("train", "--data", str(data), "--out", str(run),
-                     "--folds", "1", "--epochs", "1", "--config", str(config))
+                     "--config", str(config))
     assert proc.returncode == 0, proc.stderr
+    # one line, in the shape of eval's report
+    summary = json.loads(proc.stdout)
+    assert summary["metric"] == "mae" and summary["value"] > 0
     for name in ("best", "final"):
         assert (run / name / "manifest.json").is_file()
         assert (run / name / "tensors.bin").is_file()
@@ -191,7 +199,7 @@ def test_train_divergence_exits_1_naming_the_gate_traces(tmp_path, monkeypatch,
     data, config = _tiny_run(tmp_path)
     dump = str(tmp_path / "run" / "diverged_gate_traces")
 
-    def diverge(model, train_data, val_data, cfg, out_dir=None):
+    def diverge(model, train_data, val_data, cfg, out_dir):
         raise TR.TrainingDiverged("non-finite loss nan at epoch 0", dump)
 
     monkeypatch.setattr(TR, "train", diverge)
@@ -204,29 +212,28 @@ def test_train_divergence_exits_1_naming_the_gate_traces(tmp_path, monkeypatch,
 
 
 def test_train_without_metric_prints_valid_json(tmp_path, capsys):
-    data, config = _tiny_run(tmp_path)
+    data, config = _tiny_run(tmp_path, epochs=0)
     assert cli.main(["train", "--data", str(data), "--out",
-                     str(tmp_path / "run"), "--epochs", "0",
-                     "--config", str(config)]) == 0
-    last = capsys.readouterr().out.splitlines()[-1]
+                     str(tmp_path / "run"), "--config", str(config)]) == 0
     # plain json.loads accepts NaN; this parse does not
-    summary = json.loads(last, parse_constant=_reject_constant)
-    assert summary["mean"] is None and summary["std"] is None
+    summary = json.loads(capsys.readouterr().out,
+                         parse_constant=_reject_constant)
+    assert summary == {"metric": "mae", "value": None}
 
 
 @pytest.mark.parametrize("case", ["generate-subsample",
                                   "eval-missing-checkpoint",
                                   "train-missing-config", "train-malformed-config",
                                   "train-missing-data", "train-heads", "train-empty-data",
-                                  "train-negative-batch", "train-zero-folds",
-                                  "train-negative-folds",
+                                  "train-negative-batch",
                                   "train-negative-layers", "train-zero-ffn",
                                   "train-key-list-config", "train-list-config",
                                   "generate-zero-subsample",
                                   "train-one-point-sequence",
                                   "train-header-only", "eval-header-only",
                                   "train-null-section", "train-list-section",
-                                  "train-number-betas", "train-string-lr",
+                                  "train-number-betas", "train-false-betas",
+                                  "train-true-betas", "train-string-lr",
                                   "train-string-heads",
                                   "train-fractional-steps",
                                   "train-string-layers",
@@ -249,6 +256,7 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "eval-nan-feature-data",
                                   "train-text-seq-id-data",
                                   "train-text-time-data",
+                                  "train-decreasing-times-data",
                                   "eval-mask-two-data",
                                   "train-no-feature-data",
                                   "eval-number-manifest",
@@ -309,6 +317,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
         unparsable[name] = tmp_path / f"{name}.csv"
         unparsable[name].write_text("".join(rows[:2] + [",".join(fields) + "\n"]
                                             + rows[3:]))
+    # the first sequence's second and third times swapped
+    decreasing = tmp_path / "decreasing.csv"
+    decreasing.write_text("".join(rows[:2] + [rows[3], rows[2]] + rows[4:]))
     # the spirals without their feature columns
     no_feature = tmp_path / "no_feature.csv"
     no_feature.write_text("".join(
@@ -324,6 +335,10 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                "train-null-section": {"model": None},
                "train-list-section": dict(TINY_CONFIG, train=[1]),
                "train-number-betas": dict(TINY_CONFIG, train={"betas": 3}),
+               "train-false-betas": dict(TINY_CONFIG,
+                                         train={"betas": [False, 0.9]}),
+               "train-true-betas": dict(TINY_CONFIG,
+                                        train={"betas": [True, 0.9]}),
                "train-string-lr": dict(TINY_CONFIG, train={"lr": "x"}),
                "train-string-heads": {"model": {"heads": "x"}},
                "train-fractional-steps": {"model": {"euler_steps": 2.5}},
@@ -357,8 +372,6 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
         "train-heads": train + [str(data)],
         "train-empty-data": train + [str(empty)],
         "train-negative-batch": train + [str(data)],
-        "train-zero-folds": train + [str(data), "--folds", "0"],
-        "train-negative-folds": train + [str(data), "--folds", "-3"],
         "train-negative-layers": train + [str(data)],
         "train-zero-ffn": train + [str(data)],
         "train-key-list-config": train + [str(data)],
@@ -372,6 +385,8 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
         "train-null-section": train + [str(data)],
         "train-list-section": train + [str(data)],
         "train-number-betas": train + [str(data)],
+        "train-false-betas": train + [str(data)],
+        "train-true-betas": train + [str(data)],
         "train-string-lr": train + [str(data)],
         "train-string-heads": train + [str(data)],
         "train-fractional-steps": train + [str(data)],
@@ -406,6 +421,7 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                                   "--data", str(nan_feature)],
         "train-text-seq-id-data": train + [str(unparsable["text_seq_id"])],
         "train-text-time-data": train + [str(unparsable["text_time"])],
+        "train-decreasing-times-data": train + [str(decreasing)],
         "eval-mask-two-data": ["eval", "--checkpoint", checkpoint,
                                "--data", str(unparsable["mask_two"])],
         "train-no-feature-data": train + [str(no_feature)],
@@ -432,6 +448,8 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
             "train-null-section": "section 'model'",
             "train-list-section": "section 'train'",
             "train-number-betas": "betas must be two numbers, not 3",
+            "train-false-betas": "betas must be two numbers, not [False, 0.9]",
+            "train-true-betas": "betas must be two numbers, not [True, 0.9]",
             "train-string-lr": "lr must be a number, not 'x'",
             "train-string-heads": "heads must be an integer, not 'x'",
             "train-fractional-steps": "euler_steps must be an integer, not 2.5",
@@ -450,6 +468,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                                       "seq_id 'x' is no integer",
             "train-text-time-data": f"{unparsable['text_time']} line 3: times "
                                     "and features must be numbers",
+            "train-decreasing-times-data": f"fluid train: {decreasing}: "
+                                           "sequence 0: times must be strictly "
+                                           "increasing on valid entries\n",
             "eval-mask-two-data": f"{unparsable['mask_two']} line 3: mask '2' "
                                   "is neither 0 nor 1",
             "train-zero-max-len": "max_len must be >= 1",
@@ -500,10 +521,10 @@ def test_eval_prints_a_non_finite_metric_as_json_null(tmp_path, capsys):
 
 
 def test_eval_rejects_a_manifest_config_that_does_not_fit(tmp_path, capsys):
-    data, config = _tiny_run(tmp_path)
+    data, config = _tiny_run(tmp_path, epochs=0)
     run = tmp_path / "run"
     assert cli.main(["train", "--data", str(data), "--out", str(run),
-                     "--epochs", "0", "--config", str(config)]) == 0
+                     "--config", str(config)]) == 0
     manifest = run / "final" / "manifest.json"
     saved = json.loads(manifest.read_text())
     saved["config"]["dropout"] = 0.1
@@ -518,10 +539,10 @@ def test_eval_rejects_a_manifest_config_that_does_not_fit(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["config", "params"])
 def test_eval_rejects_a_manifest_without_config_or_params(tmp_path, capsys, key):
-    data, config = _tiny_run(tmp_path)
+    data, config = _tiny_run(tmp_path, epochs=0)
     run = tmp_path / "run"
     assert cli.main(["train", "--data", str(data), "--out", str(run),
-                     "--epochs", "0", "--config", str(config)]) == 0
+                     "--config", str(config)]) == 0
     manifest = run / "final" / "manifest.json"
     saved = json.loads(manifest.read_text())
     del saved[key]

@@ -40,7 +40,7 @@ GOOD = {"d_model": [8], "heads": [1], "euler_steps": [2], "ffn_dim": [2],
         "sink_gate_enabled": [True, False], "n_layers": [0, 2],
         "hc_mode": ["residual", "static", "liquid"], "hc_streams": [1, 2],
         "max_len": [8, 64], "gate_mode": ["recurrent", "sdpa_frozen"],
-        "seed": [0, 5], "optimizer": ["adamw", "sgd"], "lr": [1e-3, 0.1],
+        "seed": [0, 5], "lr": [1e-3, 0.1],
         "betas": [[0.9, 0.999], [0.5, 0.0]], "weight_decay": [0.0, 0.1],
         "epochs": [0, 1], "batch_size": [1, 4], "loss": ["mse", "mae"],
         "metric": ["mae", "mse"], "grad_clip": [0.0, 1.0],
@@ -49,8 +49,8 @@ GOOD = {"d_model": [8], "heads": [1], "euler_steps": [2], "ffn_dim": [2],
 MODEL_KEYS = sorted(TINY_MODEL) + [
     "top_k", "epsilon", "sink_gate_enabled", "n_layers", "hc_mode",
     "hc_streams", "max_len", "gate_mode", "seed", "dropout"]
-TRAIN_KEYS = ["optimizer", "lr", "betas", "weight_decay", "epochs",
-              "batch_size", "loss", "metric", "seed", "grad_clip", "dropout"]
+TRAIN_KEYS = ["lr", "betas", "weight_decay", "epochs", "batch_size", "loss",
+              "metric", "seed", "grad_clip", "dropout"]
 
 
 def _edits(keys, odd=ODD):
@@ -83,9 +83,9 @@ def spirals(tmp_path_factory):
     D.write_dataset_csv(str(data), D.generate_spirals(
         D.SpiralSpec(n_spirals=6, n_points=20, n_subsample=8)))
     config = root / "config.json"
-    config.write_text(json.dumps({"model": TINY_MODEL}))
+    config.write_text(json.dumps({"model": TINY_MODEL, "train": {"epochs": 1}}))
     assert cli.main(["train", "--data", str(data), "--out", str(root / "run"),
-                     "--config", str(config), "--epochs", "1"]) == 0
+                     "--config", str(config)]) == 0
     return data, root / "run" / "final"
 
 
@@ -102,10 +102,9 @@ def test_generate_exits_0_or_2_with_one_line(edits):
 @given(edits=st.one_of(
            _edits(MODEL_KEYS).map(lambda e: [("model",) + x for x in e]),
            _edits(TRAIN_KEYS).map(lambda e: [("train",) + x for x in e])),
-       epochs=st.integers(0, 1),
-       folds=st.sampled_from([1] * 4 + [2, 3, 0, -1, 7]))
-def test_train_exits_0_or_2_with_one_line(spirals, edits, epochs, folds):
-    config = {"model": dict(TINY_MODEL), "train": {}}
+       epochs=st.integers(0, 1))
+def test_train_exits_0_or_2_with_one_line(spirals, edits, epochs):
+    config = {"model": dict(TINY_MODEL), "train": {"epochs": epochs}}
     for section, key, value in edits:
         config[section][key] = value
     with tempfile.TemporaryDirectory() as tmp:
@@ -113,8 +112,7 @@ def test_train_exits_0_or_2_with_one_line(spirals, edits, epochs, folds):
         with open(path, "w") as fh:
             json.dump(config, fh)
         _assert_clean_exit(["train", "--data", spirals[0], "--out",
-                            os.path.join(tmp, "run"), "--config", path,
-                            "--epochs", epochs, "--folds", folds])
+                            os.path.join(tmp, "run"), "--config", path])
 
 
 @PROPERTY

@@ -223,3 +223,19 @@ def test_read_dataset_csv_names_the_line_of_an_unparsable_field(tmp_path, column
     with pytest.raises(ValueError) as err:
         D.read_dataset_csv(str(path))
     assert str(err.value) == f"{path} line 5: {said}"
+
+
+@pytest.mark.parametrize("times, mask, said", [
+    ([1.0, 0.5, 2.0], [1, 1, 1], "times must be strictly increasing on valid "
+                                 "entries"),
+    ([0.0, 1.0, 2.0], [0, 1, 1], "mask padding must be a contiguous tail"),
+], ids=["decreasing-times", "leading-padding"])
+def test_read_dataset_csv_names_the_file_and_sequence_it_rejects(tmp_path, times,
+                                                                 mask, said):
+    # the sequence check used to print only its own message
+    path = tmp_path / "ds.csv"
+    path.write_text("seq_id,t,feature_0,mask\n"
+                    + "".join(f"3,{t},0.5,{m}\n" for t, m in zip(times, mask)))
+    with pytest.raises(ValueError) as err:
+        D.read_dataset_csv(str(path))
+    assert str(err.value) == f"{path}: sequence 3: {said}"

@@ -1,4 +1,4 @@
-"""Losses, optimizer steps, the training loop, and gradient checking."""
+"""Losses, AdamW steps, the training loop, and gradient checking."""
 
 import json
 from pathlib import Path
@@ -88,7 +88,7 @@ def test_masked_loss_ignores_masked_positions():
 
 
 # --------------------------------------------------------------------------
-# optimizers
+# AdamW
 # --------------------------------------------------------------------------
 
 def test_adamw_zero_lr_leaves_params_unchanged():
@@ -147,53 +147,72 @@ def test_gradient_clipping_scales_to_max_norm():
 # training loop
 # --------------------------------------------------------------------------
 
-def test_train_zero_epochs_changes_nothing():
+def test_train_zero_epochs_changes_nothing(tmp_path):
     model = micro_model(seed=1)
+    data = tiny_dataset()
     before = {k: p.data.copy() for k, p in model.parameters().items()}
-    history = TR.train(model, tiny_dataset(), None,
-                       TR.TrainConfig(epochs=0, batch_size=4))
+    history = TR.train(model, data, data,
+                       TR.TrainConfig(epochs=0, batch_size=4), str(tmp_path))
     assert history == []
     for k, p in model.parameters().items():
         assert np.array_equal(p.data, before[k])
+    assert (tmp_path / "history.csv").read_text().splitlines() == \
+        ["epoch,train_loss,val_metric"]
+    assert (tmp_path / "final" / "manifest.json").exists()
+    assert not (tmp_path / "best").exists()
 
 
-def test_train_constant_target_loss_nonincreasing():
-    model = micro_model(seed=2)
-    data = tiny_dataset(seed=2)
-    data["targets"] = np.full_like(data["targets"], 0.25)
-    cfg = TR.TrainConfig(optimizer="sgd", lr=1e-3, epochs=10, batch_size=16,
-                         loss="mse", seed=2)
-    history = TR.train(model, data, None, cfg)
-    losses = [row["train_loss"] for row in history]
-    assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+def test_train_adamw_descends_on_a_constant_target(tmp_path):
+    def setup():
+        data = tiny_dataset(seed=2)
+        data["targets"] = np.full_like(data["targets"], 0.25)
+        return micro_model(seed=2), data
+
+    # one step over the whole set lowers its mse
+    model, data = setup()
+    before = TR.evaluate(model, data, "mse")
+    TR.train(model, data, data, TR.TrainConfig(lr=1e-4, epochs=1,
+                                               batch_size=16, seed=2),
+             str(tmp_path / "one"))
+    assert TR.evaluate(model, data, "mse") < before
+    # and ten end below the first
+    model, data = setup()
+    history = TR.train(model, data, data,
+                       TR.TrainConfig(lr=1e-3, epochs=10, batch_size=16,
+                                      seed=2),
+                       str(tmp_path / "ten"))
+    assert history[-1]["train_loss"] < history[0]["train_loss"]
 
 
-def test_train_determinism_is_bitwise():
-    def run():
+def test_train_determinism_is_bitwise(tmp_path):
+    def run(out_dir):
         model = micro_model(seed=3)
         data = tiny_dataset(seed=3)
         cfg = TR.TrainConfig(lr=1e-3, epochs=3, batch_size=2, seed=3)
-        history = TR.train(model, data, data, cfg)
+        history = TR.train(model, data, data, cfg, str(out_dir))
         return history, {k: p.data.copy() for k, p in model.parameters().items()}
 
-    h1, p1 = run()
-    h2, p2 = run()
+    h1, p1 = run(tmp_path / "a")
+    h2, p2 = run(tmp_path / "b")
     assert h1 == h2
     for k in p1:
         assert np.array_equal(p1[k], p2[k])
+    for name in ("history.csv", "best/tensors.bin", "final/tensors.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
 
 
 def test_train_saves_best_checkpoint_and_history(tmp_path):
     model = micro_model(seed=4)
     data = tiny_dataset(seed=4)
     cfg = TR.TrainConfig(lr=1e-3, epochs=2, batch_size=4, seed=4)
-    history = TR.train(model, data, data, cfg, out_dir=str(tmp_path))
-    assert (tmp_path / "best" / "manifest.json").exists()
-    csv_path = tmp_path / "history.csv"
-    TR.write_history_csv(str(csv_path), history)
-    lines = csv_path.read_text().strip().splitlines()
+    history = TR.train(model, data, data, cfg, str(tmp_path))
+    for name in ("best", "final"):
+        assert (tmp_path / name / "manifest.json").exists()
+    lines = (tmp_path / "history.csv").read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_metric"
-    assert len(lines) == 3
+    assert lines[1:] == [f"{row['epoch']},{row['train_loss']!r},"
+                         f"{row['val_metric']!r}" for row in history]
 
 
 def test_train_aborts_on_nan_with_gate_trace_dump(tmp_path):
@@ -202,7 +221,7 @@ def test_train_aborts_on_nan_with_gate_trace_dump(tmp_path):
     data["targets"][...] = np.nan
     cfg = TR.TrainConfig(lr=1e-3, epochs=1, batch_size=8, seed=5)
     with pytest.raises(TR.TrainingDiverged) as err:
-        TR.train(model, data, None, cfg, out_dir=str(tmp_path))
+        TR.train(model, data, data, cfg, str(tmp_path))
     assert err.value.dump_path == str(tmp_path / "diverged_gate_traces")
     assert (tmp_path / "diverged_gate_traces" / "enc.attn.csv").exists()
 
@@ -213,7 +232,7 @@ def test_divergence_dumps_every_attention_block(tmp_path):
     data["targets"][...] = np.inf
     cfg = TR.TrainConfig(lr=1e-3, epochs=1, batch_size=8, seed=5)
     with pytest.raises(TR.TrainingDiverged) as err:
-        TR.train(model, data, None, cfg, out_dir=str(tmp_path))
+        TR.train(model, data, data, cfg, str(tmp_path))
     dump = tmp_path / "diverged_gate_traces"
     assert err.value.dump_path == str(dump)
     names = [f"{block}{layer}.csv" for block in ("enc.attn", "dec.self", "dec.cross")
