@@ -32,8 +32,7 @@ Gates are [2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:,
 each row in the shape of the pair batch's valid mask; they outlive a
 forward only in a trajectory the caller keeps. The Euler states are never
 kept: ``integrate_logits`` runs them over two rows, and a trajectory
-rebuilds them from its gates when they are read. For the gates of the
-attention limit, ``integrate_logits`` is a tape op itself.
+rebuilds them from its gates when they are read.
 
 Final logits pass through a masked softmax, and one op contracts the
 weights with the selected values a chunk of query rows at a time, so the
@@ -117,25 +116,23 @@ class LogitTrajectory:
     """Gate values and logit states across the Euler steps.
 
     f_tau, f_phi: [..., N], views of the gates; dt_effective is the single
-    clamped step used for the whole pass; a0 is the start state, one row
-    [...] or None for 0. The states a [..., N+1], a[..., 0] == a0, are not
-    stored: the first read of ``a`` rebuilds them from a0 and the gates
-    with the integrator's ops, bitwise its states, and keeps them. An
-    invalid slot of the recurrent core reads the floor gates: a = 0,
-    f_tau = eps and f_phi = 0 at every step.
+    clamped step used for the whole pass. The states a [..., N+1],
+    a[..., 0] == 0, are not stored: the first read of ``a`` rebuilds them
+    from the gates with the integrator's ops, bitwise its states, and keeps
+    them. An invalid slot of the recurrent core reads the floor gates:
+    a = 0, f_tau = eps and f_phi = 0 at every step.
     """
 
     f_tau: np.ndarray
     f_phi: np.ndarray
     dt_effective: float
     dt_nominal: float
-    a0: np.ndarray | None = None
 
     @functools.cached_property
     def a(self) -> np.ndarray:
         f_tau, f_phi = (np.moveaxis(f, -1, 0) for f in (self.f_tau, self.f_phi))
-        return np.moveaxis(_euler_rows(self.a0, f_tau, f_phi, self.dt_effective,
-                                       len(f_tau) + 1), 0, -1)
+        return np.moveaxis(euler_rows(0.0, f_tau, f_phi, self.dt_effective,
+                                      len(f_tau) + 1), 0, -1)
 
     def to_csv(self, path):
         """Diagnostic dump, one row per (step, pair), pair by pair; step 0
@@ -256,9 +253,10 @@ class RecurrentGateCore:
 
         pin: [B,H,...,3h], factored; the op's parents are its projected
         queries and keys and the gate weights. Returns (final logits
-        [B,H,T_q,K_eff], LogitTrajectory) as ``integrate_logits`` does.
-        The tape holds the hidden states [H, max(N-2, 0), h, packed pairs]
-        and the final logits, not the trajectory.
+        [B,H,T_q,K_eff], LogitTrajectory), ``integrate_logits``' result
+        with its logits wrapped in this op's tensor. The tape holds the
+        hidden states [H, max(N-2, 0), h, packed pairs] and the final
+        logits, not the trajectory.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -286,9 +284,9 @@ class RecurrentGateCore:
                  if T._grad_enabled() and any(t.requires_grad for t in inputs)
                  else None)
         _gru_forward(pin, w, n_steps, dt_nominal, self.epsilon, g_hm, saved)
-        final, traj = integrate_logits(Tensor(gates), dt_nominal)
+        final, traj = integrate_logits(gates, dt_nominal)
         if saved is None:
-            return final, traj
+            return Tensor(final), traj
         epsilon, dt = self.epsilon, traj.dt_effective
 
         def rule(g):
@@ -298,7 +296,7 @@ class RecurrentGateCore:
             return _gru_backward(g_h, pin, w, saved, n_steps, dt_nominal,
                                  epsilon, dt)
 
-        return T._node(final.data, inputs, rule), traj
+        return T._node(final, inputs, rule), traj
 
 
 def _cell(xn: np.ndarray, hpn: np.ndarray | None, tw: np.ndarray,
@@ -589,36 +587,6 @@ def _backward_block(g, x, w, hd, saved, n_steps, dt_nominal, epsilon, dt):
                 d_heads.sum(axis=(0, 2)))
 
 
-class SdpaFrozenGates:
-    """Gate freeze realizing the attention limit: f_tau = 1, f_phi = q.k/sqrt(d).
-
-    The limit is one Euler step at the maximum stable size dt = 1/f_tau = 1,
-    which lands the logit exactly on f_phi/f_tau = q.k/sqrt(d); ``logits``
-    takes that one step whatever step count the block is configured with.
-    Gradients still flow into q and k through f_phi, so a model built with
-    this core trains as a plain dot-product attention.
-    """
-
-    def __init__(self, head_dim: int):
-        self.inv_sqrt_d = 1.0 / np.sqrt(head_dim)
-
-    def parameters(self) -> dict:
-        return {}
-
-    def logits(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
-               n_steps: int, dt_nominal: float):
-        """(final logits, LogitTrajectory) of the frozen gates: one step
-        at dt_nominal = 1; ``n_steps`` and ``dt_nominal`` are not read."""
-        B, H, T_q, D = q.shape
-        k_sel = T.gather_keys(k, pb.selected_indices)
-        dots = T.tsum(T.mul(T.reshape(q, (B, H, T_q, 1, D)), k_sel), axis=-1)
-        if not pb.valid_mask.all():
-            dots = T.mul(dots, Tensor(pb.valid_mask.astype(np.float64)))
-        f_phi = T.reshape(T.scale(dots, self.inv_sqrt_d), (1,) + dots.shape)
-        rates = Tensor(np.ones(f_phi.shape))
-        return integrate_logits(T.concat([rates, f_phi], axis=0), 1.0)
-
-
 # --------------------------------------------------------------------------
 # integration
 # --------------------------------------------------------------------------
@@ -638,50 +606,28 @@ def clamp_dt(dt_nominal: float, f_tau: np.ndarray) -> float:
     return float(min(dt_nominal, 1.0 / f_tau.max()))
 
 
-def integrate_logits(gates: Tensor, dt_nominal: float, clamp: bool = True,
-                     a0: Tensor | None = None):
-    """Run the Euler recursion from a0 (default 0) with one global dt.
+def integrate_logits(gates: np.ndarray, dt_nominal: float):
+    """Run the Euler recursion from 0 with one clamped dt.
 
     gates: [2N, *pairs], f_tau in rows :N and f_phi in rows N:, each row
-    in the pair batch's shape, as every gate core makes them; a0
-    broadcasts to one row [*pairs]. One tape op: the states alternate
-    between two row buffers (``_euler_states`` over them), so a_N ends in
-    a buffer of its own and no other state is kept. The backward rebuilds
-    a_0 .. a_{N-1} the same way into one [N, ...] buffer and runs the
-    adjoint recursion by hand (``_euler_adjoint``, as the gate kernel's
-    backward items do) into one gradient in the gates' layout, on one
-    copy of the incoming gradient.
-    Returns (final state tensor, LogitTrajectory), whose gate arrays are
-    views of the gates and whose states are rebuilt when read. Disabling
-    the clamp is only meant for instability demonstrations.
+    in the pair batch's shape. The states alternate between two row
+    buffers (``_euler_states`` over them), so a_N ends in a buffer of its
+    own and no other state is kept. It is no tape op: the gate core's op
+    runs the adjoint itself (``_euler_adjoint``, in ``_head_grads``).
+    Returns (final states [*pairs], LogitTrajectory), whose gate arrays are
+    views of the gates and whose states are rebuilt when read.
     """
-    n_steps = gates.shape[0] // 2
-    f_tau, f_phi = gates.data[:n_steps], gates.data[n_steps:]
-    dt = clamp_dt(dt_nominal, f_tau) if clamp else float(dt_nominal)
-    start = None if a0 is None else a0.data
+    n_steps = len(gates) // 2
+    f_tau, f_phi = gates[:n_steps], gates[n_steps:]
+    dt = clamp_dt(dt_nominal, f_tau)
     # a_n in pair[n % 2]: two separate buffers, so that no other row
     # outlives the call with a_N
     pair = [np.empty(gates.shape[1:]), np.empty(gates.shape[1:])]
-    pair[0][...] = 0.0 if start is None else start
-    rows = [pair[n % 2] for n in range(n_steps + 1)]
-    _euler_states(rows, f_tau, f_phi, dt)
-
-    def rule(g):
-        d = np.empty_like(gates.data)   # keeps the gates' memory layout
-        g = g.copy()
-        a = _euler_rows(start, f_tau, f_phi, dt, n_steps)
-        _euler_adjoint(g, f_tau, a, dt, d)
-        return (d,) if a0 is None else (d, T._unbroadcast(g, a0.shape))
-
-    traj = LogitTrajectory(
-        f_tau=np.moveaxis(f_tau, 0, -1),
-        f_phi=np.moveaxis(f_phi, 0, -1),
-        dt_effective=dt,
-        dt_nominal=float(dt_nominal),
-        a0=start,
-    )
-    parents = (gates,) if a0 is None else (gates, a0)
-    return T._node(rows[-1], parents, rule), traj
+    pair[0][...] = 0.0
+    _euler_states([pair[n % 2] for n in range(n_steps + 1)], f_tau, f_phi, dt)
+    return pair[n_steps % 2], LogitTrajectory(
+        np.moveaxis(f_tau, 0, -1), np.moveaxis(f_phi, 0, -1), dt,
+        float(dt_nominal))
 
 
 def _euler_states(a, f_tau: np.ndarray, f_phi: np.ndarray, dt: float):
@@ -697,12 +643,13 @@ def _euler_states(a, f_tau: np.ndarray, f_phi: np.ndarray, dt: float):
         step += a[n]
 
 
-def _euler_rows(a0: np.ndarray | None, f_tau: np.ndarray, f_phi: np.ndarray,
-                dt: float, n_rows: int) -> np.ndarray:
-    """The states a_0 .. a_{n_rows-1} [n_rows, ...] from a0 (None for 0)
-    and the gate rows f_tau, f_phi, by ``_euler_states``."""
+def euler_rows(a0, f_tau: np.ndarray, f_phi: np.ndarray, dt: float,
+               n_rows: int) -> np.ndarray:
+    """The states a_0 .. a_{n_rows-1} [n_rows, ...] from a0, a number or
+    one row [...], and the gate rows f_tau, f_phi, by ``_euler_states``
+    with no clamp."""
     a = np.empty((n_rows,) + f_tau.shape[1:])
-    a[:1] = 0.0 if a0 is None else a0
+    a[:1] = a0
     _euler_states(a, f_tau, f_phi, dt)
     return a
 
@@ -759,15 +706,12 @@ class MultiHeadLan:
 
     Per-head projections are stacked into [H,1,d,D] weights; the gate
     core carries the head axis too, so the whole block runs without a
-    python-level head loop. gate_mode "recurrent" is the learned GRU
-    gating over cfg.euler_steps steps; "sdpa_frozen" snaps every head to
-    the attention limit, which ``SdpaFrozenGates`` reaches in one step for
-    any cfg.euler_steps. Keys and values come from one input: the block's
-    own for self-attention, the encoder's for cross-attention.
+    python-level head loop; its gates are the learned GRU gating over
+    cfg.euler_steps steps. Keys and values come from one input: the
+    block's own for self-attention, the encoder's for cross-attention.
     """
 
-    def __init__(self, cfg: LanConfig, rng: np.random.Generator,
-                 gate_mode: str = "recurrent"):
+    def __init__(self, cfg: LanConfig, rng: np.random.Generator):
         self.cfg = cfg
         d, D, H = cfg.d_model, cfg.head_dim, cfg.heads
         self.W_q = uniform_init(rng, (H, 1, d, D), d)
@@ -776,12 +720,7 @@ class MultiHeadLan:
         self.b_k = uniform_init(rng, (H, 1, 1, D), d)
         self.W_v = uniform_init(rng, (H, 1, d, D), d)
         self.b_v = uniform_init(rng, (H, 1, 1, D), d)
-        if gate_mode == "recurrent":
-            self.core = RecurrentGateCore(D, cfg.epsilon, rng, heads=H)
-        elif gate_mode == "sdpa_frozen":
-            self.core = SdpaFrozenGates(D)
-        else:
-            raise ValueError(f"unknown gate_mode {gate_mode!r}")
+        self.core = RecurrentGateCore(D, cfg.epsilon, rng, heads=H)
         self.W_g = uniform_init(rng, (d, d), d)
         self.b_g = uniform_init(rng, (d,), d)
         if cfg.sink_gate_enabled:

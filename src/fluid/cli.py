@@ -147,31 +147,34 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--noise", type=float, default=0.02)
     gs.add_argument("--seed", type=int, default=0)
     gs.add_argument("--out", required=True)
-    gs.set_defaults(func=cmd_generate)
+    gs.set_defaults(func=cmd_generate, parser=gs)
 
     t = sub.add_parser("train", help="train on a dataset CSV")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--config", help="JSON with model and train sections")
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train, parser=t)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--metric", default="mae", choices=["mae", "mse"])
-    e.set_defaults(func=cmd_eval)
+    e.set_defaults(func=cmd_eval, parser=e)
 
     v = sub.add_parser("verify", help="run the property suites, JSON report")
     v.add_argument("--suite", default="all",
                    choices=sorted(V.SUITES) + ["all"])
     v.add_argument("--seed", type=int, default=0)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, parser=v)
 
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # the subcommand that ran names its own usage and options
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

@@ -40,10 +40,6 @@ class EventSequence:
             if self.mask[first_pad:].any():
                 raise ValueError("mask padding must be a contiguous tail")
 
-    @property
-    def length(self) -> int:
-        return int(self.mask.sum())
-
 
 # the spiral r(t) = _R0 + _R_SLOPE * t, sampled on [0, _T_END]: three turns
 _R0, _R_SLOPE, _T_END = 0.1, 0.02, 6 * np.pi

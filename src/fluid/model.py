@@ -48,7 +48,6 @@ class ModelConfig:
     in_features: int = 2
     out_dim: int = 2
     max_len: int = 512
-    gate_mode: str = "recurrent"     # recurrent | sdpa_frozen
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class ModelConfig:
                       "hc_streams in_features out_dim max_len seed")
         if self.hc_mode not in ("residual", "static", "liquid"):
             raise ValueError(f"unknown hc_mode {self.hc_mode!r}")
-        if self.gate_mode not in ("recurrent", "sdpa_frozen"):
-            raise ValueError(f"unknown gate_mode {self.gate_mode!r}")
         A.check_at_least(self, 1, "ffn_dim in_features out_dim max_len"
                          + " hc_streams" * (self.hc_mode != "residual"))
         A.check_at_least(self, 0, "n_layers seed")
@@ -118,7 +115,7 @@ class _Sublayer:
 class EncoderLayer:
     def __init__(self, cfg: ModelConfig, rng):
         lan_cfg = replace(cfg.lan, causal=False)
-        self.attn = A.MultiHeadLan(lan_cfg, rng, gate_mode=cfg.gate_mode)
+        self.attn = A.MultiHeadLan(lan_cfg, rng)
         self.ffn = _Ffn(cfg.lan.d_model, cfg.ffn_dim, rng)
         self.sub_attn = _Sublayer(cfg, rng)
         self.sub_ffn = _Sublayer(cfg, rng)
@@ -139,10 +136,8 @@ class EncoderLayer:
 
 class DecoderLayer:
     def __init__(self, cfg: ModelConfig, rng):
-        self.self_attn = A.MultiHeadLan(replace(cfg.lan, causal=True), rng,
-                                        gate_mode=cfg.gate_mode)
-        self.cross_attn = A.MultiHeadLan(replace(cfg.lan, causal=False), rng,
-                                         gate_mode=cfg.gate_mode)
+        self.self_attn = A.MultiHeadLan(replace(cfg.lan, causal=True), rng)
+        self.cross_attn = A.MultiHeadLan(replace(cfg.lan, causal=False), rng)
         self.ffn = _Ffn(cfg.lan.d_model, cfg.ffn_dim, rng)
         self.sub_self = _Sublayer(cfg, rng)
         self.sub_cross = _Sublayer(cfg, rng)
@@ -173,8 +168,7 @@ class DecoderLayer:
 
 class FluidModel:
     """Shared-embedding encoder-decoder over irregular sequences; ``cfg``
-    is kept and checkpointed as given. With gate_mode "sdpa_frozen" every
-    attention block is a dot-product attention, whatever the Euler steps."""
+    is kept and checkpointed as given."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -263,6 +257,11 @@ def _config_from_dict(d: dict, source: str) -> ModelConfig:
     if not isinstance(d, dict):
         raise ValueError(f"{source}: manifest config is not a JSON object")
     d.pop("task", None)      # a field of older manifests; nothing reads it
+    # so is gate_mode, whose value "recurrent" is the only gating built now
+    gate_mode = d.pop("gate_mode", "recurrent")
+    if gate_mode != "recurrent":
+        raise ValueError(f"{source}: manifest config has gate_mode "
+                         f"{gate_mode!r}; only recurrent gates are built")
     try:
         return ModelConfig(lan=A.LanConfig(**d.pop("lan", {})), **d)
     except TypeError as err:

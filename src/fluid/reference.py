@@ -4,10 +4,11 @@ Straight-line code, sharing no kernels with the attention modules: a
 textbook scaled dot-product attention and an explicit-Euler leaky
 integrator. The two verifiers exercise the limit behaviors of the
 liquid attention dynamics against these references and emit JSON-able
-reports {battery_size, max_gap, tolerance, pass}: the SDPA limit runs
-``attention.attend`` with ``SdpaFrozenGates``, and the CT-RNN limit feeds
-``attention.integrate_logits`` the gates of the CT-RNN setting, built
-here in numpy.
+reports {battery_size, max_gap, tolerance, pass}. Both limits build
+their gates here, in numpy, and run the program's integrator on them:
+the SDPA limit runs ``attention.attend`` with the ``FrozenGates`` core,
+and the CT-RNN limit feeds ``attention.integrate_logits`` the gates of
+the CT-RNN setting.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fluid import attention as A
+from fluid import pairs
 from fluid.tensor import Tensor
 
 
@@ -104,6 +106,25 @@ def ct_rnn_analytic_constant_input(cell: CtRnnCell, u: np.ndarray,
 # limit verifiers
 # --------------------------------------------------------------------------
 
+class FrozenGates:
+    """A gate core of the attention limit: f_tau = 1, f_phi = q.k/sqrt(d)
+    on the selected pairs, 0 on invalid ones. One Euler step at the largest
+    stable size dt = 1/f_tau = 1 lands each logit on f_phi/f_tau, so
+    ``logits`` takes that step whatever step count the block has. Numpy on
+    the values of q and k: no gradient flows through it."""
+
+    def logits(self, q: Tensor, k: Tensor, pb: pairs.PairBatch,
+               n_steps: int, dt_nominal: float):
+        B, H, T_q, D = q.shape
+        k_sel = k.data[np.arange(B)[:, None, None, None],
+                       np.arange(H)[:, None, None], pb.selected_indices]
+        dots = (q.data[..., None, :] * k_sel).sum(axis=-1) * pb.valid_mask
+        f_phi = dots * (1.0 / np.sqrt(D))
+        gates = np.stack([np.ones_like(f_phi), f_phi])
+        final, traj = A.integrate_logits(gates, 1.0)
+        return Tensor(final), traj
+
+
 def verify_sdpa_limit(seed: int = 0) -> dict:
     """Frozen-gate attention vs the straight-line reference, on a battery
     of 100 random shapes.
@@ -125,9 +146,8 @@ def verify_sdpa_limit(seed: int = 0) -> dict:
 
         cfg = A.LanConfig(d_model=D, heads=1, euler_steps=1, top_k=None,
                           epsilon=1e-3, sink_gate_enabled=False, causal=False)
-        core = A.SdpaFrozenGates(D)
         out, _, _, _ = A.attend(Tensor(q[None, None]), Tensor(k[None, None]),
-                                Tensor(v[None, None]), core, cfg)
+                                Tensor(v[None, None]), FrozenGates(), cfg)
         expected, _ = sdpa_reference(q, k, v)
         gap = float(np.abs(out.data[0, 0] - expected).max())
         max_gap = max(max_gap, gap)
@@ -158,7 +178,7 @@ def verify_ctrnn_limit(seed: int = 0) -> dict:
     f_phi = np.tanh((u * W[:, 0]).sum(axis=-1) + b) * inv_tau
     gates = np.concatenate([np.full((n_steps, n_pairs), inv_tau),
                             np.tile(f_phi, (n_steps, 1))])
-    _, traj = A.integrate_logits(Tensor(gates), dt)
+    _, traj = A.integrate_logits(gates, dt)
 
     cell = CtRnnCell(tau=tau, W_phi=W, b_phi=b)
     max_dev = 0.0

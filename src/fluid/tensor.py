@@ -371,9 +371,8 @@ def gather_keys(x: Tensor, idx: np.ndarray) -> Tensor:
     Indices are constants (hard selection). Both directions use one flat
     (b, h, key) index: the forward takes those rows of x with ``np.take``,
     and the gradient scatter-adds into them, one ``np.bincount`` per
-    channel. Its callers are ``SdpaFrozenGates`` and the test oracles;
-    attention aggregates values with ``gather_weighted``, which never
-    builds this whole array.
+    channel. Its callers are the test oracles; attention aggregates
+    values with ``gather_weighted``, which never builds this whole array.
     """
     B, H, T_k, D = x.shape
     flat = np.arange(B * H).reshape(B, H, 1, 1) * T_k + np.asarray(idx)

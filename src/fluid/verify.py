@@ -21,11 +21,6 @@ from fluid import training as TR
 from fluid.tensor import Tensor
 
 
-def _gates(f_tau: np.ndarray, f_phi: np.ndarray) -> Tensor:
-    """The gates tensor [2N, n] of n trajectories' [n, N] gate values."""
-    return Tensor(np.concatenate([f_tau.T, f_phi.T]))
-
-
 def run_invariance_suite(seed: int = 0) -> dict:
     """Bounded random gates, clamped dt, a0 inside the equilibrium envelope:
     no trajectory may leave [A_min, A_max] beyond the tolerance."""
@@ -40,18 +35,19 @@ def run_invariance_suite(seed: int = 0) -> dict:
     frac = rng.uniform(0.0, 1.0, (n_trajectories, 1))
     a0 = a_min + frac * (a_max - a_min)
 
-    _, traj = A.integrate_logits(_gates(f_tau, f_phi), dt_nominal=1.0,
-                                 a0=Tensor(a0[:, 0]))
-    over = (traj.a - a_max).max()
-    under = (a_min - traj.a).max()
+    # the integrator's clamp and recursion, from a0 rather than from 0
+    dt = A.clamp_dt(1.0, f_tau)
+    a = A.euler_rows(a0[:, 0], f_tau.T, f_phi.T, dt, n_steps + 1).T
+    over = (a - a_max).max()
+    under = (a_min - a).max()
     excursion = float(max(over, under, 0.0))
-    n_violations = int(((traj.a > a_max + tolerance)
-                        | (traj.a < a_min - tolerance)).sum())
+    n_violations = int(((a > a_max + tolerance)
+                        | (a < a_min - tolerance)).sum())
     elapsed = time.perf_counter() - t0
     return {"suite": "invariance", "trajectories": n_trajectories,
             "steps": n_steps, "max_excursion": excursion,
             "violations": n_violations, "tolerance": tolerance,
-            "dt_effective": traj.dt_effective, "elapsed_s": elapsed,
+            "dt_effective": dt, "elapsed_s": elapsed,
             "pass": n_violations == 0}
 
 
@@ -63,16 +59,14 @@ def run_stability_suite(seed: int = 0) -> dict:
     n, steps = 2000, 30
     f_tau = rng.uniform(0.05, 8.0, (n, steps))
     f_phi = rng.uniform(-1.0, 1.0, (n, steps))
-    _, traj = A.integrate_logits(_gates(f_tau, f_phi), dt_nominal=0.9)
-    alphas = traj.dt_effective * f_tau
+    alphas = A.clamp_dt(0.9, f_tau) * f_tau
     alpha_ok = bool((alphas >= 0.0).all() and (alphas <= 1.0).all())
 
     # instability witness: dt * f_tau = 2.5 with the clamp disabled
     witness_steps = 50
-    _, wtraj = A.integrate_logits(
-        _gates(np.ones((1, witness_steps)), np.zeros((1, witness_steps))),
-        dt_nominal=2.5, clamp=False, a0=Tensor(np.ones(1)))
-    growth = float(np.abs(wtraj.a[0, -1]) / np.abs(wtraj.a[0, 0]))
+    wa = A.euler_rows(1.0, np.ones((witness_steps, 1)),
+                      np.zeros((witness_steps, 1)), 2.5, witness_steps + 1)
+    growth = float(np.abs(wa[-1, 0]) / np.abs(wa[0, 0]))
     diverges = growth >= 10.0
     elapsed = time.perf_counter() - t0
     return {"suite": "stability", "alpha_in_unit_interval": alpha_ok,

@@ -22,6 +22,7 @@ from conftest import (concat_pairs, euler_chain, euler_step, gru_unroll,
 from fluid import attention as A
 from fluid import model as M
 from fluid import pairs, pool
+from fluid import reference as R
 from fluid import tensor as T
 from fluid import training as TR
 from fluid import verify
@@ -595,11 +596,11 @@ def test_gate_cores_return_rows_in_the_pair_batch_shape(case):
     qa, ka, pb = _gate_case(case, rng)
     q, k = Tensor(qa), Tensor(ka)
     for core in (A.RecurrentGateCore(3, 1e-3, rng, heads=2),
-                 A.SdpaFrozenGates(3)):
+                 R.FrozenGates()):
         for n_steps in (1, 3):
             final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
             # the frozen gates take the attention limit's one step
-            steps = 1 if isinstance(core, A.SdpaFrozenGates) else n_steps
+            steps = 1 if isinstance(core, R.FrozenGates) else n_steps
             assert final.shape == pb.valid_mask.shape
             assert traj.a.shape == pb.valid_mask.shape + (steps + 1,)
             assert traj.f_tau.shape == traj.f_phi.shape == \
@@ -1219,27 +1220,25 @@ def test_clamp_dt_rejects_nonpositive_entries():
 
 def test_integrate_clamps_on_every_gate_without_copies():
     rng = np.random.default_rng(49)
-    gates = Tensor(np.concatenate([rng.uniform(0.5, 2.0, (3, 2, 3, 1)),
-                                   np.zeros((3, 2, 3, 1))]))
-    gates.data[2, 1, 2, 0] = 8.0      # the largest rate, in the last step
+    gates = np.concatenate([rng.uniform(0.5, 2.0, (3, 2, 3, 1)),
+                            np.zeros((3, 2, 3, 1))])
+    gates[2, 1, 2, 0] = 8.0      # the largest rate, in the last step
     _, traj = A.integrate_logits(gates, 0.5)
     assert traj.dt_effective == 1.0 / 8.0
     # the f_phi rows are no rates: a large target does not clamp
-    gates.data[4, 0, 0, 0] = 100.0
+    gates[4, 0, 0, 0] = 100.0
     _, traj = A.integrate_logits(gates, 0.5)
     assert traj.dt_effective == 1.0 / 8.0
-    gates.data[1, 0, 0, 0] = -1.0
+    gates[1, 0, 0, 0] = -1.0
     with pytest.raises(ValueError):
         A.integrate_logits(gates, 0.5)
-    _, traj = A.integrate_logits(gates, 0.5, clamp=False)
-    assert traj.dt_effective == 0.5
 
 
 def test_integrate_starts_at_zero_and_records_dt():
     core = make_core(seed=9)
     u = np.random.default_rng(9).uniform(-1, 1, (6, 4))
     gates = _gates(core, u, 4, 0.25)
-    a, traj = A.integrate_logits(Tensor(gates), 0.25)
+    _, traj = A.integrate_logits(gates, 0.25)
     assert (traj.a[..., 0] == 0.0).all()
     assert traj.a.shape == (1, 1, 6, 1, 5)
     assert traj.dt_effective <= 0.25
@@ -1250,7 +1249,7 @@ def test_integrate_starts_at_zero_and_records_dt():
 def test_trajectory_csv_export(tmp_path):
     core = make_core(seed=11)
     u = np.random.default_rng(11).uniform(-1, 1, (2, 4))
-    _, traj = A.integrate_logits(Tensor(_gates(core, u, 3, 1 / 3)), 1 / 3)
+    _, traj = A.integrate_logits(_gates(core, u, 3, 1 / 3), 1 / 3)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -1261,7 +1260,7 @@ def test_trajectory_csv_export(tmp_path):
 def test_trajectory_csv_reads_back_exactly(tmp_path):
     core = make_core(seed=12)
     u = np.random.default_rng(12).uniform(-1, 1, (5, 4))
-    _, traj = A.integrate_logits(Tensor(_gates(core, u, 3, 1 / 3)), 1 / 3)
+    _, traj = A.integrate_logits(_gates(core, u, 3, 1 / 3), 1 / 3)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     with open(path, newline="") as fh:
@@ -1281,72 +1280,41 @@ def test_trajectory_csv_reads_back_exactly(tmp_path):
 
 
 def _euler_case(shared, seed=61, shape=(2, 3, 4), n_steps=4):
-    """Gates with f_tau < 1 / 0.5 (clamp inactive at dt 0.5), and a0.
-    Returns (make_gates, gate leaves, a0, coef): make_gates() builds the
-    gates [2N, *shape] from the leaves, a fresh graph each call. With
-    ``shared`` one f_tau and one f_phi tensor serve every step, as SDPA
-    gates do; else the gates are a leaf themselves."""
+    """Gates [2N, *shape] with f_tau < 1 / 0.5 (clamp inactive at dt 0.5),
+    and a start row [*shape]. With ``shared`` one f_tau and one f_phi row
+    serve every step, as the limits' gates do."""
     rng = np.random.default_rng(seed)
-
-    def leaf(lo, hi):
-        return Tensor(rng.uniform(lo, hi, shape), requires_grad=True)
-
-    if shared:
-        tau, phi = leaf(0.2, 1.5), leaf(-1, 1)
-
-        def make_gates():
-            tau_row, phi_row = (T.reshape(t, (1,) + shape) for t in (tau, phi))
-            return T.concat([tau_row] * n_steps + [phi_row] * n_steps, axis=0)
-        leaves = [tau, phi]
-    else:
-        rows = (n_steps,) + shape
-        gates = Tensor(np.concatenate([rng.uniform(0.2, 1.5, rows),
-                                       rng.uniform(-1, 1, rows)]),
-                       requires_grad=True)
-
-        def make_gates():
-            return gates
-        leaves = [gates]
-    return make_gates, leaves, leaf(-1, 1), rng.standard_normal(shape)
+    rows = (1 if shared else n_steps,) + shape
+    tau, phi = rng.uniform(0.2, 1.5, rows), rng.uniform(-1, 1, rows)
+    gates = np.concatenate([np.broadcast_to(g, (n_steps,) + shape)
+                            for g in (tau, phi)])
+    return gates, rng.uniform(-1, 1, shape)
 
 
 @pytest.mark.parametrize("start", ["zero", "a0"])
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("dt", [0.5, 0.9])           # clamp off, clamp on
 def test_integrate_equals_the_euler_step_chain(start, shared, dt):
-    make_gates, leaves, a0, coef = _euler_case(shared)
-    a0 = a0 if start == "a0" else None
-    final, traj = A.integrate_logits(make_gates(), dt, a0=a0)
+    # integrate_logits starts at 0; euler_rows, which the verifiers run,
+    # starts at any a0
+    gates, a0 = _euler_case(shared)
+    n_steps = len(gates) // 2
+    final, traj = A.integrate_logits(gates, dt)
     assert (traj.dt_effective < dt) == (dt == 0.9)
-    first = a0 if a0 is not None else Tensor(np.zeros(coef.shape))
-    ref, states = euler_chain(make_gates(), traj.dt_effective, first)
-    assert np.array_equal(final.data, ref.data)
-    assert np.array_equal(traj.a, np.stack([s.data for s in states], axis=-1))
-    leaves = leaves + ([] if a0 is None else [a0])
-    grads = []
-    for out in (final, ref):
-        for t in leaves:
-            t.zero_grad()
-        T.tsum(T.mul(out, Tensor(coef))).backward()
-        grads.append([t.grad.copy() for t in leaves])
-    for got, want in zip(*grads):
-        assert np.abs(got - want).max() <= 1e-12
+    first = a0 if start == "a0" else np.zeros(a0.shape)
+    ref, states = euler_chain(Tensor(gates), traj.dt_effective, Tensor(first))
+    want = np.stack([state.data for state in states])
+    assert np.array_equal(A.euler_rows(first, gates[:n_steps], gates[n_steps:],
+                                       traj.dt_effective, n_steps + 1), want)
+    if start == "zero":
+        assert np.array_equal(final, ref.data)
+        assert np.array_equal(traj.a, np.moveaxis(want, 0, -1))
 
 
-def test_integrate_passes_grad_check():
-    make_gates, (gates,), a0, coef = _euler_case(False, seed=67, shape=(3, 2))
-
-    def loss():
-        final, _ = A.integrate_logits(make_gates(), 0.5, a0=a0)
-        return T.tsum(T.mul(final, Tensor(coef)))
-
-    report = TR.grad_check(loss, {"gates": gates, "a0": a0})
-    assert report["max_rel_error"] < 1e-6, report["per_param"]
-
-
-def _recursion(f_tau, f_phi, dt, a0=0.0):
-    """a_0 .. a_N [..., N+1] of the Euler recursion over gates [..., N]."""
-    a = [np.broadcast_to(a0, f_tau.shape[:-1])]
+def _recursion(f_tau, f_phi, dt):
+    """a_0 .. a_N [..., N+1] of the Euler recursion from 0 over gates
+    [..., N]."""
+    a = [np.zeros(f_tau.shape[:-1])]
     for n in range(f_tau.shape[-1]):
         a.append(a[-1] + (f_phi[..., n] - f_tau[..., n] * a[-1]) * dt)
     return np.stack(a, axis=-1)
@@ -1355,18 +1323,18 @@ def _recursion(f_tau, f_phi, dt, a0=0.0):
 def test_trajectory_is_views_of_the_integrator_buffers():
     core = make_core(seed=11)
     u = np.random.default_rng(11).uniform(-1, 1, (3, 4))
-    gates = Tensor(_gates(core, u, 3, 1 / 3))
+    gates = _gates(core, u, 3, 1 / 3)
     final, traj = A.integrate_logits(gates, 1 / 3)
-    assert np.shares_memory(traj.f_tau, gates.data)
-    assert np.shares_memory(traj.f_phi, gates.data)
-    assert np.array_equal(traj.f_tau, np.moveaxis(gates.data[:3], 0, -1))
-    assert np.array_equal(traj.f_phi, np.moveaxis(gates.data[3:], 0, -1))
+    assert np.shares_memory(traj.f_tau, gates)
+    assert np.shares_memory(traj.f_phi, gates)
+    assert np.array_equal(traj.f_tau, np.moveaxis(gates[:3], 0, -1))
+    assert np.array_equal(traj.f_phi, np.moveaxis(gates[3:], 0, -1))
     # the states are rebuilt on the first read, bitwise the recursion, and
     # kept for later reads
     assert np.array_equal(traj.a, _recursion(traj.f_tau, traj.f_phi,
                                              traj.dt_effective))
     assert traj.a is traj.a
-    assert np.array_equal(traj.a[..., -1], final.data)
+    assert np.array_equal(traj.a[..., -1], final)
     # the gate core's own trajectory: views of its gates, which its tape op
     # does not keep; the op holds the final logits, which no state shares
     for taped in (False, True):
@@ -1380,23 +1348,20 @@ def test_trajectory_is_views_of_the_integrator_buffers():
         assert not np.shares_memory(traj.a, final.data)
 
 
-@pytest.mark.parametrize("start", ["zero", "a0"])
-def test_untaped_integration_keeps_two_state_rows(start):
+def test_integration_keeps_two_state_rows():
     # N + 1 = 9 state rows would outweigh the two the integrator holds, its
     # final state and one more, and the trajectory's views of the gates
     rng = np.random.default_rng(63)
     n_steps, shape = 8, (4, 64, 64)
-    gates = Tensor(np.concatenate([rng.uniform(0.2, 1.5, (n_steps,) + shape),
-                                   rng.uniform(-1, 1, (n_steps,) + shape)]))
-    a0 = Tensor(rng.uniform(-1, 1, shape)) if start == "a0" else None
+    gates = np.concatenate([rng.uniform(0.2, 1.5, (n_steps,) + shape),
+                            rng.uniform(-1, 1, (n_steps,) + shape)])
     row = 8 * int(np.prod(shape))
     kept = []
-    peak = peak_bytes(lambda: kept.append(A.integrate_logits(gates, 0.5, a0=a0)))
+    peak = peak_bytes(lambda: kept.append(A.integrate_logits(gates, 0.5)))
     assert peak < 3 * row < (n_steps + 1) * row, (peak, row)
     final, traj = kept[0]
-    first = 0.0 if a0 is None else a0.data
-    assert np.array_equal(traj.a, _recursion(traj.f_tau, traj.f_phi, 0.5, first))
-    assert np.array_equal(traj.a[..., -1], final.data)
+    assert np.array_equal(traj.a, _recursion(traj.f_tau, traj.f_phi, 0.5))
+    assert np.array_equal(traj.a[..., -1], final)
 
 
 def _tape_nodes(root):

@@ -117,8 +117,7 @@ def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
                         "top_k": 4, "epsilon": 1e-2,
                         "sink_gate_enabled": False,
                         "n_layers": 2, "ffn_dim": 8, "hc_mode": "static",
-                        "hc_streams": 2, "max_len": 128,
-                        "gate_mode": "recurrent", "seed": 3},
+                        "hc_streams": 2, "max_len": 128, "seed": 3},
               "train": {"lr": 0.01, "betas": [0.8, 0.9],
                         "weight_decay": 0.1, "epochs": 2, "batch_size": 4,
                         "loss": "mae", "metric": "mse", "seed": 5,
@@ -147,8 +146,21 @@ def test_train_has_no_folds_or_epochs_flag(tmp_path, monkeypatch, capsys, flags)
         cli.main(["train", "--data", str(tmp_path / "spirals.csv"), "--out",
                   str(tmp_path / "run"), *flags])
     assert exit_.value.code == 2 and not trained
-    assert (f"fluid: error: unrecognized arguments: {' '.join(flags)}"
-            in capsys.readouterr().err)
+    # the error names train and its usage, not the top-level parser
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fluid train [-h] --data DATA --out OUT"), err
+    assert err.endswith("fluid train: error: unrecognized arguments: "
+                        f"{' '.join(flags)}\n"), err
+
+
+def test_an_unknown_option_names_the_subcommand_that_ran(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["generate", "spiral", "--bogus", "--out", "s.csv"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fluid generate spiral [-h]"), err
+    assert err.endswith("fluid generate spiral: error: unrecognized "
+                        "arguments: --bogus\n"), err
 
 
 def test_train_on_one_sequence_exits_2_without_training(tmp_path, capsys):
@@ -242,6 +254,7 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-string-sink-gate-enabled",
                                   "train-old-sink-gate-key",
                                   "eval-string-causal", "train-unknown-gate-mode",
+                                  "train-gate-mode", "eval-sdpa-frozen-manifest",
                                   "eval-zero-in-features", "eval-zero-out-dim",
                                   "train-zero-max-len", "train-negative-seed",
                                   "train-negative-train-seed",
@@ -280,7 +293,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
     edits = {"eval-string-causal": (("config", "lan", "causal"), "yes"),
              "eval-zero-in-features": (("config", "in_features"), 0),
              "eval-zero-out-dim": (("config", "out_dim"), 0),
-             "eval-number-manifest-config": (("config",), 3)}
+             "eval-number-manifest-config": (("config",), 3),
+             "eval-sdpa-frozen-manifest": (("config", "gate_mode"),
+                                           "sdpa_frozen")}
     if case in edits:
         manifest = Path(checkpoint, "manifest.json")
         saved = json.loads(manifest.read_text())
@@ -350,6 +365,7 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                    {"model": {"sink_gate_enabled": "no"}},
                "train-old-sink-gate-key": {"model": {"sink_gate": False}},
                "train-unknown-gate-mode": {"model": {"gate_mode": "x"}},
+               "train-gate-mode": {"model": {"gate_mode": "recurrent"}},
                "train-zero-max-len": {"model": {"max_len": 0}},
                "train-negative-seed": {"model": {"seed": -1}},
                "train-negative-train-seed": dict(TINY_CONFIG, train={"seed": -1})}
@@ -398,6 +414,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
         "eval-string-causal": ["eval", "--checkpoint", checkpoint,
                                "--data", str(data)],
         "train-unknown-gate-mode": train + [str(data)],
+        "train-gate-mode": train + [str(data)],
+        "eval-sdpa-frozen-manifest": ["eval", "--checkpoint", checkpoint,
+                                      "--data", str(data)],
         "eval-zero-in-features": ["eval", "--checkpoint", checkpoint,
                                   "--data", str(data)],
         "eval-zero-out-dim": ["eval", "--checkpoint", checkpoint,
@@ -461,7 +480,13 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
             "train-old-sink-gate-key": "unknown key(s) in "
                                        f"{config}: model.sink_gate",
             "eval-string-causal": "causal must be true or false, not 'yes'",
-            "train-unknown-gate-mode": "unknown gate_mode 'x'",
+            # the model has no gate_mode, whatever its value
+            "train-unknown-gate-mode": f"unknown key(s) in {config}: "
+                                       "model.gate_mode",
+            "train-gate-mode": f"unknown key(s) in {config}: model.gate_mode",
+            "eval-sdpa-frozen-manifest": f"fluid eval: {checkpoint}: manifest "
+                                         "config has gate_mode 'sdpa_frozen'; "
+                                         "only recurrent gates are built\n",
             "eval-zero-in-features": "in_features must be >= 1",
             "eval-zero-out-dim": "out_dim must be >= 1",
             "train-text-seq-id-data": f"{unparsable['text_seq_id']} line 3: "

@@ -39,7 +39,7 @@ GOOD = {"d_model": [8], "heads": [1], "euler_steps": [2], "ffn_dim": [2],
         "top_k": [None, 1, 3], "epsilon": [0.1],
         "sink_gate_enabled": [True, False], "n_layers": [0, 2],
         "hc_mode": ["residual", "static", "liquid"], "hc_streams": [1, 2],
-        "max_len": [8, 64], "gate_mode": ["recurrent", "sdpa_frozen"],
+        "max_len": [8, 64],
         "seed": [0, 5], "lr": [1e-3, 0.1],
         "betas": [[0.9, 0.999], [0.5, 0.0]], "weight_decay": [0.0, 0.1],
         "epochs": [0, 1], "batch_size": [1, 4], "loss": ["mse", "mae"],
@@ -48,7 +48,7 @@ GOOD = {"d_model": [8], "heads": [1], "euler_steps": [2], "ffn_dim": [2],
         "--noise": [0.0], "--seed": [2]}
 MODEL_KEYS = sorted(TINY_MODEL) + [
     "top_k", "epsilon", "sink_gate_enabled", "n_layers", "hc_mode",
-    "hc_streams", "max_len", "gate_mode", "seed", "dropout"]
+    "hc_streams", "max_len", "seed", "dropout"]
 TRAIN_KEYS = ["lr", "betas", "weight_decay", "epochs", "batch_size", "loss",
               "metric", "seed", "grad_clip", "dropout"]
 

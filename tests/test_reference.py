@@ -96,7 +96,8 @@ def test_frozen_block_is_sdpa_for_any_configured_step_count():
     rng = np.random.default_rng(4)
     cfg = A.LanConfig(d_model=6, heads=2, euler_steps=3,
                       sink_gate_enabled=False)
-    mh = A.MultiHeadLan(cfg, rng, gate_mode="sdpa_frozen")
+    mh = A.MultiHeadLan(cfg, rng)
+    mh.core = R.FrozenGates()
     x_q, x_kv = rng.standard_normal((1, 4, 6)), rng.standard_normal((1, 5, 6))
     out = mh.forward(Tensor(x_q), Tensor(x_kv)).data[0]
     heads = []
