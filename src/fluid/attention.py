@@ -1,14 +1,16 @@
 """Liquid attention: logits evolved by a gated linear ODE.
 
 Each query-key pair carries a scalar logit state a integrated by explicit
-Euler over a unit refinement horizon, da/dt = -f_tau * a + f_phi. The two
-gates come from projection heads over a shared recurrent cell driven by
-the pair input u = [q; k] and the step time. f_tau > 0 sets the
-convergence rate (its reciprocal is the effective time constant) and
-f_phi in (-1, 1) the content target. The step size is clamped so
-dt * f_tau <= 1 for every pair, which keeps every update a convex
-combination of the current state and the instantaneous target f_phi/f_tau
-and therefore keeps trajectories inside the equilibrium envelope.
+Euler over a unit refinement horizon, da/dt = -f_tau * a + f_phi: N steps
+of nominal size dt = 1/N. The two gates come from projection heads over a
+shared recurrent cell driven by the pair input u = [q; k] and the step
+time. f_tau > 0 sets the convergence rate (its reciprocal is the
+effective time constant) and f_phi in (-1, 1) the content target;
+f_tau = softplus(.) + eps never falls below the constant floor eps =
+``_EPSILON``. The step size is clamped so dt * f_tau <= 1 for every pair,
+which keeps every update a convex combination of the current state and
+the instantaneous target f_phi/f_tau and therefore keeps trajectories
+inside the equilibrium envelope.
 
 The gate recurrence is the costly part: it runs per pair and per step.
 ``RecurrentGateCore`` projects queries and keys once and never builds u
@@ -56,6 +58,8 @@ from fluid import pool
 from fluid import tensor as T
 from fluid.tensor import Tensor, uniform_init, zeros_param
 
+_EPSILON = 1e-3     # eps, the floor of f_tau
+
 
 def check_types(cfg, kind: type, what: str, names: str):
     """Raise a ValueError naming the first of the space-separated fields
@@ -80,35 +84,29 @@ def check_at_least(cfg, low, names: str):
 
 @dataclass
 class LanConfig:
-    """Hyperparameters of one liquid-attention block."""
+    """Hyperparameters of one liquid-attention block. The logits run
+    ``euler_steps`` steps over a unit horizon, so the nominal step is
+    dt = 1/euler_steps; the f_tau floor is the constant ``_EPSILON``."""
 
     d_model: int
     heads: int = 4
     euler_steps: int = 5
     top_k: int | None = None        # None means full pairwise
-    epsilon: float = 1e-3
     sink_gate_enabled: bool = True
     causal: bool = False
 
     def __post_init__(self):
         ints = "d_model heads euler_steps" + " top_k" * (self.top_k is not None)
         check_types(self, numbers.Integral, "an integer", ints)
-        check_types(self, numbers.Real, "a number", "epsilon")
         check_types(self, bool, "true or false", "sink_gate_enabled causal")
         check_at_least(self, 1, ints)
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by "
                              f"{self.heads} heads")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
     @property
     def head_dim(self) -> int:
         return self.d_model // self.heads
-
-    @property
-    def dt_nominal(self) -> float:
-        return 1.0 / self.euler_steps
 
 
 @dataclass
@@ -161,8 +159,10 @@ class RecurrentGateCore:
     """GRU over the refinement axis with tanh/softplus projection heads.
 
     Hidden size equals the per-head dimension D; the hidden state is carried
-    across Euler steps, independently per pair, starting from zero. The
-    step input is [u; t_n] with u = [q; k], 2D wide, and t_n = n * dt_nominal.
+    across Euler steps, independently per pair, starting from zero. The N
+    steps span a unit horizon: the step input is [u; t_n] with u = [q; k],
+    2D wide, and t_n = n * dt_nominal, dt_nominal = 1/N. The heads give
+    f_tau = softplus(.) + eps with the constant eps = ``_EPSILON``.
 
     Every weight leads with the head axis, in the layout the kernel
     reads: W_u [H,2D,3h], w_t and b_x [H,3h], W_h [H,h,3h] (the 3h axis
@@ -209,13 +209,11 @@ class RecurrentGateCore:
     gradient (see ``_gru_backward``).
     """
 
-    def __init__(self, head_dim: int, epsilon: float,
-                 rng: np.random.Generator, heads: int):
+    def __init__(self, head_dim: int, rng: np.random.Generator, heads: int):
         h = head_dim
         in_dim = 2 * h + 1  # the step time rides along with u
         self.hidden_dim = h
         self.heads = heads
-        self.epsilon = float(epsilon)
         self.W_u = uniform_init(rng, (heads, 2 * h, 3 * h), in_dim)
         self.w_t = uniform_init(rng, (heads, 3 * h), in_dim)
         self.b_x = uniform_init(rng, (heads, 3 * h), in_dim)
@@ -231,10 +229,10 @@ class RecurrentGateCore:
                 "W_h": self.W_h, "W_o": self.W_o, "b_o": self.b_o}
 
     def logits(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
-               n_steps: int, dt_nominal: float):
+               n_steps: int):
         """(final logits [B,H,T_q,K_eff], LogitTrajectory) of the pairs
         ``pb`` selects from [B,H,T,D] q, k."""
-        return self.unroll(self.project_pairs(q, k, pb), n_steps, dt_nominal)
+        return self.unroll(self.project_pairs(q, k, pb), n_steps)
 
     def project_pairs(self, q: Tensor, k: Tensor,
                       pb: pairs_mod.PairBatch) -> pairs_mod.PairInput:
@@ -247,9 +245,9 @@ class RecurrentGateCore:
         kp = T.matmul(k, T.narrow(self.W_u, -2, D, D), order=order)
         return pairs_mod.PairInput(qp, kp, pb)
 
-    def unroll(self, pin: pairs_mod.PairInput, n_steps: int,
-               dt_nominal: float):
-        """Final logits and their trajectory from the pair input ``pin``.
+    def unroll(self, pin: pairs_mod.PairInput, n_steps: int):
+        """Final logits and their trajectory from the pair input ``pin``
+        after ``n_steps`` steps of dt_nominal = 1/n_steps.
 
         pin: [B,H,...,3h], factored; the op's parents are its projected
         queries and keys and the gate weights. Returns (final logits
@@ -270,7 +268,7 @@ class RecurrentGateCore:
         g_hm = np.empty((2 * n_steps, H, P))
         if pin.invalid is not None:
             # the floor gates; a valid f_tau = softplus + eps >= eps
-            np.copyto(g_hm[:n_steps], self.epsilon, where=pin.invalid)
+            np.copyto(g_hm[:n_steps], _EPSILON, where=pin.invalid)
             np.copyto(g_hm[n_steps:], 0.0, where=pin.invalid)
         gates = np.moveaxis(
             g_hm.reshape((2 * n_steps, H, B) + pin.shape[2:-1]), 2, 1)
@@ -283,18 +281,17 @@ class RecurrentGateCore:
         saved = (np.empty((H, max(n_steps - 2, 0), h, max(pin.counts)))
                  if T._grad_enabled() and any(t.requires_grad for t in inputs)
                  else None)
-        _gru_forward(pin, w, n_steps, dt_nominal, self.epsilon, g_hm, saved)
-        final, traj = integrate_logits(gates, dt_nominal)
+        _gru_forward(pin, w, g_hm, saved)
+        final, traj = integrate_logits(gates, 1.0 / n_steps)
         if saved is None:
             return Tensor(final), traj
-        epsilon, dt = self.epsilon, traj.dt_effective
+        dt = traj.dt_effective
 
         def rule(g):
             # one head-major copy [H, 1, slots]: items run the adjoint on
             # their columns of it in place
             g_h = np.array(np.moveaxis(g, 1, 0)).reshape(H, 1, -1)
-            return _gru_backward(g_h, pin, w, saved, n_steps, dt_nominal,
-                                 epsilon, dt)
+            return _gru_backward(g_h, pin, w, saved, n_steps, dt)
 
         return T._node(final, inputs, rule), traj
 
@@ -341,11 +338,11 @@ def _state(prev, cn, d_z, out):
     out -= cn
 
 
-def _negate_input(x, w, hd, n_steps, dt_nominal):
+def _negate_input(x, w, hd, n_steps):
     """x <- -(x + b_x) in place; returns the time terms t_n w_t [N,3h,1],
-    t_n = n * dt_nominal."""
+    t_n = n * dt_nominal with dt_nominal = 1/N."""
     np.subtract(np.negative(w["b_x"][hd])[:, None], x, out=x)
-    t = np.arange(n_steps) * dt_nominal
+    t = np.arange(n_steps) * (1.0 / n_steps)
     return (t[:, None] * w["w_t"][hd])[..., None]
 
 
@@ -381,7 +378,7 @@ def _items(counts: list[int], C: int, live: list | None = None) -> list[tuple]:
     return items
 
 
-def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
+def _gru_forward(pin, w, gates, saved):
     """Run every head's GRU on the packed pairs of ``pin`` and write f_tau
     (rows :N) and f_phi (rows N:) of ``gates`` [2N,H,slots]. With
     ``saved`` [H,N-2,h,packed pairs] the hidden states h_1 .. h_{N-2} are
@@ -389,8 +386,8 @@ def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
     def item(hd, sel):
         x = pin.block(hd, sel)
         out = (gates[:, hd, sel] if pin.pos is None
-               else np.empty((2 * n_steps, x.shape[1])))
-        _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, out,
+               else np.empty((len(gates), x.shape[1])))
+        _forward_block(x, w, hd, out,
                        None if saved is None else saved[hd, :, :, sel])
         if pin.pos is not None:
             gates[:, hd, pin.pos[hd][sel]] = out
@@ -398,7 +395,7 @@ def _gru_forward(pin, w, n_steps, dt_nominal, epsilon, gates, saved):
     pool._run_items(item, _items(pin.counts, pin.shape[-1]))
 
 
-def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
+def _forward_block(x, w, hd, gates, saved):
     """Head ``hd``'s GRU over one block of pairs: x [3h,P] (overwritten),
     gates [2N,P], saved [N-2,h,P] for h_1 .. h_{N-2}, or None. Besides x,
     the item allocates one scratch [max(3h,N),P] and one state [h,P]: the
@@ -407,11 +404,11 @@ def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
     saved. The loop writes W_o h_n into the gates, and the heads' bias,
     tanh, softplus and +eps follow over all steps at once."""
     C, P = x.shape
-    h, N = C // 3, n_steps
+    h, N = C // 3, len(gates) // 2
     scratch = np.empty((max(C, N), P))   # hpn, then the softplus scratch
     hpn, hidden = scratch[:C], np.empty((h, P))
     d, cn = hpn[:2 * h], hpn[2 * h:]
-    tw = _negate_input(x, w, hd, N, dt_nominal)
+    tw = _negate_input(x, w, hd, N)
     W_hnT = np.negative(w["W_h"][hd].T)
     W_o = w["W_o"][hd][::-1].copy()      # f_tau's row above f_phi's, as in gates
     prev = None
@@ -423,11 +420,10 @@ def _forward_block(x, w, hd, n_steps, dt_nominal, epsilon, gates, saved):
         _state(prev, cn, d[h:], new)
         prev = new
         np.matmul(W_o, new, out=gates[n::N])     # rows n and N + n
-    _heads_(gates, w["b_o"][hd], epsilon, scratch[:N])
+    _heads_(gates, w["b_o"][hd], scratch[:N])
 
 
-def _heads_(gates: np.ndarray, b_o: np.ndarray, epsilon: float,
-            scratch: np.ndarray):
+def _heads_(gates: np.ndarray, b_o: np.ndarray, scratch: np.ndarray):
     """In place on gates [2N,P] holding W_o h_n of every step: f_tau =
     softplus(. + b_tau) + eps in rows :N, f_phi = tanh(. + b_phi) in rows
     N:, over all steps at once; scratch is [N,P]."""
@@ -436,12 +432,12 @@ def _heads_(gates: np.ndarray, b_o: np.ndarray, epsilon: float,
     f_tau, f_phi = gates[:N], gates[N:]
     f_tau += b_tau
     T._softplus_(f_tau, scratch)
-    f_tau += epsilon
+    f_tau += _EPSILON
     f_phi += b_phi
     np.tanh(f_phi, out=f_phi)
 
 
-def _gru_backward(g, pin, w, saved, n_steps, dt_nominal, epsilon, dt):
+def _gru_backward(g, pin, w, saved, n_steps, dt):
     """The backward of ``unroll`` from the final logits' gradient g [H, 1,
     slots]: returns (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its
     parameter's shape.
@@ -463,7 +459,7 @@ def _gru_backward(g, pin, w, saved, n_steps, dt_nominal, epsilon, dt):
     def item(hd, sel):
         dx, parts = _backward_block(
             g[hd, 0, pin.slots(hd, sel)], pin.block(hd, sel), w, hd,
-            saved[hd][..., sel], n_steps, dt_nominal, epsilon, dt)
+            saved[hd][..., sel], n_steps, dt)
         return parts, pin.block_grads(hd, sel, dx)
 
     results = pool._run_items(item, items)
@@ -475,7 +471,7 @@ def _gru_backward(g, pin, w, saved, n_steps, dt_nominal, epsilon, dt):
     return pin.grads(items, [pair for _, pair in results]) + totals
 
 
-def _head_grads(g, hidden, w, hd, epsilon, dt):
+def _head_grads(g, hidden, w, hd, dt):
     """The gradients [N,2,P] of the heads' pre-activations o, f_phi's above
     f_tau's at each step, of one block from g [P], the gradient of its
     final logits (overwritten), and its hidden states h_0 .. h_{N-1}. The
@@ -489,7 +485,7 @@ def _head_grads(g, hidden, w, hd, epsilon, dt):
     W_o = w["W_o"][hd][::-1].copy()      # as in _forward_block
     for n, h_n in enumerate(hidden):
         np.matmul(W_o, h_n, out=gates[n::N])
-    _heads_(gates, w["b_o"][hd], epsilon, a)
+    _heads_(gates, w["b_o"][hd], a)
     a[0] = 0.0
     _euler_states(a, gates[:N], gates[N:], dt)
     g_gates = np.empty_like(gates)
@@ -499,14 +495,14 @@ def _head_grads(g, hidden, w, hd, epsilon, dt):
     np.multiply(gates[N:], gates[N:], out=d_phi)
     np.subtract(1.0, d_phi, out=d_phi)
     d_phi *= g_gates[N:]
-    np.subtract(epsilon, gates[:N], out=d_tau)
+    np.subtract(_EPSILON, gates[:N], out=d_tau)
     np.expm1(d_tau, out=d_tau)
     d_tau *= g_gates[:N]
     np.negative(d_tau, out=d_tau)
     return d
 
 
-def _backward_block(g, x, w, hd, saved, n_steps, dt_nominal, epsilon, dt):
+def _backward_block(g, x, w, hd, saved, n_steps, dt):
     """Backward of head ``hd`` over one block, from g [P], the gradient of
     its final logits: x [3h,P] (overwritten), saved [N-2,h,P]. Returns d x
     and this block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o
@@ -527,7 +523,7 @@ def _backward_block(g, x, w, hd, saved, n_steps, dt_nominal, epsilon, dt):
     # its first rows, and their grads replace them
     d, dn = dhp[:2 * h], dhp[2 * h:]
     cn, dcp, h0, d0, c0 = (np.empty((h, P)) for _ in range(5))
-    tw = _negate_input(x, w, hd, N, dt_nominal)
+    tw = _negate_input(x, w, hd, N)
     W_h, W_hnT, W_o = w["W_h"][hd], np.negative(w["W_h"][hd].T), w["W_o"][hd]
     _cell(x, None, tw[0], d0, c0)
     _state(None, c0, d0, h0)
@@ -545,7 +541,7 @@ def _backward_block(g, x, w, hd, saved, n_steps, dt_nominal, epsilon, dt):
         if n == N - 1:
             # every state is rebuilt; the gradients' buffers come after the
             # heads' scratch is freed
-            d_heads = _head_grads(g, [h0, *saved, new][:N], w, hd, epsilon, dt)
+            d_heads = _head_grads(g, [h0, *saved, new][:N], w, hd, dt)
             dW_h, dx_sums = np.zeros((h, C)), np.zeros(C)
             dW_o, dx, dh = np.zeros((2, h)), np.zeros((C, P)), np.zeros((h, P))
 
@@ -581,9 +577,9 @@ def _backward_block(g, x, w, hd, saved, n_steps, dt_nominal, epsilon, dt):
         dx[2 * h:] += dcp
         if n:
             # dx now sums steps n .. N-1; over n >= 1 these sums add up
-            # each step's row sums n times, so dw_t = dt * dx_sums
+            # each step's row sums n times, so dw_t = dt_nominal * dx_sums
             dx_sums += dx.sum(axis=1)
-    return dx, (dW_h, dt_nominal * dx_sums, dx.sum(axis=1), dW_o,
+    return dx, (dW_h, (1.0 / N) * dx_sums, dx.sum(axis=1), dW_o,
                 d_heads.sum(axis=(0, 2)))
 
 
@@ -686,7 +682,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
     else:
         pb = pairs_mod.topk_concat(q, k, cfg.top_k, causal=cfg.causal,
                                    key_mask=key_mask)
-    a_final, traj = core.logits(q, k, pb, cfg.euler_steps, cfg.dt_nominal)
+    a_final, traj = core.logits(q, k, pb, cfg.euler_steps)
 
     alpha = T.masked_softmax(a_final, pb.valid_mask)
     out = T.gather_weighted(alpha, v, pb.selected_indices)
@@ -720,7 +716,7 @@ class MultiHeadLan:
         self.b_k = uniform_init(rng, (H, 1, 1, D), d)
         self.W_v = uniform_init(rng, (H, 1, d, D), d)
         self.b_v = uniform_init(rng, (H, 1, 1, D), d)
-        self.core = RecurrentGateCore(D, cfg.epsilon, rng, heads=H)
+        self.core = RecurrentGateCore(D, rng, heads=H)
         self.W_g = uniform_init(rng, (d, d), d)
         self.b_g = uniform_init(rng, (d,), d)
         if cfg.sink_gate_enabled:
@@ -752,13 +748,11 @@ class MultiHeadLan:
         q = self._project(x_q, self.W_q, self.b_q)
         k = self._project(x_kv, self.W_k, self.b_k)
         v = self._project(x_kv, self.W_v, self.b_v)
-        out_heads, alpha, pb, traj = attend(q, k, v, self.core, cfg, key_mask)
+        out_heads, _, _, traj = attend(q, k, v, self.core, cfg, key_mask)
         merged = T.reshape(T.swapaxes(out_heads, 1, 2),
                            (B, T_q, cfg.heads * cfg.head_dim))
 
         if collect is not None:
-            collect.setdefault("weights", []).append(alpha.data.copy())
-            collect.setdefault("indices", []).append(pb.selected_indices.copy())
             collect.setdefault("trajectories", []).append(traj)
 
         if cfg.sink_gate_enabled:

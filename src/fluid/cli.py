@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--metric", default="mae", choices=["mae", "mse"])
+    e.add_argument("--metric", default="mae", choices=TR.LOSSES)
     e.set_defaults(func=cmd_eval, parser=e)
 
     v = sub.add_parser("verify", help="run the property suites, JSON report")

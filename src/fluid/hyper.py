@@ -1,17 +1,18 @@
-"""Hyper-connections: n-stream replacements for residual paths.
+"""Liquid hyper-connections: n-stream replacements for residual paths.
 
 The hidden state is expanded into n streams mixed by a structured
 (n+1)x(n+1) matrix: B broadcasts the sublayer output into the streams,
 A_m aggregates streams into the sublayer input, A_r mixes streams
-residually. ``HcParams`` holds B, A_m and A_r; a liquid one also holds
-the tanh projections and small learnable scales that make all three
-input-dependent. ``hc_block`` is the one composition: aggregate, run the
-sublayer, combine. ``hc_aggregate`` and ``hc_combine`` are one tape op
-each, whose rules form the stream products again rather than keep them
-on the tape, where no rule would read them. Two reductions hold bitwise:
-at zero scale the liquid block is the static one, and at n = 1 with unit
-parameters the block is x + L(x), so its ``hc_network_finalize`` is
-layer_norm(x + L(x)).
+residually. ``HcParams`` holds B, A_m and A_r with the tanh projections
+and small learnable scales that make all three input-dependent.
+``hc_block`` is the one composition: aggregate, run the sublayer,
+combine. ``hc_aggregate`` and ``hc_combine`` are one tape op each, whose
+rules form the stream products again rather than keep them on the tape,
+where no rule would read them. Two reductions hold bitwise: at zero
+scale the block is the static one of Zhu et al. ("Hyper-Connections"),
+fixed B, A_m and A_r, which the verifier builds from the two ops; and at
+n = 1 with unit parameters that static block is x + L(x), so its
+``hc_network_finalize`` is layer_norm(x + L(x)).
 """
 
 from __future__ import annotations
@@ -23,33 +24,28 @@ from fluid.tensor import Tensor, uniform_init
 
 
 class HcParams:
-    """Stream-mixing parameters for one sublayer connection. The liquid
-    variant adds the projections W_b [d, 1], W_m [d, 1] and W_r [d, n] and
-    the scalar scales s_b and s_a, which start small so the static part
-    dominates early training."""
+    """Stream-mixing parameters for one sublayer connection: B, A_m and
+    A_r, the projections W_b [d, 1], W_m [d, 1] and W_r [d, n] of width-d
+    streams, and the scalar scales s_b and s_a, which start small so the
+    static part dominates early training."""
 
-    def __init__(self, n: int, d: int | None = None, liquid: bool = False,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, n: int, d: int, rng: np.random.Generator):
         if n < 1:
             raise ValueError("expansion rate n must be >= 1")
         # untrained block behaves as a stream-averaged residual connection
         self.n = n
-        self.liquid = liquid
         self.B = Tensor(np.ones(n), requires_grad=True)
         self.A_m = Tensor(np.full(n, 1.0 / n), requires_grad=True)
         self.A_r = Tensor(np.eye(n), requires_grad=True)
-        if liquid:
-            if d is None or rng is None:
-                raise ValueError("liquid parameters need d and rng")
-            self.W_b = uniform_init(rng, (d, 1), d)
-            self.W_m = uniform_init(rng, (d, 1), d)
-            self.W_r = uniform_init(rng, (d, n), d)
-            self.s_b = Tensor(np.array(1e-2), requires_grad=True)
-            self.s_a = Tensor(np.array(1e-2), requires_grad=True)
+        self.W_b = uniform_init(rng, (d, 1), d)
+        self.W_m = uniform_init(rng, (d, 1), d)
+        self.W_r = uniform_init(rng, (d, n), d)
+        self.s_b = Tensor(np.array(1e-2), requires_grad=True)
+        self.s_a = Tensor(np.array(1e-2), requires_grad=True)
 
     def parameters(self) -> dict:
-        names = "B A_m A_r" + " W_b W_m W_r s_b s_a" * self.liquid
-        return {name: getattr(self, name) for name in names.split()}
+        return {name: getattr(self, name)
+                for name in "B A_m A_r W_b W_m W_r s_b s_a".split()}
 
 
 def expand_streams(x: Tensor, n: int) -> Tensor:
@@ -62,7 +58,7 @@ def hc_aggregate(A_m: Tensor, H: Tensor) -> Tensor:
     """x0 = A_m^T H: collapse streams into the sublayer input [..., d].
 
     One tape op with parents (A_m, H): a broadcast multiply, then a sum
-    over the stream axis, so the static ([n]) and liquid ([..., n]) weight
+    over the stream axis, so static ([n]) and liquid ([..., n]) weight
     shapes take the identical floating-point path. The tape keeps no
     [..., n, d] product: the rule forms it again, as the composed
     ``mul``/``tsum`` rules would.
@@ -107,14 +103,12 @@ def hc_combine(B: Tensor, A_r: Tensor, H: Tensor, layer_out: Tensor) -> Tensor:
 
 
 def hc_liquid_params(params: HcParams, X: Tensor):
-    """Effective (B', A_m', A_r') for the liquid variant, per token.
+    """Effective (B', A_m', A_r'), per token.
 
     X is the hyper-hidden state [..., n, d]; each stream row is normalized
     and projected independently, so B' and A_m' gain one delta per stream
     and A_r' one delta row per stream.
     """
-    if not params.liquid:
-        raise ValueError("liquid parameters are absent")
     n = params.n
     Xn = T.layer_norm(X)
     db = T.mul(params.s_b, T.tanh(T.matmul(Xn, params.W_b)))   # [..., n, 1]
@@ -127,11 +121,9 @@ def hc_liquid_params(params: HcParams, X: Tensor):
 
 
 def hc_block(params: HcParams, H: Tensor, sublayer) -> Tensor:
-    """Aggregate, run the sublayer, combine; liquid parameters when present."""
-    if params.liquid:
-        B_eff, Am_eff, Ar_eff = hc_liquid_params(params, H)
-    else:
-        B_eff, Am_eff, Ar_eff = params.B, params.A_m, params.A_r
+    """Aggregate, run the sublayer, combine, with the effective parameters
+    of ``hc_liquid_params``."""
+    B_eff, Am_eff, Ar_eff = hc_liquid_params(params, H)
     x0 = hc_aggregate(Am_eff, H)
     out = sublayer(x0)
     return hc_combine(B_eff, Ar_eff, H, out)

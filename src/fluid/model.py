@@ -3,7 +3,7 @@
 Shared input embedding (one parameter object serving both sides), index
 sinusoidal positional encoding plus a raw-timestamp feature channel so
 irregular intervals reach the gates, per-layer attention + feed-forward
-sublayers wired through plain residuals or (liquid) hyper-connections,
+sublayers wired through plain residuals or liquid hyper-connections,
 and a linear output head. Checkpoints are a JSON manifest plus binary
 tensor blobs.
 """
@@ -43,7 +43,7 @@ class ModelConfig:
     lan: A.LanConfig
     n_layers: int = 1
     ffn_dim: int = 32
-    hc_mode: str = "residual"        # residual | static | liquid
+    hc_mode: str = "residual"        # residual | liquid
     hc_streams: int = 1
     in_features: int = 2
     out_dim: int = 2
@@ -53,7 +53,7 @@ class ModelConfig:
     def __post_init__(self):
         A.check_types(self, numbers.Integral, "an integer", "n_layers ffn_dim "
                       "hc_streams in_features out_dim max_len seed")
-        if self.hc_mode not in ("residual", "static", "liquid"):
+        if self.hc_mode not in ("residual", "liquid"):
             raise ValueError(f"unknown hc_mode {self.hc_mode!r}")
         A.check_at_least(self, 1, "ffn_dim in_features out_dim max_len"
                          + " hc_streams" * (self.hc_mode != "residual"))
@@ -90,15 +90,14 @@ class _LayerNormParams:
 
 
 class _Sublayer:
-    """One sublayer with its connection: residual or hyper-connected."""
+    """One sublayer with its connection: residual or liquid hyper-connected."""
 
     def __init__(self, cfg: ModelConfig, rng):
         self.mode = cfg.hc_mode
         self.norm = _LayerNormParams(cfg.lan.d_model)
         self.hc = None
         if self.mode != "residual":
-            self.hc = HC.HcParams(cfg.hc_streams, d=cfg.lan.d_model,
-                                  liquid=(self.mode == "liquid"), rng=rng)
+            self.hc = HC.HcParams(cfg.hc_streams, cfg.lan.d_model, rng)
 
     def apply(self, state: Tensor, fn) -> Tensor:
         if self.mode == "residual":
@@ -252,19 +251,26 @@ class FluidModel:
 # checkpoints: JSON manifest + binary tensor blobs
 # --------------------------------------------------------------------------
 
+# fields of older manifests: each is dropped at the one value the model
+# is built with (None: at any value), and any other value is refused
+_RETIRED = {"task": None, "gate_mode": "recurrent", "lan.epsilon": A._EPSILON}
+
+
 def _config_from_dict(d: dict, source: str) -> ModelConfig:
     """The config a manifest records; ValueError when it does not fit."""
     if not isinstance(d, dict):
         raise ValueError(f"{source}: manifest config is not a JSON object")
-    d.pop("task", None)      # a field of older manifests; nothing reads it
-    # so is gate_mode, whose value "recurrent" is the only gating built now
-    gate_mode = d.pop("gate_mode", "recurrent")
-    if gate_mode != "recurrent":
-        raise ValueError(f"{source}: manifest config has gate_mode "
-                         f"{gate_mode!r}; only recurrent gates are built")
+    lan = d.pop("lan", {})
+    for field, built in _RETIRED.items():
+        holder, key = (lan, field[4:]) if field.startswith("lan.") else (d, field)
+        if isinstance(holder, dict) and key in holder:
+            value = holder.pop(key)
+            if built is not None and value != built:
+                raise ValueError(f"{source}: manifest config has {field} "
+                                 f"{value!r}; only {built!r} is built")
     try:
-        return ModelConfig(lan=A.LanConfig(**d.pop("lan", {})), **d)
-    except TypeError as err:
+        return ModelConfig(lan=A.LanConfig(**lan), **d)
+    except (TypeError, ValueError) as err:
         raise ValueError(f"{source}: manifest config does not fit the model: "
                          f"{err}") from None
 

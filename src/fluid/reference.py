@@ -113,8 +113,7 @@ class FrozenGates:
     ``logits`` takes that step whatever step count the block has. Numpy on
     the values of q and k: no gradient flows through it."""
 
-    def logits(self, q: Tensor, k: Tensor, pb: pairs.PairBatch,
-               n_steps: int, dt_nominal: float):
+    def logits(self, q: Tensor, k: Tensor, pb: pairs.PairBatch, n_steps: int):
         B, H, T_q, D = q.shape
         k_sel = k.data[np.arange(B)[:, None, None, None],
                        np.arange(H)[:, None, None], pb.selected_indices]
@@ -145,7 +144,7 @@ def verify_sdpa_limit(seed: int = 0) -> dict:
         v = rng.standard_normal((T_k, D))
 
         cfg = A.LanConfig(d_model=D, heads=1, euler_steps=1, top_k=None,
-                          epsilon=1e-3, sink_gate_enabled=False, causal=False)
+                          sink_gate_enabled=False, causal=False)
         out, _, _, _ = A.attend(Tensor(q[None, None]), Tensor(k[None, None]),
                                 Tensor(v[None, None]), FrozenGates(), cfg)
         expected, _ = sdpa_reference(q, k, v)

@@ -26,6 +26,9 @@ from fluid.attention import check_at_least, check_types
 from fluid.tensor import Tensor
 
 
+LOSSES = ("mae", "mse")      # the loss kinds, also the validation metrics
+
+
 class TrainingDiverged(RuntimeError):
     """Loss went non-finite; carries the directory of the gate-trace dump."""
 
@@ -41,8 +44,8 @@ class TrainConfig:
     weight_decay: float = 0.0
     epochs: int = 10
     batch_size: int = 8
-    loss: str = "mse"                 # mse | mae
-    metric: str = "mae"               # mae | mse
+    loss: str = "mse"                 # one of LOSSES
+    metric: str = "mae"               # one of LOSSES
     seed: int = 0
     grad_clip: float = 1.0
 
@@ -58,9 +61,9 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
             raise ValueError("betas must lie in [0, 1)")
-        if self.loss not in ("mse", "mae"):
+        if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.metric not in ("mae", "mse"):
+        if self.metric not in LOSSES:
             raise ValueError(f"unknown metric {self.metric!r}")
         check_at_least(self, 1, "batch_size")
         check_at_least(self, 0, "epochs seed weight_decay grad_clip")
@@ -88,7 +91,7 @@ def loss(kind: str, pred: Tensor, target: np.ndarray,
          mask: np.ndarray | None = None) -> Tensor:
     """Mean squared (mse) or absolute (mae) error per element over the
     unmasked positions."""
-    if kind not in ("mse", "mae"):
+    if kind not in LOSSES:
         raise ValueError(f"unknown loss kind {kind!r}")
     diff = T.sub(pred, Tensor(np.asarray(target, dtype=float)))
     w = _mask_weights(pred.shape, mask)

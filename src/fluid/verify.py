@@ -95,24 +95,23 @@ def run_reduction_suite(seed: int = 0) -> dict:
     def sublayer(t):
         return T.tanh(t)
 
-    unit = HC.HcParams(n=1)
+    # the static block: fixed B, A_m and A_r
     H1 = HC.expand_streams(x, 1)
-    hc_out = HC.hc_network_finalize(HC.hc_block(unit, H1, sublayer))
+    unit = Tensor(np.ones(1))
+    hc_out = HC.hc_network_finalize(HC.hc_combine(
+        unit, Tensor(np.eye(1)), H1, sublayer(HC.hc_aggregate(unit, H1))))
     residual = T.layer_norm(T.add(x, sublayer(x)))
     residual_gap = float(np.abs(hc_out.data - residual.data).max())
     residual_exact = bool(np.array_equal(hc_out.data, residual.data))
 
-    static = HC.HcParams(n=3)
-    liquid = HC.HcParams(n=3, d=6, liquid=True, rng=np.random.default_rng(seed + 1))
-    static.B.data[...] = rng.standard_normal(3)
-    static.A_m.data[...] = rng.standard_normal(3)
-    static.A_r.data[...] = rng.standard_normal((3, 3))
-    for name in ("B", "A_m", "A_r"):
-        getattr(liquid, name).data[...] = getattr(static, name).data
+    liquid = HC.HcParams(3, 6, np.random.default_rng(seed + 1))
+    B, A_m, A_r = (Tensor(rng.standard_normal(shape)) for shape in (3, 3, (3, 3)))
+    for name, static in (("B", B), ("A_m", A_m), ("A_r", A_r)):
+        getattr(liquid, name).data[...] = static.data
     liquid.s_b.data[...] = 0.0
     liquid.s_a.data[...] = 0.0
     H3 = HC.expand_streams(x, 3)
-    out_static = HC.hc_block(static, H3, sublayer)
+    out_static = HC.hc_combine(B, A_r, H3, sublayer(HC.hc_aggregate(A_m, H3)))
     out_liquid = HC.hc_block(liquid, H3, sublayer)
     liquid_gap = float(np.abs(out_static.data - out_liquid.data).max())
     liquid_exact = bool(np.array_equal(out_static.data, out_liquid.data))

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 
+from fluid import attention as A
 from fluid import tensor as T
 from fluid.pairs import PairBatch
 from fluid.tensor import ShapeError, Tensor
@@ -179,13 +180,13 @@ def _cell(w, h: int, x_proj: Tensor, hidden):
     return T.add(T.mul(T.sub(Tensor(1.0), z), n), T.mul(z, hidden))
 
 
-def _heads(w, epsilon: float, hidden: Tensor):
+def _heads(w, hidden: Tensor):
     def head(name):
         return T.add(T.tsum(T.mul(hidden, w["W_" + name]), axis=-1),
                      w["b_" + name])
 
     f_phi = T.tanh(head("phi"))
-    f_tau = T.add(softplus(head("tau")), Tensor(epsilon))
+    f_tau = T.add(softplus(head("tau")), Tensor(A._EPSILON))
     return f_tau, f_phi
 
 
@@ -194,19 +195,21 @@ def gru_step(core, w, u_proj: Tensor, t_n: float, hidden):
     ``w`` of ``broadcast_weights``; (f_tau, f_phi, hidden)."""
     step_bias = T.add(T.scale(w["w_t"], t_n), w["b_x"])
     new_hidden = _cell(w, core.hidden_dim, T.add(u_proj, step_bias), hidden)
-    f_tau, f_phi = _heads(w, core.epsilon, new_hidden)
+    f_tau, f_phi = _heads(w, new_hidden)
     return f_tau, f_phi, new_hidden
 
 
-def gru_unroll(core, u: Tensor, n_steps: int, dt_nominal: float):
+def gru_unroll(core, u: Tensor, n_steps: int):
     """RecurrentGateCore's gates [2N, ...] on raw pair inputs u [..., 2D],
-    composed from tape ops step by step: f_tau rows, then f_phi rows."""
+    composed from tape ops step by step over a unit horizon: f_tau rows,
+    then f_phi rows."""
     w = broadcast_weights(core)
     u_proj = T.matmul(u, w["W_u"])
     hidden = None
     f_taus, f_phis = [], []
     for n in range(n_steps):
-        f_tau, f_phi, hidden = gru_step(core, w, u_proj, n * dt_nominal, hidden)
+        f_tau, f_phi, hidden = gru_step(core, w, u_proj, n * (1.0 / n_steps),
+                                        hidden)
         f_taus.append(f_tau)
         f_phis.append(f_phi)
     return T.concat([T.reshape(g, (1,) + g.shape) for g in f_taus + f_phis],

@@ -37,8 +37,8 @@ def _softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def make_core(hidden=2, eps=1e-3, seed=0):
-    return A.RecurrentGateCore(hidden, eps, np.random.default_rng(seed), heads=1)
+def make_core(hidden=2, seed=0):
+    return A.RecurrentGateCore(hidden, np.random.default_rng(seed), heads=1)
 
 
 # --------------------------------------------------------------------------
@@ -60,9 +60,9 @@ def _traj_gates(traj):
     return np.moveaxis(np.concatenate([traj.f_tau, traj.f_phi], axis=-1), -1, 0)
 
 
-def _gates(core, u, n_steps, dt_nominal):
+def _gates(core, u, n_steps):
     """The gates [2N,1,1,P,1] the core's unroll gives raw pair inputs u."""
-    _, traj = core.unroll(_project(core, u), n_steps, dt_nominal)
+    _, traj = core.unroll(_project(core, u), n_steps)
     return _traj_gates(traj)
 
 
@@ -71,14 +71,14 @@ def test_gate_ranges():
     rng = np.random.default_rng(1)
     u = rng.uniform(-3, 3, (10, 4))
     for n_steps in (1, 2):
-        gates = _gates(core, u, n_steps, 0.5)
+        gates = _gates(core, u, n_steps)
         assert gates.shape == (2 * n_steps, 1, 1, 10, 1)
-        assert (gates[:n_steps] >= core.epsilon).all()
+        assert (gates[:n_steps] >= A._EPSILON).all()
         assert (np.abs(gates[n_steps:]) < 1.0).all()
 
 
 def test_gate_zero_weight_cell():
-    core = make_core(eps=1e-3)
+    core = make_core()
     for p in core.parameters().values():
         p.data[...] = 0.0
     # f_tau reads the hidden state through W_o's row 1: 1 makes a nonzero
@@ -86,7 +86,7 @@ def test_gate_zero_weight_cell():
     core.W_o.data[:, 1] = 1.0
     u = np.ones((3, 4))
     for n_steps in (1, 2):
-        gates = _gates(core, u, n_steps, 0.7)
+        gates = _gates(core, u, n_steps)
         assert np.allclose(gates[n_steps:], 0.0)
         assert np.allclose(gates[:n_steps], _softplus(0.0) + 1e-3)
 
@@ -94,13 +94,13 @@ def test_gate_zero_weight_cell():
 def test_gate_hidden_carries_state():
     core = make_core(seed=3)
     u = np.random.default_rng(4).uniform(-1, 1, (5, 4))
-    f_phi0, f_phi1 = _gates(core, u, 2, 0.2)[2:]
+    f_phi0, f_phi1 = _gates(core, u, 2)[2:]
     assert not np.allclose(f_phi0, f_phi1)
 
 
 def test_gate_core_parameters_lead_with_the_head_axis():
     H, D, h = 3, 5, 5       # the hidden size is the head width
-    core = A.RecurrentGateCore(h, 1e-3, np.random.default_rng(7), heads=H)
+    core = A.RecurrentGateCore(h, np.random.default_rng(7), heads=H)
     shapes = {n: p.shape for n, p in core.parameters().items()}
     assert shapes == {"W_u": (H, 2 * D, 3 * h), "w_t": (H, 3 * h),
                       "b_x": (H, 3 * h), "W_h": (H, h, 3 * h),
@@ -161,7 +161,7 @@ def _weighted_sum(logits, coef):
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
 def test_fused_gates_match_composed_oracle(case, n_steps):
     rng = np.random.default_rng(41)
-    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, rng, heads=2)
     qa, ka, pb = _gate_case(case, rng)
     if case != "full":
         assert not pb.valid_mask.all()
@@ -175,9 +175,9 @@ def _composed_logits(core, q, k, pb, n_steps):
     under the clamp of the valid pairs' f_tau. Returns (final logits,
     gates)."""
     valid = pb.valid_mask
-    gates = gru_unroll(core, concat_pairs(q, k, pb), n_steps, 1 / n_steps)
+    gates = gru_unroll(core, concat_pairs(q, k, pb), n_steps)
     floor = np.zeros(gates.shape)
-    floor[:n_steps] = core.epsilon
+    floor[:n_steps] = A._EPSILON
     keep = np.broadcast_to(valid, gates.shape).astype(np.float64)
     gates = T.add(T.mul(gates, Tensor(keep)), Tensor(np.where(valid, 0.0, floor)))
     dt = A.clamp_dt(1 / n_steps, gates.data[:n_steps][:, valid])
@@ -201,7 +201,7 @@ def _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng,
             p.zero_grad()
         with np.errstate(**(errstate if fused and errstate else {})):
             if fused:
-                final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
+                final, traj = core.logits(q, k, pb, n_steps)
                 gates = _traj_gates(traj)
             else:
                 final, gates = _composed_logits(core, q, k, pb, n_steps)
@@ -229,12 +229,12 @@ def test_f_tau_derivative_from_the_kept_gates_matches_the_oracle(case, n_steps,
     # at o = -40, softplus(o) ~ 4e-18 is far below eps, and at o = +40
     # sigmoid(o) rounds to 1
     rng = np.random.default_rng(71)
-    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, rng, heads=2)
     core.b_o.data[:, 1] = bias
     qa, ka, pb = _gate_case(case, rng)
     assert pb.valid_mask.all() == (case == "full")    # unpacked, packed
     with T.no_grad():
-        f_tau = core.logits(Tensor(qa), Tensor(ka), pb, n_steps, 1)[1].f_tau
+        f_tau = core.logits(Tensor(qa), Tensor(ka), pb, n_steps)[1].f_tau
     f_tau = f_tau[pb.valid_mask]        # invalid slots hold the floor eps
     assert (f_tau < 2e-3).all() if bias < 0 else (f_tau > 30).all()
     _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng)
@@ -245,12 +245,12 @@ def test_saturated_f_tau_is_exact_under_raising_errstate(bias):
     # softplus takes e^{-|o|}, which underflows to 0 at |o| = 800, where
     # log1p(0) = 0 is exact: f_tau is eps or o + eps to the last bit
     rng = np.random.default_rng(83)
-    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, rng, heads=2)
     core.W_o.data[:, 1] = 0.0       # the f_tau pre-activation is the bias
     core.b_o.data[:, 1] = bias
     qa, ka, pb = _gate_case("full", rng)
     with np.errstate(all="raise"), T.no_grad():
-        final, traj = core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
+        final, traj = core.logits(Tensor(qa), Tensor(ka), pb, 3)
     assert (traj.f_tau == max(bias, 0.0) + 1e-3).all()
     assert np.isfinite(final.data).all()
 
@@ -259,7 +259,7 @@ def test_saturated_f_tau_is_exact_under_raising_errstate(bias):
 def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
                                                                   monkeypatch):
     rng = np.random.default_rng(73)
-    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, rng, heads=2)
     qa, ka, pb = _gate_case("topk_blocks", rng)
     items = len(A._items(_packed_counts(pb), 3 * 3))
     assert items > core.heads
@@ -272,10 +272,10 @@ def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
 
     monkeypatch.setattr(A, "_cell", counting)
     with T.no_grad():
-        core.logits(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps)
+        core.logits(Tensor(qa), Tensor(ka), pb, n_steps)
     assert len(calls) == n_steps * items
     q = Tensor(qa, requires_grad=True)
-    final, _ = core.logits(q, Tensor(ka), pb, n_steps, 1 / n_steps)
+    final, _ = core.logits(q, Tensor(ka), pb, n_steps)
     assert len(calls) == 2 * n_steps * items
     T.tsum(final).backward()
     assert len(calls) == 3 * n_steps * items
@@ -289,7 +289,7 @@ def test_saturated_gates_stay_finite_and_match_the_oracle(case, n_steps,
     # the cell's denominators (and underflows to 0), so r and z are exactly
     # 0 or 1; a backward form such as (d - 1) / d^2 would give inf / inf
     rng = np.random.default_rng(79)
-    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, rng, heads=2)
     rz = core.b_x.data[:, :6]
     rz[...] = np.copysign(800.0, rz)
     qa, ka, pb = _gate_case(case, rng)
@@ -341,7 +341,7 @@ def test_a_forward_item_makes_a_fixed_number_of_numpy_calls_per_step(
     # each is one pass over a block and one GIL handoff between workers
     rng = np.random.default_rng(83)
     h, P = 4, 64
-    core = A.RecurrentGateCore(h, 1e-3, rng, heads=1)
+    core = A.RecurrentGateCore(h, rng, heads=1)
     w = {n: p.data for n, p in core.parameters().items()}
     monkeypatch.setattr(A, "np", _CountingNumpy())
 
@@ -349,8 +349,7 @@ def test_a_forward_item_makes_a_fixed_number_of_numpy_calls_per_step(
         x = rng.standard_normal((3 * h, P)).view(_Counting)
         gates = np.empty((2 * n_steps, P)).view(_Counting)
         _Counting.calls = 0
-        A._forward_block(x, w, 0, n_steps, 1 / n_steps, core.epsilon, gates,
-                         None)
+        A._forward_block(x, w, 0, gates, None)
         made = _Counting.calls
         assert np.isfinite(gates).all()
         return made
@@ -386,15 +385,14 @@ def test_a_forward_item_allocates_one_scratch_and_one_state(n_steps):
     # 64 KB ufunc buffer, which broadcasting the [3h, 1] time terms takes
     rng = np.random.default_rng(97)
     h, P = 16, 4096
-    core = A.RecurrentGateCore(h, 1e-3, rng, heads=1)
+    core = A.RecurrentGateCore(h, rng, heads=1)
     w = {n: p.data for n, p in core.parameters().items()}
     x = rng.standard_normal((3 * h, P))
     gates = np.empty((2 * n_steps, P))
     weights = 8 * (2 * h * 3 * h + n_steps * 3 * h)
     tracemalloc.start()
     try:
-        A._forward_block(x, w, 0, n_steps, 1 / n_steps, core.epsilon, gates,
-                         None)
+        A._forward_block(x, w, 0, gates, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -407,7 +405,7 @@ def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
     # the [B,H,T,3h] products are copied channel-major and freed; the
     # tensors the tape keeps as parents are views of the kernel's arrays
     rng = np.random.default_rng(101)
-    core = A.RecurrentGateCore(4, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(4, rng, heads=2)
     q = Tensor(rng.standard_normal((2, 2, 9, 4)), requires_grad=taped)
     k = Tensor(rng.standard_normal((2, 2, 7, 4)), requires_grad=taped)
     pb = pairs.topk_concat(q, k, 3)
@@ -436,20 +434,21 @@ def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
 
 def test_fused_gates_pass_grad_check():
     rng = np.random.default_rng(43)
-    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, rng, heads=2)
+    # f_tau below 0.7 (1.23 without the shift), so the clamp, whose dt is
+    # no function on the tape, stays inactive under the differences at
+    # every dt_nominal = 1/N <= 1
+    core.b_o.data[:, 1] -= 1.0
     qa, ka, pb = _gate_case("causal_masked", rng)
     q = Tensor(qa, requires_grad=True)
     k = Tensor(ka, requires_grad=True)
     params = dict(core.parameters(), q=q, k=k)
     for n_steps in (1, 2, 3, 5):
         coef = rng.standard_normal(pb.valid_mask.shape)
-        # a step small enough that the clamp, whose dt is no function on
-        # the tape, stays inactive under the differences
-        dt = 0.5 / n_steps
 
         def loss():
-            final, traj = core.logits(q, k, pb, n_steps, dt)
-            assert traj.dt_effective == dt
+            final, traj = core.logits(q, k, pb, n_steps)
+            assert traj.dt_effective == traj.dt_nominal == 1 / n_steps
             return _weighted_sum(final, coef)
 
         # the op tolerance of the gradients verify suite
@@ -463,7 +462,7 @@ def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps,
                                                              monkeypatch):
     rng = np.random.default_rng(61)
     H, h = 2, 3
-    core = A.RecurrentGateCore(h, 1e-3, rng, heads=H)
+    core = A.RecurrentGateCore(h, rng, heads=H)
     qa, ka, pb = _gate_case(case, rng)
     kept = []
     gru_forward = A._gru_forward
@@ -474,9 +473,8 @@ def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps,
 
     monkeypatch.setattr(A, "_gru_forward", spy)
     with T.no_grad():
-        core.logits(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps)
-    core.logits(Tensor(qa, requires_grad=True), Tensor(ka), pb, n_steps,
-                1 / n_steps)
+        core.logits(Tensor(qa), Tensor(ka), pb, n_steps)
+    core.logits(Tensor(qa, requires_grad=True), Tensor(ka), pb, n_steps)
     untaped, taped = kept
     assert untaped is None
     # both heads see the same mask; every pair valid packs as it stands
@@ -521,14 +519,14 @@ def test_taped_forward_keeps_no_gates_and_no_euler_states():
 @pytest.mark.parametrize("case", ["causal_masked", "topk", "long_rows"])
 def test_invalid_slots_hold_the_floor_gates(case):
     rng = np.random.default_rng(67)
-    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, rng, heads=2)
     qa, ka, pb = _gate_case(case, rng)
     n_steps = 3
     with T.no_grad():
-        traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps, 1 / n_steps)[1]
+        traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps)[1]
     valid = pb.valid_mask
     assert (~valid).any()
-    assert (traj.f_tau[~valid] == core.epsilon).all()
+    assert (traj.f_tau[~valid] == A._EPSILON).all()
     assert (traj.f_phi[~valid] == 0.0).all()
     assert not traj.a[~valid].any()
     assert traj.dt_effective == A.clamp_dt(1 / n_steps, traj.f_tau[valid])
@@ -541,7 +539,7 @@ def test_masked_keys_leave_outputs_unchanged_under_an_active_clamp():
     # negative f_tau head pulls its f_tau below that. Both exceed 1/dt
     B, H, T_k, D, pad, n_steps = 2, 2, 5, 3, 3, 2
     rng = np.random.default_rng(89)
-    core = A.RecurrentGateCore(D, 1e-3, rng, heads=H)
+    core = A.RecurrentGateCore(D, rng, heads=H)
     for p in (core.b_x, core.w_t, core.W_h):
         p.data[:] = 0.0
     core.W_u.data[..., 2 * D:] = np.abs(core.W_u.data[..., 2 * D:])
@@ -562,12 +560,11 @@ def test_masked_keys_leave_outputs_unchanged_under_an_active_clamp():
     w = {n: p.data for n, p in core.parameters().items()}
     for hd in range(H):
         zero = np.empty((2 * n_steps, 1))
-        A._forward_block(np.zeros((3 * D, 1)), w, hd, n_steps, cfg.dt_nominal,
-                         core.epsilon, zero, None)
+        A._forward_block(np.zeros((3 * D, 1)), w, hd, zero, None)
         f_tau = traj.f_tau[:, hd]
-        assert zero[:n_steps].min() > max(f_tau.max(), 1 / cfg.dt_nominal)
-        assert f_tau.min() > 1 / cfg.dt_nominal
-    assert traj.dt_effective < cfg.dt_nominal
+        assert zero[:n_steps].min() > max(f_tau.max(), n_steps)
+        assert f_tau.min() > n_steps
+    assert traj.dt_effective < 1 / n_steps
     assert traj_pad.dt_effective == traj.dt_effective
     assert np.abs(out_pad.data - out.data).max() <= 1e-12
     assert np.abs(alpha_pad.data[..., :T_k] - alpha.data).max() <= 1e-12
@@ -595,10 +592,10 @@ def test_gate_cores_return_rows_in_the_pair_batch_shape(case):
     rng = np.random.default_rng(45)
     qa, ka, pb = _gate_case(case, rng)
     q, k = Tensor(qa), Tensor(ka)
-    for core in (A.RecurrentGateCore(3, 1e-3, rng, heads=2),
+    for core in (A.RecurrentGateCore(3, rng, heads=2),
                  R.FrozenGates()):
         for n_steps in (1, 3):
-            final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
+            final, traj = core.logits(q, k, pb, n_steps)
             # the frozen gates take the attention limit's one step
             steps = 1 if isinstance(core, R.FrozenGates) else n_steps
             assert final.shape == pb.valid_mask.shape
@@ -631,7 +628,7 @@ def _workload_pairs(case, rng):
         pb = pairs.full_pairwise_concat(q, k, causal=causal, key_mask=key_mask)
     else:
         pb = pairs.topk_concat(q, k, K, causal=causal, key_mask=key_mask)
-    return A.RecurrentGateCore(D, 1e-3, rng, heads=H), q, k, pb
+    return A.RecurrentGateCore(D, rng, heads=H), q, k, pb
 
 
 def _packed_counts(pb):
@@ -640,7 +637,7 @@ def _packed_counts(pb):
     return [int(v.sum()) for v in valid]
 
 
-def _kernel_on(core, up, valid, n_steps, dt):
+def _kernel_on(core, up, valid, n_steps):
     """The gate kernel's work items fed a materialized pair input ``up``
     [B,H,...,3h]: per head its valid pairs; every invalid slot gets the
     floor gates f_tau = eps, f_phi = 0. Returns the gates [2N, H, pairs]."""
@@ -657,9 +654,9 @@ def _kernel_on(core, up, valid, n_steps, dt):
         out = np.empty((2 * n_steps, packed.shape[1]))
         for a, b in A._blocks(packed.shape[1], C):
             A._forward_block(np.ascontiguousarray(packed[:, a:b]), w, hd,
-                             n_steps, dt, core.epsilon, out[:, a:b], None)
+                             out[:, a:b], None)
         gates[:, hd, v] = out
-        gates[:n_steps, hd, ~v] = core.epsilon
+        gates[:n_steps, hd, ~v] = A._EPSILON
         gates[n_steps:, hd, ~v] = 0.0
     return gates
 
@@ -673,12 +670,12 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
     n_steps = 3
     with T.no_grad():
         pin = core.project_pairs(q, k, pb)
-        gates = _traj_gates(core.unroll(pin, n_steps, 1 / n_steps)[1])
+        gates = _traj_gates(core.unroll(pin, n_steps)[1])
         up = pair_sum(pin.qp, pin.kp, pb)
     assert (pin.shape, pin.size) == (up.shape, up.size)
     got = np.moveaxis(gates, 2, 1).reshape(2 * n_steps, core.heads, -1)
     assert np.array_equal(got, _kernel_on(core, up.data, pb.valid_mask,
-                                          n_steps, 1 / n_steps))
+                                          n_steps))
 
 
 def test_items_hold_the_same_scalars_at_every_head_width(monkeypatch):
@@ -694,11 +691,11 @@ def test_items_hold_the_same_scalars_at_every_head_width(monkeypatch):
     monkeypatch.setattr(A, "_forward_block", spy)
     rng = np.random.default_rng(101)
     for h in (8, 16):
-        core = A.RecurrentGateCore(h, 1e-3, rng, heads=1)
+        core = A.RecurrentGateCore(h, rng, heads=1)
         q = Tensor(rng.standard_normal((1, 1, 128, h)))
         k = Tensor(rng.standard_normal((1, 1, 64, h)))
         with T.no_grad():
-            core.logits(q, k, pairs.full_pairwise_concat(q, k), 2, 0.5)
+            core.logits(q, k, pairs.full_pairwise_concat(q, k), 2)
     assert shapes == {8: [(24, 4096)] * 2, 16: [(48, 2048)] * 4}
     assert A._BLOCK_SCALARS == 24 * 4096 == 48 * 2048
 
@@ -709,16 +706,16 @@ def test_gates_never_build_the_pair_input(monkeypatch):
     monkeypatch.setattr(pool, "_WORKERS", 2)
     rng = np.random.default_rng(59)
     B, H, T_q, D, K, n_steps = 1, 2, 2048, 16, 32, 2
-    core = A.RecurrentGateCore(D, 1e-3, rng, heads=H)
+    core = A.RecurrentGateCore(D, rng, heads=H)
     q = Tensor(rng.standard_normal((B, H, T_q, D)))
     k = Tensor(rng.standard_normal((B, H, T_q, D)))
     pb = pairs.topk_concat(q, k, K)
     pair_input_bytes = H * 3 * D * (B * T_q * K) * 8
     with T.no_grad():
-        core.logits(q, k, pb, n_steps, 1 / n_steps)   # the pool starts
+        core.logits(q, k, pb, n_steps)   # the pool starts
         tracemalloc.start()
         try:
-            core.logits(q, k, pb, n_steps, 1 / n_steps)
+            core.logits(q, k, pb, n_steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -744,7 +741,7 @@ def _block_case(case):
         B, T_q, T_k, K = 2, 5, 5, None
     else:                             # uneven: P not a multiple of the cut
         T_q, T_k, K = 8195, 5, 3
-    core = A.RecurrentGateCore(D, 1e-3, rng, heads=H)
+    core = A.RecurrentGateCore(D, rng, heads=H)
     qa = rng.standard_normal((B, H, T_q, D))
     ka = rng.standard_normal((B, H, T_k, D))
     if K is None:
@@ -760,14 +757,13 @@ def _gate_run(core, qa, ka, pb, n_steps=3, coef=None):
     gradients of the 6 gate weights and of q, k under a loss that weighs
     every final logit differently, or by ``coef``."""
     with T.no_grad():
-        untaped, traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
-                                    1 / n_steps)
+        untaped, traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps)
         untaped = (untaped.data, _traj_gates(traj))
     q = Tensor(qa, requires_grad=True)
     k = Tensor(ka, requires_grad=True)
     for p in core.parameters().values():
         p.zero_grad()
-    final, traj = core.logits(q, k, pb, n_steps, 1 / n_steps)
+    final, traj = core.logits(q, k, pb, n_steps)
     if coef is None:
         coef = np.random.default_rng(48).standard_normal(final.shape)
     _weighted_sum(final, coef).backward()
@@ -866,7 +862,7 @@ def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
 
     monkeypatch.setattr(A, "_forward_block", failing)
     with pytest.raises(RuntimeError, match="item failed"):
-        core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
+        core.logits(Tensor(qa), Tensor(ka), pb, 3)
     monkeypatch.setattr(A, "_forward_block", forward_block)
     again = _gate_run(core, qa, ka, pb)
     for got, want in zip(again[1], expected[1]):
@@ -880,11 +876,11 @@ def test_gate_kernel_is_bitwise_the_same_for_concurrent_callers(monkeypatch):
     core, qa, ka, pb = _block_case("batch_rows")
     monkeypatch.setattr(pool, "_WORKERS", 2)
     with T.no_grad():
-        expected = core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)[0].data
+        expected = core.logits(Tensor(qa), Tensor(ka), pb, 3)[0].data
 
     def caller():
         with T.no_grad():
-            return [core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)[0].data
+            return [core.logits(Tensor(qa), Tensor(ka), pb, 3)[0].data
                     for _ in range(3)]
 
     switch = sys.getswitchinterval()
@@ -995,14 +991,14 @@ def test_importing_fluid_after_numpy_leaves_the_blas_variables_unset():
 
 def _unroll_in_child(core, qa, ka, pb, queue):
     with T.no_grad():
-        queue.put(core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)[0].data)
+        queue.put(core.logits(Tensor(qa), Tensor(ka), pb, 3)[0].data)
 
 
 def test_gate_kernel_runs_in_a_forked_child(monkeypatch):
     core, qa, ka, pb = _block_case("batch_rows")
     monkeypatch.setattr(pool, "_WORKERS", 2)
     with T.no_grad():
-        final, _ = core.logits(Tensor(qa), Tensor(ka), pb, 3, 1 / 3)
+        final, _ = core.logits(Tensor(qa), Tensor(ka), pb, 3)
     assert pool._pool is not None     # the parent has started its threads
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
@@ -1082,7 +1078,7 @@ def _counting_backward_columns(monkeypatch):
 def test_backward_skips_dead_pairs_and_matches_the_oracle(case, pattern,
                                                           n_steps, monkeypatch):
     rng = np.random.default_rng(89)
-    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, rng, heads=2)
     qa, ka, pb = _gate_case(case, rng)
     coef = _dead_coef(pattern, pb.valid_mask.shape, rng)
     live = np.count_nonzero(coef[pb.valid_mask])
@@ -1237,7 +1233,7 @@ def test_integrate_clamps_on_every_gate_without_copies():
 def test_integrate_starts_at_zero_and_records_dt():
     core = make_core(seed=9)
     u = np.random.default_rng(9).uniform(-1, 1, (6, 4))
-    gates = _gates(core, u, 4, 0.25)
+    gates = _gates(core, u, 4)
     _, traj = A.integrate_logits(gates, 0.25)
     assert (traj.a[..., 0] == 0.0).all()
     assert traj.a.shape == (1, 1, 6, 1, 5)
@@ -1249,7 +1245,7 @@ def test_integrate_starts_at_zero_and_records_dt():
 def test_trajectory_csv_export(tmp_path):
     core = make_core(seed=11)
     u = np.random.default_rng(11).uniform(-1, 1, (2, 4))
-    _, traj = A.integrate_logits(_gates(core, u, 3, 1 / 3), 1 / 3)
+    _, traj = A.integrate_logits(_gates(core, u, 3), 1 / 3)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -1260,7 +1256,7 @@ def test_trajectory_csv_export(tmp_path):
 def test_trajectory_csv_reads_back_exactly(tmp_path):
     core = make_core(seed=12)
     u = np.random.default_rng(12).uniform(-1, 1, (5, 4))
-    _, traj = A.integrate_logits(_gates(core, u, 3, 1 / 3), 1 / 3)
+    _, traj = A.integrate_logits(_gates(core, u, 3), 1 / 3)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     with open(path, newline="") as fh:
@@ -1323,7 +1319,7 @@ def _recursion(f_tau, f_phi, dt):
 def test_trajectory_is_views_of_the_integrator_buffers():
     core = make_core(seed=11)
     u = np.random.default_rng(11).uniform(-1, 1, (3, 4))
-    gates = _gates(core, u, 3, 1 / 3)
+    gates = _gates(core, u, 3)
     final, traj = A.integrate_logits(gates, 1 / 3)
     assert np.shares_memory(traj.f_tau, gates)
     assert np.shares_memory(traj.f_phi, gates)
@@ -1340,7 +1336,7 @@ def test_trajectory_is_views_of_the_integrator_buffers():
     for taped in (False, True):
         pin = _project(core, u)
         with contextlib.nullcontext() if taped else T.no_grad():
-            final, traj = core.unroll(pin, 3, 1 / 3)
+            final, traj = core.unroll(pin, 3)
         assert final.requires_grad == taped
         assert np.array_equal(traj.a, _recursion(traj.f_tau, traj.f_phi,
                                                  traj.dt_effective))
@@ -1378,7 +1374,7 @@ def _tape_nodes(root):
 def test_attend_tape_does_not_grow_with_euler_steps():
     rng = np.random.default_rng(71)
     qkv = [rng.standard_normal((2, 2, 5, 3)) for _ in range(3)]
-    core = A.RecurrentGateCore(3, 1e-3, rng, heads=2)
+    core = A.RecurrentGateCore(3, rng, heads=2)
     for case in (dict(), dict(top_k=2, causal=True)):
         counts = []
         for n_steps in (1, 2, 5):
@@ -1395,7 +1391,7 @@ def test_attend_tape_does_not_grow_with_euler_steps():
 
 def _head_cfg(**kw):
     base = dict(d_model=2, heads=1, euler_steps=2, top_k=None,
-                epsilon=1e-3, sink_gate_enabled=False, causal=False)
+                sink_gate_enabled=False, causal=False)
     base.update(kw)
     return A.LanConfig(**base)
 
@@ -1436,7 +1432,7 @@ def straight_line_lan(qa, ka, va, core, n_steps):
                 hidden = (1 - z) * cand + z * hidden
                 o = Wo @ hidden + bo           # row 0 drives f_phi, row 1 f_tau
                 f_phi[i, j, n] = np.tanh(o[0])
-                f_tau[i, j, n] = _softplus(o[1]) + core.epsilon
+                f_tau[i, j, n] = _softplus(o[1]) + A._EPSILON
 
     dt = min(dt_nom, 1.0 / f_tau.max())
     a = np.zeros((T_q, T_k))
@@ -1510,7 +1506,7 @@ def test_sink_gate_matches_scripted_oracle():
 
 def _mh_cfg(**kw):
     base = dict(d_model=4, heads=2, euler_steps=2, top_k=None,
-                epsilon=1e-3, sink_gate_enabled=False, causal=False)
+                sink_gate_enabled=False, causal=False)
     base.update(kw)
     return A.LanConfig(**base)
 
@@ -1518,8 +1514,7 @@ def _mh_cfg(**kw):
 def _head_core(mh, h):
     """An H=1 core holding head ``h``'s weight slices of ``mh.core``."""
     D = mh.cfg.head_dim
-    core = A.RecurrentGateCore(D, mh.cfg.epsilon,
-                               np.random.default_rng(0), heads=1)
+    core = A.RecurrentGateCore(D, np.random.default_rng(0), heads=1)
     for name, p in core.parameters().items():
         p.data[...] = getattr(mh.core, name).data[h:h + 1]
     return core
@@ -1579,8 +1574,16 @@ def test_multi_head_two_heads_match_manual_composition():
 
 
 @pytest.mark.parametrize("case", [dict(), dict(causal=True), dict(top_k=2)])
-def test_multi_head_tape_and_no_grad_agree_bitwise(case):
+def test_multi_head_tape_and_no_grad_agree_bitwise(case, monkeypatch):
     cfg = _mh_cfg(heads=2, euler_steps=3, sink_gate_enabled=True, **case)
+    weights, attend = [], A.attend
+
+    def spy(*args, **kwargs):
+        result = attend(*args, **kwargs)
+        weights.append(result[1].data)
+        return result
+
+    monkeypatch.setattr(A, "attend", spy)
     mh = A.MultiHeadLan(cfg, np.random.default_rng(39))
     x = Tensor(np.random.default_rng(40).standard_normal((2, 5, 4)))
     key_mask = None
@@ -1594,8 +1597,7 @@ def test_multi_head_tape_and_no_grad_agree_bitwise(case):
             out = mh.forward(x, x, key_mask=key_mask, collect=collect)
         assert out.requires_grad == grad
         traj = collect["trajectories"][0]
-        runs.append([out.data, collect["weights"][0], traj.a, traj.f_tau,
-                     traj.f_phi])
+        runs.append([out.data, weights[-1], traj.a, traj.f_tau, traj.f_phi])
     for taped, untaped in zip(*runs):
         assert np.array_equal(taped, untaped)
 
@@ -1613,7 +1615,7 @@ def test_topk_head_equals_full_head_when_k_large():
     rng = np.random.default_rng(37)
     qkv = [rng.standard_normal((B, H, T_k, D)) for _ in range(3)]
     coef = Tensor(rng.standard_normal((B, H, T_k, D)))
-    core = A.RecurrentGateCore(D, 1e-3, rng, heads=H)
+    core = A.RecurrentGateCore(D, rng, heads=H)
     padded = np.ones((B, T_k), dtype=bool)
     padded[1, -2:] = False
     padded[2, -4:] = False
@@ -1667,6 +1669,6 @@ def test_tracer_wrap_points_see_pairs_steps_and_the_trajectory(monkeypatch):
         assert args[1].size // args[1].shape[-1] == B * cfg.heads * T_q * k_eff
         assert args[2] == cfg.euler_steps
         _, traj = seen["integrate"]
-        assert 0 < traj.dt_effective <= traj.dt_nominal == cfg.dt_nominal
+        assert 0 < traj.dt_effective <= traj.dt_nominal == 1 / cfg.euler_steps
         assert isinstance(traj.f_tau, np.ndarray)
         assert traj.f_tau.shape == (B, cfg.heads, T_q, k_eff, cfg.euler_steps)

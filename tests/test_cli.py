@@ -114,9 +114,8 @@ def test_train_config_rejects_unknown_metric_before_training(tmp_path,
 
 def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
     config = {"model": {"d_model": 8, "heads": 2, "euler_steps": 3,
-                        "top_k": 4, "epsilon": 1e-2,
-                        "sink_gate_enabled": False,
-                        "n_layers": 2, "ffn_dim": 8, "hc_mode": "static",
+                        "top_k": 4, "sink_gate_enabled": False,
+                        "n_layers": 2, "ffn_dim": 8, "hc_mode": "liquid",
                         "hc_streams": 2, "max_len": 128, "seed": 3},
               "train": {"lr": 0.01, "betas": [0.8, 0.9],
                         "weight_decay": 0.1, "epochs": 2, "batch_size": 4,
@@ -125,8 +124,8 @@ def test_train_config_accepts_every_known_key(tmp_path, monkeypatch):
     code, [(model, tcfg)] = _train_with_config(tmp_path, monkeypatch, config)
     assert code == 0
     lan = model.cfg.lan
-    assert (lan.d_model, lan.heads, lan.euler_steps, lan.top_k, lan.epsilon,
-            lan.sink_gate_enabled, lan.causal) == (8, 2, 3, 4, 1e-2, False, False)
+    assert (lan.d_model, lan.heads, lan.euler_steps, lan.top_k,
+            lan.sink_gate_enabled, lan.causal) == (8, 2, 3, 4, False, False)
     for key in ("n_layers", "hc_mode", "hc_streams", "max_len", "seed"):
         assert getattr(model.cfg, key) == config["model"][key], key
     assert tcfg.betas == (0.8, 0.9)
@@ -255,6 +254,10 @@ def test_train_without_metric_prints_valid_json(tmp_path, capsys):
                                   "train-old-sink-gate-key",
                                   "eval-string-causal", "train-unknown-gate-mode",
                                   "train-gate-mode", "eval-sdpa-frozen-manifest",
+                                  "train-epsilon", "train-static-hc",
+                                  "eval-zero-heads-manifest",
+                                  "eval-bogus-hc-mode-manifest",
+                                  "eval-static-hc-manifest",
                                   "eval-zero-in-features", "eval-zero-out-dim",
                                   "train-zero-max-len", "train-negative-seed",
                                   "train-negative-train-seed",
@@ -295,7 +298,10 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
              "eval-zero-out-dim": (("config", "out_dim"), 0),
              "eval-number-manifest-config": (("config",), 3),
              "eval-sdpa-frozen-manifest": (("config", "gate_mode"),
-                                           "sdpa_frozen")}
+                                           "sdpa_frozen"),
+             "eval-zero-heads-manifest": (("config", "lan", "heads"), 0),
+             "eval-bogus-hc-mode-manifest": (("config", "hc_mode"), "bogus"),
+             "eval-static-hc-manifest": (("config", "hc_mode"), "static")}
     if case in edits:
         manifest = Path(checkpoint, "manifest.json")
         saved = json.loads(manifest.read_text())
@@ -358,7 +364,7 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                "train-string-heads": {"model": {"heads": "x"}},
                "train-fractional-steps": {"model": {"euler_steps": 2.5}},
                "train-string-layers": {"model": {"n_layers": "x"}},
-               "train-string-streams": {"model": {"hc_mode": "static",
+               "train-string-streams": {"model": {"hc_mode": "liquid",
                                                   "hc_streams": "x"}},
                "train-fractional-ffn": {"model": {"ffn_dim": 2.5}},
                "train-string-sink-gate-enabled":
@@ -366,6 +372,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
                "train-old-sink-gate-key": {"model": {"sink_gate": False}},
                "train-unknown-gate-mode": {"model": {"gate_mode": "x"}},
                "train-gate-mode": {"model": {"gate_mode": "recurrent"}},
+               "train-epsilon": {"model": {"epsilon": 1e-3}},
+               "train-static-hc": {"model": {"hc_mode": "static",
+                                             "hc_streams": 2}},
                "train-zero-max-len": {"model": {"max_len": 0}},
                "train-negative-seed": {"model": {"seed": -1}},
                "train-negative-train-seed": dict(TINY_CONFIG, train={"seed": -1})}
@@ -417,6 +426,14 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
         "train-gate-mode": train + [str(data)],
         "eval-sdpa-frozen-manifest": ["eval", "--checkpoint", checkpoint,
                                       "--data", str(data)],
+        "train-epsilon": train + [str(data)],
+        "train-static-hc": train + [str(data)],
+        "eval-zero-heads-manifest": ["eval", "--checkpoint", checkpoint,
+                                     "--data", str(data)],
+        "eval-bogus-hc-mode-manifest": ["eval", "--checkpoint", checkpoint,
+                                        "--data", str(data)],
+        "eval-static-hc-manifest": ["eval", "--checkpoint", checkpoint,
+                                    "--data", str(data)],
         "eval-zero-in-features": ["eval", "--checkpoint", checkpoint,
                                   "--data", str(data)],
         "eval-zero-out-dim": ["eval", "--checkpoint", checkpoint,
@@ -456,7 +473,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
              "train-malformed-config": malformed, "train-empty-data": empty,
              "train-key-list-config": config, "train-list-config": config, "train-header-only": header_only,
              "eval-header-only": header_only, "train-null-section": config,
-             "train-list-section": config}
+             "train-list-section": config, "eval-string-causal": checkpoint,
+             "eval-zero-in-features": checkpoint,
+             "eval-zero-out-dim": checkpoint}
     if case in named:
         assert str(named[case]) in err, err
     said = {"train-heads": "fluid train: heads must be >= 1\n",  # the whole line
@@ -486,7 +505,19 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, recwarn, case):
             "train-gate-mode": f"unknown key(s) in {config}: model.gate_mode",
             "eval-sdpa-frozen-manifest": f"fluid eval: {checkpoint}: manifest "
                                          "config has gate_mode 'sdpa_frozen'; "
-                                         "only recurrent gates are built\n",
+                                         "only 'recurrent' is built\n",
+            # the floor eps is a constant, and hyper-connections are liquid
+            "train-epsilon": f"unknown key(s) in {config}: model.epsilon",
+            "train-static-hc": "fluid train: unknown hc_mode 'static'\n",
+            "eval-zero-heads-manifest": f"fluid eval: {checkpoint}: manifest "
+                                        "config does not fit the model: heads "
+                                        "must be >= 1\n",
+            "eval-bogus-hc-mode-manifest": f"fluid eval: {checkpoint}: manifest "
+                                           "config does not fit the model: "
+                                           "unknown hc_mode 'bogus'\n",
+            "eval-static-hc-manifest": f"fluid eval: {checkpoint}: manifest "
+                                       "config does not fit the model: "
+                                       "unknown hc_mode 'static'\n",
             "eval-zero-in-features": "in_features must be >= 1",
             "eval-zero-out-dim": "out_dim must be >= 1",
             "train-text-seq-id-data": f"{unparsable['text_seq_id']} line 3: "
@@ -543,6 +574,48 @@ def test_eval_prints_a_non_finite_metric_as_json_null(tmp_path, capsys):
     # plain json.loads accepts NaN; this parse does not
     report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert report == {"metric": "mae", "value": None, "sequences": 10}
+
+
+# fields of older manifests: (keys, a value the model is built with, another
+# value, or None where any value loads)
+_RETIRED = [(("task",), "regression", None),
+            (("task",), "classification", None),
+            (("gate_mode",), "recurrent", "sdpa_frozen"),
+            (("lan", "epsilon"), 0.001, 0.01)]
+
+
+@pytest.mark.parametrize("keys, built, other", _RETIRED,
+                         ids=["task-regression", "task-classification",
+                              "gate-mode", "lan-epsilon"])
+def test_eval_drops_a_retired_manifest_field_only_at_its_built_value(
+        tmp_path, capsys, keys, built, other):
+    data, _ = _tiny_run(tmp_path)
+    checkpoint = str(tmp_path / "ckpt")
+    M.save_checkpoint(M.FluidModel(cli._model_config(
+        {"model": dict(TINY_CONFIG["model"], hc_mode="liquid", hc_streams=2)})),
+        checkpoint)
+    eval_argv = ["eval", "--checkpoint", checkpoint, "--data", str(data)]
+    assert cli.main(eval_argv) == 0
+    before = capsys.readouterr().out
+    manifest = Path(checkpoint, "manifest.json")
+    saved = json.loads(manifest.read_text())
+    for value in (built, other):
+        node = saved["config"]
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        manifest.write_text(json.dumps(saved))
+        if value is built:
+            assert cli.main(eval_argv) == 0
+            # the same report to the last digit of the metric
+            assert capsys.readouterr().out == before
+        elif value is not None:
+            assert cli.main(eval_argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"fluid eval: {checkpoint}: manifest config has "
+                f"{'.'.join(keys)} {value!r}; only {built!r} is built\n")
 
 
 def test_eval_rejects_a_manifest_config_that_does_not_fit(tmp_path, capsys):

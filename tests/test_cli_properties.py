@@ -36,9 +36,9 @@ SPIRAL_ARGS = {"--n": 2, "--points": 10, "--subsample": 8, "--noise": 0.02,
                "--seed": 0}
 # other valid values; "dropout" is no config key
 GOOD = {"d_model": [8], "heads": [1], "euler_steps": [2], "ffn_dim": [2],
-        "top_k": [None, 1, 3], "epsilon": [0.1],
+        "top_k": [None, 1, 3],
         "sink_gate_enabled": [True, False], "n_layers": [0, 2],
-        "hc_mode": ["residual", "static", "liquid"], "hc_streams": [1, 2],
+        "hc_mode": ["residual", "liquid"], "hc_streams": [1, 2],
         "max_len": [8, 64],
         "seed": [0, 5], "lr": [1e-3, 0.1],
         "betas": [[0.9, 0.999], [0.5, 0.0]], "weight_decay": [0.0, 0.1],
@@ -47,7 +47,7 @@ GOOD = {"d_model": [8], "heads": [1], "euler_steps": [2], "ffn_dim": [2],
         "dropout": [0.1], "--n": [1, 3], "--points": [8], "--subsample": [2],
         "--noise": [0.0], "--seed": [2]}
 MODEL_KEYS = sorted(TINY_MODEL) + [
-    "top_k", "epsilon", "sink_gate_enabled", "n_layers", "hc_mode",
+    "top_k", "sink_gate_enabled", "n_layers", "hc_mode",
     "hc_streams", "max_len", "seed", "dropout"]
 TRAIN_KEYS = ["lr", "betas", "weight_decay", "epochs", "batch_size", "loss",
               "metric", "seed", "grad_clip", "dropout"]

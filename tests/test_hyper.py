@@ -17,9 +17,13 @@ def _norm_rows(x, eps=1e-5):
     return (x - mu) * (var + eps) ** -0.5
 
 
+def _params(n, d=3):
+    return HC.HcParams(n, d, np.random.default_rng(0))
+
+
 def test_aggregate_single_stream_is_identity():
     H = Tensor(np.random.default_rng(0).standard_normal((2, 1, 3)))
-    params = HC.HcParams(n=1)
+    params = _params(1)
     out = HC.hc_aggregate(params.A_m, H)
     assert np.array_equal(out.data, H.data[:, 0, :])
 
@@ -27,7 +31,7 @@ def test_aggregate_single_stream_is_identity():
 def test_aggregate_equal_streams_average():
     row = np.random.default_rng(1).standard_normal(4)
     H = Tensor(np.stack([row, row])[None])
-    params = HC.HcParams(n=2)  # A_m defaults to [1/2, 1/2]
+    params = _params(2)  # A_m defaults to [1/2, 1/2]
     out = HC.hc_aggregate(params.A_m, H)
     assert np.allclose(out.data[0], row, atol=1e-15)
 
@@ -36,7 +40,7 @@ def test_aggregate_matches_hand_matrix_product():
     rng = np.random.default_rng(2)
     H = rng.standard_normal((2, 3))
     A_m = rng.standard_normal(2)
-    params = HC.HcParams(n=2)
+    params = _params(2)
     params.A_m.data[...] = A_m
     out = HC.hc_aggregate(params.A_m, Tensor(H))
     assert np.allclose(out.data, A_m @ H, atol=1e-14)
@@ -45,7 +49,7 @@ def test_aggregate_matches_hand_matrix_product():
 def test_combine_unit_params_is_standard_residual():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 5, 3))
-    params = HC.HcParams(n=1)
+    params = _params(1)
     H = HC.expand_streams(Tensor(x), 1)
 
     layer_out = Tensor(np.tanh(x))
@@ -56,7 +60,7 @@ def test_combine_unit_params_is_standard_residual():
 def test_combine_zero_b_ignores_layer():
     rng = np.random.default_rng(4)
     H = rng.standard_normal((1, 2, 3))
-    params = HC.HcParams(n=2)
+    params = _params(2)
     params.B.data[...] = 0.0
     A_r = rng.standard_normal((2, 2))
     params.A_r.data[...] = A_r
@@ -70,7 +74,7 @@ def test_combine_matches_hand_computation():
     A_r = np.array([[0.2, 0.3], [-0.1, 0.4]])
     H = np.array([[[1.0, 2.0], [3.0, -1.0]]])
     layer_out = np.array([[0.5, 0.25]])
-    params = HC.HcParams(n=2)
+    params = _params(2)
     params.B.data[...] = B
     params.A_r.data[...] = A_r
     out = HC.hc_combine(params.B, params.A_r, Tensor(H), Tensor(layer_out))
@@ -80,7 +84,7 @@ def test_combine_matches_hand_computation():
 
 def test_liquid_zero_scale_reduces_to_static_bitwise():
     rng = np.random.default_rng(5)
-    params = HC.HcParams(n=2, d=3, liquid=True, rng=rng)
+    params = HC.HcParams(n=2, d=3, rng=rng)
     params.s_b.data[...] = 0.0
     params.s_a.data[...] = 0.0
     X = Tensor(rng.standard_normal((2, 4, 2, 3)))
@@ -92,7 +96,7 @@ def test_liquid_zero_scale_reduces_to_static_bitwise():
 
 def test_liquid_zero_projection_weights_reduce_to_static():
     rng = np.random.default_rng(6)
-    params = HC.HcParams(n=2, d=3, liquid=True, rng=rng)
+    params = HC.HcParams(n=2, d=3, rng=rng)
     for w in (params.W_b, params.W_m, params.W_r):
         w.data[...] = 0.0
     X = Tensor(rng.standard_normal((1, 2, 3)))
@@ -103,7 +107,7 @@ def test_liquid_zero_projection_weights_reduce_to_static():
 
 def test_liquid_params_match_scripted_oracle():
     rng = np.random.default_rng(7)
-    params = HC.HcParams(n=2, d=2, liquid=True, rng=rng)
+    params = HC.HcParams(n=2, d=2, rng=rng)
     X = rng.standard_normal((2, 2))  # [n, d]
     B_eff, Am_eff, Ar_eff = HC.hc_liquid_params(params, Tensor(X))
 
@@ -114,12 +118,6 @@ def test_liquid_params_match_scripted_oracle():
     assert np.allclose(B_eff.data, b, atol=1e-12)
     assert np.allclose(Am_eff.data, am, atol=1e-12)
     assert np.allclose(Ar_eff.data, ar, atol=1e-12)
-
-
-def test_liquid_requires_liquid_params():
-    params = HC.HcParams(n=2)
-    with pytest.raises(ValueError):
-        HC.hc_liquid_params(params, Tensor(np.zeros((2, 3))))
 
 
 def test_finalize_single_stream_is_layer_norm():
@@ -149,7 +147,7 @@ def test_finalize_matches_oracle():
 def test_block_n1_unit_params_bitwise_equals_residual():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((2, 5, 3)))
-    params = HC.HcParams(n=1)
+    params = _params(1)
 
     def sublayer(t):
         return T.tanh(t)
@@ -166,23 +164,19 @@ def test_liquid_block_zero_scale_bitwise_equals_static_block():
     rng = np.random.default_rng(12)
     x = Tensor(rng.standard_normal((2, 4, 3)))
 
-    static = HC.HcParams(n=2)
-    liquid = HC.HcParams(n=2, d=3, liquid=True, rng=np.random.default_rng(13))
+    # the static block's fixed weights, copied into a zero-scale liquid one
+    B, A_m, A_r = (Tensor(rng.standard_normal(shape)) for shape in (2, 2, (2, 2)))
+    liquid = HC.HcParams(n=2, d=3, rng=np.random.default_rng(13))
     liquid.s_b.data[...] = 0.0
     liquid.s_a.data[...] = 0.0
-    for p in (static, liquid):
-        p.B.data[...] = rng.standard_normal(2)
-        p.A_m.data[...] = rng.standard_normal(2)
-        p.A_r.data[...] = rng.standard_normal((2, 2))
-    liquid.B.data[...] = static.B.data
-    liquid.A_m.data[...] = static.A_m.data
-    liquid.A_r.data[...] = static.A_r.data
+    for name, static in (("B", B), ("A_m", A_m), ("A_r", A_r)):
+        getattr(liquid, name).data[...] = static.data
 
     def sublayer(t):
         return T.sigmoid(t)
 
     H = HC.expand_streams(x, 2)
-    out_static = HC.hc_block(static, H, sublayer)
+    out_static = HC.hc_combine(B, A_r, H, sublayer(HC.hc_aggregate(A_m, H)))
     out_liquid = HC.hc_block(liquid, H, sublayer)
     assert np.array_equal(out_static.data, out_liquid.data)
 
@@ -191,7 +185,7 @@ def test_width_depth_decomposition_equals_monolithic_matrix():
     # monolithic: [x0; H_hat] stacked = HC_matrix^T [z; H] with z = L(x0)
     rng = np.random.default_rng(14)
     n, d = 3, 4
-    params = HC.HcParams(n=n)
+    params = _params(n)
     params.B.data[...] = rng.standard_normal(n)
     params.A_m.data[...] = rng.standard_normal(n)
     params.A_r.data[...] = rng.standard_normal((n, n))
@@ -265,4 +259,4 @@ def test_stream_mixing_is_the_composition_on_one_tape_node(op, liquid):
 
 def test_expansion_rate_must_be_positive():
     with pytest.raises(ValueError):
-        HC.HcParams(n=0)
+        _params(0)

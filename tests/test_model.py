@@ -22,7 +22,7 @@ def _sigmoid(x):
 
 def _cfg(**kw):
     lan_kw = dict(d_model=8, heads=2, euler_steps=2, top_k=None,
-                  epsilon=1e-3, sink_gate_enabled=False, causal=False)
+                  sink_gate_enabled=False, causal=False)
     for key in list(kw):
         if key in lan_kw:
             lan_kw[key] = kw.pop(key)
@@ -128,11 +128,19 @@ def test_model_output_shape_contract():
     assert out.shape == (3, 4, 2)
 
 
-def test_model_forward_records_every_attention_block():
+def test_model_forward_records_every_attention_block(monkeypatch):
     model = M.FluidModel(_cfg(seed=10, n_layers=2))
     rng = np.random.default_rng(11)
     mask = np.ones((3, 5), dtype=bool)
     mask[1, -2:] = False
+    weights, attend = [], A.attend
+
+    def spy(*args, **kwargs):
+        result = attend(*args, **kwargs)
+        weights.append(result[1].shape)
+        return result
+
+    monkeypatch.setattr(A, "attend", spy)
     collect = {}
     model.forward(values=rng.standard_normal((3, 5, 2)),
                   times=np.sort(rng.uniform(0, 1, (3, 5)), axis=1),
@@ -145,7 +153,9 @@ def test_model_forward_records_every_attention_block():
                                (collect["cross"]["trajectories"], (3, 2, 4, 5))):
         assert len(trajs) == 2
         assert all(t.f_tau.shape == pairs_shape + (2,) for t in trajs)
-    assert len(collect["self"]["weights"]) == 2
+    assert set(collect) == {"trajectories", "self", "cross"}
+    # the encoder's blocks run first, then each decoder layer's two
+    assert weights == [(3, 2, 5, 5)] * 2 + [(3, 2, 4, 4), (3, 2, 4, 5)] * 2
 
 
 def test_model_zero_weights_predict_output_bias():
@@ -178,8 +188,8 @@ def test_model_names_a_feature_count_mismatch():
 
 @pytest.mark.parametrize("kw", [
     {}, {"top_k": 3}, {"hc_mode": "liquid", "hc_streams": 2},
-    {"hc_mode": "static", "hc_streams": 2, "n_layers": 2, "top_k": 3},
-], ids=["full", "top-k", "liquid", "static-two-layers-top-k"])
+    {"hc_mode": "liquid", "hc_streams": 2, "n_layers": 2, "top_k": 3},
+], ids=["full", "top-k", "liquid", "liquid-two-layers-top-k"])
 def test_no_grad_forward_and_evaluate_match_the_tape(kw):
     data = D.spiral_arrays(D.generate_spirals(
         D.SpiralSpec(n_spirals=5, n_points=30, n_subsample=12, seed=4)))
@@ -215,7 +225,7 @@ def test_config_rejects_a_bad_field_at_construction(field, value, problem):
     (lambda: A.LanConfig(d_model=8, heads=0), "heads must be >= 1"),
     (lambda: A.LanConfig(d_model=0, heads=0, top_k=0),
      "d_model, heads, top_k must be >= 1"),
-    (lambda: _cfg(n_layers=-1, ffn_dim=0, hc_mode="static", hc_streams=0),
+    (lambda: _cfg(n_layers=-1, ffn_dim=0, hc_mode="liquid", hc_streams=0),
      "ffn_dim, hc_streams must be >= 1"),
     (lambda: TR.TrainConfig(epochs=-1, batch_size=0), "batch_size must be >= 1"),
     (lambda: TR.TrainConfig(epochs=-1, seed=-2), "epochs, seed must be >= 0"),
@@ -232,7 +242,6 @@ def test_bound_errors_name_exactly_the_fields_out_of_bounds(make, message):
 
 
 _REAL_FIELDS = {
-    "epsilon": lambda v: A.LanConfig(d_model=8, heads=2, epsilon=v),
     "lr": lambda v: TR.TrainConfig(lr=v),
     "weight_decay": lambda v: TR.TrainConfig(weight_decay=v),
     "grad_clip": lambda v: TR.TrainConfig(grad_clip=-v),
@@ -243,8 +252,8 @@ _REAL_FIELDS = {
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("field", list(_REAL_FIELDS))
 def test_real_config_fields_must_be_finite(field, value):
-    # NaN passes every bound check by comparison, and inf saturates: an
-    # inf epsilon would clamp dt to 0 and keep every logit at 0
+    # NaN passes every bound check by comparison, and inf saturates what
+    # it scales
     with pytest.raises(ValueError) as err:
         _REAL_FIELDS[field](value)
     assert str(err.value).startswith(f"{field} must be a finite number, not ")
@@ -278,11 +287,15 @@ def test_embedding_shared_between_encoder_and_decoder():
 
 def test_static_hc_n1_unit_params_matches_residual_model():
     res = M.FluidModel(_cfg(seed=16, hc_mode="residual"))
-    hc = M.FluidModel(_cfg(seed=16, hc_mode="static", hc_streams=1))
+    # the static block is the liquid one at zero scale; n = 1 starts with
+    # unit B, A_m and A_r
+    hc = M.FluidModel(_cfg(seed=16, hc_mode="liquid", hc_streams=1))
     # same init draw order except the hc params; align shared tensors
     res_params = res.parameters()
     for name, p in hc.parameters().items():
-        if name in res_params:
+        if name.endswith(("hc.s_b", "hc.s_a")):
+            p.data[...] = 0.0
+        elif name in res_params:
             p.data[...] = res_params[name].data
     rng = np.random.default_rng(17)
     values = rng.standard_normal((2, 4, 2))
@@ -302,14 +315,16 @@ def test_static_hc_n1_unit_params_matches_residual_model():
 
 
 def test_liquid_hc_zero_scale_matches_static_hc():
-    static = M.FluidModel(_cfg(seed=18, hc_mode="static", hc_streams=2))
+    # the static block, B, A_m and A_r fixed, is also the liquid one with
+    # zero projections: tanh(0) = 0 adds nothing at any scale
+    static = M.FluidModel(_cfg(seed=18, hc_mode="liquid", hc_streams=2))
     liquid = M.FluidModel(_cfg(seed=18, hc_mode="liquid", hc_streams=2))
-    st = static.parameters()
+    for name, p in static.parameters().items():
+        if name.endswith(("hc.W_b", "hc.W_m", "hc.W_r")):
+            p.data[...] = 0.0
     for name, p in liquid.parameters().items():
         if name.endswith(("hc.s_b", "hc.s_a")):
             p.data[...] = 0.0
-        elif name in st:
-            p.data[...] = st[name].data
     rng = np.random.default_rng(19)
     values = rng.standard_normal((1, 3, 2))
     times = np.tile(np.arange(3.0), (1, 1))

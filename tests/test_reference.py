@@ -82,8 +82,8 @@ def test_unfrozen_gates_show_nonzero_gap():
     k = rng.standard_normal((3, D))
     v = rng.standard_normal((3, D))
     cfg = A.LanConfig(d_model=D, heads=1, euler_steps=1, top_k=None,
-                      epsilon=1e-3, sink_gate_enabled=False, causal=False)
-    core = A.RecurrentGateCore(D, 1e-3, rng, heads=1)
+                      sink_gate_enabled=False, causal=False)
+    core = A.RecurrentGateCore(D, rng, heads=1)
     out, _, _, _ = A.attend(Tensor(q[None, None]), Tensor(k[None, None]),
                             Tensor(v[None, None]), core, cfg)
     expected, _ = R.sdpa_reference(q, k, v)

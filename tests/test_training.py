@@ -16,7 +16,7 @@ from fluid.tensor import Tensor
 
 def micro_model(seed=0, **kw):
     lan_kw = dict(d_model=8, heads=2, euler_steps=2, top_k=None,
-                  epsilon=1e-3, sink_gate_enabled=False, causal=False)
+                  sink_gate_enabled=False, causal=False)
     for key in list(kw):
         if key in lan_kw:
             lan_kw[key] = kw.pop(key)
