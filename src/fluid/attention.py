@@ -30,11 +30,14 @@ Inference runs the same kernel without keeping anything. The (head,
 block) work items run on ``fluid.pool``, which top-k selection shares,
 one thread per CPU, with the same results for any number of threads.
 
-Gates are [2N,B,H,T_q,K_eff], f_tau in rows :N and f_phi in rows N:,
-each row in the shape of the pair batch's valid mask; they outlive a
-forward only in a trajectory the caller keeps. The Euler states are never
-kept: ``integrate_logits`` runs them over two rows, and a trajectory
-rebuilds them from its gates when they are read.
+Gates live per block: each work item computes the gates [2N, block] of
+its pairs, f_tau in rows :N and f_phi in rows N:, and the calling thread
+runs them through ``integrate_logits`` as they come and drops them, so
+the gates of a whole pass never exist at once. Only a caller that asks
+for a trajectory gets them whole, as [2N,B,H,T_q,K_eff] in a
+``LogitTrajectory``. The Euler states are never kept: ``integrate_logits``
+runs them over two rows, and a trajectory rebuilds them from its gates
+when they are read.
 
 Final logits pass through a masked softmax, and one op contracts the
 weights with the selected values a chunk of query rows at a time, so the
@@ -126,6 +129,14 @@ class LogitTrajectory:
     dt_effective: float
     dt_nominal: float
 
+    @classmethod
+    def of(cls, gates: np.ndarray, dt_effective: float, dt_nominal: float):
+        """The trajectory of gates [2N, ...], views of their rows."""
+        n_steps = len(gates) // 2
+        return cls(np.moveaxis(gates[:n_steps], 0, -1),
+                   np.moveaxis(gates[n_steps:], 0, -1), dt_effective,
+                   float(dt_nominal))
+
     @functools.cached_property
     def a(self) -> np.ndarray:
         f_tau, f_phi = (np.moveaxis(f, -1, 0) for f in (self.f_tau, self.f_phi))
@@ -174,7 +185,8 @@ class RecurrentGateCore:
     ``project_pairs`` projects each query and key once, into one
     channel-major buffer per projection, and returns the factored
     ``pairs.PairInput``. ``unroll`` is one tape op from it to the
-    final logits, ``_gru_forward`` then ``integrate_logits``. Its tape
+    final logits: ``_gru_forward``, whose blocks of gates go through
+    ``integrate_logits`` one at a time. Its tape
     keeps only the pair input, the weights, the hidden states
     h_1 .. h_{N-2}, the clamped dt and the final logits
     (Gruslys et al., "Memory-Efficient Backpropagation Through Time"; Chen
@@ -188,25 +200,25 @@ class RecurrentGateCore:
     ``no_grad`` it keeps nothing; both modes give bitwise the same logits.
 
     The kernel runs on each head's packed pairs (``PairInput.counts``),
-    its valid pairs in slot order; ``unroll`` gives every invalid slot the
-    floor gates f_tau = eps, f_phi = 0, which no gradient reaches. It cuts
-    the packed pairs into contiguous, balanced blocks whose input [3h,
-    block] holds at most ``_BLOCK_SCALARS`` scalars, a cut that depends on
-    the pair and channel counts alone, and runs the (head, block) work
-    items on ``fluid.pool``, one thread per CPU (numpy releases the GIL
-    inside ufuncs and GEMMs), or inline with one CPU or one item. An item
-    reads the core's own weight buffers and forms its block's input and
-    all its scratch itself, so the pair input is never whole in memory.
+    its valid pairs in slot order; an invalid slot has the floor gates
+    f_tau = eps, f_phi = 0, so its logit stays 0 and no gradient reaches
+    it. It cuts the packed pairs into contiguous, balanced blocks whose
+    input [3h, block] holds at most ``_BLOCK_SCALARS`` scalars, a cut that
+    depends on the pair and channel counts alone, and runs the (head,
+    block) work items on ``fluid.pool``, one thread per CPU (numpy releases
+    the GIL inside ufuncs and GEMMs), or inline with one CPU or one item.
+    An item reads the core's own weight buffers and forms its block's input
+    and all its scratch itself, so the pair input is never whole in memory.
     Besides its input, a forward item holds one scratch [max(3h, N),
-    block], which the cell overwrites in place, and one state [h, block],
-    so while 3h >= N an item holds the same number of scalars at every
-    head width. Gates are stored head-major ([2N, H, slots]) and seen as
-    one tensor [2N,B,H,T_q,K_eff]. Items write their gates and hidden
-    states by position and return their gradient partials, summed in item
-    order: outputs and every gradient are bitwise the same for any number
-    of threads. The backward cuts only the live pairs into blocks, those
-    whose final logit's gradient is not 0; the rest add exactly 0 to every
-    gradient (see ``_gru_backward``).
+    block], which the cell overwrites in place, one state [h, block] and
+    its gates [2N, block], so while 3h >= N an item holds the same number
+    of scalars at every head width. Forward items return their gates,
+    which the calling thread integrates in item order, and write their
+    hidden states by position; backward items return their gradient
+    partials, summed in item order: outputs and every gradient are bitwise
+    the same for any number of threads. The backward cuts only the live
+    pairs into blocks, those whose final logit's gradient is not 0; the
+    rest add exactly 0 to every gradient (see ``_gru_backward``).
     """
 
     def __init__(self, head_dim: int, rng: np.random.Generator, heads: int):
@@ -229,10 +241,10 @@ class RecurrentGateCore:
                 "W_h": self.W_h, "W_o": self.W_o, "b_o": self.b_o}
 
     def logits(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
-               n_steps: int):
-        """(final logits [B,H,T_q,K_eff], LogitTrajectory) of the pairs
-        ``pb`` selects from [B,H,T,D] q, k."""
-        return self.unroll(self.project_pairs(q, k, pb), n_steps)
+               n_steps: int, trajectory: bool = False):
+        """(final logits [B,H,T_q,K_eff], LogitTrajectory or None) of the
+        pairs ``pb`` selects from [B,H,T,D] q, k; see ``unroll``."""
+        return self.unroll(self.project_pairs(q, k, pb), n_steps, trajectory)
 
     def project_pairs(self, q: Tensor, k: Tensor,
                       pb: pairs_mod.PairBatch) -> pairs_mod.PairInput:
@@ -245,16 +257,19 @@ class RecurrentGateCore:
         kp = T.matmul(k, T.narrow(self.W_u, -2, D, D), order=order)
         return pairs_mod.PairInput(qp, kp, pb)
 
-    def unroll(self, pin: pairs_mod.PairInput, n_steps: int):
-        """Final logits and their trajectory from the pair input ``pin``
-        after ``n_steps`` steps of dt_nominal = 1/n_steps.
+    def unroll(self, pin: pairs_mod.PairInput, n_steps: int,
+               trajectory: bool = False):
+        """Final logits, and their trajectory on request, from the pair
+        input ``pin`` after ``n_steps`` steps of dt_nominal = 1/n_steps.
 
         pin: [B,H,...,3h], factored; the op's parents are its projected
         queries and keys and the gate weights. Returns (final logits
-        [B,H,T_q,K_eff], LogitTrajectory), ``integrate_logits``' result
-        with its logits wrapped in this op's tensor. The tape holds the
-        hidden states [H, max(N-2, 0), h, packed pairs] and the final
-        logits, not the trajectory.
+        [B,H,T_q,K_eff], LogitTrajectory or None). The calling thread
+        integrates each item's gates as they come, at dt_nominal; where the
+        clamped dt of the pass, known once every item has reported its
+        f_tau max, is smaller, the items run again without the tape and
+        integrate at it. The tape holds the hidden states [H, max(N-2, 0),
+        h, packed pairs] and the final logits.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -264,14 +279,13 @@ class RecurrentGateCore:
             raise ValueError(f"pair batch {pin.shape} has no head axis of {H}")
         B = pin.shape[0]
         P = pin.size // (H * C)
-        # head-major [2N, H, pairs] in memory, seen as [2N,B,H,T_q,K_eff]
-        g_hm = np.empty((2 * n_steps, H, P))
-        if pin.invalid is not None:
-            # the floor gates; a valid f_tau = softplus + eps >= eps
-            np.copyto(g_hm[:n_steps], _EPSILON, where=pin.invalid)
-            np.copyto(g_hm[n_steps:], 0.0, where=pin.invalid)
-        gates = np.moveaxis(
-            g_hm.reshape((2 * n_steps, H, B) + pin.shape[2:-1]), 2, 1)
+        pairs_shape = (H, B) + pin.shape[2:-1]
+        dt_nominal = 1.0 / n_steps
+        gates = None
+        if trajectory:
+            # head-major [2N, H, slots]; a valid f_tau = softplus + eps >= eps
+            gates = np.zeros((2 * n_steps, H, P))
+            gates[:n_steps] = _EPSILON
 
         # in the order of _gru_backward's gradients
         inputs = (pin.qp, pin.kp, self.W_h, self.w_t, self.b_x, self.W_o,
@@ -281,11 +295,27 @@ class RecurrentGateCore:
         saved = (np.empty((H, max(n_steps - 2, 0), h, max(pin.counts)))
                  if T._grad_enabled() and any(t.requires_grad for t in inputs)
                  else None)
-        _gru_forward(pin, w, g_hm, saved)
-        final, traj = integrate_logits(gates, 1.0 / n_steps)
+        logits = np.zeros((H, P))       # an invalid slot's logit stays 0
+
+        def run(dt, gates, saved):
+            # returns the clamped dt of the pass, min(dt_nominal, 1/max f_tau)
+            maxima = []
+            for (hd, sel), (block, top) in _gru_forward(pin, w, n_steps,
+                                                        gates, saved):
+                logits[hd, pin.slots(hd, sel)] = integrate_logits(block, dt)[0]
+                maxima.append(top)
+            return float(min(dt_nominal, 1.0 / np.max(maxima)) if maxima
+                         else dt_nominal)
+
+        dt = run(dt_nominal, gates, saved)
+        if dt < dt_nominal:
+            run(dt, None, None)
+        final = np.moveaxis(logits.reshape(pairs_shape), 1, 0)
+        traj = None if gates is None else LogitTrajectory.of(
+            np.moveaxis(gates.reshape((2 * n_steps,) + pairs_shape), 2, 1),
+            dt, dt_nominal)
         if saved is None:
             return Tensor(final), traj
-        dt = traj.dt_effective
 
         def rule(g):
             # one head-major copy [H, 1, slots]: items run the adjoint on
@@ -338,6 +368,14 @@ def _state(prev, cn, d_z, out):
     out -= cn
 
 
+def _hidden_projection(W_hnT, prev, out):
+    """out <- W_hnT prev. On one pair numpy's matrix-vector product gives
+    bits that depend on prev's stride at some head widths, so a column is
+    made contiguous: a saved state then gives a free state's bits."""
+    np.matmul(W_hnT, prev if prev.shape[1] > 1 else np.ascontiguousarray(prev),
+              out=out)
+
+
 def _negate_input(x, w, hd, n_steps):
     """x <- -(x + b_x) in place; returns the time terms t_n w_t [N,3h,1],
     t_n = n * dt_nominal with dt_nominal = 1/N."""
@@ -378,21 +416,24 @@ def _items(counts: list[int], C: int, live: list | None = None) -> list[tuple]:
     return items
 
 
-def _gru_forward(pin, w, gates, saved):
-    """Run every head's GRU on the packed pairs of ``pin`` and write f_tau
-    (rows :N) and f_phi (rows N:) of ``gates`` [2N,H,slots]. With
-    ``saved`` [H,N-2,h,packed pairs] the hidden states h_1 .. h_{N-2} are
-    kept there for the backward."""
+def _gru_forward(pin, w, n_steps, gates, saved):
+    """Run every head's GRU on the packed pairs of ``pin``, one work item
+    per block: yields ((head, selector), (gates [2N, block], max f_tau)) of
+    each item in item order, f_tau in the block's rows :N and f_phi in rows
+    N:. With ``gates`` [2N,H,slots] the items also write their blocks there;
+    with ``saved`` [H,N-2,h,packed pairs] they keep the hidden states h_1
+    .. h_{N-2} there for the backward."""
     def item(hd, sel):
         x = pin.block(hd, sel)
-        out = (gates[:, hd, sel] if pin.pos is None
-               else np.empty((len(gates), x.shape[1])))
+        out = np.empty((2 * n_steps, x.shape[1]))
         _forward_block(x, w, hd, out,
                        None if saved is None else saved[hd, :, :, sel])
-        if pin.pos is not None:
-            gates[:, hd, pin.pos[hd][sel]] = out
+        if gates is not None:
+            gates[:, hd, pin.slots(hd, sel)] = out
+        return out, np.max(out[:n_steps])
 
-    pool._run_items(item, _items(pin.counts, pin.shape[-1]))
+    items = _items(pin.counts, pin.shape[-1])
+    return zip(items, pool._run_items(item, items))
 
 
 def _forward_block(x, w, hd, gates, saved):
@@ -415,7 +456,7 @@ def _forward_block(x, w, hd, gates, saved):
     for n in range(N):
         new = hidden if saved is None or not 0 < n < N - 1 else saved[n - 1]
         if prev is not None:
-            np.matmul(W_hnT, prev, out=hpn)
+            _hidden_projection(W_hnT, prev, hpn)
         _cell(x, None if prev is None else hpn, tw[n], d, cn)
         _state(prev, cn, d[h:], new)
         prev = new
@@ -462,7 +503,7 @@ def _gru_backward(g, pin, w, saved, n_steps, dt):
             saved[hd][..., sel], n_steps, dt)
         return parts, pin.block_grads(hd, sel, dx)
 
-    results = pool._run_items(item, items)
+    results = list(pool._run_items(item, items))
     totals = tuple(np.zeros_like(w[n])
                    for n in ("W_h", "w_t", "b_x", "W_o", "b_o"))
     for (hd, _), (parts, _) in zip(items, results):
@@ -532,7 +573,7 @@ def _backward_block(g, x, w, hd, saved, n_steps, dt):
         if prev is None:
             d_z, c_n = d0, c0
         else:
-            np.matmul(W_hnT, prev, out=hpn)
+            _hidden_projection(W_hnT, prev, hpn)
             _cell(x, hpn, tw[n], d, cn)
             d_z, c_n = d[h:], cn
         new = h0 if n == 0 else dcp if n == N - 1 else saved[n - 1]
@@ -621,9 +662,7 @@ def integrate_logits(gates: np.ndarray, dt_nominal: float):
     pair = [np.empty(gates.shape[1:]), np.empty(gates.shape[1:])]
     pair[0][...] = 0.0
     _euler_states([pair[n % 2] for n in range(n_steps + 1)], f_tau, f_phi, dt)
-    return pair[n_steps % 2], LogitTrajectory(
-        np.moveaxis(f_tau, 0, -1), np.moveaxis(f_phi, 0, -1), dt,
-        float(dt_nominal))
+    return pair[n_steps % 2], LogitTrajectory.of(gates, dt, dt_nominal)
 
 
 def _euler_states(a, f_tau: np.ndarray, f_phi: np.ndarray, dt: float):
@@ -670,11 +709,12 @@ def _euler_adjoint(g: np.ndarray, f_tau: np.ndarray, a: np.ndarray,
 # --------------------------------------------------------------------------
 
 def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
-           key_mask: np.ndarray | None = None):
+           key_mask: np.ndarray | None = None, trajectory: bool = False):
     """The per-head pipeline on [B,H,T,D] inputs: pair curation, gates,
     Euler integration, masked softmax, and the weighted sum of the selected
     values (``T.gather_weighted``, which never gathers them whole). Returns
-    (heads out [B,H,T_q,D_v], weights [B,H,T_q,K_eff], pairs, trajectory).
+    (heads out [B,H,T_q,D_v], weights [B,H,T_q,K_eff], pairs, trajectory),
+    the trajectory None unless ``trajectory`` asks for it.
     """
     if cfg.top_k is None:
         pb = pairs_mod.full_pairwise_concat(q, k, causal=cfg.causal,
@@ -682,7 +722,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
     else:
         pb = pairs_mod.topk_concat(q, k, cfg.top_k, causal=cfg.causal,
                                    key_mask=key_mask)
-    a_final, traj = core.logits(q, k, pb, cfg.euler_steps)
+    a_final, traj = core.logits(q, k, pb, cfg.euler_steps, trajectory)
 
     alpha = T.masked_softmax(a_final, pb.valid_mask)
     out = T.gather_weighted(alpha, v, pb.selected_indices)
@@ -748,7 +788,8 @@ class MultiHeadLan:
         q = self._project(x_q, self.W_q, self.b_q)
         k = self._project(x_kv, self.W_k, self.b_k)
         v = self._project(x_kv, self.W_v, self.b_v)
-        out_heads, _, _, traj = attend(q, k, v, self.core, cfg, key_mask)
+        out_heads, _, _, traj = attend(q, k, v, self.core, cfg, key_mask,
+                                       trajectory=collect is not None)
         merged = T.reshape(T.swapaxes(out_heads, 1, 2),
                            (B, T_q, cfg.heads * cfg.head_dim))
 

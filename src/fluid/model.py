@@ -314,18 +314,18 @@ def load_checkpoint(path: str) -> FluidModel:
     model = FluidModel(_config_from_dict(manifest["config"], path))
     params = model.parameters()
     if sorted(params) != manifest["params"]:
-        raise ValueError("checkpoint parameter names do not match the "
-                         "reconstructed architecture")
+        raise ValueError(f"{path}: checkpoint parameter names do not match "
+                         f"the reconstructed architecture")
     with open(os.path.join(path, "tensors.bin"), "rb") as fh:
         buf = fh.read()
     offset = 0
     for name in manifest["params"]:
         loaded, offset = T.deserialize_tensor(buf, offset)
         if loaded.shape != params[name].shape:
-            raise ValueError(f"shape mismatch for {name}: "
+            raise ValueError(f"{path}: shape mismatch for {name}: "
                              f"{loaded.shape} vs {params[name].shape}")
         params[name].data[...] = loaded.data
     if offset != len(buf):
-        raise ValueError(f"{len(buf) - offset} trailing bytes after the "
-                         f"last tensor")
+        raise ValueError(f"{path}: {len(buf) - offset} trailing bytes after "
+                         f"the last tensor")
     return model

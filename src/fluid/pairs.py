@@ -222,8 +222,9 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     # a span of at least 4 rows keeps every span at 2 rows or more
     span = max(4, _SLICE_SCORES // T_k)
     m, n = max(1, span // T_q), -(-T_q // span)
-    pool._run_items(rank, [(g0, min(g0 + m, G), T_q * i // n, T_q * (i + 1) // n)
-                           for g0 in range(0, G, m) for i in range(n)])
+    slices = [(g0, min(g0 + m, G), T_q * i // n, T_q * (i + 1) // n)
+              for g0 in range(0, G, m) for i in range(n)]
+    list(pool._run_items(rank, slices))
     return PairBatch(indices.reshape(B, H, T_q, K_eff), valid.reshape(B, H, T_q, K_eff))
 
 

@@ -14,6 +14,7 @@ import contextvars
 import ctypes
 import functools
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
@@ -60,22 +61,42 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _run_items(fn, items: list[tuple]) -> list:
-    """fn(*item) for every item, results in item order.
+def _boxed(context, fn, item):
+    # the result in a list that the caller empties: a worker that still
+    # holds its finished future then holds no result
+    return [context.run(fn, *item)]
+
+
+def _run_items(fn, items: list[tuple]):
+    """Yield fn(*item) for every item, in item order.
 
     Items run on the module's thread pool, made once at import with one
     thread per CPU, when there are several workers and several items, else
-    inline; a pooled item runs in a copy of the caller's context, so the
-    caller's ``np.errstate`` holds in it. Callers in several threads may
-    submit at once, but an item must never submit to the pool: with every
-    worker waiting on a nested item, nothing would run it. Every item
-    finishes before the first exception (in item order) is raised. Item
-    bodies are pure numpy, which releases the GIL inside ufuncs and GEMMs.
+    inline as each result is asked for. A pooled item runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds in it. The
+    first result asked for submits every item; each result is yielded once
+    it and every earlier one are done, and the pool keeps no reference to
+    it, so a result the caller drops is freed at once. Every pooled item
+    finishes before the first exception (in item order) is raised; closing
+    the generator early cancels the items not yet started and waits for the
+    running ones. Callers in several threads may submit at once, but an
+    item must never submit to the pool: with every worker waiting on a
+    nested item, nothing would run it. Item bodies are pure numpy, which
+    releases the GIL inside ufuncs and GEMMs.
     """
     if min(_WORKERS, len(items)) <= 1:
-        return [fn(*item) for item in items]
+        for item in items:
+            yield fn(*item)
+        return
     _one_blas_thread()
-    futures = [_pool.submit(contextvars.copy_context().run, fn, *item)
-               for item in items]
-    wait(futures)
-    return [f.result() for f in futures]
+    futures = deque(_pool.submit(_boxed, contextvars.copy_context(), fn, item)
+                    for item in items)
+    try:
+        while futures:
+            if futures[0].exception() is not None:
+                wait(futures)
+            yield futures.popleft().result().pop()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)

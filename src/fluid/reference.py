@@ -113,7 +113,8 @@ class FrozenGates:
     ``logits`` takes that step whatever step count the block has. Numpy on
     the values of q and k: no gradient flows through it."""
 
-    def logits(self, q: Tensor, k: Tensor, pb: pairs.PairBatch, n_steps: int):
+    def logits(self, q: Tensor, k: Tensor, pb: pairs.PairBatch, n_steps: int,
+               trajectory: bool = False):
         B, H, T_q, D = q.shape
         k_sel = k.data[np.arange(B)[:, None, None, None],
                        np.arange(H)[:, None, None], pb.selected_indices]
@@ -121,7 +122,7 @@ class FrozenGates:
         f_phi = dots * (1.0 / np.sqrt(D))
         gates = np.stack([np.ones_like(f_phi), f_phi])
         final, traj = A.integrate_logits(gates, 1.0)
-        return Tensor(final), traj
+        return Tensor(final), traj if trajectory else None
 
 
 def verify_sdpa_limit(seed: int = 0) -> dict:

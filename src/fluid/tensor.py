@@ -157,12 +157,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), rule)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar kept off the tape (e.g. the clamped dt)."""
-    c = float(c)
-    return _node(a.data * c, (a,), lambda g: (g * c,))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
@@ -243,17 +237,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {shape}")
     orig = a.shape
     return _node(out, (a,), lambda g: (_unbroadcast(g, orig),))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def rule(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(out, tensors, rule)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

@@ -132,13 +132,26 @@ def pair_sum(a: Tensor, b: Tensor, batch: PairBatch) -> Tensor:
     return T._node(out.transpose(2, 0, 3, 4, 1), (a, b), rule)
 
 
+def scale(a: Tensor, c: float) -> Tensor:
+    """a times a python scalar kept off the tape, such as the clamped dt."""
+    c = float(c)
+    return T._node(a.data * c, (a,), lambda g: (g * c,))
+
+
+def concat(tensors, axis: int = -1) -> Tensor:
+    """The tensors joined along ``axis``, as one tape op."""
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return T._node(out, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
+
+
 def concat_pairs(q: Tensor, k: Tensor, pb) -> Tensor:
     """u = [q_i; k_j] for every selected pair, zero on invalid pairs."""
     B, H, T_q, D = q.shape
     K = pb.selected_indices.shape[3]
     k_sel = T.gather_keys(k, pb.selected_indices)
     q_tiled = T.broadcast_to(T.reshape(q, (B, H, T_q, 1, D)), (B, H, T_q, K, D))
-    u = T.concat([q_tiled, k_sel], axis=-1)
+    u = concat([q_tiled, k_sel], axis=-1)
     if not pb.valid_mask.all():
         u = T.mul(u, Tensor(pb.valid_mask[..., None].astype(np.float64)))
     return u
@@ -193,7 +206,7 @@ def _heads(w, hidden: Tensor):
 def gru_step(core, w, u_proj: Tensor, t_n: float, hidden):
     """One recurrent step on the projected input, with the weight views
     ``w`` of ``broadcast_weights``; (f_tau, f_phi, hidden)."""
-    step_bias = T.add(T.scale(w["w_t"], t_n), w["b_x"])
+    step_bias = T.add(scale(w["w_t"], t_n), w["b_x"])
     new_hidden = _cell(w, core.hidden_dim, T.add(u_proj, step_bias), hidden)
     f_tau, f_phi = _heads(w, new_hidden)
     return f_tau, f_phi, new_hidden
@@ -212,7 +225,7 @@ def gru_unroll(core, u: Tensor, n_steps: int):
                                         hidden)
         f_taus.append(f_tau)
         f_phis.append(f_phi)
-    return T.concat([T.reshape(g, (1,) + g.shape) for g in f_taus + f_phis],
+    return concat([T.reshape(g, (1,) + g.shape) for g in f_taus + f_phis],
                     axis=0)
 
 
@@ -253,7 +266,7 @@ def euler_step(a_n: Tensor, f_tau: Tensor, f_phi: Tensor, dt: float) -> Tensor:
     """a_{n+1} = a_n + dt * (-f_tau * a_n + f_phi), from tape ops."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return T.add(a_n, T.scale(T.sub(f_phi, T.mul(f_tau, a_n)), dt))
+    return T.add(a_n, scale(T.sub(f_phi, T.mul(f_tau, a_n)), dt))
 
 
 def euler_chain(gates: Tensor, dt: float, a0: Tensor):

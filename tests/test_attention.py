@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -16,9 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (concat_pairs, euler_chain, euler_step, gru_unroll,
-                      pair_sum, peak_bytes)
+from conftest import (concat, concat_pairs, euler_chain, euler_step,
+                      gru_unroll, pair_sum, peak_bytes)
 from fluid import attention as A
 from fluid import model as M
 from fluid import pairs, pool
@@ -62,7 +65,7 @@ def _traj_gates(traj):
 
 def _gates(core, u, n_steps):
     """The gates [2N,1,1,P,1] the core's unroll gives raw pair inputs u."""
-    _, traj = core.unroll(_project(core, u), n_steps)
+    _, traj = core.unroll(_project(core, u), n_steps, trajectory=True)
     return _traj_gates(traj)
 
 
@@ -201,7 +204,7 @@ def _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng,
             p.zero_grad()
         with np.errstate(**(errstate if fused and errstate else {})):
             if fused:
-                final, traj = core.logits(q, k, pb, n_steps)
+                final, traj = core.logits(q, k, pb, n_steps, trajectory=True)
                 gates = _traj_gates(traj)
             else:
                 final, gates = _composed_logits(core, q, k, pb, n_steps)
@@ -234,7 +237,8 @@ def test_f_tau_derivative_from_the_kept_gates_matches_the_oracle(case, n_steps,
     qa, ka, pb = _gate_case(case, rng)
     assert pb.valid_mask.all() == (case == "full")    # unpacked, packed
     with T.no_grad():
-        f_tau = core.logits(Tensor(qa), Tensor(ka), pb, n_steps)[1].f_tau
+        f_tau = core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
+                            trajectory=True)[1].f_tau
     f_tau = f_tau[pb.valid_mask]        # invalid slots hold the floor eps
     assert (f_tau < 2e-3).all() if bias < 0 else (f_tau > 30).all()
     _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng)
@@ -250,7 +254,8 @@ def test_saturated_f_tau_is_exact_under_raising_errstate(bias):
     core.b_o.data[:, 1] = bias
     qa, ka, pb = _gate_case("full", rng)
     with np.errstate(all="raise"), T.no_grad():
-        final, traj = core.logits(Tensor(qa), Tensor(ka), pb, 3)
+        final, traj = core.logits(Tensor(qa), Tensor(ka), pb, 3,
+                                  trajectory=True)
     assert (traj.f_tau == max(bias, 0.0) + 1e-3).all()
     assert np.isfinite(final.data).all()
 
@@ -260,6 +265,9 @@ def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
                                                                   monkeypatch):
     rng = np.random.default_rng(73)
     core = A.RecurrentGateCore(3, rng, heads=2)
+    # f_tau below 0.7 (1.2 without the shift): the clamp stays inactive at
+    # every dt_nominal = 1/N <= 1
+    core.b_o.data[:, 1] -= 1.0
     qa, ka, pb = _gate_case("topk_blocks", rng)
     items = len(A._items(_packed_counts(pb), 3 * 3))
     assert items > core.heads
@@ -279,6 +287,17 @@ def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
     assert len(calls) == 2 * n_steps * items
     T.tsum(final).backward()
     assert len(calls) == 3 * n_steps * items
+    # where the clamp acts, each forward runs the items a second time, at
+    # the clamped dt; the backward still runs them once
+    core.b_o.data[:, 1] += 7.0
+    calls.clear()
+    with T.no_grad():
+        core.logits(Tensor(qa), Tensor(ka), pb, n_steps)
+    assert len(calls) == 2 * n_steps * items
+    final, _ = core.logits(q, Tensor(ka), pb, n_steps)
+    assert len(calls) == 4 * n_steps * items
+    T.tsum(final).backward()
+    assert len(calls) == 5 * n_steps * items
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 5])
@@ -447,7 +466,7 @@ def test_fused_gates_pass_grad_check():
         coef = rng.standard_normal(pb.valid_mask.shape)
 
         def loss():
-            final, traj = core.logits(q, k, pb, n_steps)
+            final, traj = core.logits(q, k, pb, n_steps, trajectory=True)
             assert traj.dt_effective == traj.dt_nominal == 1 / n_steps
             return _weighted_sum(final, coef)
 
@@ -469,7 +488,7 @@ def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps,
 
     def spy(*args):
         kept.append(args[-1])
-        gru_forward(*args)
+        return gru_forward(*args)
 
     monkeypatch.setattr(A, "_gru_forward", spy)
     with T.no_grad():
@@ -516,6 +535,30 @@ def test_taped_forward_keeps_no_gates_and_no_euler_states():
     assert slack < (N + 1) * final < 2 * N * final   # the states, the gates
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_grad_forward_never_holds_the_gates_of_the_pass(monkeypatch, workers):
+    # the infer_topk_t1024 layer: each item's gates go through the
+    # integrator as they come and are dropped, so the forward holds the
+    # running items' scratch and a few blocks' gates, never the gates
+    # [2N, H, pairs] of the whole pass
+    B, T_, d, H, N, K = 1, 1024, 64, 4, 5, 32
+    mh = A.MultiHeadLan(_mh_cfg(d_model=d, heads=H, euler_steps=N, top_k=K),
+                        np.random.default_rng(91))
+    x = Tensor(np.random.default_rng(92).standard_normal((B, T_, d)))
+    monkeypatch.setattr(pool, "_WORKERS", workers)
+    with T.no_grad():
+        mh.forward(x, x)                            # the pool starts
+        peak = peak_bytes(lambda: mh.forward(x, x))
+    h, pairs_ = d // H, B * T_ * K
+    block = A._BLOCK_SCALARS // (3 * h)
+    gates = 2 * N * H * pairs_ * 8
+    # an item's input, scratch, state and gates
+    item = (3 * h + max(3 * h, N) + h + 2 * N) * block * 8
+    bound = gates + 2 * item
+    assert peak < bound, (peak, bound)
+    assert peak + gates > bound                     # room for no whole gates
+
+
 @pytest.mark.parametrize("case", ["causal_masked", "topk", "long_rows"])
 def test_invalid_slots_hold_the_floor_gates(case):
     rng = np.random.default_rng(67)
@@ -523,7 +566,8 @@ def test_invalid_slots_hold_the_floor_gates(case):
     qa, ka, pb = _gate_case(case, rng)
     n_steps = 3
     with T.no_grad():
-        traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps)[1]
+        traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
+                           trajectory=True)[1]
     valid = pb.valid_mask
     assert (~valid).any()
     assert (traj.f_tau[~valid] == A._EPSILON).all()
@@ -552,10 +596,11 @@ def test_masked_keys_leave_outputs_unchanged_under_an_active_clamp():
     key_mask = np.arange(T_k + pad) < T_k
     with T.no_grad():
         out, alpha, pb, traj = A.attend(
-            Tensor(qa), Tensor(ka[:, :, :T_k]), Tensor(va[:, :, :T_k]), core, cfg)
+            Tensor(qa), Tensor(ka[:, :, :T_k]), Tensor(va[:, :, :T_k]), core, cfg,
+            trajectory=True)
         out_pad, alpha_pad, pb_pad, traj_pad = A.attend(
             Tensor(qa), Tensor(ka), Tensor(va), core, cfg,
-            key_mask=np.broadcast_to(key_mask, (B, T_k + pad)))
+            key_mask=np.broadcast_to(key_mask, (B, T_k + pad)), trajectory=True)
     assert pb.valid_mask.all() and not pb_pad.valid_mask.all()
     w = {n: p.data for n, p in core.parameters().items()}
     for hd in range(H):
@@ -595,7 +640,7 @@ def test_gate_cores_return_rows_in_the_pair_batch_shape(case):
     for core in (A.RecurrentGateCore(3, rng, heads=2),
                  R.FrozenGates()):
         for n_steps in (1, 3):
-            final, traj = core.logits(q, k, pb, n_steps)
+            final, traj = core.logits(q, k, pb, n_steps, trajectory=True)
             # the frozen gates take the attention limit's one step
             steps = 1 if isinstance(core, R.FrozenGates) else n_steps
             assert final.shape == pb.valid_mask.shape
@@ -670,7 +715,7 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
     n_steps = 3
     with T.no_grad():
         pin = core.project_pairs(q, k, pb)
-        gates = _traj_gates(core.unroll(pin, n_steps)[1])
+        gates = _traj_gates(core.unroll(pin, n_steps, trajectory=True)[1])
         up = pair_sum(pin.qp, pin.kp, pb)
     assert (pin.shape, pin.size) == (up.shape, up.size)
     got = np.moveaxis(gates, 2, 1).reshape(2 * n_steps, core.heads, -1)
@@ -723,6 +768,121 @@ def test_gates_never_build_the_pair_input(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# the whole per-head pipeline against its composed oracle, on drawn cases
+# --------------------------------------------------------------------------
+
+@st.composite
+def _attend_cases(draw):
+    """Shapes, curation, key padding, a gate block budget, a worker count
+    and whether f_tau is raised until the clamp acts, for one ``attend``.
+    Blocks of 1 to 5 pairs cut query rows and batch rows apart."""
+    B, H, D = (draw(st.integers(1, n)) for n in (3, 2, 3))
+    T_q, T_k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return dict(B=B, H=H, D=D, T_q=T_q, T_k=T_k,
+                n_steps=draw(st.integers(1, 5)),
+                top_k=draw(st.one_of(st.none(), st.integers(1, 4))),
+                causal=draw(st.booleans()),
+                lengths=draw(st.lists(st.integers(1, T_k), min_size=B,
+                                      max_size=B)),
+                block_pairs=draw(st.integers(1, 5)),
+                workers=draw(st.sampled_from([1, 2])),
+                clamp=draw(st.booleans()),
+                seed=draw(st.integers(0, 2 ** 16)))
+
+
+class _KeepingLogits:
+    """A gate core that keeps the final logits ``core`` gives ``attend``."""
+
+    def __init__(self, core):
+        self.core, self.final = core, None
+
+    def logits(self, *args):
+        self.final, traj = self.core.logits(*args)
+        return self.final, traj
+
+
+def _pipeline_run(case, core, arrays, key_mask, coef, trajectory=False,
+                  taped=True):
+    """attend's output, final logits, trajectory and, taped, the gradients
+    of q, k, v and the gate weights under a loss weighing every output."""
+    cfg = A.LanConfig(d_model=case["H"] * case["D"], heads=case["H"],
+                      euler_steps=case["n_steps"], top_k=case["top_k"],
+                      causal=case["causal"])
+    q, k, v = (Tensor(a, requires_grad=taped) for a in arrays)
+    for p in core.parameters().values():
+        p.zero_grad()
+    keeping = _KeepingLogits(core)
+    with contextlib.nullcontext() if taped else T.no_grad():
+        out, _, pb, traj = A.attend(q, k, v, keeping, cfg, key_mask, trajectory)
+    grads = {}
+    if taped:
+        T.tsum(T.mul(out, Tensor(coef))).backward()
+        grads = {n: p.grad for n, p in dict(core.parameters(), q=q, k=k,
+                                             v=v).items()}
+    return out.data, keeping.final.data, traj, grads, pb
+
+
+def _pipeline_oracle(core, arrays, pb, n_steps, coef):
+    """The composed pipeline: ``gru_unroll``, the floor gates, the chain of
+    ``euler_step``s, the masked softmax and the sum of the gathered values;
+    (output, final logits, gradients)."""
+    q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+    for p in core.parameters().values():
+        p.zero_grad()
+    final, _ = _composed_logits(core, q, k, pb, n_steps)
+    alpha = T.masked_softmax(final, pb.valid_mask)
+    out = T.tsum(T.mul(T.reshape(alpha, alpha.shape + (1,)),
+                       T.gather_keys(v, pb.selected_indices)), axis=3)
+    T.tsum(T.mul(out, Tensor(coef))).backward()
+    grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad
+             for n, p in dict(core.parameters(), q=q, k=k, v=v).items()}
+    return out.data, final.data, grads
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_attend_cases())
+def test_attend_matches_its_composed_oracle_on_drawn_cases(case):
+    rng = np.random.default_rng(case["seed"])
+    B, H, D, T_q, T_k = (case[n] for n in ("B", "H", "D", "T_q", "T_k"))
+    n_steps = case["n_steps"]
+    core = A.RecurrentGateCore(D, rng, heads=H)
+    if case["clamp"]:
+        core.b_o.data[:, 1] += 8.0      # f_tau above every 1/dt_nominal
+    arrays = [rng.standard_normal((B, H, T, D)) for T in (T_q, T_k, T_k)]
+    key_mask = np.arange(T_k) < np.array(case["lengths"])[:, None]
+    coef = rng.standard_normal((B, H, T_q, D))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "_BLOCK_SCALARS", 3 * D * case["block_pairs"])
+        runs = {}
+        for workers in (case["workers"], 3 - case["workers"]):
+            mp.setattr(pool, "_WORKERS", workers)
+            runs[workers] = _pipeline_run(case, core, arrays, key_mask, coef)
+        mp.setattr(pool, "_WORKERS", case["workers"])
+        with_traj = _pipeline_run(case, core, arrays, key_mask, coef,
+                                  trajectory=True)
+        untaped = _pipeline_run(case, core, arrays, key_mask, coef,
+                                taped=False)
+    out, final, traj, grads, pb = runs[case["workers"]]
+    assert traj is None and with_traj[2] is not None
+    if case["clamp"]:
+        assert with_traj[2].dt_effective < 1 / n_steps
+    want_out, want_final, want_grads = _pipeline_oracle(core, arrays, pb,
+                                                        n_steps, coef)
+    assert np.abs(out - want_out).max() <= 1e-12
+    assert np.abs(final - want_final).max() <= 1e-12
+    assert set(grads) == set(want_grads)
+    for name, want in want_grads.items():
+        assert np.abs(grads[name] - want).max() <= 1e-12, name
+    # bitwise: the other worker count, with a trajectory, without the tape
+    other = runs[3 - case["workers"]]
+    for got in (other, with_traj, untaped):
+        assert np.array_equal(got[0], out) and np.array_equal(got[1], final)
+    for got in (other, with_traj):
+        for name, grad in grads.items():
+            assert np.array_equal(got[3][name], grad), name
+
+
+# --------------------------------------------------------------------------
 # work items: the same results for any number of workers
 # --------------------------------------------------------------------------
 
@@ -757,13 +917,14 @@ def _gate_run(core, qa, ka, pb, n_steps=3, coef=None):
     gradients of the 6 gate weights and of q, k under a loss that weighs
     every final logit differently, or by ``coef``."""
     with T.no_grad():
-        untaped, traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps)
+        untaped, traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
+                                    trajectory=True)
         untaped = (untaped.data, _traj_gates(traj))
     q = Tensor(qa, requires_grad=True)
     k = Tensor(ka, requires_grad=True)
     for p in core.parameters().values():
         p.zero_grad()
-    final, traj = core.logits(q, k, pb, n_steps)
+    final, traj = core.logits(q, k, pb, n_steps, trajectory=True)
     if coef is None:
         coef = np.random.default_rng(48).standard_normal(final.shape)
     _weighted_sum(final, coef).backward()
@@ -871,6 +1032,35 @@ def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
         assert np.array_equal(again[2][name], grad)
 
 
+def test_run_items_yields_in_order_frees_dropped_results_and_finishes_all(
+        monkeypatch):
+    monkeypatch.setattr(pool, "_WORKERS", 2)
+    items = [(i,) for i in range(8)]
+
+    def slow_first(i):
+        time.sleep(0.002 * (len(items) - i))     # later items finish first
+        return np.full(3, float(i))
+
+    kept = []
+    for result in pool._run_items(slow_first, items):
+        assert (result == len(kept)).all()
+        kept.append(weakref.ref(result))
+        del result
+        assert kept[-1]() is None       # the pool holds no yielded result
+    assert len(kept) == len(items)
+    finished = []
+
+    def failing(i):
+        time.sleep(0.02 * (i > 2))      # still running when item 2 fails
+        if i in (2, 5):
+            raise RuntimeError(f"item {i} failed")
+        finished.append(i)
+
+    with pytest.raises(RuntimeError, match="item 2 failed"):
+        list(pool._run_items(failing, items))
+    assert sorted(finished) == [0, 1, 3, 4, 6, 7]
+
+
 def test_gate_kernel_is_bitwise_the_same_for_concurrent_callers(monkeypatch):
     # two threads submit to the one pool at once, each under its own no_grad
     core, qa, ka, pb = _block_case("batch_rows")
@@ -926,7 +1116,7 @@ get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_",
 if get is not None:
     get.argtypes, get.restype = [], ctypes.c_int
 print(json.dumps({{"env": {{v: os.environ.get(v) for v in {_BLAS_THREADS!r}}},
-                  "blas": get and pool._run_items(get, [()] * 4)}}))
+                  "blas": get and list(pool._run_items(get, [()] * 4))}}))
 """
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
     if user is not None:
@@ -959,7 +1149,7 @@ get.argtypes, get.restype = [], ctypes.c_int
 before = get()
 sys.path.insert(0, {src!r})
 from fluid import pool
-print(json.dumps([before, pool._run_items(get, [()] * 4)]))
+print(json.dumps([before, list(pool._run_items(get, [()] * 4))]))
 """
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
     if user is not None:
@@ -1336,7 +1526,7 @@ def test_trajectory_is_views_of_the_integrator_buffers():
     for taped in (False, True):
         pin = _project(core, u)
         with contextlib.nullcontext() if taped else T.no_grad():
-            final, traj = core.unroll(pin, 3)
+            final, traj = core.unroll(pin, 3, trajectory=True)
         assert final.requires_grad == taped
         assert np.array_equal(traj.a, _recursion(traj.f_tau, traj.f_phi,
                                                  traj.dt_effective))
@@ -1534,7 +1724,7 @@ def _manual_heads(mh, x, cfg):
                   Tensor(mh.b_v.data[h, 0, 0]))
         h_out, _, _, _ = A.attend(q, k, v, _head_core(mh, h), cfg)
         parts.append(T.reshape(h_out, (B, T_q, cfg.head_dim)))
-    return T.add(T.matmul(T.concat(parts, axis=-1), mh.W_g), mh.b_g)
+    return T.add(T.matmul(concat(parts, axis=-1), mh.W_g), mh.b_g)
 
 
 def test_multi_head_single_head_equals_manual_path():
@@ -1644,8 +1834,9 @@ def test_topk_head_equals_full_head_when_k_large():
 def test_tracer_wrap_points_see_pairs_steps_and_the_trajectory(monkeypatch):
     # the benchmark's tracer wraps RecurrentGateCore.unroll, reading the
     # pair count as args[1].size // args[1].shape[-1] and the steps as
-    # args[2], and integrate_logits, reading the trajectory of its result
-    seen = {}
+    # args[2], and integrate_logits, reading the trajectory of its result:
+    # one call per gate block, whose f_tau are [block pairs, N]
+    seen = {"integrate": []}
     unroll, integrate = A.RecurrentGateCore.unroll, A.integrate_logits
 
     def spy_unroll(*args, **kwargs):
@@ -1653,22 +1844,31 @@ def test_tracer_wrap_points_see_pairs_steps_and_the_trajectory(monkeypatch):
         return unroll(*args, **kwargs)
 
     def spy_integrate(*args, **kwargs):
-        seen["integrate"] = integrate(*args, **kwargs)
-        return seen["integrate"]
+        seen["integrate"].append(integrate(*args, **kwargs))
+        return seen["integrate"][-1]
 
     monkeypatch.setattr(A.RecurrentGateCore, "unroll", spy_unroll)
     monkeypatch.setattr(A, "integrate_logits", spy_integrate)
     B, T_q = 2, 5
     x = Tensor(np.random.default_rng(73).standard_normal((B, T_q, 4)))
-    for case, k_eff in ((dict(), T_q), (dict(top_k=2, causal=True), 2)):
+    # full pairwise; top-2 under the causal mask, where row 0 has one key
+    for case, valid_pairs in ((dict(), T_q * T_q),
+                              (dict(top_k=2, causal=True), 2 * T_q - 1)):
         cfg = _mh_cfg(heads=2, euler_steps=3, **case)
         mh = A.MultiHeadLan(cfg, np.random.default_rng(74))
-        seen.clear()
-        mh.forward(x, x)
+        k_eff = case.get("top_k", T_q)
+        seen["integrate"].clear()
+        collect = {}
+        mh.forward(x, x, collect=collect)
         args = seen["unroll"]
         assert args[1].size // args[1].shape[-1] == B * cfg.heads * T_q * k_eff
         assert args[2] == cfg.euler_steps
-        _, traj = seen["integrate"]
-        assert 0 < traj.dt_effective <= traj.dt_nominal == 1 / cfg.euler_steps
-        assert isinstance(traj.f_tau, np.ndarray)
-        assert traj.f_tau.shape == (B, cfg.heads, T_q, k_eff, cfg.euler_steps)
+        trajs = [traj for _, traj in seen["integrate"]]
+        for traj in trajs:
+            assert traj.dt_effective == traj.dt_nominal == 1 / cfg.euler_steps
+            assert isinstance(traj.f_tau, np.ndarray)
+            assert traj.f_tau.shape[-1] == cfg.euler_steps
+        assert (sum(t.f_tau.size for t in trajs) // cfg.euler_steps
+                == B * cfg.heads * valid_pairs)
+        assert (max(t.f_tau.max() for t in trajs)
+                == collect["trajectories"][0].f_tau.max())

@@ -653,6 +653,45 @@ def test_eval_rejects_a_manifest_without_config_or_params(tmp_path, capsys, key)
     assert f"'{key}'" in err and str(run / "final") in err
 
 
+def _drop_a_param(checkpoint):
+    manifest = checkpoint / "manifest.json"
+    saved = json.loads(manifest.read_text())
+    saved["params"] = saved["params"][1:]
+    manifest.write_text(json.dumps(saved))
+
+
+def _widen_the_ffn(checkpoint):
+    manifest = checkpoint / "manifest.json"
+    saved = json.loads(manifest.read_text())
+    saved["config"]["ffn_dim"] += 1
+    manifest.write_text(json.dumps(saved))
+
+
+def _append_bytes(checkpoint):
+    blob = checkpoint / "tensors.bin"
+    blob.write_bytes(blob.read_bytes() + bytes(8))
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (_drop_a_param, "checkpoint parameter names do not match"),
+    (_widen_the_ffn, "shape mismatch for "),
+    (_append_bytes, "8 trailing bytes after the last tensor"),
+], ids=["names", "shape", "trailing"])
+def test_eval_names_the_checkpoint_whose_tensors_do_not_fit(tmp_path, capsys,
+                                                            edit, problem):
+    data, config = _tiny_run(tmp_path, epochs=0)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--out", str(run),
+                     "--config", str(config)]) == 0
+    edit(run / "final")
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(run / "final"),
+                     "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"fluid eval: {run / 'final'}: {problem}"), err
+
+
 def test_bench_is_no_command(capsys):
     # perfbench/ measures runtime and memory
     with pytest.raises(SystemExit) as exit_:

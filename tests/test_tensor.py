@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import affine as composed_affine
-from conftest import (central_difference, matmul_triple_loop, max_rel_error,
-                      peak_bytes, softplus, weighted_run)
+from conftest import (central_difference, concat, matmul_triple_loop,
+                      max_rel_error, peak_bytes, scale, softplus, weighted_run)
 from fluid import tensor as T
 from fluid import training as TR
 from fluid.tensor import Tensor
@@ -134,7 +134,7 @@ def test_backward_rejects_nonscalar_root():
 def test_backward_accumulates_shared_node_once():
     # p used twice: d/dp (p*p + 3p) = 2p + 3
     p = Tensor([2.0], requires_grad=True)
-    root = T.tsum(T.add(T.mul(p, p), T.scale(p, 3.0)))
+    root = T.tsum(T.add(T.mul(p, p), scale(p, 3.0)))
     root.backward()
     assert np.allclose(p.grad, [7.0])
 
@@ -149,7 +149,7 @@ def test_backward_frees_each_node_once_its_rule_has_run():
         alive.append(mid_data() is not None)
         return (g,)
 
-    mid = T.scale(T._node(x.data * 2.0, (x,), rule), 3.0)
+    mid = scale(T._node(x.data * 2.0, (x,), rule), 3.0)
     mid_data = weakref.ref(mid.data)
     root = T.tsum(T.tanh(mid))
     del mid
@@ -163,7 +163,7 @@ def _composite_scalar(params):
     w, b, v = params
     h = T.tanh(T.add(T.matmul(v, w), b))
     g = T.sigmoid(T.narrow(h, 1, 0, 2))
-    s = T.masked_softmax(T.concat([h, g], axis=1), True)
+    s = T.masked_softmax(concat([h, g], axis=1), True)
     ln = T.layer_norm(softplus(h))
     return T.tsum(T.add(T.mul(s, s), T.reshape(T.tsum(ln, axis=1), (-1, 1))))
 
