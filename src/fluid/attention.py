@@ -18,17 +18,19 @@ or the pair input: each work item of its kernel forms its own block of
 pair inputs. The GRU runs only on the valid pairs; an invalid pair
 holds the floor gates f_tau = eps, f_phi = 0, so its logit stays 0 and
 it never raises the clamp's max. One tape op runs from the pair input
-through ``integrate_logits`` to the final logits. It keeps the hidden
-states of steps 1 .. N-2, the clamped dt and the final logits; each
-backward work item rebuilds the rest of its block's hidden states,
-its gates and its Euler states, bitwise the forward's, with few numpy
-calls and passes per step (see ``_cell``). The backward runs only on the
-live pairs, those whose final logit has a nonzero gradient: a pair's
-gradients are linear in that gradient, so a pair whose gradient is 0,
-such as every pair of a padded query row, adds exactly 0 to each.
-Inference runs the same kernel without keeping anything. The (head,
-block) work items run on ``fluid.pool``, which top-k selection shares,
-one thread per CPU, with the same results for any number of threads.
+through ``integrate_logits`` to the final logits. It keeps every other
+hidden state, h_2, h_4 .. h_{N-2}, the clamped dt and the final logits;
+each backward work item rebuilds the rest of its block's hidden states
+with the forward's ops, keeping the cell outputs of the steps it rebuilds
+first so that the cell still runs N times, then its gates and its Euler
+states, with few numpy calls and passes per step (see ``_cell``). The
+backward runs only on the live pairs, those whose final logit has a
+nonzero gradient: a pair's gradients are linear in that gradient, so a
+pair whose gradient is 0, such as every pair of a padded query row, adds
+exactly 0 to each. Inference runs the same kernel without keeping
+anything. The (head, block) work items run on ``fluid.pool``, which top-k
+selection shares, one thread per CPU, with the same results for any
+number of threads.
 
 Gates live per block: each work item computes the gates [2N, block] of
 its pairs, f_tau in rows :N and f_phi in rows N:, and the calling thread
@@ -187,12 +189,18 @@ class RecurrentGateCore:
     ``pairs.PairInput``. ``unroll`` is one tape op from it to the
     final logits: ``_gru_forward``, whose blocks of gates go through
     ``integrate_logits`` one at a time. Its tape
-    keeps only the pair input, the weights, the hidden states
-    h_1 .. h_{N-2}, the clamped dt and the final logits
+    keeps only the pair input, the weights, every other hidden state, h_2,
+    h_4 .. h_{N-2} (``_kept_steps``), the clamped dt and the final logits
     (Gruslys et al., "Memory-Efficient Backpropagation Through Time"; Chen
     et al., "Training Deep Nets with Sublinear Memory Cost"). Each
-    backward item rebuilds the rest, bitwise the forward's, and evaluates
-    the cell N times, as the forward does. A step costs few numpy calls,
+    backward item rebuilds the rest with the forward's ops: first h_0 and
+    the odd states, in forward order, keeping those steps' cell outputs,
+    then the other steps' as its reverse loop reaches them, so it evaluates
+    the cell N times, as the forward does. Up to h = 8 every rebuilt value
+    is bitwise the forward's; at wider heads BLAS's bits for W_h^T h depend
+    on a pair's column in its block, so where the backward's blocks of live
+    pairs differ from the forward's, a rebuilt state can differ from the
+    forward's in its last bit. A step costs few numpy calls,
     as each is a GIL handoff between the workers, and few passes over the
     block: the item's input and bias are negated once, the reset and
     update gates stay as their sigmoids' denominators 1 + exp(-s), and the
@@ -268,8 +276,9 @@ class RecurrentGateCore:
         integrates each item's gates as they come, at dt_nominal; where the
         clamped dt of the pass, known once every item has reported its
         f_tau max, is smaller, the items run again without the tape and
-        integrate at it. The tape holds the hidden states [H, max(N-2, 0),
-        h, packed pairs] and the final logits.
+        integrate at it. The tape holds the even hidden states h_2, h_4 ..
+        h_{N-2}, [H, (N-2)//2, h, packed pairs] (none below N = 4), and the
+        final logits.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -291,8 +300,9 @@ class RecurrentGateCore:
         inputs = (pin.qp, pin.kp, self.W_h, self.w_t, self.b_x, self.W_o,
                   self.b_o)
         w = {n: p.data for n, p in self.parameters().items()}
-        # h_1 .. h_{N-2} of every packed pair; the backward rebuilds the rest
-        saved = (np.empty((H, max(n_steps - 2, 0), h, max(pin.counts)))
+        # h_2, h_4 .. h_{N-2} of every packed pair; the backward rebuilds
+        # the rest
+        saved = (np.empty((H, len(_kept_steps(n_steps)), h, max(pin.counts)))
                  if T._grad_enabled() and any(t.requires_grad for t in inputs)
                  else None)
         logits = np.zeros((H, P))       # an invalid slot's logit stays 0
@@ -421,8 +431,8 @@ def _gru_forward(pin, w, n_steps, gates, saved):
     per block: yields ((head, selector), (gates [2N, block], max f_tau)) of
     each item in item order, f_tau in the block's rows :N and f_phi in rows
     N:. With ``gates`` [2N,H,slots] the items also write their blocks there;
-    with ``saved`` [H,N-2,h,packed pairs] they keep the hidden states h_1
-    .. h_{N-2} there for the backward."""
+    with ``saved`` [H,(N-2)//2,h,packed pairs] they keep the even hidden
+    states h_2, h_4 .. h_{N-2} there for the backward."""
     def item(hd, sel):
         x = pin.block(hd, sel)
         out = np.empty((2 * n_steps, x.shape[1]))
@@ -436,14 +446,22 @@ def _gru_forward(pin, w, n_steps, gates, saved):
     return zip(items, pool._run_items(item, items))
 
 
+def _kept_steps(n_steps: int) -> range:
+    """The steps n whose hidden states h_n the tape keeps, h_2, h_4 ..
+    h_{N-2}, h_n in row n // 2 - 1 of the saved states; not h_0, the odd
+    states or h_{N-1}, which each backward item rebuilds."""
+    return range(2, n_steps - 1, 2)
+
+
 def _forward_block(x, w, hd, gates, saved):
     """Head ``hd``'s GRU over one block of pairs: x [3h,P] (overwritten),
-    gates [2N,P], saved [N-2,h,P] for h_1 .. h_{N-2}, or None. Besides x,
-    the item allocates one scratch [max(3h,N),P] and one state [h,P]: the
-    cell overwrites the hidden projection hpn with its denominators d and
-    -c in place, and the state holds h_0 and h_{N-1}, which are never
-    saved. The loop writes W_o h_n into the gates, and the heads' bias,
-    tanh, softplus and +eps follow over all steps at once."""
+    gates [2N,P], saved [(N-2)//2,h,P] for h_2, h_4 .. h_{N-2}, or None.
+    Besides x, the item allocates one scratch [max(3h,N),P] and one state
+    [h,P]: the cell overwrites the hidden projection hpn with its
+    denominators d and -c in place, and the state holds every state that is
+    not saved: h_0, the odd states and h_{N-1}. The loop writes W_o h_n
+    into the gates, and the heads' bias, tanh, softplus and +eps follow over
+    all steps at once."""
     C, P = x.shape
     h, N = C // 3, len(gates) // 2
     scratch = np.empty((max(C, N), P))   # hpn, then the softplus scratch
@@ -452,9 +470,10 @@ def _forward_block(x, w, hd, gates, saved):
     tw = _negate_input(x, w, hd, N)
     W_hnT = np.negative(w["W_h"][hd].T)
     W_o = w["W_o"][hd][::-1].copy()      # f_tau's row above f_phi's, as in gates
+    kept = () if saved is None else _kept_steps(N)
     prev = None
     for n in range(N):
-        new = hidden if saved is None or not 0 < n < N - 1 else saved[n - 1]
+        new = saved[n // 2 - 1] if n in kept else hidden
         if prev is not None:
             _hidden_projection(W_hnT, prev, hpn)
         _cell(x, None if prev is None else hpn, tw[n], d, cn)
@@ -500,7 +519,7 @@ def _gru_backward(g, pin, w, saved, n_steps, dt):
     def item(hd, sel):
         dx, parts = _backward_block(
             g[hd, 0, pin.slots(hd, sel)], pin.block(hd, sel), w, hd,
-            saved[hd][..., sel], n_steps, dt)
+            saved[hd][..., sel], n_steps, dt, not isinstance(sel, slice))
         return parts, pin.block_grads(hd, sel, dx)
 
     results = list(pool._run_items(item, items))
@@ -516,8 +535,8 @@ def _head_grads(g, hidden, w, hd, dt):
     """The gradients [N,2,P] of the heads' pre-activations o, f_phi's above
     f_tau's at each step, of one block from g [P], the gradient of its
     final logits (overwritten), and its hidden states h_0 .. h_{N-1}. The
-    gates are rebuilt with the forward's heads and the Euler states
-    a_0 .. a_{N-1} with dt, both bitwise the forward's; the Euler adjoint
+    gates are rebuilt with the forward's heads, and the Euler states
+    a_0 .. a_{N-1} with dt and the integrator's ops; the Euler adjoint
     gives the gates' gradient d, and o's are (1 - f_phi^2) d and
     sigmoid(o) d, with sigmoid(o) = -expm1(eps - f_tau) read from
     f_tau = softplus(o) + eps, off by about eps * 2^-53 at most."""
@@ -543,54 +562,77 @@ def _head_grads(g, hidden, w, hd, dt):
     return d
 
 
-def _backward_block(g, x, w, hd, saved, n_steps, dt):
+def _backward_block(g, x, w, hd, saved, n_steps, dt, pair_major):
     """Backward of head ``hd`` over one block, from g [P], the gradient of
-    its final logits: x [3h,P] (overwritten), saved [N-2,h,P]. Returns d x
+    its final logits: x [3h,P] (overwritten), saved [(N-2)//2,h,P], the
+    kept states h_2, h_4 .. h_{N-2}, pair-major in memory if
+    ``pair_major``, as numpy gathers an index array's columns. Returns d x
     and this block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o
     [2,h], db_o [2]).
 
-    The cell runs N times: step 0's first, kept for step 0 and to rebuild
-    h_0, then each later step's, h_{N-1} rebuilt at step N-1, where
-    ``_head_grads`` reads every state; the states are bitwise the
-    forward's. The gradients read z and r off the cell's denominators
-    (z dh = dh / d_z) and fold in its signs, cn = -c and hpn = -hp. Unlike
-    the forward's, the cell's d and cn are buffers of their own here: the
-    reset gate's gradient reads hpn's rows 2h: after the cell has run."""
+    The cell runs N times. First, in forward order, step 0's cell rebuilds
+    h_0 and each odd step n <= N-2's rebuilds the odd state h_n from
+    h_{n-1}, in the kept states' layout: BLAS's bits depend on it, and
+    every state h_1 .. h_{N-2} then reads alike. These cells' outputs stay
+    for the reverse loop, step 0's d_z and -c in d0, c0 and each odd step's
+    in rows [d; hpn_c; cn] of its own record in ``odd``. The reverse loop
+    runs the cell of every other step in ``fresh``: step N-1's, which
+    rebuilds h_{N-1} where ``_head_grads`` reads every state, and the kept
+    states' steps. The gradients read z and r off the cell's denominators
+    (z dh = dh / d_z) and fold in its signs, cn = -c and hpn = -hp. A
+    record's rows 2h:3h keep hpn's candidate rows, which the reset gate's
+    gradient reads after the cell has run, and then take dn, so that its
+    first 3h rows are the gradient [dr; dz; dn] of W_h^T h_prev."""
     C, P = x.shape
     h, N = C // 3, n_steps
-    hpn, dhp = np.empty((C, P)), np.empty((C, P))
-    t, zdh = hpn[:h], hpn[h:2 * h]      # scratch once the cell has run
-    # grad of W_h^T h_prev, [dr; dz; dn]: the cell writes d_r, d_z into
-    # its first rows, and their grads replace them
-    d, dn = dhp[:2 * h], dhp[2 * h:]
-    cn, dcp, h0, d0, c0 = (np.empty((h, P)) for _ in range(5))
     tw = _negate_input(x, w, hd, N)
     W_h, W_hnT, W_o = w["W_h"][hd], np.negative(w["W_h"][hd].T), w["W_o"][hd]
+    zdh, dcp, h0, d0, c0 = (np.empty((h, P)) for _ in range(5))
     _cell(x, None, tw[0], d0, c0)
     _state(None, c0, d0, h0)
+    # the records and states of the odd steps 1, 3 .. <= N-2, and the
+    # record of the step whose cell runs in the reverse loop
+    m = (N - 1) // 2
+    odd, fresh = np.empty((m, 4 * h, P)), np.empty((4 * h, P))
+    odd_h = (np.empty((P, m, h)).transpose(1, 2, 0) if pair_major
+             else np.empty((m, h, P)))
+    states = [h0]               # h_0 .. h_{N-2}, then h_{N-1} in dcp
+    for n in range(1, N - 1):
+        if n % 2:
+            rec = odd[n // 2]
+            _hidden_projection(W_hnT, states[-1], rec[:C])
+            _cell(x, rec[:C], tw[n], rec[:2 * h], rec[C:])
+            _state(states[-1], rec[C:], rec[h:2 * h], odd_h[n // 2])
+            states.append(odd_h[n // 2])
+        else:
+            states.append(saved[n // 2 - 1])
     for n in reversed(range(N)):
-        prev = None if n == 0 else h0 if n == 1 else saved[n - 2]
+        prev = states[n - 1] if n else None
         if prev is None:
             d_z, c_n = d0, c0
         else:
-            _hidden_projection(W_hnT, prev, hpn)
-            _cell(x, hpn, tw[n], d, cn)
-            d_z, c_n = d[h:], cn
-        new = h0 if n == 0 else dcp if n == N - 1 else saved[n - 1]
-        if new is dcp:      # the last state, kept until dcp takes its value
-            _state(prev, c_n, d_z, new)
+            rec = odd[n // 2] if n % 2 and n < N - 1 else fresh
+            if rec is fresh:
+                _hidden_projection(W_hnT, prev, rec[:C])
+                _cell(x, rec[:C], tw[n], rec[:2 * h], rec[C:])
+            d, hp_c, c_n = rec[:2 * h], rec[2 * h:C], rec[C:]
+            d_z = d[h:]
         if n == N - 1:
+            if n:       # the last state, kept until dcp takes its value
+                _state(prev, c_n, d_z, dcp)
+                states.append(dcp)
             # every state is rebuilt; the gradients' buffers come after the
             # heads' scratch is freed
-            d_heads = _head_grads(g, [h0, *saved, new][:N], w, hd, dt)
+            d_heads = _head_grads(g, states, w, hd, dt)
             dW_h, dx_sums = np.zeros((h, C)), np.zeros(C)
             dW_o, dx, dh = np.zeros((2, h)), np.zeros((C, P)), np.zeros((h, P))
+        new = states[n]
 
         # projection heads
         d_o = d_heads[n]
         dW_o += d_o @ new.T
-        np.matmul(W_o.T, d_o, out=t)
-        dh += t
+        np.matmul(W_o.T, d_o, out=zdh)
+        dh += zdh
         # dh splits into z dh, a part of the previous state's, and (1 - z) dh
         np.divide(dh, d_z, out=zdh)
         dh -= zdh
@@ -602,20 +644,21 @@ def _backward_block(g, x, w, hd, saved, n_steps, dt):
         np.multiply(c_n, c_n, out=dcp)
         np.subtract(1.0, dcp, out=dcp)
         dcp *= dh
+        dx[2 * h:] += dcp
         if prev is not None:
-            # reset pre-activation: dn = dcp * r, then dr = (1 - r) dn hp_c
-            # = (r dn - dn) hpn_c in d_r's rows
+            # reset pre-activation: dn = dcp * r in dcp, then dr = (1 - r)
+            # dn hp_c = (r dn - dn) hpn_c in d_r's rows; dn replaces hpn_c
             d_r = d[:h]
-            np.divide(dcp, d_r, out=dn)
-            np.divide(dn, d_r, out=d_r)
-            d_r -= dn
-            d_r *= hpn[2 * h:]
-            dW_h += prev @ dhp.T
-            np.matmul(W_h, dhp, out=cn)
-            np.add(zdh, cn, out=dh)
+            dcp /= d_r
+            np.divide(dcp, d_r, out=d_r)
+            d_r -= dcp
+            d_r *= hp_c
+            hp_c[...] = dcp
+            dW_h += prev @ rec[:C].T
+            np.matmul(W_h, rec[:C], out=c_n)
+            np.add(zdh, c_n, out=dh)
         dg = d_z if prev is None else d     # [dr;] dz
         dx[2 * h - len(dg):2 * h] += dg
-        dx[2 * h:] += dcp
         if n:
             # dx now sums steps n .. N-1; over n >= 1 these sums add up
             # each step's row sums n times, so dw_t = dt_nominal * dx_sums

@@ -159,9 +159,10 @@ def _weighted_sum(logits, coef):
 
 @pytest.mark.parametrize("case", ["full", "causal_masked", "topk",
                                   "topk_blocks", "long_rows"])
-# one step keeps no hidden state on the tape, two keep none but h_0 and
-# h_1, which the backward rebuilds; three and five keep h_1 .. h_{N-2}
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
+# up to three steps keep no hidden state on the tape, and the backward
+# rebuilds h_0 .. h_{N-1}; four and five keep h_2, six keeps h_2 and h_4,
+# and the backward rebuilds the odd states and h_{N-1} around them
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 6])
 def test_fused_gates_match_composed_oracle(case, n_steps):
     rng = np.random.default_rng(41)
     core = A.RecurrentGateCore(3, rng, heads=2)
@@ -260,7 +261,7 @@ def test_saturated_f_tau_is_exact_under_raising_errstate(bias):
     assert np.isfinite(final.data).all()
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 6])
 def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
                                                                   monkeypatch):
     rng = np.random.default_rng(73)
@@ -475,7 +476,7 @@ def test_fused_gates_pass_grad_check():
         assert report["max_rel_error"] < 1e-4, (n_steps, report["per_param"])
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("case", ["full", "causal_masked"])
 def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps,
                                                              monkeypatch):
@@ -499,7 +500,9 @@ def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps,
     # both heads see the same mask; every pair valid packs as it stands
     slots = pb.valid_mask[:, 0]
     pairs_run = slots.size if slots.all() else int(slots.sum())
-    assert taped.nbytes == H * max(n_steps - 2, 0) * h * pairs_run * 8
+    # of the states h_1 .. h_{N-2}, the even ones: h_2, h_4 .. h_{N-2}
+    kept = max((n_steps - 2) // 2, 0)
+    assert taped.nbytes == H * kept * h * pairs_run * 8
 
 
 def test_taped_forward_keeps_no_gates_and_no_euler_states():
@@ -526,13 +529,16 @@ def test_taped_forward_keeps_no_gates_and_no_euler_states():
     assert out.requires_grad and not untaped.requires_grad
     valid = np.tril(np.ones((T_, T_), dtype=bool)) & key_mask[:, None, :]
     packed = int(valid.sum())
-    hidden = H * (N - 2) * (d // H) * packed * 8
+    state = H * (d // H) * packed * 8       # one hidden state of every pair
+    hidden = (N - 2) // 2 * state           # h_2, h_4 and h_6
     final = H * B * T_ * T_ * 8
     # the softmax weights, the pair indices, the packed keys and slots and
-    # the masks each take at most the final logits' bytes
-    slack = 5 * final
+    # the masks take less than three times the final logits' bytes
+    slack = 3 * final
     assert live <= hidden + final + slack, (live, hidden, final)
     assert slack < (N + 1) * final < 2 * N * final   # the states, the gates
+    # the odd states h_1 .. h_5 as well would break the bound
+    assert hidden + final + slack < live + 3 * state
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -557,6 +563,48 @@ def test_no_grad_forward_never_holds_the_gates_of_the_pass(monkeypatch, workers)
     bound = gates + 2 * item
     assert peak < bound, (peak, bound)
     assert peak + gates > bound                     # room for no whole gates
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_taped_backward_holds_the_kept_states_and_the_running_items(
+        monkeypatch, workers):
+    # the train_spiral cross-attention core: 26 decoder queries over 35
+    # padded encoder keys, h = 8, N = 5. The tape keeps h_2 of every packed
+    # pair, and each backward item rebuilds h_1 and h_3 of its live pairs,
+    # so a taped step holds one state of every pair, never three
+    B, T_q, T_k, h, H, N = 8, 26, 35, 8, 4, 5
+    rng = np.random.default_rng(93)
+    core = A.RecurrentGateCore(h, rng, heads=H)
+    q = Tensor(rng.standard_normal((B, H, T_q, h)), requires_grad=True)
+    k = Tensor(rng.standard_normal((B, H, T_k, h)), requires_grad=True)
+    lengths = np.array([35, 33, 30, 35, 28, 31, 35, 34])
+    key_mask = np.arange(T_k) < lengths[:, None]
+    pb = pairs.full_pairwise_concat(q, k, key_mask=key_mask)
+    coef = rng.standard_normal(pb.valid_mask.shape)
+    coef[:, :, -4:] = 0.0           # padded query rows the loss never reads
+    monkeypatch.setattr(pool, "_WORKERS", workers)
+
+    def step():
+        _weighted_sum(core.logits(q, k, pb, N)[0], coef).backward()
+
+    step()                                          # the pool starts
+    peak = peak_bytes(step)
+    valid = pb.valid_mask[:, 0]
+    state = H * h * int(valid.sum()) * 8    # one hidden state of every pair
+    live = int((valid & (coef[:, 0] != 0)).sum())
+    block = max(b - a for a, b in A._blocks(live, 3 * h))
+    odd = (N - 1) // 2
+    # an item's input, its states h_1 .. h_{N-2}, gathered or rebuilt, the
+    # cell records of the odd steps and of one more, five rows of scratch,
+    # its gradients dx and dh and the heads' gradients
+    item = (3 * h + (N - 2) * h + (odd + 1) * 4 * h + 5 * h + 4 * h
+            + 2 * N) * block * 8
+    # the logits, the loss's arrays and gradients, the pair keys and slots,
+    # the live indices and the projections: 13 final logits' bytes at most
+    rest = 13 * B * H * T_q * T_k * 8
+    bound = state + workers * item + rest
+    assert peak < bound, (peak, bound)
+    assert peak + 2 * state > bound         # room for no h_1 and h_3 of all
 
 
 @pytest.mark.parametrize("case", ["causal_masked", "topk", "long_rows"])
@@ -779,7 +827,7 @@ def _attend_cases(draw):
     B, H, D = (draw(st.integers(1, n)) for n in (3, 2, 3))
     T_q, T_k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     return dict(B=B, H=H, D=D, T_q=T_q, T_k=T_k,
-                n_steps=draw(st.integers(1, 5)),
+                n_steps=draw(st.integers(1, 7)),
                 top_k=draw(st.one_of(st.none(), st.integers(1, 4))),
                 causal=draw(st.booleans()),
                 lengths=draw(st.lists(st.integers(1, T_k), min_size=B,
