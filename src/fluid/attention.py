@@ -757,7 +757,10 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
     Euler integration, masked softmax, and the weighted sum of the selected
     values (``T.gather_weighted``, which never gathers them whole). Returns
     (heads out [B,H,T_q,D_v], weights [B,H,T_q,K_eff], pairs, trajectory),
-    the trajectory None unless ``trajectory`` asks for it.
+    the trajectory None unless ``trajectory`` asks for it. Nothing but the
+    tape reads q and k once the pair input is projected, or the pair input
+    once the gates have run: under ``no_grad`` each is dropped then, unless
+    the caller holds it.
     """
     if cfg.top_k is None:
         pb = pairs_mod.full_pairwise_concat(q, k, causal=cfg.causal,
@@ -765,7 +768,10 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
     else:
         pb = pairs_mod.topk_concat(q, k, cfg.top_k, causal=cfg.causal,
                                    key_mask=key_mask)
-    a_final, traj = core.logits(q, k, pb, cfg.euler_steps, trajectory)
+    pin = core.project_pairs(q, k, pb)
+    del q, k
+    a_final, traj = core.unroll(pin, cfg.euler_steps, trajectory)
+    del pin
 
     alpha = T.masked_softmax(a_final, pb.valid_mask)
     out = T.gather_weighted(alpha, v, pb.selected_indices)
@@ -828,11 +834,13 @@ class MultiHeadLan:
                 collect: dict | None = None) -> Tensor:
         cfg = self.cfg
         B, T_q, d = x_q.shape
-        q = self._project(x_q, self.W_q, self.b_q)
-        k = self._project(x_kv, self.W_k, self.b_k)
-        v = self._project(x_kv, self.W_v, self.b_v)
-        out_heads, _, _, traj = attend(q, k, v, self.core, cfg, key_mask,
-                                       trajectory=collect is not None)
+        # q and k go straight into attend, which drops them once it has
+        # projected the pairs
+        out_heads, _, _, traj = attend(
+            self._project(x_q, self.W_q, self.b_q),
+            self._project(x_kv, self.W_k, self.b_k),
+            self._project(x_kv, self.W_v, self.b_v), self.core, cfg,
+            key_mask, trajectory=collect is not None)
         merged = T.reshape(T.swapaxes(out_heads, 1, 2),
                            (B, T_q, cfg.heads * cfg.head_dim))
 

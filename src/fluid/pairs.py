@@ -7,7 +7,8 @@ never enter the pair set under causal masking; rows left with fewer than
 K_eff candidates are padded with index 0 and marked invalid. Top-K
 forms and ranks its scores on ``fluid.pool``, one work item per slice of
 at most 2 MB of scores: neither the [B,H,T_q,T_k] candidate mask nor a
-whole score matrix of a long sequence is ever built.
+whole score matrix of a long sequence is ever built, nor the partition
+copy of a whole slice.
 
 The gates see each pair through a linear projection of u = [q; k], so a
 pair's input is a sum of one query feature and one key feature.
@@ -59,11 +60,12 @@ class PairInput:
     runs on each head's packed pairs, its valid pairs in slot order;
     ``counts`` holds them per head. An invalid slot gets no gates of its
     own: ``unroll`` writes it the floor gates f_tau = eps, f_phi = 0 where
-    ``invalid`` [H, slots] is set, so its logit a stays 0. ``keys[hd]``
-    holds the flat key index b * T_k + j of each packed pair of head
-    ``hd``, and ``pos[hd]`` its slot. With every pair valid, packing is
-    the identity and holds no index of its own: ``keys`` is the [H, slots]
-    key index, and ``pos`` and ``invalid`` are None.
+    ``invalid`` [H, slots] is set, so its logit a stays 0, and ``pos[hd]``
+    holds the slot of each packed pair of head ``hd``. A block reads its
+    keys off the batch's ``selected_indices`` by slot, through two tables
+    of each query row, so no index of the pairs' keys is built. With every
+    pair valid, packing is the identity and holds no index of its own:
+    ``pos`` and ``invalid`` are None.
     """
 
     def __init__(self, qp: Tensor, kp: Tensor, batch: PairBatch):
@@ -73,16 +75,26 @@ class PairInput:
         self.qp, self.kp = qp, kp
         self.shape = (B, H, T_q, K, C)
         self.size = B * H * T_q * K * C
-        keys = (np.arange(B)[:, None, None, None] * kp.shape[2]
-                + idx).transpose(1, 0, 2, 3).reshape(H, -1)
+        # the keys of every query row as one flat array, rows ``step``
+        # apart: a view of top-k's indices (step K), or of full pairwise's
+        # one row, which every query shares (step 0)
+        idx = idx.reshape(B * H * T_q, K)
+        step = K if idx.strides[0] else 0
+        self._idx = (idx if step else idx[:1]).ravel()
+        # per head and row r = b * T_q + i: the shift from the row's slots
+        # r * K + s to its keys' places in ``_idx``, and b * T_k
+        r = np.arange(B * T_q)
+        b = r // T_q
+        row = r + (b * (H - 1) + np.arange(H)[:, None]) * T_q   # (b, hd, i)
+        self._start = row * step - r * K
+        self._key0 = b * kp.shape[2]
         if valid.all():
-            self.keys, self.pos, self.invalid = keys, None, None
-            self.counts = [keys.shape[1]] * H
+            self.pos, self.invalid = None, None
+            self.counts = [B * T_q * K] * H
         else:
             valid = valid.transpose(1, 0, 2, 3).reshape(H, -1)
             self.invalid = ~valid
             self.pos = [np.flatnonzero(v) for v in valid]
-            self.keys = [k[v] for k, v in zip(keys, valid)]
             self.counts = [p.size for p in self.pos]
         # channel-major [H, C, B*T]: one channel of one head is contiguous;
         # reshape copies only where qp or kp is not laid out so already
@@ -96,10 +108,21 @@ class PairInput:
             return self.pos[hd][sel]
         return np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
 
+    def pairs(self, hd: int, sel) -> tuple[np.ndarray, np.ndarray]:
+        """(query rows b * T_q + i, flat key indices b * T_k + j) of head
+        ``hd``'s packed pairs ``sel``: the keys j are read off
+        ``selected_indices`` by slot."""
+        slots = self.slots(hd, sel)
+        rows = slots // self.shape[3]
+        keys = np.take(self._idx, self._start[hd][rows] + slots)
+        keys += self._key0[rows]
+        return rows, keys
+
     def block(self, hd: int, sel) -> np.ndarray:
         """The input [C, pairs] of head ``hd``'s packed pairs ``sel``."""
-        x = np.take(self._k[hd], self.keys[hd][sel], axis=1)
-        x += np.take(self._q[hd], self.slots(hd, sel) // self.shape[3], axis=1)
+        rows, keys = self.pairs(hd, sel)
+        x = np.take(self._k[hd], keys, axis=1)
+        x += np.take(self._q[hd], rows, axis=1)
         return x
 
     def block_grads(self, hd: int, sel, dx: np.ndarray):
@@ -107,10 +130,10 @@ class PairInput:
         the block touches, d qp of each [C, rows], d kp of every key
         [C, B*T_k] by one ``np.bincount`` over the flat (channel, key)
         index)."""
-        rows = self.slots(hd, sel) // self.shape[3]
+        rows, keys = self.pairs(hd, sel)
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         C, M = dx.shape[0], self._k.shape[2]
-        flat = (np.arange(C)[:, None] * M + self.keys[hd][sel]).ravel()
+        flat = (np.arange(C)[:, None] * M + keys).ravel()
         return rows[starts], np.add.reduceat(dx, starts, axis=1), np.bincount(
             flat, weights=dx.ravel(), minlength=C * M).reshape(C, M)
 
@@ -165,7 +188,9 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     ``fluid.pool``: several whole (batch, head) score matrices, as many as
     fit ``_SLICE_SCORES``, or balanced row spans of one matrix that does
     not fit. An item makes one GEMM call per matrix, on the matrix's rows
-    of its slice, and writes its rows into the outputs by position. A row
+    of its slice, and writes its rows into the outputs by position. It
+    partitions its rows ``_PARTITION_SCORES`` scores at a time, so besides
+    its slice's scores it holds one such chunk's partition copy. A row
     span holds at least two rows and over 2^15 scores, so BLAS runs it on
     the GEMM kernel of the whole product, and its scores are bitwise the
     whole product's, as the tests check; a single row would take the GEMV
@@ -185,6 +210,7 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     kf = np.swapaxes(k.data.reshape(G, T_k, D), -1, -2)
     if key_mask is not None:
         key_mask = np.broadcast_to(np.asarray(key_mask, dtype=bool), (B, T_k))
+    chunk = max(1, _PARTITION_SCORES // T_k)
     indices = np.empty((G * T_q, K_eff), dtype=np.intp)
     valid = np.empty((G * T_q, K_eff), dtype=bool)
 
@@ -198,8 +224,12 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
         if key_mask is not None:
             out |= ~key_mask[rows // (H * T_q)]
         np.copyto(s, np.inf, where=out)
-        # a copy, so that the slice's partition buffer is freed at once
-        kth = np.partition(s, K_eff - 1, axis=-1)[:, K_eff - 1:K_eff].copy()
+        # each row's K_eff-th score, partitioned a chunk of rows at a time:
+        # an item holds one chunk's partition copy, never the slice's
+        kth = np.empty((len(s), 1))
+        for c in range(0, len(s), chunk):
+            kth[c:c + chunk] = np.partition(s[c:c + chunk], K_eff - 1,
+                                            axis=-1)[:, K_eff - 1:K_eff]
         keep = s <= kth
         # rows with more ties at kth than places keep their lowest-index ties
         over = np.count_nonzero(keep, axis=-1) > K_eff
@@ -229,6 +259,9 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
 
 
 # the most scores one slice of top-k selection forms and ranks, unless
-# four rows of a matrix hold more: 2 MB, so that the slice's partition
-# copy stays in cache
+# four rows of a matrix hold more: 2 MB, so that the slice's scores stay
+# in cache
 _SLICE_SCORES = 1 << 18
+# the most scores one partition copy holds, unless one row holds more:
+# 256 kB, 32 rows of 1,024 keys
+_PARTITION_SCORES = 1 << 15

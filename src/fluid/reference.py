@@ -108,18 +108,21 @@ def ct_rnn_analytic_constant_input(cell: CtRnnCell, u: np.ndarray,
 
 class FrozenGates:
     """A gate core of the attention limit: f_tau = 1, f_phi = q.k/sqrt(d)
-    on the selected pairs, 0 on invalid ones. One Euler step at the largest
-    stable size dt = 1/f_tau = 1 lands each logit on f_phi/f_tau, so
-    ``logits`` takes that step whatever step count the block has. Numpy on
-    the values of q and k: no gradient flows through it."""
+    on the selected pairs, 0 on invalid ones. Its pair input is f_phi. One
+    Euler step at the largest stable size dt = 1/f_tau = 1 lands each logit
+    on f_phi/f_tau, so ``unroll`` takes that step whatever step count the
+    block has. Numpy on the values of q and k: no gradient flows through
+    it."""
 
-    def logits(self, q: Tensor, k: Tensor, pb: pairs.PairBatch, n_steps: int,
-               trajectory: bool = False):
+    def project_pairs(self, q: Tensor, k: Tensor,
+                      pb: pairs.PairBatch) -> np.ndarray:
         B, H, T_q, D = q.shape
         k_sel = k.data[np.arange(B)[:, None, None, None],
                        np.arange(H)[:, None, None], pb.selected_indices]
         dots = (q.data[..., None, :] * k_sel).sum(axis=-1) * pb.valid_mask
-        f_phi = dots * (1.0 / np.sqrt(D))
+        return dots * (1.0 / np.sqrt(D))
+
+    def unroll(self, f_phi: np.ndarray, n_steps: int, trajectory: bool = False):
         gates = np.stack([np.ones_like(f_phi), f_phi])
         final, traj = A.integrate_logits(gates, 1.0)
         return Tensor(final), traj if trajectory else None

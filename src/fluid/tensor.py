@@ -335,11 +335,13 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     valid = np.broadcast_to(mask, a.shape)
     if not valid.any(axis=-1).all():
         raise ValueError("masked_softmax: some rows have no valid entries")
-    neg_inf_free = np.where(valid, a.data, -np.inf)
-    shift = neg_inf_free.max(axis=-1, keepdims=True)
-    e = np.where(valid, np.exp(a.data - shift), 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    out = e / denom
+    # one working buffer: the masked logits, their shifted exps, the weights;
+    # a masked entry stays -inf until exp makes it exactly 0
+    out = np.where(valid, a.data, -np.inf)
+    shift = out.max(axis=-1, keepdims=True)
+    np.subtract(out, shift, out=out, where=valid)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def rule(g):
         dot = (g * out).sum(axis=-1, keepdims=True)

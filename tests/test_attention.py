@@ -546,7 +546,8 @@ def test_no_grad_forward_never_holds_the_gates_of_the_pass(monkeypatch, workers)
     # the infer_topk_t1024 layer: each item's gates go through the
     # integrator as they come and are dropped, so the forward holds the
     # running items' scratch and a few blocks' gates, never the gates
-    # [2N, H, pairs] of the whole pass
+    # [2N, H, pairs] of the whole pass; and while the gates run, it holds
+    # no second key index, and neither q nor k
     B, T_, d, H, N, K = 1, 1024, 64, 4, 5, 32
     mh = A.MultiHeadLan(_mh_cfg(d_model=d, heads=H, euler_steps=N, top_k=K),
                         np.random.default_rng(91))
@@ -558,11 +559,23 @@ def test_no_grad_forward_never_holds_the_gates_of_the_pass(monkeypatch, workers)
     h, pairs_ = d // H, B * T_ * K
     block = A._BLOCK_SCALARS // (3 * h)
     gates = 2 * N * H * pairs_ * 8
+    # what the pass holds while its gates run: v, the projections qp and
+    # kp, the logits, and the pair batch's keys and flags
+    held = ((B * T_ * d + 2 * H * 3 * h * B * T_ + H * pairs_) * 8
+            + H * pairs_ * 9)
     # an item's input, scratch, state and gates
     item = (3 * h + max(3 * h, N) + h + 2 * N) * block * 8
-    bound = gates + 2 * item
+    # the gates of the blocks the caller has yet to integrate: a few with
+    # one worker, and with pooled items as many as finish while the caller
+    # waits for the GIL
+    waiting = (3 + 24 * (workers - 1)) * 2 * N * block * 8
+    bound = held + workers * item + waiting
     assert peak < bound, (peak, bound)
     assert peak + gates > bound                     # room for no whole gates
+    if workers == 1:
+        # items run one at a time, so the peak holds still: room for no
+        # second key index, and for no q and k, which take as much
+        assert peak + H * pairs_ * 8 > bound
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -688,7 +701,9 @@ def test_gate_cores_return_rows_in_the_pair_batch_shape(case):
     for core in (A.RecurrentGateCore(3, rng, heads=2),
                  R.FrozenGates()):
         for n_steps in (1, 3):
-            final, traj = core.logits(q, k, pb, n_steps, trajectory=True)
+            # the core interface attend calls
+            final, traj = core.unroll(core.project_pairs(q, k, pb), n_steps,
+                                      trajectory=True)
             # the frozen gates take the attention limit's one step
             steps = 1 if isinstance(core, R.FrozenGates) else n_steps
             assert final.shape == pb.valid_mask.shape
@@ -844,8 +859,11 @@ class _KeepingLogits:
     def __init__(self, core):
         self.core, self.final = core, None
 
-    def logits(self, *args):
-        self.final, traj = self.core.logits(*args)
+    def project_pairs(self, *args):
+        return self.core.project_pairs(*args)
+
+    def unroll(self, *args):
+        self.final, traj = self.core.unroll(*args)
         return self.final, traj
 
 

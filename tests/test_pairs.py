@@ -1,6 +1,7 @@
 """Pair curation (full pairwise, sparse Top-K) and the factored pair input."""
 
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -195,11 +196,15 @@ def test_pooled_topk_is_bitwise_the_oracle_for_any_cut(monkeypatch, workers):
                 for mask in (None, key_mask):
                     for K in (1, 3, 4, 7):
                         want = topk_sort(q, k, K, causal=causal, key_mask=mask)
-                        for scores in (7, 42, 84, 10 ** 9):
+                        # partition chunks of one row, of two and of
+                        # every row of a slice
+                        for scores, part in product((7, 42, 84, 10 ** 9),
+                                                    (1, 14, 10 ** 9)):
                             monkeypatch.setattr(pairs, "_SLICE_SCORES", scores)
+                            monkeypatch.setattr(pairs, "_PARTITION_SCORES", part)
                             got = pairs.topk_concat(q, k, K, causal=causal,
                                                     key_mask=mask)
-                            case = (causal, mask is not None, K, scores)
+                            case = (causal, mask is not None, K, scores, part)
                             assert np.array_equal(got.selected_indices,
                                                   want.selected_indices), case
                             assert np.array_equal(got.valid_mask,
@@ -222,8 +227,9 @@ def test_pooled_topk_keeps_the_callers_errstate(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_topk_never_holds_a_whole_candidate_mask(monkeypatch, workers):
     # the infer_topk_t1024 shape without a mask: each running item holds
-    # one 2 MB slice's scores, their partition copy and flags, never a
-    # [B,H,T_q,T_k] candidate mask or a whole score matrix
+    # one 2 MB slice's scores, their flags and the partition copy of one
+    # chunk of its rows, never a [B,H,T_q,T_k] candidate mask, a whole
+    # score matrix or a whole slice's partition copy
     B, H, T, D, K = 1, 4, 1024, 16, 32
     rng = np.random.default_rng(29)
     q = Tensor(rng.standard_normal((B, H, T, D)))
@@ -231,11 +237,14 @@ def test_topk_never_holds_a_whole_candidate_mask(monkeypatch, workers):
     monkeypatch.setattr(pool, "_WORKERS", workers)
     pairs.topk_concat(q, k, K)                      # the pool starts
     outputs = B * H * T * K * 9
-    item = pairs._SLICE_SCORES * 8 + 3 * pairs._SLICE_SCORES * 8 // 2
+    chunk = max(1, pairs._PARTITION_SCORES // T) * T
+    item = pairs._SLICE_SCORES * 8 + pairs._SLICE_SCORES * 8 // 2 + chunk * 8
     bound = outputs + workers * item
     peak = peak_bytes(lambda: pairs.topk_concat(q, k, K))
     assert peak < bound
     assert peak + B * H * T * T > bound             # room for no candidate mask
+    # room for no partition copy of a whole slice in each running item
+    assert peak + workers * (pairs._SLICE_SCORES - chunk) * 8 > bound
 
 
 def _recorded_slices(monkeypatch, q, k, K):
@@ -354,6 +363,63 @@ def test_topk_gradient_flows_to_selected_pairs_only():
         else:
             assert np.allclose(k.grad[0, 0, idx], np.zeros(2))
     assert np.allclose(q.grad, np.ones((1, 1, 1, 2)))
+
+
+def _pair_input_case(case, rng):
+    """Projections qp, kp [B,H,T,C] with B = 3, and a pair batch of them:
+    6 slots a query, or 3 for top-k."""
+    B, H, T_q, T_k, C = 3, 2, 5, 6, 4
+    qp = Tensor(rng.standard_normal((B, H, T_q, C)), requires_grad=True)
+    kp = Tensor(rng.standard_normal((B, H, T_k, C)), requires_grad=True)
+    key_mask = np.arange(T_k) < np.array([6, 4, 5])[:, None]
+    if case == "full":
+        pb = pairs.full_pairwise_concat(qp, kp)
+    elif case == "key_padded":
+        pb = pairs.full_pairwise_concat(qp, kp, key_mask=key_mask)
+    elif case == "causal":
+        pb = pairs.full_pairwise_concat(qp, kp, causal=True)
+    elif case == "topk":
+        pb = pairs.topk_concat(qp, kp, 3)
+    else:
+        pb = pairs.topk_concat(qp, kp, 3, causal=True, key_mask=key_mask)
+    return qp, kp, pb
+
+
+@pytest.mark.parametrize("case", ["full", "key_padded", "causal", "topk",
+                                  "topk_masked"])
+def test_pair_input_blocks_and_their_gradients_are_bitwise_pair_sums(case):
+    # every block of packed pairs, by slice (in one batch, from a batch's
+    # first slot to its last, and across batches) or by an ascending index
+    # array (the backward's live pairs), is its columns of the whole
+    # pair_sum, and its gradient partials are pair_sum's gradients from a
+    # gradient on the block's pairs alone. The gradients are small integers,
+    # so their sums are exact in any order
+    rng = np.random.default_rng(37)
+    qp, kp, pb = _pair_input_case(case, rng)
+    B, H, T_q, C = qp.shape
+    T_k, K = kp.shape[2], pb.selected_indices.shape[3]
+    pin = pairs.PairInput(qp, kp, pb)
+    # [H, slots, C], slots in (batch, query, slot) order
+    whole = pair_sum(qp, kp, pb).data.transpose(1, 0, 2, 3, 4).reshape(H, -1, C)
+    for hd, P in enumerate(pin.counts):
+        for sel in (slice(0, P), slice(1, P - 1), slice(0, P // 3),
+                    slice(P // 3, P // 2 + 1), slice(P // 2, P // 2 + 3),
+                    np.arange(0, P, 2), np.array([P - 1]),
+                    np.sort(rng.choice(P, P // 3, replace=False))):
+            slots = pin.slots(hd, sel)
+            assert np.array_equal(pin.block(hd, sel), whole[hd, slots].T)
+            dx = rng.integers(-8, 9, (C, slots.size)).astype(float)
+            g = np.zeros((H, B * T_q * K, C))
+            g[hd, slots] = dx.T
+            g = g.reshape(H, B, T_q, K, C).transpose(1, 0, 2, 3, 4)
+            qp.zero_grad()
+            kp.zero_grad()
+            T.tsum(T.mul(pair_sum(qp, kp, pb), Tensor(g))).backward()
+            rows, dq_rows, dk = pin.block_grads(hd, sel, dx)
+            dq = qp.grad[:, hd].reshape(B * T_q, C).T
+            assert np.array_equal(dq[:, rows], dq_rows)
+            assert not np.delete(dq, rows, axis=1).any()
+            assert np.array_equal(kp.grad[:, hd].reshape(B * T_k, C).T, dk)
 
 
 def test_pair_sum_gradients_sum_over_pairs_and_scatter_into_keys():
