@@ -18,11 +18,11 @@ or the pair input: each work item of its kernel forms its own block of
 pair inputs. The GRU runs only on the valid pairs; an invalid pair
 holds the floor gates f_tau = eps, f_phi = 0, so its logit stays 0 and
 it never raises the clamp's max. One tape op runs from the pair input
-through ``integrate_logits`` to the final logits. It keeps every other
-hidden state, h_2, h_4 .. h_{N-2}, the clamped dt and the final logits;
-each backward work item rebuilds the rest of its block's hidden states
-with the forward's ops, keeping the cell outputs of the steps it rebuilds
-first so that the cell still runs N times, then its gates and its Euler
+through ``integrate_logits`` to the final logits. It keeps no hidden
+state, only the clamped dt and the final logits; each backward work item
+replays its block's GRU over all N steps with the forward's ops, keeping
+every state and cell output in its own scratch so that the cell runs N
+times and its reverse loop none, then rebuilds its gates and its Euler
 states, with few numpy calls and passes per step (see ``_cell``). The
 backward runs only on the live pairs, those whose final logit has a
 nonzero gradient: a pair's gradients are linear in that gradient, so a
@@ -189,18 +189,18 @@ class RecurrentGateCore:
     ``pairs.PairInput``. ``unroll`` is one tape op from it to the
     final logits: ``_gru_forward``, whose blocks of gates go through
     ``integrate_logits`` one at a time. Its tape
-    keeps only the pair input, the weights, every other hidden state, h_2,
-    h_4 .. h_{N-2} (``_kept_steps``), the clamped dt and the final logits
-    (Gruslys et al., "Memory-Efficient Backpropagation Through Time"; Chen
-    et al., "Training Deep Nets with Sublinear Memory Cost"). Each
-    backward item rebuilds the rest with the forward's ops: first h_0 and
-    the odd states, in forward order, keeping those steps' cell outputs,
-    then the other steps' as its reverse loop reaches them, so it evaluates
-    the cell N times, as the forward does. Up to h = 8 every rebuilt value
-    is bitwise the forward's; at wider heads BLAS's bits for W_h^T h depend
-    on a pair's column in its block, so where the backward's blocks of live
-    pairs differ from the forward's, a rebuilt state can differ from the
-    forward's in its last bit. A step costs few numpy calls,
+    keeps only the pair input, the weights, the clamped dt and the final
+    logits, no hidden state. Each backward item recomputes within its own
+    block (Chen et al., "Training Deep Nets with Sublinear Memory Cost";
+    Gruslys et al., "Memory-Efficient Backpropagation Through Time"): it
+    replays the block's GRU forward over all N steps with the forward's
+    ops and keeps every state and cell output in its scratch, so it
+    evaluates the cell N times, as the forward does, and its replay memory
+    scales with the block, not with the pass. Up to h = 8 every replayed
+    value is bitwise the forward's; at wider heads BLAS's bits for W_h^T h
+    depend on a pair's column in its block, so where the backward's blocks
+    of live pairs differ from the forward's, a replayed state can differ
+    from the forward's in its last bit. A step costs few numpy calls,
     as each is a GIL handoff between the workers, and few passes over the
     block: the item's input and bias are negated once, the reset and
     update gates stay as their sigmoids' denominators 1 + exp(-s), and the
@@ -221,10 +221,11 @@ class RecurrentGateCore:
     block], which the cell overwrites in place, one state [h, block] and
     its gates [2N, block], so while 3h >= N an item holds the same number
     of scalars at every head width. Forward items return their gates,
-    which the calling thread integrates in item order, and write their
-    hidden states by position; backward items return their gradient
-    partials, summed in item order: outputs and every gradient are bitwise
-    the same for any number of threads. The backward cuts only the live
+    which the calling thread integrates in item order. A backward item
+    holds its block's states and cell records too (see
+    ``_backward_block``) and returns its gradient partials, summed in item
+    order: outputs and every gradient are bitwise the same for any number
+    of threads. The backward cuts only the live
     pairs into blocks, those whose final logit's gradient is not 0; the
     rest add exactly 0 to every gradient (see ``_gru_backward``).
     """
@@ -275,10 +276,9 @@ class RecurrentGateCore:
         [B,H,T_q,K_eff], LogitTrajectory or None). The calling thread
         integrates each item's gates as they come, at dt_nominal; where the
         clamped dt of the pass, known once every item has reported its
-        f_tau max, is smaller, the items run again without the tape and
-        integrate at it. The tape holds the even hidden states h_2, h_4 ..
-        h_{N-2}, [H, (N-2)//2, h, packed pairs] (none below N = 4), and the
-        final logits.
+        f_tau max, is smaller, the items run again and integrate at it.
+        The tape holds the final logits and the clamped dt, and no hidden
+        state: each backward item replays its block's GRU.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -300,38 +300,32 @@ class RecurrentGateCore:
         inputs = (pin.qp, pin.kp, self.W_h, self.w_t, self.b_x, self.W_o,
                   self.b_o)
         w = {n: p.data for n, p in self.parameters().items()}
-        # h_2, h_4 .. h_{N-2} of every packed pair; the backward rebuilds
-        # the rest
-        saved = (np.empty((H, len(_kept_steps(n_steps)), h, max(pin.counts)))
-                 if T._grad_enabled() and any(t.requires_grad for t in inputs)
-                 else None)
         logits = np.zeros((H, P))       # an invalid slot's logit stays 0
 
-        def run(dt, gates, saved):
+        def run(dt, gates):
             # returns the clamped dt of the pass, min(dt_nominal, 1/max f_tau)
             maxima = []
-            for (hd, sel), (block, top) in _gru_forward(pin, w, n_steps,
-                                                        gates, saved):
+            for (hd, sel), (block, top) in _gru_forward(pin, w, n_steps, gates):
                 logits[hd, pin.slots(hd, sel)] = integrate_logits(block, dt)[0]
                 maxima.append(top)
             return float(min(dt_nominal, 1.0 / np.max(maxima)) if maxima
                          else dt_nominal)
 
-        dt = run(dt_nominal, gates, saved)
+        dt = run(dt_nominal, gates)
         if dt < dt_nominal:
-            run(dt, None, None)
+            run(dt, None)
         final = np.moveaxis(logits.reshape(pairs_shape), 1, 0)
         traj = None if gates is None else LogitTrajectory.of(
             np.moveaxis(gates.reshape((2 * n_steps,) + pairs_shape), 2, 1),
             dt, dt_nominal)
-        if saved is None:
+        if not (T._grad_enabled() and any(t.requires_grad for t in inputs)):
             return Tensor(final), traj
 
         def rule(g):
             # one head-major copy [H, 1, slots]: items run the adjoint on
             # their columns of it in place
             g_h = np.array(np.moveaxis(g, 1, 0)).reshape(H, 1, -1)
-            return _gru_backward(g_h, pin, w, saved, n_steps, dt)
+            return _gru_backward(g_h, pin, w, n_steps, dt)
 
         return T._node(final, inputs, rule), traj
 
@@ -378,14 +372,6 @@ def _state(prev, cn, d_z, out):
     out -= cn
 
 
-def _hidden_projection(W_hnT, prev, out):
-    """out <- W_hnT prev. On one pair numpy's matrix-vector product gives
-    bits that depend on prev's stride at some head widths, so a column is
-    made contiguous: a saved state then gives a free state's bits."""
-    np.matmul(W_hnT, prev if prev.shape[1] > 1 else np.ascontiguousarray(prev),
-              out=out)
-
-
 def _negate_input(x, w, hd, n_steps):
     """x <- -(x + b_x) in place; returns the time terms t_n w_t [N,3h,1],
     t_n = n * dt_nominal with dt_nominal = 1/N."""
@@ -426,18 +412,16 @@ def _items(counts: list[int], C: int, live: list | None = None) -> list[tuple]:
     return items
 
 
-def _gru_forward(pin, w, n_steps, gates, saved):
+def _gru_forward(pin, w, n_steps, gates):
     """Run every head's GRU on the packed pairs of ``pin``, one work item
     per block: yields ((head, selector), (gates [2N, block], max f_tau)) of
     each item in item order, f_tau in the block's rows :N and f_phi in rows
-    N:. With ``gates`` [2N,H,slots] the items also write their blocks there;
-    with ``saved`` [H,(N-2)//2,h,packed pairs] they keep the even hidden
-    states h_2, h_4 .. h_{N-2} there for the backward."""
+    N:. With ``gates`` [2N,H,slots] the items also write their blocks
+    there."""
     def item(hd, sel):
         x = pin.block(hd, sel)
         out = np.empty((2 * n_steps, x.shape[1]))
-        _forward_block(x, w, hd, out,
-                       None if saved is None else saved[hd, :, :, sel])
+        _forward_block(x, w, hd, out)
         if gates is not None:
             gates[:, hd, pin.slots(hd, sel)] = out
         return out, np.max(out[:n_steps])
@@ -446,22 +430,13 @@ def _gru_forward(pin, w, n_steps, gates, saved):
     return zip(items, pool._run_items(item, items))
 
 
-def _kept_steps(n_steps: int) -> range:
-    """The steps n whose hidden states h_n the tape keeps, h_2, h_4 ..
-    h_{N-2}, h_n in row n // 2 - 1 of the saved states; not h_0, the odd
-    states or h_{N-1}, which each backward item rebuilds."""
-    return range(2, n_steps - 1, 2)
-
-
-def _forward_block(x, w, hd, gates, saved):
+def _forward_block(x, w, hd, gates):
     """Head ``hd``'s GRU over one block of pairs: x [3h,P] (overwritten),
-    gates [2N,P], saved [(N-2)//2,h,P] for h_2, h_4 .. h_{N-2}, or None.
-    Besides x, the item allocates one scratch [max(3h,N),P] and one state
-    [h,P]: the cell overwrites the hidden projection hpn with its
-    denominators d and -c in place, and the state holds every state that is
-    not saved: h_0, the odd states and h_{N-1}. The loop writes W_o h_n
-    into the gates, and the heads' bias, tanh, softplus and +eps follow over
-    all steps at once."""
+    gates [2N,P]. Besides x, the item allocates one scratch [max(3h,N),P]
+    and one state [h,P]: the cell overwrites the hidden projection hpn with
+    its denominators d and -c in place, and the state holds each h_n in
+    turn. The loop writes W_o h_n into the gates, and the heads' bias,
+    tanh, softplus and +eps follow over all steps at once."""
     C, P = x.shape
     h, N = C // 3, len(gates) // 2
     scratch = np.empty((max(C, N), P))   # hpn, then the softplus scratch
@@ -470,16 +445,12 @@ def _forward_block(x, w, hd, gates, saved):
     tw = _negate_input(x, w, hd, N)
     W_hnT = np.negative(w["W_h"][hd].T)
     W_o = w["W_o"][hd][::-1].copy()      # f_tau's row above f_phi's, as in gates
-    kept = () if saved is None else _kept_steps(N)
-    prev = None
     for n in range(N):
-        new = saved[n // 2 - 1] if n in kept else hidden
-        if prev is not None:
-            _hidden_projection(W_hnT, prev, hpn)
-        _cell(x, None if prev is None else hpn, tw[n], d, cn)
-        _state(prev, cn, d[h:], new)
-        prev = new
-        np.matmul(W_o, new, out=gates[n::N])     # rows n and N + n
+        if n:
+            np.matmul(W_hnT, hidden, out=hpn)
+        _cell(x, hpn if n else None, tw[n], d, cn)
+        _state(hidden if n else None, cn, d[h:], hidden)
+        np.matmul(W_o, hidden, out=gates[n::N])  # rows n and N + n
     _heads_(gates, w["b_o"][hd], scratch[:N])
 
 
@@ -497,7 +468,7 @@ def _heads_(gates: np.ndarray, b_o: np.ndarray, scratch: np.ndarray):
     np.tanh(f_phi, out=f_phi)
 
 
-def _gru_backward(g, pin, w, saved, n_steps, dt):
+def _gru_backward(g, pin, w, n_steps, dt):
     """The backward of ``unroll`` from the final logits' gradient g [H, 1,
     slots]: returns (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its
     parameter's shape.
@@ -508,10 +479,10 @@ def _gru_backward(g, pin, w, saved, n_steps, dt):
     skipped. The live pairs of each head are cut into balanced blocks by
     their count, so the cut is the same for any number of workers; an item
     selects its pairs by a slice where every pair of the head is live,
-    else by its part of the live indices. Each item takes its slots of g,
-    its pair inputs again and its saved hidden states, and returns its
-    partials; they are summed in item order, so every gradient is the same
-    for any number of workers."""
+    else by its part of the live indices. Each item takes its slots of g
+    and its pair inputs again, replays its GRU and returns its partials;
+    they are summed in item order, so every gradient is the same for any
+    number of workers."""
     live = [np.flatnonzero(g[hd, 0, pin.slots(hd, slice(0, P))])
             for hd, P in enumerate(pin.counts)]
     items = _items(pin.counts, pin.shape[-1], live)
@@ -519,7 +490,7 @@ def _gru_backward(g, pin, w, saved, n_steps, dt):
     def item(hd, sel):
         dx, parts = _backward_block(
             g[hd, 0, pin.slots(hd, sel)], pin.block(hd, sel), w, hd,
-            saved[hd][..., sel], n_steps, dt, not isinstance(sel, slice))
+            n_steps, dt, not isinstance(sel, slice))
         return parts, pin.block_grads(hd, sel, dx)
 
     results = list(pool._run_items(item, items))
@@ -537,9 +508,10 @@ def _head_grads(g, hidden, w, hd, dt):
     final logits (overwritten), and its hidden states h_0 .. h_{N-1}. The
     gates are rebuilt with the forward's heads, and the Euler states
     a_0 .. a_{N-1} with dt and the integrator's ops; the Euler adjoint
-    gives the gates' gradient d, and o's are (1 - f_phi^2) d and
-    sigmoid(o) d, with sigmoid(o) = -expm1(eps - f_tau) read from
-    f_tau = softplus(o) + eps, off by about eps * 2^-53 at most."""
+    writes the gates' gradients into the result's rows, and o's are
+    (1 - f_phi^2) and sigmoid(o) times them, with sigmoid(o) =
+    -expm1(eps - f_tau) read from f_tau = softplus(o) + eps, off by about
+    eps * 2^-53 at most; both factors are formed over the spent gates."""
     N, P = len(hidden), g.shape[0]
     gates, a = np.empty((2 * N, P)), np.empty((N, P))
     W_o = w["W_o"][hd][::-1].copy()      # as in _forward_block
@@ -547,86 +519,72 @@ def _head_grads(g, hidden, w, hd, dt):
         np.matmul(W_o, h_n, out=gates[n::N])
     _heads_(gates, w["b_o"][hd], a)
     a[0] = 0.0
-    _euler_states(a, gates[:N], gates[N:], dt)
-    g_gates = np.empty_like(gates)
-    _euler_adjoint(g, gates[:N], a, dt, g_gates)
+    f_tau, f_phi = gates[:N], gates[N:]
+    _euler_states(a, f_tau, f_phi, dt)
     d = np.empty((N, 2, P))
     d_phi, d_tau = d[:, 0], d[:, 1]
-    np.multiply(gates[N:], gates[N:], out=d_phi)
-    np.subtract(1.0, d_phi, out=d_phi)
-    d_phi *= g_gates[N:]
-    np.subtract(_EPSILON, gates[:N], out=d_tau)
-    np.expm1(d_tau, out=d_tau)
-    d_tau *= g_gates[:N]
+    _euler_adjoint(g, f_tau, a, dt, d_tau, d_phi)
+    np.multiply(f_phi, f_phi, out=f_phi)
+    np.subtract(1.0, f_phi, out=f_phi)
+    d_phi *= f_phi
+    np.subtract(_EPSILON, f_tau, out=f_tau)
+    np.expm1(f_tau, out=f_tau)
+    d_tau *= f_tau
     np.negative(d_tau, out=d_tau)
     return d
 
 
-def _backward_block(g, x, w, hd, saved, n_steps, dt, pair_major):
+def _backward_block(g, x, w, hd, n_steps, dt, pair_major):
     """Backward of head ``hd`` over one block, from g [P], the gradient of
-    its final logits: x [3h,P] (overwritten), saved [(N-2)//2,h,P], the
-    kept states h_2, h_4 .. h_{N-2}, pair-major in memory if
-    ``pair_major``, as numpy gathers an index array's columns. Returns d x
-    and this block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o
-    [2,h], db_o [2]).
+    its final logits: x [3h,P], whose buffer becomes d x. Returns d x and
+    this block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o [2,h],
+    db_o [2]).
 
-    The cell runs N times. First, in forward order, step 0's cell rebuilds
-    h_0 and each odd step n <= N-2's rebuilds the odd state h_n from
-    h_{n-1}, in the kept states' layout: BLAS's bits depend on it, and
-    every state h_1 .. h_{N-2} then reads alike. These cells' outputs stay
-    for the reverse loop, step 0's d_z and -c in d0, c0 and each odd step's
-    in rows [d; hpn_c; cn] of its own record in ``odd``. The reverse loop
-    runs the cell of every other step in ``fresh``: step N-1's, which
-    rebuilds h_{N-1} where ``_head_grads`` reads every state, and the kept
-    states' steps. The gradients read z and r off the cell's denominators
-    (z dh = dh / d_z) and fold in its signs, cn = -c and hpn = -hp. A
-    record's rows 2h:3h keep hpn's candidate rows, which the reset gate's
-    gradient reads after the cell has run, and then take dn, so that its
-    first 3h rows are the gradient [dr; dz; dn] of W_h^T h_prev."""
+    The tape keeps no hidden state: the item first replays its block's GRU
+    over all N steps, with the forward's ops, and keeps every state h_0 ..
+    h_{N-1} and every cell output, step 0's d_z and -c in d0, c0 and each
+    later step n's in rows [d; hpn_c; cn] of its record ``recs[n - 1]``.
+    The cell so runs N times, as in the forward, and the reverse loop runs
+    none. The states h_1 .. h_{N-2} are pair-major in memory if
+    ``pair_major``, the layout in which numpy gathers an index array's
+    columns, and h_0 and h_{N-1} row-major: the GEMMs that sum dW_h and
+    dW_o over the pairs add in an order that depends on the layout, and
+    this one keeps the gradients' bits of the releases that gathered those
+    states from the tape. The gradients read z and r off the cell's
+    denominators (z dh = dh / d_z) and fold in its signs, cn = -c and
+    hpn = -hp. A record's rows 2h:3h keep hpn's candidate rows, which the
+    reset gate's gradient reads, and then take dn, so that its first 3h
+    rows are the gradient [dr; dz; dn] of W_h^T h_prev."""
     C, P = x.shape
     h, N = C // 3, n_steps
     tw = _negate_input(x, w, hd, N)
     W_h, W_hnT, W_o = w["W_h"][hd], np.negative(w["W_h"][hd].T), w["W_o"][hd]
-    zdh, dcp, h0, d0, c0 = (np.empty((h, P)) for _ in range(5))
+    h0, d0, c0 = (np.empty((h, P)) for _ in range(3))
     _cell(x, None, tw[0], d0, c0)
     _state(None, c0, d0, h0)
-    # the records and states of the odd steps 1, 3 .. <= N-2, and the
-    # record of the step whose cell runs in the reverse loop
-    m = (N - 1) // 2
-    odd, fresh = np.empty((m, 4 * h, P)), np.empty((4 * h, P))
-    odd_h = (np.empty((P, m, h)).transpose(1, 2, 0) if pair_major
-             else np.empty((m, h, P)))
-    states = [h0]               # h_0 .. h_{N-2}, then h_{N-1} in dcp
-    for n in range(1, N - 1):
-        if n % 2:
-            rec = odd[n // 2]
-            _hidden_projection(W_hnT, states[-1], rec[:C])
-            _cell(x, rec[:C], tw[n], rec[:2 * h], rec[C:])
-            _state(states[-1], rec[C:], rec[h:2 * h], odd_h[n // 2])
-            states.append(odd_h[n // 2])
-        else:
-            states.append(saved[n // 2 - 1])
+    inner = max(N - 2, 0)
+    inner_h = (np.empty((P, inner, h)).transpose(1, 2, 0) if pair_major
+               else np.empty((inner, h, P)))
+    states = [h0, *inner_h] + ([np.empty((h, P))] if N > 1 else [])
+    recs = np.empty((N - 1, 4 * h, P))
+    for n in range(1, N):
+        rec, prev = recs[n - 1], states[n - 1]
+        np.matmul(W_hnT, prev, out=rec[:C])
+        _cell(x, rec[:C], tw[n], rec[:2 * h], rec[C:])
+        _state(prev, rec[C:], rec[h:2 * h], states[n])
+    dx = x                  # the replay has read the input for good
+    dx[...] = 0.0
+    d_heads = _head_grads(g, states, w, hd, dt)
+    dW_h, dx_sums, dW_o = np.zeros((h, C)), np.zeros(C), np.zeros((2, h))
+    dh, zdh, dcp = np.zeros((h, P)), np.empty((h, P)), np.empty((h, P))
     for n in reversed(range(N)):
-        prev = states[n - 1] if n else None
-        if prev is None:
-            d_z, c_n = d0, c0
-        else:
-            rec = odd[n // 2] if n % 2 and n < N - 1 else fresh
-            if rec is fresh:
-                _hidden_projection(W_hnT, prev, rec[:C])
-                _cell(x, rec[:C], tw[n], rec[:2 * h], rec[C:])
+        new = states[n]
+        if n:
+            prev, rec = states[n - 1], recs[n - 1]
             d, hp_c, c_n = rec[:2 * h], rec[2 * h:C], rec[C:]
             d_z = d[h:]
-        if n == N - 1:
-            if n:       # the last state, kept until dcp takes its value
-                _state(prev, c_n, d_z, dcp)
-                states.append(dcp)
-            # every state is rebuilt; the gradients' buffers come after the
-            # heads' scratch is freed
-            d_heads = _head_grads(g, states, w, hd, dt)
-            dW_h, dx_sums = np.zeros((h, C)), np.zeros(C)
-            dW_o, dx, dh = np.zeros((2, h)), np.zeros((C, P)), np.zeros((h, P))
-        new = states[n]
+        else:
+            prev, d_z, c_n = None, d0, c0
 
         # projection heads
         d_o = d_heads[n]
@@ -733,18 +691,17 @@ def euler_rows(a0, f_tau: np.ndarray, f_phi: np.ndarray, dt: float,
 
 
 def _euler_adjoint(g: np.ndarray, f_tau: np.ndarray, a: np.ndarray,
-                   dt: float, d: np.ndarray):
+                   dt: float, d_tau: np.ndarray, d_phi: np.ndarray):
     """The adjoint of ``_euler_states`` over the N steps of f_tau [N, ...]:
-    from g, the gradient of a_N, writes the gates' gradient into d [2N, ...]
-    (f_tau's rows, then f_phi's), reading a_0 .. a_{N-1}, and leaves the
-    gradient of a_0 in g."""
-    N = len(f_tau)
-    for n in reversed(range(N)):
-        gs = np.multiply(g, dt, out=d[N + n])
-        # g -= gs * f_tau, with d[n] as scratch before it takes its value
-        g -= np.multiply(gs, f_tau[n], out=d[n])
-        np.multiply(gs, a[n], out=d[n])
-        np.negative(d[n], out=d[n])
+    from g, the gradient of a_N, writes the gates' gradients into d_tau and
+    d_phi [N, ...], reading a_0 .. a_{N-1}, and leaves the gradient of a_0
+    in g."""
+    for n in reversed(range(len(f_tau))):
+        gs = np.multiply(g, dt, out=d_phi[n])
+        # g -= gs * f_tau, with d_tau[n] as scratch before it takes its value
+        g -= np.multiply(gs, f_tau[n], out=d_tau[n])
+        np.multiply(gs, a[n], out=d_tau[n])
+        np.negative(d_tau[n], out=d_tau[n])
 
 
 # --------------------------------------------------------------------------

@@ -159,9 +159,8 @@ def _weighted_sum(logits, coef):
 
 @pytest.mark.parametrize("case", ["full", "causal_masked", "topk",
                                   "topk_blocks", "long_rows"])
-# up to three steps keep no hidden state on the tape, and the backward
-# rebuilds h_0 .. h_{N-1}; four and five keep h_2, six keeps h_2 and h_4,
-# and the backward rebuilds the odd states and h_{N-1} around them
+# the tape keeps no hidden state: each backward item replays h_0 ..
+# h_{N-1}, and from N = 3 lays out the states between them by its selector
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 6])
 def test_fused_gates_match_composed_oracle(case, n_steps):
     rng = np.random.default_rng(41)
@@ -369,7 +368,7 @@ def test_a_forward_item_makes_a_fixed_number_of_numpy_calls_per_step(
         x = rng.standard_normal((3 * h, P)).view(_Counting)
         gates = np.empty((2 * n_steps, P)).view(_Counting)
         _Counting.calls = 0
-        A._forward_block(x, w, 0, gates, None)
+        A._forward_block(x, w, 0, gates)
         made = _Counting.calls
         assert np.isfinite(gates).all()
         return made
@@ -412,7 +411,7 @@ def test_a_forward_item_allocates_one_scratch_and_one_state(n_steps):
     weights = 8 * (2 * h * 3 * h + n_steps * 3 * h)
     tracemalloc.start()
     try:
-        A._forward_block(x, w, 0, gates, None)
+        A._forward_block(x, w, 0, gates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -478,31 +477,44 @@ def test_fused_gates_pass_grad_check():
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("case", ["full", "causal_masked"])
-def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps,
-                                                             monkeypatch):
+def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps):
+    # the tape keeps no hidden state, of steps 1 .. N-2 or of any other:
+    # beyond the final logits, which the untaped forward returns
+    # too, it holds the projected queries and keys and the pair tables,
+    # and one state of every packed pair would outweigh them
     rng = np.random.default_rng(61)
-    H, h = 2, 3
+    B, T_, H, h = 2, 48, 2, 8
     core = A.RecurrentGateCore(h, rng, heads=H)
-    qa, ka, pb = _gate_case(case, rng)
-    kept = []
-    gru_forward = A._gru_forward
+    q = Tensor(rng.standard_normal((B, H, T_, h)), requires_grad=True)
+    k = Tensor(rng.standard_normal((B, H, T_, h)))
+    key_mask = np.arange(T_) < np.array([[T_], [T_ - 9]])
+    pb = (pairs.full_pairwise_concat(q, k) if case == "full" else
+          pairs.full_pairwise_concat(q, k, causal=True, key_mask=key_mask))
+    core.logits(q, k, pb, n_steps)                  # the pool starts
 
-    def spy(*args):
-        kept.append(args[-1])
-        return gru_forward(*args)
+    def held(taped):
+        tracemalloc.start()
+        try:
+            with contextlib.nullcontext() if taped else T.no_grad():
+                final = core.logits(q, k, pb, n_steps)[0]
+            return tracemalloc.get_traced_memory()[0], final
+        finally:
+            tracemalloc.stop()
 
-    monkeypatch.setattr(A, "_gru_forward", spy)
-    with T.no_grad():
-        core.logits(Tensor(qa), Tensor(ka), pb, n_steps)
-    core.logits(Tensor(qa, requires_grad=True), Tensor(ka), pb, n_steps)
-    untaped, taped = kept
-    assert untaped is None
-    # both heads see the same mask; every pair valid packs as it stands
-    slots = pb.valid_mask[:, 0]
-    pairs_run = slots.size if slots.all() else int(slots.sum())
-    # of the states h_1 .. h_{N-2}, the even ones: h_2, h_4 .. h_{N-2}
-    kept = max((n_steps - 2) // 2, 0)
-    assert taped.nbytes == H * kept * h * pairs_run * 8
+    untaped, _ = held(False)
+    taped, final = held(True)
+    assert final.requires_grad
+    packed = int(pb.valid_mask[:, 0].sum())
+    state = H * h * packed * 8      # one hidden state of every packed pair
+    projections = 2 * H * 3 * h * B * T_ * 8
+    # the packed slots [packed] and the invalid flags [slots] of each head,
+    # and the tables of each query row
+    tables = (0 if pb.valid_mask.all() else
+              H * (packed * 8 + pb.valid_mask[:, 0].size)) + H * B * T_ * 16
+    slack = 10_000                  # the op's closure, tensors and views
+    bound = untaped + projections + tables + slack
+    assert taped <= bound, (taped, bound)
+    assert bound < untaped + state
 
 
 def test_taped_forward_keeps_no_gates_and_no_euler_states():
@@ -530,15 +542,14 @@ def test_taped_forward_keeps_no_gates_and_no_euler_states():
     valid = np.tril(np.ones((T_, T_), dtype=bool)) & key_mask[:, None, :]
     packed = int(valid.sum())
     state = H * (d // H) * packed * 8       # one hidden state of every pair
-    hidden = (N - 2) // 2 * state           # h_2, h_4 and h_6
     final = H * B * T_ * T_ * 8
     # the softmax weights, the pair indices, the packed keys and slots and
     # the masks take less than three times the final logits' bytes
     slack = 3 * final
-    assert live <= hidden + final + slack, (live, hidden, final)
+    assert live <= final + slack, (live, final)
     assert slack < (N + 1) * final < 2 * N * final   # the states, the gates
-    # the odd states h_1 .. h_5 as well would break the bound
-    assert hidden + final + slack < live + 3 * state
+    # no hidden state: one of every pair would break the bound
+    assert final + slack < live + state
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -582,9 +593,10 @@ def test_no_grad_forward_never_holds_the_gates_of_the_pass(monkeypatch, workers)
 def test_taped_backward_holds_the_kept_states_and_the_running_items(
         monkeypatch, workers):
     # the train_spiral cross-attention core: 26 decoder queries over 35
-    # padded encoder keys, h = 8, N = 5. The tape keeps h_2 of every packed
-    # pair, and each backward item rebuilds h_1 and h_3 of its live pairs,
-    # so a taped step holds one state of every pair, never three
+    # padded encoder keys, h = 8, N = 5. The tape keeps no hidden state,
+    # and each backward item replays h_0 .. h_{N-1} of its live pairs, so
+    # a taped step holds the running items' states, never one state of
+    # every pair
     B, T_q, T_k, h, H, N = 8, 26, 35, 8, 4, 5
     rng = np.random.default_rng(93)
     core = A.RecurrentGateCore(h, rng, heads=H)
@@ -606,18 +618,17 @@ def test_taped_backward_holds_the_kept_states_and_the_running_items(
     state = H * h * int(valid.sum()) * 8    # one hidden state of every pair
     live = int((valid & (coef[:, 0] != 0)).sum())
     block = max(b - a for a, b in A._blocks(live, 3 * h))
-    odd = (N - 1) // 2
-    # an item's input, its states h_1 .. h_{N-2}, gathered or rebuilt, the
-    # cell records of the odd steps and of one more, five rows of scratch,
-    # its gradients dx and dh and the heads' gradients
-    item = (3 * h + (N - 2) * h + (odd + 1) * 4 * h + 5 * h + 4 * h
-            + 2 * N) * block * 8
+    # an item's input, which becomes dx, its states h_0 .. h_{N-1}, step
+    # 0's cell outputs, the cell records of steps 1 .. N-1, three rows of
+    # scratch, and the heads' gradients with their scratch
+    item = (3 * h + N * h + 2 * h + 4 * h * (N - 1) + 3 * h
+            + 5 * N) * block * 8
     # the logits, the loss's arrays and gradients, the pair keys and slots,
     # the live indices and the projections: 13 final logits' bytes at most
     rest = 13 * B * H * T_q * T_k * 8
-    bound = state + workers * item + rest
+    bound = workers * item + rest
     assert peak < bound, (peak, bound)
-    assert peak + 2 * state > bound         # room for no h_1 and h_3 of all
+    assert peak + state > bound     # room for no hidden state of every pair
 
 
 @pytest.mark.parametrize("case", ["causal_masked", "topk", "long_rows"])
@@ -666,7 +677,7 @@ def test_masked_keys_leave_outputs_unchanged_under_an_active_clamp():
     w = {n: p.data for n, p in core.parameters().items()}
     for hd in range(H):
         zero = np.empty((2 * n_steps, 1))
-        A._forward_block(np.zeros((3 * D, 1)), w, hd, zero, None)
+        A._forward_block(np.zeros((3 * D, 1)), w, hd, zero)
         f_tau = traj.f_tau[:, hd]
         assert zero[:n_steps].min() > max(f_tau.max(), n_steps)
         assert f_tau.min() > n_steps
@@ -762,7 +773,7 @@ def _kernel_on(core, up, valid, n_steps):
         out = np.empty((2 * n_steps, packed.shape[1]))
         for a, b in A._blocks(packed.shape[1], C):
             A._forward_block(np.ascontiguousarray(packed[:, a:b]), w, hd,
-                             out[:, a:b], None)
+                             out[:, a:b])
         gates[:, hd, v] = out
         gates[:n_steps, hd, ~v] = A._EPSILON
         gates[n_steps:, hd, ~v] = 0.0
