@@ -47,6 +47,14 @@ gathered values are never whole in memory. ``attend`` is the one
 per-head pipeline, on [B,H,T,D] inputs; ``MultiHeadLan`` projects into
 it, then concatenates and projects the heads, optionally through a
 query-dependent sigmoid output gate that counteracts attention sinks.
+
+Each stage holds only what it reads. Curation holds q and k; once the
+pairs are projected, only the tape holds them. The gates hold the
+projections qp and kp, the logits, the pair batch (4-byte int32 key
+indices and their flags) and the running items; a block's flat (batch,
+key) indices b * T_k + j are int64, made per block. ``MultiHeadLan``
+projects the values only after the softmax, right before the value sum,
+so no gate runs beside them.
 """
 
 from __future__ import annotations
@@ -708,16 +716,19 @@ def _euler_adjoint(g: np.ndarray, f_tau: np.ndarray, a: np.ndarray,
 # attention assembly
 # --------------------------------------------------------------------------
 
-def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
+def attend(q: Tensor, k: Tensor, v, core, cfg: LanConfig,
            key_mask: np.ndarray | None = None, trajectory: bool = False):
     """The per-head pipeline on [B,H,T,D] inputs: pair curation, gates,
     Euler integration, masked softmax, and the weighted sum of the selected
     values (``T.gather_weighted``, which never gathers them whole). Returns
     (heads out [B,H,T_q,D_v], weights [B,H,T_q,K_eff], pairs, trajectory),
-    the trajectory None unless ``trajectory`` asks for it. Nothing but the
-    tape reads q and k once the pair input is projected, or the pair input
-    once the gates have run: under ``no_grad`` each is dropped then, unless
-    the caller holds it.
+    the trajectory None unless ``trajectory`` asks for it.
+
+    v is the values, or a callable of no arguments that makes them, which
+    ``attend`` calls after the softmax, so that the gates run without the
+    values. Nothing but the tape reads q and k once the pair input is
+    projected, or the pair input once the gates have run: under
+    ``no_grad`` each is dropped then, unless the caller holds it.
     """
     if cfg.top_k is None:
         pb = pairs_mod.full_pairwise_concat(q, k, causal=cfg.causal,
@@ -731,7 +742,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, core, cfg: LanConfig,
     del pin
 
     alpha = T.masked_softmax(a_final, pb.valid_mask)
-    out = T.gather_weighted(alpha, v, pb.selected_indices)
+    out = T.gather_weighted(alpha, v() if callable(v) else v,
+                            pb.selected_indices)
     return out, alpha, pb, traj
 
 
@@ -792,11 +804,12 @@ class MultiHeadLan:
         cfg = self.cfg
         B, T_q, d = x_q.shape
         # q and k go straight into attend, which drops them once it has
-        # projected the pairs
+        # projected the pairs; v is projected only after the softmax, so
+        # the gates run without it
         out_heads, _, _, traj = attend(
             self._project(x_q, self.W_q, self.b_q),
             self._project(x_kv, self.W_k, self.b_k),
-            self._project(x_kv, self.W_v, self.b_v), self.core, cfg,
+            lambda: self._project(x_kv, self.W_v, self.b_v), self.core, cfg,
             key_mask, trajectory=collect is not None)
         merged = T.reshape(T.swapaxes(out_heads, 1, 2),
                            (B, T_q, cfg.heads * cfg.head_dim))

@@ -35,8 +35,10 @@ class PairBatch:
 
     selected_indices, valid_mask: [B,H,T_q,K_eff]. Every entry holds a
     key index in range, valid or not: full pairwise keeps key j at slot j,
-    top-k holds index 0 in the row's tail. Downstream softmax must exclude
-    invalid entries via valid_mask.
+    top-k holds index 0 in the row's tail. The key indices are int32, 4
+    bytes a pair, which index any key; a flat (batch, key) index made from
+    one is int64. Downstream softmax must exclude invalid entries via
+    valid_mask.
     """
 
     selected_indices: np.ndarray
@@ -62,10 +64,12 @@ class PairInput:
     own: ``unroll`` writes it the floor gates f_tau = eps, f_phi = 0 where
     ``invalid`` [H, slots] is set, so its logit a stays 0, and ``pos[hd]``
     holds the slot of each packed pair of head ``hd``. A block reads its
-    keys off the batch's ``selected_indices`` by slot, through two tables
-    of each query row, so no index of the pairs' keys is built. With every
-    pair valid, packing is the identity and holds no index of its own:
-    ``pos`` and ``invalid`` are None.
+    keys off the batch's int32 ``selected_indices`` by slot, through two
+    tables of each query row, so no index of the pairs' keys is built; it
+    turns them into int64 flat indices b * T_k + j of its own pairs only.
+    With every pair valid, packing is the identity and holds no index of
+    its own: ``pos`` and ``invalid`` are None. Besides the batch, it holds
+    qp and kp, and nothing the gates do not read.
     """
 
     def __init__(self, qp: Tensor, kp: Tensor, batch: PairBatch):
@@ -114,9 +118,9 @@ class PairInput:
         ``selected_indices`` by slot."""
         slots = self.slots(hd, sel)
         rows = slots // self.shape[3]
+        # out of place: the int32 keys become int64 flat indices
         keys = np.take(self._idx, self._start[hd][rows] + slots)
-        keys += self._key0[rows]
-        return rows, keys
+        return rows, keys + self._key0[rows]
 
     def block(self, hd: int, sel) -> np.ndarray:
         """The input [C, pairs] of head ``hd``'s packed pairs ``sel``."""
@@ -162,7 +166,7 @@ def full_pairwise_concat(q: Tensor, k: Tensor, causal: bool = False,
         valid &= np.tri(T_q, T_k, dtype=bool)
     if key_mask is not None:
         valid &= np.asarray(key_mask, dtype=bool)[:, None, None, :]
-    indices = np.broadcast_to(np.arange(T_k), (B, H, T_q, T_k))
+    indices = np.broadcast_to(np.arange(T_k, dtype=np.int32), (B, H, T_q, T_k))
     return PairBatch(selected_indices=indices, valid_mask=valid)
 
 
@@ -211,7 +215,7 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
     if key_mask is not None:
         key_mask = np.broadcast_to(np.asarray(key_mask, dtype=bool), (B, T_k))
     chunk = max(1, _PARTITION_SCORES // T_k)
-    indices = np.empty((G * T_q, K_eff), dtype=np.intp)
+    indices = np.empty((G * T_q, K_eff), dtype=np.int32)
     valid = np.empty((G * T_q, K_eff), dtype=bool)
 
     def rank(g0: int, g1: int, r0: int, r1: int):

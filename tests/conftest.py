@@ -4,11 +4,14 @@ These are deliberately naive (loops, direct formulas) so they stay
 independent of the library code paths they check.
 """
 
+import contextlib
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from fluid import attention as A
+from fluid import pool
 from fluid import tensor as T
 from fluid.pairs import PairBatch
 from fluid.tensor import ShapeError, Tensor
@@ -63,6 +66,23 @@ def peak_bytes(fn) -> int:
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def pool_workers(workers: int):
+    """``fluid.pool`` with ``workers`` workers and a pool of as many
+    threads for the body; then that pool is shut down and the original
+    count and pool come back. The pool made at import has one thread per
+    CPU the process may use, so on one CPU the items of a test that only
+    set the count would never overlap."""
+    saved = pool._WORKERS, pool._pool
+    pool._WORKERS = workers
+    pool._pool = ThreadPoolExecutor(workers, thread_name_prefix="fluid-pool")
+    try:
+        yield
+    finally:
+        pool._pool.shutdown()
+        pool._WORKERS, pool._pool = saved
 
 
 def weighted_run(fn, arrays, coef: np.ndarray):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (concat, concat_pairs, euler_chain, euler_step,
-                      gru_unroll, pair_sum, peak_bytes)
+                      gru_unroll, pair_sum, peak_bytes, pool_workers)
 from fluid import attention as A
 from fluid import model as M
 from fluid import pairs, pool
@@ -553,27 +553,27 @@ def test_taped_forward_keeps_no_gates_and_no_euler_states():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_no_grad_forward_never_holds_the_gates_of_the_pass(monkeypatch, workers):
+def test_no_grad_forward_never_holds_the_gates_of_the_pass(workers):
     # the infer_topk_t1024 layer: each item's gates go through the
     # integrator as they come and are dropped, so the forward holds the
     # running items' scratch and a few blocks' gates, never the gates
     # [2N, H, pairs] of the whole pass; and while the gates run, it holds
-    # no second key index, and neither q nor k
+    # only what they read: no v, no second key index, no 8-byte keys, and
+    # neither q nor k
     B, T_, d, H, N, K = 1, 1024, 64, 4, 5, 32
     mh = A.MultiHeadLan(_mh_cfg(d_model=d, heads=H, euler_steps=N, top_k=K),
                         np.random.default_rng(91))
     x = Tensor(np.random.default_rng(92).standard_normal((B, T_, d)))
-    monkeypatch.setattr(pool, "_WORKERS", workers)
-    with T.no_grad():
+    with pool_workers(workers), T.no_grad():
         mh.forward(x, x)                            # the pool starts
         peak = peak_bytes(lambda: mh.forward(x, x))
     h, pairs_ = d // H, B * T_ * K
     block = A._BLOCK_SCALARS // (3 * h)
     gates = 2 * N * H * pairs_ * 8
-    # what the pass holds while its gates run: v, the projections qp and
-    # kp, the logits, and the pair batch's keys and flags
-    held = ((B * T_ * d + 2 * H * 3 * h * B * T_ + H * pairs_) * 8
-            + H * pairs_ * 9)
+    # what the pass holds while its gates run: the projections qp and kp,
+    # the logits, and the pair batch's int32 keys and flags
+    held = ((2 * H * 3 * h * B * T_ + H * pairs_) * 8
+            + H * pairs_ * 5)
     # an item's input, scratch, state and gates
     item = (3 * h + max(3 * h, N) + h + 2 * N) * block * 8
     # the gates of the blocks the caller has yet to integrate: a few with
@@ -584,14 +584,15 @@ def test_no_grad_forward_never_holds_the_gates_of_the_pass(monkeypatch, workers)
     assert peak < bound, (peak, bound)
     assert peak + gates > bound                     # room for no whole gates
     if workers == 1:
-        # items run one at a time, so the peak holds still: room for no
-        # second key index, and for no q and k, which take as much
-        assert peak + H * pairs_ * 8 > bound
+        # items run one at a time, so the peak holds still: room for no v,
+        # nor for keys of 8 bytes or a second key index, which each take
+        # as much as v, nor for q and k, which take twice as much
+        assert peak + B * T_ * d * 8 > bound
+        assert peak + H * pairs_ * 4 > bound
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_taped_backward_holds_the_kept_states_and_the_running_items(
-        monkeypatch, workers):
+def test_taped_backward_holds_the_kept_states_and_the_running_items(workers):
     # the train_spiral cross-attention core: 26 decoder queries over 35
     # padded encoder keys, h = 8, N = 5. The tape keeps no hidden state,
     # and each backward item replays h_0 .. h_{N-1} of its live pairs, so
@@ -607,13 +608,13 @@ def test_taped_backward_holds_the_kept_states_and_the_running_items(
     pb = pairs.full_pairwise_concat(q, k, key_mask=key_mask)
     coef = rng.standard_normal(pb.valid_mask.shape)
     coef[:, :, -4:] = 0.0           # padded query rows the loss never reads
-    monkeypatch.setattr(pool, "_WORKERS", workers)
 
     def step():
         _weighted_sum(core.logits(q, k, pb, N)[0], coef).backward()
 
-    step()                                          # the pool starts
-    peak = peak_bytes(step)
+    with pool_workers(workers):
+        step()                                      # the pool starts
+        peak = peak_bytes(step)
     valid = pb.valid_mask[:, 0]
     state = H * h * int(valid.sum()) * 8    # one hidden state of every pair
     live = int((valid & (coef[:, 0] != 0)).sum())
@@ -819,10 +820,9 @@ def test_items_hold_the_same_scalars_at_every_head_width(monkeypatch):
     assert A._BLOCK_SCALARS == 24 * 4096 == 48 * 2048
 
 
-def test_gates_never_build_the_pair_input(monkeypatch):
+def test_gates_never_build_the_pair_input():
     # with 3h >> 2N, one materialized pair input outweighs everything the
     # gates allocate: their outputs, the key index and each worker's blocks
-    monkeypatch.setattr(pool, "_WORKERS", 2)
     rng = np.random.default_rng(59)
     B, H, T_q, D, K, n_steps = 1, 2, 2048, 16, 32, 2
     core = A.RecurrentGateCore(D, rng, heads=H)
@@ -830,7 +830,7 @@ def test_gates_never_build_the_pair_input(monkeypatch):
     k = Tensor(rng.standard_normal((B, H, T_q, D)))
     pb = pairs.topk_concat(q, k, K)
     pair_input_bytes = H * 3 * D * (B * T_q * K) * 8
-    with T.no_grad():
+    with pool_workers(2), T.no_grad():
         core.logits(q, k, pb, n_steps)   # the pool starts
         tracemalloc.start()
         try:
@@ -932,13 +932,14 @@ def test_attend_matches_its_composed_oracle_on_drawn_cases(case):
         mp.setattr(A, "_BLOCK_SCALARS", 3 * D * case["block_pairs"])
         runs = {}
         for workers in (case["workers"], 3 - case["workers"]):
-            mp.setattr(pool, "_WORKERS", workers)
-            runs[workers] = _pipeline_run(case, core, arrays, key_mask, coef)
-        mp.setattr(pool, "_WORKERS", case["workers"])
-        with_traj = _pipeline_run(case, core, arrays, key_mask, coef,
-                                  trajectory=True)
-        untaped = _pipeline_run(case, core, arrays, key_mask, coef,
-                                taped=False)
+            with pool_workers(workers):
+                runs[workers] = _pipeline_run(case, core, arrays, key_mask,
+                                              coef)
+        with pool_workers(case["workers"]):
+            with_traj = _pipeline_run(case, core, arrays, key_mask, coef,
+                                      trajectory=True)
+            untaped = _pipeline_run(case, core, arrays, key_mask, coef,
+                                    taped=False)
     out, final, traj, grads, pb = runs[case["workers"]]
     assert traj is None and with_traj[2] is not None
     if case["clamp"]:
@@ -1061,10 +1062,10 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
     sys.setswitchinterval(1e-5)               # interleave the workers often
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setattr(pool, "_WORKERS", workers)
             ran_on.clear()
             pair_grads.clear()
-            runs[workers] = _gate_run(core, qa, ka, pb) + tuple(pair_grads)
+            with pool_workers(workers):
+                runs[workers] = _gate_run(core, qa, ka, pb) + tuple(pair_grads)
             items = 2 * len(blocks)
             assert len(ran_on) == 2 * items   # no_grad, then the tape
             assert (set(ran_on) == {main}) == (min(workers, items) == 1)
@@ -1089,8 +1090,6 @@ def test_gate_kernel_is_bitwise_the_same_for_any_worker_count(case, monkeypatch)
 
 def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
     core, qa, ka, pb = _block_case("topk_row_split")
-    monkeypatch.setattr(pool, "_WORKERS", 2)
-    expected = _gate_run(core, qa, ka, pb)
     forward_block = A._forward_block
 
     def failing(x, w, hd, *rest):
@@ -1098,20 +1097,21 @@ def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
             raise RuntimeError("item failed")
         forward_block(x, w, hd, *rest)
 
-    monkeypatch.setattr(A, "_forward_block", failing)
-    with pytest.raises(RuntimeError, match="item failed"):
-        core.logits(Tensor(qa), Tensor(ka), pb, 3)
-    monkeypatch.setattr(A, "_forward_block", forward_block)
-    again = _gate_run(core, qa, ka, pb)
+    with pool_workers(2):
+        expected = _gate_run(core, qa, ka, pb)
+        monkeypatch.setattr(A, "_forward_block", failing)
+        with pytest.raises(RuntimeError, match="item failed"):
+            core.logits(Tensor(qa), Tensor(ka), pb, 3)
+        monkeypatch.setattr(A, "_forward_block", forward_block)
+        again = _gate_run(core, qa, ka, pb)
     for got, want in zip(again[1], expected[1]):
         assert np.array_equal(got, want)
     for name, grad in expected[2].items():
         assert np.array_equal(again[2][name], grad)
 
 
-def test_run_items_yields_in_order_frees_dropped_results_and_finishes_all(
-        monkeypatch):
-    monkeypatch.setattr(pool, "_WORKERS", 2)
+@pool_workers(2)
+def test_run_items_yields_in_order_frees_dropped_results_and_finishes_all():
     items = [(i,) for i in range(8)]
 
     def slow_first(i):
@@ -1138,10 +1138,10 @@ def test_run_items_yields_in_order_frees_dropped_results_and_finishes_all(
     assert sorted(finished) == [0, 1, 3, 4, 6, 7]
 
 
-def test_gate_kernel_is_bitwise_the_same_for_concurrent_callers(monkeypatch):
+@pool_workers(2)
+def test_gate_kernel_is_bitwise_the_same_for_concurrent_callers():
     # two threads submit to the one pool at once, each under its own no_grad
     core, qa, ka, pb = _block_case("batch_rows")
-    monkeypatch.setattr(pool, "_WORKERS", 2)
     with T.no_grad():
         expected = core.logits(Tensor(qa), Tensor(ka), pb, 3)[0].data
 
@@ -1238,7 +1238,11 @@ print(json.dumps([before, list(pool._run_items(get, [()] * 4))]))
     if got is None:
         pytest.skip("numpy bundles no OpenBLAS whose thread count is readable")
     before, pooled = got
-    assert pooled == [int(user) if user else 1] * 4
+    # a count the user set stays as OpenBLAS took it: capped at the CPUs
+    # the process may use
+    if user is not None:
+        assert before == min(int(user), pool._WORKERS)
+    assert pooled == [before if user else 1] * 4
     if user is None and pool._WORKERS > 1:
         assert before > 1      # OpenBLAS's default, which the pool overrides
 
@@ -1261,9 +1265,9 @@ def _unroll_in_child(core, qa, ka, pb, queue):
         queue.put(core.logits(Tensor(qa), Tensor(ka), pb, 3)[0].data)
 
 
-def test_gate_kernel_runs_in_a_forked_child(monkeypatch):
+@pool_workers(2)
+def test_gate_kernel_runs_in_a_forked_child():
     core, qa, ka, pb = _block_case("batch_rows")
-    monkeypatch.setattr(pool, "_WORKERS", 2)
     with T.no_grad():
         final, _ = core.logits(Tensor(qa), Tensor(ka), pb, 3)
     assert pool._pool is not None     # the parent has started its threads
@@ -1370,8 +1374,8 @@ def test_backward_on_live_pairs_is_bitwise_the_same_for_any_worker_count(
     sys.setswitchinterval(1e-5)               # interleave the workers often
     try:
         for workers in (1, 2):
-            monkeypatch.setattr(pool, "_WORKERS", workers)
-            runs[workers] = _gate_run(core, qa, ka, pb, coef=coef)[2]
+            with pool_workers(workers):
+                runs[workers] = _gate_run(core, qa, ka, pb, coef=coef)[2]
     finally:
         sys.setswitchinterval(switch)
     assert sum(columns) == 2 * np.count_nonzero(coef[pb.valid_mask])

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import pair_sum, peak_bytes, topk_sort
+from conftest import pair_sum, peak_bytes, pool_workers, topk_sort
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -92,7 +92,7 @@ def _assert_same_selection(q, k, K, causal, key_mask):
     q, k = Tensor(q), Tensor(k)
     got = pairs.topk_concat(q, k, K, causal=causal, key_mask=key_mask)
     want = topk_sort(q, k, K, causal=causal, key_mask=key_mask)
-    assert got.selected_indices.dtype == want.selected_indices.dtype
+    assert got.selected_indices.dtype == np.int32
     assert np.array_equal(got.selected_indices, want.selected_indices)
     assert np.array_equal(got.valid_mask, want.valid_mask)
 
@@ -187,11 +187,10 @@ def test_pooled_topk_is_bitwise_the_oracle_for_any_cut(monkeypatch, workers):
     # cut gives the oracle's batch, so the batch is the same for any cut
     q, k = map(Tensor, _tied_scores_case())
     key_mask = np.array([[False] * 7, [True, False, True, True, False, True, True]])
-    monkeypatch.setattr(pool, "_WORKERS", workers)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with np.errstate(invalid="ignore"):
+        with pool_workers(workers), np.errstate(invalid="ignore"):
             for causal in (False, True):
                 for mask in (None, key_mask):
                     for K in (1, 3, 4, 7):
@@ -213,9 +212,9 @@ def test_pooled_topk_is_bitwise_the_oracle_for_any_cut(monkeypatch, workers):
         sys.setswitchinterval(switch)
 
 
+@pool_workers(2)
 def test_pooled_topk_keeps_the_callers_errstate(monkeypatch):
     # inf * 0 makes NaN scores inside the items, which run on the pool
-    monkeypatch.setattr(pool, "_WORKERS", 2)
     monkeypatch.setattr(pairs, "_SLICE_SCORES", 1)
     q = np.ones((1, 2, 3, 2))
     q[0, :, 0, 0] = np.inf
@@ -225,7 +224,7 @@ def test_pooled_topk_keeps_the_callers_errstate(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_topk_never_holds_a_whole_candidate_mask(monkeypatch, workers):
+def test_topk_never_holds_a_whole_candidate_mask(workers):
     # the infer_topk_t1024 shape without a mask: each running item holds
     # one 2 MB slice's scores, their flags and the partition copy of one
     # chunk of its rows, never a [B,H,T_q,T_k] candidate mask, a whole
@@ -234,13 +233,14 @@ def test_topk_never_holds_a_whole_candidate_mask(monkeypatch, workers):
     rng = np.random.default_rng(29)
     q = Tensor(rng.standard_normal((B, H, T, D)))
     k = Tensor(rng.standard_normal((B, H, T, D)))
-    monkeypatch.setattr(pool, "_WORKERS", workers)
-    pairs.topk_concat(q, k, K)                      # the pool starts
-    outputs = B * H * T * K * 9
+    with pool_workers(workers):
+        pairs.topk_concat(q, k, K)                  # the pool starts
+        peak = peak_bytes(lambda: pairs.topk_concat(q, k, K))
+    # the int32 keys and their flags
+    outputs = B * H * T * K * 5
     chunk = max(1, pairs._PARTITION_SCORES // T) * T
     item = pairs._SLICE_SCORES * 8 + pairs._SLICE_SCORES * 8 // 2 + chunk * 8
     bound = outputs + workers * item
-    peak = peak_bytes(lambda: pairs.topk_concat(q, k, K))
     assert peak < bound
     assert peak + B * H * T * T > bound             # room for no candidate mask
     # room for no partition copy of a whole slice in each running item
@@ -420,6 +420,22 @@ def test_pair_input_blocks_and_their_gradients_are_bitwise_pair_sums(case):
             assert np.array_equal(dq[:, rows], dq_rows)
             assert not np.delete(dq, rows, axis=1).any()
             assert np.array_equal(kp.grad[:, hd].reshape(B * T_k, C).T, dk)
+
+
+@pytest.mark.parametrize("case", ["full", "key_padded", "causal", "topk",
+                                  "topk_masked"])
+def test_key_indices_are_int32_and_flat_indices_int64(case):
+    # 4 bytes index any key; the flat (batch, key) indices b * T_k + j by
+    # which a block reads its keys are int64, which index any batch's keys
+    qp, kp, pb = _pair_input_case(case, np.random.default_rng(39))
+    assert pb.selected_indices.dtype == np.int32
+    T_q, T_k = qp.shape[2], kp.shape[2]
+    pin = pairs.PairInput(qp, kp, pb)
+    for hd, P in enumerate(pin.counts):
+        rows, keys = pin.pairs(hd, slice(0, P))
+        assert keys.dtype == np.int64
+        idx = pb.selected_indices[:, hd].reshape(-1)[pin.slots(hd, slice(0, P))]
+        assert np.array_equal(keys, rows // T_q * T_k + idx)
 
 
 def test_pair_sum_gradients_sum_over_pairs_and_scatter_into_keys():
