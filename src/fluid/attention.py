@@ -266,27 +266,38 @@ class RecurrentGateCore:
     def project_pairs(self, q: Tensor, k: Tensor,
                       pb: pairs_mod.PairBatch) -> pairs_mod.PairInput:
         """u W_u for every selected pair, [B,H,T_q,K_eff,3h], in factored
-        form: the projected queries q W_u[:D] and keys k W_u[D:], each
-        [B,H,T,3h] a view of one channel-major buffer [H,3h,B,T], the
-        layout the kernel reads."""
+        form (see ``_projections``). The projections are no tape op: under
+        a tape the pair input holds q and k as its ``sources``, and the
+        backward of ``unroll`` projects them again."""
+        return pairs_mod.PairInput(*self._projections(q, k), pb,
+                                   (q, k) if T._grad_enabled() else None)
+
+    def _projections(self, q: Tensor, k: Tensor) -> tuple:
+        """(q W_u[:D], k W_u[D:]), off the tape: each [B,H,T,3h] a view of
+        one channel-major buffer [H,3h,B,T], the layout the kernel reads,
+        and bitwise the same at every call."""
         D, order = q.shape[-1], (1, 3, 0, 2)
-        qp = T.matmul(q, T.narrow(self.W_u, -2, 0, D), order=order)
-        kp = T.matmul(k, T.narrow(self.W_u, -2, D, D), order=order)
-        return pairs_mod.PairInput(qp, kp, pb)
+        with T.no_grad():
+            return (T.matmul(q, T.narrow(self.W_u, -2, 0, D), order=order),
+                    T.matmul(k, T.narrow(self.W_u, -2, D, D), order=order))
 
     def unroll(self, pin: pairs_mod.PairInput, n_steps: int,
                trajectory: bool = False):
         """Final logits, and their trajectory on request, from the pair
         input ``pin`` after ``n_steps`` steps of dt_nominal = 1/n_steps.
 
-        pin: [B,H,...,3h], factored; the op's parents are its projected
-        queries and keys and the gate weights. Returns (final logits
-        [B,H,T_q,K_eff], LogitTrajectory or None). The calling thread
+        pin: [B,H,...,3h], factored. Returns (final logits [B,H,T_q,K_eff],
+        LogitTrajectory or None). The calling thread
         integrates each item's gates as they come, at dt_nominal; where the
         clamped dt of the pass, known once every item has reported its
         f_tau max, is smaller, the items run again and integrate at it.
-        The tape holds the final logits and the clamped dt, and no hidden
-        state: each backward item replays its block's GRU.
+        Under a tape, the op's parents are the pair input's sources q and
+        k, W_u and the gate weights. The tape holds the final logits, the
+        clamped dt and the pair input without its projections, and no
+        hidden state: the backward projects q and k again, bitwise the
+        forward's projections, each backward item replays its block's GRU,
+        and the projections' gradients map to q's, k's and W_u's. A pair
+        input made under ``no_grad`` has no sources and gives no tape.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -304,9 +315,9 @@ class RecurrentGateCore:
             gates = np.zeros((2 * n_steps, H, P))
             gates[:n_steps] = _EPSILON
 
-        # in the order of _gru_backward's gradients
-        inputs = (pin.qp, pin.kp, self.W_h, self.w_t, self.b_x, self.W_o,
-                  self.b_o)
+        # in the order of the rule's gradients
+        inputs = () if pin.sources is None else pin.sources + (
+            self.W_u, self.W_h, self.w_t, self.b_x, self.W_o, self.b_o)
         w = {n: p.data for n, p in self.parameters().items()}
         logits = np.zeros((H, P))       # an invalid slot's logit stays 0
 
@@ -328,12 +339,19 @@ class RecurrentGateCore:
             dt, dt_nominal)
         if not (T._grad_enabled() and any(t.requires_grad for t in inputs)):
             return Tensor(final), traj
+        pin.drop()
+        q, k = pin.sources
 
         def rule(g):
-            # one head-major copy [H, 1, slots]: items run the adjoint on
-            # their columns of it in place
-            g_h = np.array(np.moveaxis(g, 1, 0)).reshape(H, 1, -1)
-            return _gru_backward(g_h, pin, w, n_steps, dt)
+            pin.hold(*self._projections(q, k))
+            d_qp, d_kp, *d_gates = _gru_backward(g, pin, w, n_steps, dt)
+            pin.drop()
+            D = q.shape[-1]
+            # the products' gradients, as the tape's matmul gives them; the
+            # two halves of W_u are disjoint
+            dq, dW_q = T._matmul_grads(d_qp, q, Tensor(w["W_u"][:, :D]))
+            dk, dW_k = T._matmul_grads(d_kp, k, Tensor(w["W_u"][:, D:]))
+            return (dq, dk, np.concatenate([dW_q, dW_k], axis=1), *d_gates)
 
         return T._node(final, inputs, rule), traj
 
@@ -477,9 +495,9 @@ def _heads_(gates: np.ndarray, b_o: np.ndarray, scratch: np.ndarray):
 
 
 def _gru_backward(g, pin, w, n_steps, dt):
-    """The backward of ``unroll`` from the final logits' gradient g [H, 1,
-    slots]: returns (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o), each in its
-    parameter's shape.
+    """The backward of ``unroll`` from the final logits' gradient g
+    [B,H,T_q,K_eff]: returns (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o),
+    each in its parameter's shape.
 
     Only the live packed pairs run, those whose g is not 0. A pair's
     gradients are g times its own derivatives, so a pair with g = 0 (every
@@ -487,18 +505,26 @@ def _gru_backward(g, pin, w, n_steps, dt):
     skipped. The live pairs of each head are cut into balanced blocks by
     their count, so the cut is the same for any number of workers; an item
     selects its pairs by a slice where every pair of the head is live,
-    else by its part of the live indices. Each item takes its slots of g
-    and its pair inputs again, replays its GRU and returns its partials;
+    else by its part of the live indices, int32. Each item reads its pairs'
+    entries of g by (batch, slot), with no copy of g, forms its pair inputs
+    again, replays its GRU and returns its partials;
     they are summed in item order, so every gradient is the same for any
     number of workers."""
-    live = [np.flatnonzero(g[hd, 0, pin.slots(hd, slice(0, P))])
+    B, H, T_q, K, C = pin.shape
+    g = g.reshape(B, H, T_q * K)
+
+    def at(hd, sel):
+        # g of head hd's packed pairs sel: slot s is (batch, row slot) divmod
+        b, s = np.divmod(pin.slots(hd, sel), T_q * K)
+        return g[b, hd, s]
+
+    live = [np.flatnonzero(at(hd, slice(0, P))).astype(np.int32)
             for hd, P in enumerate(pin.counts)]
-    items = _items(pin.counts, pin.shape[-1], live)
+    items = _items(pin.counts, C, live)
 
     def item(hd, sel):
-        dx, parts = _backward_block(
-            g[hd, 0, pin.slots(hd, sel)], pin.block(hd, sel), w, hd,
-            n_steps, dt, not isinstance(sel, slice))
+        dx, parts = _backward_block(at(hd, sel), pin.block(hd, sel), w, hd,
+                                    n_steps, dt, not isinstance(sel, slice))
         return parts, pin.block_grads(hd, sel, dx)
 
     results = list(pool._run_items(item, items))
@@ -584,7 +610,7 @@ def _backward_block(g, x, w, hd, n_steps, dt, pair_major):
     dx[...] = 0.0
     d_heads = _head_grads(g, states, w, hd, dt)
     dW_h, dx_sums, dW_o = np.zeros((h, C)), np.zeros(C), np.zeros((2, h))
-    dh, zdh, dcp = np.zeros((h, P)), np.empty((h, P)), np.empty((h, P))
+    dh, zdh = np.zeros((h, P)), np.empty((h, P))
     for n in reversed(range(N)):
         new = states[n]
         if n:
@@ -606,8 +632,9 @@ def _backward_block(g, x, w, hd, n_steps, dt, pair_major):
         # z (prev - c) = new - c, in d_z's rows
         np.add(new, c_n, out=d_z)
         d_z *= dh
-        # candidate pre-activation: (1 - z) dh * (1 - c^2)
-        np.multiply(c_n, c_n, out=dcp)
+        # candidate pre-activation: (1 - z) dh * (1 - c^2), in -c's rows,
+        # which z's gradient has read for good
+        dcp = np.multiply(c_n, c_n, out=c_n)
         np.subtract(1.0, dcp, out=dcp)
         dcp *= dh
         dx[2 * h:] += dcp

@@ -51,34 +51,44 @@ class PairInput:
     Pair (i, j) sees qp_i + kp_j, the projections of query i and key j.
     The items read them channel-major, as ``_q``, ``_k`` [H, C, B*T]; where
     qp and kp are views of that layout, as ``project_pairs`` makes them,
-    these are the same buffers, so each projection is held once, also when
-    the tape keeps qp and kp as parents. The [B,H,T_q,K_eff,C] array of
-    these sums (``shape``, ``size``) is never built: the gate
+    these are the same buffers, so each projection is held once. ``drop``
+    lets them go and ``hold`` takes them again: a gate op on the tape keeps
+    the pair input without its projections, and its backward projects
+    ``sources`` (q, k) again, which the pair input holds only when it was
+    made under a tape. The [B,H,T_q,K_eff,C] array of these sums
+    (``shape``, ``size``) is never built: the gate
     kernel forms the block of pairs each work item takes with ``block``.
     An item names its packed pairs by a selector: a slice, or an ascending
-    index array where the backward skips pairs whose logit gradient is 0.
+    int32 index array where the backward skips pairs whose logit gradient
+    is 0.
 
     Slots are numbered per head in (batch, query, slot) order. The kernel
     runs on each head's packed pairs, its valid pairs in slot order;
-    ``counts`` holds them per head. An invalid slot gets no gates of its
-    own: ``unroll`` writes it the floor gates f_tau = eps, f_phi = 0 where
-    ``invalid`` [H, slots] is set, so its logit a stays 0, and ``pos[hd]``
-    holds the slot of each packed pair of head ``hd``. A block reads its
+    ``counts`` holds them per head, and ``pos[hd]`` the int32 slot of each
+    packed pair of head ``hd``, 4 bytes a pair: a head has fewer than 2^31
+    slots, or the pair input is refused. An invalid slot gets no gates of
+    its own: ``unroll`` leaves it the floor gates f_tau = eps, f_phi = 0,
+    so its logit a stays 0. A block reads its
     keys off the batch's int32 ``selected_indices`` by slot, through two
     tables of each query row, so no index of the pairs' keys is built; it
     turns them into int64 flat indices b * T_k + j of its own pairs only.
     With every pair valid, packing is the identity and holds no index of
-    its own: ``pos`` and ``invalid`` are None. Besides the batch, it holds
-    qp and kp, and nothing the gates do not read.
+    its own: ``pos`` is None. Besides the batch, it holds qp and kp while
+    they are held, q and k under a tape, and nothing the gates do not read.
     """
 
-    def __init__(self, qp: Tensor, kp: Tensor, batch: PairBatch):
+    def __init__(self, qp: Tensor, kp: Tensor, batch: PairBatch,
+                 sources: tuple | None = None):
         B, H, T_q, C = qp.shape
         idx, valid = batch.selected_indices, batch.valid_mask
         K = idx.shape[3]
-        self.qp, self.kp = qp, kp
+        if B * T_q * K >= 2 ** 31:
+            raise ValueError(f"a head has {B * T_q * K} pair slots; int32 "
+                             "positions index fewer than 2^31")
+        self.sources = sources
         self.shape = (B, H, T_q, K, C)
         self.size = B * H * T_q * K * C
+        self._T_k = kp.shape[2]
         # the keys of every query row as one flat array, rows ``step``
         # apart: a view of top-k's indices (step K), or of full pairwise's
         # one row, which every query shares (step 0)
@@ -91,19 +101,28 @@ class PairInput:
         b = r // T_q
         row = r + (b * (H - 1) + np.arange(H)[:, None]) * T_q   # (b, hd, i)
         self._start = row * step - r * K
-        self._key0 = b * kp.shape[2]
+        self._key0 = b * self._T_k
         if valid.all():
-            self.pos, self.invalid = None, None
+            self.pos = None
             self.counts = [B * T_q * K] * H
         else:
             valid = valid.transpose(1, 0, 2, 3).reshape(H, -1)
-            self.invalid = ~valid
-            self.pos = [np.flatnonzero(v) for v in valid]
+            self.pos = [np.flatnonzero(v).astype(np.int32) for v in valid]
             self.counts = [p.size for p in self.pos]
-        # channel-major [H, C, B*T]: one channel of one head is contiguous;
-        # reshape copies only where qp or kp is not laid out so already
+        self.hold(qp, kp)
+
+    def hold(self, qp: Tensor, kp: Tensor):
+        """Take the projections qp [B,H,T_q,C] and kp [B,H,T_k,C] that the
+        blocks read, channel-major [H, C, B*T]: one channel of one head is
+        contiguous, and reshape copies only where qp or kp is not laid out
+        so already."""
+        H, C = self.shape[1], self.shape[4]
         self._q, self._k = (t.data.transpose(1, 3, 0, 2).reshape(H, C, -1)
                             for t in (qp, kp))
+
+    def drop(self):
+        """Let the projections go; ``hold`` takes them again."""
+        self._q = self._k = None
 
     def slots(self, hd: int, sel) -> np.ndarray:
         """The slots of head ``hd``'s packed pairs ``sel``, a slice or an
@@ -150,7 +169,7 @@ class PairInput:
             dk[hd] += dk_keys
         B, H, T_q, _, C = self.shape
         return tuple(d.reshape(H, C, B, T).transpose(2, 0, 3, 1)
-                     for d, T in ((dq, T_q), (dk, self.kp.shape[2])))
+                     for d, T in ((dq, T_q), (dk, self._T_k)))
 
 
 def full_pairwise_concat(q: Tensor, k: Tensor, causal: bool = False,

@@ -421,8 +421,10 @@ def test_a_forward_item_allocates_one_scratch_and_one_state(n_steps):
 
 @pytest.mark.parametrize("taped", [False, True])
 def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
-    # the [B,H,T,3h] products are copied channel-major and freed; the
-    # tensors the tape keeps as parents are views of the kernel's arrays
+    # the [B,H,T,3h] products are copied channel-major and freed, and the
+    # pair input holds that one buffer of each projection. The tape holds
+    # no pair projection: under a tape the pair input keeps q and k, the
+    # gate op's parents, and drops the projections once its forward has run
     rng = np.random.default_rng(101)
     core = A.RecurrentGateCore(4, rng, heads=2)
     q = Tensor(rng.standard_normal((2, 2, 9, 4)), requires_grad=taped)
@@ -441,14 +443,25 @@ def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
     monkeypatch.setattr(np, "matmul", matmul)
     gc.collect()
     assert len(products) == 2 and all(ref() is None for ref in products)
-    assert np.shares_memory(pin.qp.data, pin._q)
-    assert np.shares_memory(pin.kp.data, pin._k)
-    assert pin.qp.requires_grad == taped
     with T.no_grad():
         want = (T.matmul(q, T.narrow(core.W_u, -2, 0, 4)).data,
                 T.matmul(k, T.narrow(core.W_u, -2, 4, 4)).data)
-    assert np.array_equal(pin.qp.data, want[0])
-    assert np.array_equal(pin.kp.data, want[1])
+    for got, product in zip((pin._q, pin._k), want):
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, product.transpose(1, 3, 0, 2).reshape(
+            2, 12, -1))
+    if taped:
+        assert pin.sources[0] is q and pin.sources[1] is k
+    else:
+        assert pin.sources is None
+    final, _ = core.unroll(pin, 2)
+    assert final.requires_grad == taped
+    if taped:
+        assert final._parents == (q, k, core.W_u, core.W_h, core.w_t,
+                                  core.b_x, core.W_o, core.b_o)
+        assert pin._q is None and pin._k is None
+    else:
+        assert pin._q is not None and pin._k is not None
 
 
 def test_fused_gates_pass_grad_check():
@@ -543,13 +556,14 @@ def test_taped_forward_keeps_no_gates_and_no_euler_states():
     packed = int(valid.sum())
     state = H * (d // H) * packed * 8       # one hidden state of every pair
     final = H * B * T_ * T_ * 8
-    # the softmax weights, the pair indices, the packed keys and slots and
-    # the masks take less than three times the final logits' bytes
-    slack = 3 * final
-    assert live <= final + slack, (live, final)
-    assert slack < (N + 1) * final < 2 * N * final   # the states, the gates
+    # the final logits, the softmax weights and the packed pairs' int32
+    # slots; q, k, v, the outputs and the row tables take less than half
+    # the final logits' bytes. No pair projection, mask or key index is kept
+    bound = 2 * final + H * packed * 4 + final // 2
+    assert live <= bound, (live, bound)
+    assert bound < (N + 1) * final < 2 * N * final   # the states, the gates
     # no hidden state: one of every pair would break the bound
-    assert final + slack < live + state
+    assert bound < live + state
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -620,13 +634,14 @@ def test_taped_backward_holds_the_kept_states_and_the_running_items(workers):
     live = int((valid & (coef[:, 0] != 0)).sum())
     block = max(b - a for a, b in A._blocks(live, 3 * h))
     # an item's input, which becomes dx, its states h_0 .. h_{N-1}, step
-    # 0's cell outputs, the cell records of steps 1 .. N-1, three rows of
+    # 0's cell outputs, the cell records of steps 1 .. N-1, two rows of
     # scratch, and the heads' gradients with their scratch
-    item = (3 * h + N * h + 2 * h + 4 * h * (N - 1) + 3 * h
+    item = (3 * h + N * h + 2 * h + 4 * h * (N - 1) + 2 * h
             + 5 * N) * block * 8
-    # the logits, the loss's arrays and gradients, the pair keys and slots,
-    # the live indices and the projections: 13 final logits' bytes at most
-    rest = 13 * B * H * T_q * T_k * 8
+    # the logits, the loss's arrays and gradients, the int32 pair slots
+    # and live indices, and the projections the backward makes again with
+    # their gradients: 8 final logits' bytes at most
+    rest = 8 * B * H * T_q * T_k * 8
     bound = workers * item + rest
     assert peak < bound, (peak, bound)
     assert peak + state > bound     # room for no hidden state of every pair
@@ -791,7 +806,7 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
     with T.no_grad():
         pin = core.project_pairs(q, k, pb)
         gates = _traj_gates(core.unroll(pin, n_steps, trajectory=True)[1])
-        up = pair_sum(pin.qp, pin.kp, pb)
+        up = pair_sum(*core._projections(q, k), pb)
     assert (pin.shape, pin.size) == (up.shape, up.size)
     got = np.moveaxis(gates, 2, 1).reshape(2 * n_steps, core.heads, -1)
     assert np.array_equal(got, _kernel_on(core, up.data, pb.valid_mask,
@@ -1391,8 +1406,10 @@ def _live_and_packed(monkeypatch):
     gru_backward = A._gru_backward
 
     def spy(g, pin, *rest):
-        valid = slice(None) if pin.invalid is None else ~pin.invalid
-        counts[0] += np.count_nonzero(g[:, 0][valid])
+        # g [B,H,T_q,K_eff] as [H, slots]; a head's packed pairs by slot
+        heads = np.swapaxes(g, 0, 1).reshape(g.shape[1], -1)
+        counts[0] += sum(np.count_nonzero(heads[hd][pin.slots(hd, slice(0, P))])
+                         for hd, P in enumerate(pin.counts))
         counts[1] += sum(pin.counts)
         return gru_backward(g, pin, *rest)
 
