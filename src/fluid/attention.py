@@ -257,12 +257,6 @@ class RecurrentGateCore:
         return {"W_u": self.W_u, "w_t": self.w_t, "b_x": self.b_x,
                 "W_h": self.W_h, "W_o": self.W_o, "b_o": self.b_o}
 
-    def logits(self, q: Tensor, k: Tensor, pb: pairs_mod.PairBatch,
-               n_steps: int, trajectory: bool = False):
-        """(final logits [B,H,T_q,K_eff], LogitTrajectory or None) of the
-        pairs ``pb`` selects from [B,H,T,D] q, k; see ``unroll``."""
-        return self.unroll(self.project_pairs(q, k, pb), n_steps, trajectory)
-
     def project_pairs(self, q: Tensor, k: Tensor,
                       pb: pairs_mod.PairBatch) -> pairs_mod.PairInput:
         """u W_u for every selected pair, [B,H,T_q,K_eff,3h], in factored
@@ -421,20 +415,29 @@ def _blocks(P: int, C: int) -> list[tuple[int, int]]:
     """[start, stop) of contiguous, balanced blocks of P pairs of C
     channels, at most _BLOCK_SCALARS // C pairs each, none for no pairs.
     The cut depends on P and C alone, never on the worker count."""
-    n = -(-P // max(1, _BLOCK_SCALARS // C))
-    return [(P * i // n, P * (i + 1) // n) for i in range(n)]
+    return _cut(P, -(-P // max(1, _BLOCK_SCALARS // C)))
+
+
+def _cut(P: int, n: int) -> list[tuple[int, int]]:
+    """[start, stop) of n contiguous, balanced blocks of P pairs, the
+    empty ones left out."""
+    return [(P * i // n, P * (i + 1) // n) for i in range(n)
+            if P * i // n < P * (i + 1) // n]
 
 
 def _items(counts: list[int], C: int, live: list | None = None) -> list[tuple]:
     """(head, selector) of every work item, head by head, over balanced
     blocks of each head's packed pairs of C channels: slices of its
-    ``counts[hd]`` pairs, or with ``live`` blocks of its ascending live
-    indices ``live[hd]``, slices again where every pair is live."""
+    ``counts[hd]`` pairs (``_blocks``), or with ``live`` as many blocks of
+    its ascending live indices ``live[hd]`` as its packed pairs take, none
+    empty, slices again where every pair is live. So no backward item
+    holds more pairs than the head's largest forward block."""
     items = []
     for hd, P in enumerate(counts):
         sel = None if live is None or live[hd].size == P else live[hd]
+        n = len(_blocks(P, C))
         items += [(hd, slice(a, b) if sel is None else sel[a:b])
-                  for a, b in _blocks(P if sel is None else sel.size, C)]
+                  for a, b in _cut(P if sel is None else sel.size, n)]
     return items
 
 
@@ -524,7 +527,7 @@ def _gru_backward(g, pin, w, n_steps, dt):
 
     def item(hd, sel):
         dx, parts = _backward_block(at(hd, sel), pin.block(hd, sel), w, hd,
-                                    n_steps, dt, not isinstance(sel, slice))
+                                    n_steps, dt)
         return parts, pin.block_grads(hd, sel, dx)
 
     results = list(pool._run_items(item, items))
@@ -568,7 +571,7 @@ def _head_grads(g, hidden, w, hd, dt):
     return d
 
 
-def _backward_block(g, x, w, hd, n_steps, dt, pair_major):
+def _backward_block(g, x, w, hd, n_steps, dt):
     """Backward of head ``hd`` over one block, from g [P], the gradient of
     its final logits: x [3h,P], whose buffer becomes d x. Returns d x and
     this block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o [2,h],
@@ -576,30 +579,24 @@ def _backward_block(g, x, w, hd, n_steps, dt, pair_major):
 
     The tape keeps no hidden state: the item first replays its block's GRU
     over all N steps, with the forward's ops, and keeps every state h_0 ..
-    h_{N-1} and every cell output, step 0's d_z and -c in d0, c0 and each
-    later step n's in rows [d; hpn_c; cn] of its record ``recs[n - 1]``.
-    The cell so runs N times, as in the forward, and the reverse loop runs
-    none. The states h_1 .. h_{N-2} are pair-major in memory if
-    ``pair_major``, the layout in which numpy gathers an index array's
-    columns, and h_0 and h_{N-1} row-major: the GEMMs that sum dW_h and
-    dW_o over the pairs add in an order that depends on the layout, and
-    this one keeps the gradients' bits of the releases that gathered those
-    states from the tape. The gradients read z and r off the cell's
-    denominators (z dh = dh / d_z) and fold in its signs, cn = -c and
-    hpn = -hp. A record's rows 2h:3h keep hpn's candidate rows, which the
-    reset gate's gradient reads, and then take dn, so that its first 3h
-    rows are the gradient [dr; dz; dn] of W_h^T h_prev."""
+    h_{N-1} in ``states`` [N,h,P] and every cell output, step 0's d_z and
+    -c in d0, c0 and each later step n's in rows [d; hpn_c; cn] of its
+    record ``recs[n - 1]``. The cell so runs N times, as in the forward,
+    and the reverse loop runs none. The gradients read z and r off the
+    cell's denominators (z dh = dh / d_z) and fold in its signs, cn = -c
+    and hpn = -hp. A step's candidate gradient forms in its -c rows, which
+    the update gate's gradient has read for good, so besides its records
+    the item holds two rows of scratch, dh and z dh. A record's rows 2h:3h
+    keep hpn's candidate rows, which the reset gate's gradient reads, and
+    then take dn, so that its first 3h rows are the gradient [dr; dz; dn]
+    of W_h^T h_prev."""
     C, P = x.shape
     h, N = C // 3, n_steps
     tw = _negate_input(x, w, hd, N)
     W_h, W_hnT, W_o = w["W_h"][hd], np.negative(w["W_h"][hd].T), w["W_o"][hd]
-    h0, d0, c0 = (np.empty((h, P)) for _ in range(3))
+    d0, c0, states = np.empty((h, P)), np.empty((h, P)), np.empty((N, h, P))
     _cell(x, None, tw[0], d0, c0)
-    _state(None, c0, d0, h0)
-    inner = max(N - 2, 0)
-    inner_h = (np.empty((P, inner, h)).transpose(1, 2, 0) if pair_major
-               else np.empty((inner, h, P)))
-    states = [h0, *inner_h] + ([np.empty((h, P))] if N > 1 else [])
+    _state(None, c0, d0, states[0])
     recs = np.empty((N - 1, 4 * h, P))
     for n in range(1, N):
         rec, prev = recs[n - 1], states[n - 1]

@@ -94,6 +94,15 @@ def weighted_run(fn, arrays, coef: np.ndarray):
     return out.data, [t.grad for t in leaves]
 
 
+def logits(core, q: Tensor, k: Tensor, pb: PairBatch, n_steps: int,
+           trajectory: bool = False):
+    """(final logits [B,H,T_q,K_eff], LogitTrajectory or None) of the
+    pairs ``pb`` selects from [B,H,T,D] q, k: the gate core's
+    ``project_pairs``, then its ``unroll``, as ``attention.attend`` calls
+    them."""
+    return core.unroll(core.project_pairs(q, k, pb), n_steps, trajectory)
+
+
 # --------------------------------------------------------------------------
 # softplus on the tape: the gate kernel runs T._softplus_ in place, so the
 # composed oracles below need their own op

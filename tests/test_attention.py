@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (concat, concat_pairs, euler_chain, euler_step,
-                      gru_unroll, pair_sum, peak_bytes, pool_workers)
+                      gru_unroll, logits, pair_sum, peak_bytes, pool_workers)
 from fluid import attention as A
 from fluid import model as M
 from fluid import pairs, pool
@@ -160,7 +160,7 @@ def _weighted_sum(logits, coef):
 @pytest.mark.parametrize("case", ["full", "causal_masked", "topk",
                                   "topk_blocks", "long_rows"])
 # the tape keeps no hidden state: each backward item replays h_0 ..
-# h_{N-1}, and from N = 3 lays out the states between them by its selector
+# h_{N-1} of its pairs
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 6])
 def test_fused_gates_match_composed_oracle(case, n_steps):
     rng = np.random.default_rng(41)
@@ -172,7 +172,7 @@ def test_fused_gates_match_composed_oracle(case, n_steps):
 
 
 def _composed_logits(core, q, k, pb, n_steps):
-    """The composed oracle of ``core.logits``: the GRU of ``gru_unroll`` on
+    """The composed oracle of ``logits``: the GRU of ``gru_unroll`` on
     the materialized pair inputs, invalid slots then set to the constant
     floor gates f_tau = eps, f_phi = 0, and the chain of ``euler_step``s
     under the clamp of the valid pairs' f_tau. Returns (final logits,
@@ -204,7 +204,7 @@ def _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng,
             p.zero_grad()
         with np.errstate(**(errstate if fused and errstate else {})):
             if fused:
-                final, traj = core.logits(q, k, pb, n_steps, trajectory=True)
+                final, traj = logits(core, q, k, pb, n_steps, trajectory=True)
                 gates = _traj_gates(traj)
             else:
                 final, gates = _composed_logits(core, q, k, pb, n_steps)
@@ -237,8 +237,8 @@ def test_f_tau_derivative_from_the_kept_gates_matches_the_oracle(case, n_steps,
     qa, ka, pb = _gate_case(case, rng)
     assert pb.valid_mask.all() == (case == "full")    # unpacked, packed
     with T.no_grad():
-        f_tau = core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
-                            trajectory=True)[1].f_tau
+        f_tau = logits(core, Tensor(qa), Tensor(ka), pb, n_steps,
+                       trajectory=True)[1].f_tau
     f_tau = f_tau[pb.valid_mask]        # invalid slots hold the floor eps
     assert (f_tau < 2e-3).all() if bias < 0 else (f_tau > 30).all()
     _assert_fused_matches_composed(core, qa, ka, pb, n_steps, rng)
@@ -254,8 +254,8 @@ def test_saturated_f_tau_is_exact_under_raising_errstate(bias):
     core.b_o.data[:, 1] = bias
     qa, ka, pb = _gate_case("full", rng)
     with np.errstate(all="raise"), T.no_grad():
-        final, traj = core.logits(Tensor(qa), Tensor(ka), pb, 3,
-                                  trajectory=True)
+        final, traj = logits(core, Tensor(qa), Tensor(ka), pb, 3,
+                             trajectory=True)
     assert (traj.f_tau == max(bias, 0.0) + 1e-3).all()
     assert np.isfinite(final.data).all()
 
@@ -280,10 +280,10 @@ def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
 
     monkeypatch.setattr(A, "_cell", counting)
     with T.no_grad():
-        core.logits(Tensor(qa), Tensor(ka), pb, n_steps)
+        logits(core, Tensor(qa), Tensor(ka), pb, n_steps)
     assert len(calls) == n_steps * items
     q = Tensor(qa, requires_grad=True)
-    final, _ = core.logits(q, Tensor(ka), pb, n_steps)
+    final, _ = logits(core, q, Tensor(ka), pb, n_steps)
     assert len(calls) == 2 * n_steps * items
     T.tsum(final).backward()
     assert len(calls) == 3 * n_steps * items
@@ -292,9 +292,9 @@ def test_forward_and_backward_each_run_the_cell_n_times_per_item(n_steps,
     core.b_o.data[:, 1] += 7.0
     calls.clear()
     with T.no_grad():
-        core.logits(Tensor(qa), Tensor(ka), pb, n_steps)
+        logits(core, Tensor(qa), Tensor(ka), pb, n_steps)
     assert len(calls) == 2 * n_steps * items
-    final, _ = core.logits(q, Tensor(ka), pb, n_steps)
+    final, _ = logits(core, q, Tensor(ka), pb, n_steps)
     assert len(calls) == 4 * n_steps * items
     T.tsum(final).backward()
     assert len(calls) == 5 * n_steps * items
@@ -479,7 +479,7 @@ def test_fused_gates_pass_grad_check():
         coef = rng.standard_normal(pb.valid_mask.shape)
 
         def loss():
-            final, traj = core.logits(q, k, pb, n_steps, trajectory=True)
+            final, traj = logits(core, q, k, pb, n_steps, trajectory=True)
             assert traj.dt_effective == traj.dt_nominal == 1 / n_steps
             return _weighted_sum(final, coef)
 
@@ -503,13 +503,13 @@ def test_tape_keeps_steps_1_to_n_minus_2_of_the_packed_pairs(case, n_steps):
     key_mask = np.arange(T_) < np.array([[T_], [T_ - 9]])
     pb = (pairs.full_pairwise_concat(q, k) if case == "full" else
           pairs.full_pairwise_concat(q, k, causal=True, key_mask=key_mask))
-    core.logits(q, k, pb, n_steps)                  # the pool starts
+    logits(core, q, k, pb, n_steps)                  # the pool starts
 
     def held(taped):
         tracemalloc.start()
         try:
             with contextlib.nullcontext() if taped else T.no_grad():
-                final = core.logits(q, k, pb, n_steps)[0]
+                final = logits(core, q, k, pb, n_steps)[0]
             return tracemalloc.get_traced_memory()[0], final
         finally:
             tracemalloc.stop()
@@ -624,7 +624,7 @@ def test_taped_backward_holds_the_kept_states_and_the_running_items(workers):
     coef[:, :, -4:] = 0.0           # padded query rows the loss never reads
 
     def step():
-        _weighted_sum(core.logits(q, k, pb, N)[0], coef).backward()
+        _weighted_sum(logits(core, q, k, pb, N)[0], coef).backward()
 
     with pool_workers(workers):
         step()                                      # the pool starts
@@ -654,8 +654,8 @@ def test_invalid_slots_hold_the_floor_gates(case):
     qa, ka, pb = _gate_case(case, rng)
     n_steps = 3
     with T.no_grad():
-        traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
-                           trajectory=True)[1]
+        traj = logits(core, Tensor(qa), Tensor(ka), pb, n_steps,
+                      trajectory=True)[1]
     valid = pb.valid_mask
     assert (~valid).any()
     assert (traj.f_tau[~valid] == A._EPSILON).all()
@@ -830,7 +830,7 @@ def test_items_hold_the_same_scalars_at_every_head_width(monkeypatch):
         q = Tensor(rng.standard_normal((1, 1, 128, h)))
         k = Tensor(rng.standard_normal((1, 1, 64, h)))
         with T.no_grad():
-            core.logits(q, k, pairs.full_pairwise_concat(q, k), 2)
+            logits(core, q, k, pairs.full_pairwise_concat(q, k), 2)
     assert shapes == {8: [(24, 4096)] * 2, 16: [(48, 2048)] * 4}
     assert A._BLOCK_SCALARS == 24 * 4096 == 48 * 2048
 
@@ -846,10 +846,10 @@ def test_gates_never_build_the_pair_input():
     pb = pairs.topk_concat(q, k, K)
     pair_input_bytes = H * 3 * D * (B * T_q * K) * 8
     with pool_workers(2), T.no_grad():
-        core.logits(q, k, pb, n_steps)   # the pool starts
+        logits(core, q, k, pb, n_steps)   # the pool starts
         tracemalloc.start()
         try:
-            core.logits(q, k, pb, n_steps)
+            logits(core, q, k, pb, n_steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1010,14 +1010,14 @@ def _gate_run(core, qa, ka, pb, n_steps=3, coef=None):
     gradients of the 6 gate weights and of q, k under a loss that weighs
     every final logit differently, or by ``coef``."""
     with T.no_grad():
-        untaped, traj = core.logits(Tensor(qa), Tensor(ka), pb, n_steps,
-                                    trajectory=True)
+        untaped, traj = logits(core, Tensor(qa), Tensor(ka), pb, n_steps,
+                               trajectory=True)
         untaped = (untaped.data, _traj_gates(traj))
     q = Tensor(qa, requires_grad=True)
     k = Tensor(ka, requires_grad=True)
     for p in core.parameters().values():
         p.zero_grad()
-    final, traj = core.logits(q, k, pb, n_steps, trajectory=True)
+    final, traj = logits(core, q, k, pb, n_steps, trajectory=True)
     if coef is None:
         coef = np.random.default_rng(48).standard_normal(final.shape)
     _weighted_sum(final, coef).backward()
@@ -1116,7 +1116,7 @@ def test_gate_kernel_item_error_propagates_and_the_next_call_works(monkeypatch):
         expected = _gate_run(core, qa, ka, pb)
         monkeypatch.setattr(A, "_forward_block", failing)
         with pytest.raises(RuntimeError, match="item failed"):
-            core.logits(Tensor(qa), Tensor(ka), pb, 3)
+            logits(core, Tensor(qa), Tensor(ka), pb, 3)
         monkeypatch.setattr(A, "_forward_block", forward_block)
         again = _gate_run(core, qa, ka, pb)
     for got, want in zip(again[1], expected[1]):
@@ -1158,11 +1158,11 @@ def test_gate_kernel_is_bitwise_the_same_for_concurrent_callers():
     # two threads submit to the one pool at once, each under its own no_grad
     core, qa, ka, pb = _block_case("batch_rows")
     with T.no_grad():
-        expected = core.logits(Tensor(qa), Tensor(ka), pb, 3)[0].data
+        expected = logits(core, Tensor(qa), Tensor(ka), pb, 3)[0].data
 
     def caller():
         with T.no_grad():
-            return [core.logits(Tensor(qa), Tensor(ka), pb, 3)[0].data
+            return [logits(core, Tensor(qa), Tensor(ka), pb, 3)[0].data
                     for _ in range(3)]
 
     switch = sys.getswitchinterval()
@@ -1277,14 +1277,14 @@ def test_importing_fluid_after_numpy_leaves_the_blas_variables_unset():
 
 def _unroll_in_child(core, qa, ka, pb, queue):
     with T.no_grad():
-        queue.put(core.logits(Tensor(qa), Tensor(ka), pb, 3)[0].data)
+        queue.put(logits(core, Tensor(qa), Tensor(ka), pb, 3)[0].data)
 
 
 @pool_workers(2)
 def test_gate_kernel_runs_in_a_forked_child():
     core, qa, ka, pb = _block_case("batch_rows")
     with T.no_grad():
-        final, _ = core.logits(Tensor(qa), Tensor(ka), pb, 3)
+        final, _ = logits(core, Tensor(qa), Tensor(ka), pb, 3)
     assert pool._pool is not None     # the parent has started its threads
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
@@ -1397,6 +1397,47 @@ def test_backward_on_live_pairs_is_bitwise_the_same_for_any_worker_count(
     for name, grad in runs[1].items():
         assert np.array_equal(runs[2][name], grad), name
         assert grad.any() == (pattern != "all"), name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_backward_items_hold_no_more_pairs_than_the_forward_blocks(
+        workers, monkeypatch):
+    # the train_spiral cross-attention shape, padded keys and query rows
+    # the loss never reads, with blocks of at most 1,000 pairs: a head's
+    # live pairs run as as many balanced items as its packed pairs do in
+    # the forward, so no backward item outgrows the forward's blocks, and
+    # cut by the budget alone they would take fewer, larger items
+    monkeypatch.setattr(A, "_BLOCK_SCALARS", 3 * 8 * 1000)
+    B, T_q, T_k, h, H, N = 8, 26, 35, 8, 2, 3
+    rng = np.random.default_rng(95)
+    core = A.RecurrentGateCore(h, rng, heads=H)
+    q = Tensor(rng.standard_normal((B, H, T_q, h)), requires_grad=True)
+    k = Tensor(rng.standard_normal((B, H, T_k, h)), requires_grad=True)
+    key_mask = np.arange(T_k) < np.array([35, 33, 30, 35, 28, 31, 35, 34])[:, None]
+    pb = pairs.full_pairwise_concat(q, k, key_mask=key_mask)
+    coef = rng.standard_normal(pb.valid_mask.shape)
+    coef[:, :, -4:] = 0.0
+    coef[:, 1, :9] = 0.0
+    sizes = {"forward": [[] for _ in range(H)], "backward": [[] for _ in range(H)]}
+    for name, at in (("_forward_block", 0), ("_backward_block", 1)):
+        real = getattr(A, name)
+
+        def spy(*args, real=real, at=at, seen=sizes[name[1:-6]]):
+            seen[args[at + 2]].append(args[at].shape[1])
+            return real(*args)
+
+        monkeypatch.setattr(A, name, spy)
+    with pool_workers(workers):
+        _weighted_sum(logits(core, q, k, pb, N)[0], coef).backward()
+    valid = pb.valid_mask.transpose(1, 0, 2, 3)
+    for hd in range(H):
+        forward, backward = sizes["forward"][hd], sizes["backward"][hd]
+        live = np.count_nonzero(coef[:, hd][valid[hd]])
+        assert sum(forward) == valid[hd].sum() > sum(backward) == live
+        assert len(backward) == len(forward) > 1
+        assert max(backward) - min(backward) <= 1
+        assert max(backward) <= max(forward)
+        assert len(A._blocks(live, 3 * h)) < len(forward)
 
 
 def _live_and_packed(monkeypatch):
