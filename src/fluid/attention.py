@@ -17,9 +17,10 @@ The gate recurrence is the costly part: it runs per pair and per step.
 or the pair input: each work item of its kernel forms its own block of
 pair inputs. The GRU runs only on the valid pairs; an invalid pair
 holds the floor gates f_tau = eps, f_phi = 0, so its logit stays 0 and
-it never raises the clamp's max. One tape op runs from the pair input
-through ``integrate_logits`` to the final logits. It keeps no hidden
-state, only the clamped dt and the final logits; each backward work item
+it never raises the clamp's max. One tape op runs from q and k through
+``integrate_logits`` to the final logits. It keeps no hidden state and
+no pair projection, only q, k, the pair tables, the clamped dt and the
+final logits; its backward projects q and k again, and each work item
 replays its block's GRU over all N steps with the forward's ops, keeping
 every state and cell output in its own scratch so that the cell runs N
 times and its reverse loop none, then rebuilds its gates and its Euler
@@ -51,8 +52,14 @@ query-dependent sigmoid output gate that counteracts attention sinks.
 Each stage holds only what it reads. Curation holds q and k; once the
 pairs are projected, only the tape holds them. The gates hold the
 projections qp and kp, the logits, the pair batch (4-byte int32 key
-indices and their flags) and the running items; a block's flat (batch,
-key) indices b * T_k + j are int64, made per block. ``MultiHeadLan``
+indices and their flags, int32 positions of the packed pairs) and the
+running items; a block's flat (batch, key) indices b * T_k + j are
+int64, made per block. The gate tape keeps q and k, not their
+projections, which are three times as wide. Its backward holds the
+projections again and their gradients, and the running items: a head's
+live pairs run as as many items as its packed pairs take forward
+blocks, so no item outgrows those blocks, and each item reads its
+pairs' entries of the logits' gradient in place. ``MultiHeadLan``
 projects the values only after the softmax, right before the value sum,
 so no gate runs beside them.
 """
@@ -194,11 +201,12 @@ class RecurrentGateCore:
     The input projection is factorized, u W_u = q W_u[:D] + k W_u[D:]:
     ``project_pairs`` projects each query and key once, into one
     channel-major buffer per projection, and returns the factored
-    ``pairs.PairInput``. ``unroll`` is one tape op from it to the
+    ``pairs.PairInput``. ``unroll`` is one tape op from q and k to the
     final logits: ``_gru_forward``, whose blocks of gates go through
-    ``integrate_logits`` one at a time. Its tape
-    keeps only the pair input, the weights, the clamped dt and the final
-    logits, no hidden state. Each backward item recomputes within its own
+    ``integrate_logits`` one at a time. Its tape keeps only q, k, the
+    weights, the pair input's tables, the clamped dt and the final
+    logits: no projection, as its backward projects q and k again, which
+    is cheap, and no hidden state. Each backward item recomputes within its own
     block (Chen et al., "Training Deep Nets with Sublinear Memory Cost";
     Gruslys et al., "Memory-Efficient Backpropagation Through Time"): it
     replays the block's GRU forward over all N steps with the forward's
@@ -235,7 +243,10 @@ class RecurrentGateCore:
     order: outputs and every gradient are bitwise the same for any number
     of threads. The backward cuts only the live
     pairs into blocks, those whose final logit's gradient is not 0; the
-    rest add exactly 0 to every gradient (see ``_gru_backward``).
+    rest add exactly 0 to every gradient (see ``_gru_backward``). A head's
+    live pairs take as many blocks as its packed pairs do in the forward,
+    so a backward item, whose scratch per pair is several times a forward
+    item's, never holds more pairs than the forward's largest block.
     """
 
     def __init__(self, head_dim: int, rng: np.random.Generator, heads: int):

@@ -12,7 +12,8 @@ copy of a whole slice.
 
 The gates see each pair through a linear projection of u = [q; k], so a
 pair's input is a sum of one query feature and one key feature.
-``PairInput`` holds the two projections and the pair batch, and forms
+``PairInput`` holds the two projections, which it lets go while a gate
+tape waits for its backward, and the pair batch's tables, and forms
 the sums one block of pairs at a time, inside the gate kernel's work
 items: neither u nor the projected pair input is ever built whole. The
 kernel runs on each head's valid pairs only; an invalid slot holds the

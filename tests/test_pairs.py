@@ -438,6 +438,25 @@ def test_key_indices_are_int32_and_flat_indices_int64(case):
         assert np.array_equal(keys, rows // T_q * T_k + idx)
 
 
+@pytest.mark.parametrize("case", ["key_padded", "causal", "topk_masked"])
+def test_positions_are_int32_and_a_head_of_2_to_the_31_slots_is_refused(case):
+    # the packed pairs' slots take 4 bytes each, which index any slot of a
+    # head of fewer than 2^31; a larger head is refused before anything
+    # is made
+    qp, kp, pb = _pair_input_case(case, np.random.default_rng(41))
+    pin = pairs.PairInput(qp, kp, pb)
+    assert all(p.dtype == np.int32 for p in pin.pos)
+    for hd, P in enumerate(pin.counts):
+        slots = np.flatnonzero(pb.valid_mask[:, hd])
+        assert np.array_equal(pin.slots(hd, slice(0, P)), slots)
+    T_q, K = 2 ** 16, 2 ** 15
+    idx = np.broadcast_to(np.zeros(1, dtype=np.int32), (1, 1, T_q, K))
+    big = pairs.PairBatch(idx, np.broadcast_to(True, idx.shape))
+    with pytest.raises(ValueError, match="2\\^31"):
+        pairs.PairInput(Tensor(np.zeros((1, 1, T_q, 3))),
+                        Tensor(np.zeros((1, 1, 1, 3))), big)
+
+
 def test_pair_sum_gradients_sum_over_pairs_and_scatter_into_keys():
     # every query sums its pairs' gradients; every key sums the gradients
     # of the pairs that selected it; invalid pairs pass nothing back
