@@ -54,12 +54,10 @@ pairs are projected, only the tape holds them. The gates hold the
 projections qp and kp, the logits, the pair batch (4-byte int32 key
 indices and their flags, int32 positions of the packed pairs) and the
 running items; a block's flat (batch, key) indices b * T_k + j are
-int64, made per block. The gate tape keeps q and k, not their
-projections, which are three times as wide. Its backward holds the
-projections again and their gradients, and the running items: a head's
-live pairs run as as many items as its packed pairs take forward
-blocks, so no item outgrows those blocks, and each item reads its
-pairs' entries of the logits' gradient in place. ``MultiHeadLan``
+int64, made per block. The gate tape keeps q and k, not their three
+times wider projections, which its backward makes again; a backward item
+holds no more pairs than the forward's blocks and reads its pairs'
+logit gradients in place. ``MultiHeadLan``
 projects the values only after the softmax, right before the value sum,
 so no gate runs beside them.
 """
@@ -298,7 +296,7 @@ class RecurrentGateCore:
         f_tau max, is smaller, the items run again and integrate at it.
         Under a tape, the op's parents are the pair input's sources q and
         k, W_u and the gate weights. The tape holds the final logits, the
-        clamped dt and the pair input without its projections, and no
+        clamped dt and the pair input, whose projections it drops, and no
         hidden state: the backward projects q and k again, bitwise the
         forward's projections, each backward item replays its block's GRU,
         and the projections' gradients map to q's, k's and W_u's. A pair

@@ -74,8 +74,9 @@ class PairInput:
     tables of each query row, so no index of the pairs' keys is built; it
     turns them into int64 flat indices b * T_k + j of its own pairs only.
     With every pair valid, packing is the identity and holds no index of
-    its own: ``pos`` is None. Besides the batch, it holds qp and kp while
-    they are held, q and k under a tape, and nothing the gates do not read.
+    its own: ``pos`` is None. Besides the batch's key indices, it holds qp
+    and kp until dropped, q and k under a tape, and nothing the gates do
+    not read.
     """
 
     def __init__(self, qp: Tensor, kp: Tensor, batch: PairBatch,
