@@ -430,8 +430,8 @@ def _blocks(P: int, C: int) -> list[tuple[int, int]]:
 def _cut(P: int, n: int) -> list[tuple[int, int]]:
     """[start, stop) of n contiguous, balanced blocks of P pairs, the
     empty ones left out."""
-    return [(P * i // n, P * (i + 1) // n) for i in range(n)
-            if P * i // n < P * (i + 1) // n]
+    blocks = ((P * i // n, P * (i + 1) // n) for i in range(n))
+    return [(a, b) for a, b in blocks if a < b]
 
 
 def _items(counts: list[int], C: int, live: list | None = None) -> list[tuple]:
