@@ -13,14 +13,16 @@ the instantaneous target f_phi/f_tau and therefore keeps trajectories
 inside the equilibrium envelope.
 
 The gate recurrence is the costly part: it runs per pair and per step.
-``RecurrentGateCore`` projects queries and keys once and never builds u
-or the pair input: each work item of its kernel forms its own block of
-pair inputs. The GRU runs only on the valid pairs; an invalid pair
-holds the floor gates f_tau = eps, f_phi = 0, so its logit stays 0 and
-it never raises the clamp's max. One tape op runs from q and k through
-``integrate_logits`` to the final logits. It keeps no hidden state and
-no pair projection, only q, k, the pair tables, the clamped dt and the
-final logits; its backward projects q and k again, and each work item
+``RecurrentGateCore`` never builds u or the pair input: each work item
+of its kernel forms its own block of pair inputs, from its head's
+projections of the queries and keys, which are made when the head's
+first block is formed and let go after its last. The GRU runs only on
+the valid pairs; an invalid pair holds the floor gates f_tau = eps,
+f_phi = 0, so its logit stays 0 and it never raises the clamp's max.
+One tape op runs from q and k through ``integrate_logits`` to the final
+logits. It keeps no hidden state and no pair projection, only q, k, the
+pair tables, the clamped dt and the final logits; its backward projects
+each head again at the head's first item, and each work item
 replays its block's GRU over all N steps with the forward's ops, keeping
 every state and cell output in its own scratch so that the cell runs N
 times and its reverse loop none, then rebuilds its gates and its Euler
@@ -49,17 +51,18 @@ per-head pipeline, on [B,H,T,D] inputs; ``MultiHeadLan`` projects into
 it, then concatenates and projects the heads, optionally through a
 query-dependent sigmoid output gate that counteracts attention sinks.
 
-Each stage holds only what it reads. Curation holds q and k; once the
-pairs are projected, only the tape holds them. The gates hold the
-projections qp and kp, the logits, the pair batch (4-byte int32 key
-indices and their flags, int32 positions of the packed pairs) and the
-running items; a block's flat (batch, key) indices b * T_k + j are
-int64, made per block. The gate tape keeps q and k, not their three
-times wider projections, which its backward makes again; a backward item
-holds no more pairs than the forward's blocks and reads its pairs'
-logit gradients in place. ``MultiHeadLan``
-projects the values only after the softmax, right before the value sum,
-so no gate runs beside them.
+Each stage holds only what it reads. Curation holds q and k. The gates
+hold q and k, the projections qp and kp of one head for each running
+item at most, the logits, the pair batch (4-byte int32 key indices and
+their flags, int32 positions of the packed pairs) and the running items;
+a block's flat (batch, key) indices b * T_k + j are int64, made per
+block. Once the gates have run, only the tape holds q and k, and once
+the softmax has run, only the tape holds the logits. The gate tape keeps
+q and k, not their three times wider projections, which its backward
+makes again head by head; a backward item holds no more pairs than the
+forward's blocks and reads its pairs' logit gradients in place.
+``MultiHeadLan`` projects the values only after the softmax, right
+before the value sum, so no gate runs beside them.
 """
 
 from __future__ import annotations
@@ -197,18 +200,21 @@ class RecurrentGateCore:
     row 1 for f_tau. Pair batches are [B,H,...]; a single head is H = 1.
 
     The input projection is factorized, u W_u = q W_u[:D] + k W_u[D:]:
-    ``project_pairs`` projects each query and key once, into one
-    channel-major buffer per projection, and returns the factored
-    ``pairs.PairInput``. ``unroll`` is one tape op from q and k to the
-    final logits: ``_gru_forward``, whose blocks of gates go through
-    ``integrate_logits`` one at a time. Its tape keeps only q, k, the
-    weights, the pair input's tables, the clamped dt and the final
-    logits: no projection, as its backward projects q and k again, which
-    is cheap, and no hidden state. Each backward item recomputes within its own
-    block (Chen et al., "Training Deep Nets with Sublinear Memory Cost";
-    Gruslys et al., "Memory-Efficient Backpropagation Through Time"): it
-    replays the block's GRU forward over all N steps with the forward's
-    ops and keeps every state and cell output in its scratch, so it
+    ``project_pairs`` returns the factored ``pairs.PairInput``, which
+    projects a head's queries and keys when the kernel forms the head's
+    first block of a pass, into one channel-major buffer per projection,
+    and lets them go after the head's last block. Items run head by head,
+    so the pair input holds one head's projections for each running item
+    at most. ``unroll`` is one tape op from q and k to the final logits:
+    ``_gru_forward``, whose blocks of gates go through ``integrate_logits``
+    one at a time. Its tape keeps only q, k, the weights, the pair input's
+    tables, the clamped dt and the final logits: no projection, as its
+    backward projects each head again, which is cheap, and no hidden
+    state. Each backward item recomputes within its own block (Chen et
+    al., "Training Deep Nets with Sublinear Memory Cost"; Gruslys et al.,
+    "Memory-Efficient Backpropagation Through Time"): it replays the
+    block's GRU forward over all N steps with the forward's ops and keeps
+    every state and cell output in its scratch, so it
     evaluates the cell N times, as the forward does, and its replay memory
     scales with the block, not with the pass. Up to h = 8 every replayed
     value is bitwise the forward's; at wider heads BLAS's bits for W_h^T h
@@ -269,20 +275,11 @@ class RecurrentGateCore:
     def project_pairs(self, q: Tensor, k: Tensor,
                       pb: pairs_mod.PairBatch) -> pairs_mod.PairInput:
         """u W_u for every selected pair, [B,H,T_q,K_eff,3h], in factored
-        form (see ``_projections``). The projections are no tape op: under
-        a tape the pair input holds q and k as its ``sources``, and the
-        backward of ``unroll`` projects them again."""
-        return pairs_mod.PairInput(*self._projections(q, k), pb,
-                                   (q, k) if T._grad_enabled() else None)
-
-    def _projections(self, q: Tensor, k: Tensor) -> tuple:
-        """(q W_u[:D], k W_u[D:]), off the tape: each [B,H,T,3h] a view of
-        one channel-major buffer [H,3h,B,T], the layout the kernel reads,
-        and bitwise the same at every call."""
-        D, order = q.shape[-1], (1, 3, 0, 2)
-        with T.no_grad():
-            return (T.matmul(q, T.narrow(self.W_u, -2, 0, D), order=order),
-                    T.matmul(k, T.narrow(self.W_u, -2, D, D), order=order))
+        form: the pair input holds q, k and W_u, and projects each head
+        when the kernel forms that head's first block. The projections are
+        no tape op: under a tape the pair input keeps q and k as its
+        ``sources``, the parents of ``unroll``'s op."""
+        return pairs_mod.PairInput(q, k, self.W_u, pb, T._grad_enabled())
 
     def unroll(self, pin: pairs_mod.PairInput, n_steps: int,
                trajectory: bool = False):
@@ -294,13 +291,16 @@ class RecurrentGateCore:
         integrates each item's gates as they come, at dt_nominal; where the
         clamped dt of the pass, known once every item has reported its
         f_tau max, is smaller, the items run again and integrate at it.
+        Each run of the items projects each head once, at its first block,
+        so the pair input keeps q and k for the second run.
         Under a tape, the op's parents are the pair input's sources q and
         k, W_u and the gate weights. The tape holds the final logits, the
-        clamped dt and the pair input, whose projections it drops, and no
-        hidden state: the backward projects q and k again, bitwise the
-        forward's projections, each backward item replays its block's GRU,
-        and the projections' gradients map to q's, k's and W_u's. A pair
-        input made under ``no_grad`` has no sources and gives no tape.
+        clamped dt and the pair input, which holds no projection once a
+        run is over, and no hidden state: the backward's items project
+        each head again, bitwise the forward's projections, each backward
+        item replays its block's GRU, and the projections' gradients map
+        to q's, k's and W_u's. A pair input made under ``no_grad`` has no
+        sources and gives no tape.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -342,13 +342,10 @@ class RecurrentGateCore:
             dt, dt_nominal)
         if not (T._grad_enabled() and any(t.requires_grad for t in inputs)):
             return Tensor(final), traj
-        pin.drop()
         q, k = pin.sources
 
         def rule(g):
-            pin.hold(*self._projections(q, k))
             d_qp, d_kp, *d_gates = _gru_backward(g, pin, w, n_steps, dt)
-            pin.drop()
             D = q.shape[-1]
             # the products' gradients, as the tape's matmul gives them; the
             # two halves of W_u are disjoint
@@ -455,7 +452,7 @@ def _gru_forward(pin, w, n_steps, gates):
     per block: yields ((head, selector), (gates [2N, block], max f_tau)) of
     each item in item order, f_tau in the block's rows :N and f_phi in rows
     N:. With ``gates`` [2N,H,slots] the items also write their blocks
-    there."""
+    there. ``pin`` first counts each head's items (``PairInput.plan``)."""
     def item(hd, sel):
         x = pin.block(hd, sel)
         out = np.empty((2 * n_steps, x.shape[1]))
@@ -465,6 +462,7 @@ def _gru_forward(pin, w, n_steps, gates):
         return out, np.max(out[:n_steps])
 
     items = _items(pin.counts, pin.shape[-1])
+    pin.plan(items)
     return zip(items, pool._run_items(item, items))
 
 
@@ -533,6 +531,7 @@ def _gru_backward(g, pin, w, n_steps, dt):
     live = [np.flatnonzero(at(hd, slice(0, P))).astype(np.int32)
             for hd, P in enumerate(pin.counts)]
     items = _items(pin.counts, C, live)
+    pin.plan(items)
 
     def item(hd, sel):
         dx, parts = _backward_block(at(hd, sel), pin.block(hd, sel), w, hd,
@@ -759,9 +758,11 @@ def attend(q: Tensor, k: Tensor, v, core, cfg: LanConfig,
 
     v is the values, or a callable of no arguments that makes them, which
     ``attend`` calls after the softmax, so that the gates run without the
-    values. Nothing but the tape reads q and k once the pair input is
-    projected, or the pair input once the gates have run: under
-    ``no_grad`` each is dropped then, unless the caller holds it.
+    values. The pair input holds q and k while the gates run, which
+    project them head by head. Nothing but the tape reads q, k or the
+    pair input once the gates have run, or the logits once the softmax
+    has: under ``no_grad`` each is dropped then, unless the caller holds
+    it.
     """
     if cfg.top_k is None:
         pb = pairs_mod.full_pairwise_concat(q, k, causal=cfg.causal,
@@ -773,8 +774,8 @@ def attend(q: Tensor, k: Tensor, v, core, cfg: LanConfig,
     del q, k
     a_final, traj = core.unroll(pin, cfg.euler_steps, trajectory)
     del pin
-
     alpha = T.masked_softmax(a_final, pb.valid_mask)
+    del a_final
     out = T.gather_weighted(alpha, v() if callable(v) else v,
                             pb.selected_indices)
     return out, alpha, pb, traj

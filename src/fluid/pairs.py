@@ -12,16 +12,19 @@ copy of a whole slice.
 
 The gates see each pair through a linear projection of u = [q; k], so a
 pair's input is a sum of one query feature and one key feature.
-``PairInput`` holds the two projections, which it lets go while a gate
-tape waits for its backward, and the pair batch's tables, and forms
-the sums one block of pairs at a time, inside the gate kernel's work
-items: neither u nor the projected pair input is ever built whole. The
+``PairInput`` holds q, k, the projection's weights and the pair batch's
+tables. It makes a head's two projections when the gate kernel forms
+the head's first block of a pass and lets them go after its last, and
+forms the sums one block of pairs at a time, inside the kernel's work
+items: neither u nor the projected pair input is ever built whole, nor
+the projections of every head at once. The
 kernel runs on each head's valid pairs only; an invalid slot holds the
 floor gates f_tau = eps, f_phi = 0, so its logit a stays 0.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,19 +52,24 @@ class PairBatch:
 class PairInput:
     """The gate input of every selected pair, in factored form.
 
-    Pair (i, j) sees qp_i + kp_j, the projections of query i and key j.
-    The items read them channel-major, as ``_q``, ``_k`` [H, C, B*T]; where
-    qp and kp are views of that layout, as ``project_pairs`` makes them,
-    these are the same buffers, so each projection is held once. ``drop``
-    lets them go and ``hold`` takes them again: a gate op on the tape keeps
-    the pair input without its projections, and its backward projects
-    ``sources`` (q, k) again, which the pair input holds only when it was
-    made under a tape. The [B,H,T_q,K_eff,C] array of these sums
-    (``shape``, ``size``) is never built: the gate
+    Pair (i, j) sees qp_i + kp_j, the projections q_i W_u[:D] and
+    k_j W_u[D:] of query i and key j. The pair input holds q, k and W_u,
+    and makes a head's projections only when that head's first block of
+    a pass is formed: channel-major [C, B*T], so that one channel is
+    contiguous, by the same per-(batch, head) GEMM calls as the batched
+    product, and so bitwise its values. ``plan`` counts each head's blocks
+    of the coming pass from its work items, and the projections are let
+    go once the head's last block is formed: as the items run head by
+    head, the pair input holds one head's projections for each running
+    item at most, and none between passes. A head projects under a lock
+    of its own, so a second item of the head waits for the first's
+    projections and items of another head run on. The [B,H,T_q,K_eff,C]
+    array of the sums (``shape``, ``size``) is never built: the gate
     kernel forms the block of pairs each work item takes with ``block``.
     An item names its packed pairs by a selector: a slice, or an ascending
     int32 index array where the backward skips pairs whose logit gradient
-    is 0.
+    is 0. Under a tape the pair input keeps q and k as its ``sources``,
+    the parents of the gate op.
 
     Slots are numbered per head in (batch, query, slot) order. The kernel
     runs on each head's packed pairs, its valid pairs in slot order;
@@ -74,23 +82,29 @@ class PairInput:
     tables of each query row, so no index of the pairs' keys is built; it
     turns them into int64 flat indices b * T_k + j of its own pairs only.
     With every pair valid, packing is the identity and holds no index of
-    its own: ``pos`` is None. Besides the batch's key indices, it holds qp
-    and kp until dropped, q and k under a tape, and nothing the gates do
-    not read.
+    its own: ``pos`` is None. Besides the batch's key indices, it holds q,
+    k, W_u and the projections of the heads whose blocks are being formed,
+    and nothing the gates do not read.
     """
 
-    def __init__(self, qp: Tensor, kp: Tensor, batch: PairBatch,
-                 sources: tuple | None = None):
-        B, H, T_q, C = qp.shape
+    def __init__(self, q: Tensor, k: Tensor, W_u: Tensor, batch: PairBatch,
+                 taped: bool = False):
+        B, H, T_q, D = q.shape
+        C = W_u.shape[-1]
         idx, valid = batch.selected_indices, batch.valid_mask
         K = idx.shape[3]
         if B * T_q * K >= 2 ** 31:
             raise ValueError(f"a head has {B * T_q * K} pair slots; int32 "
                              "positions index fewer than 2^31")
-        self.sources = sources
+        self.sources = (q, k) if taped else None
         self.shape = (B, H, T_q, K, C)
         self.size = B * H * T_q * K * C
-        self._T_k = kp.shape[2]
+        self._T_k = k.shape[2]
+        # q's and k's halves of W_u, per head
+        self._inputs = ((q.data, W_u.data[:, :D]), (k.data, W_u.data[:, D:]))
+        self._proj = [None] * H
+        self._left = [0] * H
+        self._locks = [threading.Lock() for _ in range(H)]
         # the keys of every query row as one flat array, rows ``step``
         # apart: a view of top-k's indices (step K), or of full pairwise's
         # one row, which every query shares (step 0)
@@ -111,20 +125,16 @@ class PairInput:
             valid = valid.transpose(1, 0, 2, 3).reshape(H, -1)
             self.pos = [np.flatnonzero(v).astype(np.int32) for v in valid]
             self.counts = [p.size for p in self.pos]
-        self.hold(qp, kp)
 
-    def hold(self, qp: Tensor, kp: Tensor):
-        """Take the projections qp [B,H,T_q,C] and kp [B,H,T_k,C] that the
-        blocks read, channel-major [H, C, B*T]: one channel of one head is
-        contiguous, and reshape copies only where qp or kp is not laid out
-        so already."""
-        H, C = self.shape[1], self.shape[4]
-        self._q, self._k = (t.data.transpose(1, 3, 0, 2).reshape(H, C, -1)
-                            for t in (qp, kp))
-
-    def drop(self):
-        """Let the projections go; ``hold`` takes them again."""
-        self._q = self._k = None
+    def plan(self, items: list[tuple]):
+        """Count each head's blocks of the coming pass, its (head,
+        selector) work items: a head's projections are made at its first
+        block and let go once its last is formed. A block that no plan
+        counts projects its head for itself alone."""
+        self._proj = [None] * len(self._proj)
+        self._left = [0] * len(self._left)
+        for hd, _ in items:
+            self._left[hd] += 1
 
     def slots(self, hd: int, sel) -> np.ndarray:
         """The slots of head ``hd``'s packed pairs ``sel``, a slice or an
@@ -146,8 +156,19 @@ class PairInput:
     def block(self, hd: int, sel) -> np.ndarray:
         """The input [C, pairs] of head ``hd``'s packed pairs ``sel``."""
         rows, keys = self.pairs(hd, sel)
-        x = np.take(self._k[hd], keys, axis=1)
-        x += np.take(self._q[hd], rows, axis=1)
+        with self._locks[hd]:
+            if self._proj[hd] is None:
+                # each product [B,T,C] copied channel-major [C, B*T]
+                self._proj[hd] = tuple(
+                    np.ascontiguousarray(np.matmul(x[:, hd], W[hd]).transpose(
+                        2, 0, 1)).reshape(self.shape[4], -1)
+                    for x, W in self._inputs)
+            qp, kp = self._proj[hd]
+            self._left[hd] -= 1
+            if self._left[hd] <= 0:
+                self._proj[hd] = None
+        x = np.take(kp, keys, axis=1)
+        x += np.take(qp, rows, axis=1)
         return x
 
     def block_grads(self, hd: int, sel, dx: np.ndarray):
@@ -157,7 +178,7 @@ class PairInput:
         index)."""
         rows, keys = self.pairs(hd, sel)
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        C, M = dx.shape[0], self._k.shape[2]
+        C, M = dx.shape[0], self.shape[0] * self._T_k
         flat = (np.arange(C)[:, None] * M + keys).ravel()
         return rows[starts], np.add.reduceat(dx, starts, axis=1), np.bincount(
             flat, weights=dx.ravel(), minlength=C * M).reshape(C, M)
@@ -165,11 +186,11 @@ class PairInput:
     def grads(self, items: list[tuple], parts: list[tuple]):
         """(d qp, d kp) from the ``block_grads`` of the (head, selector)
         items, summed in item order."""
-        dq, dk = np.zeros_like(self._q), np.zeros_like(self._k)
+        B, H, T_q, _, C = self.shape
+        dq, dk = np.zeros((H, C, B * T_q)), np.zeros((H, C, B * self._T_k))
         for (hd, _), (rows, dq_rows, dk_keys) in zip(items, parts):
             dq[hd][:, rows] += dq_rows
             dk[hd] += dk_keys
-        B, H, T_q, _, C = self.shape
         return tuple(d.reshape(H, C, B, T).transpose(2, 0, 3, 1)
                      for d, T in ((dq, T_q), (dk, self._T_k)))
 

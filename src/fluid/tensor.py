@@ -290,18 +290,9 @@ def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
     return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
 
-def matmul(a: Tensor, b: Tensor, order: tuple | None = None) -> Tensor:
-    """Matrix product over the last two axes; batch axes broadcast.
-
-    With ``order``, an axis permutation, the product is copied into a
-    buffer laid out in that axis order, and the result is a view of it:
-    the same values, held once, in the layout a caller reads.
-    """
-    out = _matmul(a, b)
-    if order is not None:
-        out = np.ascontiguousarray(out.transpose(order)).transpose(
-            np.argsort(order))
-    return _node(out, (a, b), lambda g: _matmul_grads(g, a, b))
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; batch axes broadcast."""
+    return _node(_matmul(a, b), (a, b), lambda g: _matmul_grads(g, a, b))
 
 
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:

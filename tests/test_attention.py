@@ -12,6 +12,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -421,15 +422,19 @@ def test_a_forward_item_allocates_one_scratch_and_one_state(n_steps):
 
 @pytest.mark.parametrize("taped", [False, True])
 def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
-    # the [B,H,T,3h] products are copied channel-major and freed, and the
-    # pair input holds that one buffer of each projection. The tape holds
-    # no pair projection: under a tape the pair input keeps q and k, the
-    # gate op's parents, and drops the projections once its forward has run
+    # the pair input holds no projection until a block asks for it: a
+    # head's [B,T,3h] products are copied channel-major and freed, its
+    # blocks read that one buffer of each projection, and it lets them go
+    # once its last block is formed, so it holds none once the pass has
+    # run. Under a tape it keeps q and k, the gate op's parents
     rng = np.random.default_rng(101)
     core = A.RecurrentGateCore(4, rng, heads=2)
     q = Tensor(rng.standard_normal((2, 2, 9, 4)), requires_grad=taped)
     k = Tensor(rng.standard_normal((2, 2, 7, 4)), requires_grad=taped)
     pb = pairs.topk_concat(q, k, 3)
+    with T.no_grad():
+        want = (T.matmul(q, T.narrow(core.W_u, -2, 0, 4)).data,
+                T.matmul(k, T.narrow(core.W_u, -2, 4, 4)).data)
     products, matmul = [], np.matmul
 
     def spy(*args, **kwargs):
@@ -440,28 +445,115 @@ def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
     monkeypatch.setattr(np, "matmul", spy)
     with contextlib.nullcontext() if taped else T.no_grad():
         pin = core.project_pairs(q, k, pb)
+    assert not products and pin._proj == [None, None]
+    P = pin.counts[1]
+    halves = (slice(0, P // 2), slice(P // 2, P))
+    pin.plan([(1, sel) for sel in halves])
+    pin.block(1, halves[0])
     monkeypatch.setattr(np, "matmul", matmul)
     gc.collect()
     assert len(products) == 2 and all(ref() is None for ref in products)
-    with T.no_grad():
-        want = (T.matmul(q, T.narrow(core.W_u, -2, 0, 4)).data,
-                T.matmul(k, T.narrow(core.W_u, -2, 4, 4)).data)
-    for got, product in zip((pin._q, pin._k), want):
+    assert pin._proj[0] is None
+    for got, product in zip(pin._proj[1], want):
         assert got.flags.c_contiguous
-        assert np.array_equal(got, product.transpose(1, 3, 0, 2).reshape(
-            2, 12, -1))
+        assert np.array_equal(got, product[:, 1].transpose(2, 0, 1).reshape(
+            12, -1))
+    buffers = [weakref.ref(b) for b in pin._proj[1]]
+    del got
+    pin.block(1, halves[1])
+    gc.collect()
+    assert pin._proj == [None, None] and all(ref() is None for ref in buffers)
     if taped:
         assert pin.sources[0] is q and pin.sources[1] is k
     else:
         assert pin.sources is None
     final, _ = core.unroll(pin, 2)
     assert final.requires_grad == taped
+    assert pin._proj == [None, None]
     if taped:
         assert final._parents == (q, k, core.W_u, core.W_h, core.w_t,
                                   core.b_x, core.W_o, core.b_o)
-        assert pin._q is None and pin._k is None
-    else:
-        assert pin._q is not None and pin._k is not None
+        T.tsum(final).backward()
+        assert pin._proj == [None, None]
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_each_head_is_projected_once_per_run_of_the_items(clamp, monkeypatch):
+    # blocks of 1,024 pairs give each head several items, which share their
+    # head's projections: each half of a head's W_u projects once per run
+    # of the items, so once in a no_grad pass or a taped forward, twice
+    # where the clamp acts and the items run again at the clamped dt, and
+    # once more in the backward. Every projection is freed once its pass
+    # has run, and logits and gradients are bitwise the same on one worker,
+    # on two, and on four that switch threads every microsecond, where a
+    # lost update of a head's count would project it again
+    monkeypatch.setattr(A, "_BLOCK_SCALARS", 9 * 1024)
+    rng = np.random.default_rng(109)
+    core = A.RecurrentGateCore(3, rng, heads=2)
+    # f_tau below 0.7, or up to 7.7 > N, where the clamp acts
+    core.b_o.data[:, 1] += 6.0 if clamp else -1.0
+    qa, ka, pb = _gate_case("topk_blocks", rng)
+    heads = [hd for hd, _ in A._items(_packed_counts(pb), 9)]
+    assert min(heads.count(hd) for hd in range(2)) > 1
+    coef = rng.standard_normal(pb.valid_mask.shape)
+    W, N = core.W_u.data, 3
+    calls, buffers = [], []
+    matmul, contiguous = np.matmul, np.ascontiguousarray
+
+    def spy_matmul(a, b, *args, **kwargs):
+        if b.ndim == 2 and np.may_share_memory(b, W):   # a head's half of W_u
+            hd, at = divmod(b.ctypes.data - W.ctypes.data, W.strides[0])
+            calls.append((hd, at // (3 * W.strides[1])))
+        return matmul(a, b, *args, **kwargs)
+
+    def spy_contiguous(*args, **kwargs):    # the channel-major copies
+        out = contiguous(*args, **kwargs)
+        buffers.append(weakref.ref(out))
+        return out
+
+    def projections(fn):
+        calls.clear()
+        out = fn()
+        return out, Counter(calls)
+
+    def run(workers):
+        q, k = (Tensor(a, requires_grad=True) for a in (qa, ka))
+        for p in core.parameters().values():
+            p.zero_grad()
+        with pool_workers(workers):
+            with T.no_grad():
+                pins = [core.project_pairs(Tensor(qa), Tensor(ka), pb)]
+                (final, traj), no_grad = projections(
+                    lambda: core.unroll(pins[0], N, trajectory=True))
+            pins.append(core.project_pairs(q, k, pb))
+            (taped, _), forward = projections(lambda: core.unroll(pins[1], N))
+            _, backward = projections(
+                lambda: _weighted_sum(taped, coef).backward())
+        assert (traj.dt_effective < 1 / N) == clamp
+        runs = 2 if clamp else 1
+        assert no_grad == forward == Counter(
+            {(hd, half): runs for hd in range(2) for half in (0, 1)})
+        assert backward == Counter(
+            {(hd, half): 1 for hd in range(2) for half in (0, 1)})
+        # the pair inputs live on, yet hold no projection
+        gc.collect()
+        assert len(buffers) == 2 * (2 * runs + 1) * 2
+        assert all(ref() is None for ref in buffers)
+        buffers.clear()
+        return [final.data, taped.data, q.grad, k.grad] + [
+            p.grad for p in core.parameters().values()]
+
+    monkeypatch.setattr(np, "matmul", spy_matmul)
+    monkeypatch.setattr(np, "ascontiguousarray", spy_contiguous)
+    one, two = run(1), run(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = run(4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) and np.array_equal(a, c)
+               for a, b, c in zip(one, two, four))
 
 
 def test_fused_gates_pass_grad_check():
@@ -573,7 +665,7 @@ def test_no_grad_forward_never_holds_the_gates_of_the_pass(workers):
     # running items' scratch and a few blocks' gates, never the gates
     # [2N, H, pairs] of the whole pass; and while the gates run, it holds
     # only what they read: no v, no second key index, no 8-byte keys, and
-    # neither q nor k
+    # the projections of one head for each running item, never every head's
     B, T_, d, H, N, K = 1, 1024, 64, 4, 5, 32
     mh = A.MultiHeadLan(_mh_cfg(d_model=d, heads=H, euler_steps=N, top_k=K),
                         np.random.default_rng(91))
@@ -584,9 +676,11 @@ def test_no_grad_forward_never_holds_the_gates_of_the_pass(workers):
     h, pairs_ = d // H, B * T_ * K
     block = A._BLOCK_SCALARS // (3 * h)
     gates = 2 * N * H * pairs_ * 8
-    # what the pass holds while its gates run: the projections qp and kp,
-    # the logits, and the pair batch's int32 keys and flags
-    held = ((2 * H * 3 * h * B * T_ + H * pairs_) * 8
+    # what the pass holds while its gates run: q and k, one head's
+    # projections qp and kp for each worker, the logits, and the pair
+    # batch's int32 keys and flags
+    head = 2 * 3 * h * B * T_ * 8
+    held = ((2 * B * T_ * d + H * pairs_) * 8 + workers * head
             + H * pairs_ * 5)
     # an item's input, scratch, state and gates
     item = (3 * h + max(3 * h, N) + h + 2 * N) * block * 8
@@ -600,9 +694,10 @@ def test_no_grad_forward_never_holds_the_gates_of_the_pass(workers):
     if workers == 1:
         # items run one at a time, so the peak holds still: room for no v,
         # nor for keys of 8 bytes or a second key index, which each take
-        # as much as v, nor for q and k, which take twice as much
+        # as much as v, nor for a second head's projections
         assert peak + B * T_ * d * 8 > bound
         assert peak + H * pairs_ * 4 > bound
+        assert peak + head > bound
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -806,7 +901,9 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
     with T.no_grad():
         pin = core.project_pairs(q, k, pb)
         gates = _traj_gates(core.unroll(pin, n_steps, trajectory=True)[1])
-        up = pair_sum(*core._projections(q, k), pb)
+        D = q.shape[-1]
+        up = pair_sum(T.matmul(q, T.narrow(core.W_u, -2, 0, D)),
+                      T.matmul(k, T.narrow(core.W_u, -2, D, D)), pb)
     assert (pin.shape, pin.size) == (up.shape, up.size)
     got = np.moveaxis(gates, 2, 1).reshape(2 * n_steps, core.heads, -1)
     assert np.array_equal(got, _kernel_on(core, up.data, pb.valid_mask,

@@ -365,6 +365,13 @@ def test_topk_gradient_flows_to_selected_pairs_only():
     assert np.allclose(q.grad, np.ones((1, 1, 1, 2)))
 
 
+def _identity_halves(qp):
+    """W_u [H,2C,C] of qp [B,H,T,C] whose two halves are identities: a
+    pair input of qp and kp then projects them to themselves, bitwise."""
+    _, H, _, C = qp.shape
+    return Tensor(np.tile(np.eye(C), (H, 2, 1)))
+
+
 def _pair_input_case(case, rng):
     """Projections qp, kp [B,H,T,C] with B = 3, and a pair batch of them:
     6 slots a query, or 3 for top-k."""
@@ -398,7 +405,7 @@ def test_pair_input_blocks_and_their_gradients_are_bitwise_pair_sums(case):
     qp, kp, pb = _pair_input_case(case, rng)
     B, H, T_q, C = qp.shape
     T_k, K = kp.shape[2], pb.selected_indices.shape[3]
-    pin = pairs.PairInput(qp, kp, pb)
+    pin = pairs.PairInput(qp, kp, _identity_halves(qp), pb)
     # [H, slots, C], slots in (batch, query, slot) order
     whole = pair_sum(qp, kp, pb).data.transpose(1, 0, 2, 3, 4).reshape(H, -1, C)
     for hd, P in enumerate(pin.counts):
@@ -430,7 +437,7 @@ def test_key_indices_are_int32_and_flat_indices_int64(case):
     qp, kp, pb = _pair_input_case(case, np.random.default_rng(39))
     assert pb.selected_indices.dtype == np.int32
     T_q, T_k = qp.shape[2], kp.shape[2]
-    pin = pairs.PairInput(qp, kp, pb)
+    pin = pairs.PairInput(qp, kp, _identity_halves(qp), pb)
     for hd, P in enumerate(pin.counts):
         rows, keys = pin.pairs(hd, slice(0, P))
         assert keys.dtype == np.int64
@@ -444,7 +451,7 @@ def test_positions_are_int32_and_a_head_of_2_to_the_31_slots_is_refused(case):
     # head of fewer than 2^31; a larger head is refused before anything
     # is made
     qp, kp, pb = _pair_input_case(case, np.random.default_rng(41))
-    pin = pairs.PairInput(qp, kp, pb)
+    pin = pairs.PairInput(qp, kp, _identity_halves(qp), pb)
     assert all(p.dtype == np.int32 for p in pin.pos)
     for hd, P in enumerate(pin.counts):
         slots = np.flatnonzero(pb.valid_mask[:, hd])
@@ -453,8 +460,9 @@ def test_positions_are_int32_and_a_head_of_2_to_the_31_slots_is_refused(case):
     idx = np.broadcast_to(np.zeros(1, dtype=np.int32), (1, 1, T_q, K))
     big = pairs.PairBatch(idx, np.broadcast_to(True, idx.shape))
     with pytest.raises(ValueError, match="2\\^31"):
-        pairs.PairInput(Tensor(np.zeros((1, 1, T_q, 3))),
-                        Tensor(np.zeros((1, 1, 1, 3))), big)
+        q = Tensor(np.zeros((1, 1, T_q, 3)))
+        pairs.PairInput(q, Tensor(np.zeros((1, 1, 1, 3))),
+                        _identity_halves(q), big)
 
 
 def test_pair_sum_gradients_sum_over_pairs_and_scatter_into_keys():
