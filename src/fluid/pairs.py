@@ -53,17 +53,15 @@ class PairInput:
     """The gate input of every selected pair, in factored form.
 
     Pair (i, j) sees qp_i + kp_j, the projections q_i W_u[:D] and
-    k_j W_u[D:] of query i and key j. The pair input holds q, k and W_u,
-    and makes a head's projections only when that head's first block of
-    a pass is formed: channel-major [C, B*T], so that one channel is
-    contiguous, by the same per-(batch, head) GEMM calls as the batched
-    product, and so bitwise its values. ``plan`` counts each head's blocks
-    of the coming pass from its work items, and the projections are let
-    go once the head's last block is formed: as the items run head by
-    head, the pair input holds one head's projections for each running
-    item at most, and none between passes. A head projects under a lock
-    of its own, so a second item of the head waits for the first's
-    projections and items of another head run on. The [B,H,T_q,K_eff,C]
+    k_j W_u[D:] of query i and key j. A head's projections are made when
+    its first block of a pass is formed, channel-major [C, B*T] so that
+    one channel is contiguous, by the same per-(batch, head) GEMM calls as
+    the batched product, so bitwise its values. ``plan`` counts each
+    head's blocks of the coming pass, and the projections go once the
+    head's last block is formed: as the items run head by head, the pair
+    input holds one head's projections for each running item at most, and
+    none between passes. A head projects under a lock of its own, so only
+    a second item of that head waits for them. The [B,H,T_q,K_eff,C]
     array of the sums (``shape``, ``size``) is never built: the gate
     kernel forms the block of pairs each work item takes with ``block``.
     An item names its packed pairs by a selector: a slice, or an ascending

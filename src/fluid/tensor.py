@@ -239,20 +239,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     return _node(out, (a,), lambda g: (_unbroadcast(g, orig),))
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Slice ``length`` entries from ``start`` along ``axis`` (view, no copy)."""
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def rule(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return _node(a.data[idx], (a,), rule)
-
-
 # --------------------------------------------------------------------------
 # reductions and matmul
 # --------------------------------------------------------------------------

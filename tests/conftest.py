@@ -167,6 +167,21 @@ def scale(a: Tensor, c: float) -> Tensor:
     return T._node(a.data * c, (a,), lambda g: (g * c,))
 
 
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Slice ``length`` entries from ``start`` along ``axis`` (view, no
+    copy), as one tape op."""
+    idx = [slice(None)] * a.ndim
+    idx[axis] = slice(start, start + length)
+    idx = tuple(idx)
+
+    def rule(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        return (full,)
+
+    return T._node(a.data[idx], (a,), rule)
+
+
 def concat(tensors, axis: int = -1) -> Tensor:
     """The tensors joined along ``axis``, as one tape op."""
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -197,7 +212,7 @@ def broadcast_weights(core) -> dict:
         return T.reshape(t, (1, H, 1) + shape)
 
     def row(t, i, shape):
-        return view(T.narrow(t, 1, i, 1), shape)
+        return view(narrow(t, 1, i, 1), shape)
 
     return {"W_u": view(core.W_u, core.W_u.shape[1:]),
             "w_t": view(core.w_t, (1, 3 * h)), "b_x": view(core.b_x, (1, 3 * h)),
@@ -209,13 +224,13 @@ def broadcast_weights(core) -> dict:
 def _cell(w, h: int, x_proj: Tensor, hidden):
     # single-bias GRU: the reset gate scales the raw hidden projection,
     # so a zero hidden state needs no projection at all
-    xr, xz, xn = (T.narrow(x_proj, -1, i * h, h) for i in range(3))
+    xr, xz, xn = (narrow(x_proj, -1, i * h, h) for i in range(3))
     if hidden is None:
         z = T.sigmoid(xz)
         n = T.tanh(xn)
         return T.mul(T.sub(Tensor(1.0), z), n)
     hp = T.matmul(hidden, w["W_h"])
-    hr, hz, hn = (T.narrow(hp, -1, i * h, h) for i in range(3))
+    hr, hz, hn = (narrow(hp, -1, i * h, h) for i in range(3))
     r = T.sigmoid(T.add(xr, hr))
     z = T.sigmoid(T.add(xz, hz))
     n = T.tanh(T.add(xn, T.mul(r, hn)))
@@ -304,7 +319,7 @@ def euler_chain(gates: Tensor, dt: float, a0: Tensor):
     n_steps = gates.shape[0] // 2
 
     def row(i):
-        return T.reshape(T.narrow(gates, 0, i, 1), gates.shape[1:])
+        return T.reshape(narrow(gates, 0, i, 1), gates.shape[1:])
 
     states = [a0]
     for n in range(n_steps):

@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (concat, concat_pairs, euler_chain, euler_step,
-                      gru_unroll, logits, pair_sum, peak_bytes, pool_workers)
+                      gru_unroll, logits, narrow, pair_sum, peak_bytes,
+                      pool_workers)
 from fluid import attention as A
 from fluid import model as M
 from fluid import pairs, pool
@@ -433,8 +434,8 @@ def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
     k = Tensor(rng.standard_normal((2, 2, 7, 4)), requires_grad=taped)
     pb = pairs.topk_concat(q, k, 3)
     with T.no_grad():
-        want = (T.matmul(q, T.narrow(core.W_u, -2, 0, 4)).data,
-                T.matmul(k, T.narrow(core.W_u, -2, 4, 4)).data)
+        want = (T.matmul(q, narrow(core.W_u, -2, 0, 4)).data,
+                T.matmul(k, narrow(core.W_u, -2, 4, 4)).data)
     products, matmul = [], np.matmul
 
     def spy(*args, **kwargs):
@@ -454,12 +455,10 @@ def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
     gc.collect()
     assert len(products) == 2 and all(ref() is None for ref in products)
     assert pin._proj[0] is None
-    for got, product in zip(pin._proj[1], want):
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, product[:, 1].transpose(2, 0, 1).reshape(
-            12, -1))
+    assert all(got.flags.c_contiguous and np.array_equal(
+        got, product[:, 1].transpose(2, 0, 1).reshape(12, -1))
+        for got, product in zip(pin._proj[1], want))
     buffers = [weakref.ref(b) for b in pin._proj[1]]
-    del got
     pin.block(1, halves[1])
     gc.collect()
     assert pin._proj == [None, None] and all(ref() is None for ref in buffers)
@@ -902,8 +901,8 @@ def test_unroll_equals_the_kernel_on_oracle_pair_sum(case):
         pin = core.project_pairs(q, k, pb)
         gates = _traj_gates(core.unroll(pin, n_steps, trajectory=True)[1])
         D = q.shape[-1]
-        up = pair_sum(T.matmul(q, T.narrow(core.W_u, -2, 0, D)),
-                      T.matmul(k, T.narrow(core.W_u, -2, D, D)), pb)
+        up = pair_sum(T.matmul(q, narrow(core.W_u, -2, 0, D)),
+                      T.matmul(k, narrow(core.W_u, -2, D, D)), pb)
     assert (pin.shape, pin.size) == (up.shape, up.size)
     got = np.moveaxis(gates, 2, 1).reshape(2 * n_steps, core.heads, -1)
     assert np.array_equal(got, _kernel_on(core, up.data, pb.valid_mask,

@@ -459,8 +459,8 @@ def test_positions_are_int32_and_a_head_of_2_to_the_31_slots_is_refused(case):
     T_q, K = 2 ** 16, 2 ** 15
     idx = np.broadcast_to(np.zeros(1, dtype=np.int32), (1, 1, T_q, K))
     big = pairs.PairBatch(idx, np.broadcast_to(True, idx.shape))
+    q = Tensor(np.zeros((1, 1, T_q, 3)))
     with pytest.raises(ValueError, match="2\\^31"):
-        q = Tensor(np.zeros((1, 1, T_q, 3)))
         pairs.PairInput(q, Tensor(np.zeros((1, 1, 1, 3))),
                         _identity_halves(q), big)
 

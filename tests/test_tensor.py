@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import affine as composed_affine
 from conftest import (central_difference, concat, matmul_triple_loop,
-                      max_rel_error, peak_bytes, scale, softplus, weighted_run)
+                      max_rel_error, narrow, peak_bytes, scale, softplus,
+                      weighted_run)
 from fluid import tensor as T
 from fluid import training as TR
 from fluid.tensor import Tensor
@@ -162,7 +163,7 @@ def _composite_scalar(params):
     """A graph exercising most ops: matmul, softmax, nonlinearities, norm."""
     w, b, v = params
     h = T.tanh(T.add(T.matmul(v, w), b))
-    g = T.sigmoid(T.narrow(h, 1, 0, 2))
+    g = T.sigmoid(narrow(h, 1, 0, 2))
     s = T.masked_softmax(concat([h, g], axis=1), True)
     ln = T.layer_norm(softplus(h))
     return T.tsum(T.add(T.mul(s, s), T.reshape(T.tsum(ln, axis=1), (-1, 1))))
