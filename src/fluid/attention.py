@@ -13,27 +13,12 @@ the instantaneous target f_phi/f_tau and therefore keeps trajectories
 inside the equilibrium envelope.
 
 The gate recurrence is the costly part: it runs per pair and per step.
-``RecurrentGateCore`` never builds u or the pair input: each work item
-of its kernel forms its own block of pair inputs, from its head's
-projections of the queries and keys, which are made when the head's
-first block is formed and let go after its last. The GRU runs only on
-the valid pairs; an invalid pair holds the floor gates f_tau = eps,
-f_phi = 0, so its logit stays 0 and it never raises the clamp's max.
-One tape op runs from q and k through ``integrate_logits`` to the final
-logits. It keeps no hidden state and no pair projection, only q, k, the
-pair tables, the clamped dt and the final logits; its backward projects
-each head again at the head's first item, and each work item
-replays its block's GRU over all N steps with the forward's ops, keeping
-every state and cell output in its own scratch so that the cell runs N
-times and its reverse loop none, then rebuilds its gates and its Euler
-states, with few numpy calls and passes per step (see ``_cell``). The
-backward runs only on the live pairs, those whose final logit has a
-nonzero gradient: a pair's gradients are linear in that gradient, so a
-pair whose gradient is 0, such as every pair of a padded query row, adds
-exactly 0 to each. Inference runs the same kernel without keeping
-anything. The (head, block) work items run on ``fluid.pool``, which top-k
-selection shares, one thread per CPU, with the same results for any
-number of threads.
+``RecurrentGateCore`` runs it as one tape op from q and k through
+``integrate_logits`` to the final logits, on (head, pair block) work
+items that form their own pair inputs. ``_gru_steps`` is the one code
+that runs the GRU: inference, the taped forward and the backward's
+replay of each block (``_backward_block``) all call it, and inference
+keeps nothing.
 
 Gates live per block: each work item computes the gates [2N, block] of
 its pairs, f_tau in rows :N and f_phi in rows N:, and the calling thread
@@ -58,9 +43,11 @@ their flags, int32 positions of the packed pairs) and the running items;
 a block's flat (batch, key) indices b * T_k + j are int64, made per
 block. Once the gates have run, only the tape holds q and k, and once
 the softmax has run, only the tape holds the logits. The gate tape keeps
-q and k, not their three times wider projections, which its backward
-makes again head by head; a backward item holds no more pairs than the
-forward's blocks and reads its pairs' logit gradients in place.
+q, k, the pair tables, the clamped dt and the final logits: no hidden
+state, and not q's and k's three times wider projections, which its
+backward makes again head by head. A backward item holds its block's
+replay and no more pairs than the forward's blocks, and reads its pairs'
+logit gradients in place.
 ``MultiHeadLan`` projects the values only after the softmax, right
 before the value sum, so no gate runs beside them.
 """
@@ -138,8 +125,7 @@ class LogitTrajectory:
     clamped step used for the whole pass. The states a [..., N+1],
     a[..., 0] == 0, are not stored: the first read of ``a`` rebuilds them
     from the gates with the integrator's ops, bitwise its states, and keeps
-    them. An invalid slot of the recurrent core reads the floor gates:
-    a = 0, f_tau = eps and f_phi = 0 at every step.
+    them. An invalid slot reads ``RecurrentGateCore``'s floor gates.
     """
 
     f_tau: np.ndarray
@@ -207,50 +193,39 @@ class RecurrentGateCore:
     so the pair input holds one head's projections for each running item
     at most. ``unroll`` is one tape op from q and k to the final logits:
     ``_gru_forward``, whose blocks of gates go through ``integrate_logits``
-    one at a time. Its tape keeps only q, k, the weights, the pair input's
-    tables, the clamped dt and the final logits: no projection, as its
-    backward projects each head again, which is cheap, and no hidden
-    state. Each backward item recomputes within its own block (Chen et
-    al., "Training Deep Nets with Sublinear Memory Cost"; Gruslys et al.,
-    "Memory-Efficient Backpropagation Through Time"): it replays the
-    block's GRU forward over all N steps with the forward's ops and keeps
-    every state and cell output in its scratch, so it
-    evaluates the cell N times, as the forward does, and its replay memory
-    scales with the block, not with the pass. Up to h = 8 every replayed
-    value is bitwise the forward's; at wider heads BLAS's bits for W_h^T h
-    depend on a pair's column in its block, so where the backward's blocks
-    of live pairs differ from the forward's, a replayed state can differ
-    from the forward's in its last bit. A step costs few numpy calls,
-    as each is a GIL handoff between the workers, and few passes over the
-    block: the item's input and bias are negated once, the reset and
-    update gates stay as their sigmoids' denominators 1 + exp(-s), and the
-    heads' bias and nonlinearities run once over all steps. Under
-    ``no_grad`` it keeps nothing; both modes give bitwise the same logits.
+    one at a time. Its backward projects each head again, which is cheap,
+    and each backward item replays its block's GRU (``_backward_block``).
+    Both directions run the GRU by ``_gru_steps``, whose step costs few
+    numpy calls, as each is a GIL handoff between the workers, and few
+    passes over the block: the item's input and bias are negated once, the
+    reset and update gates stay as their sigmoids' denominators
+    1 + exp(-s), and the heads' bias and nonlinearities run once over all
+    steps. Under ``no_grad`` it keeps nothing; both modes give bitwise the
+    same logits.
 
     The kernel runs on each head's packed pairs (``PairInput.counts``),
-    its valid pairs in slot order; an invalid slot has the floor gates
-    f_tau = eps, f_phi = 0, so its logit stays 0 and no gradient reaches
-    it. It cuts the packed pairs into contiguous, balanced blocks whose
+    its valid pairs in slot order. An invalid slot gets no gates of its
+    own: it holds the floor gates f_tau = eps, f_phi = 0, so its logit
+    stays 0, it never raises the clamp's max and no gradient reaches it.
+    The kernel cuts the packed pairs into contiguous, balanced blocks whose
     input [3h, block] holds at most ``_BLOCK_SCALARS`` scalars, a cut that
     depends on the pair and channel counts alone, and runs the (head,
-    block) work items on ``fluid.pool``, one thread per CPU (numpy releases
-    the GIL inside ufuncs and GEMMs), or inline with one CPU or one item.
-    An item reads the core's own weight buffers and forms its block's input
-    and all its scratch itself, so the pair input is never whole in memory.
-    Besides its input, a forward item holds one scratch [max(3h, N),
-    block], which the cell overwrites in place, one state [h, block] and
-    its gates [2N, block], so while 3h >= N an item holds the same number
-    of scalars at every head width. Forward items return their gates,
-    which the calling thread integrates in item order. A backward item
-    holds its block's states and cell records too (see
-    ``_backward_block``) and returns its gradient partials, summed in item
-    order: outputs and every gradient are bitwise the same for any number
-    of threads. The backward cuts only the live
-    pairs into blocks, those whose final logit's gradient is not 0; the
-    rest add exactly 0 to every gradient (see ``_gru_backward``). A head's
-    live pairs take as many blocks as its packed pairs do in the forward,
-    so a backward item, whose scratch per pair is several times a forward
-    item's, never holds more pairs than the forward's largest block.
+    block) work items on ``fluid.pool``, which top-k selection shares, one
+    thread per CPU (numpy releases the GIL inside ufuncs and GEMMs), or
+    inline with one CPU or one item. An item reads the core's own weight
+    buffers and forms its block's input and all its scratch itself, so the
+    pair input is never whole in memory. Besides its input, a forward item
+    holds one scratch [max(3h, N), block], which the cell overwrites in
+    place, one state [h, block] and its gates [2N, block], so while
+    3h >= N an item holds the same number of scalars at every head width.
+    Forward items return their gates, which the calling thread integrates
+    in item order, and backward items their gradient partials, summed in
+    item order: the outputs and every gradient are bitwise the same for
+    any number of threads. The backward runs only on the live pairs
+    (``_gru_backward``). A head's live pairs take as many blocks as its
+    packed pairs do in the forward, so a backward item, whose scratch per
+    pair is several times a forward item's, never holds more pairs than the
+    forward's largest block.
     """
 
     def __init__(self, head_dim: int, rng: np.random.Generator, heads: int):
@@ -287,20 +262,19 @@ class RecurrentGateCore:
         input ``pin`` after ``n_steps`` steps of dt_nominal = 1/n_steps.
 
         pin: [B,H,...,3h], factored. Returns (final logits [B,H,T_q,K_eff],
-        LogitTrajectory or None). The calling thread
-        integrates each item's gates as they come, at dt_nominal; where the
-        clamped dt of the pass, known once every item has reported its
-        f_tau max, is smaller, the items run again and integrate at it.
-        Each run of the items projects each head once, at its first block,
-        so the pair input keeps q and k for the second run.
-        Under a tape, the op's parents are the pair input's sources q and
-        k, W_u and the gate weights. The tape holds the final logits, the
-        clamped dt and the pair input, which holds no projection once a
-        run is over, and no hidden state: the backward's items project
-        each head again, bitwise the forward's projections, each backward
-        item replays its block's GRU, and the projections' gradients map
-        to q's, k's and W_u's. A pair input made under ``no_grad`` has no
-        sources and gives no tape.
+        LogitTrajectory or None). The calling thread integrates each
+        item's gates as they come, at dt_nominal, and copies them into the
+        trajectory's gates; where the clamped dt of the pass, ``clamp_dt``
+        of the items' f_tau maxima, is smaller, the items run again and
+        integrate at it. Each run of the items projects each head once, at
+        its first block, so the pair input keeps q and k for the second
+        run. Under a tape, the op's parents are the pair input's sources q
+        and k, W_u and the gate weights. The tape holds the final logits,
+        the clamped dt and the pair input, which holds no projection once a
+        run is over; the backward (``_gru_backward``) projects each head
+        again, bitwise the forward's projections, and maps the projections'
+        gradients to q's, k's and W_u's. A pair input made under
+        ``no_grad`` has no sources and gives no tape.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -325,13 +299,15 @@ class RecurrentGateCore:
         logits = np.zeros((H, P))       # an invalid slot's logit stays 0
 
         def run(dt, gates):
-            # returns the clamped dt of the pass, min(dt_nominal, 1/max f_tau)
+            # returns the clamped dt of the pass; pin.slots stays inline, so
+            # that no slot array outlives its statement
             maxima = []
-            for (hd, sel), (block, top) in _gru_forward(pin, w, n_steps, gates):
+            for (hd, sel), (block, top) in _gru_forward(pin, w, n_steps):
                 logits[hd, pin.slots(hd, sel)] = integrate_logits(block, dt)[0]
+                if gates is not None:
+                    gates[:, hd, pin.slots(hd, sel)] = block
                 maxima.append(top)
-            return float(min(dt_nominal, 1.0 / np.max(maxima)) if maxima
-                         else dt_nominal)
+            return clamp_dt(dt_nominal, np.array(maxima))
 
         dt = run(dt_nominal, gates)
         if dt < dt_nominal:
@@ -398,12 +374,40 @@ def _state(prev, cn, d_z, out):
     out -= cn
 
 
-def _negate_input(x, w, hd, n_steps):
-    """x <- -(x + b_x) in place; returns the time terms t_n w_t [N,3h,1],
-    t_n = n * dt_nominal with dt_nominal = 1/N."""
+def _gru_steps(x, w, hd, gates, steps, scratch):
+    """Head ``hd``'s GRU over one block of pairs, into its gates [2N,P]:
+    f_tau = softplus(. + b_tau) + eps in rows :N and f_phi = tanh(. +
+    b_phi) in rows N:. x [3h,P] becomes -(x + b_x), the cell's input.
+
+    steps holds the N steps' buffers (hpn, d, cn, h_n) for ``_cell`` and
+    ``_state``: hpn [3h,P] takes -W_h^T h_prev (unused at step 0), d [2h,P]
+    the denominators, cn [h,P] -c and h_n [h,P] the new state, which the
+    next step reads as h_prev; the buffers may repeat from step to step.
+    The loop writes W_o h_n into gate rows n and N + n, and the heads'
+    bias and nonlinearities follow over all steps at once, with scratch
+    [N,P] for the softplus. The forward and the backward's replay differ
+    only in ``steps``.
+    """
+    h, N = len(x) // 3, len(gates) // 2
     np.subtract(np.negative(w["b_x"][hd])[:, None], x, out=x)
-    t = np.arange(n_steps) * (1.0 / n_steps)
-    return (t[:, None] * w["w_t"][hd])[..., None]
+    tw = ((np.arange(N) * (1.0 / N))[:, None] * w["w_t"][hd])[..., None]
+    W_hnT = np.negative(w["W_h"][hd].T)
+    W_o = w["W_o"][hd][::-1].copy()      # f_tau's row above f_phi's, as in gates
+    prev = None
+    for n, (hpn, d, cn, h_n) in enumerate(steps):
+        if n:
+            np.matmul(W_hnT, prev, out=hpn)
+        _cell(x, hpn if n else None, tw[n], d, cn)
+        _state(prev, cn, d[h:], h_n)
+        np.matmul(W_o, h_n, out=gates[n::N])  # rows n and N + n
+        prev = h_n
+    b_phi, b_tau = w["b_o"][hd]
+    f_tau, f_phi = gates[:N], gates[N:]
+    f_tau += b_tau
+    T._softplus_(f_tau, scratch)
+    f_tau += _EPSILON
+    f_phi += b_phi
+    np.tanh(f_phi, out=f_phi)
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +424,7 @@ _BLOCK_SCALARS = 3 * 8 * 4096
 def _blocks(P: int, C: int) -> list[tuple[int, int]]:
     """[start, stop) of contiguous, balanced blocks of P pairs of C
     channels, at most _BLOCK_SCALARS // C pairs each, none for no pairs.
-    The cut depends on P and C alone, never on the worker count."""
+    The cut depends on P and C alone."""
     return _cut(P, -(-P // max(1, _BLOCK_SCALARS // C)))
 
 
@@ -447,18 +451,15 @@ def _items(counts: list[int], C: int, live: list | None = None) -> list[tuple]:
     return items
 
 
-def _gru_forward(pin, w, n_steps, gates):
+def _gru_forward(pin, w, n_steps):
     """Run every head's GRU on the packed pairs of ``pin``, one work item
     per block: yields ((head, selector), (gates [2N, block], max f_tau)) of
     each item in item order, f_tau in the block's rows :N and f_phi in rows
-    N:. With ``gates`` [2N,H,slots] the items also write their blocks
-    there. ``pin`` first counts each head's items (``PairInput.plan``)."""
+    N:. ``pin`` first counts each head's items (``PairInput.plan``)."""
     def item(hd, sel):
         x = pin.block(hd, sel)
         out = np.empty((2 * n_steps, x.shape[1]))
         _forward_block(x, w, hd, out)
-        if gates is not None:
-            gates[:, hd, pin.slots(hd, sel)] = out
         return out, np.max(out[:n_steps])
 
     items = _items(pin.counts, pin.shape[-1])
@@ -467,41 +468,17 @@ def _gru_forward(pin, w, n_steps, gates):
 
 
 def _forward_block(x, w, hd, gates):
-    """Head ``hd``'s GRU over one block of pairs: x [3h,P] (overwritten),
-    gates [2N,P]. Besides x, the item allocates one scratch [max(3h,N),P]
-    and one state [h,P]: the cell overwrites the hidden projection hpn with
-    its denominators d and -c in place, and the state holds each h_n in
-    turn. The loop writes W_o h_n into the gates, and the heads' bias,
-    tanh, softplus and +eps follow over all steps at once."""
+    """``_gru_steps`` over one block, x [3h,P] (overwritten), into gates
+    [2N,P]. Besides x, the item allocates one scratch [max(3h,N),P] and one
+    state [h,P]: every step's cell overwrites the hidden projection hpn
+    with its denominators d and -c in place, and the state holds each h_n
+    in turn."""
     C, P = x.shape
     h, N = C // 3, len(gates) // 2
     scratch = np.empty((max(C, N), P))   # hpn, then the softplus scratch
     hpn, hidden = scratch[:C], np.empty((h, P))
-    d, cn = hpn[:2 * h], hpn[2 * h:]
-    tw = _negate_input(x, w, hd, N)
-    W_hnT = np.negative(w["W_h"][hd].T)
-    W_o = w["W_o"][hd][::-1].copy()      # f_tau's row above f_phi's, as in gates
-    for n in range(N):
-        if n:
-            np.matmul(W_hnT, hidden, out=hpn)
-        _cell(x, hpn if n else None, tw[n], d, cn)
-        _state(hidden if n else None, cn, d[h:], hidden)
-        np.matmul(W_o, hidden, out=gates[n::N])  # rows n and N + n
-    _heads_(gates, w["b_o"][hd], scratch[:N])
-
-
-def _heads_(gates: np.ndarray, b_o: np.ndarray, scratch: np.ndarray):
-    """In place on gates [2N,P] holding W_o h_n of every step: f_tau =
-    softplus(. + b_tau) + eps in rows :N, f_phi = tanh(. + b_phi) in rows
-    N:, over all steps at once; scratch is [N,P]."""
-    N = len(gates) // 2
-    b_phi, b_tau = b_o
-    f_tau, f_phi = gates[:N], gates[N:]
-    f_tau += b_tau
-    T._softplus_(f_tau, scratch)
-    f_tau += _EPSILON
-    f_phi += b_phi
-    np.tanh(f_phi, out=f_phi)
+    _gru_steps(x, w, hd, gates, [(hpn, hpn[:2 * h], hpn[2 * h:], hidden)] * N,
+               scratch[:N])
 
 
 def _gru_backward(g, pin, w, n_steps, dt):
@@ -510,16 +487,14 @@ def _gru_backward(g, pin, w, n_steps, dt):
     each in its parameter's shape.
 
     Only the live packed pairs run, those whose g is not 0. A pair's
-    gradients are g times its own derivatives, so a pair with g = 0 (every
-    pair of a query row the loss never reads) adds exactly 0 and is
-    skipped. The live pairs of each head are cut into balanced blocks by
-    their count, so the cut is the same for any number of workers; an item
-    selects its pairs by a slice where every pair of the head is live,
-    else by its part of the live indices, int32. Each item reads its pairs'
-    entries of g by (batch, slot), with no copy of g, forms its pair inputs
-    again, replays its GRU and returns its partials;
-    they are summed in item order, so every gradient is the same for any
-    number of workers."""
+    gradients are g times its own derivatives, so a pair with g = 0, such
+    as every pair of a padded query row, which the loss never reads, adds
+    exactly 0 to each and is skipped. The live pairs of each head are cut
+    into balanced blocks by their count; an item selects its pairs by a
+    slice where every pair of the head is live, else by its part of the
+    live indices, int32. Each item reads its pairs' entries of g by
+    (batch, slot), with no copy of g, forms its pair inputs again and runs
+    ``_backward_block``; the partials are summed in item order."""
     B, H, T_q, K, C = pin.shape
     g = g.reshape(B, H, T_q * K)
 
@@ -547,22 +522,17 @@ def _gru_backward(g, pin, w, n_steps, dt):
     return pin.grads(items, [pair for _, pair in results]) + totals
 
 
-def _head_grads(g, hidden, w, hd, dt):
+def _head_grads(g, gates, a, dt):
     """The gradients [N,2,P] of the heads' pre-activations o, f_phi's above
     f_tau's at each step, of one block from g [P], the gradient of its
-    final logits (overwritten), and its hidden states h_0 .. h_{N-1}. The
-    gates are rebuilt with the forward's heads, and the Euler states
-    a_0 .. a_{N-1} with dt and the integrator's ops; the Euler adjoint
-    writes the gates' gradients into the result's rows, and o's are
-    (1 - f_phi^2) and sigmoid(o) times them, with sigmoid(o) =
-    -expm1(eps - f_tau) read from f_tau = softplus(o) + eps, off by about
-    eps * 2^-53 at most; both factors are formed over the spent gates."""
-    N, P = len(hidden), g.shape[0]
-    gates, a = np.empty((2 * N, P)), np.empty((N, P))
-    W_o = w["W_o"][hd][::-1].copy()      # as in _forward_block
-    for n, h_n in enumerate(hidden):
-        np.matmul(W_o, h_n, out=gates[n::N])
-    _heads_(gates, w["b_o"][hd], a)
+    final logits (overwritten), and the replay's gates [2N,P]; a [N,P] is
+    scratch. The Euler states a_0 .. a_{N-1} are run again in a with dt
+    and the integrator's ops; the Euler adjoint writes the gates'
+    gradients into the result's rows, and o's are (1 - f_phi^2) and
+    sigmoid(o) times them, with sigmoid(o) = -expm1(eps - f_tau) read from
+    f_tau = softplus(o) + eps, off by about eps * 2^-53 at most; both
+    factors are formed over the spent gates."""
+    N, P = len(a), g.shape[0]
     a[0] = 0.0
     f_tau, f_phi = gates[:N], gates[N:]
     _euler_states(a, f_tau, f_phi, dt)
@@ -585,35 +555,42 @@ def _backward_block(g, x, w, hd, n_steps, dt):
     this block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o [2,h],
     db_o [2]).
 
-    The tape keeps no hidden state: the item first replays its block's GRU
-    over all N steps, with the forward's ops, and keeps every state h_0 ..
-    h_{N-1} in ``states`` [N,h,P] and every cell output, step 0's d_z and
-    -c in d0, c0 and each later step n's in rows [d; hpn_c; cn] of its
-    record ``recs[n - 1]``. The cell so runs N times, as in the forward,
-    and the reverse loop runs none. The gradients read z and r off the
-    cell's denominators (z dh = dh / d_z) and fold in its signs, cn = -c
-    and hpn = -hp. A step's candidate gradient forms in its -c rows, which
-    the update gate's gradient has read for good, so besides its records
-    the item holds two rows of scratch, dh and z dh. A record's rows 2h:3h
+    The tape keeps no hidden state, so the item recomputes within its own
+    block (Chen et al., "Training Deep Nets with Sublinear Memory Cost";
+    Gruslys et al., "Memory-Efficient Backpropagation Through Time"): it
+    first replays its block's GRU over all N steps by ``_gru_steps``, the
+    forward's code, into buffers that it keeps: its gates [2N,P], every
+    state h_0 .. h_{N-1} in ``states`` [N,h,P] and every cell output,
+    step 0's [-c; d_z] in ``rec0`` [2h,P] and each later step n's
+    [d_r; d_z; hpn_c; -c] in its record ``recs[n - 1]`` [4h,P]. The cell
+    so runs N times, as in the forward, the reverse loop runs none, and
+    the replay's memory scales with the block, not with the pass. Up to
+    h = 8 every replayed value is bitwise the forward's; at wider heads
+    BLAS's bits for W_h^T h depend on a pair's column in its block, so
+    where the backward's blocks of live pairs differ from the forward's, a
+    replayed state can differ from the forward's in its last bit.
+
+    The gradients read z and r off the cell's denominators
+    (z dh = dh / d_z) and fold in its signs, cn = -c and hpn = -hp. A
+    step's candidate gradient forms in its -c rows, which the update
+    gate's gradient has read for good, so besides its records the item
+    holds two rows of scratch, dh and z dh. A record's rows 2h:3h
     keep hpn's candidate rows, which the reset gate's gradient reads, and
     then take dn, so that its first 3h rows are the gradient [dr; dz; dn]
     of W_h^T h_prev."""
     C, P = x.shape
     h, N = C // 3, n_steps
-    tw = _negate_input(x, w, hd, N)
-    W_h, W_hnT, W_o = w["W_h"][hd], np.negative(w["W_h"][hd].T), w["W_o"][hd]
-    d0, c0, states = np.empty((h, P)), np.empty((h, P)), np.empty((N, h, P))
-    _cell(x, None, tw[0], d0, c0)
-    _state(None, c0, d0, states[0])
-    recs = np.empty((N - 1, 4 * h, P))
-    for n in range(1, N):
-        rec, prev = recs[n - 1], states[n - 1]
-        np.matmul(W_hnT, prev, out=rec[:C])
-        _cell(x, rec[:C], tw[n], rec[:2 * h], rec[C:])
-        _state(prev, rec[C:], rec[h:2 * h], states[n])
+    W_h, W_o = w["W_h"][hd], w["W_o"][hd]
+    gates, a = np.empty((2 * N, P)), np.empty((N, P))
+    rec0, recs = np.empty((2 * h, P)), np.empty((N - 1, 4 * h, P))
+    states = np.empty((N, h, P))
+    steps = [(None, rec0, rec0[:h], states[0])]
+    steps += [(r[:C], r[:2 * h], r[C:], s) for r, s in zip(recs, states[1:])]
+    _gru_steps(x, w, hd, gates, steps, a)
     dx = x                  # the replay has read the input for good
     dx[...] = 0.0
-    d_heads = _head_grads(g, states, w, hd, dt)
+    d_heads = _head_grads(g, gates, a, dt)
+    del gates, a            # spent: the reverse loop holds its scratch instead
     dW_h, dx_sums, dW_o = np.zeros((h, C)), np.zeros(C), np.zeros((2, h))
     dh, zdh = np.zeros((h, P)), np.empty((h, P))
     for n in reversed(range(N)):
@@ -623,7 +600,7 @@ def _backward_block(g, x, w, hd, n_steps, dt):
             d, hp_c, c_n = rec[:2 * h], rec[2 * h:C], rec[C:]
             d_z = d[h:]
         else:
-            prev, d_z, c_n = None, d0, c0
+            prev, d_z, c_n = None, rec0[h:], rec0[:h]
 
         # projection heads
         d_o = d_heads[n]

@@ -17,9 +17,8 @@ tables. It makes a head's two projections when the gate kernel forms
 the head's first block of a pass and lets them go after its last, and
 forms the sums one block of pairs at a time, inside the kernel's work
 items: neither u nor the projected pair input is ever built whole, nor
-the projections of every head at once. The
-kernel runs on each head's valid pairs only; an invalid slot holds the
-floor gates f_tau = eps, f_phi = 0, so its logit a stays 0.
+the projections of every head at once. The kernel runs on each head's
+valid pairs only.
 """
 
 from __future__ import annotations
@@ -73,12 +72,10 @@ class PairInput:
     runs on each head's packed pairs, its valid pairs in slot order;
     ``counts`` holds them per head, and ``pos[hd]`` the int32 slot of each
     packed pair of head ``hd``, 4 bytes a pair: a head has fewer than 2^31
-    slots, or the pair input is refused. An invalid slot gets no gates of
-    its own: ``unroll`` leaves it the floor gates f_tau = eps, f_phi = 0,
-    so its logit a stays 0. A block reads its
-    keys off the batch's int32 ``selected_indices`` by slot, through two
-    tables of each query row, so no index of the pairs' keys is built; it
-    turns them into int64 flat indices b * T_k + j of its own pairs only.
+    slots, or the pair input is refused. A block reads its keys off the
+    batch's int32 ``selected_indices`` by slot, through two tables of each
+    query row, so no index of the pairs' keys is built; it turns them into
+    int64 flat indices b * T_k + j of its own pairs only.
     With every pair valid, packing is the identity and holds no index of
     its own: ``pos`` is None. Besides the batch's key indices, it holds q,
     k, W_u and the projections of the heads whose blocks are being formed,

@@ -9,12 +9,23 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from hypothesis import settings
 
 from fluid import attention as A
 from fluid import pool
 from fluid import tensor as T
 from fluid.pairs import PairBatch
 from fluid.tensor import ShapeError, Tensor
+
+# The property tests draw the same examples on every run and keep no
+# example database, so a run repeats; each test's ``settings`` sets only
+# its example count. ``--hypothesis-profile=explore`` draws new examples
+# at a random seed instead.
+settings.register_profile("explore", derandomize=False, database=None,
+                          deadline=None)
+settings.register_profile("repeatable", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("repeatable")
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:

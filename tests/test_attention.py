@@ -1027,7 +1027,7 @@ def _pipeline_oracle(core, arrays, pb, n_steps, coef):
     return out.data, final.data, grads
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@settings(max_examples=100)
 @given(_attend_cases())
 def test_attend_matches_its_composed_oracle_on_drawn_cases(case):
     rng = np.random.default_rng(case["seed"])
@@ -1534,6 +1534,59 @@ def test_backward_items_hold_no_more_pairs_than_the_forward_blocks(
         assert max(backward) - min(backward) <= 1
         assert max(backward) <= max(forward)
         assert len(A._blocks(live, 3 * h)) < len(forward)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("h, dead", [(8, False), (8, True), (16, False)])
+def test_the_backward_replays_the_forward_gates_bitwise(h, dead, workers,
+                                                        monkeypatch):
+    # each backward item replays its block's GRU and hands the heads'
+    # gradients its gates, which must be the forward's bit for bit, on
+    # blocks of 64 pairs, several per head. Dead pairs cut the backward's
+    # blocks apart from the forward's; at h = 16 that can move a replayed
+    # state's last bit (BLAS's W_h^T h depends on a pair's column in its
+    # block), so h = 16 runs with every pair live
+    monkeypatch.setattr(A, "_BLOCK_SCALARS", 3 * h * 64)
+    B, H, T_q, T_k, N = 2, 2, 24, 20, 3
+    rng = np.random.default_rng(101)
+    core = A.RecurrentGateCore(h, rng, heads=H)
+    q = Tensor(rng.standard_normal((B, H, T_q, h)), requires_grad=True)
+    k = Tensor(rng.standard_normal((B, H, T_k, h)), requires_grad=True)
+    key_mask = np.arange(T_k) < np.array([20, 15])[:, None]
+    pb = pairs.full_pairwise_concat(q, k, key_mask=key_mask)
+    coef = rng.standard_normal(pb.valid_mask.shape)
+    if dead:
+        coef[:, :, -5:] = 0.0
+    # the (pair input, head, selector) of the block each thread formed last
+    block, head_grads = pairs.PairInput.block, A._head_grads
+    last, seen = threading.local(), []
+
+    def spy_block(pin, hd, sel):
+        last.item = pin, hd, sel
+        return block(pin, hd, sel)
+
+    def spy_head_grads(g, gates, *rest):
+        seen.append(last.item + (gates.copy(),))
+        return head_grads(g, gates, *rest)
+
+    monkeypatch.setattr(pairs.PairInput, "block", spy_block)
+    monkeypatch.setattr(A, "_head_grads", spy_head_grads)
+    with pool_workers(workers):
+        final, traj = logits(core, q, k, pb, N, trajectory=True)
+        _weighted_sum(final, coef).backward()
+    # the forward's gates [H, slots, 2N], f_tau's steps, then f_phi's
+    forward = np.swapaxes(np.concatenate([traj.f_tau, traj.f_phi], axis=-1),
+                          0, 1).reshape(H, -1, 2 * N)
+    live = (coef != 0) & pb.valid_mask
+    for hd in range(H):
+        items = [(pin, sel, gates) for pin, i, sel, gates in seen if i == hd]
+        assert len(items) > 2
+        slots = []
+        for pin, sel, gates in items:
+            slots.append(pin.slots(hd, sel))
+            assert np.array_equal(gates, forward[hd, slots[-1]].T)
+        assert np.array_equal(np.sort(np.concatenate(slots)),
+                              np.flatnonzero(live[:, hd]))
 
 
 def _live_and_packed(monkeypatch):

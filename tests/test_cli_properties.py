@@ -3,7 +3,8 @@ or config values, each command exits 0, or exits 2 with exactly one line
 on stderr. Any other outcome, a traceback among them, fails. Each example
 starts from a working command and changes up to two of its values. Runs
 stay tiny (epochs <= 1, sequences of at most 8 points) and the examples
-are fixed, so the suite is deterministic.
+are fixed by the default profile of ``tests/conftest.py``, so the suite
+is deterministic.
 """
 
 import contextlib
@@ -20,8 +21,7 @@ from hypothesis import strategies as st
 from fluid import cli
 from fluid import data as D
 
-PROPERTY = settings(derandomize=True, deadline=None, database=None,
-                    max_examples=50)
+PROPERTY = settings(max_examples=50)
 # zeros, negatives, wrong types, nulls and lists
 ODD = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
                 st.sampled_from([0.0, -1.5, 0.5, 2.5]),

@@ -97,7 +97,7 @@ def _assert_same_selection(q, k, K, causal, key_mask):
     assert np.array_equal(got.valid_mask, want.valid_mask)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_tied_topk_case())
 def test_topk_partial_selection_equals_full_sort(case):
     _assert_same_selection(*case)

@@ -91,7 +91,7 @@ def test_softmax_frozen_values():
     assert np.allclose(out.data, [0.09003, 0.24473, 0.66524], atol=1e-5)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8))
 def test_softmax_sums_to_one(values):
     out = T.masked_softmax(Tensor(values), True)
