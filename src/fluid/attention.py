@@ -144,8 +144,8 @@ class LogitTrajectory:
     @functools.cached_property
     def a(self) -> np.ndarray:
         f_tau, f_phi = (np.moveaxis(f, -1, 0) for f in (self.f_tau, self.f_phi))
-        return np.moveaxis(euler_rows(0.0, f_tau, f_phi, self.dt_effective,
-                                      len(f_tau) + 1), 0, -1)
+        return np.moveaxis(euler_rows(0.0, f_tau, f_phi, self.dt_effective),
+                           0, -1)
 
     def to_csv(self, path):
         """Diagnostic dump, one row per (step, pair), pair by pair; step 0
@@ -170,7 +170,7 @@ class LogitTrajectory:
 # gate cores
 # --------------------------------------------------------------------------
 
-class RecurrentGateCore:
+class RecurrentGateCore(T.Module):
     """GRU over the refinement axis with tanh/softplus projection heads.
 
     Hidden size equals the per-head dimension D; the hidden state is carried
@@ -242,10 +242,6 @@ class RecurrentGateCore:
                    for shape in ((heads, h), (heads,)) * 2]
         self.W_o = Tensor(np.stack(phi_tau[0::2], axis=1), requires_grad=True)
         self.b_o = Tensor(np.stack(phi_tau[1::2], axis=1), requires_grad=True)
-
-    def parameters(self) -> dict:
-        return {"W_u": self.W_u, "w_t": self.w_t, "b_x": self.b_x,
-                "W_h": self.W_h, "W_o": self.W_o, "b_o": self.b_o}
 
     def project_pairs(self, q: Tensor, k: Tensor,
                       pb: pairs_mod.PairBatch) -> pairs_mod.PairInput:
@@ -696,12 +692,12 @@ def _euler_states(a, f_tau: np.ndarray, f_phi: np.ndarray, dt: float):
         step += a[n]
 
 
-def euler_rows(a0, f_tau: np.ndarray, f_phi: np.ndarray, dt: float,
-               n_rows: int) -> np.ndarray:
-    """The states a_0 .. a_{n_rows-1} [n_rows, ...] from a0, a number or
-    one row [...], and the gate rows f_tau, f_phi, by ``_euler_states``
-    with no clamp."""
-    a = np.empty((n_rows,) + f_tau.shape[1:])
+def euler_rows(a0, f_tau: np.ndarray, f_phi: np.ndarray,
+               dt: float) -> np.ndarray:
+    """The states a_0 .. a_N [N+1, ...] from a0, a number or one row
+    [...], and the N gate rows of f_tau, f_phi, by ``_euler_states`` with
+    no clamp."""
+    a = np.empty((len(f_tau) + 1,) + f_tau.shape[1:])
     a[:1] = a0
     _euler_states(a, f_tau, f_phi, dt)
     return a
@@ -766,14 +762,15 @@ def sink_gate(x: Tensor, multihead_out: Tensor, W_g: Tensor, b_g: Tensor,
     return T.mul(gate, projected)
 
 
-class MultiHeadLan:
+class MultiHeadLan(T.Module):
     """H liquid-attention heads processed along one batched axis.
 
     Per-head projections are stacked into [H,1,d,D] weights; the gate
-    core carries the head axis too, so the whole block runs without a
-    python-level head loop; its gates are the learned GRU gating over
-    cfg.euler_steps steps. Keys and values come from one input: the
-    block's own for self-attention, the encoder's for cross-attention.
+    core ``gate`` (parameters ``gate.W_u`` ...) carries the head axis too,
+    so the whole block runs without a python-level head loop; its gates
+    are the learned GRU gating over cfg.euler_steps steps. Keys and values
+    come from one input: the block's own for self-attention, the encoder's
+    for cross-attention.
     """
 
     def __init__(self, cfg: LanConfig, rng: np.random.Generator):
@@ -785,24 +782,13 @@ class MultiHeadLan:
         self.b_k = uniform_init(rng, (H, 1, 1, D), d)
         self.W_v = uniform_init(rng, (H, 1, d, D), d)
         self.b_v = uniform_init(rng, (H, 1, 1, D), d)
-        self.core = RecurrentGateCore(D, rng, heads=H)
+        self.gate = RecurrentGateCore(D, rng, heads=H)
         self.W_g = uniform_init(rng, (d, d), d)
         self.b_g = uniform_init(rng, (d,), d)
         if cfg.sink_gate_enabled:
             # zero init: the gate opens at 0.5 and is neutral at start
             self.W_s = zeros_param((d, d))
             self.b_s = zeros_param((d,))
-
-    def parameters(self) -> dict:
-        out = {"W_q": self.W_q, "b_q": self.b_q, "W_k": self.W_k,
-               "b_k": self.b_k, "W_v": self.W_v, "b_v": self.b_v}
-        out.update({f"gate.{k}": v for k, v in self.core.parameters().items()})
-        out["W_g"] = self.W_g
-        out["b_g"] = self.b_g
-        if self.cfg.sink_gate_enabled:
-            out["W_s"] = self.W_s
-            out["b_s"] = self.b_s
-        return out
 
     def _project(self, x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         # [B,T,d] -> [B,H,T,D]
@@ -820,7 +806,7 @@ class MultiHeadLan:
         out_heads, _, _, traj = attend(
             self._project(x_q, self.W_q, self.b_q),
             self._project(x_kv, self.W_k, self.b_k),
-            lambda: self._project(x_kv, self.W_v, self.b_v), self.core, cfg,
+            lambda: self._project(x_kv, self.W_v, self.b_v), self.gate, cfg,
             key_mask, trajectory=collect is not None)
         merged = T.reshape(T.swapaxes(out_heads, 1, 2),
                            (B, T_q, cfg.heads * cfg.head_dim))

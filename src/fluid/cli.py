@@ -92,12 +92,14 @@ def cmd_train(args) -> int:
     cfg = _load_json(args.config)
     _check_keys(args.config, cfg, _TRAIN_SECTIONS)
     tcfg = TR.TrainConfig(**cfg.get("train", {}))
-    packed = D.spiral_arrays(D.read_dataset_csv(args.data))
-    in_features = packed["values"].shape[-1]
-    # the first fifth of the sequences, at least one, validates
-    held = max(1, packed["values"].shape[0] // 5)
-    train_data = {k: v[held:] for k, v in packed.items()}
-    val_data = {k: v[:held] for k, v in packed.items()}
+    seqs = D.read_dataset_csv(args.data)
+    # the first fifth of the sequences, at least one, validates; each part
+    # is packed alone, so no validation sequence pads the training arrays
+    held = max(1, len(seqs) // 5)
+    val_data = D.spiral_arrays(seqs[:held])
+    train_data = ({k: v[:0] for k, v in val_data.items()} if held == len(seqs)
+                  else D.spiral_arrays(seqs[held:], first=held))
+    in_features = val_data["values"].shape[-1]
     model = M.FluidModel(_model_config(cfg, in_features, in_features))
     try:
         history = TR.train(model, train_data, val_data, tcfg, args.out)

@@ -100,14 +100,15 @@ def split_by_time(seq: EventSequence):
     return cond, seq.mask & ~cond
 
 
-def spiral_arrays(seqs: list[EventSequence]) -> dict:
-    """Pack sequences into padded training arrays.
+def spiral_arrays(seqs: list[EventSequence], first: int = 0) -> dict:
+    """Pack sequences into training arrays padded to the longest of them.
 
     Conditioning points feed the encoder; the query timestamps become
-    decoder queries with their values as targets.
+    decoder queries with their values as targets. Errors number the
+    sequences from ``first``.
     """
     splits = [split_by_time(seq) for seq in seqs]
-    for i, (cond, _) in enumerate(splits):
+    for i, (cond, _) in enumerate(splits, first):
         if not cond.any():
             raise ValueError(f"sequence {i} has no conditioning point")
     Tc = max(int(cond.sum()) for cond, _ in splits)

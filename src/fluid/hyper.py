@@ -23,7 +23,7 @@ from fluid import tensor as T
 from fluid.tensor import Tensor, uniform_init
 
 
-class HcParams:
+class HcParams(T.Module):
     """Stream-mixing parameters for one sublayer connection: B, A_m and
     A_r, the projections W_b [d, 1], W_m [d, 1] and W_r [d, n] of width-d
     streams, and the scalar scales s_b and s_a, which start small so the
@@ -42,10 +42,6 @@ class HcParams:
         self.W_r = uniform_init(rng, (d, n), d)
         self.s_b = Tensor(np.array(1e-2), requires_grad=True)
         self.s_a = Tensor(np.array(1e-2), requires_grad=True)
-
-    def parameters(self) -> dict:
-        return {name: getattr(self, name)
-                for name in "B A_m A_r W_b W_m W_r s_b s_a".split()}
 
 
 def expand_streams(x: Tensor, n: int) -> Tensor:

@@ -5,7 +5,10 @@ sinusoidal positional encoding plus a raw-timestamp feature channel so
 irregular intervals reach the gates, per-layer attention + feed-forward
 sublayers wired through plain residuals or liquid hyper-connections,
 and a linear output head. Checkpoints are a JSON manifest plus binary
-tensor blobs.
+tensor blobs. Each layer and each of its parts is a ``tensor.Module``:
+a layer names its parameters by attribute path (``attn.gate.W_u``). The
+model puts ``embed.`` first, each layer under ``enc{i}.`` or ``dec{i}.``,
+then ``head.``: the order in which the gradient clip sums the squares.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class ModelConfig:
         A.check_at_least(self, 0, "n_layers seed")
 
 
-class _Ffn:
+class _Ffn(T.Module):
     """Position-wise affine -> ReLU -> affine."""
 
     def __init__(self, d: int, inner: int, rng):
@@ -73,11 +76,8 @@ class _Ffn:
         h = T.relu(T.affine(x, self.W1, self.b1))
         return T.affine(h, self.W2, self.b2)
 
-    def parameters(self):
-        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
-
-class _LayerNormParams:
+class _LayerNormParams(T.Module):
     def __init__(self, d: int):
         self.gain = Tensor(np.ones(d), requires_grad=True)
         self.bias = Tensor(np.zeros(d), requires_grad=True)
@@ -85,33 +85,24 @@ class _LayerNormParams:
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias)
 
-    def parameters(self):
-        return {"gain": self.gain, "bias": self.bias}
 
-
-class _Sublayer:
-    """One sublayer with its connection: residual or liquid hyper-connected."""
+class _Sublayer(T.Module):
+    """One sublayer with its connection: a residual one where ``hc`` is
+    None, else liquid hyper-connected."""
 
     def __init__(self, cfg: ModelConfig, rng):
-        self.mode = cfg.hc_mode
         self.norm = _LayerNormParams(cfg.lan.d_model)
         self.hc = None
-        if self.mode != "residual":
+        if cfg.hc_mode != "residual":
             self.hc = HC.HcParams(cfg.hc_streams, cfg.lan.d_model, rng)
 
     def apply(self, state: Tensor, fn) -> Tensor:
-        if self.mode == "residual":
+        if self.hc is None:
             return self.norm(T.add(state, fn(state)))
         return self.norm(HC.hc_block(self.hc, state, fn))
 
-    def parameters(self):
-        out = {f"norm.{k}": v for k, v in self.norm.parameters().items()}
-        if self.hc is not None:
-            out.update({f"hc.{k}": v for k, v in self.hc.parameters().items()})
-        return out
 
-
-class EncoderLayer:
+class EncoderLayer(T.Module):
     def __init__(self, cfg: ModelConfig, rng):
         lan_cfg = replace(cfg.lan, causal=False)
         self.attn = A.MultiHeadLan(lan_cfg, rng)
@@ -125,15 +116,8 @@ class EncoderLayer:
                                                 collect=collect))
         return self.sub_ffn.apply(state, self.ffn)
 
-    def parameters(self):
-        out = {f"attn.{k}": v for k, v in self.attn.parameters().items()}
-        out.update({f"ffn.{k}": v for k, v in self.ffn.parameters().items()})
-        out.update({f"sub_attn.{k}": v for k, v in self.sub_attn.parameters().items()})
-        out.update({f"sub_ffn.{k}": v for k, v in self.sub_ffn.parameters().items()})
-        return out
 
-
-class DecoderLayer:
+class DecoderLayer(T.Module):
     def __init__(self, cfg: ModelConfig, rng):
         self.self_attn = A.MultiHeadLan(replace(cfg.lan, causal=True), rng)
         self.cross_attn = A.MultiHeadLan(replace(cfg.lan, causal=False), rng)
@@ -153,16 +137,6 @@ class DecoderLayer:
             state, lambda x0: self.cross_attn.forward(x0, z, key_mask=enc_mask,
                                                       collect=cross))
         return self.sub_ffn.apply(state, self.ffn)
-
-    def parameters(self):
-        out = {}
-        for prefix, part in (("self_attn", self.self_attn),
-                             ("cross_attn", self.cross_attn),
-                             ("ffn", self.ffn), ("sub_self", self.sub_self),
-                             ("sub_cross", self.sub_cross),
-                             ("sub_ffn", self.sub_ffn)):
-            out.update({f"{prefix}.{k}": v for k, v in part.parameters().items()})
-        return out
 
 
 class FluidModel:
@@ -186,10 +160,11 @@ class FluidModel:
 
     def parameters(self) -> dict:
         out = {"embed.W": self.W_e, "embed.b": self.b_e}
-        for i, layer in enumerate(self.encoder_layers):
-            out.update({f"enc{i}.{k}": v for k, v in layer.parameters().items()})
-        for i, layer in enumerate(self.decoder_layers):
-            out.update({f"dec{i}.{k}": v for k, v in layer.parameters().items()})
+        for side, layers in (("enc", self.encoder_layers),
+                             ("dec", self.decoder_layers)):
+            for i, layer in enumerate(layers):
+                out.update({f"{side}{i}.{k}": v
+                            for k, v in layer.parameters().items()})
         out["head.W"] = self.W_o
         out["head.b"] = self.b_o
         return out
@@ -213,16 +188,12 @@ class FluidModel:
         return T.add(emb, pe)
 
     def _stack(self, layers, state, run_layer):
-        if not layers:
-            return state
-        if self.cfg.hc_mode == "residual":
-            for layer in layers:
-                state = run_layer(layer, state)
-            return state
-        state = HC.expand_streams(state, self.cfg.hc_streams)
+        liquid = bool(layers) and self.cfg.hc_mode != "residual"
+        if liquid:
+            state = HC.expand_streams(state, self.cfg.hc_streams)
         for layer in layers:
             state = run_layer(layer, state)
-        return HC.hc_network_finalize(state)
+        return HC.hc_network_finalize(state) if liquid else state
 
     def encoder_forward(self, x: Tensor, key_mask=None, collect=None) -> Tensor:
         return self._stack(self.encoder_layers, x,

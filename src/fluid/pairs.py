@@ -265,6 +265,7 @@ def topk_concat(q: Tensor, k: Tensor, K: int, causal: bool = False,
         if key_mask is not None:
             out |= ~key_mask[rows // (H * T_q)]
         np.copyto(s, np.inf, where=out)
+        del out
         # each row's K_eff-th score, partitioned a chunk of rows at a time:
         # an item holds one chunk's partition copy, never the slice's
         kth = np.empty((len(s), 1))

@@ -6,7 +6,8 @@ underlying buffer of leaf parameters between passes, never mid-graph).
 All arithmetic is 64-bit; broadcasting follows numpy rules and any
 incompatible pair of shapes raises :class:`ShapeError` naming both.
 ``masked_softmax``, ``gather_weighted`` and ``layer_norm`` are each one
-tape op for a whole formula, with a hand-written backward rule.
+tape op for a whole formula, with a hand-written backward rule. Each
+part of the model is a :class:`Module`, whose attributes hold its parameters.
 """
 
 from __future__ import annotations
@@ -530,8 +531,25 @@ def deserialize_tensor(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
 
 
 # --------------------------------------------------------------------------
-# parameter initialization
+# parameters
 # --------------------------------------------------------------------------
+
+class Module:
+    """A part of the model. ``parameters()`` walks its attributes in the
+    order they were set: a Tensor that requires grad is the parameter its
+    attribute names, an attribute with ``parameters()`` adds its own under
+    ``name.``, and anything else (a config, a count, None) holds none."""
+
+    def parameters(self) -> dict:
+        out = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor) and value.requires_grad:
+                out[name] = value
+            elif hasattr(value, "parameters"):
+                out.update({f"{name}.{k}": p
+                            for k, p in value.parameters().items()})
+        return out
+
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(max(fan_in, 1))

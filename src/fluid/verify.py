@@ -37,7 +37,7 @@ def run_invariance_suite(seed: int = 0) -> dict:
 
     # the integrator's clamp and recursion, from a0 rather than from 0
     dt = A.clamp_dt(1.0, f_tau)
-    a = A.euler_rows(a0[:, 0], f_tau.T, f_phi.T, dt, n_steps + 1).T
+    a = A.euler_rows(a0[:, 0], f_tau.T, f_phi.T, dt).T
     over = (a - a_max).max()
     under = (a_min - a).max()
     excursion = float(max(over, under, 0.0))
@@ -65,7 +65,7 @@ def run_stability_suite(seed: int = 0) -> dict:
     # instability witness: dt * f_tau = 2.5 with the clamp disabled
     witness_steps = 50
     wa = A.euler_rows(1.0, np.ones((witness_steps, 1)),
-                      np.zeros((witness_steps, 1)), 2.5, witness_steps + 1)
+                      np.zeros((witness_steps, 1)), 2.5)
     growth = float(np.abs(wa[-1, 0]) / np.abs(wa[0, 0]))
     diverges = growth >= 10.0
     elapsed = time.perf_counter() - t0

@@ -1779,7 +1779,7 @@ def test_integrate_equals_the_euler_step_chain(start, shared, dt):
     ref, states = euler_chain(Tensor(gates), traj.dt_effective, Tensor(first))
     want = np.stack([state.data for state in states])
     assert np.array_equal(A.euler_rows(first, gates[:n_steps], gates[n_steps:],
-                                       traj.dt_effective, n_steps + 1), want)
+                                       traj.dt_effective), want)
     if start == "zero":
         assert np.array_equal(final, ref.data)
         assert np.array_equal(traj.a, np.moveaxis(want, 0, -1))
@@ -1990,11 +1990,11 @@ def _mh_cfg(**kw):
 
 
 def _head_core(mh, h):
-    """An H=1 core holding head ``h``'s weight slices of ``mh.core``."""
+    """An H=1 core holding head ``h``'s weight slices of ``mh.gate``."""
     D = mh.cfg.head_dim
     core = A.RecurrentGateCore(D, np.random.default_rng(0), heads=1)
     for name, p in core.parameters().items():
-        p.data[...] = getattr(mh.core, name).data[h:h + 1]
+        p.data[...] = getattr(mh.gate, name).data[h:h + 1]
     return core
 
 
@@ -2030,13 +2030,13 @@ def test_multi_head_identical_heads_permutation_invariant():
     mh = A.MultiHeadLan(cfg, np.random.default_rng(33))
     # copy head 0 parameters into head 1 along the stacked axis
     for p in (mh.W_q, mh.b_q, mh.W_k, mh.b_k, mh.W_v, mh.b_v,
-              *mh.core.parameters().values()):
+              *mh.gate.parameters().values()):
         p.data[1] = p.data[0]
     rng = np.random.default_rng(34)
     x = Tensor(rng.standard_normal((1, 3, 4)))
     base = mh.forward(x, x).data.copy()
     for p in (mh.W_q, mh.b_q, mh.W_k, mh.b_k, mh.W_v, mh.b_v,
-              *mh.core.parameters().values()):
+              *mh.gate.parameters().values()):
         p.data[...] = np.flip(p.data, axis=0)
     assert np.array_equal(mh.forward(x, x).data, base)
 

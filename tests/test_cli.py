@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fluid import cli
@@ -60,6 +61,36 @@ def test_train_single_split_holds_out_validation(tmp_path, monkeypatch):
     assert len(train_rows) == n - n // 5
     assert len(val_rows) == n // 5
     assert not train_rows & val_rows
+
+
+def test_train_packs_each_split_on_its_own(tmp_path, monkeypatch):
+    # the held-out sequence is the longest: the training arrays stay as
+    # wide as the training sequences alone need, so no validation sequence
+    # sets their padding
+    seqs = [seq for n, points in ((1, 30), (5, 12))
+            for seq in D.generate_spirals(D.SpiralSpec(
+                n_spirals=n, n_points=40, n_subsample=points))]
+    data = tmp_path / "mixed.csv"
+    D.write_dataset_csv(str(data), seqs)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    seen = {}
+
+    def fake_train(model, train_data, val_data, cfg, out_dir):
+        seen["train"], seen["val"] = train_data, val_data
+        return []
+
+    monkeypatch.setattr(TR, "train", fake_train)
+    assert cli.main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "run"), "--config", str(config)]) == 0
+    read = D.read_dataset_csv(str(data))
+    for name, want in (("val", D.spiral_arrays(read[:1])),
+                       ("train", D.spiral_arrays(read[1:]))):
+        assert seen[name].keys() == want.keys()
+        for key, array in want.items():
+            assert np.array_equal(seen[name][key], array), (name, key)
+    assert seen["train"]["values"].shape[1] < seen["val"]["values"].shape[1]
+    assert seen["train"]["targets"].shape[1] < seen["val"]["targets"].shape[1]
 
 
 def _train_with_config(tmp_path, monkeypatch, config):

@@ -3,6 +3,7 @@ checkpoints, and the plain-attention reproduction property."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,9 +396,9 @@ def sdpa_transformer_forward(model: M.FluidModel, values, times, query_times):
 def _frozen(model):
     """``model`` with every attention block on the attention limit's gates."""
     for layer in model.encoder_layers:
-        layer.attn.core = R.FrozenGates()
+        layer.attn.gate = R.FrozenGates()
     for layer in model.decoder_layers:
-        layer.self_attn.core = layer.cross_attn.core = R.FrozenGates()
+        layer.self_attn.gate = layer.cross_attn.gate = R.FrozenGates()
     return model
 
 
@@ -465,6 +466,61 @@ def test_frozen_gate_encoder_layer_matches_sdpa_layer_closely():
 # --------------------------------------------------------------------------
 # checkpoints
 # --------------------------------------------------------------------------
+
+# the parameter names of each part, in order; residual sublayers have no hc
+_GATE = [f"gate.{n}" for n in "W_u w_t b_x W_h W_o b_o".split()]
+_HC = [f"hc.{n}" for n in "B A_m A_r W_b W_m W_r s_b s_a".split()]
+_FFN = ["ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2"]
+
+
+def _pinned_names(liquid: bool, sink: bool, n_layers: int) -> list:
+    attn = ("W_q b_q W_k b_k W_v b_v".split() + _GATE + ["W_g", "b_g"]
+            + ["W_s", "b_s"] * sink)
+    sub = ["norm.gain", "norm.bias"] + _HC * liquid
+
+    def layer(attns, subs):
+        return ([f"{a}.{n}" for a in attns for n in attn] + _FFN
+                + [f"{s}.{n}" for s in subs for n in sub])
+
+    enc = layer(["attn"], ["sub_attn", "sub_ffn"])
+    dec = layer(["self_attn", "cross_attn"], ["sub_self", "sub_cross", "sub_ffn"])
+    return (["embed.W", "embed.b"]
+            + [f"enc{i}.{n}" for i in range(n_layers) for n in enc]
+            + [f"dec{i}.{n}" for i in range(n_layers) for n in dec]
+            + ["head.W", "head.b"])
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+@pytest.mark.parametrize("sink", [True, False])
+@pytest.mark.parametrize("hc_mode", ["residual", "liquid"])
+def test_parameter_names_and_order_are_pinned(hc_mode, sink, n_layers):
+    # checkpoints name the parameters, and the gradient clip sums their
+    # squares in this order
+    model = M.FluidModel(_cfg(hc_mode=hc_mode, hc_streams=2, n_layers=n_layers,
+                              sink_gate_enabled=sink))
+    assert list(model.parameters()) == _pinned_names(hc_mode == "liquid",
+                                                      sink, n_layers)
+
+
+# written by the code of commit 15a6958, before each part's parameters were
+# read from its attributes: liquid hyper-connections, the sink gate, top-k
+# 3 and two layers, each parameter redrawn after the model was built
+_OLD_CHECKPOINT = Path(__file__).parent / "checkpoint_15a6958"
+
+
+def test_an_older_checkpoint_loads_and_saves_byte_for_byte(tmp_path):
+    model = M.load_checkpoint(str(_OLD_CHECKPOINT))
+    cfg = model.cfg
+    assert (cfg.hc_mode, cfg.lan.sink_gate_enabled, cfg.lan.top_k,
+            cfg.n_layers) == ("liquid", True, 3, 2)
+    built = M.FluidModel(cfg).parameters()
+    for name, p in model.parameters().items():
+        assert not np.array_equal(p.data, built[name].data), name
+    M.save_checkpoint(model, str(tmp_path))
+    for name in ("manifest.json", "tensors.bin"):
+        assert ((tmp_path / name).read_bytes()
+                == (_OLD_CHECKPOINT / name).read_bytes()), name
+
 
 def test_checkpoint_round_trip(tmp_path):
     model = M.FluidModel(_cfg(seed=24, hc_mode="liquid", hc_streams=2,

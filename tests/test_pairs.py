@@ -1,6 +1,7 @@
 """Pair curation (full pairwise, sparse Top-K) and the factored pair input."""
 
 import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -245,6 +246,36 @@ def test_topk_never_holds_a_whole_candidate_mask(workers):
     assert peak + B * H * T * T > bound             # room for no candidate mask
     # room for no partition copy of a whole slice in each running item
     assert peak + workers * (pairs._SLICE_SCORES - chunk) * 8 > bound
+
+
+def test_topk_item_drops_its_mask_before_ranking(monkeypatch):
+    # at an item's first partition, the traced memory holds the outputs,
+    # the item's 2 MB of scores and two int64/float64 values per row, but
+    # not the item's [rows, T_k] NaN and key mask (256 kB here)
+    B, H, T, D, K = 1, 4, 1024, 16, 32
+    rng = np.random.default_rng(31)
+    q = Tensor(rng.standard_normal((B, H, T, D)))
+    k = Tensor(rng.standard_normal((B, H, T, D)))
+    seen = []
+    partition = np.partition
+
+    def spy(*args, **kwargs):
+        if not seen:
+            seen.append(tracemalloc.get_traced_memory()[0])
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
+    outputs = B * H * T * K * 5                     # int32 keys, their flags
+    rows = pairs._SLICE_SCORES // T
+    tracemalloc.start()
+    try:
+        with pool_workers(1):
+            base = tracemalloc.get_traced_memory()[0]
+            pairs.topk_concat(q, k, K, key_mask=np.ones((B, T), dtype=bool))
+    finally:
+        tracemalloc.stop()
+    held = seen[0] - base - outputs - pairs._SLICE_SCORES * 8 - rows * 16
+    assert held < rows * T // 2, held
 
 
 def _recorded_slices(monkeypatch, q, k, K):

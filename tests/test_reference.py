@@ -97,7 +97,7 @@ def test_frozen_block_is_sdpa_for_any_configured_step_count():
     cfg = A.LanConfig(d_model=6, heads=2, euler_steps=3,
                       sink_gate_enabled=False)
     mh = A.MultiHeadLan(cfg, rng)
-    mh.core = R.FrozenGates()
+    mh.gate = R.FrozenGates()
     x_q, x_kv = rng.standard_normal((1, 4, 6)), rng.standard_normal((1, 5, 6))
     out = mh.forward(Tensor(x_q), Tensor(x_kv)).data[0]
     heads = []
