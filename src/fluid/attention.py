@@ -248,9 +248,9 @@ class RecurrentGateCore(T.Module):
         """u W_u for every selected pair, [B,H,T_q,K_eff,3h], in factored
         form: the pair input holds q, k and W_u, and projects each head
         when the kernel forms that head's first block. The projections are
-        no tape op: under a tape the pair input keeps q and k as its
-        ``sources``, the parents of ``unroll``'s op."""
-        return pairs_mod.PairInput(q, k, self.W_u, pb, T._grad_enabled())
+        no tape op: q and k are the pair input's ``sources``, the first
+        parents of ``unroll``'s op."""
+        return pairs_mod.PairInput(q, k, self.W_u, pb)
 
     def unroll(self, pin: pairs_mod.PairInput, n_steps: int,
                trajectory: bool = False):
@@ -264,13 +264,13 @@ class RecurrentGateCore(T.Module):
         of the items' f_tau maxima, is smaller, the items run again and
         integrate at it. Each run of the items projects each head once, at
         its first block, so the pair input keeps q and k for the second
-        run. Under a tape, the op's parents are the pair input's sources q
-        and k, W_u and the gate weights. The tape holds the final logits,
+        run. The op's parents are the pair input's sources q and k, then
+        the core's ``parameters()`` in their order; ``T._node`` alone
+        decides whether the op is taped. The tape holds the final logits,
         the clamped dt and the pair input, which holds no projection once a
         run is over; the backward (``_gru_backward``) projects each head
         again, bitwise the forward's projections, and maps the projections'
-        gradients to q's, k's and W_u's. A pair input made under
-        ``no_grad`` has no sources and gives no tape.
+        gradients to q's, k's and W_u's.
         """
         h, C = self.hidden_dim, pin.shape[-1]
         if C != 3 * h:
@@ -288,10 +288,9 @@ class RecurrentGateCore(T.Module):
             gates = np.zeros((2 * n_steps, H, P))
             gates[:n_steps] = _EPSILON
 
-        # in the order of the rule's gradients
-        inputs = () if pin.sources is None else pin.sources + (
-            self.W_u, self.W_h, self.w_t, self.b_x, self.W_o, self.b_o)
-        w = {n: p.data for n, p in self.parameters().items()}
+        params = self.parameters()
+        inputs = pin.sources + tuple(params.values())
+        w = {n: p.data for n, p in params.items()}
         logits = np.zeros((H, P))       # an invalid slot's logit stays 0
 
         def run(dt, gates):
@@ -312,8 +311,6 @@ class RecurrentGateCore(T.Module):
         traj = None if gates is None else LogitTrajectory.of(
             np.moveaxis(gates.reshape((2 * n_steps,) + pairs_shape), 2, 1),
             dt, dt_nominal)
-        if not (T._grad_enabled() and any(t.requires_grad for t in inputs)):
-            return Tensor(final), traj
         q, k = pin.sources
 
         def rule(g):
@@ -479,8 +476,9 @@ def _forward_block(x, w, hd, gates):
 
 def _gru_backward(g, pin, w, n_steps, dt):
     """The backward of ``unroll`` from the final logits' gradient g
-    [B,H,T_q,K_eff]: returns (d qp, d kp, dW_h, dw_t, db_x, dW_o, db_o),
-    each in its parameter's shape.
+    [B,H,T_q,K_eff]: returns d qp [B,H,T_q,3h], d kp [B,H,T_k,3h], then
+    the gradient of every weight of ``w`` but W_u in ``w``'s order (dw_t,
+    db_x, dW_h, dW_o, db_o), each in its weight's shape.
 
     Only the live packed pairs run, those whose g is not 0. A pair's
     gradients are g times its own derivatives, so a pair with g = 0, such
@@ -490,7 +488,8 @@ def _gru_backward(g, pin, w, n_steps, dt):
     slice where every pair of the head is live, else by its part of the
     live indices, int32. Each item reads its pairs' entries of g by
     (batch, slot), with no copy of g, forms its pair inputs again and runs
-    ``_backward_block``; the partials are summed in item order."""
+    ``_backward_block``; one loop sums the partials, the weights' and the
+    pair input's (``PairInput.block_grads``), in item order."""
     B, H, T_q, K, C = pin.shape
     g = g.reshape(B, H, T_q * K)
 
@@ -510,12 +509,16 @@ def _gru_backward(g, pin, w, n_steps, dt):
         return parts, pin.block_grads(hd, sel, dx)
 
     results = list(pool._run_items(item, items))
-    totals = tuple(np.zeros_like(w[n])
-                   for n in ("W_h", "w_t", "b_x", "W_o", "b_o"))
-    for (hd, _), (parts, _) in zip(items, results):
+    T_k = pin.sources[1].shape[2]
+    dq, dk = np.zeros((H, C, B * T_q)), np.zeros((H, C, B * T_k))
+    totals = tuple(np.zeros_like(v) for n, v in w.items() if n != "W_u")
+    for (hd, _), (parts, (rows, dq_rows, dk_keys)) in zip(items, results):
+        dq[hd][:, rows] += dq_rows
+        dk[hd] += dk_keys
         for total, part in zip(totals, parts):
             total[hd] += part
-    return pin.grads(items, [pair for _, pair in results]) + totals
+    return tuple(d.reshape(H, C, B, n).transpose(2, 0, 3, 1)
+                 for d, n in ((dq, T_q), (dk, T_k))) + totals
 
 
 def _head_grads(g, gates, a, dt):
@@ -548,8 +551,8 @@ def _head_grads(g, gates, a, dt):
 def _backward_block(g, x, w, hd, n_steps, dt):
     """Backward of head ``hd`` over one block, from g [P], the gradient of
     its final logits: x [3h,P], whose buffer becomes d x. Returns d x and
-    this block's partials (dW_h [h,3h], dw_t [3h], db_x [3h], dW_o [2,h],
-    db_o [2]).
+    this block's partials in the order of the core's weights after W_u
+    (dw_t [3h], db_x [3h], dW_h [h,3h], dW_o [2,h], db_o [2]).
 
     The tape keeps no hidden state, so the item recomputes within its own
     block (Chen et al., "Training Deep Nets with Sublinear Memory Cost";
@@ -634,7 +637,7 @@ def _backward_block(g, x, w, hd, n_steps, dt):
             # dx now sums steps n .. N-1; over n >= 1 these sums add up
             # each step's row sums n times, so dw_t = dt_nominal * dx_sums
             dx_sums += dx.sum(axis=1)
-    return dx, (dW_h, (1.0 / N) * dx_sums, dx.sum(axis=1), dW_o,
+    return dx, ((1.0 / N) * dx_sums, dx.sum(axis=1), dW_h, dW_o,
                 d_heads.sum(axis=(0, 2)))
 
 

@@ -65,8 +65,8 @@ class PairInput:
     kernel forms the block of pairs each work item takes with ``block``.
     An item names its packed pairs by a selector: a slice, or an ascending
     int32 index array where the backward skips pairs whose logit gradient
-    is 0. Under a tape the pair input keeps q and k as its ``sources``,
-    the parents of the gate op.
+    is 0. In either grad mode the pair input keeps q and k as its
+    ``sources``, the gate op's first parents.
 
     Slots are numbered per head in (batch, query, slot) order. The kernel
     runs on each head's packed pairs, its valid pairs in slot order;
@@ -82,8 +82,7 @@ class PairInput:
     and nothing the gates do not read.
     """
 
-    def __init__(self, q: Tensor, k: Tensor, W_u: Tensor, batch: PairBatch,
-                 taped: bool = False):
+    def __init__(self, q: Tensor, k: Tensor, W_u: Tensor, batch: PairBatch):
         B, H, T_q, D = q.shape
         C = W_u.shape[-1]
         idx, valid = batch.selected_indices, batch.valid_mask
@@ -91,7 +90,7 @@ class PairInput:
         if B * T_q * K >= 2 ** 31:
             raise ValueError(f"a head has {B * T_q * K} pair slots; int32 "
                              "positions index fewer than 2^31")
-        self.sources = (q, k) if taped else None
+        self.sources = (q, k)
         self.shape = (B, H, T_q, K, C)
         self.size = B * H * T_q * K * C
         self._T_k = k.shape[2]
@@ -177,17 +176,6 @@ class PairInput:
         flat = (np.arange(C)[:, None] * M + keys).ravel()
         return rows[starts], np.add.reduceat(dx, starts, axis=1), np.bincount(
             flat, weights=dx.ravel(), minlength=C * M).reshape(C, M)
-
-    def grads(self, items: list[tuple], parts: list[tuple]):
-        """(d qp, d kp) from the ``block_grads`` of the (head, selector)
-        items, summed in item order."""
-        B, H, T_q, _, C = self.shape
-        dq, dk = np.zeros((H, C, B * T_q)), np.zeros((H, C, B * self._T_k))
-        for (hd, _), (rows, dq_rows, dk_keys) in zip(items, parts):
-            dq[hd][:, rows] += dq_rows
-            dk[hd] += dk_keys
-        return tuple(d.reshape(H, C, B, T).transpose(2, 0, 3, 1)
-                     for d, T in ((dq, T_q), (dk, self._T_k)))
 
 
 def full_pairwise_concat(q: Tensor, k: Tensor, causal: bool = False,

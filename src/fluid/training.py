@@ -73,30 +73,30 @@ class TrainConfig:
 # losses
 # --------------------------------------------------------------------------
 
-def _mask_weights(shape, mask) -> np.ndarray:
-    """Per-element averaging weights honoring a position mask."""
-    if mask is None:
-        flat = np.ones(shape, dtype=float)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        flat = np.broadcast_to(mask.reshape(mask.shape + (1,) * (len(shape) - mask.ndim)),
-                               shape).astype(float)
-    n = flat.sum()
-    if n == 0:
-        raise ValueError("loss mask excludes every element")
-    return flat / n
-
-
 def loss(kind: str, pred: Tensor, target: np.ndarray,
          mask: np.ndarray | None = None) -> Tensor:
     """Mean squared (mse) or absolute (mae) error per element over the
-    unmasked positions."""
+    unmasked positions. One tape op takes the unmasked errors in order and
+    scatters their gradient back, so the average, and its last bits, do
+    not depend on how wide the padded arrays are."""
     if kind not in LOSSES:
         raise ValueError(f"unknown loss kind {kind!r}")
     diff = T.sub(pred, Tensor(np.asarray(target, dtype=float)))
-    w = _mask_weights(pred.shape, mask)
     err = T.mul(diff, diff) if kind == "mse" else T.absolute(diff)
-    return T.tsum(T.mul(err, Tensor(w)))
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        keep = np.broadcast_to(
+            mask.reshape(mask.shape + (1,) * (err.ndim - mask.ndim)), err.shape)
+
+        def scatter(g):
+            out = np.zeros(keep.shape)
+            out[keep] = g
+            return (out,)
+
+        err = T._node(err.data[keep], (err,), scatter)
+    if err.size == 0:
+        raise ValueError("loss mask excludes every element")
+    return T.tsum(T.mul(err, Tensor(1.0 / err.size)))
 
 
 # --------------------------------------------------------------------------

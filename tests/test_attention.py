@@ -427,7 +427,7 @@ def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
     # head's [B,T,3h] products are copied channel-major and freed, its
     # blocks read that one buffer of each projection, and it lets them go
     # once its last block is formed, so it holds none once the pass has
-    # run. Under a tape it keeps q and k, the gate op's parents
+    # run. It keeps q and k, the gate op's first parents, in either mode
     rng = np.random.default_rng(101)
     core = A.RecurrentGateCore(4, rng, heads=2)
     q = Tensor(rng.standard_normal((2, 2, 9, 4)), requires_grad=taped)
@@ -462,18 +462,32 @@ def test_each_pair_projection_has_one_buffer(taped, monkeypatch):
     pin.block(1, halves[1])
     gc.collect()
     assert pin._proj == [None, None] and all(ref() is None for ref in buffers)
-    if taped:
-        assert pin.sources[0] is q and pin.sources[1] is k
-    else:
-        assert pin.sources is None
-    final, _ = core.unroll(pin, 2)
+    assert pin.sources[0] is q and pin.sources[1] is k
+    with contextlib.nullcontext() if taped else T.no_grad():
+        final, _ = core.unroll(pin, 2)
     assert final.requires_grad == taped
     assert pin._proj == [None, None]
     if taped:
-        assert final._parents == (q, k, core.W_u, core.W_h, core.w_t,
-                                  core.b_x, core.W_o, core.b_o)
+        assert final._parents == (q, k) + tuple(core.parameters().values())
         T.tsum(final).backward()
         assert pin._proj == [None, None]
+
+
+def test_a_taped_pass_of_nothing_that_requires_grad_is_untaped(monkeypatch):
+    # the tape alone decides: with q, k and every gate weight off the tape,
+    # a pass outside no_grad gives the logits of a no_grad pass, untaped
+    rng = np.random.default_rng(103)
+    core = A.RecurrentGateCore(4, rng, heads=2)
+    q = Tensor(rng.standard_normal((2, 2, 9, 4)))
+    k = Tensor(rng.standard_normal((2, 2, 7, 4)))
+    pb = pairs.topk_concat(q, k, 3)
+    with T.no_grad():
+        want = core.unroll(core.project_pairs(q, k, pb), 2)[0]
+    frozen = {n: Tensor(p.data) for n, p in core.parameters().items()}
+    monkeypatch.setattr(core, "parameters", lambda: frozen)
+    final = core.unroll(core.project_pairs(q, k, pb), 2)[0]
+    assert not final.requires_grad and final._parents == ()
+    assert final._backward is None and np.array_equal(final.data, want.data)
 
 
 @pytest.mark.parametrize("clamp", [False, True])

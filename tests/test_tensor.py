@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,6 +454,15 @@ def test_no_grad_suppresses_tape():
     with T.no_grad():
         out = T.mul(p, p)
     assert out._backward is None and not out.requires_grad
+
+
+def test_only_the_tape_reads_the_grad_mode():
+    # whether an op is taped is decided in one place, ``tensor._node``: no
+    # other module of the package names the grad mode
+    package = Path(T.__file__).parent
+    readers = [f.name for f in sorted(package.glob("*.py"))
+               if "_grad_enabled" in f.read_text()]
+    assert readers == ["tensor.py"]
 
 
 def test_allocation_tracking_peak():

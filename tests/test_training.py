@@ -87,6 +87,28 @@ def test_masked_loss_ignores_masked_positions():
     assert TR.loss("mse", pred, target, mask).item() == 1.0
 
 
+@pytest.mark.parametrize("kind", TR.LOSSES)
+def test_loss_does_not_depend_on_the_padding_width(kind):
+    # zero slots padded onto the query axis and masked out, as a wider batch
+    # packs a sequence, change neither the loss's bits nor its gradient
+    B, T_q, F = 4, 9, 2
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        pred, target = rng.standard_normal((2, B, T_q, F))
+        mask = np.arange(T_q) < rng.integers(1, T_q + 1, (B, 1))
+        runs = []
+        for width in range(12):
+            pad = ((0, 0), (0, width), (0, 0))
+            p = Tensor(np.pad(pred, pad), requires_grad=True)
+            value = TR.loss(kind, p, np.pad(target, pad), np.pad(mask, pad[:2]))
+            value.backward()
+            assert not p.grad[:, T_q:].any()
+            runs.append((value.item(), p.grad[:, :T_q]))
+        for value, grad in runs[1:]:
+            assert value == runs[0][0], (seed, kind)
+            assert np.array_equal(grad, runs[0][1])
+
+
 # --------------------------------------------------------------------------
 # AdamW
 # --------------------------------------------------------------------------
